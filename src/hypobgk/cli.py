@@ -114,7 +114,6 @@ class RunConfig:
     times: tuple[float, ...]
     z_points: tuple[float, ...]
     alpha_strategy: object
-    sigma_grid_resolution: int
     initial: InitialDataSpec
     out_dir: Path
     envelope_tol: float
@@ -125,6 +124,15 @@ class RunConfig:
     sweep_sigma0_values: tuple[float, ...]
     threads: int
     seed_used: int | None
+
+
+def _is_int(x) -> bool:
+    """True for JSON integers; bool is an int subclass but not a count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def load_config(path: str | Path, out_override: str | None = None,
@@ -145,44 +153,56 @@ def load_config(path: str | Path, out_override: str | None = None,
     def fail(msg: str) -> None:
         problems.append(msg)
 
+    def section(name: str) -> dict:
+        value = raw.get(name, {})
+        if isinstance(value, dict):
+            return value
+        fail(f"{name} must be an object, got {value!r}")
+        return {}
+
     run_id = raw.get("run_id", "run")
     if not isinstance(run_id, str) or not run_id:
         fail("run_id must be a nonempty string")
         run_id = "run"
 
-    domain = raw.get("domain", {})
+    domain = section("domain")
     lattice = None
     L = domain.get("L", 2.0 * math.pi)
     K = domain.get("K", 4)
     M = domain.get("M", 20)
     N = domain.get("N", 0)
-    try:
-        lattice = ModeLattice(K=int(K), L=float(L), M=int(M))
-    except (HypoBGKError, ValueError, TypeError) as exc:
-        fail(f"domain: {exc}")
-    if not isinstance(N, int) or N < 0:
-        fail(f"domain: derivative order N must be an integer >= 0, got {N}")
+    if not (_is_number(L) and _is_int(K) and _is_int(M)):
+        fail(f"domain: L must be a number and K, M integers, "
+             f"got L={L!r}, K={K!r}, M={M!r}")
+        L = 2.0 * math.pi
+    else:
+        try:
+            lattice = ModeLattice(K=K, L=float(L), M=M)
+        except HypoBGKError as exc:
+            fail(f"domain: {exc}")
+    if not _is_int(N) or N < 0:
+        fail(f"domain: derivative order N must be an integer >= 0, got {N!r}")
         N = 0
 
     model = None
     mspec = raw.get("sigma", {})
     try:
         model = _parse_model(mspec)
-    except (HypoBGKError, ValueError, TypeError, KeyError) as exc:
+    except (HypoBGKError, ValueError, TypeError, OverflowError, KeyError) as exc:
         fail(f"sigma: {exc}")
 
     times: tuple[float, ...] = ()
     tspec = raw.get("time_grid", {"start": 0.0, "stop": 10.0, "num": 21})
     try:
         times = _parse_time_grid(tspec)
-    except (HypoBGKError, ValueError, TypeError) as exc:
+    except (HypoBGKError, ValueError, TypeError, OverflowError) as exc:
         fail(f"time_grid: {exc}")
 
     z_points: tuple[float, ...] = ()
     if model is not None:
         try:
             z_points = _parse_z_grid(raw.get("z_grid", {"num": 1}), model)
-        except (HypoBGKError, ValueError, TypeError) as exc:
+        except (HypoBGKError, ValueError, TypeError, OverflowError) as exc:
             fail(f"z_grid: {exc}")
 
     alpha_strategy = raw.get("alpha_strategy", "optimize")
@@ -191,10 +211,9 @@ def load_config(path: str | Path, out_override: str | None = None,
              f"got {alpha_strategy!r}")
         alpha_strategy = "optimize"
 
-    resolution = raw.get("sigma_grid_resolution", 10_000)
-    if not isinstance(resolution, int) or resolution < 2:
-        fail(f"sigma_grid_resolution must be an integer >= 2, got {resolution}")
-        resolution = 10_000
+    if "sigma_grid_resolution" in raw:
+        print("warning: sigma_grid_resolution is ignored; the certificate "
+              "minimizes over sigma in closed form", file=sys.stderr)
 
     initial = None
     seed_used: int | None = None
@@ -202,45 +221,47 @@ def load_config(path: str | Path, out_override: str | None = None,
         initial, seed_used = _parse_initial(raw.get("initial_data",
                                                     {"type": "random", "seed": 0}),
                                             seed_override)
-    except (HypoBGKError, ValueError, TypeError, KeyError) as exc:
+    except (HypoBGKError, ValueError, TypeError, OverflowError, KeyError) as exc:
         fail(f"initial_data: {exc}")
 
-    tol = raw.get("tolerances", {})
+    tol = section("tolerances")
     envelope_tol = tol.get("envelope", 1e-8)
     eig_tol_factor = tol.get("eig", 1e-10)
-    if not (isinstance(envelope_tol, (int, float)) and envelope_tol > 0.0):
-        fail(f"tolerances.envelope must be positive, got {envelope_tol}")
+    if not (_is_number(envelope_tol) and envelope_tol > 0.0):
+        fail(f"tolerances.envelope must be positive, got {envelope_tol!r}")
         envelope_tol = 1e-8
-    if not (isinstance(eig_tol_factor, (int, float)) and eig_tol_factor > 0.0):
-        fail(f"tolerances.eig must be positive, got {eig_tol_factor}")
+    if not (_is_number(eig_tol_factor) and eig_tol_factor > 0.0):
+        fail(f"tolerances.eig must be positive, got {eig_tol_factor!r}")
         eig_tol_factor = 1e-10
 
-    ver = raw.get("verify", {})
-    verify_k_max = ver.get("k_max",
-                           max(int(K), 1) if isinstance(K, int) else 4)
+    ver = section("verify")
+    verify_k_max = ver.get("k_max", max(K, 1) if _is_int(K) else 4)
     verify_sigma_points = ver.get("sigma_points", 33)
-    if not isinstance(verify_k_max, int) or verify_k_max < 1:
-        fail(f"verify.k_max must be an integer >= 1, got {verify_k_max}")
+    if not _is_int(verify_k_max) or verify_k_max < 1:
+        fail(f"verify.k_max must be an integer >= 1, got {verify_k_max!r}")
         verify_k_max = 1
-    if not isinstance(verify_sigma_points, int) or verify_sigma_points < 1:
+    if not _is_int(verify_sigma_points) or verify_sigma_points < 1:
         fail(f"verify.sigma_points must be an integer >= 1, "
-             f"got {verify_sigma_points}")
+             f"got {verify_sigma_points!r}")
         verify_sigma_points = 33
 
-    sweep = raw.get("sweep", {})
-    sweep_L = tuple(float(x) for x in sweep.get("L_values", [float(L)])) \
-        if isinstance(sweep.get("L_values", [float(L)]), list) else ()
+    sweep = section("sweep")
+    sweep_L_raw = sweep.get("L_values", [float(L)])
+    if isinstance(sweep_L_raw, list) and sweep_L_raw \
+            and all(_is_number(x) for x in sweep_L_raw):
+        sweep_L = tuple(float(x) for x in sweep_L_raw)
+    else:
+        fail(f"sweep.L_values must be a nonempty list of numbers, "
+             f"got {sweep_L_raw!r}")
+        sweep_L = ()
     sweep_s0 = sweep.get("sigma0_values")
     if sweep_s0 is None:
         sweep_s0_t = (model.params[0],) if model is not None else ()
-    elif isinstance(sweep_s0, list):
+    elif isinstance(sweep_s0, list) and all(_is_number(x) for x in sweep_s0):
         sweep_s0_t = tuple(float(x) for x in sweep_s0)
     else:
-        fail("sweep.sigma0_values must be a list of numbers")
+        fail(f"sweep.sigma0_values must be a list of numbers, got {sweep_s0!r}")
         sweep_s0_t = ()
-    if not sweep_L:
-        fail("sweep.L_values must be a nonempty list of numbers")
-        sweep_L = (float(L),)
     # pre-validate every sweep combination so failures surface before any run
     if model is not None:
         for s0 in sweep_s0_t:
@@ -252,8 +273,11 @@ def load_config(path: str | Path, out_override: str | None = None,
             if not (Lv > 0.0 and math.isfinite(Lv)):
                 fail(f"sweep: period L={Lv} must be positive and finite")
 
-    out_dir = Path(out_override if out_override is not None
-                   else raw.get("output", {}).get("dir", "out"))
+    out_dir = out_override if out_override is not None \
+        else section("output").get("dir", "out")
+    if not isinstance(out_dir, str):
+        fail(f"output.dir must be a string, got {out_dir!r}")
+        out_dir = "out"
     if not isinstance(threads, int) or threads < 1:
         fail(f"threads must be an integer >= 1, got {threads}")
         threads = 1
@@ -270,9 +294,8 @@ def load_config(path: str | Path, out_override: str | None = None,
         times=times,
         z_points=z_points,
         alpha_strategy=alpha_strategy,
-        sigma_grid_resolution=resolution,
         initial=initial,
-        out_dir=out_dir,
+        out_dir=Path(out_dir),
         envelope_tol=float(envelope_tol),
         eig_tol_factor=float(eig_tol_factor),
         verify_k_max=verify_k_max,
@@ -316,7 +339,6 @@ def dump_config(cfg: RunConfig) -> dict:
         "time_grid": {"times": list(cfg.times)},
         "z_grid": {"points": list(cfg.z_points)},
         "alpha_strategy": cfg.alpha_strategy,
-        "sigma_grid_resolution": cfg.sigma_grid_resolution,
         "initial_data": ispec,
         "tolerances": {"envelope": cfg.envelope_tol, "eig": cfg.eig_tol_factor},
         "verify": {"k_max": cfg.verify_k_max,
@@ -457,7 +479,6 @@ def _certificate_rows(cert: Certificate) -> list[list[str]]:
         ["mu", _fmt(cert.mu)],
         ["lambda", _fmt(cert.decay_rate)],
         ["ctilde", _fmt(cert.ctilde)],
-        ["sigma_grid_resolution", str(cert.sigma_grid_resolution)],
     ]
     return rows
 
@@ -467,8 +488,7 @@ def _certify_config(cfg: RunConfig, L: float | None = None,
     model = cfg.model if model is None else model
     return certify(cfg.lattice.L if L is None else L,
                    model.sigma_min, model.sigma_max,
-                   alpha_strategy=cfg.alpha_strategy,
-                   sigma_grid_resolution=cfg.sigma_grid_resolution)
+                   alpha_strategy=cfg.alpha_strategy)
 
 
 def cmd_certify(cfg: RunConfig) -> int:

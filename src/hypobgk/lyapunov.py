@@ -28,7 +28,22 @@ ratio over one sigma interval yields the rate constants
     mu         = lambda_min / (2 (1 + alpha sqrt(3+sqrt(6)))),
     rate       = min(mu, sigma_min),
 
-packaged in a Certificate.  The certified matrix inequality
+packaged in a Certificate.  Both minimizations over sigma are exact
+and need no search: the paper's closed forms are single-peaked in sigma,
+so each minimum over an interval is the smaller of its endpoint values.
+
+  * alpha_limit.  Since 64 l^4 + 16 l^2 s^2 + s^4 = (s^2 + 8 l^2)^2, with
+    u = sigma / l the threshold reads 8u / (3 (u^2 + 8 + u sqrt(u^2 + 16))).
+    Up to the factor 3/8 its reciprocal has u-derivative
+    1 - 8/u^2 + u/sqrt(u^2 + 16), which is strictly increasing from -inf
+    to 2 and so has exactly one root: a single peak (alpha_max).
+  * rate_block.  Its sigma-derivative is a positive multiple of
+    -(sigma - 3 alpha l)(3 sigma^2 - 16 l^2).  The denominator above is
+    at least 24, so alpha_limit(l, sigma) < sigma / (3 l): admissibility
+    alone forces sigma > 3 alpha l, and the one remaining critical point
+    sigma = 4 l / sqrt(3) is a maximum (lambda_min).
+
+The certified matrix inequality
 
     C_k^* P_k + P_k C_k  >=  2 mu P_k      for every k != 0, M >= 5
 
@@ -89,8 +104,10 @@ class TransformMatrix:
 class Certificate:
     """Decay-rate certificate for one period and collision-frequency range.
 
-    lambda_min already includes a multiplicative safety factor 1 - 1e-6
-    absorbing the grid minimization error; mu and decay_rate derive from
+    lambda_min already includes a multiplicative safety factor 1 - 1e-6.
+    The minimum over sigma is exact (see the module docstring), so the
+    factor only has to cover floating-point rounding in rate_block, a few
+    ulps, and does so with a wide margin; mu and decay_rate derive from
     the safeguarded value, so the certified inequality holds with margin.
     """
 
@@ -104,7 +121,6 @@ class Certificate:
     mu: float
     decay_rate: float
     ctilde: float
-    sigma_grid_resolution: int
 
     @property
     def beta(self) -> float:
@@ -168,6 +184,17 @@ def alpha_limit(l, sigma):
 
     which is free of the subtractive cancellation the naive expression
     suffers for small l.  Accepts scalar or array sigma.
+
+    The first root is sigma^2 + 8 l^2, so with u = sigma / l
+
+        alpha_limit = 8 u / (3 (u^2 + 8 + u sqrt(u^2 + 16))),
+
+    a function of u alone.  The derivative of 3 (u^2 + 8 + u sqrt(u^2 + 16))
+    / (8 u), the reciprocal, is (3/8) (1 - 8/u^2 + u/sqrt(u^2 + 16)).  Both
+    u-dependent terms increase strictly, the bracket runs from -inf at
+    u -> 0 to 2 at u -> inf, so it has exactly one root: alpha_limit has a
+    single peak in sigma and no interior minimum on any interval.  The
+    same denominator is at least 24, so alpha_limit(l, sigma) < sigma / (3 l).
     """
     sigma = np.asarray(sigma, dtype=float)
     if not (np.asarray(l) > 0).all() or not (sigma > 0).all():
@@ -194,26 +221,6 @@ def _golden_section_min(f, a: float, b: float, xatol: float = 1e-10):
             f2 = f(x2)
     x = 0.5 * (a + b)
     return x, f(x)
-
-
-def _grid_refine_min(f, lo: float, hi: float, num: int, xatol: float = 1e-10):
-    """Dense-grid scan followed by local golden-section refinement.
-
-    f must accept array input.  Returns (argmin, min); the refinement can
-    only improve on the best grid point, never lose it.
-    """
-    if hi < lo:
-        raise UsageError(f"empty search interval [{lo}, {hi}]")
-    if hi == lo:
-        return lo, float(f(np.asarray(lo)))
-    xs = np.linspace(lo, hi, num)
-    ys = np.asarray(f(xs), dtype=float)
-    i = int(np.argmin(ys))
-    a, b = xs[max(i - 1, 0)], xs[min(i + 1, num - 1)]
-    x_ref, y_ref = _golden_section_min(lambda x: float(f(np.asarray(x))), a, b, xatol)
-    if ys[i] <= y_ref:
-        return float(xs[i]), float(ys[i])
-    return x_ref, y_ref
 
 
 def minor_det3(k, alpha, sigma, l):
@@ -252,6 +259,19 @@ def rate_block(l, alpha, sigma):
 
     The k = 1 block is the binding one: the only k-dependence of the
     minors is the -6 sigma^3 alpha / k^2 term, which hurts most at k = 1.
+
+    Differentiating,
+
+        d/dsigma rate_block = -alpha^2 (sigma - 3 alpha l)(3 sigma^2 - 16 l^2)
+                              / (2 (sigma - alpha l)^3),
+
+    whose denominator is positive wherever rate_block is defined.  The
+    critical points are sigma = 3 alpha l and sigma = 4 l / sqrt(3).  The
+    first is never admissible: alpha < alpha_limit(l, sigma) < sigma / (3 l)
+    means sigma > 3 alpha l.  On the admissible sigma the derivative thus
+    has the sign of 16 l^2 - 3 sigma^2, so rate_block rises to a single
+    peak at 4 l / sqrt(3) and falls again, and its minimum over an
+    interval is the smaller of its two endpoint values.
     """
     sigma = np.asarray(sigma, dtype=float)
     if not np.all(alpha > 0.0) or not np.all(alpha < alpha_limit(l, sigma)):
@@ -285,20 +305,23 @@ def build_reduced_block(k, alpha: float, sigma: float, l: float) -> np.ndarray:
     return D
 
 
-def _lambda_min_raw(l: float, alpha: float, sigma_min: float, sigma_max: float,
-                    resolution: int) -> float:
-    _, val = _grid_refine_min(
-        lambda s: rate_block(l, alpha, s), sigma_min, sigma_max, resolution
-    )
-    return val
+def _lambda_min_raw(l: float, alpha, sigma_min: float, sigma_max: float):
+    """Exact minimum of rate_block(l, alpha, .) over [sigma_min, sigma_max].
+
+    rate_block is single-peaked in sigma (see its docstring), so this is
+    the smaller endpoint value.  alpha may be an array; the minimum is
+    taken per alpha.
+    """
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    return rate_block(l, alpha, np.array([sigma_min, sigma_max])).min(axis=-1)
 
 
 def _resolve_alpha(strategy, l: float, amax: float, sigma_min: float,
-                   sigma_max: float, resolution: int) -> float:
+                   sigma_max: float) -> float:
     """Turn an alpha strategy into a concrete admissible value."""
 
-    def mu_of(a: float) -> float:
-        lam = _lambda_min_raw(l, a, sigma_min, sigma_max, resolution)
+    def mu_of(a):
+        lam = _lambda_min_raw(l, a, sigma_min, sigma_max)
         return 0.5 * lam / (1.0 + a * TWIST_GAIN)
 
     if isinstance(strategy, str):
@@ -307,15 +330,16 @@ def _resolve_alpha(strategy, l: float, amax: float, sigma_min: float,
             # Coarse scan (including the exact midpoint) seeds a local
             # golden-section refinement; keep whichever is better.
             grid = amax * np.arange(1, 64) / 64.0
-            vals = [mu_of(a) for a in grid]
+            vals = mu_of(grid)
             i = int(np.argmax(vals))
             a_lo = grid[max(i - 1, 0)]
             a_hi = grid[min(i + 1, len(grid) - 1)]
-            a_ref, neg = _golden_section_min(lambda a: -mu_of(a), a_lo, a_hi, 1e-10)
+            a_ref, neg = _golden_section_min(lambda a: -float(mu_of(a)), a_lo, a_hi,
+                                             1e-10)
             return float(a_ref) if -neg >= vals[i] else float(grid[i])
         if text.startswith("fixed:"):
             return _resolve_alpha(float(text[len("fixed:"):]), l, amax,
-                                  sigma_min, sigma_max, resolution)
+                                  sigma_min, sigma_max)
         if text.startswith("fraction:"):
             frac = float(text[len("fraction:"):])
             if not 0.0 < frac < 1.0:
@@ -330,57 +354,47 @@ def _resolve_alpha(strategy, l: float, amax: float, sigma_min: float,
     return alpha
 
 
-def alpha_max(l: float, sigma_min: float, sigma_max: float,
-              resolution: int = 10_000) -> float:
+def alpha_max(l: float, sigma_min: float, sigma_max: float) -> float:
     """Largest twist admissible across a whole collision-frequency range.
 
-    Minimizes alpha_limit(l, .) over [sigma_min, sigma_max] on a dense
-    grid with golden-section refinement, then applies the hard cap
-    ALPHA_CAP that keeps the twisted metric safely positive definite.
+    alpha_limit(l, .) has a single peak (see its docstring), so its
+    minimum over [sigma_min, sigma_max] is the smaller endpoint value.
+    The hard cap ALPHA_CAP keeps the twisted metric safely positive
+    definite.
     """
     if not (0.0 < sigma_min <= sigma_max):
         raise UsageError(
             f"need 0 < sigma_min <= sigma_max, got [{sigma_min}, {sigma_max}]")
     if not (l > 0.0 and math.isfinite(l)):
         raise UsageError(f"wavenumber spacing must be positive, got l={l}")
-    if resolution < 2:
-        raise UsageError(f"grid resolution must be >= 2, got {resolution}")
-    if sigma_min == sigma_max:
-        sup = alpha_limit(l, sigma_min)
-    else:
-        _, sup = _grid_refine_min(lambda s: alpha_limit(l, s),
-                                  sigma_min, sigma_max, resolution)
-    return min(sup, ALPHA_CAP)
+    ends = alpha_limit(l, np.array([sigma_min, sigma_max]))
+    return min(float(np.min(ends)), ALPHA_CAP)
 
 
 def certify(L: float, sigma_min: float, sigma_max: float,
-            alpha_strategy="optimize",
-            sigma_grid_resolution: int = 10_000) -> Certificate:
+            alpha_strategy="optimize") -> Certificate:
     """Construct the decay certificate for period L and a sigma interval.
 
     alpha_strategy is either a number (use that alpha, which must lie
     strictly inside (0, alpha_max)), the string "fixed:<value>" or
     "fraction:<f>" (alpha = f * alpha_max), or "optimize" (default),
     which maximizes mu over the admissible interval by a coarse scan
-    plus golden-section refinement.
+    plus golden-section refinement.  For each trial alpha, lambda_min
+    is the exact minimum over sigma, the smaller endpoint value of
+    rate_block (see its docstring).
     """
     if not (L > 0.0 and math.isfinite(L)):
         raise CertificateError(f"period L must be positive and finite, got {L}")
     if not (0.0 < sigma_min <= sigma_max and math.isfinite(sigma_max)):
         raise CertificateError(
             f"need 0 < sigma_min <= sigma_max < inf, got [{sigma_min}, {sigma_max}]")
-    if sigma_grid_resolution < 2:
-        raise CertificateError(
-            f"sigma grid resolution must be >= 2, got {sigma_grid_resolution}")
     l = 2.0 * math.pi / L
-    amax = alpha_max(l, sigma_min, sigma_max, sigma_grid_resolution)
-    alpha = _resolve_alpha(alpha_strategy, l, amax, sigma_min, sigma_max,
-                           sigma_grid_resolution)
+    amax = alpha_max(l, sigma_min, sigma_max)
+    alpha = _resolve_alpha(alpha_strategy, l, amax, sigma_min, sigma_max)
     if not 0.0 < alpha < amax:
         raise CertificateError(
             f"resolved alpha={alpha} outside the admissible range (0, {amax:.6g})")
-    lam_min = _lambda_min_raw(l, alpha, sigma_min, sigma_max,
-                              sigma_grid_resolution) * (1.0 - 1e-6)
+    lam_min = float(_lambda_min_raw(l, alpha, sigma_min, sigma_max)) * (1.0 - 1e-6)
     if not lam_min > 0.0:
         raise CertificateError(
             f"certified block rate is not positive (lambda_min={lam_min})")
@@ -396,7 +410,6 @@ def certify(L: float, sigma_min: float, sigma_max: float,
         mu=mu,
         decay_rate=min(mu, sigma_min),
         ctilde=math.sqrt((1.0 + alpha * TWIST_GAIN) / (1.0 - alpha * TWIST_GAIN)),
-        sigma_grid_resolution=sigma_grid_resolution,
     )
 
 

@@ -67,39 +67,6 @@ _NORMALIZATION_TOL = 1e-10
 _MOMENT_NAMES = ("density", "momentum", "energy")
 
 
-def _poly_extremes(coeffs: np.ndarray, z_lo: float, z_hi: float,
-                   resolution: int = 4097) -> tuple[float, float]:
-    """Range of a polynomial on [z_lo, z_hi] by dense grid plus refinement."""
-    if z_lo == z_hi:
-        v = float(np.polynomial.polynomial.polyval(z_lo, coeffs))
-        return v, v
-    zs = np.linspace(z_lo, z_hi, resolution)
-    vals = np.polynomial.polynomial.polyval(zs, coeffs)
-    lo_i, hi_i = int(np.argmin(vals)), int(np.argmax(vals))
-    out = []
-    for idx, sign in ((lo_i, 1.0), (hi_i, -1.0)):
-        a = zs[max(idx - 1, 0)]
-        b = zs[min(idx + 1, resolution - 1)]
-        # golden-section refinement of the local extreme
-        g = (math.sqrt(5.0) - 1.0) / 2.0
-        x1, x2 = b - g * (b - a), a + g * (b - a)
-        f = lambda x: sign * float(np.polynomial.polynomial.polyval(x, coeffs))
-        f1, f2 = f(x1), f(x2)
-        while b - a > 1e-12:
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - g * (b - a)
-                f1 = f(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + g * (b - a)
-                f2 = f(x2)
-        best = sign * f(0.5 * (a + b))
-        grid_best = float(vals[idx])
-        out.append(min(best, grid_best) if sign > 0 else max(best, grid_best))
-    return out[0], out[1]
-
-
 def _compute_bounds(variant: str, params: tuple[float, ...],
                     z_lo: float, z_hi: float) -> tuple[float, float]:
     if variant == "constant":
@@ -120,8 +87,44 @@ def _compute_bounds(variant: str, params: tuple[float, ...],
                 candidates.append(zc)
         vals = [s0 + eps * math.sin(omega * zc) for zc in candidates]
         return min(vals), max(vals)
+    # endpoints plus the critical points inside the domain
     coeffs = np.asarray(params, dtype=float)
-    return _poly_extremes(coeffs, z_lo, z_hi)
+    candidates = [z_lo, z_hi]
+    candidates += _sign_changes(np.polynomial.polynomial.polyder(coeffs),
+                                z_lo, z_hi)
+    vals = np.polynomial.polynomial.polyval(np.array(candidates), coeffs)
+    return float(vals.min()), float(vals.max())
+
+
+def _sign_changes(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
+    """Points of (lo, hi) where a polynomial changes sign, to the last bit.
+
+    Between consecutive sign changes of its derivative (found the same
+    way) the polynomial is monotone, so each such piece holds at most one
+    sign change, which bisection brackets between two adjacent floats;
+    both are returned.  Unlike companion-matrix roots this cannot lose a
+    root to a tiny leading coefficient.
+    """
+    if coeffs.shape[0] < 2:
+        return []
+    poly = np.polynomial.polynomial
+    breaks = [lo, *_sign_changes(poly.polyder(coeffs), lo, hi), hi]
+    out = []
+    for a, b in zip(breaks, breaks[1:]):
+        fa, fb = poly.polyval(a, coeffs), poly.polyval(b, coeffs)
+        if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):
+            continue
+        while a < 0.5 * (a + b) < b:
+            mid = 0.5 * (a + b)
+            fm = poly.polyval(mid, coeffs)
+            if fm == 0.0:
+                a = b = mid
+            elif (fm < 0.0) == (fa < 0.0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        out += [a, b]
+    return out
 
 
 @dataclass(frozen=True)

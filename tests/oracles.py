@@ -1,0 +1,109 @@
+"""Reference implementations that the closed forms in the package replaced.
+
+These are the dense-grid plus golden-section searches the certificate
+and the polynomial range used before the minimizations over sigma and z
+were made exact.  Tests compare the closed forms against them; nothing
+in the package imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from hypobgk.lyapunov import ALPHA_CAP, TWIST_GAIN, alpha_limit, rate_block
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_min(f, a: float, b: float, xatol: float = 1e-10):
+    """Plain golden-section minimization on [a, b]; returns (x, f(x))."""
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > xatol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def grid_refine_min(f, lo: float, hi: float, num: int, xatol: float = 1e-10):
+    """Dense-grid scan followed by local golden-section refinement.
+
+    f must accept array input.  Returns (argmin, min); the refinement can
+    only improve on the best grid point, never lose it.
+    """
+    if hi == lo:
+        return lo, float(f(np.asarray(lo)))
+    xs = np.linspace(lo, hi, num)
+    ys = np.asarray(f(xs), dtype=float)
+    i = int(np.argmin(ys))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, num - 1)]
+    x_ref, y_ref = golden_section_min(lambda x: float(f(np.asarray(x))), a, b, xatol)
+    if ys[i] <= y_ref:
+        return float(xs[i]), float(ys[i])
+    return x_ref, y_ref
+
+
+def lambda_min_search(l: float, alpha: float, sigma_min: float,
+                      sigma_max: float, resolution: int = 10_000) -> float:
+    """Minimum of rate_block(l, alpha, .) by grid plus golden refinement."""
+    _, val = grid_refine_min(lambda s: rate_block(l, alpha, s),
+                             sigma_min, sigma_max, resolution)
+    return val
+
+
+def alpha_max_search(l: float, sigma_min: float, sigma_max: float,
+                     resolution: int = 10_000) -> float:
+    """Minimum of alpha_limit(l, .) by grid plus golden refinement, capped."""
+    _, sup = grid_refine_min(lambda s: alpha_limit(l, s),
+                             sigma_min, sigma_max, resolution)
+    return min(sup, ALPHA_CAP)
+
+
+def optimized_mu_search(L: float, sigma_min: float, sigma_max: float,
+                        resolution: int = 10_000) -> float:
+    """mu of the "optimize" strategy, with every sigma minimum searched.
+
+    Same coarse alpha scan and golden refinement as the package, and the
+    same 1 - 1e-6 safety factor on lambda_min.
+    """
+    l = 2.0 * math.pi / L
+    amax = alpha_max_search(l, sigma_min, sigma_max, resolution)
+
+    def mu_of(a: float) -> float:
+        lam = lambda_min_search(l, a, sigma_min, sigma_max, resolution)
+        return 0.5 * lam / (1.0 + a * TWIST_GAIN)
+
+    grid = amax * np.arange(1, 64) / 64.0
+    vals = [mu_of(a) for a in grid]
+    i = int(np.argmax(vals))
+    a_ref, neg = golden_section_min(lambda a: -mu_of(a), grid[max(i - 1, 0)],
+                                    grid[min(i + 1, len(grid) - 1)], 1e-10)
+    alpha = float(a_ref) if -neg >= vals[i] else float(grid[i])
+    lam_min = lambda_min_search(l, alpha, sigma_min, sigma_max,
+                                resolution) * (1.0 - 1e-6)
+    return 0.5 * lam_min / (1.0 + alpha * TWIST_GAIN)
+
+
+def poly_extremes_search(coeffs, z_lo: float, z_hi: float,
+                         resolution: int = 4097) -> tuple[float, float]:
+    """Range of a polynomial on [z_lo, z_hi] by dense grid plus refinement."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    poly = np.polynomial.polynomial
+    if z_lo == z_hi:
+        v = float(poly.polyval(z_lo, coeffs))
+        return v, v
+    _, lo = grid_refine_min(lambda z: poly.polyval(z, coeffs),
+                            z_lo, z_hi, resolution, 1e-12)
+    _, neg_hi = grid_refine_min(lambda z: -poly.polyval(z, coeffs),
+                                z_lo, z_hi, resolution, 1e-12)
+    return lo, -neg_hi

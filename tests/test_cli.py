@@ -70,6 +70,32 @@ def test_certify_prints_twelve_significant_digits(tmp_path, capsys):
     assert table.startswith("name,value")
 
 
+@pytest.mark.parametrize("overrides", [
+    {"domain": [1, 2]},
+    {"tolerances": 3},
+    {"sweep": {"L_values": ["x"]}},
+    {"domain": {"N": True}},
+    {"time_grid": {"num": float("inf")}},
+], ids=["domain-list", "tolerances-number", "sweep-string", "N-bool",
+        "num-infinite"])
+def test_malformed_sections_exit_invalid(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    assert main(["certify", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert "Traceback" not in err
+    assert next(iter(overrides)) in err
+
+
+def test_sigma_grid_resolution_is_ignored_with_warning(tmp_path, capsys):
+    path = write_config(tmp_path, sigma_grid_resolution=500)
+    cfg = load_config(path)
+    assert capsys.readouterr().err.count("warning: sigma_grid_resolution") == 1
+    assert cfg == load_config(write_config(tmp_path, "plain.json"))
+    assert "sigma_grid_resolution" not in dump_config(cfg)
+
+
 def test_verify_single_row(tmp_path, capsys):
     path = write_config(tmp_path, verify={"k_max": 1, "sigma_points": 1})
     out = tmp_path / "out"

@@ -28,6 +28,7 @@ from hypobgk import (
     verify_inequality,
 )
 from hypobgk.lyapunov import ALPHA_CAP, TWIST_GAIN
+from oracles import alpha_max_search, lambda_min_search, optimized_mu_search
 
 # admissible everywhere below: alpha strictly under the k=1 spectral cap
 SAFE_ALPHA = 0.2
@@ -161,7 +162,7 @@ def test_alpha_max_degenerate_and_cap():
 
 def test_alpha_max_interval_is_min_over_sigma():
     lo, hi = 0.5, 3.0
-    interval = alpha_max(1.0, lo, hi, resolution=2000)
+    interval = alpha_max(1.0, lo, hi)
     sweep = min(float(alpha_limit(1.0, s))
                 for s in np.linspace(lo, hi, 2001))
     assert interval <= min(sweep, ALPHA_CAP) + 1e-9
@@ -182,10 +183,8 @@ def test_certificate_internal_relations():
 
 def test_optimizer_no_worse_than_midpoint():
     for (lo, hi) in ((1.0, 1.0), (0.5, 2.0), (0.3, 0.9)):
-        best = certify(5.0, lo, hi, alpha_strategy="optimize",
-                       sigma_grid_resolution=500)
-        mid = certify(5.0, lo, hi, alpha_strategy="fraction:0.5",
-                      sigma_grid_resolution=500)
+        best = certify(5.0, lo, hi, alpha_strategy="optimize")
+        mid = certify(5.0, lo, hi, alpha_strategy="fraction:0.5")
         assert best.mu >= mid.mu - 1e-15
 
 
@@ -245,8 +244,65 @@ def test_rate_block_positive_under_limit(l, sigma, frac):
 @given(lo=st.floats(0.3, 2.0), width=st.floats(0.0, 2.0),
        L=st.floats(1.0, 15.0))
 def test_certificates_verify_their_own_inequality(lo, width, L):
-    cert = certify(L, lo, lo + width, sigma_grid_resolution=300)
+    cert = certify(L, lo, lo + width)
     assert cert.mu > 0.0
     sigmas = np.linspace(cert.sigma_min, cert.sigma_max, 7)
     mins, norms = verify_grid(cert, [1, 2, 5], sigmas, 8, return_norms=True)
     assert np.all(mins >= -1e-10 * norms)
+
+
+# Closed-form minimizations over sigma against the searches they replaced.
+# ULPS bounds the rounding of a handful of float operations.
+ULPS = 8 * np.finfo(float).eps
+SAFETY = 1.0 - 1e-6
+
+
+def _dense_min(f, lo, hi, num=200_001):
+    return float(np.min(f(np.linspace(lo, hi, num))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.floats(1.0, 20.0), lo=st.floats(0.05, 10.0),
+       width=st.floats(0.0, 10.0), frac=st.floats(0.02, 0.98))
+def test_lambda_min_is_exact_minimum_over_sigma(L, lo, width, frac):
+    hi = lo + width
+    l = 2.0 * math.pi / L
+    alpha = frac * alpha_max(l, lo, hi)
+    lam = certify(L, lo, hi, alpha_strategy=alpha).lambda_min
+    # never above the searched or the densely sampled minimum
+    assert lam <= lambda_min_search(l, alpha, lo, hi, 500) * SAFETY * (1 + ULPS)
+    dense = _dense_min(lambda s: rate_block(l, alpha, s), lo, hi)
+    assert lam <= dense * SAFETY * (1 + ULPS)
+    # and attained: the smaller endpoint value of rate_block
+    ends = min(rate_block(l, alpha, lo), rate_block(l, alpha, hi)) * SAFETY
+    assert lam == pytest.approx(ends, rel=ULPS, abs=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.floats(1e-3, 1e3), sigma=st.floats(1e-3, 1e3))
+def test_admissible_sigma_exceeds_rate_block_critical_point(l, sigma):
+    # alpha < alpha_limit(l, sigma) < sigma / (3 l), so the critical point
+    # sigma = 3 alpha l of rate_block is never admissible
+    assert 3.0 * l * alpha_limit(l, sigma) < sigma
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=st.floats(0.05, 20.0), lo=st.floats(0.01, 20.0),
+       width=st.floats(0.0, 50.0))
+def test_alpha_max_is_minimum_of_alpha_limit(l, lo, width):
+    hi = lo + width
+    amax = alpha_max(l, lo, hi)
+    dense = _dense_min(lambda s: alpha_limit(l, s), lo, hi)
+    assert amax <= min(dense, ALPHA_CAP) * (1 + ULPS)
+    assert amax <= alpha_max_search(l, lo, hi, 500) * (1 + ULPS)
+    ends = min(alpha_limit(l, lo), alpha_limit(l, hi), ALPHA_CAP)
+    assert amax == pytest.approx(ends, rel=ULPS, abs=0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(L=st.floats(1.0, 20.0), lo=st.floats(0.1, 6.0),
+       width=st.floats(0.0, 6.0))
+def test_optimized_mu_no_worse_than_searched(L, lo, width):
+    hi = lo + width
+    mu = certify(L, lo, hi, alpha_strategy="optimize").mu
+    assert mu >= optimized_mu_search(L, lo, hi, 300) * (1 - 1e-12)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hypobgk import (
@@ -24,6 +26,7 @@ from hypobgk import (
     taylor_bound,
     trig_model,
 )
+from oracles import poly_extremes_search
 
 
 def test_affine_eval_and_bounds():
@@ -178,3 +181,32 @@ def test_project_random_level0_fill():
     stack = project_initial(spec, lat, levels=3)
     assert np.count_nonzero(stack.data[:, 1:, :]) == 0
     assert np.count_nonzero(stack.data[:, 0, :]) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(tail=st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=6),
+       z_lo=st.floats(-2.0, 2.0), width=st.floats(0.0, 3.0))
+# a tiny leading coefficient hides the critical point z = -1/2 from
+# companion-matrix roots of the derivative
+@example(tail=[1.0, 1.0, 5.4930206238644256e-18], z_lo=-1.0, width=1.0)
+def test_polynomial_range_contains_searched_range(tail, z_lo, width):
+    # the offset keeps sigma positive on any domain inside [-5, 5]
+    coeffs = [1.0 + sum(abs(a) * 5.0 ** (j + 1) for j, a in enumerate(tail))]
+    coeffs += tail
+    z_hi = z_lo + width
+    m = polynomial_model(coeffs, (z_lo, z_hi))
+    # rounding slack: a few ulps of the largest term on the domain
+    r = max(abs(z_lo), abs(z_hi))
+    slack = 8 * np.finfo(float).eps * sum(abs(c) * r**j
+                                          for j, c in enumerate(coeffs))
+    grid = np.polynomial.polynomial.polyval(np.linspace(z_lo, z_hi, 20_001),
+                                            coeffs)
+    searched = poly_extremes_search(coeffs, z_lo, z_hi)
+    assert m.sigma_min <= min(grid.min(), searched[0]) + slack
+    assert m.sigma_max >= max(grid.max(), searched[1]) - slack
+    # and no wider than the true range: between grid points the polynomial
+    # moves by at most its Lipschitz constant times half the spacing
+    lip = sum(j * abs(c) * r ** (j - 1) for j, c in enumerate(coeffs) if j)
+    reach = lip * width / 20_000 / 2
+    assert m.sigma_min >= grid.min() - reach - slack
+    assert m.sigma_max <= grid.max() + reach + slack
