@@ -4,7 +4,8 @@ All commands read a single JSON configuration file and write CSV files
 into an output directory.  Exit codes: 0 on success, 1 when a certified
 envelope or inequality check fails (a proven bound was violated, so
 this is a correctness alarm), 2 for invalid input of any kind, 3 for
-numerical failure.
+numerical failure, 4 for an internal error (an unexpected exception,
+reported on one line without a traceback).
 
 Result rows share one fixed schema
 
@@ -77,6 +78,7 @@ EXIT_OK = 0
 EXIT_ALARM = 1
 EXIT_INVALID = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 def _fmt(x: float) -> str:
@@ -135,6 +137,14 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _int_field(spec: dict, key: str, default: int | None = None) -> int:
+    """spec[key] (or the default when given and absent), a JSON integer."""
+    value = spec[key] if default is None else spec.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(path: str | Path, out_override: str | None = None,
                 seed_override: int | None = None,
                 threads: int = 1) -> RunConfig:
@@ -163,6 +173,12 @@ def load_config(path: str | Path, out_override: str | None = None,
     run_id = raw.get("run_id", "run")
     if not isinstance(run_id, str) or not run_id:
         fail("run_id must be a nonempty string")
+        run_id = "run"
+    elif run_id in (".", "..") or any(c in run_id for c in "/\\\0"):
+        # run_id prefixes output file names, which must stay inside the
+        # output directory
+        fail(f"run_id must not be '.' or '..' or contain '/', '\\' or NUL, "
+             f"got {run_id!r}")
         run_id = "run"
 
     domain = section("domain")
@@ -384,7 +400,7 @@ def _parse_time_grid(tspec) -> tuple[float, ...]:
     elif isinstance(tspec, dict):
         start = float(tspec.get("start", 0.0))
         stop = float(tspec.get("stop", 10.0))
-        num = int(tspec.get("num", 21))
+        num = _int_field(tspec, "num", 21)
         if num < 1:
             raise ConfigError(f"time grid needs num >= 1, got {num}")
         if stop < start:
@@ -405,7 +421,7 @@ def _parse_z_grid(zspec, model: CollisionFrequencyModel) -> tuple[float, ...]:
     if isinstance(zspec, dict) and "points" in zspec:
         pts = [float(z) for z in zspec["points"]]
     elif isinstance(zspec, dict):
-        num = int(zspec.get("num", 1))
+        num = _int_field(zspec, "num", 1)
         if num < 1:
             raise ConfigError(f"z grid needs num >= 1, got {num}")
         if num == 1:
@@ -431,20 +447,22 @@ def _parse_initial(ispec: dict, seed_override: int | None
     if kind == "coefficients":
         entries = []
         for e in ispec.get("entries", []):
-            entries.append((int(e.get("level", 0)), int(e["k"]), int(e["m"]),
+            entries.append((_int_field(e, "level", 0), _int_field(e, "k"),
+                            _int_field(e, "m"),
                             complex(float(e.get("re", 0.0)),
                                     float(e.get("im", 0.0)))))
         spec = InitialDataSpec(kind="coefficients", entries=tuple(entries),
                                normalization=normalization)
     elif kind == "separable":
-        fourier = tuple((int(f["k"]),
+        fourier = tuple((_int_field(f, "k"),
                          complex(float(f.get("re", 0.0)), float(f.get("im", 0.0))))
                         for f in ispec.get("fourier", []))
         poly = tuple(float(c) for c in ispec.get("velocity_poly", []))
         spec = InitialDataSpec(kind="separable", fourier=fourier,
                                velocity_poly=poly, normalization=normalization)
     elif kind == "random":
-        seed = int(ispec.get("seed", 0)) if seed_override is None else seed_override
+        seed = _int_field(ispec, "seed", 0) if seed_override is None \
+            else seed_override
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         spec = InitialDataSpec(kind="random", seed=seed,
@@ -785,6 +803,11 @@ def main(argv=None) -> int:
             NotCertifiableError, CertificateError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        # anything else is a defect of the program; exit 1 stays reserved
+        # for a violated bound
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
-"""Reference implementations that the closed forms in the package replaced.
+"""Reference implementations that the fast paths in the package replaced.
 
-These are the dense-grid plus golden-section searches the certificate
+The dense-grid plus golden-section searches are what the certificate
 and the polynomial range used before the minimizations over sigma and z
-were made exact.  Tests compare the closed forms against them; nothing
-in the package imports this module.
+were made exact.  step_matrix_reference is an extended-precision
+exponential of the dense augmented generator, the reference for the
+structured step-matrix kernel.  Tests compare the package against them;
+nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 import numpy as np
 
 from hypobgk.lyapunov import ALPHA_CAP, TWIST_GAIN, alpha_limit, rate_block
+from hypobgk.propagation import augmented_generator
+from hypobgk.spectral import build_operators
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -107,3 +111,46 @@ def poly_extremes_search(coeffs, z_lo: float, z_hi: float,
     _, neg_hi = grid_refine_min(lambda z: -poly.polyval(z, coeffs),
                                 z_lo, z_hi, resolution, 1e-12)
     return lo, -neg_hi
+
+
+def expm_longdouble(A: np.ndarray) -> np.ndarray:
+    """exp(A) of a real matrix by a Taylor series in np.longdouble.
+
+    A is scaled by 2**-s to 1-norm <= 1/4; the series is summed until a
+    term falls below a thousandth of the longdouble epsilon and the sum
+    is squared s times.  The precision is extended only where long double
+    is wider than double (80-bit x87 on x86-64 Linux).
+    """
+    A = np.asarray(A, dtype=np.longdouble)
+    norm = float(np.abs(A).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.0 else 0
+    X = A / np.longdouble(2.0) ** s
+    E = np.eye(A.shape[0], dtype=np.longdouble)
+    term = E.copy()
+    tiny = np.finfo(np.longdouble).eps * 1e-3
+    for j in range(1, 100):
+        term = term @ X / j
+        E += term
+        if np.abs(term).max() <= tiny:
+            break
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+def step_matrix_reference(k: int, l: float, dt: float, sigma_derivs,
+                          M: int) -> np.ndarray:
+    """exp(-dt G_k) of the dense augmented generator, in extended precision.
+
+    With D = diag(i**m) over the Hermite index m, D^-1 G_k D is real, so
+    exp(-dt G_k) = D exp(-dt D^-1 G_k D) D^-1.  The real exponential is
+    expm_longdouble; the rotations multiply entries by powers of i.
+    """
+    G = augmented_generator(k, l, sigma_derivs, build_operators(M))
+    m = np.arange(G.shape[0]) % M
+    phase = np.array([1, 1j, -1, -1j])[np.subtract.outer(m, m) % 4]
+    real_frame = G * phase.conj()
+    if np.any(real_frame.imag != 0.0):
+        raise AssertionError("the rotated generator is not real")
+    R = expm_longdouble(-np.longdouble(dt) * real_frame.real.astype(np.longdouble))
+    return R.astype(float) * phase

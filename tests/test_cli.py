@@ -88,6 +88,44 @@ def test_malformed_sections_exit_invalid(tmp_path, capsys, overrides):
     assert next(iter(overrides)) in err
 
 
+@pytest.mark.parametrize("section, spec", [
+    ("initial_data", {"type": "random", "seed": True}),
+    ("initial_data", {"type": "random", "seed": 2.5}),
+    ("initial_data", {"type": "coefficients",
+                      "entries": [{"level": True, "k": 1, "m": 3, "re": 0.1}]}),
+    ("initial_data", {"type": "coefficients",
+                      "entries": [{"k": 1.5, "m": 3, "re": 0.1}]}),
+    ("initial_data", {"type": "coefficients",
+                      "entries": [{"k": 1, "m": 2.5, "re": 0.1}]}),
+    ("initial_data", {"type": "separable", "fourier": [{"k": True, "re": 0.4}],
+                      "velocity_poly": [1.0]}),
+    ("time_grid", {"start": 0.0, "stop": 2.0, "num": 2.5}),
+    ("z_grid", {"num": True}),
+], ids=["seed-bool", "seed-fraction", "level-bool", "k-fraction", "m-fraction",
+        "fourier-k-bool", "time-num-fraction", "z-num-bool"])
+def test_integer_fields_reject_bools_and_fractions(tmp_path, capsys, section,
+                                                   spec):
+    cfg = json.loads(json.dumps(BASE))
+    cfg[section] = spec
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["certify", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert f"{section}: " in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize("run_id", ["../x", "a/b", "a\\b", "a\0b", ".", ".."])
+def test_run_id_cannot_leave_output_dir(tmp_path, capsys, run_id):
+    path = write_config(tmp_path, run_id=run_id)
+    out = tmp_path / "o" / "sub"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:") and "run_id" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sigma_grid_resolution_is_ignored_with_warning(tmp_path, capsys):
     path = write_config(tmp_path, sigma_grid_resolution=500)
     cfg = load_config(path)
@@ -238,6 +276,19 @@ def test_exit_code_numeric_failure(tmp_path, capsys, monkeypatch):
     assert cli.main(["certify", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_exit_code_internal_error(tmp_path, capsys, monkeypatch):
+    import hypobgk.cli as cli
+
+    def boom(cfg):
+        raise RuntimeError("synthetic")
+
+    monkeypatch.setattr(cli, "cmd_certify", boom)
+    path = write_config(tmp_path)
+    assert cli.main(["certify", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: synthetic\n"
 
 
 def test_trig_high_frequency_rejected_for_derivatives(tmp_path, capsys):

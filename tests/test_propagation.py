@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hypobgk import (
@@ -18,13 +21,23 @@ from hypobgk import (
     constant_model,
     evolve_exact,
     evolve_reference,
+    polynomial_model,
     project_initial,
     sigma_eval,
     trajectory,
     trig_model,
 )
+from oracles import step_matrix_reference
 
 LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
+
+# sigma'' != 0 for trig and polynomial; all three stay positive on [-1, 1]
+MODELS = {
+    "affine": affine_model(1.0, 0.3),
+    "trig": trig_model(2.0, 0.5, 1.0),
+    "polynomial": polynomial_model([1.5, 0.3, -0.4, 0.2]),
+}
+STEP_SIZES = (1e-3, 0.1, 1.0, 10.0)
 
 
 def _random_state(levels=0, seed=2, lattice=LAT, z=0.2):
@@ -149,3 +162,58 @@ def test_sensitivity_level_against_finite_differences():
     fd = (evolve_exact(up, T, model).level(0)
           - evolve_exact(down, T, model).level(0)) / (2 * eps)
     assert np.max(np.abs(lvl1 - fd)) < 1e-8
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("variant, M, N", [
+    *[(v, M, N) for v in MODELS for M in (5, 20) for N in range(4)],
+    ("affine", 60, 0), ("trig", 60, 1), ("polynomial", 60, 0),
+])
+def test_step_matrix_against_extended_precision(variant, M, N):
+    # K = 16 at l = 1 puts 1-norms of dt G_K up to about 2e3 (9 squarings)
+    K, z = 16, 0.3
+    lattice = ModeLattice(K=K, L=2 * math.pi, M=M)
+    prop = ExactPropagator(lattice, MODELS[variant], z, N)
+    for dt in STEP_SIZES:
+        for k in (0, 1, K):
+            ref = step_matrix_reference(k, lattice.l, dt, prop.sigma_derivs, M)
+            assert _rel_err(prop.step_matrix(k, dt), ref) < 1e-13, (dt, k)
+
+
+@pytest.mark.parametrize("variant", sorted(MODELS))
+@pytest.mark.parametrize("M, N", [(5, 3), (20, 2), (60, 1)])
+def test_step_matrix_against_dense_expm(variant, M, N):
+    K, z = 16, -0.6
+    lattice = ModeLattice(K=K, L=2 * math.pi, M=M)
+    prop = ExactPropagator(lattice, MODELS[variant], z, N)
+    for dt in STEP_SIZES:
+        for k in (0, 1, K):
+            G = augmented_generator(k, lattice.l, prop.sigma_derivs, prop.ops)
+            dense = scipy.linalg.expm(-dt * G)
+            assert _rel_err(prop.step_matrix(k, dt), dense) < 2e-13, (dt, k)
+
+
+def test_step_matrix_builds_every_mode_of_a_step_size():
+    prop = ExactPropagator(LAT, MODELS["trig"], 0.1, 2)
+    prop.step_matrix(2, 0.5)
+    assert sorted(prop._steps) == [(k, 0.5) for k in range(LAT.K + 1)]
+    # a mode outside 0..K is built on its own
+    prop.step_matrix(-2, 0.5)
+    assert len(prop._steps) == LAT.K + 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 6), dt=st.floats(1e-3, 10.0), z=st.floats(-1.0, 1.0),
+       N=st.integers(0, 2), variant=st.sampled_from(sorted(MODELS)))
+def test_opposite_modes_give_conjugate_step_matrices(k, dt, z, N, variant):
+    lattice = ModeLattice(K=6, L=2 * math.pi, M=8)
+    prop = ExactPropagator(lattice, MODELS[variant], z, N)
+    G = augmented_generator(k, lattice.l, prop.sigma_derivs, prop.ops)
+    assert np.array_equal(
+        augmented_generator(-k, lattice.l, prop.sigma_derivs, prop.ops),
+        G.conj())
+    plus, minus = prop.step_matrix(k, dt), prop.step_matrix(-k, dt)
+    assert np.max(np.abs(minus - plus.conj())) <= 1e-15 * np.max(np.abs(plus))
