@@ -78,7 +78,6 @@ from .analysis import (
     EntropyValue,
     affine_derivative_envelope,
     affine_uniform_envelope,
-    build_transforms,
     check_envelope,
     entropy,
     entropy_envelope,

@@ -15,10 +15,16 @@ with floats printed to 17 significant digits so they round-trip exactly.
 For the base system (simulate, sweep) the entropy column holds the
 twisted entropy and the envelope column exp(-2 rate t) E(0); for
 derivative levels both columns hold the square-root entropy scale the
-certified bounds live on.  Runs are deterministic: the same
-configuration produces byte-identical CSV files, and random initial
-data comes from a seeded generator whose seed is recorded in a header
-comment of each CSV it influenced.
+certified bounds live on.  Every envelope, and the H and E_0(0) <= 1
+hypotheses of the derivative families, start from the initial stack at
+t = 0, also when the time grid starts later.  Runs are deterministic:
+the same configuration produces byte-identical CSV files, for any
+--threads, and random initial data comes from a seeded generator whose
+seed is recorded in a header comment of each CSV it influenced.
+
+simulate, derivatives and each sweep point run all z samples through
+the propagation core at once and keep only the entropy of each sample;
+rows are formatted and streamed to the CSV writer from those arrays.
 """
 
 from __future__ import annotations
@@ -58,12 +64,13 @@ from .models import (
     CollisionFrequencyModel,
     InitialDataSpec,
     project_initial,
+    sigma_eval,
     taylor_bound,
 )
-from .propagation import ExactPropagator
-from .spectral import ModeLattice
+from .propagation import _propagate
+from .spectral import ModeLattice, build_operators
 
-__all__ = ["RunConfig", "ResultRow", "load_config", "dump_config", "main",
+__all__ = ["RunConfig", "load_config", "dump_config", "main",
            "cmd_certify", "cmd_verify", "cmd_simulate", "cmd_derivatives",
            "cmd_sweep"]
 
@@ -81,28 +88,15 @@ EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
 
 
+_FLOAT = ".17g"     # 17 significant digits round-trip any double exactly
+
+
 def _fmt(x: float) -> str:
-    """17 significant digits: enough to round-trip any double exactly."""
-    return format(float(x), ".17g")
+    return format(float(x), _FLOAT)
 
 
-@dataclasses.dataclass(frozen=True)
-class ResultRow:
-    """One line of the fixed result schema."""
-
-    run_id: str
-    z: float
-    t: float
-    level: int
-    entropy: float
-    envelope: float
-    ratio: float
-    verdict: str
-
-    def as_csv(self) -> list[str]:
-        return [self.run_id, _fmt(self.z), _fmt(self.t), str(self.level),
-                _fmt(self.entropy), _fmt(self.envelope), _fmt(self.ratio),
-                self.verdict]
+def _fmt_column(values: np.ndarray) -> list[str]:
+    return [format(x, _FLOAT) for x in values.tolist()]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,6 +136,30 @@ def _int_field(spec: dict, key: str, default: int | None = None) -> int:
     value = spec[key] if default is None else spec.get(key, default)
     if not _is_int(value):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _num_field(spec: dict, key: str, default: float) -> float:
+    """spec[key] or the default, a JSON number (bools and strings rejected)."""
+    value = spec.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _num_list(spec: dict, key: str, default: list | None = None) -> list[float]:
+    """spec[key] (or the default when given and absent), a list of numbers."""
+    value = spec[key] if default is None else spec.get(key, default)
+    if not (isinstance(value, list) and all(_is_number(x) for x in value)):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return [float(x) for x in value]
+
+
+def _object_list(spec: dict, key: str) -> list[dict]:
+    """spec[key] or [], a list of JSON objects."""
+    value = spec.get(key, [])
+    if not (isinstance(value, list) and all(isinstance(x, dict) for x in value)):
+        raise ConfigError(f"{key} must be a list of objects, got {value!r}")
     return value
 
 
@@ -369,19 +387,19 @@ def _parse_model(mspec: dict) -> CollisionFrequencyModel:
     if not isinstance(mspec, dict):
         raise ConfigError("sigma section must be an object")
     variant = mspec.get("variant", "constant")
-    dom = mspec.get("z_domain", [-1.0, 1.0])
-    if (not isinstance(dom, list)) or len(dom) != 2:
+    dom = _num_list(mspec, "z_domain", [-1.0, 1.0])
+    if len(dom) != 2:
         raise ConfigError(f"z_domain must be [lo, hi], got {dom!r}")
-    z_lo, z_hi = float(dom[0]), float(dom[1])
+    z_lo, z_hi = dom
     if variant == "constant":
-        params = (float(mspec.get("sigma0", 1.0)),)
+        params = (_num_field(mspec, "sigma0", 1.0),)
     elif variant == "affine":
-        params = (float(mspec.get("sigma0", 1.0)), float(mspec.get("c1", 0.0)))
+        params = (_num_field(mspec, "sigma0", 1.0), _num_field(mspec, "c1", 0.0))
     elif variant == "trig":
-        params = (float(mspec.get("sigma0", 1.0)), float(mspec.get("eps", 0.0)),
-                  float(mspec.get("omega", 1.0)))
+        params = (_num_field(mspec, "sigma0", 1.0), _num_field(mspec, "eps", 0.0),
+                  _num_field(mspec, "omega", 1.0))
     elif variant == "polynomial":
-        params = tuple(float(c) for c in mspec.get("coeffs", [1.0]))
+        params = tuple(_num_list(mspec, "coeffs", [1.0]))
     else:
         raise ConfigError(f"unknown sigma variant {variant!r}")
     return CollisionFrequencyModel(variant, params, z_lo, z_hi)
@@ -396,10 +414,10 @@ def _with_offset(model: CollisionFrequencyModel,
 
 def _parse_time_grid(tspec) -> tuple[float, ...]:
     if isinstance(tspec, dict) and "times" in tspec:
-        times = [float(t) for t in tspec["times"]]
+        times = _num_list(tspec, "times")
     elif isinstance(tspec, dict):
-        start = float(tspec.get("start", 0.0))
-        stop = float(tspec.get("stop", 10.0))
+        start = _num_field(tspec, "start", 0.0)
+        stop = _num_field(tspec, "stop", 10.0)
         num = _int_field(tspec, "num", 21)
         if num < 1:
             raise ConfigError(f"time grid needs num >= 1, got {num}")
@@ -419,7 +437,7 @@ def _parse_time_grid(tspec) -> tuple[float, ...]:
 
 def _parse_z_grid(zspec, model: CollisionFrequencyModel) -> tuple[float, ...]:
     if isinstance(zspec, dict) and "points" in zspec:
-        pts = [float(z) for z in zspec["points"]]
+        pts = _num_list(zspec, "points")
     elif isinstance(zspec, dict):
         num = _int_field(zspec, "num", 1)
         if num < 1:
@@ -446,18 +464,18 @@ def _parse_initial(ispec: dict, seed_override: int | None
     seed_used: int | None = None
     if kind == "coefficients":
         entries = []
-        for e in ispec.get("entries", []):
+        for e in _object_list(ispec, "entries"):
             entries.append((_int_field(e, "level", 0), _int_field(e, "k"),
                             _int_field(e, "m"),
-                            complex(float(e.get("re", 0.0)),
-                                    float(e.get("im", 0.0)))))
+                            complex(_num_field(e, "re", 0.0),
+                                    _num_field(e, "im", 0.0))))
         spec = InitialDataSpec(kind="coefficients", entries=tuple(entries),
                                normalization=normalization)
     elif kind == "separable":
         fourier = tuple((_int_field(f, "k"),
-                         complex(float(f.get("re", 0.0)), float(f.get("im", 0.0))))
-                        for f in ispec.get("fourier", []))
-        poly = tuple(float(c) for c in ispec.get("velocity_poly", []))
+                         complex(_num_field(f, "re", 0.0), _num_field(f, "im", 0.0)))
+                        for f in _object_list(ispec, "fourier"))
+        poly = tuple(_num_list(ispec, "velocity_poly", []))
         spec = InitialDataSpec(kind="separable", fourier=fourier,
                                velocity_poly=poly, normalization=normalization)
     elif kind == "random":
@@ -466,7 +484,7 @@ def _parse_initial(ispec: dict, seed_override: int | None
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         spec = InitialDataSpec(kind="random", seed=seed,
-                               scale=float(ispec.get("scale", 1.0)),
+                               scale=_num_field(ispec, "scale", 1.0),
                                fill=ispec.get("fill", "all"),
                                normalization=normalization)
         seed_used = seed
@@ -571,23 +589,54 @@ def cmd_verify(cfg: RunConfig, inflate_mu: float = 1.0) -> int:
     return EXIT_OK
 
 
-def _simulate_one(cfg: RunConfig, cert: Certificate,
-                  model: CollisionFrequencyModel, lattice: ModeLattice,
-                  z: float) -> tuple[list[ResultRow], float]:
-    """Level-0 envelope check along one z trajectory."""
-    state = project_initial(cfg.initial, lattice, levels=cfg.levels, z=z)
-    prop = ExactPropagator(lattice, model, z, cfg.levels)
-    snaps = prop.trajectory(state, cfg.times)
-    E = entropy_series(snaps, 0, cert)
-    env = entropy_envelope(float(E[0]), cert.decay_rate, cfg.times)
-    report = check_envelope(cfg.times, E, env, level=0, tol=cfg.envelope_tol)
-    rows = [
-        ResultRow(cfg.run_id, z, t, 0, float(E[i]), float(env[i]),
-                  float(report.ratio[i]),
-                  "pass" if report.ratio[i] <= 1.0 + cfg.envelope_tol else "fail")
-        for i, t in enumerate(cfg.times)
-    ]
-    return rows, report.max_ratio
+def _entropies(cfg: RunConfig, cert: Certificate,
+               model: CollisionFrequencyModel,
+               lattice: ModeLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Twisted entropies of every level and z sample, at t = 0 and at the times.
+
+    All z samples go through the propagation core at once, and only the
+    entropies of each sample are kept.  Returns E0[n, z] of the initial
+    stacks and E[n, z, j] at cfg.times[j].
+    """
+    n_lvl = cfg.levels + 1
+    data = np.stack([project_initial(cfg.initial, lattice, levels=cfg.levels,
+                                     z=z).data for z in cfg.z_points])
+    sigma_rows = [[sigma_eval(model, z, n) for n in range(n_lvl)]
+                  for z in cfg.z_points]
+    E0 = np.stack([entropy_series(data, n, cert) for n in range(n_lvl)])
+    E = np.empty((n_lvl, len(cfg.z_points), len(cfg.times)))
+    samples = _propagate(data, sigma_rows, lattice.l,
+                         build_operators(lattice.M),
+                         np.diff(cfg.times, prepend=0.0))
+    for j, sample in enumerate(samples):
+        for n in range(n_lvl):
+            E[n, :, j] = entropy_series(sample, n, cert)
+    return E0, E
+
+
+def _result_rows(run_id: str, z: str, times: list[str], report, tol: float):
+    """Yield the CSV rows of one checked series; z and the times come formatted."""
+    level = str(report.level)
+    verdicts = np.where(report.ratio <= 1.0 + tol, "pass", "fail").tolist()
+    for t, obs, env, ratio, verdict in zip(
+            times, _fmt_column(report.observed), _fmt_column(report.envelope),
+            _fmt_column(report.ratio), verdicts):
+        yield [run_id, z, t, level, obs, env, ratio, verdict]
+
+
+def _base_checks(cfg: RunConfig, cert: Certificate,
+                 model: CollisionFrequencyModel, lattice: ModeLattice) -> list:
+    """Level-0 envelope check of every z sample: one DecayReport per z.
+
+    The envelope exp(-2 rate t) E(0) starts from the initial stack at
+    t = 0, whatever time the grid starts at.
+    """
+    E0, E = _entropies(cfg, cert, model, lattice)
+    return [check_envelope(cfg.times, E[0, i],
+                           entropy_envelope(float(E0[0, i]), cert.decay_rate,
+                                            cfg.times),
+                           level=0, tol=cfg.envelope_tol)
+            for i in range(len(cfg.z_points))]
 
 
 def _summary_row(run_id: str, L: float, sigma0: float, z: float,
@@ -601,16 +650,19 @@ def _summary_row(run_id: str, L: float, sigma0: float, z: float,
 def cmd_simulate(cfg: RunConfig) -> int:
     """Exact trajectories with the base decay envelope, one CSV per z."""
     cert = _certify_config(cfg)
+    reports = _base_checks(cfg, cert, cfg.model, cfg.lattice)
+    times = [_fmt(t) for t in cfg.times]
     summary = []
     all_pass = True
-    for i, z in enumerate(cfg.z_points):
-        rows, worst = _simulate_one(cfg, cert, cfg.model, cfg.lattice, z)
+    for i, (z, report) in enumerate(zip(cfg.z_points, reports)):
         _write_csv(cfg.out_dir / f"{cfg.run_id}_z{i:03d}.csv", RESULT_HEADER,
-                   (r.as_csv() for r in rows), seed=cfg.seed_used)
+                   _result_rows(cfg.run_id, _fmt(z), times, report,
+                                cfg.envelope_tol),
+                   seed=cfg.seed_used)
         summary.append(_summary_row(cfg.run_id, cfg.lattice.L,
-                                    cfg.model.params[0], z, cert, worst,
-                                    cfg.envelope_tol))
-        all_pass &= worst <= 1.0 + cfg.envelope_tol
+                                    cfg.model.params[0], z, cert,
+                                    report.max_ratio, cfg.envelope_tol))
+        all_pass &= report.max_ratio <= 1.0 + cfg.envelope_tol
     _write_csv(cfg.out_dir / "summary.csv", SUMMARY_HEADER, summary,
                seed=cfg.seed_used)
     n = len(cfg.z_points)
@@ -664,17 +716,15 @@ def cmd_derivatives(cfg: RunConfig) -> int:
             "derivatives needs N >= 1 stored derivative levels; "
             "set domain.N in the config")
     cert = _certify_config(cfg)
+    E0, E = _entropies(cfg, cert, cfg.model, cfg.lattice)
+    sqrt_E0, sqrt_E = np.sqrt(E0), np.sqrt(E)
+    times = [_fmt(t) for t in cfg.times]
     summary = []
     all_pass = True
     for i, z in enumerate(cfg.z_points):
-        state = project_initial(cfg.initial, cfg.lattice, levels=cfg.levels, z=z)
-        prop = ExactPropagator(cfg.lattice, cfg.model, z, cfg.levels)
-        snaps = prop.trajectory(state, cfg.times)
-        sqrt_series = np.stack([
-            np.sqrt(entropy_series(snaps, n, cert))
-            for n in range(cfg.levels + 1)
-        ])
-        sqrt0 = sqrt_series[:, 0]
+        # envelopes, H and the uniform hypothesis start from the initial
+        # stack at t = 0
+        sqrt0 = sqrt_E0[:, i]
         H = 0.0
         for n in range(1, cfg.levels + 1):
             if sqrt0[n] > 0.0:
@@ -683,24 +733,21 @@ def cmd_derivatives(cfg: RunConfig) -> int:
         e0_ok = sqrt0[0] <= 1.0 + 1e-9
         families = _derivative_envelopes(cfg, cert, sqrt0, H, e0_ok)
         worst = 0.0
-        primary_rows, uniform_rows = [], []
+        primary, uniform = [], []
         for family, n, env in families:
-            report = check_envelope(cfg.times, sqrt_series[n], env, level=n,
+            report = check_envelope(cfg.times, sqrt_E[n, i], env, level=n,
                                     tol=cfg.envelope_tol)
             worst = max(worst, report.max_ratio)
-            rows = uniform_rows if family == "uniform" else primary_rows
-            rows.extend(
-                ResultRow(cfg.run_id, z, t, n, float(sqrt_series[n, j]),
-                          float(env[j]), float(report.ratio[j]),
-                          "pass" if report.ratio[j] <= 1.0 + cfg.envelope_tol
-                          else "fail")
-                for j, t in enumerate(cfg.times))
-        _write_csv(cfg.out_dir / f"{cfg.run_id}_z{i:03d}.csv", RESULT_HEADER,
-                   (r.as_csv() for r in primary_rows), seed=cfg.seed_used)
-        if uniform_rows:
-            _write_csv(cfg.out_dir / f"{cfg.run_id}_z{i:03d}_uniform.csv",
-                       RESULT_HEADER, (r.as_csv() for r in uniform_rows),
-                       seed=cfg.seed_used)
+            (uniform if family == "uniform" else primary).append(report)
+        z_s = _fmt(z)
+        for suffix, reports in (("", primary), ("_uniform", uniform)):
+            if reports:
+                _write_csv(cfg.out_dir / f"{cfg.run_id}_z{i:03d}{suffix}.csv",
+                           RESULT_HEADER,
+                           (row for report in reports
+                            for row in _result_rows(cfg.run_id, z_s, times,
+                                                    report, cfg.envelope_tol)),
+                           seed=cfg.seed_used)
         summary.append(_summary_row(cfg.run_id, cfg.lattice.L,
                                     cfg.model.params[0], z, cert, worst,
                                     cfg.envelope_tol))
@@ -719,21 +766,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
     points = [(i, j, Lv, s0)
               for i, Lv in enumerate(cfg.sweep_L_values)
               for j, s0 in enumerate(cfg.sweep_sigma0_values)]
+    times = [_fmt(t) for t in cfg.times]
+    zs = [_fmt(z) for z in cfg.z_points]
 
     def run_point(point):
         i, j, Lv, s0 = point
         model = _with_offset(cfg.model, s0)
         lattice = ModeLattice(K=cfg.lattice.K, L=Lv, M=cfg.lattice.M)
         cert = _certify_config(cfg, L=Lv, model=model)
-        rows = []
-        zworsts = []
-        for z in cfg.z_points:
-            z_rows, worst = _simulate_one(cfg, cert, model, lattice, z)
-            rows.extend(z_rows)
-            zworsts.append((z, worst))
+        reports = _base_checks(cfg, cert, model, lattice)
         _write_csv(cfg.out_dir / f"sweep_L{i:03d}_s{j:03d}.csv", RESULT_HEADER,
-                   (r.as_csv() for r in rows), seed=cfg.seed_used)
-        return [(i, j, Lv, s0, z, cert, worst) for z, worst in zworsts]
+                   (row for z, report in zip(zs, reports)
+                    for row in _result_rows(cfg.run_id, z, times, report,
+                                            cfg.envelope_tol)),
+                   seed=cfg.seed_used)
+        return [(i, j, Lv, s0, z, cert, report.max_ratio)
+                for z, report in zip(cfg.z_points, reports)]
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

@@ -4,17 +4,21 @@ The dense-grid plus golden-section searches are what the certificate
 and the polynomial range used before the minimizations over sigma and z
 were made exact.  step_matrix_reference is an extended-precision
 exponential of the dense augmented generator, the reference for the
-structured step-matrix kernel.  Tests compare the package against them;
+structured step-matrix kernel.  build_transforms and entropy_dense are
+the dense M x M transforms and the quadratic form the closed-form
+twisted entropy replaced.  Tests compare the package against them;
 nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from hypobgk.lyapunov import ALPHA_CAP, TWIST_GAIN, alpha_limit, rate_block
+from hypobgk.lyapunov import (ALPHA_CAP, TWIST_GAIN, alpha_limit,
+                              build_transform, rate_block)
 from hypobgk.propagation import augmented_generator
 from hypobgk.spectral import build_operators
 
@@ -154,3 +158,26 @@ def step_matrix_reference(k: int, l: float, dt: float, sigma_derivs,
         raise AssertionError("the rotated generator is not real")
     R = expm_longdouble(-np.longdouble(dt) * real_frame.real.astype(np.longdouble))
     return R.astype(float) * phase
+
+
+@functools.lru_cache(maxsize=64)
+def build_transforms(K: int, alpha: float, M: int) -> np.ndarray:
+    """Stack [P_0 .. P_K] with P_0 = I; cached, returned read-only."""
+    out = np.empty((K + 1, M, M), dtype=complex)
+    out[0] = np.eye(M)
+    for k in range(1, K + 1):
+        out[k] = build_transform(k, alpha, M).matrix
+    out.flags.writeable = False
+    return out
+
+
+def entropy_dense(coeffs: np.ndarray, alpha: float) -> np.ndarray:
+    """Twisted entropy of coeffs[t, k, m] by the dense forms x* P_k x."""
+    X = np.asarray(coeffs)
+    K, M = X.shape[1] - 1, X.shape[2]
+    P = build_transforms(K, alpha, M)
+    vals = np.einsum("tm,tm->t", X[:, 0].conj(), X[:, 0]).real
+    for k in range(1, K + 1):
+        vals = vals + 2.0 * np.einsum(
+            "tm,mn,tn->t", X[:, k].conj(), P[k], X[:, k]).real
+    return vals

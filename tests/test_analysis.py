@@ -14,7 +14,6 @@ from hypobgk import (
     UsageError,
     affine_model,
     affine_uniform_envelope,
-    build_transforms,
     certify,
     check_envelope,
     entropy,
@@ -27,6 +26,7 @@ from hypobgk import (
     trajectory,
     uniform_level_bound,
 )
+from oracles import build_transforms, entropy_dense
 
 LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
 
@@ -207,3 +207,22 @@ def test_affine_level_recursion_differential():
             lhs = (g[n, 2] - g[n, 0]) / (2 * delta)
             rhs = -cert.decay_rate * g[n, 1] + coupling * n * g[n - 1, 1]
             assert lhs <= rhs + 1e-6 * max(scale, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(0, 6), M=st.integers(5, 24), T=st.integers(1, 4),
+       alpha=st.floats(0.0, 0.3), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e100]))
+def test_closed_form_entropy_matches_dense_forms(K, M, T, alpha, seed, scale):
+    rng = np.random.default_rng(seed)
+    X = scale * (rng.standard_normal((T, K + 1, M))
+                 + 1j * rng.standard_normal((T, K + 1, M)))
+    X[:, 0, :3] = 0.0
+    lat = ModeLattice(K=K, L=2 * math.pi, M=M)
+    from hypobgk import StateStack
+    states = [StateStack(lattice=lat, z=0.0, t=0.0, data=x[:, None, :])
+              for x in X]
+    dense = entropy_dense(X, alpha)
+    assert_allclose(entropy_series(states, 0, alpha), dense, rtol=1e-13, atol=0)
+    for s, d in zip(states, dense):
+        assert entropy(s, 0, alpha).value == pytest.approx(d, rel=1e-13, abs=0)

@@ -222,14 +222,17 @@ def test_sweep_rate_varies_with_period(tmp_path):
 
 
 def test_sweep_thread_count_does_not_change_output(tmp_path):
-    path = write_config(tmp_path)
+    # seven z samples span several build slices of the propagation core
+    path = write_config(tmp_path, z_grid={"num": 7},
+                        sweep={"sigma0_values": [1.0, 1.5]})
     outs = []
-    for threads, name in ((1, "one"), (4, "four")):
+    for threads, name in ((1, "one"), (2, "two"), (4, "four")):
         out = tmp_path / name
         assert main(["sweep", "--config", str(path), "--out", str(out),
                      "--threads", str(threads)]) == 0
-        outs.append((out / "summary.csv").read_bytes())
-    assert outs[0] == outs[1]
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outs[0]) == 5
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_derivatives_writes_all_levels(tmp_path):
@@ -298,3 +301,67 @@ def test_trig_high_frequency_rejected_for_derivatives(tmp_path, capsys):
     assert main(["derivatives", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert "omega" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "derivatives", "sweep"])
+def test_grid_starting_after_zero_keeps_envelope_at_t0(tmp_path, command):
+    # the envelope starts from the initial stack at t = 0, so a grid that
+    # starts later reads exactly the rows of the same times on a grid that
+    # includes t = 0
+    late = write_config(tmp_path, "late.json",
+                        time_grid={"start": 1.0, "stop": 2.0, "num": 3})
+    full = write_config(tmp_path, "full.json",
+                        time_grid={"times": [0.0, 1.0, 1.5, 2.0]})
+    out_late, out_full = tmp_path / "late", tmp_path / "full"
+    assert main([command, "--config", str(late), "--out", str(out_late)]) == 0
+    assert main([command, "--config", str(full), "--out", str(out_full)]) == 0
+    name = "sweep_L000_s000.csv" if command == "sweep" else "t_z000.csv"
+    rows = (out_late / name).read_text().splitlines()[2:]
+    assert rows and all(float(r.split(",")[6]) <= 1.0 for r in rows)
+    full_rows = (out_full / name).read_text().splitlines()[2:]
+    assert rows == [r for r in full_rows if r.split(",")[2] != "0"]
+
+
+@pytest.mark.parametrize("key, extra", [
+    ("entries", {"type": "coefficients"}),
+    ("fourier", {"type": "separable", "velocity_poly": [1.0]}),
+])
+@pytest.mark.parametrize("item", [5, "x", None], ids=["int", "str", "null"])
+def test_non_object_items_exit_invalid(tmp_path, capsys, key, extra, item):
+    path = write_config(tmp_path, initial_data={**extra, key: [item]})
+    assert main(["certify", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert f"initial_data: {key} must be a list of objects" in err
+
+
+@pytest.mark.parametrize("section, spec, key", [
+    ("sigma", {"variant": "constant", "sigma0": True}, "sigma0"),
+    ("sigma", {"variant": "affine", "sigma0": 1.0, "c1": "0.1"}, "c1"),
+    ("sigma", {"variant": "trig", "sigma0": 2.0, "eps": True}, "eps"),
+    ("sigma", {"variant": "trig", "sigma0": 2.0, "omega": "1"}, "omega"),
+    ("sigma", {"variant": "polynomial", "coeffs": [1.0, True]}, "coeffs"),
+    ("sigma", {"variant": "constant", "z_domain": [True, 1]}, "z_domain"),
+    ("sigma", {"variant": "constant", "z_domain": ["-1", 1]}, "z_domain"),
+    ("time_grid", {"start": True, "stop": 2.0, "num": 3}, "start"),
+    ("time_grid", {"start": 0.0, "stop": "2", "num": 3}, "stop"),
+    ("time_grid", {"times": ["1.5"]}, "times"),
+    ("z_grid", {"points": [True]}, "points"),
+    ("initial_data", {"type": "random", "seed": 3, "scale": "0.2"}, "scale"),
+    ("initial_data", {"type": "coefficients",
+                      "entries": [{"k": 1, "m": 3, "re": True}]}, "re"),
+    ("initial_data", {"type": "separable", "fourier": [{"k": 1, "im": "0"}],
+                      "velocity_poly": [1.0]}, "im"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_numeric_fields_reject_bools_and_strings(tmp_path, capsys, section,
+                                                 spec, key):
+    cfg = json.loads(json.dumps(BASE))
+    cfg[section] = spec
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["certify", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert f"{section}: {key} must be a" in err

@@ -18,7 +18,9 @@ from hypobgk import (
     assemble_generator,
     augmented_generator,
     build_operators,
+    build_transform,
     constant_model,
+    entropy_series,
     evolve_exact,
     evolve_reference,
     polynomial_model,
@@ -27,6 +29,7 @@ from hypobgk import (
     trajectory,
     trig_model,
 )
+from hypobgk import propagation
 from oracles import step_matrix_reference
 
 LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
@@ -217,3 +220,60 @@ def test_opposite_modes_give_conjugate_step_matrices(k, dt, z, N, variant):
         G.conj())
     plus, minus = prop.step_matrix(k, dt), prop.step_matrix(-k, dt)
     assert np.max(np.abs(minus - plus.conj())) <= 1e-15 * np.max(np.abs(plus))
+
+
+@pytest.mark.parametrize("N", [0, 2])
+def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
+    # build slices of 1 and 4 z rows must give the same bits, and so must
+    # every z run alone through ExactPropagator
+    model = MODELS["trig"]
+    zs = np.linspace(-0.9, 0.8, 7)
+    times = [0.0, 0.3, 0.6, 1.7, 1.7, 5.0]
+    rng = np.random.default_rng(5)
+    stacks = [project_initial(InitialDataSpec(kind="random", seed=int(s)),
+                              LAT, levels=N, z=float(z))
+              for s, z in zip(rng.integers(0, 1000, len(zs)), zs)]
+    data = np.stack([s.data for s in stacks])
+    rows = [[sigma_eval(model, float(z), n) for n in range(N + 1)] for z in zs]
+    dts = np.diff(times, prepend=0.0)
+    runs = []
+    for width in (1, 4):
+        monkeypatch.setattr(propagation, "_BUILD_SLICE", width)
+        runs.append(list(propagation._propagate(
+            data, rows, LAT.l, build_operators(LAT.M), dts)))
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+    for i, (z, state) in enumerate(zip(zs, stacks)):
+        prop = ExactPropagator(LAT, model, float(z), N)
+        snaps = prop.trajectory(state, times)
+        for j, snap in enumerate(snaps):
+            assert np.array_equal(snap.data, runs[0][j][i])
+            # the real-frame step agrees with the dense complex step matrices
+            if j:
+                dt = dts[j]
+                prev = runs[0][j - 1][i]
+                dense = np.stack([prop.step_matrix(k, dt) @ prev[k].reshape(-1)
+                                  for k in range(LAT.K + 1)])
+                assert _rel_err(snap.data.reshape(dense.shape), dense) < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 6), dt=st.floats(1e-3, 10.0), z=st.floats(-1.0, 1.0),
+       alpha=st.floats(0.0, 0.3), seed=st.integers(0, 2**16))
+def test_opposite_modes_have_equal_entropy(k, dt, z, alpha, seed):
+    # a real field has hhat_{-k} = conj(hhat_k), and P_{-k} = conj(P_k), so
+    # the pair (k, -k) carries twice the entropy of mode k: the factor 2 of
+    # the twisted entropy
+    lattice = ModeLattice(K=6, L=2 * math.pi, M=8)
+    prop = ExactPropagator(lattice, MODELS["trig"], z, 0)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    plus = prop.step_matrix(k, dt) @ x
+    minus = prop.step_matrix(-k, dt) @ x.conj()
+    e_plus = np.vdot(plus, build_transform(k, alpha, 8).matrix @ plus).real
+    e_minus = np.vdot(minus, build_transform(-k, alpha, 8).matrix @ minus).real
+    assert abs(e_plus - e_minus) <= 1e-14 * abs(e_plus)
+    data = np.zeros((lattice.K + 1, 1, 8), dtype=complex)
+    data[k, 0] = plus
+    pair = entropy_series(data[None], 0, alpha)[0]
+    assert abs(pair - (e_plus + e_minus)) <= 1e-14 * pair
