@@ -17,7 +17,9 @@ twisted entropy and the envelope column exp(-2 rate t) E(0); for
 derivative levels both columns hold the square-root entropy scale the
 certified bounds live on.  Every envelope, and the H and E_0(0) <= 1
 hypotheses of the derivative families, start from the initial stack at
-t = 0, also when the time grid starts later.  Runs are deterministic:
+t = 0, also when the time grid starts later; a Taylor-family run whose
+initial stacks break E_0(0) <= 1 is rejected before any propagation.
+Runs are deterministic:
 the same configuration produces byte-identical CSV files, for any
 --threads, and random initial data comes from a seeded generator whose
 seed is recorded in a header comment of each CSV it influenced.
@@ -589,14 +591,13 @@ def cmd_verify(cfg: RunConfig, inflate_mu: float = 1.0) -> int:
     return EXIT_OK
 
 
-def _entropies(cfg: RunConfig, cert: Certificate,
-               model: CollisionFrequencyModel,
-               lattice: ModeLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Twisted entropies of every level and z sample, at t = 0 and at the times.
+def _initial_stacks(cfg: RunConfig, cert: Certificate,
+                    model: CollisionFrequencyModel, lattice: ModeLattice):
+    """Initial stack data of every z sample, its sigma rows and E0[n, z].
 
-    All z samples go through the propagation core at once, and only the
-    entropies of each sample are kept.  Returns E0[n, z] of the initial
-    stacks and E[n, z, j] at cfg.times[j].
+    data has shape (Z, K+1, N+1, M), sigma_rows[z] holds
+    sigma^(0)..sigma^(N) at that z, and E0[n, z] is the twisted entropy
+    of level n of the initial stack at t = 0.
     """
     n_lvl = cfg.levels + 1
     data = np.stack([project_initial(cfg.initial, lattice, levels=cfg.levels,
@@ -604,14 +605,25 @@ def _entropies(cfg: RunConfig, cert: Certificate,
     sigma_rows = [[sigma_eval(model, z, n) for n in range(n_lvl)]
                   for z in cfg.z_points]
     E0 = np.stack([entropy_series(data, n, cert) for n in range(n_lvl)])
-    E = np.empty((n_lvl, len(cfg.z_points), len(cfg.times)))
+    return data, sigma_rows, E0
+
+
+def _entropies(cfg: RunConfig, cert: Certificate, lattice: ModeLattice,
+               data: np.ndarray, sigma_rows) -> np.ndarray:
+    """Twisted entropies E[n, z, j] of every level and z at cfg.times[j].
+
+    All z samples go through the propagation core at once, and only the
+    entropies of each sample are kept.
+    """
+    n_lvl = data.shape[2]
+    E = np.empty((n_lvl, len(data), len(cfg.times)))
     samples = _propagate(data, sigma_rows, lattice.l,
                          build_operators(lattice.M),
                          np.diff(cfg.times, prepend=0.0))
     for j, sample in enumerate(samples):
         for n in range(n_lvl):
             E[n, :, j] = entropy_series(sample, n, cert)
-    return E0, E
+    return E
 
 
 def _result_rows(run_id: str, z: str, times: list[str], report, tol: float):
@@ -631,7 +643,8 @@ def _base_checks(cfg: RunConfig, cert: Certificate,
     The envelope exp(-2 rate t) E(0) starts from the initial stack at
     t = 0, whatever time the grid starts at.
     """
-    E0, E = _entropies(cfg, cert, model, lattice)
+    data, sigma_rows, E0 = _initial_stacks(cfg, cert, model, lattice)
+    E = _entropies(cfg, cert, lattice, data, sigma_rows)
     return [check_envelope(cfg.times, E[0, i],
                            entropy_envelope(float(E0[0, i]), cert.decay_rate,
                                             cfg.times),
@@ -675,16 +688,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _derivative_envelopes(cfg: RunConfig, cert: Certificate,
-                          sqrt0: np.ndarray, H: float, e0_ok: bool):
+                          sqrt0: np.ndarray, H: float, e0_ok: bool,
+                          chat: float | None):
     """Envelope series per level and family for one z run.
 
     Returns a list of (family, level, envelope array).  The affine family
-    uses the chain bound (and, when the uniform hypothesis holds, the
-    uniform form); other variants use the Taylor-bound family.
+    (chat None) uses the chain bound (and, when the uniform hypothesis
+    holds, the uniform form); other variants use the Taylor-bound family
+    with constant chat, whose hypothesis E_0(0) <= 1 cmd_derivatives
+    checks before propagating.
     """
     times = np.asarray(cfg.times)
     out = []
-    if cfg.model.variant in ("constant", "affine"):
+    if chat is None:
         c1 = cfg.model.params[1] if cfg.model.variant == "affine" else 0.0
         coupling = abs(c1) * cert.ctilde
         for n in range(cfg.levels + 1):
@@ -697,12 +713,6 @@ def _derivative_envelopes(cfg: RunConfig, cert: Certificate,
                             affine_uniform_envelope(n, times, cert, coupling,
                                                     H)))
     else:
-        C = taylor_bound(cfg.model)
-        chat = cert.ctilde * C
-        if not e0_ok:
-            raise DataError(
-                "the Taylor-bound envelope needs initial entropy E_0(0) <= 1; "
-                "scale the initial data down")
         for n in range(cfg.levels + 1):
             out.append(("taylor", n,
                         taylor_derivative_envelope(n, times, cert, chat, H)))
@@ -716,22 +726,31 @@ def cmd_derivatives(cfg: RunConfig) -> int:
             "derivatives needs N >= 1 stored derivative levels; "
             "set domain.N in the config")
     cert = _certify_config(cfg)
-    E0, E = _entropies(cfg, cert, cfg.model, cfg.lattice)
-    sqrt_E0, sqrt_E = np.sqrt(E0), np.sqrt(E)
+    data, sigma_rows, E0 = _initial_stacks(cfg, cert, cfg.model, cfg.lattice)
+    sqrt_E0 = np.sqrt(E0)
+    # envelopes, H and the uniform hypothesis start from the initial stack
+    # at t = 0
+    e0_ok = sqrt_E0[0] <= 1.0 + 1e-9
+    chat = None
+    if cfg.model.variant not in ("constant", "affine"):
+        chat = cert.ctilde * taylor_bound(cfg.model)
+        if not e0_ok.all():
+            raise DataError(
+                "the Taylor-bound envelope needs initial entropy E_0(0) <= 1; "
+                "scale the initial data down")
+    sqrt_E = np.sqrt(_entropies(cfg, cert, cfg.lattice, data, sigma_rows))
     times = [_fmt(t) for t in cfg.times]
     summary = []
     all_pass = True
     for i, z in enumerate(cfg.z_points):
-        # envelopes, H and the uniform hypothesis start from the initial
-        # stack at t = 0
         sqrt0 = sqrt_E0[:, i]
         H = 0.0
         for n in range(1, cfg.levels + 1):
             if sqrt0[n] > 0.0:
                 H = max(H, float(sqrt0[n]) ** (1.0 / n))
         H *= 1.0 + 1e-9
-        e0_ok = sqrt0[0] <= 1.0 + 1e-9
-        families = _derivative_envelopes(cfg, cert, sqrt0, H, e0_ok)
+        families = _derivative_envelopes(cfg, cert, sqrt0, H, bool(e0_ok[i]),
+                                         chat)
         worst = 0.0
         primary, uniform = [], []
         for family, n, env in families:

@@ -63,8 +63,9 @@ after each step:
 
 ExactPropagator (one z) and trajectory, evolve_exact are the batch-of-one
 forms of the core; they cache jets per dt, so repeated steps of equal
-size reuse them.  step_matrix expands the cached jets into the dense
-complex matrices exp(-dt G_k), for inspection and tests.
+size reuse them.  step_matrix expands the cached jets of one mode into
+the dense complex matrix exp(-dt G_k), for inspection and tests; no
+stepping path uses dense step matrices.
 evolve_reference integrates the same ODE with a classical fixed-step
 fourth-order Runge-Kutta scheme and serves purely as an independent
 cross-check of the exponential path.
@@ -289,24 +290,15 @@ class ExactPropagator:
         self.sigma_derivs = [sigma_eval(model, z, i) for i in range(levels + 1)]
         self.ops = build_operators(lattice.M)
         self._jets: dict[float, np.ndarray] = {}
-        self._steps: dict[tuple[int, float], np.ndarray] = {}
 
     def step_matrix(self, k: int, dt: float) -> np.ndarray:
-        """exp(-dt G_k); a miss expands every stored mode 0..K at this dt."""
-        cached = self._steps.get((k, dt))
-        if cached is None:
-            K, l = self.lattice.K, self.lattice.l
-            if 0 <= k <= K:
-                ks = range(K + 1)
-                R = _cached_jets(self._jets, dt, l, [self.sigma_derivs],
-                                 self.ops, K)
-            else:
-                ks = [k]
-                R = _step_jets(ks, l, dt, [self.sigma_derivs], self.ops)
-            for kk, step in zip(ks, _dense_steps(R[0])):
-                self._steps[(kk, dt)] = step
-            cached = self._steps[(k, dt)]
-        return cached
+        """exp(-dt G_k), expanded from the cached jets of modes 0..K at dt."""
+        K, l = self.lattice.K, self.lattice.l
+        if 0 <= k <= K:
+            R = _cached_jets(self._jets, dt, l, [self.sigma_derivs], self.ops, K)
+            return _dense_steps(R[0, k:k + 1])[0]
+        return _dense_steps(_step_jets([k], l, dt, [self.sigma_derivs],
+                                       self.ops)[0])[0]
 
     def _run(self, state: StateStack, dts):
         return _propagate(state.data[None], [self.sigma_derivs],

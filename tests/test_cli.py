@@ -303,6 +303,26 @@ def test_trig_high_frequency_rejected_for_derivatives(tmp_path, capsys):
     assert "omega" in capsys.readouterr().err
 
 
+def test_taylor_hypothesis_rejected_before_propagation(tmp_path, capsys,
+                                                      monkeypatch):
+    import hypobgk.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("propagated before the E_0(0) check")
+
+    monkeypatch.setattr(cli, "_propagate", never)
+    path = write_config(tmp_path, sigma={
+        "variant": "polynomial", "coeffs": [2.0, -0.4, 0.3],
+        "z_domain": [-1.0, 1.0]},
+                        z_grid={"num": 3},
+                        initial_data={"type": "random", "seed": 3,
+                                      "scale": 5.0})
+    out = tmp_path / "out"
+    assert main(["derivatives", "--config", str(path), "--out", str(out)]) == 2
+    assert "E_0(0) <= 1" in capsys.readouterr().err
+    assert not list(out.glob("t_z*.csv"))
+
+
 @pytest.mark.parametrize("command", ["simulate", "derivatives", "sweep"])
 def test_grid_starting_after_zero_keeps_envelope_at_t0(tmp_path, command):
     # the envelope starts from the initial stack at t = 0, so a grid that

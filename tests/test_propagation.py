@@ -115,7 +115,10 @@ def test_propagator_cache_and_checks():
     model = constant_model(1.5)
     prop = ExactPropagator(LAT, model, 0.0, 0)
     m1 = prop.step_matrix(1, 0.25)
-    assert prop.step_matrix(1, 0.25) is m1
+    jets = prop._jets[0.25]
+    # a second lookup expands the cached jets again, it builds nothing
+    assert np.array_equal(prop.step_matrix(1, 0.25), m1)
+    assert prop._jets == {0.25: jets} and prop._jets[0.25] is jets
     state = _random_state(z=0.0)
     other_z = _random_state(z=0.3)
     with pytest.raises(UsageError):
@@ -202,10 +205,15 @@ def test_step_matrix_against_dense_expm(variant, M, N):
 def test_step_matrix_builds_every_mode_of_a_step_size():
     prop = ExactPropagator(LAT, MODELS["trig"], 0.1, 2)
     prop.step_matrix(2, 0.5)
-    assert sorted(prop._steps) == [(k, 0.5) for k in range(LAT.K + 1)]
-    # a mode outside 0..K is built on its own
+    assert list(prop._jets) == [0.5]
+    jets = prop._jets[0.5]
+    assert jets.shape == (1, LAT.K + 1, 3, LAT.M, LAT.M)
+    for k in range(LAT.K + 1):
+        prop.step_matrix(k, 0.5)
+    assert prop._jets[0.5] is jets
+    # a mode outside 0..K is built on its own and not cached
     prop.step_matrix(-2, 0.5)
-    assert len(prop._steps) == LAT.K + 2
+    assert list(prop._jets) == [0.5] and prop._jets[0.5] is jets
 
 
 @settings(max_examples=30, deadline=None)
