@@ -41,17 +41,11 @@ from .lyapunov import (
     TransformMatrix,
     alpha_limit,
     alpha_max,
-    build_reduced_block,
     build_transform,
     certify,
     minor_det3,
-    minor_det4,
-    minor_det5,
     rate_block,
-    transform_bounds,
-    transform_eigenvalues,
     verify_grid,
-    verify_inequality,
 )
 from .state import CONSERVED_TOL, StateStack, random_stack
 from .models import (

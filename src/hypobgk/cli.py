@@ -570,12 +570,10 @@ def cmd_verify(cfg: RunConfig, inflate_mu: float = 1.0) -> int:
                               return_norms=True)
     thresholds = -cfg.eig_tol_factor * norms
     ok = mins >= thresholds
-    rows = []
-    for i, k in enumerate(ks):
-        for j, s in enumerate(sigmas):
-            rows.append([str(k), _fmt(s), _fmt(mins[i, j]),
-                         _fmt(thresholds[i, j]),
-                         "pass" if ok[i, j] else "fail"])
+    rows = zip([str(k) for k in ks for _ in sigmas],
+               _fmt_column(sigmas) * len(ks), _fmt_column(mins.ravel()),
+               _fmt_column(thresholds.ravel()),
+               np.where(ok, "pass", "fail").ravel().tolist())
     _write_csv(cfg.out_dir / "verify.csv", VERIFY_HEADER, rows)
     n_fail = int(np.size(ok) - np.count_nonzero(ok))
     if n_fail:

@@ -45,9 +45,16 @@ so each minimum over an interval is the smaller of its endpoint values.
 
 The certified matrix inequality
 
-    C_k^* P_k + P_k C_k  >=  2 mu P_k      for every k != 0, M >= 5
+    S_k(sigma) = C_k^* P_k + P_k C_k - 2 mu P_k  >=  0   for every k != 0, M >= 5
 
-can be re-checked numerically with verify_inequality.
+is re-checked numerically by verify_grid, exactly and for any M, through
+the same block structure.  P_k = I + T/k with the twist T supported on
+the leading 4 x 4 block, STREAM is tridiagonal, and RELAX is the
+identity beyond its third entry.  So the commutator [T, STREAM] lives in
+the leading 5 x 5 block, RELAX P_k + P_k RELAX equals 2 I beyond it, and
+P_k is the identity there: outside the 5 x 5 corner S_k(sigma) is the
+diagonal matrix (2 sigma - 2 mu) I.  Its spectrum is the spectrum of the
+corner plus the eigenvalue 2 sigma - 2 mu of multiplicity M - 5.
 """
 
 from __future__ import annotations
@@ -57,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateError, DomainError, UsageError
-from .spectral import MIN_HERMITE, build_operators, assemble_generator
+from .errors import CertificateError, DomainError, NumericError, UsageError
+from .spectral import MIN_HERMITE, OperatorSet, build_operators
 
 __all__ = [
     "TWIST_GAIN",
@@ -66,17 +73,11 @@ __all__ = [
     "TransformMatrix",
     "Certificate",
     "build_transform",
-    "transform_eigenvalues",
-    "transform_bounds",
     "alpha_limit",
     "alpha_max",
     "minor_det3",
-    "minor_det4",
-    "minor_det5",
     "rate_block",
-    "build_reduced_block",
     "certify",
-    "verify_inequality",
     "verify_grid",
 ]
 
@@ -88,6 +89,11 @@ TWIST_GAIN = math.sqrt(3.0 + math.sqrt(6.0))
 ALPHA_CAP = 0.99 / TWIST_GAIN
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Side of the corner block of the inequality matrix; beyond it the matrix
+# is diagonal.  The certified estimates close on the first MIN_HERMITE
+# Hermite coefficients.
+_CORNER = MIN_HERMITE
 
 
 @dataclass(frozen=True)
@@ -151,27 +157,6 @@ def build_transform(k: int, alpha: float, M: int) -> TransformMatrix:
         P[row, row + 1] = -1j * c / k
         P[row + 1, row] = 1j * c / k
     return TransformMatrix(k=k, alpha=alpha, M=M, matrix=P)
-
-
-def transform_eigenvalues(k: int, alpha: float, M: int) -> np.ndarray:
-    """Closed-form spectrum of P_k, sorted ascending."""
-    if k == 0:
-        raise DomainError("the twisted metric is defined for modes k != 0 only")
-    _check_alpha(alpha)
-    shift_out = alpha * math.sqrt(3.0 + math.sqrt(6.0)) / abs(k)
-    shift_in = alpha * math.sqrt(3.0 - math.sqrt(6.0)) / abs(k)
-    eigs = np.ones(M)
-    eigs[0] = 1.0 - shift_out
-    eigs[1] = 1.0 - shift_in
-    eigs[-2] = 1.0 + shift_in
-    eigs[-1] = 1.0 + shift_out
-    return np.sort(eigs)
-
-
-def transform_bounds(alpha: float) -> tuple[float, float]:
-    """Uniform sandwich (lo, hi) with lo*I <= P_k <= hi*I over all k != 0."""
-    _check_alpha(alpha)
-    return 1.0 - alpha * TWIST_GAIN, 1.0 + alpha * TWIST_GAIN
 
 
 def alpha_limit(l, sigma):
@@ -242,16 +227,6 @@ def minor_det3(k, alpha, sigma, l):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def minor_det4(k, alpha, sigma, l):
-    """Lower-right 4x4 minor: 2 alpha l times minor_det3."""
-    return 2.0 * alpha * l * minor_det3(k, alpha, sigma, l)
-
-
-def minor_det5(k, alpha, sigma, l):
-    """Full 5x5 determinant: 4 alpha^2 l^2 times minor_det3."""
-    return 4.0 * alpha**2 * l**2 * minor_det3(k, alpha, sigma, l)
-
-
 def rate_block(l, alpha, sigma):
     """Certified dissipation rate of the k = 1 corner block.
 
@@ -283,26 +258,6 @@ def rate_block(l, alpha, sigma):
         raise CertificateError("rate_block needs sigma > alpha * l")
     out = minor_det3(1.0, alpha, sigma, l) / (4.0 * (sigma - alpha * l) ** 2)
     return float(out) if out.ndim == 0 else out
-
-
-def build_reduced_block(k, alpha: float, sigma: float, l: float) -> np.ndarray:
-    """Corner 5x5 block of C_k^* P_k + P_k C_k.
-
-    Beyond this block the dissipation matrix is exactly 2*sigma times the
-    identity.  k may be math.inf for the high-frequency limit, where the
-    sigma/k coupling disappears.
-    """
-    if k == 0:
-        raise DomainError("the corner block is defined for modes k != 0 only")
-    s3 = math.sqrt(3.0)
-    D = np.zeros((5, 5), dtype=complex)
-    D[0, 0] = D[1, 1] = D[2, 2] = 2.0 * l * alpha
-    D[3, 3] = 2.0 * sigma - 6.0 * l * alpha
-    D[4, 4] = 2.0 * sigma
-    D[2, 3] = -1j * s3 * alpha * sigma / k
-    D[3, 2] = 1j * s3 * alpha * sigma / k
-    D[2, 4] = D[4, 2] = 2.0 * s3 * l * alpha
-    return D
 
 
 def _lambda_min_raw(l: float, alpha, sigma_min: float, sigma_max: float):
@@ -414,53 +369,64 @@ def certify(L: float, sigma_min: float, sigma_max: float,
 
 
 def _inequality_pieces(k: int, l: float, alpha: float, mu: float,
-                       M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split C_k^* P_k + P_k C_k - 2 mu P_k as A + sigma * B."""
-    ops = build_operators(M)
-    P = build_transform(k, alpha, M).matrix
+                       ops: OperatorSet) -> tuple[np.ndarray, np.ndarray]:
+    """Split C_k^* P_k + P_k C_k - 2 mu P_k as A + sigma * B at size ops.M."""
+    P = build_transform(k, alpha, ops.M).matrix
     L1, L2 = ops.stream, ops.relax
     A = 1j * k * l * (P @ L1 - L1 @ P) - 2.0 * mu * P
     B = L2 @ P + P @ L2
     return A, B
 
 
-def verify_inequality(k: int, l: float, sigma: float, cert: Certificate,
-                      M: int) -> float:
-    """Smallest eigenvalue of C_k^* P_k + P_k C_k - 2 mu P_k at size M.
-
-    Nonnegative (up to a tolerance of 1e-10 times the matrix max-norm)
-    exactly when the certificate holds for this (k, sigma, M).  The mode
-    -k gives the complex conjugate matrix, hence the same spectrum.
-    """
-    if k == 0:
-        raise DomainError("the certified inequality concerns modes k != 0 only")
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise UsageError(f"collision frequency must be positive, got {sigma}")
-    A, B = _inequality_pieces(k, l, cert.alpha, cert.mu, M)
-    S = A + sigma * B
-    return float(np.linalg.eigvalsh(S)[0])
-
-
 def verify_grid(cert: Certificate, k_values, sigma_values, M: int,
                 return_norms: bool = False):
     """Minimum inequality eigenvalues on a (k, sigma) grid, shape (len(k), len(sigma)).
 
-    Exploits that the matrix is affine in sigma: one assembly per k, one
-    batched Hermitian eigensolve per k over all sigma values.  With
-    return_norms=True also returns the per-point max-norm of the matrix,
-    the natural scale for an eigenvalue tolerance.
+    S_k(sigma) = A_k + sigma B_k is assembled densely at size M, once per
+    k; B_k depends on k through P_k.  Outside the leading 5 x 5 corner
+    both pieces must be exactly diagonal (see the module docstring).  This
+    is checked on the assembled entries, comparing with exact zeros, and a
+    NumericError is raised if it fails.  The spectrum of S_k(sigma) is
+    then the spectrum of its corner, found by one batched 5 x 5 eigensolve
+    over the whole grid, together with its diagonal entries beyond the
+    corner, which are 2 sigma - 2 mu.  With return_norms=True also returns
+    the per-point max-norm of S_k(sigma), the larger of the corner's and
+    the tail's, which is the natural scale for an eigenvalue tolerance.
+
+    For alpha > 0 the tail never binds: the corner's entry (3, 3) is
+    2 sigma - 6 l alpha - 2 mu, below the tail, and its entry (4, 4) is
+    2 sigma - 2 mu itself.  The tail is still included, so the result is
+    the spectrum of the matrix as assembled, whatever alpha and mu hold.
     """
     k_values = [int(k) for k in k_values]
     sigmas = np.asarray(sigma_values, dtype=float)
     if np.any(sigmas <= 0.0):
         raise UsageError("collision frequencies must be positive")
-    out = np.empty((len(k_values), sigmas.shape[0]))
-    norms = np.empty_like(out)
+    ops = build_operators(M)
+    c, tail = _CORNER, np.arange(_CORNER, M)
+    outside = np.ones((M, M), dtype=bool)
+    outside[:c, :c] = False
+    outside[tail, tail] = False
+    # per k: corner and tail diagonal of A (row 0) and B (row 1)
+    corners = np.empty((2, len(k_values), c, c), dtype=complex)
+    diags = np.empty((2, len(k_values), M - c), dtype=complex)
     for row, k in enumerate(k_values):
-        A, B = _inequality_pieces(k, cert.l, cert.alpha, cert.mu, M)
-        stack = A[None, :, :] + sigmas[:, None, None] * B[None, :, :]
-        out[row] = np.linalg.eigvalsh(stack)[:, 0]
-        norms[row] = np.abs(stack).max(axis=(1, 2))
+        for piece, mat in enumerate(
+                _inequality_pieces(k, cert.l, cert.alpha, cert.mu, ops)):
+            if np.any(mat[outside]):
+                raise NumericError(
+                    f"the inequality matrix is not a {c} x {c} corner plus "
+                    f"a diagonal at M={M}")
+            corners[piece, row] = mat[:c, :c]
+            diags[piece, row] = mat[tail, tail]
+    A, B = corners[:, :, None]
+    a, b = diags[:, :, None]
+    corner = A + sigmas[:, None, None] * B
+    diag = a + sigmas[:, None] * b
+    mins = np.minimum(np.linalg.eigvalsh(corner)[..., 0],
+                      diag.real.min(axis=-1, initial=np.inf))
+    norms = np.maximum(np.abs(corner).max(axis=(-2, -1)),
+                       np.abs(diag).max(axis=-1, initial=0.0))
     if return_norms:
-        return out, norms
-    return out
+        return mins, norms
+    return mins

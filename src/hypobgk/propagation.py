@@ -48,7 +48,9 @@ after each step:
 - The step matrices stay jets.  For each distinct step size the core
   builds the real-frame jets of exp(-dt G_k) for every (z, k) pair at
   once and caches them per dt, shape (Z, K+1, N+1, M, M): (N+1) M^2
-  reals per pair instead of ((N+1) M)^2 complex entries.
+  reals per pair instead of ((N+1) M)^2 complex entries.  A run that
+  brings no cache of its own drops the jets of a step size after the
+  last step of that size, so a grid of distinct steps holds one set.
 - The data stay in the real frame.  They are rotated once by
   D^-1 = diag(i^-m) and viewed as (re, im) column pairs, so a step is the
   Leibniz product y_d = sum_i binom(d, i) R_i x_{d-i} of the step jet
@@ -256,19 +258,25 @@ def _propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
 
     data[z, k, n, m] has shape (Z, K+1, N+1, M) and sigma_rows[z] holds
     sigma^(0)..sigma^(N) at that z.  jets caches the step jets per dt;
-    pass a dict to keep them across calls.  Each yielded array is new.
+    pass a dict to keep them across calls.  Without one, the jets of a
+    step size are dropped after its last step in dts.  Each yielded array
+    is new.
     """
+    last = None
     if jets is None:
-        jets = {}
+        jets, dts = {}, list(dts)
+        last = {dt: j for j, dt in enumerate(dts)}
     Z, K1, n, M = data.shape
     rotate = _I_POWERS[np.arange(M) % 4]
     # D^-1 x as (re, im) column pairs: blocks of shape (M, 2)
     W = (data * rotate.conj()).view(float).reshape(Z, K1, n, M, 2)
-    for dt in dts:
+    for j, dt in enumerate(dts):
         if dt < 0.0 or not math.isfinite(dt):
             raise UsageError(f"step size must be finite and >= 0, got dt={dt}")
         if dt != 0.0:
             W = _jet_mul(_cached_jets(jets, dt, l, sigma_rows, ops, K1 - 1), W)
+            if last is not None and last[dt] == j:
+                del jets[dt]
         yield W.reshape(Z, K1, n, 2 * M).view(complex) * rotate
 
 

@@ -6,8 +6,12 @@ were made exact.  step_matrix_reference is an extended-precision
 exponential of the dense augmented generator, the reference for the
 structured step-matrix kernel.  build_transforms and entropy_dense are
 the dense M x M transforms and the quadratic form the closed-form
-twisted entropy replaced.  Tests compare the package against them;
-nothing in the package imports this module.
+twisted entropy replaced.  inequality_matrix and verify_dense are the
+dense M x M check of the certified inequality that the 5 x 5 corner
+decomposition in verify_grid replaced; build_reduced_block, the minors
+and the spectrum of P_k are the paper's closed forms they are checked
+against.  Tests compare the package against them; nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ import math
 
 import numpy as np
 
-from hypobgk.lyapunov import (ALPHA_CAP, TWIST_GAIN, alpha_limit,
-                              build_transform, rate_block)
+from hypobgk.errors import DomainError, UsageError
+from hypobgk.lyapunov import (ALPHA_CAP, TWIST_GAIN, _check_alpha, alpha_limit,
+                              build_transform, minor_det3, rate_block)
 from hypobgk.propagation import augmented_generator
-from hypobgk.spectral import build_operators
+from hypobgk.spectral import assemble_generator, build_operators
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -181,3 +186,75 @@ def entropy_dense(coeffs: np.ndarray, alpha: float) -> np.ndarray:
         vals = vals + 2.0 * np.einsum(
             "tm,mn,tn->t", X[:, k].conj(), P[k], X[:, k]).real
     return vals
+
+
+def transform_eigenvalues(k: int, alpha: float, M: int) -> np.ndarray:
+    """Closed-form spectrum of P_k, sorted ascending."""
+    if k == 0:
+        raise DomainError("the twisted metric is defined for modes k != 0 only")
+    _check_alpha(alpha)
+    shift_out = alpha * math.sqrt(3.0 + math.sqrt(6.0)) / abs(k)
+    shift_in = alpha * math.sqrt(3.0 - math.sqrt(6.0)) / abs(k)
+    eigs = np.ones(M)
+    eigs[0] = 1.0 - shift_out
+    eigs[1] = 1.0 - shift_in
+    eigs[-2] = 1.0 + shift_in
+    eigs[-1] = 1.0 + shift_out
+    return np.sort(eigs)
+
+
+def transform_bounds(alpha: float) -> tuple[float, float]:
+    """Uniform sandwich (lo, hi) with lo*I <= P_k <= hi*I over all k != 0."""
+    _check_alpha(alpha)
+    return 1.0 - alpha * TWIST_GAIN, 1.0 + alpha * TWIST_GAIN
+
+
+def minor_det4(k, alpha, sigma, l):
+    """Lower-right 4x4 minor: 2 alpha l times minor_det3."""
+    return 2.0 * alpha * l * minor_det3(k, alpha, sigma, l)
+
+
+def minor_det5(k, alpha, sigma, l):
+    """Full 5x5 determinant: 4 alpha^2 l^2 times minor_det3."""
+    return 4.0 * alpha**2 * l**2 * minor_det3(k, alpha, sigma, l)
+
+
+def build_reduced_block(k, alpha: float, sigma: float, l: float) -> np.ndarray:
+    """Corner 5x5 block of C_k^* P_k + P_k C_k.
+
+    Beyond this block the dissipation matrix is exactly 2*sigma times the
+    identity.  k may be math.inf for the high-frequency limit, where the
+    sigma/k coupling disappears.
+    """
+    if k == 0:
+        raise DomainError("the corner block is defined for modes k != 0 only")
+    s3 = math.sqrt(3.0)
+    D = np.zeros((5, 5), dtype=complex)
+    D[0, 0] = D[1, 1] = D[2, 2] = 2.0 * l * alpha
+    D[3, 3] = 2.0 * sigma - 6.0 * l * alpha
+    D[4, 4] = 2.0 * sigma
+    D[2, 3] = -1j * s3 * alpha * sigma / k
+    D[3, 2] = 1j * s3 * alpha * sigma / k
+    D[2, 4] = D[4, 2] = 2.0 * s3 * l * alpha
+    return D
+
+
+def inequality_matrix(k: int, l: float, sigma: float, cert, M: int) -> np.ndarray:
+    """C_k^* P_k + P_k C_k - 2 mu P_k at size M, assembled densely."""
+    if k == 0:
+        raise DomainError("the certified inequality concerns modes k != 0 only")
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise UsageError(f"collision frequency must be positive, got {sigma}")
+    C = assemble_generator(k, l, sigma, build_operators(M))
+    P = build_transform(k, cert.alpha, M).matrix
+    return C.conj().T @ P + P @ C - 2.0 * cert.mu * P
+
+
+def verify_dense(k: int, l: float, sigma: float, cert, M: int) -> float:
+    """Smallest eigenvalue of inequality_matrix by a dense M x M eigvalsh.
+
+    Nonnegative (up to a tolerance of 1e-10 times the matrix max-norm)
+    exactly when the certificate holds for this (k, sigma, M).  The mode
+    -k gives the complex conjugate matrix, hence the same spectrum.
+    """
+    return float(np.linalg.eigvalsh(inequality_matrix(k, l, sigma, cert, M))[0])

@@ -1,12 +1,14 @@
 """Command-line behavior: config handling, CSV contracts, exit codes."""
 
+import dataclasses
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 
-from hypobgk import NumericError
+from hypobgk import NumericError, certify, verify_grid
 from hypobgk.cli import RESULT_HEADER, dump_config, load_config, main
 
 BASE = {
@@ -151,6 +153,33 @@ def test_verify_inflated_mu_fails(tmp_path, capsys):
     assert code == 1
     text = capsys.readouterr().out
     assert "k=" in text and "sigma=" in text
+
+
+def test_verify_csv_rows_and_strong_inflation(tmp_path, capsys):
+    # --inflate-mu 50 still exits 1; every row is the grid value at .17g
+    path = write_config(tmp_path, domain={"M": 9},
+                        verify={"k_max": 4, "sigma_points": 5})
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(path), "--out", str(out),
+                 "--inflate-mu", "50"])
+    assert code == 1
+    assert "FAIL:" in capsys.readouterr().out
+    cfg = load_config(path)
+    cert = certify(cfg.lattice.L, cfg.model.sigma_min, cfg.model.sigma_max,
+                   alpha_strategy=cfg.alpha_strategy)
+    cert = dataclasses.replace(cert, mu=cert.mu * 50)
+    sigmas = np.linspace(cert.sigma_min, cert.sigma_max, 5)
+    mins, norms = verify_grid(cert, range(1, 5), sigmas, 9, return_norms=True)
+    lines = ["k,sigma,min_eigenvalue,threshold,verdict"]
+    for i in range(4):
+        for j, s in enumerate(sigmas):
+            thr = -1e-10 * norms[i, j]
+            verdict = "pass" if mins[i, j] >= thr else "fail"
+            lines.append(f"{i + 1},{format(float(s), '.17g')},"
+                         f"{format(float(mins[i, j]), '.17g')},"
+                         f"{format(float(thr), '.17g')},{verdict}")
+    expected = "\r\n".join(lines) + "\r\n"
+    assert (out / "verify.csv").read_bytes() == expected.encode()
 
 
 def test_simulate_degenerate_run(tmp_path):

@@ -1,5 +1,6 @@
 """Transform matrices, minor determinants and the decay certificate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,24 +12,31 @@ from numpy.testing import assert_allclose
 from hypobgk import (
     CertificateError,
     DomainError,
+    NumericError,
     alpha_limit,
     alpha_max,
     assemble_generator,
     build_operators,
-    build_reduced_block,
     build_transform,
     certify,
     minor_det3,
+    rate_block,
+    verify_grid,
+)
+from hypobgk import lyapunov
+from hypobgk.lyapunov import ALPHA_CAP, TWIST_GAIN
+from oracles import (
+    alpha_max_search,
+    build_reduced_block,
+    inequality_matrix,
+    lambda_min_search,
     minor_det4,
     minor_det5,
-    rate_block,
+    optimized_mu_search,
     transform_bounds,
     transform_eigenvalues,
-    verify_grid,
-    verify_inequality,
+    verify_dense,
 )
-from hypobgk.lyapunov import ALPHA_CAP, TWIST_GAIN
-from oracles import alpha_max_search, lambda_min_search, optimized_mu_search
 
 # admissible everywhere below: alpha strictly under the k=1 spectral cap
 SAFE_ALPHA = 0.2
@@ -203,13 +211,13 @@ def test_verify_inequality_positive_for_certificate():
     cert = certify(2.0 * math.pi, 0.8, 1.2)
     for k in (1, 2, 10, 50):
         for M in (5, 9, 17):
-            assert verify_inequality(k, cert.l, 1.0, cert, M) > -1e-12
+            assert verify_dense(k, cert.l, 1.0, cert, M) > -1e-12
 
 
 def test_verify_inequality_rejects_k0():
     cert = certify(2.0 * math.pi, 1.0, 1.0)
     with pytest.raises(DomainError):
-        verify_inequality(0, cert.l, 1.0, cert, 8)
+        verify_dense(0, cert.l, 1.0, cert, 8)
 
 
 def test_verify_grid_matches_pointwise():
@@ -220,7 +228,7 @@ def test_verify_grid_matches_pointwise():
     for i, k in enumerate(ks):
         for j, s in enumerate(sigmas):
             assert grid[i, j] == pytest.approx(
-                verify_inequality(k, cert.l, float(s), cert, 10), rel=1e-10,
+                verify_dense(k, cert.l, float(s), cert, 10), rel=1e-10,
                 abs=1e-12)
 
 
@@ -230,6 +238,93 @@ def test_verify_grid_detects_inflated_rate():
     bad = dataclasses.replace(cert, mu=cert.mu * 10.0)
     grid = verify_grid(bad, [1, 2], np.array([1.0]), 8)
     assert grid.min() < -1e-6
+
+
+def _dense_grid(cert, ks, sigmas, M):
+    """Smallest eigenvalue and max-norm of every dense inequality matrix."""
+    mats = [[inequality_matrix(k, cert.l, float(s), cert, M) for s in sigmas]
+            for k in ks]
+    mins = np.array([[np.linalg.eigvalsh(S)[0] for S in row] for row in mats])
+    norms = np.array([[np.abs(S).max() for S in row] for row in mats])
+    return mins, norms
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.floats(1.0, 20.0), lo=st.floats(0.2, 5.0), width=st.floats(0.0, 5.0),
+       strategy=st.sampled_from(["optimize", "fraction:0.05", "fraction:0.5",
+                                 "fraction:0.95"]),
+       mu_scale=st.sampled_from([1.0, 10.0, 50.0]),
+       M=st.sampled_from([5, 6, 7, 40, 80]),
+       ks=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+       negative=st.integers(-60, -1))
+def test_verify_grid_matches_dense_oracle(L, lo, width, strategy, mu_scale, M,
+                                          ks, negative):
+    cert = certify(L, lo, lo + width, alpha_strategy=strategy)
+    cert = dataclasses.replace(cert, mu=cert.mu * mu_scale)
+    ks = ks + [negative]
+    sigmas = np.linspace(cert.sigma_min, cert.sigma_max, 3)
+    mins, norms = verify_grid(cert, ks, sigmas, M, return_norms=True)
+    dense_mins, dense_norms = _dense_grid(cert, ks, sigmas, M)
+    assert np.all(np.abs(mins - dense_mins) <= 1e-14 * dense_norms)
+    assert np.all(np.abs(norms - dense_norms) <= 2 * np.spacing(dense_norms))
+
+
+def test_verify_grid_with_mu_beyond_sigma():
+    # 2 sigma - 2 mu < 0, so the M - 5 tail eigenvalues are negative too;
+    # the corner still binds, its entry (3, 3) is 2 sigma - 6 l alpha - 2 mu
+    cert = certify(2.0 * math.pi, 0.8, 1.2)
+    bad = dataclasses.replace(cert, mu=5.0 * cert.sigma_max)
+    ks, sigmas, M = [1, 2, 7, -3], np.linspace(0.8, 1.2, 4), 12
+    mins, norms = verify_grid(bad, ks, sigmas, M, return_norms=True)
+    dense_mins, dense_norms = _dense_grid(bad, ks, sigmas, M)
+    tail = 2.0 * sigmas - 2.0 * bad.mu
+    assert np.all(tail < 0.0)
+    assert np.all(np.abs(mins - dense_mins) <= 1e-14 * dense_norms)
+    assert np.all(np.abs(norms - dense_norms) <= 2 * np.spacing(dense_norms))
+    assert np.all(mins <= tail - 6.0 * bad.l * bad.alpha + 1e-14 * norms)
+    assert np.all(norms >= np.abs(tail))
+    # the tail value is an eigenvalue of the dense matrix, M - 5 times
+    for s, t in zip(sigmas, tail):
+        eigs = np.linalg.eigvalsh(inequality_matrix(2, bad.l, float(s), bad, M))
+        assert np.count_nonzero(np.abs(eigs - t) <= 1e-13) >= M - 5
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, -3])
+def test_assembled_corner_is_the_paper_block(k):
+    cert = certify(5.0, 0.7, 1.9)
+    M, sigma = 9, 1.3
+    A, B = lyapunov._inequality_pieces(k, cert.l, cert.alpha, cert.mu,
+                                       build_operators(M))
+    S = A + sigma * B
+    P = build_transform(k, cert.alpha, M).matrix
+    corner = (build_reduced_block(k, cert.alpha, sigma, cert.l)
+              - 2.0 * cert.mu * P[:5, :5])
+    assert_allclose(S[:5, :5], corner, rtol=0, atol=1e-14)
+    # beyond the corner the matrix is exactly (2 sigma - 2 mu) I
+    tail = np.diag(np.full(M - 5, 2.0 * sigma - 2.0 * cert.mu))
+    assert np.array_equal(S[5:, 5:], tail)
+    assert not np.any(S[:5, 5:]) and not np.any(S[5:, :5])
+
+
+def test_verify_grid_rejects_k0():
+    cert = certify(2.0 * math.pi, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        verify_grid(cert, [1, 0], np.array([1.0]), 8)
+
+
+def test_verify_grid_checks_block_structure_exactly(monkeypatch):
+    # one tiny entry outside the corner and off the diagonal must raise
+    pieces = lyapunov._inequality_pieces
+
+    def perturbed(*args):
+        A, B = pieces(*args)
+        A[6, 7] = A[7, 6] = 1e-300
+        return A, B
+
+    monkeypatch.setattr(lyapunov, "_inequality_pieces", perturbed)
+    cert = certify(2.0 * math.pi, 1.0, 1.0)
+    with pytest.raises(NumericError):
+        verify_grid(cert, [1], np.array([1.0]), 8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,3 +401,50 @@ def test_optimized_mu_no_worse_than_searched(L, lo, width):
     hi = lo + width
     mu = certify(L, lo, hi, alpha_strategy="optimize").mu
     assert mu >= optimized_mu_search(L, lo, hi, 300) * (1 - 1e-12)
+
+
+def _shrink(lo, hi, cut, ulps):
+    """Sub-interval of [lo, hi] between the fractions in cut, moved in by ulps."""
+    a, b = sorted(cut)
+    lo2, hi2 = lo + a * (hi - lo), lo + b * (hi - lo)
+    for _ in range(ulps):
+        lo2, hi2 = np.nextafter(lo2, np.inf), np.nextafter(hi2, -np.inf)
+    lo2 = min(max(lo2, lo), hi)
+    return float(lo2), float(min(max(hi2, lo2), hi))
+
+
+SHRINK = dict(L=st.floats(1.0, 20.0), lo=st.floats(0.1, 6.0),
+              width=st.floats(0.0, 6.0),
+              cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+              ulps=st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frac=st.floats(0.02, 0.98), **SHRINK)
+def test_shrinking_sigma_interval_never_lowers_rate_fixed_alpha(
+        frac, L, lo, width, cut, ulps):
+    # exact in real arithmetic; rate_block's rounding near alpha_limit
+    # (cancellation in minor_det3) lowered it by up to 9.5e-14 relative on
+    # shrinks of a few ulps, so the comparison allows 1e-12
+    hi = lo + width
+    lo2, hi2 = _shrink(lo, hi, cut, ulps)
+    alpha = frac * alpha_max(2.0 * math.pi / L, lo, hi)
+    wide = certify(L, lo, hi, alpha_strategy=alpha)
+    narrow = certify(L, lo2, hi2, alpha_strategy=alpha)
+    assert narrow.lambda_min >= wide.lambda_min * (1 - 1e-12)
+    assert narrow.decay_rate >= wide.decay_rate * (1 - 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**SHRINK)
+def test_shrinking_sigma_interval_never_lowers_rate_optimize(
+        L, lo, width, cut, ulps):
+    # optimize maximizes mu, so mu and the rate min(mu, sigma_min) may not
+    # fall; lambda_min = 2 mu (1 + alpha TWIST_GAIN) moves with the
+    # refined alpha and is not monotone
+    hi = lo + width
+    lo2, hi2 = _shrink(lo, hi, cut, ulps)
+    wide = certify(L, lo, hi, alpha_strategy="optimize")
+    narrow = certify(L, lo2, hi2, alpha_strategy="optimize")
+    assert narrow.mu >= wide.mu * (1 - 1e-9)
+    assert narrow.decay_rate >= wide.decay_rate * (1 - 1e-9)

@@ -216,6 +216,37 @@ def test_step_matrix_builds_every_mode_of_a_step_size():
     assert list(prop._jets) == [0.5] and prop._jets[0.5] is jets
 
 
+def test_core_drops_step_jets_after_their_last_use(monkeypatch):
+    # without a cache of its own a run keeps the jets of a step size only
+    # until its last step; a cache passed in keeps every step size
+    seen = []
+    cached_jets = propagation._cached_jets
+
+    def spy(jets, dt, *args):
+        seen.append((jets, dt))
+        return cached_jets(jets, dt, *args)
+
+    monkeypatch.setattr(propagation, "_cached_jets", spy)
+    model = MODELS["affine"]
+    zs = (-0.5, 0.5)
+    data = np.stack([project_initial(InitialDataSpec(kind="random", seed=2),
+                                     LAT, levels=1, z=z).data for z in zs])
+    rows = [[sigma_eval(model, z, n) for n in range(2)] for z in zs]
+    ops = build_operators(LAT.M)
+    dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
+    held = []
+    own = []
+    for sample in propagation._propagate(data, rows, LAT.l, ops, dts):
+        own.append(sample)
+        held.append(sorted(seen[-1][0]))
+    assert held == [[0.1], [0.1, 0.2], [0.2], [0.2], [0.2, 0.3], [0.3], []]
+    jets = {}
+    kept = list(propagation._propagate(data, rows, LAT.l, ops, dts, jets))
+    assert sorted(jets) == [0.1, 0.2, 0.3]
+    for a, b in zip(own, kept):
+        assert np.array_equal(a, b)
+
+
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(1, 6), dt=st.floats(1e-3, 10.0), z=st.floats(-1.0, 1.0),
        N=st.integers(0, 2), variant=st.sampled_from(sorted(MODELS)))
