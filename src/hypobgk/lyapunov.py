@@ -337,6 +337,16 @@ def certify(L: float, sigma_min: float, sigma_max: float,
     plus golden-section refinement.  For each trial alpha, lambda_min
     is the exact minimum over sigma, the smaller endpoint value of
     rate_block (see its docstring).
+
+    "fraction:<f>" is not monotone in the sigma interval for f above
+    about 0.7: shrinking the interval raises alpha_max, which moves
+    alpha = f * alpha_max towards the binding alpha_limit, where
+    rate_block falls to 0.  For example certify(10.492766024157467,
+    0.331125832853572, 6.298559556731489, "fraction:0.95") certifies a
+    decay rate 12.5% larger than the same call on the sub-interval
+    [0.331125832853572, 0.331125832853572].  A fixed alpha and
+    "optimize" do not lose rate when the interval shrinks (up to
+    rounding).
     """
     if not (L > 0.0 and math.isfinite(L)):
         raise CertificateError(f"period L must be positive and finite, got {L}")

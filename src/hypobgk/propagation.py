@@ -30,15 +30,34 @@ identities reduce the work:
   (N+1)(N+2)/2 products of M x M blocks instead of one dense
   ((N+1) M)^3 product.
 
-_expm_jets runs the scaling-and-squaring method with the [13/13] Pade
-approximant (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005) on jets, in
-real arithmetic, in stacked numpy calls.  Each jet gets its own scaling
-power s from the exact 1-norm of the dense matrix it stands for: one s
-shared by the batch would over-scale the low modes and lose accuracy in
-the extra squarings.  scipy.linalg.expm is not used on the real-frame
-matrix because its real-dtype Pade evaluation is about 14 times less
-accurate than its complex one on these matrices, an error the squarings
-then amplify.
+The step matrices come from the scaling-and-squaring method with the
+[13/13] Pade approximant (Higham, SIAM J. Matrix Anal. Appl. 26(4),
+2005), run on jets, in real arithmetic, in stacked numpy calls.  Each jet
+gets its own scaling power s from the exact 1-norm of the dense matrix
+it stands for: one s shared by the batch would over-scale the low modes
+and lose accuracy in the extra squarings.  scipy.linalg.expm is not used
+on the real-frame matrix because its real-dtype Pade evaluation is about
+14 times less accurate than its complex one on these matrices, an error
+the squarings then amplify.
+
+The generator does not depend on the step size, so its powers are built
+once per run and shared by every step size of the run:
+
+- Shared powers.  _generator_powers scales each jet G by 2^-e, exact, to
+  a 1-norm in [1/2, 1), sorts the jets by their 1-norm and forms G^2,
+  G^4 and G^6.  At a step size dt the scaled argument is A = c G with
+  one scalar c = -dt 2^(e-s) per jet, so A^2 = c^2 G^2 and so on:
+  _expm_powers forms the Pade sums U and V from the shared powers with
+  per-jet coefficients (one stacked matrix product) and three jet
+  products, where a build from scratch needs six.  The sort makes s
+  nondecreasing for every dt, so each squaring acts on a suffix of the
+  batch, in place.
+- Memory rule.  A run keeps the powers of a z slice only while another
+  step size still has to be built: a run of one step size keeps none,
+  and a run of many drops them at its last new step size.
+- One factorization.  The solve (V - U) R = V + U in the jet algebra
+  inverts the level-0 block once; every level of the forward recursion
+  then multiplies by that inverse: one LAPACK call instead of N+1.
 
 Everything steps through one z-batched core, _propagate.  It takes the
 stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
@@ -56,16 +75,18 @@ after each step:
   Leibniz product y_d = sum_i binom(d, i) R_i x_{d-i} of the step jet
   with the data jet, on real M x 2 blocks.  Each yielded sample is
   rotated back by D; multiplying by powers of i is exact.
-- The jets of one step size are built in slices of _BUILD_SLICE z rows,
-  because the Pade temporaries grow with the batch: two sweep threads at
-  K = 4, M = 20 peaked about 0.3 MiB higher per z row of a slice (49 MiB
-  with slices of 30 z, 39 MiB with 1), and the build time did not change
-  measurably.  Every jet gets its own scaling power, so the slice size
-  changes no bit of the result.
+- The powers and the jets of one step size are built in slices of
+  _BUILD_SLICE z rows (_StepJets), because the Pade temporaries grow
+  with the batch: two sweep threads at K = 4, M = 20 peaked about
+  0.3 MiB higher per z row of a slice (49 MiB with slices of 30 z,
+  39 MiB with 1), and the build time did not change measurably.  Every
+  jet gets its own scaling power and its own place in the sort, so the
+  slice size changes no bit of the result.
 
 ExactPropagator (one z) and trajectory, evolve_exact are the batch-of-one
 forms of the core; they cache jets per dt, so repeated steps of equal
-size reuse them.  step_matrix expands the cached jets of one mode into
+size reuse them.  Powers are shared within one trajectory call, not
+across calls.  step_matrix expands the cached jets of one mode into
 the dense complex matrix exp(-dt G_k), for inspection and tests; no
 stepping path uses dense step matrices.
 evolve_reference integrates the same ODE with a classical fixed-step
@@ -117,39 +138,38 @@ def augmented_generator(k: int, l: float, sigma_derivs, ops: OperatorSet) -> np.
     return G
 
 
-# Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the
-# 1-norm theta_13 up to which it meets double-precision backward error
-# (Higham 2005, Table 2.3).
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
-
-
-def _jet_mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _jet_mul(X: np.ndarray, Y: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Leibniz product (XY)_d = sum_i binom(d, i) X_i Y_{d-i} of jet batches.
 
     The level axis is third from last: X has shape (..., N+1, M, M) and
     Y (..., N+1, M, P), with equal batch shapes.
     """
-    out = np.empty(Y.shape[:-2] + X.shape[-2:-1] + Y.shape[-1:])
+    if out is None:
+        out = np.empty(Y.shape[:-2] + X.shape[-2:-1] + Y.shape[-1:])
     for d in range(X.shape[-3]):
         acc = np.matmul(X[..., 0, :, :], Y[..., d, :, :], out=out[..., d, :, :])
         for i in range(1, d + 1):
-            acc += math.comb(d, i) * (X[..., i, :, :] @ Y[..., d - i, :, :])
+            term = X[..., i, :, :] @ Y[..., d - i, :, :]
+            if i < d:                   # binom(d, d) = 1
+                term *= math.comb(d, i)
+            acc += term
     return out
 
 
 def _jet_solve(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """R with P R = Q in the jet algebra, by forward recursion over levels."""
-    R = np.empty_like(Q)
+    """R with P R = Q in the jet algebra, in place: Q becomes R.
+
+    One inverse of the level-0 block serves every level of the forward
+    recursion R_d = P_0^-1 (Q_d - sum_{i=1..d} binom(d, i) P_i R_{d-i}).
+    """
+    inv0 = np.linalg.inv(P[:, 0])
     for d in range(Q.shape[1]):
         rhs = Q[:, d]
         for i in range(1, d + 1):
-            rhs = rhs - math.comb(d, i) * (P[:, i] @ R[:, d - i])
-        R[:, d] = np.linalg.solve(P[:, 0], rhs)
-    return R
+            rhs -= math.comb(d, i) * (P[:, i] @ Q[:, d - i])
+        Q[:, d] = inv0 @ rhs
+    return Q
 
 
 def _jet_norm1(A: np.ndarray) -> np.ndarray:
@@ -163,75 +183,152 @@ def _jet_norm1(A: np.ndarray) -> np.ndarray:
                    .max(axis=-1) for m in range(n)], axis=0)
 
 
-def _expm_jets(A: np.ndarray) -> np.ndarray:
-    """exp of every real jet in the batch A, with a scaling power per jet."""
+# Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the
+# 1-norm theta_13 up to which it meets double-precision backward error
+# (Higham 2005, Table 2.3).
+_PADE13 = np.array([64764752532480000.0, 32382376266240000.0,
+                    7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                    10559470521600.0, 670442572800.0, 33522128640.0,
+                    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0])
+_THETA13 = 5.371920351148152
+# Exponents k of the Pade terms b_k c^k G^k over the powers (G^2, G^4,
+# G^6): rows 0 and 1 are the sums that G^6 multiplies in U and V, rows 2
+# and 3 the rest of U and V.  U's exponents are odd: they include the
+# factor c of A = c G that U = A (...) puts in front.
+_PADE_TERMS = np.array([[9, 11, 13], [8, 10, 12], [3, 5, 7], [2, 4, 6]])
+
+
+def _generator_powers(stream: np.ndarray, rows: np.ndarray, relax: np.ndarray):
+    """Real-frame generator jets of one z slice and their even powers.
+
+    stream[k] is the streaming block of mode k in the real frame and
+    rows[z] holds sigma^(0)..sigma^(N) at one z of the slice.
+
+    Each jet G is scaled by 2^-e, exact, to a 1-norm in [1/2, 1), so no
+    power can overflow; jets come sorted by their 1-norm.  Returns
+    (order, norms, e, G, P): order[j] is the (z, k) row of jet j, norms
+    and e the sorted 1-norms and exponents of the unscaled jets, and
+    P[:, 0..2] the powers G^2, G^4, G^6.
+    """
+    n, M = rows.shape[1], len(relax)
+    part = rows[:, :, None, None, None]
+    A = np.empty((len(rows), len(stream), n, M, M))
+    A[:, :, 0] = stream + part[:, 0] * relax
+    for i in range(1, n):
+        A[:, :, i] = part[:, i] * relax
+    A = A.reshape(-1, n, M, M)
     norms = _jet_norm1(A)
     if not np.all(np.isfinite(norms)):
         raise NumericError("step generator has non-finite entries")
-    # norm / theta_13 = f 2**e with f < 1, so norm / 2**s < theta_13 for s >= e
-    _, e = np.frexp(norms / _THETA13)
-    s = np.maximum(e, 0)
-    # squaring the jets with s_k > j is then squaring a suffix of the batch
-    order = np.argsort(s, kind="stable")
-    s = s[order]
-    A = A[order] * np.ldexp(1.0, -s)[:, None, None, None]
-    b = _PADE13
-    ident = np.zeros_like(A[0])
-    ident[0] = np.eye(A.shape[-1])
-    A2 = _jet_mul(A, A)
-    A4 = _jet_mul(A2, A2)
-    A6 = _jet_mul(A4, A2)
-    U = _jet_mul(A, _jet_mul(A6, b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (_jet_mul(A6, b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    R = _jet_solve(V - U, V + U)
+    order = np.argsort(norms, kind="stable")
+    norms = norms[order]
+    _, e = np.frexp(norms)
+    G = A[order]
+    del A
+    G *= np.ldexp(1.0, -e)[:, None, None, None]
+    P = np.empty((len(G), 3) + G.shape[1:])
+    _jet_mul(G, G, out=P[:, 0])
+    _jet_mul(P[:, 0], P[:, 0], out=P[:, 1])
+    _jet_mul(P[:, 1], P[:, 0], out=P[:, 2])
+    return order, norms, e, G, P
+
+
+def _expm_powers(powers, dt: float) -> np.ndarray:
+    """exp(-dt G) of every jet of a slice, in the slice's sorted order.
+
+    The [13/13] Pade approximant r(A) = (V - U)^-1 (V + U) at
+    A = -dt G / 2^s, with a scaling power s per jet, then s squarings.
+    A = c Gs with c = -dt 2^(e-s) and Gs the scaled jet, so every power
+    of A is a scalar times a shared power of Gs (_generator_powers): U
+    and V take three jet products per step size.
+    """
+    _, norms, e, G, P = powers
+    scaled = dt * norms
+    if not np.all(np.isfinite(scaled)):
+        raise NumericError("step generator has non-finite entries")
+    # dt norm / theta_13 = f 2**s with f < 1, so dt norm / 2**s < theta_13;
+    # the norms are sorted, so s is too
+    _, s = np.frexp(scaled / _THETA13)
+    s = np.maximum(s, 0)
+    c = np.ldexp(-dt, e - s)
+    B, n, M, _ = G.shape
+    cpow = c[:, None] ** np.arange(14)
+    coef = _PADE13[_PADE_TERMS] * cpow[:, _PADE_TERMS]
+    flat = P.reshape(B, 3, -1)
+    # UV[:, 0] and UV[:, 1] start as the terms of U / Gs and V outside the
+    # product with G^6; one inner sum at a time keeps temporaries small
+    UV = np.matmul(coef[:, 2:], flat).reshape(B, 2, n, M, M)
+    diag = np.arange(M)
+    UV[:, 0, 0, diag, diag] += _PADE13[1] * c[:, None]
+    UV[:, 1, 0, diag, diag] += _PADE13[0]
+    for r in range(2):
+        inner = np.matmul(coef[:, r:r + 1], flat).reshape(G.shape)
+        UV[:, r] += _jet_mul(P[:, 2], inner)
+    U = _jet_mul(G, UV[:, 0])
+    V = UV[:, 1]
+    np.subtract(V, U, out=UV[:, 0])     # V - U, into the spent buffer
+    U += V                              # V + U
+    R = _jet_solve(UV[:, 0], U)
+    # squaring the jets with s > j is then squaring a suffix of the batch
     for j in range(int(s[-1])):
         first = int(np.searchsorted(s, j, side="right"))
         R[first:] = _jet_mul(R[first:], R[first:])
-    out = np.empty_like(R)
-    out[order] = R
-    return out
+    return R
 
 
-# z rows per _expm_jets call; bounds the Pade temporaries (see module doc)
+# z rows per _generator_powers call; bounds the Pade temporaries (see
+# module doc)
 _BUILD_SLICE = 2
 
 _I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
 
 
-def _step_jets(ks, l: float, dt: float, sigma_rows, ops: OperatorSet) -> np.ndarray:
-    """Real-frame jets of exp(-dt G_k) for every z row and every k in ks.
+class _StepJets:
+    """Builds the real-frame jets of exp(-dt G_k) of one run at any dt.
 
-    sigma_rows[z] holds sigma^(0)..sigma^(N) at one z; the result has
-    shape (Z, len(ks), N+1, M, M).
+    sigma_rows[z] holds sigma^(0)..sigma^(N) at one z; a build at dt has
+    shape (Z, len(ks), N+1, M, M).  builds is the number of step sizes
+    the run will build: the powers of each z slice are kept only while a
+    later build will use them, so a run of one step size keeps none.
     """
-    rows = np.asarray(sigma_rows, dtype=float)
-    Z, n = rows.shape
-    M = ops.M
-    twist = np.tril(ops.stream) - np.triu(ops.stream)   # D^-1 (i STREAM) D
-    kl = np.asarray(ks, dtype=float)[:, None, None] * l
-    out = np.empty((Z, len(kl), n, M, M))
-    for z0 in range(0, Z, _BUILD_SLICE):
-        part = rows[z0:z0 + _BUILD_SLICE, :, None, None, None]
-        A = np.empty((len(part), len(kl), n, M, M))
-        A[:, :, 0] = kl * twist + part[:, 0] * ops.relax
-        for i in range(1, n):
-            A[:, :, i] = part[:, i] * ops.relax
-        out[z0:z0 + len(part)] = _expm_jets(
-            -dt * A.reshape(-1, n, M, M)).reshape(A.shape)
-    if not np.all(np.isfinite(out)):
-        raise NumericError(
-            f"matrix exponential produced non-finite entries at dt={dt}")
-    return out
+
+    def __init__(self, ks, l: float, sigma_rows, ops: OperatorSet,
+                 builds: int = 1):
+        twist = np.tril(ops.stream) - np.triu(ops.stream)   # D^-1 (i STREAM) D
+        self.stream = np.asarray(ks, dtype=float)[:, None, None] * l * twist
+        self.rows = np.asarray(sigma_rows, dtype=float)
+        self.relax = ops.relax
+        self.builds = builds
+        self.powers: dict[int, tuple] = {}
+
+    def __call__(self, dt: float) -> np.ndarray:
+        Z, n = self.rows.shape
+        K1, M = len(self.stream), len(self.relax)
+        self.builds -= 1
+        out = None
+        for z0 in range(0, Z, _BUILD_SLICE):
+            powers = self.powers.pop(z0, None)
+            if powers is None:
+                powers = _generator_powers(
+                    self.stream, self.rows[z0:z0 + _BUILD_SLICE], self.relax)
+            if self.builds > 0:
+                self.powers[z0] = powers
+            R = _expm_powers(powers, dt)
+            if out is None:     # after the first slice's temporaries are gone
+                out = np.empty((Z, K1, n, M, M))
+                flat = out.reshape(Z * K1, n, M, M)
+            flat[z0 * K1:z0 * K1 + len(R)][powers[0]] = R
+        if not np.all(np.isfinite(out)):
+            raise NumericError(
+                f"matrix exponential produced non-finite entries at dt={dt}")
+        return out
 
 
-def _cached_jets(jets: dict, dt: float, l: float, sigma_rows,
-                 ops: OperatorSet, K: int) -> np.ndarray:
-    """Step jets of modes 0..K at dt, from the cache or built into it."""
+def _cached_jets(jets: dict, dt: float, build: _StepJets) -> np.ndarray:
+    """Step jets at dt, from the cache or built into it."""
     R = jets.get(dt)
     if R is None:
-        R = jets[dt] = _step_jets(range(K + 1), l, dt, sigma_rows, ops)
+        R = jets[dt] = build(dt)
     return R
 
 
@@ -262,11 +359,14 @@ def _propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
     step size are dropped after its last step in dts.  Each yielded array
     is new.
     """
+    dts = list(dts)
     last = None
     if jets is None:
-        jets, dts = {}, list(dts)
+        jets = {}
         last = {dt: j for j, dt in enumerate(dts)}
     Z, K1, n, M = data.shape
+    build = _StepJets(range(K1), l, sigma_rows, ops,
+                      len({dt for dt in dts if dt != 0.0 and dt not in jets}))
     rotate = _I_POWERS[np.arange(M) % 4]
     # D^-1 x as (re, im) column pairs: blocks of shape (M, 2)
     W = (data * rotate.conj()).view(float).reshape(Z, K1, n, M, 2)
@@ -274,7 +374,7 @@ def _propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
         if dt < 0.0 or not math.isfinite(dt):
             raise UsageError(f"step size must be finite and >= 0, got dt={dt}")
         if dt != 0.0:
-            W = _jet_mul(_cached_jets(jets, dt, l, sigma_rows, ops, K1 - 1), W)
+            W = _jet_mul(_cached_jets(jets, dt, build), W)
             if last is not None and last[dt] == j:
                 del jets[dt]
         yield W.reshape(Z, K1, n, 2 * M).view(complex) * rotate
@@ -303,10 +403,11 @@ class ExactPropagator:
         """exp(-dt G_k), expanded from the cached jets of modes 0..K at dt."""
         K, l = self.lattice.K, self.lattice.l
         if 0 <= k <= K:
-            R = _cached_jets(self._jets, dt, l, [self.sigma_derivs], self.ops, K)
+            build = _StepJets(range(K + 1), l, [self.sigma_derivs], self.ops)
+            R = _cached_jets(self._jets, dt, build)
             return _dense_steps(R[0, k:k + 1])[0]
-        return _dense_steps(_step_jets([k], l, dt, [self.sigma_derivs],
-                                       self.ops)[0])[0]
+        build = _StepJets([k], l, [self.sigma_derivs], self.ops)
+        return _dense_steps(build(dt)[0])[0]
 
     def _run(self, state: StateStack, dts):
         return _propagate(state.data[None], [self.sigma_derivs],

@@ -137,13 +137,14 @@ def expm_longdouble(A: np.ndarray) -> np.ndarray:
     E = np.eye(A.shape[0], dtype=np.longdouble)
     term = E.copy()
     tiny = np.finfo(np.longdouble).eps * 1e-3
+    # np.dot, not @: about twice as fast on long double matrices
     for j in range(1, 100):
-        term = term @ X / j
+        term = np.dot(term, X) / j
         E += term
         if np.abs(term).max() <= tiny:
             break
     for _ in range(s):
-        E = E @ E
+        E = np.dot(E, E)
     return E
 
 

@@ -1,14 +1,18 @@
 """Command-line behavior: config handling, CSV contracts, exit codes."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypobgk import NumericError, certify, verify_grid
+from hypobgk import DecayReport, NumericError, certify, cli, verify_grid
 from hypobgk.cli import RESULT_HEADER, dump_config, load_config, main
 
 BASE = {
@@ -414,3 +418,64 @@ def test_numeric_fields_reject_bools_and_strings(tmp_path, capsys, section,
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration:")
     assert f"{section}: {key} must be a" in err
+
+
+@pytest.mark.parametrize("command, overrides, field", [
+    ("sweep", {"sweep": {"sigma0_values": []}}, "sweep.sigma0_values"),
+    ("simulate", {"tolerances": {"envelope": math.inf}}, "tolerances.envelope"),
+    ("verify", {"tolerances": {"eig": math.inf}}, "tolerances.eig"),
+], ids=["sigma0-empty", "envelope-infinite", "eig-infinite"])
+def test_vacuous_checks_exit_invalid(tmp_path, capsys, command, overrides,
+                                     field):
+    # an empty sweep checks nothing and an infinite tolerance passes every
+    # check; json writes and reads math.inf as Infinity
+    path = write_config(tmp_path, **overrides)
+    assert "Infinity" in path.read_text() or field.startswith("sweep")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert field in err
+    assert not out.exists()
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e-310, math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_id=st.text(min_size=1, max_size=12), z=_CSV_FLOATS,
+       rows=st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS, _CSV_FLOATS,
+                               _CSV_FLOATS), max_size=8),
+       level=st.integers(0, 5))
+def test_csv_lines_match_the_csv_module(run_id, z, rows, level):
+    # the %-template lines equal per-value format(x, ".17g") through
+    # csv.writer, byte for byte
+    for text in (run_id, 'a,b "c"', "50%", "x\ny", " lead"):
+        report = DecayReport(level=level,
+                             times=np.array([r[0] for r in rows]),
+                             observed=np.array([r[1] for r in rows]),
+                             envelope=np.array([r[2] for r in rows]),
+                             ratio=np.array([r[3] for r in rows]),
+                             max_ratio=0.0, passed=True)
+        times = [cli._FLOAT % t for t in report.times.tolist()]
+        got = "".join(cli._result_lines(cli._template_field(text), z, times,
+                                        report, 1e-8))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        for t, obs, env, ratio in rows:
+            writer.writerow([text, format(z, ".17g"), format(t, ".17g"),
+                             str(level), format(obs, ".17g"),
+                             format(env, ".17g"), format(ratio, ".17g"),
+                             "pass" if ratio <= 1.0 + 1e-8 else "fail"])
+        assert got == buf.getvalue()
+        summary = "".join(cli._summary_lines(cli._template_field(text),
+                                             [(z,) + r * 2 + (z, "pass")
+                                              for r in rows]))
+        buf = io.StringIO()
+        csv.writer(buf).writerows(
+            [text] + [format(x, ".17g") for x in (z,) + r * 2 + (z,)]
+            + ["pass"] for r in rows)
+        assert summary == buf.getvalue()

@@ -1,6 +1,7 @@
 """Exact exponential propagation against structure and a reference integrator."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -316,3 +317,102 @@ def test_opposite_modes_have_equal_entropy(k, dt, z, alpha, seed):
     data[k, 0] = plus
     pair = entropy_series(data[None], 0, alpha)[0]
     assert abs(pair - (e_plus + e_minus)) <= 1e-14 * pair
+
+
+def _stacks(model, lattice, zs, N, seed=2):
+    data = np.stack([project_initial(InitialDataSpec(kind="random", seed=seed),
+                                     lattice, levels=N, z=z).data for z in zs])
+    rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in zs]
+    return data, rows
+
+
+def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
+    # a run builds the powers of each z slice once, keeps them only while
+    # a later step size still needs a build, and a run of one step size
+    # keeps none after its step
+    built = []
+    generator_powers = propagation._generator_powers
+
+    def spy(*args):
+        powers = generator_powers(*args)
+        built.append([weakref.ref(a) for a in powers[3:]])
+        return powers
+
+    monkeypatch.setattr(propagation, "_generator_powers", spy)
+    monkeypatch.setattr(propagation, "_BUILD_SLICE", 2)
+
+    def held():
+        return sum(ref() is not None for refs in built for ref in refs)
+
+    data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), 1)
+    ops = build_operators(LAT.M)
+    dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
+    seen = [(len(built), held()) for _ in
+            propagation._propagate(data, rows, LAT.l, ops, dts)]
+    # two slices of G and its powers, alive until the build of 0.3
+    assert seen == [(2, 4)] * 4 + [(2, 0)] * 3
+    built.clear()
+    seen = [(len(built), held()) for _ in
+            propagation._propagate(data, rows, LAT.l, ops, [0.25, 0.0, 0.25])]
+    assert seen == [(2, 0)] * 3
+    # step sizes already in a cache passed in are not built again
+    built.clear()
+    jets = {}
+    list(propagation._propagate(data, rows, LAT.l, ops, [0.1], jets))
+    seen = [(len(built), held()) for _ in
+            propagation._propagate(data, rows, LAT.l, ops, [0.1, 0.4], jets)]
+    assert seen == [(2, 0), (4, 0)]
+
+
+def test_derivatives_large_shape_against_extended_precision():
+    # K = 16, M = 60, N = 2 and the 15 log-spaced steps of a derivatives
+    # run, in one run: every step size is checked against the oracle at
+    # one mode (the modes cycle through 0..16), and every step matrix
+    # equals, bit for bit, a build of its step size alone
+    lattice = ModeLattice(K=16, L=2 * math.pi, M=60)
+    model = affine_model(1.0, 0.2)
+    times = [0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0) / 14)
+                     for i in range(15)]
+    dts = np.diff(times, prepend=0.0)
+    z = 0.3
+    data, rows = _stacks(model, lattice, [z], 2)
+    jets = {}
+    list(propagation._propagate(data, rows, lattice.l,
+                                build_operators(lattice.M), dts, jets))
+    assert sorted(jets) == sorted(dts[1:])
+    for j, dt in enumerate(dts[1:]):
+        alone = ExactPropagator(lattice, model, z, 2)
+        alone.step_matrix(0, dt)
+        assert np.array_equal(alone._jets[dt], jets[dt])
+        k = 7 * j % 17
+        ref = step_matrix_reference(k, lattice.l, dt, rows[0], lattice.M)
+        dense = propagation._dense_steps(jets[dt][0, k:k + 1])[0]
+        assert _rel_err(dense, ref) < 1e-13, (dt, k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(variant=st.sampled_from(sorted(MODELS)), M=st.sampled_from([5, 20]),
+       N=st.integers(0, 3),
+       pool=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=3,
+                     unique=True),
+       picks=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+       z=st.floats(-1.0, 1.0))
+def test_runs_mixing_step_sizes_against_extended_precision(variant, M, N, pool,
+                                                           picks, z):
+    # repeated, distinct and zero steps in one run over three z rows (two
+    # build slices): every step matrix of every (z, k) against the oracle
+    lattice = ModeLattice(K=2, L=1.0, M=M)
+    model = MODELS[variant]
+    dts = [(pool + [0.0])[i % (len(pool) + 1)] for i in picks]
+    zs = (z, -0.5 * z, 0.9)
+    data, rows = _stacks(model, lattice, zs, N)
+    jets = {}
+    list(propagation._propagate(data, rows, lattice.l, build_operators(M),
+                                dts, jets))
+    assert sorted(jets) == sorted(set(dts) - {0.0})
+    for dt, R in jets.items():
+        dense = propagation._dense_steps(R.reshape(-1, N + 1, M, M))
+        for i, row in enumerate(rows):
+            for k in range(lattice.K + 1):
+                ref = step_matrix_reference(k, lattice.l, dt, row, M)
+                assert _rel_err(dense[i * 3 + k], ref) < 1e-13, (dt, i, k)
