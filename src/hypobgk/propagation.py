@@ -57,7 +57,9 @@ once per run and shared by every step size of the run:
   and a run of many drops them at its last new step size.
 - One factorization.  The solve (V - U) R = V + U in the jet algebra
   inverts the level-0 block once; every level of the forward recursion
-  then multiplies by that inverse: one LAPACK call instead of N+1.
+  then multiplies by that inverse: one LAPACK call instead of N+1.  With
+  a single level (N = 0) the one call is an LU solve, which keeps the
+  digits of strongly decayed entropies closer to exact.
 
 Everything steps through one z-batched core, _propagate.  It takes the
 stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
@@ -162,7 +164,12 @@ def _jet_solve(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     One inverse of the level-0 block serves every level of the forward
     recursion R_d = P_0^-1 (Q_d - sum_{i=1..d} binom(d, i) P_i R_{d-i}).
+    A single level takes one LU solve instead: the same one LAPACK call,
+    and backward stable, which multiplying by an inverse is not.
     """
+    if Q.shape[1] == 1:
+        Q[:, 0] = np.linalg.solve(P[:, 0], Q[:, 0])
+        return Q
     inv0 = np.linalg.inv(P[:, 0])
     for d in range(Q.shape[1]):
         rhs = Q[:, d]
