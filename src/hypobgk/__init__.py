@@ -44,6 +44,7 @@ from .lyapunov import (
     build_transform,
     certify,
     minor_det3,
+    parse_alpha_strategy,
     rate_block,
     verify_grid,
 )

@@ -66,7 +66,7 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .lyapunov import Certificate, certify, verify_grid
+from .lyapunov import Certificate, certify, parse_alpha_strategy, verify_grid
 from .models import (
     CollisionFrequencyModel,
     InitialDataSpec,
@@ -255,9 +255,10 @@ def load_config(path: str | Path, out_override: str | None = None,
             fail(f"z_grid: {exc}")
 
     alpha_strategy = raw.get("alpha_strategy", "optimize")
-    if not isinstance(alpha_strategy, (str, int, float)):
-        fail(f"alpha_strategy must be a number or strategy string, "
-             f"got {alpha_strategy!r}")
+    try:
+        parse_alpha_strategy(alpha_strategy)
+    except CertificateError as exc:
+        fail(f"alpha_strategy: {exc}")
         alpha_strategy = "optimize"
 
     if "sigma_grid_resolution" in raw:

@@ -48,13 +48,23 @@ The certified matrix inequality
     S_k(sigma) = C_k^* P_k + P_k C_k - 2 mu P_k  >=  0   for every k != 0, M >= 5
 
 is re-checked numerically by verify_grid, exactly and for any M, through
-the same block structure.  P_k = I + T/k with the twist T supported on
-the leading 4 x 4 block, STREAM is tridiagonal, and RELAX is the
-identity beyond its third entry.  So the commutator [T, STREAM] lives in
-the leading 5 x 5 block, RELAX P_k + P_k RELAX equals 2 I beyond it, and
-P_k is the identity there: outside the 5 x 5 corner S_k(sigma) is the
-diagonal matrix (2 sigma - 2 mu) I.  Its spectrum is the spectrum of the
-corner plus the eigenvalue 2 sigma - 2 mu of multiplicity M - 5.
+the same block structure.  P_k = I + u T with u = 1/k and the twist T
+supported on the leading 4 x 4 block, so S_k(sigma) is affine in u:
+
+    S_k(sigma) = A0 + u A1 + sigma (B0 + u B1),
+    A0 = i l [T, STREAM] - 2 mu I,   A1 = -2 mu T,
+    B0 = 2 RELAX,                    B1 = RELAX T + T RELAX,
+
+four pieces that do not depend on k.  STREAM is tridiagonal and RELAX is
+the identity beyond its third entry.  So the commutator [T, STREAM]
+lives in the leading 5 x 5 block, RELAX T + T RELAX and T vanish beyond
+it, and outside the 5 x 5 corner S_k(sigma) is the diagonal matrix
+(2 sigma - 2 mu) I.  Its spectrum is the spectrum of the corner plus the
+eigenvalue 2 sigma - 2 mu of multiplicity M - 5.  A0 and B0 are real and
+sit on even offsets from the diagonal, A1 and B1 are purely imaginary and
+sit on odd ones, so with D = diag(i^m) the matrix D^-1 S_k(sigma) D is
+real symmetric (entry (p, q) times i^(q-p), exact), and u -> -u, the mode
+-k, gives the complex conjugate of S_k(sigma).
 """
 
 from __future__ import annotations
@@ -77,6 +87,7 @@ __all__ = [
     "alpha_max",
     "minor_det3",
     "rate_block",
+    "parse_alpha_strategy",
     "certify",
     "verify_grid",
 ]
@@ -94,6 +105,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # is diagonal.  The certified estimates close on the first MIN_HERMITE
 # Hermite coefficients.
 _CORNER = MIN_HERMITE
+
+_I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
 
 
 @dataclass(frozen=True)
@@ -152,11 +165,21 @@ def build_transform(k: int, alpha: float, M: int) -> TransformMatrix:
     if M < MIN_HERMITE:
         raise UsageError(f"need at least {MIN_HERMITE} Hermite terms, got M={M}")
     _check_alpha(alpha)
-    P = np.eye(M, dtype=complex)
-    for row, c in enumerate((alpha, math.sqrt(2.0) * alpha, math.sqrt(3.0) * alpha)):
-        P[row, row + 1] = -1j * c / k
-        P[row + 1, row] = 1j * c / k
+    P = np.eye(M, dtype=complex) + (1.0 / k) * _twist(alpha, M)
     return TransformMatrix(k=k, alpha=alpha, M=M, matrix=P)
+
+
+def _twist(alpha: float, M: int) -> np.ndarray:
+    """The twist T = k (P_k - I) at size M, the same for every k.
+
+    T is Hermitian and purely imaginary, with -i a, -i b, -i c on its
+    first superdiagonal in the leading 4 x 4 block and zeros elsewhere.
+    """
+    T = np.zeros((M, M), dtype=complex)
+    for row, c in enumerate((alpha, math.sqrt(2.0) * alpha, math.sqrt(3.0) * alpha)):
+        T[row, row + 1] = -1j * c
+        T[row + 1, row] = 1j * c
+    return T
 
 
 def alpha_limit(l, sigma):
@@ -256,57 +279,125 @@ def rate_block(l, alpha, sigma):
         )
     if not np.all(sigma > alpha * l):
         raise CertificateError("rate_block needs sigma > alpha * l")
-    out = minor_det3(1.0, alpha, sigma, l) / (4.0 * (sigma - alpha * l) ** 2)
+    out = _rate(l, alpha, sigma, *_rate_terms(l, sigma))
     return float(out) if out.ndim == 0 else out
 
 
-def _lambda_min_raw(l: float, alpha, sigma_min: float, sigma_max: float):
-    """Exact minimum of rate_block(l, alpha, .) over [sigma_min, sigma_max].
+def _rate_terms(l, sigma):
+    """The terms of rate_block that do not depend on alpha: (c3, c1, c0) with
 
-    rate_block is single-peaked in sigma (see its docstring), so this is
-    the smaller endpoint value.  alpha may be an array; the minimum is
-    taken per alpha.
+        rate_block = alpha (c3 alpha^2 - c1 alpha + c0) / (4 (sigma - alpha l)^2),
+
+    c3 = 72 l^3, c1 = 48 l^2 sigma + 6 sigma^3 and c0 = 8 l sigma^2, the
+    coefficients of minor_det3 at k = 1.
     """
-    alpha = np.asarray(alpha, dtype=float)[..., None]
-    return rate_block(l, alpha, np.array([sigma_min, sigma_max])).min(axis=-1)
+    return 72.0 * l**3, 48.0 * l**2 * sigma + 6.0 * sigma**3, 8.0 * l * sigma**2
 
 
-def _resolve_alpha(strategy, l: float, amax: float, sigma_min: float,
-                   sigma_max: float) -> float:
-    """Turn an alpha strategy into a concrete admissible value."""
+def _rate(l, alpha, sigma, c3, c1, c0):
+    """rate_block from its alpha-free terms, without its checks.
 
-    def mu_of(a):
-        lam = _lambda_min_raw(l, a, sigma_min, sigma_max)
-        return 0.5 * lam / (1.0 + a * TWIST_GAIN)
+    Works on floats and on arrays alike and gives the same bits for both:
+    alpha * alpha, not alpha ** 2, which on a float goes through pow.
+    """
+    d = sigma - alpha * l
+    return alpha * (c3 * (alpha * alpha) - c1 * alpha + c0) / (4.0 * (d * d))
 
+
+def _lambda_min_objective(l: float, sigma_min: float, sigma_max: float):
+    """lambda_min(alpha), the minimum of rate_block(l, alpha, .) over the interval.
+
+    rate_block is single-peaked in sigma (see its docstring), so the
+    minimum is the smaller endpoint value.  The alpha-free terms of both
+    endpoint values, and alpha_limit at both endpoints, are formed here
+    once by rate_block's own numpy expressions.  The returned function
+    then evaluates a float alpha in plain float arithmetic, with no numpy
+    call, and returns the bits rate_block's array path gives.  It keeps
+    rate_block's checks (0 < alpha < alpha_limit at both endpoints and
+    sigma > alpha l) and raises CertificateError like it; also when the
+    denominator underflows to zero, where numpy would give nan.
+    """
+    sigma = np.array([sigma_min, sigma_max])
+    limit = float(alpha_limit(l, sigma).min())
+    c3, c1, c0 = _rate_terms(l, sigma)
+    (c1_lo, c1_hi), (c0_lo, c0_hi) = c1.tolist(), c0.tolist()
+
+    def lambda_min(alpha: float) -> float:
+        if not 0.0 < alpha < limit:
+            raise CertificateError(
+                f"twist alpha={alpha} outside the admissible range "
+                f"(0, alpha_limit) for l={l}")
+        if not sigma_min > alpha * l:
+            raise CertificateError("rate_block needs sigma > alpha * l")
+        try:
+            return min(_rate(l, alpha, sigma_min, c3, c1_lo, c0_lo),
+                       _rate(l, alpha, sigma_max, c3, c1_hi, c0_hi))
+        except ZeroDivisionError:
+            raise CertificateError(
+                f"rate_block underflows at sigma_min={sigma_min}") from None
+
+    return lambda_min
+
+
+def parse_alpha_strategy(strategy) -> tuple[str, float]:
+    """Check the form of an alpha strategy and split it into (kind, value).
+
+    "optimize" gives ("optimize", nan); a number or "fixed:<x>" gives
+    ("fixed", alpha) for a finite alpha; "fraction:<f>" gives
+    ("fraction", f) for 0 < f < 1.  Strings may carry surrounding
+    whitespace.  Anything else, booleans included, raises
+    CertificateError.  Whether a fixed alpha is admissible depends on the
+    sigma interval; certify checks that.
+    """
     if isinstance(strategy, str):
-        text = strategy.strip()
-        if text == "optimize":
-            # Coarse scan (including the exact midpoint) seeds a local
-            # golden-section refinement; keep whichever is better.
-            grid = amax * np.arange(1, 64) / 64.0
-            vals = mu_of(grid)
-            i = int(np.argmax(vals))
-            a_lo = grid[max(i - 1, 0)]
-            a_hi = grid[min(i + 1, len(grid) - 1)]
-            a_ref, neg = _golden_section_min(lambda a: -float(mu_of(a)), a_lo, a_hi,
-                                             1e-10)
-            return float(a_ref) if -neg >= vals[i] else float(grid[i])
-        if text.startswith("fixed:"):
-            return _resolve_alpha(float(text[len("fixed:"):]), l, amax,
-                                  sigma_min, sigma_max)
-        if text.startswith("fraction:"):
-            frac = float(text[len("fraction:"):])
-            if not 0.0 < frac < 1.0:
-                raise CertificateError(
-                    f"alpha fraction must lie in (0, 1), got {frac}")
-            return frac * amax
-        raise CertificateError(f"unknown alpha strategy {strategy!r}")
-    alpha = float(strategy)
-    if not 0.0 < alpha < amax:
+        kind, colon, number = strategy.strip().partition(":")
+        if kind == "optimize" and not colon:
+            return "optimize", math.nan
+        if not (colon and kind in ("fixed", "fraction")):
+            raise CertificateError(f"unknown alpha strategy {strategy!r}")
+        try:
+            value = float(number)
+        except ValueError:
+            raise CertificateError(
+                f"alpha strategy {strategy!r} does not end in a number") from None
+    else:
+        kind = "fixed"
+        try:
+            if isinstance(strategy, (bool, np.bool_)):
+                raise TypeError
+            value = float(strategy)
+        except (TypeError, ValueError, OverflowError):
+            raise CertificateError(
+                f"alpha strategy must be a number or a strategy string, "
+                f"got {strategy!r}") from None
+    if kind == "fixed" and not math.isfinite(value):
+        raise CertificateError(f"fixed alpha must be finite, got {value}")
+    if kind == "fraction" and not 0.0 < value < 1.0:
+        raise CertificateError(f"alpha fraction must lie in (0, 1), got {value}")
+    return kind, value
+
+
+def _resolve_alpha(strategy, amax: float, lambda_min) -> float:
+    """Turn an alpha strategy into a concrete admissible value."""
+    kind, value = parse_alpha_strategy(strategy)
+    if kind == "optimize":
+        def mu_of(a: float) -> float:
+            return 0.5 * lambda_min(a) / (1.0 + a * TWIST_GAIN)
+
+        # Coarse scan (including the exact midpoint) seeds a local
+        # golden-section refinement; keep whichever is better.
+        grid = [amax * j / 64.0 for j in range(1, 64)]
+        vals = [mu_of(a) for a in grid]
+        i = int(np.argmax(vals))
+        a_ref, neg = _golden_section_min(lambda a: -mu_of(a), grid[max(i - 1, 0)],
+                                         grid[min(i + 1, len(grid) - 1)], 1e-10)
+        return a_ref if -neg >= vals[i] else grid[i]
+    if kind == "fraction":
+        return value * amax
+    if not 0.0 < value < amax:
         raise CertificateError(
-            f"fixed alpha={alpha} outside the admissible range (0, {amax:.6g})")
-    return alpha
+            f"fixed alpha={value} outside the admissible range (0, {amax:.6g})")
+    return value
 
 
 def alpha_max(l: float, sigma_min: float, sigma_max: float) -> float:
@@ -333,10 +424,15 @@ def certify(L: float, sigma_min: float, sigma_max: float,
     alpha_strategy is either a number (use that alpha, which must lie
     strictly inside (0, alpha_max)), the string "fixed:<value>" or
     "fraction:<f>" (alpha = f * alpha_max), or "optimize" (default),
-    which maximizes mu over the admissible interval by a coarse scan
-    plus golden-section refinement.  For each trial alpha, lambda_min
-    is the exact minimum over sigma, the smaller endpoint value of
-    rate_block (see its docstring).
+    which maximizes mu over the admissible interval by a coarse scan of
+    63 alphas plus golden-section refinement; parse_alpha_strategy checks
+    the form.  For each trial alpha, lambda_min is the exact minimum over
+    sigma, the smaller endpoint value of rate_block (see its docstring).
+    One objective serves the scan, the refinement and the final
+    lambda_min: the alpha-free terms of both endpoint values are formed
+    once per call, and each trial alpha then costs a dozen float
+    operations and no numpy call, with the bits of rate_block's array
+    path (see _lambda_min_objective).
 
     "fraction:<f>" is not monotone in the sigma interval for f above
     about 0.7: shrinking the interval raises alpha_max, which moves
@@ -355,11 +451,12 @@ def certify(L: float, sigma_min: float, sigma_max: float,
             f"need 0 < sigma_min <= sigma_max < inf, got [{sigma_min}, {sigma_max}]")
     l = 2.0 * math.pi / L
     amax = alpha_max(l, sigma_min, sigma_max)
-    alpha = _resolve_alpha(alpha_strategy, l, amax, sigma_min, sigma_max)
+    lambda_min = _lambda_min_objective(l, sigma_min, sigma_max)
+    alpha = _resolve_alpha(alpha_strategy, amax, lambda_min)
     if not 0.0 < alpha < amax:
         raise CertificateError(
             f"resolved alpha={alpha} outside the admissible range (0, {amax:.6g})")
-    lam_min = float(_lambda_min_raw(l, alpha, sigma_min, sigma_max)) * (1.0 - 1e-6)
+    lam_min = lambda_min(alpha) * (1.0 - 1e-6)
     if not lam_min > 0.0:
         raise CertificateError(
             f"certified block rate is not positive (lambda_min={lam_min})")
@@ -378,30 +475,44 @@ def certify(L: float, sigma_min: float, sigma_max: float,
     )
 
 
-def _inequality_pieces(k: int, l: float, alpha: float, mu: float,
-                       ops: OperatorSet) -> tuple[np.ndarray, np.ndarray]:
-    """Split C_k^* P_k + P_k C_k - 2 mu P_k as A + sigma * B at size ops.M."""
-    P = build_transform(k, alpha, ops.M).matrix
-    L1, L2 = ops.stream, ops.relax
-    A = 1j * k * l * (P @ L1 - L1 @ P) - 2.0 * mu * P
-    B = L2 @ P + P @ L2
-    return A, B
+def _inequality_pieces(l: float, alpha: float, mu: float,
+                       ops: OperatorSet) -> tuple[np.ndarray, ...]:
+    """(A0, A1, B0, B1) at size ops.M, the same for every k.
+
+    With u = 1/k and P_k = I + u T (T the twist),
+
+        C_k^* P_k + P_k C_k - 2 mu P_k = A0 + u A1 + sigma (B0 + u B1),
+        A0 = i l [T, STREAM] - 2 mu I,   A1 = -2 mu T,
+        B0 = 2 RELAX,                    B1 = RELAX T + T RELAX.
+    """
+    T = _twist(alpha, ops.M)
+    S, R = ops.stream, ops.relax
+    A0 = 1j * l * (T @ S - S @ T) - 2.0 * mu * np.eye(ops.M)
+    return A0, -2.0 * mu * T, 2.0 * R, R @ T + T @ R
 
 
 def verify_grid(cert: Certificate, k_values, sigma_values, M: int,
                 return_norms: bool = False):
     """Minimum inequality eigenvalues on a (k, sigma) grid, shape (len(k), len(sigma)).
 
-    S_k(sigma) = A_k + sigma B_k is assembled densely at size M, once per
-    k; B_k depends on k through P_k.  Outside the leading 5 x 5 corner
-    both pieces must be exactly diagonal (see the module docstring).  This
-    is checked on the assembled entries, comparing with exact zeros, and a
-    NumericError is raised if it fails.  The spectrum of S_k(sigma) is
-    then the spectrum of its corner, found by one batched 5 x 5 eigensolve
-    over the whole grid, together with its diagonal entries beyond the
-    corner, which are 2 sigma - 2 mu.  With return_norms=True also returns
-    the per-point max-norm of S_k(sigma), the larger of the corner's and
-    the tail's, which is the natural scale for an eigenvalue tolerance.
+    S_k(sigma) = A_k + sigma B_k is affine in u = 1/k: A_k = A0 + u A1 and
+    B_k = B0 + u B1, with four pieces that do not depend on k (see
+    _inequality_pieces).  They are assembled densely at size M, once per
+    call, and turned to the real frame D = diag(i^m): entry (p, q) times
+    i^(q-p), which is exact and keeps the spectrum and every entry's
+    modulus.  Outside the leading 5 x 5 corner each piece must be exactly
+    diagonal, and in the real frame it must be exactly real (see the
+    module docstring).  Both are checked on the four pieces, comparing
+    with exact zeros, and a NumericError is raised if either fails.  Exact
+    zeros stay exact under u * 0 and x + 0, so the checks cover A_k and
+    B_k for every k, k = 0 excluded (DomainError); a negative k is the
+    mode -|k|, u = -1/|k|.  The spectrum of S_k(sigma) is then the
+    spectrum of its real symmetric corner, found by one batched 5 x 5
+    eigensolve over the whole grid, together with its diagonal entries
+    beyond the corner, which are 2 sigma - 2 mu.  With return_norms=True
+    also returns the per-point max-norm of S_k(sigma), the larger of the
+    corner's and the tail's, which is the natural scale for an eigenvalue
+    tolerance.
 
     For alpha > 0 the tail never binds: the corner's entry (3, 3) is
     2 sigma - 6 l alpha - 2 mu, below the tail, and its entry (4, 4) is
@@ -413,28 +524,35 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int,
     if np.any(sigmas <= 0.0):
         raise UsageError("collision frequencies must be positive")
     ops = build_operators(M)
+    if 0 in k_values:
+        raise DomainError("the certified inequality concerns modes k != 0 only")
     c, tail = _CORNER, np.arange(_CORNER, M)
     outside = np.ones((M, M), dtype=bool)
     outside[:c, :c] = False
     outside[tail, tail] = False
-    # per k: corner and tail diagonal of A (row 0) and B (row 1)
-    corners = np.empty((2, len(k_values), c, c), dtype=complex)
-    diags = np.empty((2, len(k_values), M - c), dtype=complex)
-    for row, k in enumerate(k_values):
-        for piece, mat in enumerate(
-                _inequality_pieces(k, cert.l, cert.alpha, cert.mu, ops)):
-            if np.any(mat[outside]):
-                raise NumericError(
-                    f"the inequality matrix is not a {c} x {c} corner plus "
-                    f"a diagonal at M={M}")
-            corners[piece, row] = mat[:c, :c]
-            diags[piece, row] = mat[tail, tail]
-    A, B = corners[:, :, None]
-    a, b = diags[:, :, None]
-    corner = A + sigmas[:, None, None] * B
-    diag = a + sigmas[:, None] * b
+    idx = np.arange(M)
+    frame = _I_POWERS[np.subtract.outer(idx, idx) % 4].conj()   # i^(q-p)
+    pieces = [mat * frame for mat in
+              _inequality_pieces(cert.l, cert.alpha, cert.mu, ops)]
+    for mat in pieces:
+        if np.any(mat[outside]):
+            raise NumericError(
+                f"the inequality matrix is not a {c} x {c} corner plus "
+                f"a diagonal at M={M}")
+        if np.any(mat.imag):
+            raise NumericError(
+                f"the inequality matrix is not real in the frame diag(i^m) "
+                f"at M={M}")
+    # rows: A0, A1, B0, B1; then A_k, B_k for every k
+    corners = np.array([mat.real[:c, :c] for mat in pieces])
+    diags = np.array([mat.real[tail, tail] for mat in pieces])
+    u = 1.0 / np.array(k_values, dtype=float)
+    A, B = corners[0::2, None] + u[:, None, None] * corners[1::2, None]
+    a, b = diags[0::2, None] + u[:, None] * diags[1::2, None]
+    corner = A[:, None] + sigmas[:, None, None] * B[:, None]
+    diag = a[:, None] + sigmas[:, None] * b[:, None]
     mins = np.minimum(np.linalg.eigvalsh(corner)[..., 0],
-                      diag.real.min(axis=-1, initial=np.inf))
+                      diag.min(axis=-1, initial=np.inf))
     norms = np.maximum(np.abs(corner).max(axis=(-2, -1)),
                        np.abs(diag).max(axis=-1, initial=0.0))
     if return_norms:

@@ -2,15 +2,17 @@
 
 The dense-grid plus golden-section searches are what the certificate
 and the polynomial range used before the minimizations over sigma and z
-were made exact.  step_matrix_reference is an extended-precision
-exponential of the dense augmented generator, the reference for the
-structured step-matrix kernel.  build_transforms and entropy_dense are
-the dense M x M transforms and the quadratic form the closed-form
-twisted entropy replaced.  inequality_matrix and verify_dense are the
-dense M x M check of the certified inequality that the 5 x 5 corner
-decomposition in verify_grid replaced; build_reduced_block, the minors
-and the spectrum of P_k are the paper's closed forms they are checked
-against.  Tests compare the package against them; nothing in the
+were made exact.  certify_array is certify with rate_block's array
+expression evaluated for every trial alpha, the objective that the
+float-arithmetic one in the package replaced.  step_matrix_reference is
+an extended-precision exponential of the dense augmented generator, the
+reference for the structured step-matrix kernel.  build_transforms and
+entropy_dense are the dense M x M transforms and the quadratic form the
+closed-form twisted entropy replaced.  inequality_matrix and
+verify_dense are the dense M x M check of the certified inequality that
+the 5 x 5 corner decomposition in verify_grid replaced;
+build_reduced_block, the minors and the spectrum of P_k are the paper's
+closed forms they are checked against.  Tests compare the package against them; nothing in the
 package imports this module.
 """
 
@@ -21,9 +23,10 @@ import math
 
 import numpy as np
 
-from hypobgk.errors import DomainError, UsageError
-from hypobgk.lyapunov import (ALPHA_CAP, TWIST_GAIN, _check_alpha, alpha_limit,
-                              build_transform, minor_det3, rate_block)
+from hypobgk.errors import CertificateError, DomainError, UsageError
+from hypobgk.lyapunov import (ALPHA_CAP, TWIST_GAIN, Certificate, _check_alpha,
+                              alpha_limit, alpha_max, build_transform,
+                              minor_det3, rate_block)
 from hypobgk.propagation import augmented_generator
 from hypobgk.spectral import assemble_generator, build_operators
 
@@ -105,6 +108,72 @@ def optimized_mu_search(L: float, sigma_min: float, sigma_max: float,
     lam_min = lambda_min_search(l, alpha, sigma_min, sigma_max,
                                 resolution) * (1.0 - 1e-6)
     return 0.5 * lam_min / (1.0 + alpha * TWIST_GAIN)
+
+
+def rate_block_array(l, alpha, sigma):
+    """rate_block as minor_det3(1, alpha, sigma, l) / (4 (sigma - alpha l)^2).
+
+    The array expression the package evaluated for every trial alpha
+    before its objective was reduced to float arithmetic, with the same
+    admissibility checks.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if not np.all(alpha > 0.0) or not np.all(alpha < alpha_limit(l, sigma)):
+        raise CertificateError(f"twist alpha={alpha} outside (0, alpha_limit)")
+    if not np.all(sigma > alpha * l):
+        raise CertificateError("rate_block needs sigma > alpha * l")
+    return minor_det3(1.0, alpha, sigma, l) / (4.0 * (sigma - alpha * l) ** 2)
+
+
+def lambda_min_array(l: float, alpha, sigma_min: float, sigma_max: float):
+    """Smaller endpoint value of rate_block_array, per alpha of an array."""
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    return rate_block_array(l, alpha, np.array([sigma_min, sigma_max])).min(axis=-1)
+
+
+def certify_array(L: float, sigma_min: float, sigma_max: float,
+                  alpha_strategy="optimize") -> Certificate:
+    """certify with every lambda_min taken from lambda_min_array.
+
+    The "optimize" scan evaluates one array of 63 alphas, and each
+    golden-section trial and the final lambda_min go through numpy too.
+    Strategies: "optimize", "fraction:<f>" or a number.
+    """
+    if not (L > 0.0 and math.isfinite(L)):
+        raise CertificateError(f"period L must be positive and finite, got {L}")
+    if not (0.0 < sigma_min <= sigma_max and math.isfinite(sigma_max)):
+        raise CertificateError("need 0 < sigma_min <= sigma_max < inf")
+    l = 2.0 * math.pi / L
+    amax = alpha_max(l, sigma_min, sigma_max)
+
+    def mu_of(a):
+        lam = lambda_min_array(l, a, sigma_min, sigma_max)
+        return 0.5 * lam / (1.0 + a * TWIST_GAIN)
+
+    if alpha_strategy == "optimize":
+        grid = amax * np.arange(1, 64) / 64.0
+        vals = mu_of(grid)
+        i = int(np.argmax(vals))
+        a_ref, neg = golden_section_min(lambda a: -float(mu_of(a)),
+                                        grid[max(i - 1, 0)],
+                                        grid[min(i + 1, len(grid) - 1)], 1e-10)
+        alpha = float(a_ref) if -neg >= vals[i] else float(grid[i])
+    elif isinstance(alpha_strategy, str):
+        alpha = float(alpha_strategy[len("fraction:"):]) * amax
+    else:
+        alpha = float(alpha_strategy)
+    if not 0.0 < alpha < amax:
+        raise CertificateError(f"alpha={alpha} outside (0, {amax})")
+    lam_min = float(lambda_min_array(l, alpha, sigma_min, sigma_max)) * (1.0 - 1e-6)
+    if not lam_min > 0.0:
+        raise CertificateError(f"lambda_min={lam_min} is not positive")
+    mu = 0.5 * lam_min / (1.0 + alpha * TWIST_GAIN)
+    return Certificate(
+        L=L, l=l, sigma_min=sigma_min, sigma_max=sigma_max, alpha=alpha,
+        alpha_max=amax, lambda_min=lam_min, mu=mu,
+        decay_rate=min(mu, sigma_min),
+        ctilde=math.sqrt((1.0 + alpha * TWIST_GAIN) / (1.0 - alpha * TWIST_GAIN)),
+    )
 
 
 def poly_extremes_search(coeffs, z_lo: float, z_hi: float,

@@ -5,7 +5,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,50 @@ def test_integer_fields_reject_bools_and_fractions(tmp_path, capsys, section,
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration:")
     assert f"{section}: " in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize("strategy", [
+    "fixed:abc", "fraction:", True, False, "fixed:nan", "fixed:inf",
+    "fraction:1.5", " fixed 0.1",
+], ids=["fixed-abc", "fraction-empty", "true", "false", "fixed-nan",
+        "fixed-inf", "fraction-above-one", "no-colon"])
+def test_malformed_alpha_strategy_exits_invalid(tmp_path, capsys, strategy):
+    path = write_config(tmp_path, alpha_strategy=strategy)
+    assert main(["certify", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert "alpha_strategy: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("strategy", [" optimize ", "fixed: 0.05", 0.05,
+                                      "fraction:0.5 "])
+def test_alpha_strategy_forms_accepted(tmp_path, strategy):
+    path = write_config(tmp_path, alpha_strategy=strategy)
+    assert main(["certify", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # the package needs numpy only; scipy is a test dependency
+    path = write_config(tmp_path)
+    script = "\n".join([
+        "import sys",
+        "from hypobgk.cli import main",
+        "for command in ('certify', 'verify', 'simulate'):",
+        "    code = main([command, '--config', sys.argv[1],",
+        "                 '--out', sys.argv[2]])",
+        "    assert code == 0, (command, code)",
+        "print('scipy' in sys.modules)",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(path),
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("run_id", ["../x", "a/b", "a\\b", "a\0b", ".", ".."])

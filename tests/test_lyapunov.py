@@ -20,6 +20,7 @@ from hypobgk import (
     build_transform,
     certify,
     minor_det3,
+    parse_alpha_strategy,
     rate_block,
     verify_grid,
 )
@@ -28,6 +29,7 @@ from hypobgk.lyapunov import ALPHA_CAP, TWIST_GAIN
 from oracles import (
     alpha_max_search,
     build_reduced_block,
+    certify_array,
     inequality_matrix,
     lambda_min_search,
     minor_det4,
@@ -196,6 +198,49 @@ def test_optimizer_no_worse_than_midpoint():
         assert best.mu >= mid.mu - 1e-15
 
 
+def test_optimize_does_not_call_rate_block_per_trial(monkeypatch):
+    # the objective is formed once per certify; the golden refinement
+    # alone evaluates it about 40 times
+    calls = []
+    real = lyapunov.rate_block
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "rate_block", spy)
+    certify(2.0 * math.pi, 0.9, 1.1, alpha_strategy="optimize")
+    assert len(calls) <= 2
+
+
+_CERT_L = st.one_of(st.floats(0.3, 60.0), st.sampled_from([1e-310, 1e300]))
+_CERT_SIGMA = st.one_of(st.floats(0.05, 20.0),
+                        st.sampled_from([1e-300, 1e-170, 1e-158, 1e80]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(L=_CERT_L, lo=_CERT_SIGMA,
+       width=st.one_of(st.floats(0.0, 20.0), st.sampled_from([0.0, 1e-12])),
+       ulp=st.booleans(),
+       strategy=st.sampled_from(["optimize", "optimize", "fraction:0.5",
+                                 "fraction:0.95", 0.01]))
+def test_certify_matches_array_objective(L, lo, width, ulp, strategy):
+    # bit for bit, including the error type, against every lambda_min
+    # computed by rate_block's array path
+    hi = float(np.nextafter(lo, np.inf)) if ulp else lo + width
+    with np.errstate(all="ignore"):
+        try:
+            expected = certify_array(L, lo, hi, strategy)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                certify(L, lo, hi, strategy)
+            return
+        got = certify(L, lo, hi, strategy)
+    for field in dataclasses.fields(got):
+        assert getattr(got, field.name) == getattr(expected, field.name), \
+            field.name
+
+
 def test_alpha_strategy_forms():
     fixed = certify(6.0, 1.0, 2.0, alpha_strategy="fixed:0.05")
     assert fixed.alpha == 0.05
@@ -205,6 +250,30 @@ def test_alpha_strategy_forms():
         certify(6.0, 1.0, 2.0, alpha_strategy="nonsense")
     with pytest.raises(CertificateError):
         certify(6.0, 1.0, 2.0, alpha_strategy=2.0)  # above alpha_max
+
+
+@pytest.mark.parametrize("strategy, kind, value", [
+    (" optimize ", "optimize", math.nan),
+    ("fixed: 0.05", "fixed", 0.05),
+    (0.05, "fixed", 0.05),
+    ("fraction:0.25 ", "fraction", 0.25),
+])
+def test_parse_alpha_strategy_accepts(strategy, kind, value):
+    got_kind, got_value = parse_alpha_strategy(strategy)
+    assert got_kind == kind
+    assert got_value == value or math.isnan(got_value) and math.isnan(value)
+
+
+@pytest.mark.parametrize("strategy", [
+    "fixed:abc", "fraction:", "fixed:nan", "fixed:inf", "fraction:1",
+    "fraction:0", "optimize:1", "fixed 0.1", True, False, None, [0.1],
+    math.nan, 10**400,
+])
+def test_parse_alpha_strategy_rejects(strategy):
+    with pytest.raises(CertificateError):
+        parse_alpha_strategy(strategy)
+    with pytest.raises(CertificateError):
+        certify(6.0, 1.0, 2.0, alpha_strategy=strategy)
 
 
 def test_verify_inequality_positive_for_certificate():
@@ -293,8 +362,10 @@ def test_verify_grid_with_mu_beyond_sigma():
 def test_assembled_corner_is_the_paper_block(k):
     cert = certify(5.0, 0.7, 1.9)
     M, sigma = 9, 1.3
-    A, B = lyapunov._inequality_pieces(k, cert.l, cert.alpha, cert.mu,
-                                       build_operators(M))
+    A0, A1, B0, B1 = lyapunov._inequality_pieces(cert.l, cert.alpha, cert.mu,
+                                                 build_operators(M))
+    u = 1.0 / k
+    A, B = A0 + u * A1, B0 + u * B1
     S = A + sigma * B
     P = build_transform(k, cert.alpha, M).matrix
     corner = (build_reduced_block(k, cert.alpha, sigma, cert.l)
@@ -313,18 +384,42 @@ def test_verify_grid_rejects_k0():
 
 
 def test_verify_grid_checks_block_structure_exactly(monkeypatch):
-    # one tiny entry outside the corner and off the diagonal must raise
+    # one tiny entry outside the corner and off the diagonal (at an even
+    # offset, so it stays real in the frame diag(i^m)), or one that is not
+    # real in that frame, in any one of the four k-independent pieces must
+    # raise
     pieces = lyapunov._inequality_pieces
-
-    def perturbed(*args):
-        A, B = pieces(*args)
-        A[6, 7] = A[7, 6] = 1e-300
-        return A, B
-
-    monkeypatch.setattr(lyapunov, "_inequality_pieces", perturbed)
     cert = certify(2.0 * math.pi, 1.0, 1.0)
-    with pytest.raises(NumericError):
-        verify_grid(cert, [1], np.array([1.0]), 8)
+    for which in range(4):
+        for entries, value in ((((5, 7), (7, 5)), 1e-300), (((0, 0),), 1e-300j)):
+            def perturbed(*args, which=which, entries=entries, value=value):
+                out = [mat.astype(complex) for mat in pieces(*args)]
+                for entry in entries:
+                    out[which][entry] += value
+                return tuple(out)
+
+            monkeypatch.setattr(lyapunov, "_inequality_pieces", perturbed)
+            with pytest.raises(NumericError):
+                verify_grid(cert, [1], np.array([1.0]), 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.floats(0.3, 60.0), lo=st.floats(0.05, 20.0),
+       width=st.floats(0.0, 20.0),
+       strategy=st.sampled_from(["optimize", "fraction:0.05", "fraction:0.95"]),
+       mu_scale=st.sampled_from([1.0, 10.0]),
+       M=st.sampled_from([5, 6, 40]),
+       ks=st.lists(st.integers(1, 10**6), min_size=1, max_size=5))
+def test_verify_grid_is_symmetric_in_k(L, lo, width, strategy, mu_scale, M, ks):
+    # u = 1/k -> -u conjugates S_k(sigma), so k and -k give the same minima
+    cert = certify(L, lo, lo + width, alpha_strategy=strategy)
+    cert = dataclasses.replace(cert, mu=cert.mu * mu_scale)
+    sigmas = np.linspace(cert.sigma_min, cert.sigma_max, 3)
+    plus, plus_norms = verify_grid(cert, ks, sigmas, M, return_norms=True)
+    minus, minus_norms = verify_grid(cert, [-k for k in ks], sigmas, M,
+                                     return_norms=True)
+    assert np.array_equal(plus, minus)
+    assert np.array_equal(plus_norms, minus_norms)
 
 
 @settings(max_examples=60, deadline=None)
