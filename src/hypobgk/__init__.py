@@ -22,28 +22,20 @@ from .errors import (
     UsageError,
 )
 from .spectral import (
-    HermiteVec,
     ModeLattice,
-    MomentTriple,
     OperatorSet,
     assemble_generator,
     build_operators,
     gauss_hermite_halfweight,
-    hermite_functions,
     hermite_polynomials,
-    moments_of,
-    synthesize,
 )
 from .lyapunov import (
     ALPHA_CAP,
     TWIST_GAIN,
     Certificate,
-    TransformMatrix,
     alpha_limit,
     alpha_max,
-    build_transform,
     certify,
-    minor_det3,
     parse_alpha_strategy,
     rate_block,
     verify_grid,
@@ -56,31 +48,21 @@ from .models import (
     constant_model,
     polynomial_model,
     project_initial,
-    sigma_bounds,
     sigma_eval,
     taylor_bound,
     trig_model,
 )
-from .propagation import (
-    ExactPropagator,
-    augmented_generator,
-    evolve_exact,
-    evolve_reference,
-    trajectory,
-)
+from .propagation import ExactPropagator, augmented_generator, propagate
 from .analysis import (
     DecayReport,
-    EntropyValue,
     affine_derivative_envelope,
     affine_uniform_envelope,
     check_envelope,
-    entropy,
     entropy_envelope,
     entropy_series,
     gronwall_cascade,
     gronwall_chain,
     taylor_derivative_envelope,
-    uniform_level_bound,
 )
 
 __version__ = "0.1.0"

@@ -18,9 +18,9 @@ c = alpha (1, sqrt 2, sqrt 3).  So each mode costs O(M):
 
     x* P_k x = |x|^2 + (2/k) sum_{j<3} c_j Im(conj(x_j) x_{j+1}).
 
-entropy_series evaluates this on whole arrays: a list of snapshots, or
-the (Z, K+1, N+1, M) stack data of a batch of z at one time, which is
-how the command line consumes the propagation core sample by sample.
+entropy_series evaluates this on whole arrays of stack data, such as
+the (Z, K+1, N+1, M) data of a batch of z at one time, which is how the
+command line consumes the propagation core sample by sample.
 
 For the z-derivative levels the one-way coupling adds source terms, and
 the square-root entropies e_n = sqrt(E_n) satisfy a Gronwall chain.
@@ -39,7 +39,8 @@ Two certified envelope families result:
 ctilde = sqrt((1 + alpha T)/(1 - alpha T)) with T = sqrt(3 + sqrt(6))
 bounds the relaxation projection in the twisted metric; it comes with
 the certificate.  check_envelope compares an observed series against an
-envelope series pointwise and reports ratios and a verdict.
+envelope series pointwise and reports ratios and a verdict; a
+non-finite observation is a numeric failure, never a verdict.
 """
 
 from __future__ import annotations
@@ -51,12 +52,9 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .lyapunov import Certificate, _check_alpha
-from .state import StateStack
 
 __all__ = [
-    "EntropyValue",
     "DecayReport",
-    "entropy",
     "entropy_series",
     "entropy_envelope",
     "affine_derivative_envelope",
@@ -64,19 +62,8 @@ __all__ = [
     "taylor_derivative_envelope",
     "gronwall_chain",
     "gronwall_cascade",
-    "uniform_level_bound",
     "check_envelope",
 ]
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """Twisted entropy of one derivative level at one (z, t) point."""
-
-    value: float
-    level: int
-    t: float
-    z: float
 
 
 @dataclass(frozen=True)
@@ -110,30 +97,14 @@ def _twisted(coeffs: np.ndarray, alpha: float) -> np.ndarray:
     return norms[..., 0] + 2.0 * modes.sum(axis=-1)
 
 
-def entropy(state: StateStack, level: int, cert_or_alpha) -> EntropyValue:
-    """Twisted entropy of one stored derivative level."""
-    coeffs = state.level(level)
-    total = float(_twisted(coeffs, _alpha_of(cert_or_alpha)))
-    scale = float(np.sum(np.abs(coeffs) ** 2))
-    if total < -1e-12 * max(scale, 1.0):
-        raise NumericError(f"entropy evaluated to {total}, below roundoff range")
-    return EntropyValue(value=max(total, 0.0), level=level, t=state.t, z=state.z)
+def entropy_series(data: np.ndarray, level: int, cert_or_alpha) -> np.ndarray:
+    """Entropies of one level of stack data data[..., k, n, m].
 
-
-def entropy_series(states, level: int, cert_or_alpha) -> np.ndarray:
-    """Entropies of one level along a list of snapshots (vectorized).
-
-    states may also be stack data data[..., k, n, m] as one array, for
-    example the (Z, K+1, N+1, M) data of a batch of z at one time; the
-    result then has the shape of its leading axes.
+    For example the (Z, K+1, N+1, M) data of a batch of z at one time;
+    the result has the shape of the leading axes.  Roundoff can leave a
+    tiny negative value, which is clamped to 0.
     """
-    if isinstance(states, np.ndarray):
-        X = states[..., level, :]
-    else:
-        states = list(states)
-        if not states:
-            return np.empty(0)
-        X = np.stack([s.level(level) for s in states])        # (T, K+1, M)
+    X = data[..., level, :]
     return np.maximum(_twisted(X, _alpha_of(cert_or_alpha)), 0.0)
 
 
@@ -197,6 +168,14 @@ def affine_uniform_envelope(level: int, times, cert_or_rate, coupling: float,
     return float(out) if out.ndim == 0 else out
 
 
+def _or_inf(f) -> float:
+    """f(), or inf where it overflows the float range."""
+    try:
+        return f()
+    except OverflowError:
+        return math.inf
+
+
 def gronwall_cascade(level: int, t: float, coupling: float,
                      H: float) -> tuple[float, float]:
     """Bounds for a cascade g_n' <= coupling * sum_{i<n} g_i, g_n(0) <= H^n/n!.
@@ -217,23 +196,19 @@ def gronwall_cascade(level: int, t: float, coupling: float,
     n = level
     head = H**n / math.factorial(n)
     amp = (1.0 + H) ** (n + 1)
-    tail = sum(
+    tail = _or_inf(lambda: sum(
         (coupling * t) ** j
         / (math.factorial(j) * math.factorial(j - 1))
         * (math.factorial(n - 1) / math.factorial(n - j))
         for j in range(1, n + 1)
-    )
+    ))
     exact = head + amp * tail
+    # where one branch of the min overflows, the min is the other branch
     relaxed = head + amp * min(
-        (1.0 + coupling * t) ** n,
-        math.exp(coupling * t) * 2.0 ** (n - 1),
+        _or_inf(lambda: (1.0 + coupling * t) ** n),
+        _or_inf(lambda: math.exp(coupling * t) * 2.0 ** (n - 1)),
     )
     return exact, relaxed
-
-
-def uniform_level_bound(level: int, t: float, coupling: float, H: float) -> float:
-    """Bound on exp(rate t) e_n(t) / n! for Taylor-bounded sigma (relaxed form)."""
-    return gronwall_cascade(level, t, coupling, H)[1]
 
 
 def taylor_derivative_envelope(level: int, times, cert_or_rate, chat: float,
@@ -265,13 +240,18 @@ def check_envelope(times, observed, envelope, level: int = 0,
     ratio = observed/envelope where the envelope is positive; a zero
     envelope forces the observation to be zero as well (ratio 0), and
     anything above it is an immediate violation (ratio inf).  The check
-    passes when every ratio stays below 1 + tol.
+    passes when every ratio stays below 1 + tol.  A non-finite observation
+    or a nan envelope raises NumericError: nan has no verdict.
     """
     t = np.asarray(times, dtype=float)
     obs = np.asarray(observed, dtype=float)
     env = np.asarray(envelope, dtype=float)
     if not (t.shape == obs.shape == env.shape) or t.ndim != 1:
         raise UsageError("times, observed and envelope must be equal-length 1-D")
+    if not np.all(np.isfinite(obs)) or np.any(np.isnan(env)):
+        raise NumericError(
+            f"level {level}: a non-finite observation or a nan envelope "
+            f"has no verdict")
     if np.any(obs < 0.0) or np.any(env < 0.0):
         raise UsageError("observed and envelope series must be >= 0")
     if tol <= 0.0:

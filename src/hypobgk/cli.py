@@ -17,12 +17,14 @@ twisted entropy and the envelope column exp(-2 rate t) E(0); for
 derivative levels both columns hold the square-root entropy scale the
 certified bounds live on.  Every envelope, and the H and E_0(0) <= 1
 hypotheses of the derivative families, start from the initial stack at
-t = 0, also when the time grid starts later; a Taylor-family run whose
-initial stacks break E_0(0) <= 1 is rejected before any propagation.
-Runs are deterministic:
-the same configuration produces byte-identical CSV files, for any
---threads, and random initial data comes from a seeded generator whose
+t = 0, also when the time grid starts later.  Initial data whose
+entropy is not finite at some level, and a Taylor-family run whose
+initial stacks break E_0(0) <= 1, are rejected before any propagation.
+Runs are deterministic: the same configuration produces byte-identical
+CSV files, and random initial data comes from a seeded generator whose
 seed is recorded in a header comment of each CSV it influenced.
+--threads is accepted for compatibility; it must be >= 1 and selects
+nothing: sweep points run one after another.
 
 simulate, derivatives and each sweep point run all z samples through
 the propagation core at once and keep only the entropy of each sample.
@@ -42,7 +44,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +75,7 @@ from .models import (
     sigma_eval,
     taylor_bound,
 )
-from .propagation import _propagate
+from .propagation import propagate
 from .spectral import ModeLattice, build_operators
 
 __all__ = ["RunConfig", "load_config", "dump_config", "main",
@@ -133,7 +134,6 @@ class RunConfig:
     verify_sigma_points: int
     sweep_L_values: tuple[float, ...]
     sweep_sigma0_values: tuple[float, ...]
-    threads: int
     seed_used: int | None
 
 
@@ -179,8 +179,7 @@ def _object_list(spec: dict, key: str) -> list[dict]:
 
 
 def load_config(path: str | Path, out_override: str | None = None,
-                seed_override: int | None = None,
-                threads: int = 1) -> RunConfig:
+                seed_override: int | None = None) -> RunConfig:
     """Read and validate a JSON config; aggregate all problems into one error."""
     try:
         raw = json.loads(Path(path).read_text())
@@ -333,9 +332,6 @@ def load_config(path: str | Path, out_override: str | None = None,
     if not isinstance(out_dir, str):
         fail(f"output.dir must be a string, got {out_dir!r}")
         out_dir = "out"
-    if not isinstance(threads, int) or threads < 1:
-        fail(f"threads must be an integer >= 1, got {threads}")
-        threads = 1
 
     if problems:
         raise ConfigError("invalid configuration:\n" +
@@ -357,7 +353,6 @@ def load_config(path: str | Path, out_override: str | None = None,
         verify_sigma_points=verify_sigma_points,
         sweep_L_values=sweep_L,
         sweep_sigma0_values=sweep_s0_t,
-        threads=threads,
         seed_used=seed_used,
     )
 
@@ -618,14 +613,21 @@ def _initial_stacks(cfg: RunConfig, cert: Certificate,
 
     data has shape (Z, K+1, N+1, M), sigma_rows[z] holds
     sigma^(0)..sigma^(N) at that z, and E0[n, z] is the twisted entropy
-    of level n of the initial stack at t = 0.
+    of level n of the initial stack at t = 0.  The initial data do not
+    depend on z, so they are projected once and every z reads the same
+    stack.  An entropy that is not finite raises DataError: no envelope
+    could be checked against it.
     """
     n_lvl = cfg.levels + 1
-    data = np.stack([project_initial(cfg.initial, lattice, levels=cfg.levels,
-                                     z=z).data for z in cfg.z_points])
+    stack = project_initial(cfg.initial, lattice, levels=cfg.levels).data
+    data = np.broadcast_to(stack, (len(cfg.z_points),) + stack.shape)
     sigma_rows = [[sigma_eval(model, z, n) for n in range(n_lvl)]
                   for z in cfg.z_points]
-    E0 = np.stack([entropy_series(data, n, cert) for n in range(n_lvl)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        E0 = np.stack([entropy_series(data, n, cert) for n in range(n_lvl)])
+    if not np.all(np.isfinite(E0)):
+        raise DataError("the entropy of the initial data is not finite; "
+                        "scale the initial data down")
     return data, sigma_rows, E0
 
 
@@ -638,9 +640,9 @@ def _entropies(cfg: RunConfig, cert: Certificate, lattice: ModeLattice,
     """
     n_lvl = data.shape[2]
     E = np.empty((n_lvl, len(data), len(cfg.times)))
-    samples = _propagate(data, sigma_rows, lattice.l,
-                         build_operators(lattice.M),
-                         np.diff(cfg.times, prepend=0.0))
+    samples = propagate(data, sigma_rows, lattice.l,
+                        build_operators(lattice.M),
+                        np.diff(cfg.times, prepend=0.0))
     for j, sample in enumerate(samples):
         for n in range(n_lvl):
             E[n, :, j] = entropy_series(sample, n, cert)
@@ -808,42 +810,35 @@ def cmd_derivatives(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """Level-0 envelope runs over the (L, sigma0) grid, one file per point."""
-    points = [(i, j, Lv, s0)
-              for i, Lv in enumerate(cfg.sweep_L_values)
-              for j, s0 in enumerate(cfg.sweep_sigma0_values)]
     times = [_FLOAT % t for t in cfg.times]
     run_id = _template_field(cfg.run_id)
-
-    def run_point(point):
-        i, j, Lv, s0 = point
-        model = _with_offset(cfg.model, s0)
-        lattice = ModeLattice(K=cfg.lattice.K, L=Lv, M=cfg.lattice.M)
-        cert = _certify_config(cfg, L=Lv, model=model)
-        reports = _base_checks(cfg, cert, model, lattice)
-        _write_csv(cfg.out_dir / f"sweep_L{i:03d}_s{j:03d}.csv", RESULT_HEADER,
-                   (line for z, report in zip(cfg.z_points, reports)
-                    for line in _result_lines(run_id, z, times, report,
-                                              cfg.envelope_tol)),
-                   seed=cfg.seed_used)
-        return [(i, j, Lv, s0, z, cert, report.max_ratio)
-                for z, report in zip(cfg.z_points, reports)]
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = [run_point(p) for p in points]
-    flat = [item for chunk in results for item in chunk]
-    flat.sort(key=lambda item: (item[0], item[1], item[4]))
-    summary = [_summary_row(Lv, s0, z, cert, worst, cfg.envelope_tol)
-               for _, _, Lv, s0, z, cert, worst in flat]
+    summary = []
+    all_pass = True
+    for i, Lv in enumerate(cfg.sweep_L_values):
+        for j, s0 in enumerate(cfg.sweep_sigma0_values):
+            model = _with_offset(cfg.model, s0)
+            lattice = ModeLattice(K=cfg.lattice.K, L=Lv, M=cfg.lattice.M)
+            cert = _certify_config(cfg, L=Lv, model=model)
+            reports = _base_checks(cfg, cert, model, lattice)
+            _write_csv(cfg.out_dir / f"sweep_L{i:03d}_s{j:03d}.csv",
+                       RESULT_HEADER,
+                       (line for z, report in zip(cfg.z_points, reports)
+                        for line in _result_lines(run_id, z, times, report,
+                                                  cfg.envelope_tol)),
+                       seed=cfg.seed_used)
+            # summary rows of a point in increasing z
+            for z, report in sorted(zip(cfg.z_points, reports),
+                                    key=lambda pair: pair[0]):
+                summary.append(_summary_row(Lv, s0, z, cert, report.max_ratio,
+                                            cfg.envelope_tol))
+                all_pass &= report.max_ratio <= 1.0 + cfg.envelope_tol
     _write_csv(cfg.out_dir / "summary.csv", SUMMARY_HEADER,
                _summary_lines(run_id, summary), seed=cfg.seed_used)
-    worst_all = max((item[6] for item in flat), default=0.0)
-    if worst_all > 1.0 + cfg.envelope_tol:
+    if not all_pass:
         print("FAIL: envelope violated inside the sweep; see summary.csv")
         return EXIT_ALARM
-    print(f"pass: {len(points)} sweep points x {len(cfg.z_points)} z-samples")
+    n_points = len(cfg.sweep_L_values) * len(cfg.sweep_sigma0_values)
+    print(f"pass: {n_points} sweep points x {len(cfg.z_points)} z-samples")
     return EXIT_OK
 
 
@@ -864,7 +859,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep grids")
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=None,
                        help="override the random initial-data seed")
         if name == "verify":
@@ -877,8 +872,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("invalid configuration:\n  - threads must be "
+                              f"an integer >= 1, got {args.threads}")
         cfg = load_config(args.config, out_override=args.out,
-                          seed_override=args.seed, threads=args.threads)
+                          seed_override=args.seed)
         if args.command == "certify":
             return cmd_certify(cfg)
         if args.command == "verify":

@@ -21,10 +21,15 @@ For each mode the dissipation matrix C_k^* P_k + P_k C_k splits into a
 5 x 5 corner block plus 2*sigma times the identity on the rest.  Sylvester
 minors of that corner give a closed-form criterion: all of them are
 positive exactly when alpha stays below an explicit threshold
-alpha_limit(l, sigma), and the smallest certified dissipation-to-energy
-ratio over one sigma interval yields the rate constants
+alpha_limit(l, sigma).  The lower-right 3 x 3 minor is
 
-    lambda_min = min_sigma  minor_det3(1, alpha, sigma, l) / (4 (sigma - alpha l)^2),
+    d3(k, alpha, sigma, l)
+        = alpha (72 l^3 alpha^2 - (48 l^2 sigma + 6 sigma^3/k^2) alpha + 8 l sigma^2),
+
+and the smallest certified dissipation-to-energy ratio over one sigma
+interval yields the rate constants
+
+    lambda_min = min_sigma  d3(1, alpha, sigma, l) / (4 (sigma - alpha l)^2),
     mu         = lambda_min / (2 (1 + alpha sqrt(3+sqrt(6)))),
     rate       = min(mu, sigma_min),
 
@@ -80,12 +85,9 @@ from .spectral import MIN_HERMITE, OperatorSet, build_operators
 __all__ = [
     "TWIST_GAIN",
     "ALPHA_CAP",
-    "TransformMatrix",
     "Certificate",
-    "build_transform",
     "alpha_limit",
     "alpha_max",
-    "minor_det3",
     "rate_block",
     "parse_alpha_strategy",
     "certify",
@@ -110,16 +112,6 @@ _I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
 
 
 @dataclass(frozen=True)
-class TransformMatrix:
-    """Twisted-metric matrix P_k for one spatial mode."""
-
-    k: int
-    alpha: float
-    M: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class Certificate:
     """Decay-rate certificate for one period and collision-frequency range.
 
@@ -141,14 +133,6 @@ class Certificate:
     decay_rate: float
     ctilde: float
 
-    @property
-    def beta(self) -> float:
-        return math.sqrt(2.0) * self.alpha
-
-    @property
-    def gamma(self) -> float:
-        return math.sqrt(3.0) * self.alpha
-
 
 def _check_alpha(alpha: float) -> None:
     if not (0.0 <= alpha and alpha * TWIST_GAIN < 1.0):
@@ -156,17 +140,6 @@ def _check_alpha(alpha: float) -> None:
             f"twist parameter must satisfy 0 <= alpha < {1.0 / TWIST_GAIN:.6g}, "
             f"got alpha={alpha}"
         )
-
-
-def build_transform(k: int, alpha: float, M: int) -> TransformMatrix:
-    """Build P_k at truncation size M.  k must be a nonzero integer."""
-    if k == 0:
-        raise DomainError("the twisted metric is defined for modes k != 0 only")
-    if M < MIN_HERMITE:
-        raise UsageError(f"need at least {MIN_HERMITE} Hermite terms, got M={M}")
-    _check_alpha(alpha)
-    P = np.eye(M, dtype=complex) + (1.0 / k) * _twist(alpha, M)
-    return TransformMatrix(k=k, alpha=alpha, M=M, matrix=P)
 
 
 def _twist(alpha: float, M: int) -> np.ndarray:
@@ -207,7 +180,13 @@ def alpha_limit(l, sigma):
     sigma = np.asarray(sigma, dtype=float)
     if not (np.asarray(l) > 0).all() or not (sigma > 0).all():
         raise UsageError("alpha_limit needs l > 0 and sigma > 0")
-    big = np.sqrt(64.0 * l**4 + 16.0 * l**2 * sigma**2 + sigma**4)
+    try:
+        l4 = l**4
+    except OverflowError:       # a float l above about 1.2e77
+        raise CertificateError(
+            f"wavenumber spacing l={l} is too large to certify; "
+            f"the period L is too small") from None
+    big = np.sqrt(64.0 * l4 + 16.0 * l**2 * sigma**2 + sigma**4)
     small = np.sqrt(16.0 * l**2 * sigma**2 + sigma**4)
     out = 8.0 * l * sigma / (3.0 * (big + small))
     return float(out) if out.ndim == 0 else out
@@ -231,31 +210,12 @@ def _golden_section_min(f, a: float, b: float, xatol: float = 1e-10):
     return x, f(x)
 
 
-def minor_det3(k, alpha, sigma, l):
-    """Determinant of the lower-right 3x3 of the corner dissipation block.
-
-        alpha (72 l^3 alpha^2 - (48 l^2 sigma + 6 sigma^3/k^2) alpha + 8 l sigma^2)
-
-    Positive on 0 < alpha < alpha_limit(l, sigma) for every k >= 1; k may
-    be math.inf to probe the high-frequency limit.
-    """
-    if np.any(np.asarray(k) == 0):
-        raise DomainError("corner minors are defined for modes k != 0 only")
-    k2 = np.asarray(k, dtype=float) ** 2
-    out = alpha * (
-        72.0 * l**3 * alpha**2
-        - (48.0 * l**2 * sigma + 6.0 * sigma**3 / k2) * alpha
-        + 8.0 * l * sigma**2
-    )
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def rate_block(l, alpha, sigma):
     """Certified dissipation rate of the k = 1 corner block.
 
-        minor_det3(1, alpha, sigma, l) / (4 (sigma - alpha l)^2)
+        d3(1, alpha, sigma, l) / (4 (sigma - alpha l)^2)
 
-    The k = 1 block is the binding one: the only k-dependence of the
+    with d3 the lower-right 3 x 3 minor (module docstring).  The k = 1 block is the binding one: the only k-dependence of the
     minors is the -6 sigma^3 alpha / k^2 term, which hurts most at k = 1.
 
     Differentiating,
@@ -289,7 +249,7 @@ def _rate_terms(l, sigma):
         rate_block = alpha (c3 alpha^2 - c1 alpha + c0) / (4 (sigma - alpha l)^2),
 
     c3 = 72 l^3, c1 = 48 l^2 sigma + 6 sigma^3 and c0 = 8 l sigma^2, the
-    coefficients of minor_det3 at k = 1.
+    coefficients of d3 at k = 1.
     """
     return 72.0 * l**3, 48.0 * l**2 * sigma + 6.0 * sigma**3, 8.0 * l * sigma**2
 

@@ -49,7 +49,6 @@ __all__ = [
     "trig_model",
     "polynomial_model",
     "sigma_eval",
-    "sigma_bounds",
     "taylor_bound",
     "InitialDataSpec",
     "project_initial",
@@ -77,13 +76,17 @@ def _compute_bounds(variant: str, params: tuple[float, ...],
         return min(ends), max(ends)
     if variant == "trig":
         s0, eps, omega = params
-        # endpoints plus interior critical points of sin(omega z)
+        # endpoints plus interior critical points of sin(omega z); two
+        # adjacent critical points are a maximum and a minimum, so once
+        # the domain holds two the range is the full [s0 - |eps|, s0 + |eps|]
         candidates = [z_lo, z_hi]
         j_lo = math.floor((omega * z_lo - math.pi / 2.0) / math.pi)
         j_hi = math.ceil((omega * z_hi - math.pi / 2.0) / math.pi)
         for j in range(j_lo, j_hi + 1):
             zc = (math.pi / 2.0 + j * math.pi) / omega
             if z_lo <= zc <= z_hi:
+                if len(candidates) == 3:
+                    return s0 - abs(eps), s0 + abs(eps)
                 candidates.append(zc)
         vals = [s0 + eps * math.sin(omega * zc) for zc in candidates]
         return min(vals), max(vals)
@@ -169,10 +172,6 @@ class CollisionFrequencyModel:
         object.__setattr__(self, "sigma_min", lo)
         object.__setattr__(self, "sigma_max", hi)
 
-    @property
-    def z_domain(self) -> tuple[float, float]:
-        return self.z_lo, self.z_hi
-
 
 def constant_model(sigma0: float, z_domain=(-1.0, 1.0)) -> CollisionFrequencyModel:
     return CollisionFrequencyModel("constant", (sigma0,), z_domain[0], z_domain[1])
@@ -217,11 +216,6 @@ def sigma_eval(model: CollisionFrequencyModel, z: float, n: int = 0) -> float:
     deriv = np.polynomial.polynomial.polyder(np.asarray(model.params), n) \
         if n > 0 else np.asarray(model.params)
     return float(np.polynomial.polynomial.polyval(z, deriv))
-
-
-def sigma_bounds(model: CollisionFrequencyModel) -> tuple[float, float]:
-    """Range of sigma over the model's z domain (computed at construction)."""
-    return model.sigma_min, model.sigma_max
 
 
 def taylor_bound(model: CollisionFrequencyModel) -> float:

@@ -61,7 +61,7 @@ once per run and shared by every step size of the run:
   a single level (N = 0) the one call is an LU solve, which keeps the
   digits of strongly decayed entropies closer to exact.
 
-Everything steps through one z-batched core, _propagate.  It takes the
+Everything steps through one z-batched core, propagate.  It takes the
 stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
 derivative rows of those z, shape (Z, N+1), and yields the stack data
 after each step:
@@ -79,21 +79,15 @@ after each step:
   rotated back by D; multiplying by powers of i is exact.
 - The powers and the jets of one step size are built in slices of
   _BUILD_SLICE z rows (_StepJets), because the Pade temporaries grow
-  with the batch: two sweep threads at K = 4, M = 20 peaked about
-  0.3 MiB higher per z row of a slice (49 MiB with slices of 30 z,
-  39 MiB with 1), and the build time did not change measurably.  Every
-  jet gets its own scaling power and its own place in the sort, so the
-  slice size changes no bit of the result.
+  with the batch: at K = 4, M = 20 a sweep peaked about 0.3 MiB higher
+  per z row of a slice, and the build time did not change measurably.
+  Every jet gets its own scaling power and its own place in the sort,
+  so the slice size changes no bit of the result.
 
-ExactPropagator (one z) and trajectory, evolve_exact are the batch-of-one
-forms of the core; they cache jets per dt, so repeated steps of equal
-size reuse them.  Powers are shared within one trajectory call, not
-across calls.  step_matrix expands the cached jets of one mode into
-the dense complex matrix exp(-dt G_k), for inspection and tests; no
-stepping path uses dense step matrices.
-evolve_reference integrates the same ODE with a classical fixed-step
-fourth-order Runge-Kutta scheme and serves purely as an independent
-cross-check of the exponential path.
+ExactPropagator steps one StateStack at one z through the same core and
+caches the jets per dt across its calls.  step_matrix expands the cached
+jets of one mode into the dense complex matrix exp(-dt G_k), for
+inspection and tests; no stepping path uses dense step matrices.
 """
 
 from __future__ import annotations
@@ -111,9 +105,7 @@ from .state import StateStack
 __all__ = [
     "augmented_generator",
     "ExactPropagator",
-    "evolve_exact",
-    "evolve_reference",
-    "trajectory",
+    "propagate",
 ]
 
 
@@ -356,7 +348,7 @@ def _dense_steps(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
+def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
                dts, jets: dict | None = None):
     """Yield the stack data of a batch of z after each step of size dts[j].
 
@@ -390,9 +382,9 @@ def _propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
 class ExactPropagator:
     """Matrix-exponential stepper for all modes at one (model, z, N).
 
-    A batch-of-one front end to the z-batched core: step jets are cached
-    per dt, so trajectories with repeated step sizes and multiple stacks
-    sharing the same configuration pay for each exponential once.
+    A batch-of-one front end to propagate: step jets are cached per dt,
+    so repeated steps of one size and several stacks sharing the same
+    configuration pay for each exponential once.
     """
 
     def __init__(self, lattice: ModeLattice, model: CollisionFrequencyModel,
@@ -416,31 +408,12 @@ class ExactPropagator:
         build = _StepJets([k], l, [self.sigma_derivs], self.ops)
         return _dense_steps(build(dt)[0])[0]
 
-    def _run(self, state: StateStack, dts):
-        return _propagate(state.data[None], [self.sigma_derivs],
-                          self.lattice.l, self.ops, dts, self._jets)
-
     def evolve(self, state: StateStack, dt: float) -> StateStack:
         """Advance a stack by dt >= 0 with one exact step per mode."""
         self._check(state)
-        data = next(self._run(state, [dt]))[0]
+        data = next(propagate(state.data[None], [self.sigma_derivs],
+                              self.lattice.l, self.ops, [dt], self._jets))[0]
         return replace(state, t=state.t + dt, data=data)
-
-    def trajectory(self, state: StateStack, times) -> list[StateStack]:
-        """Snapshots at the given nondecreasing times (all >= state.t)."""
-        self._check(state)
-        times = [float(t) for t in times]
-        if any(not math.isfinite(t) for t in times):
-            raise UsageError("sample times must be finite")
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise UsageError("sample times must be nondecreasing")
-        if times and times[0] < state.t:
-            raise UsageError(
-                f"first sample time {times[0]} lies before the state time {state.t}")
-        # steps between consecutive sample times, never negative
-        dts = np.diff(times, prepend=state.t)
-        return [replace(state, t=t, data=data[0])
-                for t, data in zip(times, self._run(state, dts))]
 
     def _check(self, state: StateStack) -> None:
         if state.lattice != self.lattice:
@@ -453,47 +426,3 @@ class ExactPropagator:
             raise UsageError(
                 f"state is attached to z={state.z}, propagator to z={self.z}")
 
-
-def evolve_exact(state: StateStack, dt: float,
-                 model: CollisionFrequencyModel) -> StateStack:
-    """One exact step of size dt for every stored mode."""
-    prop = ExactPropagator(state.lattice, model, state.z, state.levels)
-    return prop.evolve(state, dt)
-
-
-def evolve_reference(state: StateStack, dt: float,
-                     model: CollisionFrequencyModel,
-                     substeps: int = 1000) -> StateStack:
-    """Fixed-step classical RK4 integration; cross-check oracle only."""
-    if substeps < 1:
-        raise UsageError(f"need substeps >= 1, got {substeps}")
-    if dt < 0.0 or not math.isfinite(dt):
-        raise UsageError(f"step size must be finite and >= 0, got dt={dt}")
-    if dt == 0.0:
-        return replace(state, data=state.data.copy())
-    lattice = state.lattice
-    ops = build_operators(lattice.M)
-    sigma_derivs = [sigma_eval(model, state.z, i) for i in range(state.levels + 1)]
-    h = dt / substeps
-    out = np.empty_like(state.data)
-    n_lvl = state.levels + 1
-    for k in range(lattice.K + 1):
-        A = -augmented_generator(k, lattice.l, sigma_derivs, ops)
-        y = state.data[k].reshape(-1).copy()
-        for _ in range(substeps):
-            k1 = A @ y
-            k2 = A @ (y + 0.5 * h * k1)
-            k3 = A @ (y + 0.5 * h * k2)
-            k4 = A @ (y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k] = y.reshape(n_lvl, lattice.M)
-    if not np.all(np.isfinite(out.view(float))):
-        raise NumericError("reference integrator produced non-finite values")
-    return replace(state, t=state.t + dt, data=out)
-
-
-def trajectory(state: StateStack, times,
-               model: CollisionFrequencyModel) -> list[StateStack]:
-    """Exact snapshots at the given times; see ExactPropagator.trajectory."""
-    prop = ExactPropagator(state.lattice, model, state.z, state.levels)
-    return prop.trajectory(state, times)

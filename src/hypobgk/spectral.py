@@ -39,16 +39,11 @@ from .errors import UsageError
 
 __all__ = [
     "ModeLattice",
-    "HermiteVec",
-    "MomentTriple",
     "OperatorSet",
     "build_operators",
     "assemble_generator",
-    "moments_of",
     "hermite_polynomials",
-    "hermite_functions",
     "gauss_hermite_halfweight",
-    "synthesize",
 ]
 
 # Minimum number of Hermite coefficients.  The certified dissipation
@@ -77,38 +72,6 @@ class ModeLattice:
     def l(self) -> float:
         """Fundamental wavenumber 2*pi/L."""
         return 2.0 * math.pi / self.L
-
-
-@dataclass(frozen=True)
-class HermiteVec:
-    """Hermite coefficient vector of one spatial mode k."""
-
-    k: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim != 1 or arr.shape[0] < MIN_HERMITE:
-            raise UsageError(
-                f"coefficient vector must be 1-D with length >= {MIN_HERMITE}, "
-                f"got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr.view(float))):
-            raise UsageError("coefficient vector contains non-finite entries")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def M(self) -> int:
-        return self.coeffs.shape[0]
-
-
-@dataclass(frozen=True)
-class MomentTriple:
-    """Density, momentum and energy content of one spatial mode."""
-
-    omega: complex
-    mu: complex
-    tau: complex
 
 
 @dataclass(frozen=True)
@@ -148,23 +111,6 @@ def assemble_generator(k: int, l: float, sigma: float, ops: OperatorSet) -> np.n
     return 1j * (k * l) * ops.stream + sigma * ops.relax
 
 
-def moments_of(vec: HermiteVec | np.ndarray) -> MomentTriple:
-    """Read density, momentum and energy off the first three coefficients.
-
-    omega = c0, mu = c1 and the energy moment tau = c0 + sqrt(2)*c2,
-    because the squared-velocity weight decomposes as
-    v^2 g_0 = g_0 + sqrt(2) g_2 against the Hermite basis.
-    """
-    c = vec.coeffs if isinstance(vec, HermiteVec) else np.asarray(vec, dtype=complex)
-    if c.ndim != 1 or c.shape[0] < 3:
-        raise UsageError("need at least three coefficients to form moments")
-    return MomentTriple(
-        omega=complex(c[0]),
-        mu=complex(c[1]),
-        tau=complex(c[0] + math.sqrt(2.0) * c[2]),
-    )
-
-
 def hermite_polynomials(M: int, v: np.ndarray) -> np.ndarray:
     """Normalized Hermite polynomials H_m/sqrt(m!) on a grid, shape (M, len(v)).
 
@@ -183,12 +129,6 @@ def hermite_polynomials(M: int, v: np.ndarray) -> np.ndarray:
     return p
 
 
-def hermite_functions(M: int, v: np.ndarray) -> np.ndarray:
-    """Evaluate g_0..g_{M-1} on a velocity grid; returns shape (M, len(v))."""
-    v = np.asarray(v, dtype=float)
-    return hermite_polynomials(M, v) * ((2.0 * math.pi) ** -0.5 * np.exp(-0.5 * v * v))
-
-
 def gauss_hermite_halfweight(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integrals against exp(-v^2/2) on the line.
 
@@ -201,11 +141,3 @@ def gauss_hermite_halfweight(n: int) -> tuple[np.ndarray, np.ndarray]:
     u, w = np.polynomial.hermite.hermgauss(n)
     return math.sqrt(2.0) * u, math.sqrt(2.0) * w
 
-
-def synthesize(vec: HermiteVec | np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Evaluate the velocity profile sum_m c_m g_m(v) on a grid."""
-    c = vec.coeffs if isinstance(vec, HermiteVec) else np.asarray(vec, dtype=complex)
-    if c.ndim != 1:
-        raise UsageError("coefficient vector must be 1-D")
-    basis = hermite_functions(c.shape[0], np.asarray(v, dtype=float))
-    return c @ basis

@@ -12,23 +12,28 @@ closed-form twisted entropy replaced.  inequality_matrix and
 verify_dense are the dense M x M check of the certified inequality that
 the 5 x 5 corner decomposition in verify_grid replaced;
 build_reduced_block, the minors and the spectrum of P_k are the paper's
-closed forms they are checked against.  Tests compare the package against them; nothing in the
-package imports this module.
+closed forms they are checked against.  evolve_reference integrates the
+mode equations with classical RK4, an independent cross-check of the
+exact exponential steps, and hermite_functions and synthesize evaluate
+an expansion in the velocity basis.  Tests compare the package against
+them; nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from hypobgk.errors import CertificateError, DomainError, UsageError
+from hypobgk.errors import CertificateError, DomainError, NumericError, UsageError
 from hypobgk.lyapunov import (ALPHA_CAP, TWIST_GAIN, Certificate, _check_alpha,
-                              alpha_limit, alpha_max, build_transform,
-                              minor_det3, rate_block)
+                              _twist, alpha_limit, alpha_max, rate_block)
+from hypobgk.models import sigma_eval
 from hypobgk.propagation import augmented_generator
-from hypobgk.spectral import assemble_generator, build_operators
+from hypobgk.spectral import (MIN_HERMITE, assemble_generator, build_operators,
+                              hermite_polynomials)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -235,13 +240,23 @@ def step_matrix_reference(k: int, l: float, dt: float, sigma_derivs,
     return R.astype(float) * phase
 
 
+def build_transform(k: int, alpha: float, M: int) -> np.ndarray:
+    """Dense twisted-metric matrix P_k at size M.  k must be a nonzero integer."""
+    if k == 0:
+        raise DomainError("the twisted metric is defined for modes k != 0 only")
+    if M < MIN_HERMITE:
+        raise UsageError(f"need at least {MIN_HERMITE} Hermite terms, got M={M}")
+    _check_alpha(alpha)
+    return np.eye(M, dtype=complex) + (1.0 / k) * _twist(alpha, M)
+
+
 @functools.lru_cache(maxsize=64)
 def build_transforms(K: int, alpha: float, M: int) -> np.ndarray:
     """Stack [P_0 .. P_K] with P_0 = I; cached, returned read-only."""
     out = np.empty((K + 1, M, M), dtype=complex)
     out[0] = np.eye(M)
     for k in range(1, K + 1):
-        out[k] = build_transform(k, alpha, M).matrix
+        out[k] = build_transform(k, alpha, M)
     out.flags.writeable = False
     return out
 
@@ -277,6 +292,25 @@ def transform_bounds(alpha: float) -> tuple[float, float]:
     """Uniform sandwich (lo, hi) with lo*I <= P_k <= hi*I over all k != 0."""
     _check_alpha(alpha)
     return 1.0 - alpha * TWIST_GAIN, 1.0 + alpha * TWIST_GAIN
+
+
+def minor_det3(k, alpha, sigma, l):
+    """Determinant of the lower-right 3x3 of the corner dissipation block.
+
+        alpha (72 l^3 alpha^2 - (48 l^2 sigma + 6 sigma^3/k^2) alpha + 8 l sigma^2)
+
+    Positive on 0 < alpha < alpha_limit(l, sigma) for every k >= 1; k may
+    be math.inf to probe the high-frequency limit.
+    """
+    if np.any(np.asarray(k) == 0):
+        raise DomainError("corner minors are defined for modes k != 0 only")
+    k2 = np.asarray(k, dtype=float) ** 2
+    out = alpha * (
+        72.0 * l**3 * alpha**2
+        - (48.0 * l**2 * sigma + 6.0 * sigma**3 / k2) * alpha
+        + 8.0 * l * sigma**2
+    )
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def minor_det4(k, alpha, sigma, l):
@@ -316,7 +350,7 @@ def inequality_matrix(k: int, l: float, sigma: float, cert, M: int) -> np.ndarra
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise UsageError(f"collision frequency must be positive, got {sigma}")
     C = assemble_generator(k, l, sigma, build_operators(M))
-    P = build_transform(k, cert.alpha, M).matrix
+    P = build_transform(k, cert.alpha, M)
     return C.conj().T @ P + P @ C - 2.0 * cert.mu * P
 
 
@@ -328,3 +362,46 @@ def verify_dense(k: int, l: float, sigma: float, cert, M: int) -> float:
     -k gives the complex conjugate matrix, hence the same spectrum.
     """
     return float(np.linalg.eigvalsh(inequality_matrix(k, l, sigma, cert, M))[0])
+
+
+def evolve_reference(state, dt: float, model, substeps: int = 1000):
+    """One step of a StateStack by fixed-step classical RK4 on every mode."""
+    if substeps < 1:
+        raise UsageError(f"need substeps >= 1, got {substeps}")
+    if dt < 0.0 or not math.isfinite(dt):
+        raise UsageError(f"step size must be finite and >= 0, got dt={dt}")
+    if dt == 0.0:
+        return replace(state, data=state.data.copy())
+    lattice = state.lattice
+    ops = build_operators(lattice.M)
+    sigma_derivs = [sigma_eval(model, state.z, i) for i in range(state.levels + 1)]
+    h = dt / substeps
+    out = np.empty_like(state.data)
+    n_lvl = state.levels + 1
+    for k in range(lattice.K + 1):
+        A = -augmented_generator(k, lattice.l, sigma_derivs, ops)
+        y = state.data[k].reshape(-1).copy()
+        for _ in range(substeps):
+            k1 = A @ y
+            k2 = A @ (y + 0.5 * h * k1)
+            k3 = A @ (y + 0.5 * h * k2)
+            k4 = A @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k] = y.reshape(n_lvl, lattice.M)
+    if not np.all(np.isfinite(out.view(float))):
+        raise NumericError("reference integrator produced non-finite values")
+    return replace(state, t=state.t + dt, data=out)
+
+
+def hermite_functions(M: int, v: np.ndarray) -> np.ndarray:
+    """Evaluate g_0..g_{M-1} on a velocity grid; returns shape (M, len(v))."""
+    v = np.asarray(v, dtype=float)
+    return hermite_polynomials(M, v) * ((2.0 * math.pi) ** -0.5 * np.exp(-0.5 * v * v))
+
+
+def synthesize(coeffs, v: np.ndarray) -> np.ndarray:
+    """Evaluate the velocity profile sum_m c_m g_m(v) on a grid."""
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 1:
+        raise UsageError("coefficient vector must be 1-D")
+    return c @ hermite_functions(c.shape[0], np.asarray(v, dtype=float))

@@ -13,18 +13,19 @@ from hypobgk import (
     ModeLattice,
     UsageError,
     affine_model,
+    NumericError,
     affine_uniform_envelope,
+    build_operators,
     certify,
     check_envelope,
-    entropy,
     entropy_envelope,
     entropy_series,
     gronwall_cascade,
     gronwall_chain,
     project_initial,
+    propagate,
+    sigma_eval,
     taylor_derivative_envelope,
-    trajectory,
-    uniform_level_bound,
 )
 from oracles import build_transforms, entropy_dense
 
@@ -36,26 +37,30 @@ def _state(seed=4, levels=0, z=0.0, scale=1.0):
     return project_initial(spec, LAT, levels=levels, z=z)
 
 
+def _trajectory(state, times, model):
+    """Stack data of state at each of times, shape (T, K+1, N+1, M)."""
+    rows = [[sigma_eval(model, state.z, n) for n in range(state.levels + 1)]]
+    return np.stack([sample[0] for sample in propagate(
+        state.data[None], rows, state.lattice.l,
+        build_operators(state.lattice.M), np.diff(times, prepend=state.t))])
+
+
 def test_entropy_hand_value():
     data = np.zeros((LAT.K + 1, 1, LAT.M), dtype=complex)
     data[0, 0, 5] = 2.0          # k = 0 contributes plainly
     data[1, 0, 6] = 1.0 + 1.0j   # far coefficient: P acts as identity there
-    from hypobgk import StateStack
-    state = StateStack(lattice=LAT, z=0.0, t=0.0, data=data)
-    val = entropy(state, 0, 0.1)
-    assert val.value == pytest.approx(4.0 + 2.0 * 2.0, rel=1e-14)
+    val = entropy_series(data, 0, 0.1)
+    assert val == pytest.approx(4.0 + 2.0 * 2.0, rel=1e-14)
 
 
 def test_entropy_twist_engages_leading_coefficients():
     data = np.zeros((LAT.K + 1, 1, LAT.M), dtype=complex)
     data[1, 0, 0] = 1.0
     data[1, 0, 1] = 1.0j
-    from hypobgk import StateStack
-    state = StateStack(lattice=LAT, z=0.0, t=0.0, data=data)
     alpha = 0.2
     P = build_transforms(LAT.K, alpha, LAT.M)
     expect = 2.0 * np.vdot(data[1, 0], P[1] @ data[1, 0]).real
-    assert entropy(state, 0, alpha).value == pytest.approx(expect, rel=1e-14)
+    assert entropy_series(data, 0, alpha) == pytest.approx(expect, rel=1e-14)
     # the off-diagonal twist makes this differ from the flat norm
     assert abs(expect - 4.0) > 1e-3
 
@@ -66,17 +71,18 @@ def test_entropy_bounded_by_norm_sandwich():
     state = _state(seed=8)
     flat = float(np.sum(np.abs(state.data[0, 0]) ** 2))
     flat += 2.0 * float(np.sum(np.abs(state.data[1:, 0]) ** 2))
-    val = entropy(state, 0, alpha).value
+    val = entropy_series(state.data, 0, alpha)
     assert (1 - alpha * TWIST_GAIN) * flat - 1e-12 <= val
     assert val <= (1 + alpha * TWIST_GAIN) * flat + 1e-12
 
 
 def test_entropy_series_matches_pointwise():
+    # a series of snapshots in one call, against one call per snapshot
     model = affine_model(1.0, 0.1)
-    snaps = trajectory(_state(z=0.5), [0.0, 0.4, 1.1], model)
+    snaps = _trajectory(_state(z=0.5), [0.0, 0.4, 1.1], model)
     series = entropy_series(snaps, 0, 0.1)
     for i, s in enumerate(snaps):
-        assert series[i] == pytest.approx(entropy(s, 0, 0.1).value, rel=1e-13)
+        assert series[i] == pytest.approx(entropy_series(s, 0, 0.1), rel=1e-13)
 
 
 def test_transform_stack_is_cached_and_frozen():
@@ -137,17 +143,36 @@ def test_taylor_envelope_is_scaled_cascade():
                     np.exp(-rate * times), rtol=1e-14)
 
 
-def test_uniform_level_bound_is_relaxed_branch():
-    assert uniform_level_bound(3, 0.7, 1.2, 0.5) == pytest.approx(
-        gronwall_cascade(3, 0.7, 1.2, 0.5)[1], rel=1e-15)
-
-
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(0, 10), t=st.floats(0.0, 50.0), C=st.floats(1e-6, 10.0),
        H=st.floats(0.0, 10.0))
 def test_cascade_exact_below_relaxed(n, t, C, H):
     exact, relaxed = gronwall_cascade(n, t, C, H)
     assert exact <= relaxed * (1.0 + 1e-12)
+
+
+def test_cascade_where_a_branch_overflows():
+    # exp(coupling t) overflows beyond coupling t = 709.78: the min is then
+    # the polynomial branch, and where that overflows too the bound is inf
+    n, C, H = 2, 1.5, 0.3
+    head, amp = H**n / math.factorial(n), (1.0 + H) ** (n + 1)
+    for t in (600.0, 5000.0, 1e5):
+        exact, relaxed = gronwall_cascade(n, t, C, H)
+        assert relaxed == head + amp * (1.0 + C * t) ** n
+        assert exact <= relaxed
+    assert gronwall_cascade(n, 1e300, C, H) == (math.inf, math.inf)
+    env = taylor_derivative_envelope(n, [0.0, 600.0, 1e5], 0.4, C, H)
+    assert np.all(np.isfinite(env))
+
+
+@pytest.mark.parametrize("observed, envelope", [
+    ([1.0, math.nan], [1.0, 1.0]),
+    ([1.0, math.inf], [1.0, 1.0]),
+    ([1.0, 0.5], [1.0, math.nan]),
+], ids=["nan-observed", "inf-observed", "nan-envelope"])
+def test_check_envelope_rejects_nan_verdicts(observed, envelope):
+    with pytest.raises(NumericError):
+        check_envelope([0.0, 1.0], observed, envelope)
 
 
 def test_check_envelope_zero_trajectory():
@@ -182,10 +207,10 @@ def test_per_mode_dissipation_inequality():
     P = build_transforms(LAT.K, cert.alpha, LAT.M)
     delta = 1e-6
     for t in (0.0, 0.5, 2.0):
-        snaps = trajectory(state, [t, t + delta], model)
+        snaps = _trajectory(state, [t, t + delta], model)
         for k in range(1, LAT.K + 1):
-            q0 = np.vdot(snaps[0].level(0)[k], P[k] @ snaps[0].level(0)[k]).real
-            q1 = np.vdot(snaps[1].level(0)[k], P[k] @ snaps[1].level(0)[k]).real
+            q0 = np.vdot(snaps[0, k, 0], P[k] @ snaps[0, k, 0]).real
+            q1 = np.vdot(snaps[1, k, 0], P[k] @ snaps[1, k, 0]).real
             assert (q1 - q0) / delta <= -2.0 * cert.mu * q0 + 1e-8 * max(q0, 1.0)
 
 
@@ -199,7 +224,7 @@ def test_affine_level_recursion_differential():
     state = _state(seed=3, levels=2, z=0.5)
     delta = 1e-4
     for t in (0.1, 1.0, 4.0):
-        snaps = trajectory(state, [t - delta, t, t + delta], model)
+        snaps = _trajectory(state, [t - delta, t, t + delta], model)
         g = np.stack([np.sqrt(entropy_series(snaps, n, cert))
                       for n in range(3)])
         scale = g[:, 1].max()
@@ -218,11 +243,8 @@ def test_closed_form_entropy_matches_dense_forms(K, M, T, alpha, seed, scale):
     X = scale * (rng.standard_normal((T, K + 1, M))
                  + 1j * rng.standard_normal((T, K + 1, M)))
     X[:, 0, :3] = 0.0
-    lat = ModeLattice(K=K, L=2 * math.pi, M=M)
-    from hypobgk import StateStack
-    states = [StateStack(lattice=lat, z=0.0, t=0.0, data=x[:, None, :])
-              for x in X]
     dense = entropy_dense(X, alpha)
-    assert_allclose(entropy_series(states, 0, alpha), dense, rtol=1e-13, atol=0)
-    for s, d in zip(states, dense):
-        assert entropy(s, 0, alpha).value == pytest.approx(d, rel=1e-13, abs=0)
+    stacks = X[:, :, None, :]                 # T stacks of one level
+    assert_allclose(entropy_series(stacks, 0, alpha), dense, rtol=1e-13, atol=0)
+    for s, d in zip(stacks, dense):
+        assert entropy_series(s, 0, alpha) == pytest.approx(d, rel=1e-13, abs=0)

@@ -391,7 +391,7 @@ def test_taylor_hypothesis_rejected_before_propagation(tmp_path, capsys,
     def never(*args, **kwargs):
         raise AssertionError("propagated before the E_0(0) check")
 
-    monkeypatch.setattr(cli, "_propagate", never)
+    monkeypatch.setattr(cli, "propagate", never)
     path = write_config(tmp_path, sigma={
         "variant": "polynomial", "coeffs": [2.0, -0.4, 0.3],
         "z_domain": [-1.0, 1.0]},
@@ -421,6 +421,54 @@ def test_grid_starting_after_zero_keeps_envelope_at_t0(tmp_path, command):
     assert rows and all(float(r.split(",")[6]) <= 1.0 for r in rows)
     full_rows = (out_full / name).read_text().splitlines()[2:]
     assert rows == [r for r in full_rows if r.split(",")[2] != "0"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "derivatives", "sweep"])
+def test_overflowing_initial_entropy_exits_invalid(tmp_path, capsys, command):
+    # |c|^2 = 1e320 overflows: the entropy is inf and every ratio would be
+    # nan, which no command may turn into a verdict
+    path = write_config(tmp_path, initial_data={
+        "type": "coefficients",
+        "entries": [{"k": 1, "m": 3, "re": 1e160}]})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the entropy of the initial data")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+def test_taylor_envelope_at_long_horizons(tmp_path, capsys):
+    # chat t passes 709.78 before t = 600, where exp(chat t) overflows
+    path = write_config(
+        tmp_path, domain={"L": 2 * math.pi, "K": 4, "M": 20, "N": 2},
+        sigma={"variant": "trig", "sigma0": 1.0, "eps": 0.2, "omega": 1.0,
+               "z_domain": [-math.pi, math.pi]},
+        time_grid={"start": 0.0, "stop": 600.0, "num": 4},
+        initial_data={"type": "random", "seed": 3, "scale": 0.01})
+    out = tmp_path / "out"
+    assert main(["derivatives", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "t_z000.csv").read_text().strip().splitlines()[2:]
+    assert {row.split(",")[2] for row in rows} >= {"600"}
+    assert all(row.endswith(",pass") for row in rows)
+
+
+def test_tiny_period_exits_invalid(tmp_path, capsys):
+    path = write_config(tmp_path, domain={"L": 1e-80})
+    assert main(["certify", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_invalid(tmp_path, capsys, threads):
+    path = write_config(tmp_path)
+    assert main(["sweep", "--config", str(path), "--out",
+                 str(tmp_path / "out"), "--threads", threads]) == 2
+    assert "threads must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, extra", [

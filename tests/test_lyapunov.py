@@ -17,9 +17,7 @@ from hypobgk import (
     alpha_max,
     assemble_generator,
     build_operators,
-    build_transform,
     certify,
-    minor_det3,
     parse_alpha_strategy,
     rate_block,
     verify_grid,
@@ -29,9 +27,11 @@ from hypobgk.lyapunov import ALPHA_CAP, TWIST_GAIN
 from oracles import (
     alpha_max_search,
     build_reduced_block,
+    build_transform,
     certify_array,
     inequality_matrix,
     lambda_min_search,
+    minor_det3,
     minor_det4,
     minor_det5,
     optimized_mu_search,
@@ -49,7 +49,7 @@ def test_twist_gain_value():
 
 
 def test_transform_is_identity_plus_corner():
-    P = build_transform(3, 0.15, 9).matrix
+    P = build_transform(3, 0.15, 9)
     assert_allclose(P[4:, 4:], np.eye(5), rtol=0)
     assert_allclose(P, P.conj().T, rtol=0, atol=0)
     # coupling entries scale like 1/k
@@ -61,7 +61,7 @@ def test_transform_is_identity_plus_corner():
 
 def test_transform_eigenvalues_closed_form():
     for k in (1, 2, 7):
-        P = build_transform(k, SAFE_ALPHA, 12).matrix
+        P = build_transform(k, SAFE_ALPHA, 12)
         computed = np.linalg.eigvalsh(P)
         assert_allclose(np.sort(transform_eigenvalues(k, SAFE_ALPHA, 12)),
                         computed, rtol=1e-13)
@@ -71,7 +71,7 @@ def test_transform_sandwich():
     lo, hi = transform_bounds(SAFE_ALPHA)
     assert lo == pytest.approx(1.0 - SAFE_ALPHA * TWIST_GAIN, rel=1e-15)
     for k in (1, 2, 5):
-        eigs = np.linalg.eigvalsh(build_transform(k, SAFE_ALPHA, 8).matrix)
+        eigs = np.linalg.eigvalsh(build_transform(k, SAFE_ALPHA, 8))
         assert eigs[0] >= lo - 1e-14
         assert eigs[-1] <= hi + 1e-14
 
@@ -89,7 +89,7 @@ def test_dissipation_matrix_is_block_plus_relaxation():
     k, alpha, sigma, l, M = 2, 0.18, 1.7, 0.9, 12
     ops = build_operators(M)
     C = assemble_generator(k, l, sigma, ops)
-    P = build_transform(k, alpha, M).matrix
+    P = build_transform(k, alpha, M)
     S = C.conj().T @ P + P @ C
     corner = build_reduced_block(k, alpha, sigma, l)
     dense = np.zeros_like(S)
@@ -157,6 +157,14 @@ def test_rate_block_rejects_inadmissible():
         rate_block(1.0, lim * 1.01, 1.0)
     with pytest.raises(CertificateError):
         rate_block(1.0, -0.1, 1.0)
+
+
+def test_tiny_period_is_not_certifiable():
+    # l = 2 pi / L makes the float l**4 overflow below L of about 5e-77
+    with pytest.raises(CertificateError):
+        alpha_limit(2.0 * math.pi / 1e-80, 1.0)
+    with pytest.raises(CertificateError):
+        certify(1e-80, 1.0, 1.0)
 
 
 def test_alpha_max_degenerate_and_cap():
@@ -367,7 +375,7 @@ def test_assembled_corner_is_the_paper_block(k):
     u = 1.0 / k
     A, B = A0 + u * A1, B0 + u * B1
     S = A + sigma * B
-    P = build_transform(k, cert.alpha, M).matrix
+    P = build_transform(k, cert.alpha, M)
     corner = (build_reduced_block(k, cert.alpha, sigma, cert.l)
               - 2.0 * cert.mu * P[:5, :5])
     assert_allclose(S[:5, :5], corner, rtol=0, atol=1e-14)

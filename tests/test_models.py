@@ -21,7 +21,6 @@ from hypobgk import (
     hermite_polynomials,
     polynomial_model,
     project_initial,
-    sigma_bounds,
     sigma_eval,
     taylor_bound,
     trig_model,
@@ -34,7 +33,7 @@ def test_affine_eval_and_bounds():
     assert sigma_eval(m, 0.5) == pytest.approx(1.05, rel=1e-15)
     assert sigma_eval(m, -0.3, n=1) == 0.1
     assert sigma_eval(m, 0.0, n=2) == 0.0
-    assert sigma_bounds(m) == (pytest.approx(0.9), pytest.approx(1.1))
+    assert (m.sigma_min, m.sigma_max) == (pytest.approx(0.9), pytest.approx(1.1))
 
 
 def test_trig_derivatives_match_finite_differences():
@@ -48,10 +47,37 @@ def test_trig_derivatives_match_finite_differences():
 
 def test_trig_bounds_hit_interior_critical_points():
     m = trig_model(2.0, 0.5, 1.0)
-    assert sigma_bounds(m) == (pytest.approx(1.5), pytest.approx(2.5))
+    assert (m.sigma_min, m.sigma_max) == (pytest.approx(1.5), pytest.approx(2.5))
     # domain cut before the critical point: endpoint extremes
     m2 = trig_model(2.0, 0.5, 1.0, z_domain=(0.0, 1.0))
-    assert sigma_bounds(m2)[1] == pytest.approx(2.0 + 0.5 * math.sin(1.0))
+    assert m2.sigma_max == pytest.approx(2.0 + 0.5 * math.sin(1.0))
+
+
+def test_trig_range_search_does_not_grow_with_frequency(monkeypatch):
+    # sin(omega z) has about 64 000 critical points on [-1, 1] at
+    # omega = 1e5; two adjacent ones already fix the range
+    calls = []
+    sin = math.sin
+
+    def spy(x):
+        calls.append(x)
+        return sin(x)
+
+    monkeypatch.setattr(math, "sin", spy)
+    m = trig_model(2.0, 0.5, 1e5, z_domain=(-1.0, 1.0))
+    assert (m.sigma_min, m.sigma_max) == (1.5, 2.5)
+    assert len(calls) <= 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega=st.floats(1e-3, 1e6), z_lo=st.floats(-10.0, 10.0),
+       periods=st.floats(1.01, 5.0), s0=st.floats(0.5, 5.0),
+       ratio=st.floats(-0.99, 0.99))
+def test_trig_range_of_a_full_period_domain(omega, z_lo, periods, s0, ratio):
+    eps = ratio * s0
+    z_hi = z_lo + periods * 2.0 * math.pi / omega
+    m = trig_model(s0, eps, omega, z_domain=(z_lo, z_hi))
+    assert (m.sigma_min, m.sigma_max) == (s0 - abs(eps), s0 + abs(eps))
 
 
 def test_polynomial_eval_and_bounds():
@@ -61,7 +87,7 @@ def test_polynomial_eval_and_bounds():
     assert sigma_eval(m, 0.5, n=1) == pytest.approx(0.0, abs=1e-12)
     assert sigma_eval(m, 0.0, n=2) == pytest.approx(2.0, rel=1e-12)
     assert sigma_eval(m, 0.0, n=7) == 0.0
-    lo, hi = sigma_bounds(m)
+    lo, hi = m.sigma_min, m.sigma_max
     assert lo == pytest.approx(1.75, rel=1e-9)
     assert hi == pytest.approx(4.0, rel=1e-9)  # at z = -1
 

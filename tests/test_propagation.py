@@ -19,19 +19,16 @@ from hypobgk import (
     assemble_generator,
     augmented_generator,
     build_operators,
-    build_transform,
     constant_model,
     entropy_series,
-    evolve_exact,
-    evolve_reference,
     polynomial_model,
     project_initial,
+    propagate,
     sigma_eval,
-    trajectory,
     trig_model,
 )
 from hypobgk import propagation
-from oracles import step_matrix_reference
+from oracles import build_transform, evolve_reference, step_matrix_reference
 
 LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
 
@@ -47,6 +44,10 @@ STEP_SIZES = (1e-3, 0.1, 1.0, 10.0)
 def _random_state(levels=0, seed=2, lattice=LAT, z=0.2):
     spec = InitialDataSpec(kind="random", seed=seed)
     return project_initial(spec, lattice, levels=levels, z=z)
+
+
+def _propagator(state, model):
+    return ExactPropagator(state.lattice, model, state.z, state.levels)
 
 
 def test_augmented_generator_blocks():
@@ -71,7 +72,7 @@ def test_augmented_generator_blocks():
 def test_exact_matches_reference():
     model = affine_model(1.0, 0.1)
     state = _random_state(levels=1)
-    a = evolve_exact(state, 0.7, model)
+    a = _propagator(state, model).evolve(state, 0.7)
     b = evolve_reference(state, 0.7, model, substeps=2000)
     assert np.max(np.abs(a.data - b.data)) < 1e-9
     assert a.t == pytest.approx(0.7)
@@ -80,8 +81,9 @@ def test_exact_matches_reference():
 def test_semigroup_property():
     model = trig_model(2.0, 0.5, 1.0)
     state = _random_state(levels=2)
-    one = evolve_exact(state, 1.0, model)
-    half = evolve_exact(evolve_exact(state, 0.5, model), 0.5, model)
+    prop = _propagator(state, model)
+    one = prop.evolve(state, 1.0)
+    half = prop.evolve(prop.evolve(state, 0.5), 0.5)
     assert np.max(np.abs(one.data - half.data)) < 1e-12
     assert half.t == pytest.approx(1.0, abs=1e-15)
 
@@ -89,15 +91,16 @@ def test_semigroup_property():
 def test_zero_step_is_identity():
     model = constant_model(1.0)
     state = _random_state()
-    out = evolve_exact(state, 0.0, model)
+    out = _propagator(state, model).evolve(state, 0.0)
     assert np.array_equal(out.data, state.data)
     assert out is not state
 
 
 def test_negative_step_rejected():
     model = constant_model(1.0)
+    state = _random_state()
     with pytest.raises(UsageError):
-        evolve_exact(_random_state(), -0.1, model)
+        _propagator(state, model).evolve(state, -0.1)
 
 
 def test_k0_components_decay_at_sigma():
@@ -105,7 +108,7 @@ def test_k0_components_decay_at_sigma():
     model = affine_model(1.0, 0.1)
     z = 0.4
     state = _random_state(z=z)
-    out = evolve_exact(state, 2.0, model)
+    out = _propagator(state, model).evolve(state, 2.0)
     decay = math.exp(-sigma_eval(model, z) * 2.0)
     assert_allclose(out.data[0, 0, 3:], state.data[0, 0, 3:] * decay,
                     rtol=1e-13)
@@ -133,28 +136,21 @@ def test_propagator_cache_and_checks():
         prop.evolve(wrong_lat, 0.1)
 
 
-def test_trajectory_times_validated():
-    model = constant_model(1.0)
-    state = _random_state()
-    with pytest.raises(UsageError):
-        trajectory(state, [0.0, 1.0, 0.5], model)
-    shifted = evolve_exact(state, 1.0, model)
-    with pytest.raises(UsageError):
-        trajectory(shifted, [0.5, 1.5], model)
-
-
 def test_trajectory_matches_single_steps():
     model = trig_model(2.0, 0.3, 0.7)
     state = _random_state(levels=1)
     times = [0.0, 0.5, 1.25, 3.0]
-    snaps = trajectory(state, times, model)
-    assert [s.t for s in snaps] == times
+    rows = [[sigma_eval(model, state.z, n) for n in range(2)]]
+    snaps = list(propagate(state.data[None], rows, LAT.l,
+                           build_operators(LAT.M), np.diff(times, prepend=0.0)))
+    prop = _propagator(state, model)
     direct = state
     last = 0.0
     for expect, t in zip(snaps, times):
-        direct = evolve_exact(direct, t - last, model)
+        direct = prop.evolve(direct, t - last)
         last = t
-        assert np.max(np.abs(direct.data - expect.data)) < 1e-12
+        assert direct.t == t
+        assert np.max(np.abs(direct.data - expect[0])) < 1e-12
 
 
 def test_sensitivity_level_against_finite_differences():
@@ -165,9 +161,9 @@ def test_sensitivity_level_against_finite_differences():
     center = project_initial(spec, LAT, levels=1, z=z)
     up = project_initial(spec, LAT, levels=1, z=z + eps)
     down = project_initial(spec, LAT, levels=1, z=z - eps)
-    lvl1 = evolve_exact(center, T, model).level(1)
-    fd = (evolve_exact(up, T, model).level(0)
-          - evolve_exact(down, T, model).level(0)) / (2 * eps)
+    lvl1 = _propagator(center, model).evolve(center, T).level(1)
+    fd = (_propagator(up, model).evolve(up, T).level(0)
+          - _propagator(down, model).evolve(down, T).level(0)) / (2 * eps)
     assert np.max(np.abs(lvl1 - fd)) < 1e-8
 
 
@@ -237,12 +233,12 @@ def test_core_drops_step_jets_after_their_last_use(monkeypatch):
     dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
     held = []
     own = []
-    for sample in propagation._propagate(data, rows, LAT.l, ops, dts):
+    for sample in propagation.propagate(data, rows, LAT.l, ops, dts):
         own.append(sample)
         held.append(sorted(seen[-1][0]))
     assert held == [[0.1], [0.1, 0.2], [0.2], [0.2], [0.2, 0.3], [0.3], []]
     jets = {}
-    kept = list(propagation._propagate(data, rows, LAT.l, ops, dts, jets))
+    kept = list(propagation.propagate(data, rows, LAT.l, ops, dts, jets))
     assert sorted(jets) == [0.1, 0.2, 0.3]
     for a, b in zip(own, kept):
         assert np.array_equal(a, b)
@@ -265,7 +261,7 @@ def test_opposite_modes_give_conjugate_step_matrices(k, dt, z, N, variant):
 @pytest.mark.parametrize("N", [0, 2])
 def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
     # build slices of 1 and 4 z rows must give the same bits, and so must
-    # every z run alone through ExactPropagator
+    # every z stepped alone through ExactPropagator
     model = MODELS["trig"]
     zs = np.linspace(-0.9, 0.8, 7)
     times = [0.0, 0.3, 0.6, 1.7, 1.7, 5.0]
@@ -279,18 +275,18 @@ def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
     runs = []
     for width in (1, 4):
         monkeypatch.setattr(propagation, "_BUILD_SLICE", width)
-        runs.append(list(propagation._propagate(
+        runs.append(list(propagation.propagate(
             data, rows, LAT.l, build_operators(LAT.M), dts)))
     for a, b in zip(*runs):
         assert np.array_equal(a, b)
     for i, (z, state) in enumerate(zip(zs, stacks)):
         prop = ExactPropagator(LAT, model, float(z), N)
-        snaps = prop.trajectory(state, times)
-        for j, snap in enumerate(snaps):
+        snap = state
+        for j, dt in enumerate(dts):
+            snap = prop.evolve(snap, dt)
             assert np.array_equal(snap.data, runs[0][j][i])
             # the real-frame step agrees with the dense complex step matrices
             if j:
-                dt = dts[j]
                 prev = runs[0][j - 1][i]
                 dense = np.stack([prop.step_matrix(k, dt) @ prev[k].reshape(-1)
                                   for k in range(LAT.K + 1)])
@@ -310,8 +306,8 @@ def test_opposite_modes_have_equal_entropy(k, dt, z, alpha, seed):
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     plus = prop.step_matrix(k, dt) @ x
     minus = prop.step_matrix(-k, dt) @ x.conj()
-    e_plus = np.vdot(plus, build_transform(k, alpha, 8).matrix @ plus).real
-    e_minus = np.vdot(minus, build_transform(-k, alpha, 8).matrix @ minus).real
+    e_plus = np.vdot(plus, build_transform(k, alpha, 8) @ plus).real
+    e_minus = np.vdot(minus, build_transform(-k, alpha, 8) @ minus).real
     assert abs(e_plus - e_minus) <= 1e-14 * abs(e_plus)
     data = np.zeros((lattice.K + 1, 1, 8), dtype=complex)
     data[k, 0] = plus
@@ -348,19 +344,19 @@ def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
     ops = build_operators(LAT.M)
     dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
     seen = [(len(built), held()) for _ in
-            propagation._propagate(data, rows, LAT.l, ops, dts)]
+            propagation.propagate(data, rows, LAT.l, ops, dts)]
     # two slices of G and its powers, alive until the build of 0.3
     assert seen == [(2, 4)] * 4 + [(2, 0)] * 3
     built.clear()
     seen = [(len(built), held()) for _ in
-            propagation._propagate(data, rows, LAT.l, ops, [0.25, 0.0, 0.25])]
+            propagation.propagate(data, rows, LAT.l, ops, [0.25, 0.0, 0.25])]
     assert seen == [(2, 0)] * 3
     # step sizes already in a cache passed in are not built again
     built.clear()
     jets = {}
-    list(propagation._propagate(data, rows, LAT.l, ops, [0.1], jets))
+    list(propagation.propagate(data, rows, LAT.l, ops, [0.1], jets))
     seen = [(len(built), held()) for _ in
-            propagation._propagate(data, rows, LAT.l, ops, [0.1, 0.4], jets)]
+            propagation.propagate(data, rows, LAT.l, ops, [0.1, 0.4], jets)]
     assert seen == [(2, 0), (4, 0)]
 
 
@@ -377,7 +373,7 @@ def test_derivatives_large_shape_against_extended_precision():
     z = 0.3
     data, rows = _stacks(model, lattice, [z], 2)
     jets = {}
-    list(propagation._propagate(data, rows, lattice.l,
+    list(propagation.propagate(data, rows, lattice.l,
                                 build_operators(lattice.M), dts, jets))
     assert sorted(jets) == sorted(dts[1:])
     for j, dt in enumerate(dts[1:]):
@@ -407,7 +403,7 @@ def test_runs_mixing_step_sizes_against_extended_precision(variant, M, N, pool,
     zs = (z, -0.5 * z, 0.9)
     data, rows = _stacks(model, lattice, zs, N)
     jets = {}
-    list(propagation._propagate(data, rows, lattice.l, build_operators(M),
+    list(propagation.propagate(data, rows, lattice.l, build_operators(M),
                                 dts, jets))
     assert sorted(jets) == sorted(set(dts) - {0.0})
     for dt, R in jets.items():
