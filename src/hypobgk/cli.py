@@ -26,6 +26,10 @@ seed is recorded in a header comment of each CSV it influenced.
 --threads is accepted for compatibility; it must be >= 1 and selects
 nothing: sweep points run one after another.
 
+One table, _SCHEMA, holds every config key with its kind and default.  A
+key it does not hold, or one of another form of its section (c1 under a
+trig sigma, start next to times), is invalid input like any other.
+
 simulate, derivatives and each sweep point run all z samples through
 the propagation core at once and keep only the entropy of each sample.
 Each CSV line is one %-template of %.17g fields applied to a row of
@@ -43,6 +47,7 @@ import dataclasses
 import io
 import json
 import math
+import reprlib
 import sys
 from pathlib import Path
 
@@ -137,250 +142,337 @@ class RunConfig:
     seed_used: int | None
 
 
-def _is_int(x) -> bool:
-    """True for JSON integers; bool is an int subclass but not a count."""
-    return isinstance(x, int) and not isinstance(x, bool)
+@dataclasses.dataclass(frozen=True)
+class _Forms:
+    """Object table of a section with several forms: the selector's value
+    names the form, the first by default; without a selector a later form
+    is picked when the section holds one of its keys."""
+
+    selector: str | None
+    common: dict
+    forms: dict
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+# The config keys, read by load_config and dump_config.  An object table
+# maps each key to (kind, default), or to the table of the nested object.
+# A kind that is a table reads a list of such objects.  The default
+# _REQUIRED marks a key that must be given; None marks one that
+# load_config works out from other keys.  There are no comment keys: JSON
+# has none, and an unknown key is most likely a misspelt one.
+_NUM, _INT, _STR, _NUMS = ("a number", "an integer", "a string",
+                           "a list of numbers")
+_ANY = "any value"      # alpha_strategy: parse_alpha_strategy checks it
+_REQUIRED = "required"
+_COMPLEX = {"re": (_NUM, 0.0), "im": (_NUM, 0.0)}
+_SCHEMA = {
+    "run_id": (_STR, "run"),
+    "domain": {"L": (_NUM, 2.0 * math.pi), "K": (_INT, 4), "M": (_INT, 20),
+               "N": (_INT, 0)},
+    # each form lists the model parameters in order
+    "sigma": _Forms("variant", {"z_domain": (_NUMS, (-1.0, 1.0))}, {
+        "constant": {"sigma0": (_NUM, 1.0)},
+        "affine": {"sigma0": (_NUM, 1.0), "c1": (_NUM, 0.0)},
+        "trig": {"sigma0": (_NUM, 1.0), "eps": (_NUM, 0.0),
+                 "omega": (_NUM, 1.0)},
+        "polynomial": {"coeffs": (_NUMS, (1.0,))},
+    }),
+    "time_grid": _Forms(None, {}, {
+        "range": {"start": (_NUM, 0.0), "stop": (_NUM, 10.0),
+                  "num": (_INT, 21)},
+        "times": {"times": (_NUMS, _REQUIRED)},
+    }),
+    "z_grid": _Forms(None, {}, {"num": {"num": (_INT, 1)},
+                                "points": {"points": (_NUMS, _REQUIRED)}}),
+    "alpha_strategy": (_ANY, "optimize"),
+    # form keys are InitialDataSpec fields; an item holds its integers,
+    # then the complex value re + i im
+    "initial_data": _Forms("type", {"normalization": (_STR, "enforce")}, {
+        "random": {"seed": (_INT, 0), "scale": (_NUM, 1.0),
+                   "fill": (_STR, "all")},
+        "coefficients": {"entries": ({"level": (_INT, 0),
+                                      "k": (_INT, _REQUIRED),
+                                      "m": (_INT, _REQUIRED), **_COMPLEX},
+                                     ())},
+        "separable": {"fourier": ({"k": (_INT, _REQUIRED), **_COMPLEX}, ()),
+                      "velocity_poly": (_NUMS, ())},
+    }),
+    "tolerances": {"envelope": (_NUM, 1e-8), "eig": (_NUM, 1e-10)},
+    "verify": {"k_max": (_INT, None), "sigma_points": (_INT, 33)},
+    "sweep": {"L_values": (_NUMS, None), "sigma0_values": (_NUMS, None)},
+    "output": {"dir": (_STR, "out")},
+}
 
 
-def _int_field(spec: dict, key: str, default: int | None = None) -> int:
-    """spec[key] (or the default when given and absent), a JSON integer."""
-    value = spec[key] if default is None else spec.get(key, default)
-    if not _is_int(value):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+def _number(x) -> float | None:
+    """A JSON number as a float; None for anything else, bools and
+    integers beyond the float range included."""
+    try:
+        return float(x) if isinstance(x, (int, float)) \
+            and not isinstance(x, bool) else None
+    except OverflowError:
+        return None
 
 
-def _num_field(spec: dict, key: str, default: float) -> float:
-    """spec[key] or the default, a JSON number (bools and strings rejected)."""
-    value = spec.get(key, default)
-    if not _is_number(value):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+def _check(kind, value, name: str, where: str, problems: list[str]):
+    """value read as its kind, numbers as floats; a value of another kind
+    appends a problem.  A kind that is a table reads a list of objects."""
+    if isinstance(kind, dict):
+        if isinstance(value, list) and all(isinstance(x, dict) for x in value):
+            return [_read(kind, x, where, problems) for x in value]
+        kind = "a list of objects"
+    elif kind == _NUMS and isinstance(value, list):
+        if None not in (numbers := [_number(x) for x in value]):
+            return numbers
+    elif kind == _NUM and _number(value) is not None:
+        return float(value)
+    # bool is an int subclass but not a count
+    elif (kind == _ANY or kind == _STR and isinstance(value, str)
+          or kind == _INT and isinstance(value, int)
+          and not isinstance(value, bool)):
+        return value
+    problems.append(f"{name} must be {kind}, got {reprlib.repr(value)}")
 
 
-def _num_list(spec: dict, key: str, default: list | None = None) -> list[float]:
-    """spec[key] (or the default when given and absent), a list of numbers."""
-    value = spec[key] if default is None else spec.get(key, default)
-    if not (isinstance(value, list) and all(_is_number(x) for x in value)):
-        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
-    return [float(x) for x in value]
+def _read(table, spec, where: str, problems: list[str]) -> dict | None:
+    """spec read by an object table: every key of the table, and of the
+    picked form, with its value or its default.
+
+    Each problem is appended to problems.  A key whose value, or anything
+    nested in it, has a problem reads as None.
+    """
+    at = f"{where}: " if where else ""
+    if not isinstance(spec, dict):
+        problems.append(f"{where} must be an object, got {reprlib.repr(spec)}")
+        return None
+    out: dict = {}
+    if isinstance(table, _Forms):
+        names = list(table.forms)
+        if table.selector is None:
+            name = next((n for n in reversed(names)
+                         if not spec.keys().isdisjoint(table.forms[n])),
+                        names[0])
+        else:
+            name = out[table.selector] = spec.get(table.selector, names[0])
+            if not (isinstance(name, str) and name in table.forms):
+                problems.append(f"{at}unknown {table.selector} "
+                                f"{reprlib.repr(name)}; expected one of "
+                                f"{', '.join(names)}")
+                return None
+        table = {**table.common, **table.forms[name]}
+    known = [*out, *table]
+    problems.extend(f"{at}unknown key {key!r}; expected one of "
+                    f"{', '.join(known)}" for key in spec if key not in known)
+    for key, entry in table.items():
+        n = len(problems)
+        if not isinstance(entry, tuple):
+            value = _read(entry, spec.get(key, {}), key, problems)
+        elif key in spec:
+            value = _check(entry[0], spec[key], at + key, where, problems)
+        else:
+            value = entry[1]
+            if value is _REQUIRED:
+                problems.append(f"{at}{key} is required")
+        out[key] = value if len(problems) == n else None
+    return out
 
 
-def _object_list(spec: dict, key: str) -> list[dict]:
-    """spec[key] or [], a list of JSON objects."""
-    value = spec.get(key, [])
-    if not (isinstance(value, list) and all(isinstance(x, dict) for x in value)):
-        raise ConfigError(f"{key} must be a list of objects, got {value!r}")
-    return value
+def _item(entry: dict) -> tuple:
+    """An entries or fourier item as its integers, then re + i im."""
+    *integers, re, im = entry.values()
+    return (*integers, complex(re, im))
 
 
 def load_config(path: str | Path, out_override: str | None = None,
                 seed_override: int | None = None) -> RunConfig:
-    """Read and validate a JSON config; aggregate all problems into one error."""
+    """Read a JSON config by _SCHEMA and check its values; aggregate all
+    problems, unknown keys included, into one error."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers undecodable text and integers of over
+        # 4300 digits
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-
-    problems: list[str] = []
-
-    def fail(msg: str) -> None:
-        problems.append(msg)
-
-    def section(name: str) -> dict:
-        value = raw.get(name, {})
-        if isinstance(value, dict):
-            return value
-        fail(f"{name} must be an object, got {value!r}")
-        return {}
-
-    run_id = raw.get("run_id", "run")
-    if not isinstance(run_id, str) or not run_id:
-        fail("run_id must be a nonempty string")
-        run_id = "run"
-    elif run_id in (".", "..") or any(c in run_id for c in "/\\\0"):
-        # run_id prefixes output file names, which must stay inside the
-        # output directory
-        fail(f"run_id must not be '.' or '..' or contain '/', '\\' or NUL, "
-             f"got {run_id!r}")
-        run_id = "run"
-
-    domain = section("domain")
-    lattice = None
-    L = domain.get("L", 2.0 * math.pi)
-    K = domain.get("K", 4)
-    M = domain.get("M", 20)
-    N = domain.get("N", 0)
-    if not (_is_number(L) and _is_int(K) and _is_int(M)):
-        fail(f"domain: L must be a number and K, M integers, "
-             f"got L={L!r}, K={K!r}, M={M!r}")
-        L = 2.0 * math.pi
-    else:
-        try:
-            lattice = ModeLattice(K=K, L=float(L), M=M)
-        except HypoBGKError as exc:
-            fail(f"domain: {exc}")
-    if not _is_int(N) or N < 0:
-        fail(f"domain: derivative order N must be an integer >= 0, got {N!r}")
-        N = 0
-
-    model = None
-    mspec = raw.get("sigma", {})
-    try:
-        model = _parse_model(mspec)
-    except (HypoBGKError, ValueError, TypeError, OverflowError, KeyError) as exc:
-        fail(f"sigma: {exc}")
-
-    times: tuple[float, ...] = ()
-    tspec = raw.get("time_grid", {"start": 0.0, "stop": 10.0, "num": 21})
-    try:
-        times = _parse_time_grid(tspec)
-    except (HypoBGKError, ValueError, TypeError, OverflowError) as exc:
-        fail(f"time_grid: {exc}")
-
-    z_points: tuple[float, ...] = ()
-    if model is not None:
-        try:
-            z_points = _parse_z_grid(raw.get("z_grid", {"num": 1}), model)
-        except (HypoBGKError, ValueError, TypeError, OverflowError) as exc:
-            fail(f"z_grid: {exc}")
-
-    alpha_strategy = raw.get("alpha_strategy", "optimize")
-    try:
-        parse_alpha_strategy(alpha_strategy)
-    except CertificateError as exc:
-        fail(f"alpha_strategy: {exc}")
-        alpha_strategy = "optimize"
-
     if "sigma_grid_resolution" in raw:
+        del raw["sigma_grid_resolution"]
         print("warning: sigma_grid_resolution is ignored; the certificate "
               "minimizes over sigma in closed form", file=sys.stderr)
 
-    initial = None
-    seed_used: int | None = None
+    problems: list[str] = []
+    fail = problems.append
+    doc = _read(_SCHEMA, raw, "", problems)
+
+    run_id = doc["run_id"]
+    # run_id prefixes output file names, which must stay in the output dir
+    if run_id is not None and (run_id in ("", ".", "..")
+                               or any(c in run_id for c in "/\\\0")):
+        fail(f"run_id must be nonempty and not '.' or '..' or contain '/', "
+             f"'\\' or NUL, got {run_id!r}")
+
+    domain, lattice = doc["domain"], None
+    if domain is not None:
+        try:
+            lattice = ModeLattice(K=domain["K"], L=domain["L"], M=domain["M"])
+        except HypoBGKError as exc:
+            fail(f"domain: {exc}")
+        if domain["N"] < 0:
+            fail(f"domain: derivative order N must be an integer >= 0, "
+                 f"got {domain['N']!r}")
+
+    sigma, model = doc["sigma"], None
+    if sigma is not None:
+        form = _SCHEMA["sigma"].forms[sigma["variant"]]
+        params = [p for key, (kind, _) in form.items()
+                  for p in (sigma[key] if kind == _NUMS else [sigma[key]])]
+        try:
+            if len(sigma["z_domain"]) != 2:
+                raise ConfigError(f"z_domain must be [lo, hi], "
+                                  f"got {sigma['z_domain']!r}")
+            model = CollisionFrequencyModel(sigma["variant"], tuple(params),
+                                            *sigma["z_domain"])
+        except (HypoBGKError, ValueError, OverflowError) as exc:
+            fail(f"sigma: {exc}")
+
+    grid, times = doc["time_grid"], ()
+    if grid is not None:
+        start, stop, num = grid.get("start"), grid.get("stop"), grid.get("num")
+        try:
+            if "times" in grid:
+                times = grid["times"]
+            elif num < 1:
+                raise ConfigError(f"time grid needs num >= 1, got {num}")
+            elif stop < start:
+                raise ConfigError(f"time grid needs stop >= start, "
+                                  f"got [{start}, {stop}]")
+            elif not (math.isfinite(start) and math.isfinite(stop)):
+                raise ConfigError("sample times must be finite and >= 0")
+            else:
+                times = list(np.linspace(start, stop, num))
+            if not times:
+                raise ConfigError("time grid is empty")
+            if any(t < 0.0 or not math.isfinite(t) for t in times):
+                raise ConfigError("sample times must be finite and >= 0")
+            if any(b < a for a, b in zip(times, times[1:])):
+                raise ConfigError("sample times must be nondecreasing")
+        except (HypoBGKError, ValueError, OverflowError) as exc:
+            fail(f"time_grid: {exc}")
+
+    grid, z_points = doc["z_grid"], ()
+    if grid is not None and model is not None:
+        lo, hi = model.z_lo, model.z_hi
+        try:
+            if "points" in grid:
+                z_points = grid["points"]
+            elif grid["num"] < 1:
+                raise ConfigError(f"z grid needs num >= 1, got {grid['num']}")
+            elif grid["num"] == 1:
+                z_points = [0.5 * (lo + hi)]
+            else:
+                z_points = list(np.linspace(lo, hi, grid["num"]))
+            for z in z_points:
+                if not lo <= z <= hi:
+                    raise DomainError(
+                        f"z={z} outside the model domain [{lo}, {hi}]")
+        except (HypoBGKError, ValueError, OverflowError) as exc:
+            fail(f"z_grid: {exc}")
+
     try:
-        initial, seed_used = _parse_initial(raw.get("initial_data",
-                                                    {"type": "random", "seed": 0}),
-                                            seed_override)
-    except (HypoBGKError, ValueError, TypeError, OverflowError, KeyError) as exc:
-        fail(f"initial_data: {exc}")
+        parse_alpha_strategy(doc["alpha_strategy"])
+    except CertificateError as exc:
+        fail(f"alpha_strategy: {exc}")
 
-    tol = section("tolerances")
-    envelope_tol = tol.get("envelope", 1e-8)
-    eig_tol_factor = tol.get("eig", 1e-10)
-    # an infinite tolerance would pass every envelope or verify check
-    if not (_is_number(envelope_tol) and 0.0 < envelope_tol < math.inf):
-        fail(f"tolerances.envelope must be positive and finite, "
-             f"got {envelope_tol!r}")
-        envelope_tol = 1e-8
-    if not (_is_number(eig_tol_factor) and 0.0 < eig_tol_factor < math.inf):
-        fail(f"tolerances.eig must be positive and finite, "
-             f"got {eig_tol_factor!r}")
-        eig_tol_factor = 1e-10
+    spec, initial, seed_used = doc["initial_data"], None, None
+    if spec is not None:
+        kind = spec.pop("type")
+        for key, value in spec.items():
+            if isinstance(value, (list, tuple)):
+                spec[key] = tuple(_item(x) if isinstance(x, dict) else x
+                                  for x in value)
+        if kind == "random" and seed_override is not None:
+            spec["seed"] = seed_override
+        seed_used = spec.get("seed")
+        try:
+            if seed_used is not None and seed_used < 0:
+                raise ConfigError(f"seed must be >= 0, got {seed_used}")
+            initial = InitialDataSpec(kind=kind, **spec)
+        except HypoBGKError as exc:
+            fail(f"initial_data: {exc}")
 
-    ver = section("verify")
-    verify_k_max = ver.get("k_max", max(K, 1) if _is_int(K) else 4)
-    verify_sigma_points = ver.get("sigma_points", 33)
-    if not _is_int(verify_k_max) or verify_k_max < 1:
-        fail(f"verify.k_max must be an integer >= 1, got {verify_k_max!r}")
-        verify_k_max = 1
-    if not _is_int(verify_sigma_points) or verify_sigma_points < 1:
-        fail(f"verify.sigma_points must be an integer >= 1, "
-             f"got {verify_sigma_points!r}")
-        verify_sigma_points = 33
+    tol = doc["tolerances"] or {}
+    for key, value in tol.items():
+        # an infinite tolerance would pass every envelope or verify check
+        if not 0.0 < value < math.inf:
+            fail(f"tolerances.{key} must be positive and finite, "
+                 f"got {value!r}")
 
-    sweep = section("sweep")
-    sweep_L_raw = sweep.get("L_values", [float(L)])
-    if isinstance(sweep_L_raw, list) and sweep_L_raw \
-            and all(_is_number(x) for x in sweep_L_raw):
-        sweep_L = tuple(float(x) for x in sweep_L_raw)
-    else:
-        fail(f"sweep.L_values must be a nonempty list of numbers, "
-             f"got {sweep_L_raw!r}")
-        sweep_L = ()
-    sweep_s0 = sweep.get("sigma0_values")
-    if sweep_s0 is None:
-        sweep_s0_t = (model.params[0],) if model is not None else ()
-    elif isinstance(sweep_s0, list) and sweep_s0 \
-            and all(_is_number(x) for x in sweep_s0):
-        sweep_s0_t = tuple(float(x) for x in sweep_s0)
-    else:
-        fail(f"sweep.sigma0_values must be a nonempty list of numbers, "
-             f"got {sweep_s0!r}")
-        sweep_s0_t = ()
+    ver = doc["verify"] or {}
+    if ver and ver["k_max"] is None:
+        ver["k_max"] = max(domain["K"], 1) if domain else 4
+    for key, value in ver.items():
+        if value < 1:
+            fail(f"verify.{key} must be an integer >= 1, got {value!r}")
+
+    sweep = doc["sweep"] or {}
+    if sweep and sweep["L_values"] is None and domain:
+        sweep["L_values"] = [domain["L"]]
+    if sweep and sweep["sigma0_values"] is None and model:
+        sweep["sigma0_values"] = [model.params[0]]
+    for key, values in sweep.items():
+        if values == []:
+            fail(f"sweep.{key} must be a nonempty list of numbers, got []")
     # pre-validate every sweep combination so failures surface before any run
-    if model is not None:
-        for s0 in sweep_s0_t:
+    if model is not None and sweep:
+        for s0 in sweep["sigma0_values"]:
             try:
                 _with_offset(model, s0)
             except HypoBGKError as exc:
                 fail(f"sweep: sigma0={s0} gives an invalid model: {exc}")
-        for Lv in sweep_L:
+        for Lv in sweep["L_values"] or ():
             if not (Lv > 0.0 and math.isfinite(Lv)):
                 fail(f"sweep: period L={Lv} must be positive and finite")
-
-    out_dir = out_override if out_override is not None \
-        else section("output").get("dir", "out")
-    if not isinstance(out_dir, str):
-        fail(f"output.dir must be a string, got {out_dir!r}")
-        out_dir = "out"
 
     if problems:
         raise ConfigError("invalid configuration:\n" +
                           "\n".join(f"  - {p}" for p in problems))
-    assert lattice is not None and model is not None and initial is not None
     return RunConfig(
         run_id=run_id,
         lattice=lattice,
-        levels=N,
+        levels=domain["N"],
         model=model,
-        times=times,
-        z_points=z_points,
-        alpha_strategy=alpha_strategy,
+        times=tuple(times),
+        z_points=tuple(z_points),
+        alpha_strategy=doc["alpha_strategy"],
         initial=initial,
-        out_dir=Path(out_dir),
-        envelope_tol=float(envelope_tol),
-        eig_tol_factor=float(eig_tol_factor),
-        verify_k_max=verify_k_max,
-        verify_sigma_points=verify_sigma_points,
-        sweep_L_values=sweep_L,
-        sweep_sigma0_values=sweep_s0_t,
+        out_dir=Path(doc["output"]["dir"] if out_override is None
+                     else out_override),
+        envelope_tol=tol["envelope"],
+        eig_tol_factor=tol["eig"],
+        verify_k_max=ver["k_max"],
+        verify_sigma_points=ver["sigma_points"],
+        sweep_L_values=tuple(sweep["L_values"]),
+        sweep_sigma0_values=tuple(sweep["sigma0_values"]),
         seed_used=seed_used,
     )
 
 
 def dump_config(cfg: RunConfig) -> dict:
     """Inverse of load_config: a JSON-ready dict that reparses to cfg."""
-    model = cfg.model
+    model, init = cfg.model, cfg.initial
+    params = iter(model.params)
     mspec: dict = {"variant": model.variant,
                    "z_domain": [model.z_lo, model.z_hi]}
-    if model.variant == "constant":
-        mspec["sigma0"] = model.params[0]
-    elif model.variant == "affine":
-        mspec["sigma0"], mspec["c1"] = model.params
-    elif model.variant == "trig":
-        mspec["sigma0"], mspec["eps"], mspec["omega"] = model.params
-    else:
-        mspec["coeffs"] = list(model.params)
-    init = cfg.initial
+    for key, (kind, _) in _SCHEMA["sigma"].forms[model.variant].items():
+        mspec[key] = list(params) if kind == _NUMS else next(params)
     ispec: dict = {"type": init.kind, "normalization": init.normalization}
-    if init.kind == "coefficients":
-        ispec["entries"] = [{"level": n, "k": k, "m": m, "re": c.real,
-                             "im": c.imag} for n, k, m, c in init.entries]
-    elif init.kind == "separable":
-        ispec["fourier"] = [{"k": k, "re": c.real, "im": c.imag}
-                            for k, c in init.fourier]
-        ispec["velocity_poly"] = list(init.velocity_poly)
-    else:
-        ispec.update(seed=init.seed, scale=init.scale, fill=init.fill)
+    for key, (kind, _) in _SCHEMA["initial_data"].forms[init.kind].items():
+        value = getattr(init, key)
+        if isinstance(kind, dict):
+            value = [dict(zip(kind, (*x[:-1], x[-1].real, x[-1].imag)))
+                     for x in value]
+        ispec[key] = list(value) if kind == _NUMS else value
     return {
         "run_id": cfg.run_id,
         "domain": {"L": cfg.lattice.L, "K": cfg.lattice.K, "M": cfg.lattice.M,
@@ -399,114 +491,11 @@ def dump_config(cfg: RunConfig) -> dict:
     }
 
 
-def _parse_model(mspec: dict) -> CollisionFrequencyModel:
-    if not isinstance(mspec, dict):
-        raise ConfigError("sigma section must be an object")
-    variant = mspec.get("variant", "constant")
-    dom = _num_list(mspec, "z_domain", [-1.0, 1.0])
-    if len(dom) != 2:
-        raise ConfigError(f"z_domain must be [lo, hi], got {dom!r}")
-    z_lo, z_hi = dom
-    if variant == "constant":
-        params = (_num_field(mspec, "sigma0", 1.0),)
-    elif variant == "affine":
-        params = (_num_field(mspec, "sigma0", 1.0), _num_field(mspec, "c1", 0.0))
-    elif variant == "trig":
-        params = (_num_field(mspec, "sigma0", 1.0), _num_field(mspec, "eps", 0.0),
-                  _num_field(mspec, "omega", 1.0))
-    elif variant == "polynomial":
-        params = tuple(_num_list(mspec, "coeffs", [1.0]))
-    else:
-        raise ConfigError(f"unknown sigma variant {variant!r}")
-    return CollisionFrequencyModel(variant, params, z_lo, z_hi)
-
-
 def _with_offset(model: CollisionFrequencyModel,
                  sigma0: float) -> CollisionFrequencyModel:
     """Copy of the model with its constant offset replaced."""
     params = (float(sigma0),) + model.params[1:]
     return CollisionFrequencyModel(model.variant, params, model.z_lo, model.z_hi)
-
-
-def _parse_time_grid(tspec) -> tuple[float, ...]:
-    if isinstance(tspec, dict) and "times" in tspec:
-        times = _num_list(tspec, "times")
-    elif isinstance(tspec, dict):
-        start = _num_field(tspec, "start", 0.0)
-        stop = _num_field(tspec, "stop", 10.0)
-        num = _int_field(tspec, "num", 21)
-        if num < 1:
-            raise ConfigError(f"time grid needs num >= 1, got {num}")
-        if stop < start:
-            raise ConfigError(f"time grid needs stop >= start, got [{start}, {stop}]")
-        times = list(np.linspace(start, stop, num))
-    else:
-        raise ConfigError("time_grid must be an object")
-    if not times:
-        raise ConfigError("time grid is empty")
-    if any(t < 0.0 or not math.isfinite(t) for t in times):
-        raise ConfigError("sample times must be finite and >= 0")
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ConfigError("sample times must be nondecreasing")
-    return tuple(times)
-
-
-def _parse_z_grid(zspec, model: CollisionFrequencyModel) -> tuple[float, ...]:
-    if isinstance(zspec, dict) and "points" in zspec:
-        pts = _num_list(zspec, "points")
-    elif isinstance(zspec, dict):
-        num = _int_field(zspec, "num", 1)
-        if num < 1:
-            raise ConfigError(f"z grid needs num >= 1, got {num}")
-        if num == 1:
-            pts = [0.5 * (model.z_lo + model.z_hi)]
-        else:
-            pts = list(np.linspace(model.z_lo, model.z_hi, num))
-    else:
-        raise ConfigError("z_grid must be an object")
-    for z in pts:
-        if not model.z_lo <= z <= model.z_hi:
-            raise DomainError(
-                f"z={z} outside the model domain [{model.z_lo}, {model.z_hi}]")
-    return tuple(pts)
-
-
-def _parse_initial(ispec: dict, seed_override: int | None
-                   ) -> tuple[InitialDataSpec, int | None]:
-    if not isinstance(ispec, dict):
-        raise ConfigError("initial_data section must be an object")
-    kind = ispec.get("type", "random")
-    normalization = ispec.get("normalization", "enforce")
-    seed_used: int | None = None
-    if kind == "coefficients":
-        entries = []
-        for e in _object_list(ispec, "entries"):
-            entries.append((_int_field(e, "level", 0), _int_field(e, "k"),
-                            _int_field(e, "m"),
-                            complex(_num_field(e, "re", 0.0),
-                                    _num_field(e, "im", 0.0))))
-        spec = InitialDataSpec(kind="coefficients", entries=tuple(entries),
-                               normalization=normalization)
-    elif kind == "separable":
-        fourier = tuple((_int_field(f, "k"),
-                         complex(_num_field(f, "re", 0.0), _num_field(f, "im", 0.0)))
-                        for f in _object_list(ispec, "fourier"))
-        poly = tuple(_num_list(ispec, "velocity_poly", []))
-        spec = InitialDataSpec(kind="separable", fourier=fourier,
-                               velocity_poly=poly, normalization=normalization)
-    elif kind == "random":
-        seed = _int_field(ispec, "seed", 0) if seed_override is None \
-            else seed_override
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        spec = InitialDataSpec(kind="random", seed=seed,
-                               scale=_num_field(ispec, "scale", 1.0),
-                               fill=ispec.get("fill", "all"),
-                               normalization=normalization)
-        seed_used = seed
-    else:
-        raise ConfigError(f"unknown initial_data type {kind!r}")
-    return spec, seed_used
 
 
 def _write_csv(path: Path, header, lines, seed: int | None = None) -> None:

@@ -1,5 +1,6 @@
 """Command-line behavior: config handling, CSV contracts, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -9,11 +10,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypobgk import DecayReport, NumericError, certify, cli, verify_grid
@@ -36,7 +38,9 @@ BASE = {
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = json.loads(json.dumps(BASE))
     for key, value in overrides.items():
-        if isinstance(value, dict) and key in cfg:
+        # a section with forms is replaced: keys of another form are unknown
+        if isinstance(value, dict) and key in cfg \
+                and not isinstance(cli._SCHEMA[key], cli._Forms):
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -349,6 +353,19 @@ def test_exit_code_missing_config(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"domain": {"L": 1' + b"0" * 5000 + b"}}",
+    b"[" * 100000,
+], ids=["5001-digit-integer", "deep-nesting"])
+def test_unparsable_config_exits_invalid(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["certify", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file") and "not valid JSON" in err
+
+
 def test_exit_code_numeric_failure(tmp_path, capsys, monkeypatch):
     import hypobgk.cli as cli
 
@@ -575,3 +592,293 @@ def test_csv_lines_match_the_csv_module(run_id, z, rows, level):
             [text] + [format(x, ".17g") for x in (z,) + r * 2 + (z,)]
             + ["pass"] for r in rows)
         assert summary == buf.getvalue()
+
+
+# --- the config key table -------------------------------------------------
+
+SCHEMA = cli._SCHEMA
+SECTIONS = [key for key, entry in SCHEMA.items() if not isinstance(entry, tuple)]
+FORMS = {key: entry for key, entry in SCHEMA.items()
+         if isinstance(entry, cli._Forms)}
+NUMBER_KINDS = (cli._NUM, cli._NUMS)
+HUGE = 10 ** 400        # no float holds it
+
+
+def table_keys(table):
+    """(key, kind) of every key of an object table, its forms and items
+    included; a nested object has kind None."""
+    tables = [table]
+    if isinstance(table, cli._Forms):
+        if table.selector:
+            yield table.selector, None
+        tables = [table.common, *table.forms.values()]
+    for part in tables:
+        for key, entry in part.items():
+            if not isinstance(entry, tuple):
+                yield key, None
+                yield from table_keys(entry)
+            else:
+                yield key, entry[0]
+                if isinstance(entry[0], dict):
+                    yield from table_keys(entry[0])
+
+
+KIND = dict(table_keys(SCHEMA))
+# a valid value of every key; keys of one name share it
+EXAMPLE = {
+    "run_id": "t", "L": 2 * math.pi, "K": 2, "M": 6, "N": 1,
+    "z_domain": [-1.0, 1.0], "sigma0": 1.0, "c1": 0.1, "eps": 0.1,
+    "omega": 1.0, "coeffs": [1.0, 0.1], "start": 0.0, "stop": 2.0, "num": 3,
+    "times": [0.0, 1.0], "points": [0.25], "alpha_strategy": 0.1,
+    "normalization": "enforce", "seed": 3, "scale": 0.2, "fill": "all",
+    "level": 0, "k": 1, "m": 3, "re": 0.5, "im": 0.0,
+    "velocity_poly": [0.0, 1.0], "envelope": 1e-8, "eig": 1e-10, "k_max": 2,
+    "sigma_points": 3, "L_values": [math.pi], "sigma0_values": [1.0],
+    "dir": "out",
+}
+# valid values to draw; sizes stay small
+DRAWN = {
+    "run_id": st.sampled_from(["t", "run 1", "a,b"]),
+    "L": st.floats(0.5, 20.0), "K": st.integers(0, 3), "M": st.integers(5, 8),
+    "N": st.integers(0, 2), "z_domain": st.just([-1.0, 1.0]),
+    "sigma0": st.floats(1.0, 3.0), "c1": st.floats(-0.5, 0.5),
+    "eps": st.floats(-0.5, 0.5), "omega": st.floats(0.5, 2.0),
+    "coeffs": st.lists(st.floats(-0.2, 0.2), max_size=1).map(
+        lambda c: [2.0, *c]),
+    "start": st.floats(0.0, 1.0), "stop": st.floats(1.0, 2.0),
+    "num": st.integers(1, 4),
+    "times": st.lists(st.floats(0.0, 5.0), min_size=1, max_size=2).map(sorted),
+    "points": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=2),
+    "alpha_strategy": st.sampled_from(["optimize", " fraction:0.5", 0.05,
+                                       "fixed:0.01"]),
+    "normalization": st.sampled_from(["enforce", "reject"]),
+    "seed": st.integers(0, 9), "scale": st.floats(0.01, 1.0),
+    "fill": st.sampled_from(["all", "level0"]),
+    "level": st.integers(0, 2), "k": st.integers(0, 3), "m": st.integers(0, 4),
+    "re": st.floats(-1.0, 1.0), "im": st.floats(-1.0, 1.0),
+    "velocity_poly": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=2),
+    "envelope": st.floats(1e-12, 1e-6), "eig": st.floats(1e-12, 1e-6),
+    "k_max": st.integers(1, 3), "sigma_points": st.integers(1, 3),
+    "L_values": st.lists(st.floats(0.5, 20.0), min_size=1, max_size=2),
+    "sigma0_values": st.lists(st.floats(1.0, 3.0), min_size=1, max_size=2),
+    "dir": st.just("out"),
+}
+NEEDED = {"velocity_poly"}      # separable data needs one, though it has a default
+
+
+def full_doc(forms: dict) -> dict:
+    """A document holding every key, with the forms named per section."""
+    def obj(table, section):
+        spec = {}
+        if isinstance(table, cli._Forms):
+            name = forms.get(section, next(iter(table.forms)))
+            if table.selector:
+                spec[table.selector] = name
+            table = {**table.common, **table.forms[name]}
+        for key, entry in table.items():
+            if not isinstance(entry, tuple):
+                spec[key] = obj(entry, key)
+            elif isinstance(entry[0], dict):
+                spec[key] = [obj(entry[0], key)]
+            else:
+                spec[key] = EXAMPLE[key]
+        return spec
+    return obj(SCHEMA, "")
+
+
+@st.composite
+def valid_doc(draw, table=SCHEMA):
+    """A document drawn from the table; it passes every value check."""
+    spec = {}
+    if isinstance(table, cli._Forms):
+        name = draw(st.sampled_from(list(table.forms)))
+        if table.selector and (name != next(iter(table.forms))
+                               or draw(st.booleans())):
+            spec[table.selector] = name
+        table = {**table.common, **table.forms[name]}
+    for key, entry in table.items():
+        if not isinstance(entry, tuple):
+            if draw(st.booleans()):
+                spec[key] = draw(valid_doc(entry))
+        elif entry[1] == cli._REQUIRED or key in NEEDED or draw(st.booleans()):
+            spec[key] = draw(st.lists(valid_doc(entry[0]), max_size=2)
+                             if isinstance(entry[0], dict) else DRAWN[key])
+    return spec
+
+
+def key_paths(doc, prefix=()):
+    """The path of every key of a document, keys of list items included."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    yield from key_paths(item, prefix + (key, i))
+
+
+def parent_of(doc, path):
+    for step in path[:-1]:
+        doc = doc[step]
+    return doc
+
+
+def typo(key: str) -> str:
+    return key[:-1] + ("y" if key.endswith("x") else "x")
+
+
+FULL_DOCS = {f"{section}={name}": full_doc({section: name})
+             for section, table in FORMS.items() for name in table.forms}
+# every key path, once per form of its section
+KEY_CASES = {}
+for _name, _doc in FULL_DOCS.items():
+    _section, _form = _name.split("=")
+    for _path in key_paths(_doc):
+        _id = "/".join(map(str, _path))
+        if _path[0] in FORMS:
+            if _path[0] != _section:
+                continue
+            _id += f"[{_form}]"
+        KEY_CASES.setdefault(_id, pytest.param(_doc, _path, id=_id))
+KEY_CASES = list(KEY_CASES.values())
+
+
+def run_certify(doc, tmp):
+    """Exit code and stderr of certify on the document, run in process."""
+    path = Path(tmp) / "cfg.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["certify", "--config", str(path),
+                     "--out", str(Path(tmp) / "out")])
+    return code, err.getvalue()
+
+
+def test_full_documents_hold_every_key():
+    held = {path[-1] for doc in FULL_DOCS.values() for path in key_paths(doc)}
+    assert held == set(KIND)
+    values = {key for key, kind in KIND.items() if isinstance(kind, str)}
+    assert values == set(EXAMPLE) == set(DRAWN)
+
+
+@pytest.mark.parametrize("doc", FULL_DOCS.values(), ids=FULL_DOCS.keys())
+def test_every_key_of_the_table_is_accepted(tmp_path, doc):
+    assert run_certify(doc, tmp_path) == (0, "")
+
+
+@pytest.mark.parametrize("doc, path", KEY_CASES)
+def test_a_misspelt_key_exits_invalid(tmp_path, doc, path):
+    doc = json.loads(json.dumps(doc))
+    parent = parent_of(doc, path)
+    wrong = typo(path[-1])
+    assert wrong not in KIND
+    parent[wrong] = parent.pop(path[-1])
+    code, err = run_certify(doc, tmp_path)
+    assert code == 2
+    assert err.startswith("error: invalid configuration:")
+    assert f"unknown key {wrong!r}" in err
+
+
+@pytest.mark.parametrize("doc, path", [
+    case for case in KEY_CASES if KIND[case.values[1][-1]] in NUMBER_KINDS])
+def test_numbers_beyond_float_range_exit_invalid(tmp_path, doc, path):
+    doc = json.loads(json.dumps(doc))
+    key = path[-1]
+    parent_of(doc, path)[key] = [HUGE] if KIND[key] == cli._NUMS else HUGE
+    code, err = run_certify(doc, tmp_path)
+    assert code == 2
+    assert err.startswith("error: invalid configuration:")
+    assert f"{key} must be {KIND[key]}" in err
+
+
+def test_typo_document_exits_invalid_naming_every_typo(tmp_path):
+    doc = {"domian": {"L": 3.0}, "alpha_stratgy": "fraction:0.5",
+           "tolerances": {"envelop": 1e-300},
+           "sigma": {"variant": "constant", "sigma0": 1.0}}
+    code, err = run_certify(doc, tmp_path)
+    assert code == 2
+    assert err.count("error: invalid configuration:") == 1
+    for key in ("'domian'", "'alpha_stratgy'", "tolerances: unknown key 'envelop'"):
+        assert key in err
+
+
+@pytest.mark.parametrize("section, spec, message", [
+    ("time_grid", {"times": [0.0], "start": 0.0}, "time_grid: unknown key 'start'"),
+    ("z_grid", {"points": [0.0], "num": 2}, "z_grid: unknown key 'num'"),
+    ("sigma", {"variant": "trig", "c1": 0.1}, "sigma: unknown key 'c1'"),
+    ("initial_data", {"type": "coefficients", "entries": [{"m": 3}]},
+     "initial_data: k is required"),
+    ("initial_data", {"type": "separable", "fourier": [{"re": 0.4}],
+                      "velocity_poly": [1.0]}, "initial_data: k is required"),
+    ("sigma", {"variant": ["x"]}, "sigma: unknown variant ['x']"),
+    ("initial_data", {"type": {}}, "initial_data: unknown type {}"),
+], ids=["start-next-to-times", "num-next-to-points", "c1-under-trig",
+        "entry-without-k", "fourier-without-k", "variant-list", "type-object"])
+def test_form_and_item_problems_exit_invalid(tmp_path, section, spec, message):
+    doc = json.loads(json.dumps(BASE))
+    doc[section] = spec
+    code, err = run_certify(doc, tmp_path)
+    assert code == 2
+    assert err.startswith("error: invalid configuration:")
+    assert message in err
+
+
+def test_readme_config_reference_quotes_the_table_keys():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("### Config reference"):]
+    block = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
+    assert set(re.findall(r'"(\w+)"\s*:', block)) == set(KIND)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=valid_doc())
+def test_config_round_trip_property(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = Path(tmp) / "first.json", Path(tmp) / "again.json"
+        first.write_text(json.dumps(doc))
+        cfg = load_config(first)
+        again.write_text(json.dumps(dump_config(cfg)))
+        assert load_config(again) == cfg
+
+
+MUTATIONS = ("drop", "typo", "kind", "nonfinite", "huge", "section",
+             "selector")
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=valid_doc(), how=st.sampled_from(MUTATIONS), data=st.data())
+def test_mutated_configs_exit_without_defects(doc, how, data):
+    # exit 1 is kept for a violated bound and 4 for a defect; certify has
+    # no bound to violate
+    paths = list(key_paths(doc))
+    if how == "section":
+        section = data.draw(st.sampled_from(SECTIONS))
+        doc[section] = data.draw(st.sampled_from([5, "x", [1], None, True]))
+    elif how == "selector":
+        section = data.draw(st.sampled_from(
+            [s for s, t in FORMS.items() if t.selector]))
+        doc.setdefault(section, {})[FORMS[section].selector] = data.draw(
+            st.sampled_from([["x"], {}, {"a": 1}, 1, None]))
+    else:
+        if how == "huge":
+            paths = [p for p in paths if KIND[p[-1]] in NUMBER_KINDS]
+        assume(paths)
+        path = data.draw(st.sampled_from(paths))
+        parent, key = parent_of(doc, path), path[-1]
+        if how == "drop":
+            del parent[key]
+        elif how == "typo":
+            parent[typo(key)] = parent.pop(key)
+        else:
+            value = {"huge": HUGE, "kind": data.draw(st.sampled_from(
+                         ["x", True, None, [1.0], {"a": 1}, 1.5, 2, []])),
+                     "nonfinite": data.draw(st.sampled_from(
+                         [math.nan, math.inf, -math.inf]))}[how]
+            parent[key] = [value] if KIND[key] == cli._NUMS \
+                and how != "kind" else value
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_certify(doc, tmp)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err and "internal error" not in err
