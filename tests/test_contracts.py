@@ -11,20 +11,14 @@ from hypobgk.cli import load_config
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _perfbench_module(name: str):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up while the class is built
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_traced_name_resolves():
     # perfbench/tracer.py wraps these (owner, attribute) pairs by name; a
     # traced benchmark pass dies when one of them is missing
-    targets = _perfbench_module("tracer").targets()
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.targets()
     assert targets
     for owner, attr, name, _ in targets:
         assert callable(getattr(owner, attr)), (owner, attr, name)
@@ -37,14 +31,18 @@ def test_readme_library_example_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
-def test_every_benchmark_config_loads(tmp_path):
+def test_every_benchmark_config_loads(tmp_path, monkeypatch):
     # a config the reader rejects turns each command of its workload into
     # a failed benchmark operation
-    workloads = _perfbench_module("workloads")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look the module up while its classes are built
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
     for name in workloads.WORKLOADS:
         for seed in (5, 6):
             cfg_dir = tmp_path / f"{name}-{seed}"
-            workload = workloads.build(name, seed, cfg_dir)
-            assert workload.commands
+            assert workloads.build(name, seed, cfg_dir).commands
             for path in sorted(cfg_dir.glob("*.json")):
                 load_config(path)
