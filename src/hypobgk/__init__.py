@@ -54,14 +54,11 @@ from .models import (
 )
 from .propagation import ExactPropagator, augmented_generator, propagate
 from .analysis import (
-    DecayReport,
     affine_derivative_envelope,
     affine_uniform_envelope,
     check_envelope,
     entropy_envelope,
     entropy_series,
-    gronwall_cascade,
-    gronwall_chain,
     taylor_derivative_envelope,
 )
 

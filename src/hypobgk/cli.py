@@ -15,9 +15,11 @@ with floats printed to 17 significant digits so they round-trip exactly.
 For the base system (simulate, sweep) the entropy column holds the
 twisted entropy and the envelope column exp(-2 rate t) E(0); for
 derivative levels both columns hold the square-root entropy scale the
-certified bounds live on.  Every envelope, and the H and E_0(0) <= 1
-hypotheses of the derivative families, start from the initial stack at
-t = 0, also when the time grid starts later.  Initial data whose
+certified bounds live on.  The initial data do not depend on z, so
+every envelope, and the H and E_0(0) <= 1 hypotheses of the derivative
+families, are computed once per run from the initial stack at t = 0,
+also when the time grid starts later; check_envelope divides the (Z, T)
+entropies of all z samples by an envelope at once.  Initial data whose
 entropy is not finite at some level, and a Taylor-family run whose
 initial stacks break E_0(0) <= 1, are rejected before any propagation.
 Runs are deterministic: the same configuration produces byte-identical
@@ -32,11 +34,11 @@ trig sigma, start next to times), is invalid input like any other.
 
 simulate, derivatives and each sweep point run all z samples through
 the propagation core at once and keep only the entropy of each sample.
-Each CSV line is one %-template of %.17g fields applied to a row of
-those arrays, with \r\n line endings and run_id quoted once by the csv
-module's rules: the same bytes as format(x, ".17g") per value through
-csv.writer, at a fraction of the cost.  _write_csv consumes the lines
-lazily, so formatting happens while the file is written.
+Each CSV line is one %-template of %.17g fields applied to one (z, t)
+cell of those arrays, with \r\n line endings and run_id quoted once by
+the csv module's rules: the same bytes as format(x, ".17g") per value
+through csv.writer, at a fraction of the cost.  _write_csv consumes the
+lines lazily, so formatting happens while the file is written.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -372,6 +375,8 @@ def load_config(path: str | Path, out_override: str | None = None,
                 z_points = [0.5 * (lo + hi)]
             else:
                 z_points = list(np.linspace(lo, hi, grid["num"]))
+            if not z_points:
+                raise ConfigError("z grid is empty")
             for z in z_points:
                 if not lo <= z <= hi:
                     raise DomainError(
@@ -598,22 +603,18 @@ def cmd_verify(cfg: RunConfig, inflate_mu: float = 1.0) -> int:
 
 def _initial_stacks(cfg: RunConfig, cert: Certificate,
                     model: CollisionFrequencyModel, lattice: ModeLattice):
-    """Initial stack data of every z sample, its sigma rows and E0[n, z].
-
-    data has shape (Z, K+1, N+1, M), sigma_rows[z] holds
-    sigma^(0)..sigma^(N) at that z, and E0[n, z] is the twisted entropy
-    of level n of the initial stack at t = 0.  The initial data do not
-    depend on z, so they are projected once and every z reads the same
-    stack.  An entropy that is not finite raises DataError: no envelope
-    could be checked against it.
-    """
-    n_lvl = cfg.levels + 1
+    """Initial stack data (Z, K+1, N+1, M), sigma_rows[z] = sigma^(0..N)
+    at z, and E0[n], the entropy of level n at t = 0.  The initial data do
+    not depend on z: every z reads one projected stack, so E0 holds for
+    every z.  A non-finite E0 raises DataError: no envelope could be
+    checked against it."""
     stack = project_initial(cfg.initial, lattice, levels=cfg.levels).data
     data = np.broadcast_to(stack, (len(cfg.z_points),) + stack.shape)
-    sigma_rows = [[sigma_eval(model, z, n) for n in range(n_lvl)]
+    sigma_rows = [[sigma_eval(model, z, n) for n in range(cfg.levels + 1)]
                   for z in cfg.z_points]
     with np.errstate(over="ignore", invalid="ignore"):
-        E0 = np.stack([entropy_series(data, n, cert) for n in range(n_lvl)])
+        E0 = np.array([entropy_series(stack, n, cert)
+                       for n in range(cfg.levels + 1)])
     if not np.all(np.isfinite(E0)):
         raise DataError("the entropy of the initial data is not finite; "
                         "scale the initial data down")
@@ -638,200 +639,184 @@ def _entropies(cfg: RunConfig, cert: Certificate, lattice: ModeLattice,
     return E
 
 
-def _result_lines(run_id: str, z: float, times: list[str], report, tol: float):
-    """Yield the CSV lines of one checked series; the times come formatted.
-
-    run_id comes as a template field (_template_field).
-    """
-    template = (f"{run_id},{_FLOAT % z},%s,{report.level},"
-                f"{_FLOAT},{_FLOAT},{_FLOAT},%s\r\n")
-    yield from _lines(template, times, report.observed, report.envelope,
-                      report.ratio,
-                      np.where(report.ratio <= 1.0 + tol, "pass", "fail"))
+def _ratios(observed: np.ndarray, envelopes: np.ndarray) -> np.ndarray:
+    """Ratios[n, z, j] of observed[n, z, j] against envelopes[n, j]: one
+    envelope per level and run, checked against every z sample at once."""
+    return np.stack([check_envelope(obs, env, level=n)
+                     for n, (obs, env) in enumerate(zip(observed, envelopes))])
 
 
-def _base_checks(cfg: RunConfig, cert: Certificate,
-                 model: CollisionFrequencyModel, lattice: ModeLattice) -> list:
-    """Level-0 envelope check of every z sample: one DecayReport per z.
+def _base_run(cfg: RunConfig, cert: Certificate,
+              model: CollisionFrequencyModel, lattice: ModeLattice):
+    """Level-0 entropies E[0, z, j] and their envelope env[0, j].
 
     The envelope exp(-2 rate t) E(0) starts from the initial stack at
     t = 0, whatever time the grid starts at.
     """
     data, sigma_rows, E0 = _initial_stacks(cfg, cert, model, lattice)
-    E = _entropies(cfg, cert, lattice, data, sigma_rows)
-    return [check_envelope(cfg.times, E[0, i],
-                           entropy_envelope(float(E0[0, i]), cert.decay_rate,
-                                            cfg.times),
-                           level=0, tol=cfg.envelope_tol)
-            for i in range(len(cfg.z_points))]
+    E = _entropies(cfg, cert, lattice, data, sigma_rows)[:1]
+    return E, entropy_envelope(E0[0], cert.decay_rate, cfg.times)[None]
 
 
-def _summary_row(L: float, sigma0: float, z: float, cert: Certificate,
-                 worst: float, tol: float) -> tuple:
-    return (L, sigma0, z, cert.alpha, cert.alpha_max, cert.lambda_min,
-            cert.mu, cert.decay_rate, cert.ctilde, worst,
-            "pass" if worst <= 1.0 + tol else "fail")
+def _result_lines(run_id: str, keys, times: list[str], observed, envelope,
+                  ratio, tol: float):
+    """Yield the CSV lines of an (R, T) block of checked series.
+
+    Row r of observed and ratio is the series of keys[r] = (z, level) at
+    the times, which come formatted; the envelope is broadcast to the
+    block's shape.  run_id comes as a template field (_template_field).
+    """
+    lead = []
+    for z, level in keys:
+        z = _FLOAT % z
+        lead += [f"{z},{t},{level}" for t in times]
+    yield from _lines(f"{run_id},%s,{_FLOAT},{_FLOAT},{_FLOAT},%s\r\n", lead,
+                      observed.ravel(),
+                      np.broadcast_to(envelope, ratio.shape).ravel(),
+                      ratio.ravel(),
+                      np.where(ratio <= 1.0 + tol, "pass", "fail").ravel())
+
+
+def _summary_rows(L: float, sigma0: float, zs, cert: Certificate,
+                  ratios, tol: float) -> list[tuple]:
+    """One row per z: its worst ratio over every level and time of every
+    ratios[n, z, j] array."""
+    worst = np.max([r.max(axis=(0, 2)) for r in ratios], axis=0)
+    return [(L, sigma0, z, cert.alpha, cert.alpha_max, cert.lambda_min,
+             cert.mu, cert.decay_rate, cert.ctilde, w,
+             "pass" if w <= 1.0 + tol else "fail")
+            for z, w in zip(zs, worst.tolist())]
 
 
 def _summary_lines(run_id: str, rows: list[tuple]):
-    """CSV lines of _summary_row rows; run_id as in _result_lines."""
+    """CSV lines of _summary_rows rows; run_id as in _result_lines."""
     template = f"{run_id}{f',{_FLOAT}' * 10},%s\r\n"
     return map(template.__mod__, rows)
+
+
+def _write_summary(cfg: RunConfig, run_id: str, rows: list[tuple],
+                   fail: str, ok: str) -> int:
+    """Write summary.csv; print fail and exit 1 if a row failed, else ok."""
+    _write_csv(cfg.out_dir / "summary.csv", SUMMARY_HEADER,
+               _summary_lines(run_id, rows), seed=cfg.seed_used)
+    if any(row[-1] == "fail" for row in rows):
+        print(fail)
+        return EXIT_ALARM
+    print(ok)
+    return EXIT_OK
+
+
+def _write_z_run(cfg: RunConfig, cert: Certificate, observed: np.ndarray,
+                 families: dict, fail: str, ok: str) -> int:
+    """Check observed[n, z, j] against each envelope family[n, j]; write one
+    CSV per z and family, holding every level of that z, and the summary."""
+    ratios = {suffix: _ratios(observed, envs)
+              for suffix, envs in families.items()}
+    run_id = _template_field(cfg.run_id)
+    times = [_FLOAT % t for t in cfg.times]
+    for i, z in enumerate(cfg.z_points):
+        keys = [(z, n) for n in range(len(observed))]
+        for suffix, envs in families.items():
+            _write_csv(cfg.out_dir / f"{cfg.run_id}_z{i:03d}{suffix}.csv",
+                       RESULT_HEADER,
+                       _result_lines(run_id, keys, times, observed[:, i], envs,
+                                     ratios[suffix][:, i], cfg.envelope_tol),
+                       seed=cfg.seed_used)
+    return _write_summary(cfg, run_id, _summary_rows(
+        cfg.lattice.L, cfg.model.params[0], cfg.z_points, cert,
+        ratios.values(), cfg.envelope_tol), fail, ok)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Exact trajectories with the base decay envelope, one CSV per z."""
     cert = _certify_config(cfg)
-    reports = _base_checks(cfg, cert, cfg.model, cfg.lattice)
-    times = [_FLOAT % t for t in cfg.times]
-    run_id = _template_field(cfg.run_id)
-    summary = []
-    all_pass = True
-    for i, (z, report) in enumerate(zip(cfg.z_points, reports)):
-        _write_csv(cfg.out_dir / f"{cfg.run_id}_z{i:03d}.csv", RESULT_HEADER,
-                   _result_lines(run_id, z, times, report, cfg.envelope_tol),
-                   seed=cfg.seed_used)
-        summary.append(_summary_row(cfg.lattice.L, cfg.model.params[0], z,
-                                    cert, report.max_ratio, cfg.envelope_tol))
-        all_pass &= report.max_ratio <= 1.0 + cfg.envelope_tol
-    _write_csv(cfg.out_dir / "summary.csv", SUMMARY_HEADER,
-               _summary_lines(run_id, summary), seed=cfg.seed_used)
+    E, env = _base_run(cfg, cert, cfg.model, cfg.lattice)
     n = len(cfg.z_points)
-    if not all_pass:
-        print(f"FAIL: envelope violated on {n} z-sample run; see summary.csv")
-        return EXIT_ALARM
-    print(f"pass: {n} z-samples, {len(cfg.times)} times, "
-          f"rate {cert.decay_rate:.12g}")
-    return EXIT_OK
-
-
-def _derivative_envelopes(cfg: RunConfig, cert: Certificate,
-                          sqrt0: np.ndarray, H: float, e0_ok: bool,
-                          chat: float | None):
-    """Envelope series per level and family for one z run.
-
-    Returns a list of (family, level, envelope array).  The affine family
-    (chat None) uses the chain bound (and, when the uniform hypothesis
-    holds, the uniform form); other variants use the Taylor-bound family
-    with constant chat, whose hypothesis E_0(0) <= 1 cmd_derivatives
-    checks before propagating.
-    """
-    times = np.asarray(cfg.times)
-    out = []
-    if chat is None:
-        c1 = cfg.model.params[1] if cfg.model.variant == "affine" else 0.0
-        coupling = abs(c1) * cert.ctilde
-        for n in range(cfg.levels + 1):
-            out.append(("chain", n,
-                        affine_derivative_envelope(n, times, cert, coupling,
-                                                   sqrt0)))
-        if e0_ok:
-            for n in range(cfg.levels + 1):
-                out.append(("uniform", n,
-                            affine_uniform_envelope(n, times, cert, coupling,
-                                                    H)))
-    else:
-        for n in range(cfg.levels + 1):
-            out.append(("taylor", n,
-                        taylor_derivative_envelope(n, times, cert, chat, H)))
-    return out
+    return _write_z_run(
+        cfg, cert, E, {"": env},
+        f"FAIL: envelope violated on {n} z-sample run; see summary.csv",
+        f"pass: {n} z-samples, {len(cfg.times)} times, "
+        f"rate {cert.decay_rate:.12g}")
 
 
 def cmd_derivatives(cfg: RunConfig) -> int:
-    """Check certified sensitivity envelopes for derivative levels 1..N."""
+    """Check certified sensitivity envelopes for derivative levels 0..N.
+
+    Constant and affine sigma use the chain bound and, when E_0(0) <= 1,
+    the uniform form too, in a second file per z; other variants use the
+    Taylor-bound family, whose hypothesis E_0(0) <= 1 is checked before
+    propagating.  The envelopes, H and E_0(0) come from the initial
+    stack at t = 0.
+    """
     if cfg.levels < 1:
         raise UsageError(
             "derivatives needs N >= 1 stored derivative levels; "
             "set domain.N in the config")
     cert = _certify_config(cfg)
     data, sigma_rows, E0 = _initial_stacks(cfg, cert, cfg.model, cfg.lattice)
-    sqrt_E0 = np.sqrt(E0)
-    # envelopes, H and the uniform hypothesis start from the initial stack
-    # at t = 0
-    e0_ok = sqrt_E0[0] <= 1.0 + 1e-9
-    chat = None
-    if cfg.model.variant not in ("constant", "affine"):
+    sqrt0 = np.sqrt(E0)
+    e0_ok = sqrt0[0] <= 1.0 + 1e-9
+    H = max((float(s) ** (1.0 / n) for n, s in enumerate(sqrt0)
+             if n and s > 0.0), default=0.0) * (1.0 + 1e-9)
+    times, rate = cfg.times, cert.decay_rate
+    levels = range(cfg.levels + 1)
+    if cfg.model.variant in ("constant", "affine"):
+        c1 = cfg.model.params[1] if cfg.model.variant == "affine" else 0.0
+        coupling = abs(c1) * cert.ctilde
+        families = {"": np.array([affine_derivative_envelope(
+            n, times, rate, coupling, sqrt0) for n in levels])}
+        if e0_ok:
+            families["_uniform"] = np.array([affine_uniform_envelope(
+                n, times, rate, coupling, H) for n in levels])
+    else:
         chat = cert.ctilde * taylor_bound(cfg.model)
-        if not e0_ok.all():
+        if not e0_ok:
             raise DataError(
                 "the Taylor-bound envelope needs initial entropy E_0(0) <= 1; "
                 "scale the initial data down")
+        families = {"": np.array([taylor_derivative_envelope(
+            n, times, rate, chat, H) for n in levels])}
     sqrt_E = np.sqrt(_entropies(cfg, cert, cfg.lattice, data, sigma_rows))
-    times = [_FLOAT % t for t in cfg.times]
-    run_id = _template_field(cfg.run_id)
-    summary = []
-    all_pass = True
-    for i, z in enumerate(cfg.z_points):
-        sqrt0 = sqrt_E0[:, i]
-        H = 0.0
-        for n in range(1, cfg.levels + 1):
-            if sqrt0[n] > 0.0:
-                H = max(H, float(sqrt0[n]) ** (1.0 / n))
-        H *= 1.0 + 1e-9
-        families = _derivative_envelopes(cfg, cert, sqrt0, H, bool(e0_ok[i]),
-                                         chat)
-        worst = 0.0
-        primary, uniform = [], []
-        for family, n, env in families:
-            report = check_envelope(cfg.times, sqrt_E[n, i], env, level=n,
-                                    tol=cfg.envelope_tol)
-            worst = max(worst, report.max_ratio)
-            (uniform if family == "uniform" else primary).append(report)
-        for suffix, reports in (("", primary), ("_uniform", uniform)):
-            if reports:
-                _write_csv(cfg.out_dir / f"{cfg.run_id}_z{i:03d}{suffix}.csv",
-                           RESULT_HEADER,
-                           (line for report in reports
-                            for line in _result_lines(run_id, z, times, report,
-                                                      cfg.envelope_tol)),
-                           seed=cfg.seed_used)
-        summary.append(_summary_row(cfg.lattice.L, cfg.model.params[0], z,
-                                    cert, worst, cfg.envelope_tol))
-        all_pass &= worst <= 1.0 + cfg.envelope_tol
-    _write_csv(cfg.out_dir / "summary.csv", SUMMARY_HEADER,
-               _summary_lines(run_id, summary), seed=cfg.seed_used)
-    if not all_pass:
-        print("FAIL: derivative envelope violated; see summary.csv")
-        return EXIT_ALARM
-    print(f"pass: {len(cfg.z_points)} z-samples, levels 0..{cfg.levels}")
-    return EXIT_OK
+    return _write_z_run(
+        cfg, cert, sqrt_E, families,
+        "FAIL: derivative envelope violated; see summary.csv",
+        f"pass: {len(cfg.z_points)} z-samples, levels 0..{cfg.levels}")
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """Level-0 envelope runs over the (L, sigma0) grid, one file per point."""
     times = [_FLOAT % t for t in cfg.times]
     run_id = _template_field(cfg.run_id)
+    keys = [(z, 0) for z in cfg.z_points]
+    # summary rows of a point in increasing z
+    order = sorted(range(len(keys)), key=lambda i: cfg.z_points[i])
     summary = []
-    all_pass = True
     for i, Lv in enumerate(cfg.sweep_L_values):
         for j, s0 in enumerate(cfg.sweep_sigma0_values):
             model = _with_offset(cfg.model, s0)
             lattice = ModeLattice(K=cfg.lattice.K, L=Lv, M=cfg.lattice.M)
             cert = _certify_config(cfg, L=Lv, model=model)
-            reports = _base_checks(cfg, cert, model, lattice)
+            E, env = _base_run(cfg, cert, model, lattice)
+            ratio = _ratios(E, env)
             _write_csv(cfg.out_dir / f"sweep_L{i:03d}_s{j:03d}.csv",
                        RESULT_HEADER,
-                       (line for z, report in zip(cfg.z_points, reports)
-                        for line in _result_lines(run_id, z, times, report,
-                                                  cfg.envelope_tol)),
+                       _result_lines(run_id, keys, times, E[0], env,
+                                     ratio[0], cfg.envelope_tol),
                        seed=cfg.seed_used)
-            # summary rows of a point in increasing z
-            for z, report in sorted(zip(cfg.z_points, reports),
-                                    key=lambda pair: pair[0]):
-                summary.append(_summary_row(Lv, s0, z, cert, report.max_ratio,
-                                            cfg.envelope_tol))
-                all_pass &= report.max_ratio <= 1.0 + cfg.envelope_tol
-    _write_csv(cfg.out_dir / "summary.csv", SUMMARY_HEADER,
-               _summary_lines(run_id, summary), seed=cfg.seed_used)
-    if not all_pass:
-        print("FAIL: envelope violated inside the sweep; see summary.csv")
-        return EXIT_ALARM
+            rows = _summary_rows(Lv, s0, cfg.z_points, cert, [ratio],
+                                 cfg.envelope_tol)
+            summary += [rows[k] for k in order]
     n_points = len(cfg.sweep_L_values) * len(cfg.sweep_sigma0_values)
-    print(f"pass: {n_points} sweep points x {len(cfg.z_points)} z-samples")
-    return EXIT_OK
+    return _write_summary(
+        cfg, run_id, summary,
+        "FAIL: envelope violated inside the sweep; see summary.csv",
+        f"pass: {n_points} sweep points x {len(cfg.z_points)} z-samples")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: parsing
+    leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="hypobgk",
         description="certified decay and sensitivity envelopes for a linear "

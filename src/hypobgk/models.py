@@ -27,6 +27,7 @@ components are either cleared or reported as an error.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -283,6 +284,12 @@ class InitialDataSpec:
             raise UsageError("separable initial data needs velocity_poly")
         if self.kind == "random" and self.fill not in ("all", "level0"):
             raise UsageError(f"unknown random fill mode {self.fill!r}")
+        for name, values in (("scale", [self.scale]),
+                             ("velocity_poly", self.velocity_poly),
+                             ("entries", [x[-1] for x in self.entries]),
+                             ("fourier", [x[-1] for x in self.fourier])):
+            if not all(cmath.isfinite(v) for v in values):
+                raise UsageError(f"non-finite value in {name}")
 
 
 def _apply_normalization(data: np.ndarray, mode: str) -> None:

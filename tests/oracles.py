@@ -15,8 +15,11 @@ build_reduced_block, the minors and the spectrum of P_k are the paper's
 closed forms they are checked against.  evolve_reference integrates the
 mode equations with classical RK4, an independent cross-check of the
 exact exponential steps, and hermite_functions and synthesize evaluate
-an expansion in the velocity basis.  Tests compare the package against
-them; nothing in the package imports this module.
+an expansion in the velocity basis.  gronwall_cascade is the scalar
+derivative cascade, with its exact sum next to the relaxed bound, that
+taylor_derivative_envelope evaluates over whole time grids.  Tests
+compare the package against them; nothing in the package imports this
+module.
 """
 
 from __future__ import annotations
@@ -391,6 +394,50 @@ def evolve_reference(state, dt: float, model, substeps: int = 1000):
     if not np.all(np.isfinite(out.view(float))):
         raise NumericError("reference integrator produced non-finite values")
     return replace(state, t=state.t + dt, data=out)
+
+
+def _or_inf(f) -> float:
+    """f(), or inf where it overflows the float range."""
+    try:
+        return f()
+    except OverflowError:
+        return math.inf
+
+
+def gronwall_cascade(level: int, t: float, coupling: float,
+                     H: float) -> tuple[float, float]:
+    """Bounds for a cascade g_n' <= coupling * sum_{i<n} g_i, g_n(0) <= H^n/n!.
+
+    Returns (exact_sum, relaxed):
+
+        exact_sum = H^n/n! + (1+H)^(n+1)
+                    sum_{j=1..n} (coupling t)^j / (j! (j-1)!) * (n-1)!/(n-j)!
+        relaxed   = H^n/n! + (1+H)^(n+1) min((1 + coupling t)^n,
+                                             exp(coupling t) 2^(n-1))
+
+    with exact_sum <= relaxed.  Level 0 has no sources: both bounds are 1.
+    Python floats throughout, so math.exp and float ** are the references.
+    """
+    if level < 0 or H < 0.0 or coupling < 0.0 or t < 0.0:
+        raise UsageError("need level >= 0, t >= 0, H >= 0 and coupling >= 0")
+    if level == 0:
+        return 1.0, 1.0
+    n, t = level, float(t)
+    head = H**n / math.factorial(n)
+    amp = (1.0 + H) ** (n + 1)
+    tail = _or_inf(lambda: sum(
+        (coupling * t) ** j
+        / (math.factorial(j) * math.factorial(j - 1))
+        * (math.factorial(n - 1) / math.factorial(n - j))
+        for j in range(1, n + 1)
+    ))
+    exact = head + amp * tail
+    # where one branch of the min overflows, the min is the other branch
+    relaxed = head + amp * min(
+        _or_inf(lambda: (1.0 + coupling * t) ** n),
+        _or_inf(lambda: math.exp(coupling * t) * 2.0 ** (n - 1)),
+    )
+    return exact, relaxed
 
 
 def hermite_functions(M: int, v: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from hypobgk import (
     InitialDataSpec,
     ModeLattice,
     StateStack,
+    affine_derivative_envelope,
     affine_model,
     affine_uniform_envelope,
     build_operators,
@@ -28,8 +29,6 @@ from hypobgk import (
     constant_model,
     entropy_envelope,
     entropy_series,
-    gronwall_cascade,
-    gronwall_chain,
     polynomial_model,
     project_initial,
     propagate,
@@ -43,7 +42,7 @@ from hypobgk import (
 )
 from hypobgk.cli import main
 from hypobgk.lyapunov import TWIST_GAIN
-from oracles import evolve_reference, minor_det3
+from oracles import evolve_reference, gronwall_cascade, minor_det3
 
 TIMES = np.arange(0.0, 20.0001, 0.5)
 DTS = np.diff(TIMES, prepend=0.0)
@@ -195,8 +194,8 @@ def test_criterion_05_affine_derivative_envelopes():
                 snaps = _trajectory(state, model)
                 sq = _sqrt_entropy_series(snaps, 4, cert)
                 for n in range(5):
-                    env = gronwall_chain(n, TIMES, cert.decay_rate, coupling,
-                                         sq[:n + 1, 0])
+                    env = affine_derivative_envelope(n, TIMES, cert.decay_rate,
+                                                     coupling, sq[:n + 1, 0])
                     assert np.all(sq[n] <= env * (1.0 + 1e-8))
                 # second family needs the level-0 hypothesis: rescale
                 scale = max(float(sq[0, 0]), 1.0)
@@ -207,7 +206,8 @@ def test_criterion_05_affine_derivative_envelopes():
                 assert sq2[0, 0] <= 1.0 + 1e-12
                 H = _uniform_H(sq2[:, 0])
                 for n in range(5):
-                    env = affine_uniform_envelope(n, TIMES, cert, coupling, H)
+                    env = affine_uniform_envelope(n, TIMES, cert.decay_rate,
+                                                  coupling, H)
                     assert np.all(sq2[n] <= env * (1.0 + 1e-8))
 
 
@@ -230,7 +230,8 @@ def test_criterion_06_taylor_derivative_envelopes():
                 assert sq[0, 0] <= 1.0 + 1e-12
                 H = _uniform_H(sq[:, 0])
                 for n in range(5):
-                    env = taylor_derivative_envelope(n, TIMES, cert, chat, H)
+                    env = taylor_derivative_envelope(n, TIMES, cert.decay_rate,
+                                                     chat, H)
                     assert np.all(sq[n] <= env * (1.0 + 1e-8))
 
 
@@ -257,7 +258,8 @@ def test_criterion_07_sensitivity_finite_differences():
 def test_criterion_08_gronwall_oracles():
     with criterion(8, "Gronwall chain and cascade oracles"):
         # worked values
-        worked = gronwall_chain(1, [0.5], 1.0, 2.0, [3.0, 1.0])[0]
+        worked = affine_derivative_envelope(1, [0.5], 1.0, 2.0,
+                                            [3.0, 1.0])[0]
         assert abs(worked - 4.0 * math.exp(-0.5)) <= 1e-12
         exact, relaxed = gronwall_cascade(2, 1.0, 1.0, 1.0)
         assert abs(exact - 12.5) <= 1e-12
@@ -283,7 +285,8 @@ def test_criterion_08_gronwall_oracles():
             k4 = rhs(y + h * k3)
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         for level in range(n + 1):
-            bound = gronwall_chain(level, [T], rate, C, y0[:level + 1])
+            bound = affine_derivative_envelope(level, [T], rate, C,
+                                               y0[:level + 1])
             assert abs(y[level] - bound[0]) <= 1e-8
 
         # exact form never exceeds the relaxed form

@@ -1,6 +1,7 @@
-"""Entropy functional, Gronwall envelopes and the report plumbing."""
+"""Entropy functional, Gronwall envelopes and envelope ratios."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,20 +15,19 @@ from hypobgk import (
     UsageError,
     affine_model,
     NumericError,
+    affine_derivative_envelope,
     affine_uniform_envelope,
     build_operators,
     certify,
     check_envelope,
     entropy_envelope,
     entropy_series,
-    gronwall_cascade,
-    gronwall_chain,
     project_initial,
     propagate,
     sigma_eval,
     taylor_derivative_envelope,
 )
-from oracles import build_transforms, entropy_dense
+from oracles import build_transforms, entropy_dense, gronwall_cascade
 
 LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
 
@@ -100,28 +100,58 @@ def test_envelope_shape():
 
 
 def test_gronwall_chain_level0():
-    out = gronwall_chain(0, [0.0, 2.0], 0.3, 1.0, [5.0])
+    out = affine_derivative_envelope(0, [0.0, 2.0], 0.3, 1.0, [5.0])
     assert_allclose(out, 5.0 * np.exp(-0.3 * np.array([0.0, 2.0])), rtol=1e-15)
 
 
 def test_gronwall_chain_worked_value():
     # binomial sum at n=1: e^{-0.5} (1 + 2*0.5*3) = 4 e^{-0.5}
-    out = gronwall_chain(1, [0.5], 1.0, 2.0, [3.0, 1.0])
+    out = affine_derivative_envelope(1, [0.5], 1.0, 2.0, [3.0, 1.0])
     assert out[0] == pytest.approx(4.0 * math.exp(-0.5), abs=1e-12)
 
 
 def test_gronwall_chain_validation():
     with pytest.raises(UsageError):
-        gronwall_chain(1, [0.0], 1.0, -1.0, [1.0, 1.0])
+        affine_derivative_envelope(1, [0.0], 1.0, -1.0, [1.0, 1.0])
     with pytest.raises(UsageError):
-        gronwall_chain(2, [0.0], 1.0, 1.0, [1.0, 1.0])  # needs 3 entries
+        # needs 3 entries
+        affine_derivative_envelope(2, [0.0], 1.0, 1.0, [1.0, 1.0])
     with pytest.raises(UsageError):
-        gronwall_chain(1, [0.0], 1.0, 1.0, [-1.0, 1.0])
+        affine_derivative_envelope(1, [0.0], 1.0, 1.0, [-1.0, 1.0])
 
 
 def test_uniform_envelope_worked_value():
     out = affine_uniform_envelope(1, [0.5], 1.0, 2.0, 3.0)
     assert out[0] == pytest.approx(4.0 * math.exp(-0.5), abs=1e-12)
+
+
+# envelope values of the per-z implementation, kept bit for bit
+FIXED_TIMES = [0.0, 0.37, 2.5, 11.0, 80.0]
+FIXED_CHAIN = {
+    0: [0.9, 0.7181617076973708, 0.1958589511787096, 0.001096797712141577,
+        5.763307508955508e-22],
+    1: [0.4, 0.3802985425238777, 0.1996673196738512, 0.003262363861558891,
+        1.0860632816876157e-20],
+    3: [0.7, 0.6168770300667803, 0.3697595976868159, 0.030287982661236047,
+        3.85970343215553e-18],
+}
+FIXED_UNIFORM = {
+    0: [1.0, 0.7979574529970785, 0.2176210568652329, 0.0012186641246017523,
+        6.403675009950564e-22],
+    1: [0.8, 0.7062721416477142, 0.2992289531896952, 0.004058151534923835,
+        1.2295056019105086e-20],
+    3: [0.5120000000000001, 0.553295015373824, 0.5657297396242675,
+        0.04500043655561692, 4.5324494508829e-18],
+}
+
+
+@pytest.mark.parametrize("level", [0, 1, 3])
+def test_affine_envelopes_keep_fixed_values(level):
+    chain = affine_derivative_envelope(level, FIXED_TIMES, 0.61, 0.23,
+                                       [0.9, 0.4, 0.25, 0.7])
+    uniform = affine_uniform_envelope(level, FIXED_TIMES, 0.61, 0.23, 0.8)
+    assert chain.tolist() == FIXED_CHAIN[level]
+    assert uniform.tolist() == FIXED_UNIFORM[level]
 
 
 def test_cascade_worked_values():
@@ -138,7 +168,7 @@ def test_taylor_envelope_is_scaled_cascade():
         env = taylor_derivative_envelope(n, times, rate, chat, H)
         expect = [math.exp(-rate * t) * math.factorial(n)
                   * gronwall_cascade(n, float(t), chat, H)[1] for t in times]
-        assert_allclose(env, expect, rtol=1e-13)
+        assert_allclose(env, expect, rtol=1e-15, atol=0)
     assert_allclose(taylor_derivative_envelope(0, times, rate, chat, H),
                     np.exp(-rate * times), rtol=1e-14)
 
@@ -165,37 +195,67 @@ def test_cascade_where_a_branch_overflows():
     assert np.all(np.isfinite(env))
 
 
+def test_taylor_envelope_against_the_cascade_where_a_branch_overflows():
+    # beyond chat t = 709.78 the exponential branch overflows and the
+    # polynomial one is the min; at 1e200 both overflow, and the envelope
+    # is inf * exp(-rate t) = nan, as in the scalar reference
+    rate, chat, H = 0.4, 1.5, 0.3
+    times = [0.0, 1.0, 473.0, 600.0, 5000.0, 1e5, 1e200]
+    for n in (1, 2, 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = taylor_derivative_envelope(n, times, rate, chat, H)
+        expect = [math.exp(-rate * t) * math.factorial(n)
+                  * gronwall_cascade(n, t, chat, H)[1] for t in times]
+        assert_allclose(env, expect, rtol=1e-15, atol=0)
+    assert math.isnan(env[-1]) and math.isnan(expect[-1])
+
+
 @pytest.mark.parametrize("observed, envelope", [
     ([1.0, math.nan], [1.0, 1.0]),
     ([1.0, math.inf], [1.0, 1.0]),
     ([1.0, 0.5], [1.0, math.nan]),
 ], ids=["nan-observed", "inf-observed", "nan-envelope"])
 def test_check_envelope_rejects_nan_verdicts(observed, envelope):
-    with pytest.raises(NumericError):
-        check_envelope([0.0, 1.0], observed, envelope)
+    with pytest.raises(NumericError, match="level 3"):
+        check_envelope(observed, envelope, level=3)
 
 
 def test_check_envelope_zero_trajectory():
     times = np.array([0.0, 1.0])
-    report = check_envelope(times, np.zeros(2), np.exp(-times))
-    assert report.passed
-    assert_allclose(report.ratio, 0.0, rtol=0)
+    ratio = check_envelope(np.zeros(2), np.exp(-times))
+    assert np.all(ratio <= 1.0 + 1e-8)
+    assert_allclose(ratio, 0.0, rtol=0)
 
 
 def test_check_envelope_constructed_violation():
     times = np.linspace(0.0, 5.0, 6)
     env = np.exp(-times)
     observed = np.exp(-times) * np.exp(0.3 * times) * 0.9
-    report = check_envelope(times, observed, env)
-    assert not report.passed
-    assert report.ratio[-1] > 1.0
-    assert report.max_ratio == pytest.approx(0.9 * math.exp(1.5), rel=1e-12)
+    ratio = check_envelope(observed, env)
+    assert not np.all(ratio <= 1.0 + 1e-8)
+    assert ratio[-1] > 1.0
+    assert ratio.max() == pytest.approx(0.9 * math.exp(1.5), rel=1e-12)
 
 
 def test_check_envelope_zero_envelope_positive_observed():
-    report = check_envelope([0.0], [1.0], [0.0])
-    assert math.isinf(report.max_ratio)
-    assert not report.passed
+    ratio = check_envelope([1.0], [0.0])
+    assert math.isinf(ratio.max())
+    assert not np.all(ratio <= 1.0 + 1e-8)
+
+
+def test_check_envelope_takes_one_row_per_z():
+    # one envelope over the times, checked against every row at once
+    env = np.array([2.0, 1.0, 0.0])
+    observed = np.array([[1.0, 0.5, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    ratio = check_envelope(observed, env)
+    assert ratio.shape == (3, 3)
+    assert ratio.tolist() == [[0.5, 0.5, 0.0], [1.0, 2.0, 0.0],
+                              [0.0, 0.0, math.inf]]
+    with pytest.raises(UsageError):
+        check_envelope(observed, env[:2])
+    with pytest.raises(UsageError):
+        check_envelope(-observed, env)
 
 
 def test_per_mode_dissipation_inequality():

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypobgk import DecayReport, NumericError, certify, cli, verify_grid
+from hypobgk import NumericError, certify, cli, entropy_series, verify_grid
 from hypobgk.cli import RESULT_HEADER, dump_config, load_config, main
 
 BASE = {
@@ -333,6 +334,64 @@ def test_derivatives_writes_all_levels(tmp_path):
     assert (out / "t_z000_uniform.csv").exists()
 
 
+def test_initial_entropy_is_one_value_per_level(tmp_path):
+    # every z reads the same initial stack, so E_n(0) is one number per
+    # level, equal bit for bit to the entropy of each z sample's stack
+    cfg = load_config(write_config(tmp_path, domain={"N": 2},
+                                   z_grid={"num": 5}))
+    cert = certify(cfg.lattice.L, cfg.model.sigma_min, cfg.model.sigma_max,
+                   alpha_strategy=cfg.alpha_strategy)
+    data, sigma_rows, E0 = cli._initial_stacks(cfg, cert, cfg.model,
+                                               cfg.lattice)
+    assert E0.shape == (3,)
+    assert data.shape == (5, cfg.lattice.K + 1, 3, cfg.lattice.M)
+    assert len(sigma_rows) == 5
+    for n in range(3):
+        assert entropy_series(data, n, cert).tolist() == [E0[n]] * 5
+
+
+@pytest.mark.parametrize("scale, uniform", [(0.05, True), (5.0, False)])
+def test_uniform_family_written_only_when_e0_at_most_one(tmp_path, scale,
+                                                         uniform):
+    path = write_config(tmp_path, z_grid={"num": 3},
+                        initial_data={"type": "random", "seed": 3,
+                                      "scale": scale})
+    out = tmp_path / "out"
+    assert main(["derivatives", "--config", str(path), "--out", str(out)]) == 0
+    assert len(list(out.glob("t_z*.csv"))) == (6 if uniform else 3)
+    assert len(list(out.glob("t_z*_uniform.csv"))) == (3 if uniform else 0)
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    path = str(write_config(tmp_path))
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["verify", "--inflate-mu", "50", "--config", path,
+                 "--out", str(tmp_path / "a")]) == 1
+    assert main(["verify", "--config", path,
+                 "--out", str(tmp_path / "b")]) == 0
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "separable", "velocity_poly": [math.inf],
+     "fourier": [{"k": 1, "re": 1.0}]},
+    {"type": "separable", "velocity_poly": [math.nan], "fourier": []},
+    {"type": "separable", "velocity_poly": [1.0],
+     "fourier": [{"k": 1, "re": 1.0, "im": -math.inf}]},
+    {"type": "coefficients", "entries": [{"k": 1, "m": 3, "re": math.nan}]},
+    {"type": "random", "seed": 1, "scale": math.inf},
+], ids=["poly-inf", "poly-nan-no-fourier", "fourier-im", "entry-re",
+        "scale-inf"])
+def test_non_finite_initial_data_exit_invalid(tmp_path, spec):
+    doc = json.loads(json.dumps(BASE))
+    doc["domain"]["N"] = 0
+    doc["initial_data"] = spec
+    code, err = run_command(doc, tmp_path, "simulate")
+    assert code == 2
+    assert err.startswith("error: invalid configuration:\n"
+                          "  - initial_data: non-finite value in ")
+    assert err.count("\n") == 2 and "Warning" not in err
+
+
 def test_derivatives_without_levels_rejected(tmp_path, capsys):
     path = write_config(tmp_path, domain={"N": 0})
     assert main(["derivatives", "--config", str(path),
@@ -471,6 +530,22 @@ def test_taylor_envelope_at_long_horizons(tmp_path, capsys):
     assert all(row.endswith(",pass") for row in rows)
 
 
+def test_envelope_nan_beyond_the_float_range_is_a_numeric_failure(tmp_path):
+    # at t = 1e160 both branches of the Taylor min overflow and
+    # exp(-rate t) underflows: the level-2 envelope is nan, which has no
+    # verdict, and nothing else is printed
+    doc = json.loads(json.dumps(BASE))
+    doc.update(domain={"K": 2, "M": 8, "N": 2},
+               sigma={"variant": "trig", "sigma0": 1.0, "eps": 0.2,
+                      "omega": 1.0},
+               time_grid={"times": [0.0, 1e3, 1e160]},
+               initial_data={"type": "random", "seed": 3, "scale": 0.01})
+    code, err = run_command(doc, tmp_path, "derivatives")
+    assert code == 3
+    assert err.startswith("numeric failure: level 2: ")
+    assert err.count("\n") == 1
+
+
 def test_tiny_period_exits_invalid(tmp_path, capsys):
     path = write_config(tmp_path, domain={"L": 1e-80})
     assert main(["certify", "--config", str(path),
@@ -559,38 +634,43 @@ _CSV_FLOATS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(run_id=st.text(min_size=1, max_size=12), z=_CSV_FLOATS,
-       rows=st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS, _CSV_FLOATS,
-                               _CSV_FLOATS), max_size=8),
-       level=st.integers(0, 5))
-def test_csv_lines_match_the_csv_module(run_id, z, rows, level):
-    # the %-template lines equal per-value format(x, ".17g") through
-    # csv.writer, byte for byte
+@given(run_id=st.text(min_size=1, max_size=12),
+       zs=st.lists(_CSV_FLOATS, min_size=1, max_size=3),
+       series=st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS), max_size=8),
+       level=st.integers(0, 5), data=st.data())
+def test_csv_lines_match_the_csv_module(run_id, zs, series, level, data):
+    # the %-template lines of a (Z, T) block, one envelope over the times,
+    # equal per-value format(x, ".17g") through csv.writer, byte for byte,
+    # one line per z and time
+    shape = (len(zs), len(series))
+    cells = data.draw(st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS),
+                               min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))
+    observed = np.array([c[0] for c in cells]).reshape(shape)
+    ratio = np.array([c[1] for c in cells]).reshape(shape)
+    rows = [(z, t, env, observed[i, j], ratio[i, j])
+            for i, z in enumerate(zs) for j, (t, env) in enumerate(series)]
+    times = [cli._FLOAT % t for t, _ in series]
     for text in (run_id, 'a,b "c"', "50%", "x\ny", " lead"):
-        report = DecayReport(level=level,
-                             times=np.array([r[0] for r in rows]),
-                             observed=np.array([r[1] for r in rows]),
-                             envelope=np.array([r[2] for r in rows]),
-                             ratio=np.array([r[3] for r in rows]),
-                             max_ratio=0.0, passed=True)
-        times = [cli._FLOAT % t for t in report.times.tolist()]
-        got = "".join(cli._result_lines(cli._template_field(text), z, times,
-                                        report, 1e-8))
+        lines = list(cli._result_lines(
+            cli._template_field(text), [(z, level) for z in zs], times,
+            observed, np.array([env for _, env in series]), ratio, 1e-8))
+        assert len(lines) == shape[0] * shape[1]
         buf = io.StringIO()
         writer = csv.writer(buf)
-        for t, obs, env, ratio in rows:
+        for z, t, env, obs, r in rows:
             writer.writerow([text, format(z, ".17g"), format(t, ".17g"),
                              str(level), format(obs, ".17g"),
-                             format(env, ".17g"), format(ratio, ".17g"),
-                             "pass" if ratio <= 1.0 + 1e-8 else "fail"])
-        assert got == buf.getvalue()
+                             format(env, ".17g"), format(r, ".17g"),
+                             "pass" if r <= 1.0 + 1e-8 else "fail"])
+        assert "".join(lines) == buf.getvalue()
         summary = "".join(cli._summary_lines(cli._template_field(text),
-                                             [(z,) + r * 2 + (z, "pass")
-                                              for r in rows]))
+                                             [row * 2 + ("pass",)
+                                              for row in rows]))
         buf = io.StringIO()
         csv.writer(buf).writerows(
-            [text] + [format(x, ".17g") for x in (z,) + r * 2 + (z,)]
-            + ["pass"] for r in rows)
+            [text] + [format(x, ".17g") for x in row * 2] + ["pass"]
+            for row in rows)
         assert summary == buf.getvalue()
 
 
@@ -744,15 +824,22 @@ for _name, _doc in FULL_DOCS.items():
 KEY_CASES = list(KEY_CASES.values())
 
 
-def run_certify(doc, tmp):
-    """Exit code and stderr of certify on the document, run in process."""
+def run_command(doc, tmp, command="certify"):
+    """Exit code and stderr of a command on the document, run in process.
+
+    Every warning raised meanwhile is appended to stderr as a
+    "<category>: <message>" line.
+    """
     path = Path(tmp) / "cfg.json"
     path.write_text(json.dumps(doc))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = main(["certify", "--config", str(path),
+            contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(path),
                      "--out", str(Path(tmp) / "out")])
+    err.writelines(f"{w.category.__name__}: {w.message}\n" for w in caught)
     return code, err.getvalue()
 
 
@@ -765,7 +852,7 @@ def test_full_documents_hold_every_key():
 
 @pytest.mark.parametrize("doc", FULL_DOCS.values(), ids=FULL_DOCS.keys())
 def test_every_key_of_the_table_is_accepted(tmp_path, doc):
-    assert run_certify(doc, tmp_path) == (0, "")
+    assert run_command(doc, tmp_path) == (0, "")
 
 
 @pytest.mark.parametrize("doc, path", KEY_CASES)
@@ -775,7 +862,7 @@ def test_a_misspelt_key_exits_invalid(tmp_path, doc, path):
     wrong = typo(path[-1])
     assert wrong not in KIND
     parent[wrong] = parent.pop(path[-1])
-    code, err = run_certify(doc, tmp_path)
+    code, err = run_command(doc, tmp_path)
     assert code == 2
     assert err.startswith("error: invalid configuration:")
     assert f"unknown key {wrong!r}" in err
@@ -787,7 +874,7 @@ def test_numbers_beyond_float_range_exit_invalid(tmp_path, doc, path):
     doc = json.loads(json.dumps(doc))
     key = path[-1]
     parent_of(doc, path)[key] = [HUGE] if KIND[key] == cli._NUMS else HUGE
-    code, err = run_certify(doc, tmp_path)
+    code, err = run_command(doc, tmp_path)
     assert code == 2
     assert err.startswith("error: invalid configuration:")
     assert f"{key} must be {KIND[key]}" in err
@@ -797,7 +884,7 @@ def test_typo_document_exits_invalid_naming_every_typo(tmp_path):
     doc = {"domian": {"L": 3.0}, "alpha_stratgy": "fraction:0.5",
            "tolerances": {"envelop": 1e-300},
            "sigma": {"variant": "constant", "sigma0": 1.0}}
-    code, err = run_certify(doc, tmp_path)
+    code, err = run_command(doc, tmp_path)
     assert code == 2
     assert err.count("error: invalid configuration:") == 1
     for key in ("'domian'", "'alpha_stratgy'", "tolerances: unknown key 'envelop'"):
@@ -812,14 +899,16 @@ def test_typo_document_exits_invalid_naming_every_typo(tmp_path):
      "initial_data: k is required"),
     ("initial_data", {"type": "separable", "fourier": [{"re": 0.4}],
                       "velocity_poly": [1.0]}, "initial_data: k is required"),
+    ("z_grid", {"points": []}, "z_grid: z grid is empty"),
     ("sigma", {"variant": ["x"]}, "sigma: unknown variant ['x']"),
     ("initial_data", {"type": {}}, "initial_data: unknown type {}"),
 ], ids=["start-next-to-times", "num-next-to-points", "c1-under-trig",
-        "entry-without-k", "fourier-without-k", "variant-list", "type-object"])
+        "entry-without-k", "fourier-without-k", "z-points-empty",
+        "variant-list", "type-object"])
 def test_form_and_item_problems_exit_invalid(tmp_path, section, spec, message):
     doc = json.loads(json.dumps(BASE))
     doc[section] = spec
-    code, err = run_certify(doc, tmp_path)
+    code, err = run_command(doc, tmp_path)
     assert code == 2
     assert err.startswith("error: invalid configuration:")
     assert message in err
@@ -847,11 +936,8 @@ MUTATIONS = ("drop", "typo", "kind", "nonfinite", "huge", "section",
              "selector")
 
 
-@settings(max_examples=300, deadline=None)
-@given(doc=valid_doc(), how=st.sampled_from(MUTATIONS), data=st.data())
-def test_mutated_configs_exit_without_defects(doc, how, data):
-    # exit 1 is kept for a violated bound and 4 for a defect; certify has
-    # no bound to violate
+def mutate(doc, how, data):
+    """Apply one mutation of kind how to the document, in place."""
     paths = list(key_paths(doc))
     if how == "section":
         section = data.draw(st.sampled_from(SECTIONS))
@@ -878,7 +964,34 @@ def test_mutated_configs_exit_without_defects(doc, how, data):
                          [math.nan, math.inf, -math.inf]))}[how]
             parent[key] = [value] if KIND[key] == cli._NUMS \
                 and how != "kind" else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=valid_doc(), how=st.sampled_from(MUTATIONS), data=st.data())
+def test_mutated_configs_exit_without_defects(doc, how, data):
+    # exit 1 is kept for a violated bound and 4 for a defect; certify has
+    # no bound to violate
+    mutate(doc, how, data)
     with tempfile.TemporaryDirectory() as tmp:
-        code, err = run_certify(doc, tmp)
+        code, err = run_command(doc, tmp)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "derivatives", "sweep",
+                                     "verify"])
+@settings(max_examples=100, deadline=None)
+@given(doc=valid_doc(), how=st.sampled_from(MUTATIONS), data=st.data())
+def test_mutated_configs_exit_without_defects_in_every_command(command, doc,
+                                                               how, data):
+    # a mutated document of small sizes either runs, is invalid input or
+    # fails numerically: exit 1 would be a violated proven bound, 4 a
+    # defect, and a warning a numeric problem nobody checked
+    if command == "derivatives":
+        doc.setdefault("domain", {})["N"] = data.draw(st.integers(1, 2))
+    mutate(doc, how, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_command(doc, tmp, command)
+    assert code in (0, 2, 3), err
+    for word in ("Traceback", "internal error", "Warning"):
+        assert word not in err
