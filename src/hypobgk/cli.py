@@ -37,7 +37,9 @@ the propagation core at once and keep only the entropy of each sample.
 Each CSV line is one %-template of %.17g fields applied to one (z, t)
 cell of those arrays, with \r\n line endings and run_id quoted once by
 the csv module's rules: the same bytes as format(x, ".17g") per value
-through csv.writer, at a fraction of the cost.  _write_csv consumes the
+through csv.writer, at a fraction of the cost.  Values that many rows
+share (times, verify's sigma grid, envelopes) are formatted once and
+enter the template as strings.  _write_csv consumes the
 lines lazily, so formatting happens while the file is written.
 """
 
@@ -582,9 +584,11 @@ def cmd_verify(cfg: RunConfig, inflate_mu: float = 1.0) -> int:
                               return_norms=True)
     thresholds = -cfg.eig_tol_factor * norms
     ok = mins >= thresholds
+    # each sigma is formatted once, not once per k
+    sigma_text = [_FLOAT % s for s in sigmas.tolist()]
     _write_csv(cfg.out_dir / "verify.csv", VERIFY_HEADER,
-               _lines(f"%d,{_FLOAT},{_FLOAT},{_FLOAT},%s\r\n",
-                      np.repeat(ks, len(sigmas)), np.tile(sigmas, len(ks)),
+               _lines(f"%s,{_FLOAT},{_FLOAT},%s\r\n",
+                      [f"{k},{s}" for k in ks for s in sigma_text],
                       mins.ravel(), thresholds.ravel(),
                       np.where(ok, "pass", "fail").ravel()))
     n_fail = int(np.size(ok) - np.count_nonzero(ok))
@@ -650,11 +654,13 @@ def _base_run(cfg: RunConfig, cert: Certificate,
               model: CollisionFrequencyModel, lattice: ModeLattice):
     """Level-0 entropies E[0, z, j] and their envelope env[0, j].
 
-    The envelope exp(-2 rate t) E(0) starts from the initial stack at
-    t = 0, whatever time the grid starts at.
+    Level 0 of the stacked system does not see the higher levels, so only
+    level 0 is stepped.  The envelope exp(-2 rate t) E(0) starts from the
+    initial stack at t = 0, whatever time the grid starts at.
     """
     data, sigma_rows, E0 = _initial_stacks(cfg, cert, model, lattice)
-    E = _entropies(cfg, cert, lattice, data, sigma_rows)[:1]
+    E = _entropies(cfg, cert, lattice, data[:, :, :1],
+                   [row[:1] for row in sigma_rows])
     return E, entropy_envelope(E0[0], cert.decay_rate, cfg.times)[None]
 
 
@@ -663,16 +669,19 @@ def _result_lines(run_id: str, keys, times: list[str], observed, envelope,
     """Yield the CSV lines of an (R, T) block of checked series.
 
     Row r of observed and ratio is the series of keys[r] = (z, level) at
-    the times, which come formatted; the envelope is broadcast to the
-    block's shape.  run_id comes as a template field (_template_field).
+    the times, which come formatted; the envelope is formatted in its own
+    shape, once per value, and broadcast to the block's shape.  run_id
+    comes as a template field (_template_field).
     """
     lead = []
     for z, level in keys:
         z = _FLOAT % z
         lead += [f"{z},{t},{level}" for t in times]
-    yield from _lines(f"{run_id},%s,{_FLOAT},{_FLOAT},{_FLOAT},%s\r\n", lead,
+    env = np.array([_FLOAT % e for e in envelope.ravel().tolist()],
+                   dtype=object).reshape(envelope.shape)
+    yield from _lines(f"{run_id},%s,{_FLOAT},%s,{_FLOAT},%s\r\n", lead,
                       observed.ravel(),
-                      np.broadcast_to(envelope, ratio.shape).ravel(),
+                      np.broadcast_to(env, ratio.shape).ravel(),
                       ratio.ravel(),
                       np.where(ratio <= 1.0 + tol, "pass", "fail").ravel())
 

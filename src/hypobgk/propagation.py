@@ -44,17 +44,25 @@ The generator does not depend on the step size, so its powers are built
 once per run and shared by every step size of the run:
 
 - Shared powers.  _generator_powers scales each jet G by 2^-e, exact, to
-  a 1-norm in [1/2, 1), sorts the jets by their 1-norm and forms G^2,
-  G^4 and G^6.  At a step size dt the scaled argument is A = c G with
-  one scalar c = -dt 2^(e-s) per jet, so A^2 = c^2 G^2 and so on:
-  _expm_powers forms the Pade sums U and V from the shared powers with
-  per-jet coefficients (one stacked matrix product) and three jet
-  products, where a build from scratch needs six.  The sort makes s
+  a 1-norm in [1/2, 1), sorts the jets by their 1-norm and forms the six
+  even powers G^2, G^4, ..., G^12 (six jet products, paid once per z
+  slice).  At a step size dt the scaled argument is A = c G with one
+  scalar c = -dt 2^(e-s) per jet, so A^k = c^k G^k: _pade_sums forms U / G
+  and V as one stacked coefficient sum over the six powers, and the one
+  jet product left per step size is U = G (U / G).  Every run, of one
+  step size or many, builds its jets this way, so the bits of a jet do
+  not depend on the other step sizes of its run.  The sort makes s
   nondecreasing for every dt, so each squaring acts on a suffix of the
-  batch, in place.
-- Memory rule.  A run keeps the powers of a z slice only while another
-  step size still has to be built: a run of one step size keeps none,
-  and a run of many drops them at its last new step size.
+  batch; the squarings alternate between the result and the spent V - U
+  buffer.
+- Memory rule.  A run keeps G and its six powers of a z slice only while
+  another step size still has to be built: a run of one step size keeps
+  none, and a run of many drops them at its last new step size.  Within
+  a build, U / G and V share one buffer: the solve's products go into
+  the spent V, the squarings into the spent V - U, and the buffer is
+  freed when _expm_powers returns.  A 15-step run at K = 16, M = 60,
+  N = 2 peaks at 10.74 arrays the size of one slice's jets: G and its
+  six powers, that buffer, U and one level-sized temporary.
 - One factorization.  The solve (V - U) R = V + U in the jet algebra
   inverts the level-0 block once; every level of the forward recursion
   then multiplies by that inverse: one LAPACK call instead of N+1.  With
@@ -148,16 +156,18 @@ def _jet_mul(X: np.ndarray, Y: np.ndarray,
             if i < d:                   # binom(d, d) = 1
                 term *= math.comb(d, i)
             acc += term
+            del term                    # before the next product is allocated
     return out
 
 
-def _jet_solve(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def _jet_solve(P: np.ndarray, Q: np.ndarray, work: np.ndarray) -> np.ndarray:
     """R with P R = Q in the jet algebra, in place: Q becomes R.
 
     One inverse of the level-0 block serves every level of the forward
     recursion R_d = P_0^-1 (Q_d - sum_{i=1..d} binom(d, i) P_i R_{d-i}).
     A single level takes one LU solve instead: the same one LAPACK call,
-    and backward stable, which multiplying by an inverse is not.
+    and backward stable, which multiplying by an inverse is not.  work is
+    a spare buffer the shape of one level, for the recursion's products.
     """
     if Q.shape[1] == 1:
         Q[:, 0] = np.linalg.solve(P[:, 0], Q[:, 0])
@@ -166,8 +176,10 @@ def _jet_solve(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     for d in range(Q.shape[1]):
         rhs = Q[:, d]
         for i in range(1, d + 1):
-            rhs -= math.comb(d, i) * (P[:, i] @ Q[:, d - i])
-        Q[:, d] = inv0 @ rhs
+            term = np.matmul(P[:, i], Q[:, d - i], out=work)
+            term *= math.comb(d, i)
+            rhs -= term
+        Q[:, d] = np.matmul(inv0, rhs, out=work)
     return Q
 
 
@@ -190,11 +202,10 @@ _PADE13 = np.array([64764752532480000.0, 32382376266240000.0,
                     10559470521600.0, 670442572800.0, 33522128640.0,
                     1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0])
 _THETA13 = 5.371920351148152
-# Exponents k of the Pade terms b_k c^k G^k over the powers (G^2, G^4,
-# G^6): rows 0 and 1 are the sums that G^6 multiplies in U and V, rows 2
-# and 3 the rest of U and V.  U's exponents are odd: they include the
-# factor c of A = c G that U = A (...) puts in front.
-_PADE_TERMS = np.array([[9, 11, 13], [8, 10, 12], [3, 5, 7], [2, 4, 6]])
+# Exponents k of the Pade terms b_k c^k G^(2j+2), j = 0..5, over the shared
+# powers: row 0 sums U / G (odd k: U = A (...) puts a factor c in front),
+# row 1 sums V.
+_PADE_SUMS = np.array([[3, 5, 7, 9, 11, 13], [2, 4, 6, 8, 10, 12]])
 
 
 def _generator_powers(stream: np.ndarray, rows: np.ndarray, relax: np.ndarray):
@@ -207,7 +218,7 @@ def _generator_powers(stream: np.ndarray, rows: np.ndarray, relax: np.ndarray):
     power can overflow; jets come sorted by their 1-norm.  Returns
     (order, norms, e, G, P): order[j] is the (z, k) row of jet j, norms
     and e the sorted 1-norms and exponents of the unscaled jets, and
-    P[:, 0..2] the powers G^2, G^4, G^6.
+    P[:, 0..5] the powers G^2, G^4, ..., G^12.
     """
     n, M = rows.shape[1], len(relax)
     part = rows[:, :, None, None, None]
@@ -225,11 +236,30 @@ def _generator_powers(stream: np.ndarray, rows: np.ndarray, relax: np.ndarray):
     G = A[order]
     del A
     G *= np.ldexp(1.0, -e)[:, None, None, None]
-    P = np.empty((len(G), 3) + G.shape[1:])
-    _jet_mul(G, G, out=P[:, 0])
-    _jet_mul(P[:, 0], P[:, 0], out=P[:, 1])
-    _jet_mul(P[:, 1], P[:, 0], out=P[:, 2])
+    P = np.empty((len(G), 6) + G.shape[1:])
+    _jet_mul(G, G, out=P[:, 0])                 # G^2
+    _jet_mul(P[:, 0], P[:, 0], out=P[:, 1])     # G^4
+    _jet_mul(P[:, 1], P[:, 0], out=P[:, 2])     # G^6
+    for i in range(3):                          # G^8, G^10, G^12
+        _jet_mul(P[:, 2], P[:, i], out=P[:, 3 + i])
     return order, norms, e, G, P
+
+
+def _pade_sums(P: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """U / G and V of the [13/13] Pade approximant at A = c G, stacked.
+
+    P holds the shared powers G^2..G^12 of _generator_powers and c one
+    scalar per jet.  Returns UV of shape (B, 2, N+1, M, M):
+    UV[:, 0] = sum_{k odd} b_k c^k G^(k-1) and UV[:, 1] =
+    sum_{k even} b_k c^k G^k, both as one stacked matrix product.
+    """
+    B, _, n, M, _ = P.shape
+    coef = _PADE13[_PADE_SUMS] * c[:, None, None] ** _PADE_SUMS
+    UV = np.matmul(coef, P.reshape(B, 6, -1)).reshape(B, 2, n, M, M)
+    diag = np.arange(M)
+    UV[:, 0, 0, diag, diag] += _PADE13[1] * c[:, None]
+    UV[:, 1, 0, diag, diag] += _PADE13[0]
+    return UV
 
 
 def _expm_powers(powers, dt: float) -> np.ndarray:
@@ -237,9 +267,9 @@ def _expm_powers(powers, dt: float) -> np.ndarray:
 
     The [13/13] Pade approximant r(A) = (V - U)^-1 (V + U) at
     A = -dt G / 2^s, with a scaling power s per jet, then s squarings.
-    A = c Gs with c = -dt 2^(e-s) and Gs the scaled jet, so every power
-    of A is a scalar times a shared power of Gs (_generator_powers): U
-    and V take three jet products per step size.
+    A = c Gs with c = -dt 2^(e-s) and Gs the scaled jet, so the Pade sums
+    come from the shared powers of Gs (_pade_sums), and U = Gs (U / Gs) is
+    the one jet product of the step size before the solve.
     """
     _, norms, e, G, P = powers
     scaled = dt * norms
@@ -249,30 +279,26 @@ def _expm_powers(powers, dt: float) -> np.ndarray:
     # the norms are sorted, so s is too
     _, s = np.frexp(scaled / _THETA13)
     s = np.maximum(s, 0)
-    c = np.ldexp(-dt, e - s)
-    B, n, M, _ = G.shape
-    cpow = c[:, None] ** np.arange(14)
-    coef = _PADE13[_PADE_TERMS] * cpow[:, _PADE_TERMS]
-    flat = P.reshape(B, 3, -1)
-    # UV[:, 0] and UV[:, 1] start as the terms of U / Gs and V outside the
-    # product with G^6; one inner sum at a time keeps temporaries small
-    UV = np.matmul(coef[:, 2:], flat).reshape(B, 2, n, M, M)
-    diag = np.arange(M)
-    UV[:, 0, 0, diag, diag] += _PADE13[1] * c[:, None]
-    UV[:, 1, 0, diag, diag] += _PADE13[0]
-    for r in range(2):
-        inner = np.matmul(coef[:, r:r + 1], flat).reshape(G.shape)
-        UV[:, r] += _jet_mul(P[:, 2], inner)
+    UV = _pade_sums(P, np.ldexp(-dt, e - s))
     U = _jet_mul(G, UV[:, 0])
     V = UV[:, 1]
     np.subtract(V, U, out=UV[:, 0])     # V - U, into the spent buffer
-    U += V                              # V + U
-    R = _jet_solve(UV[:, 0], U)
-    # squaring the jets with s > j is then squaring a suffix of the batch
+    U += V                              # V + U; V is spent
+    out = _jet_solve(UV[:, 0], U, UV[:, 1, 0])
+    # the jets with s > j form a suffix of the batch; square it from R into
+    # the spent V - U buffer and swap, and move the jets whose last squaring
+    # is done back into out
+    R, spare = out, UV[:, 0]
+    first = 0
     for j in range(int(s[-1])):
-        first = int(np.searchsorted(s, j, side="right"))
-        R[first:] = _jet_mul(R[first:], R[first:])
-    return R
+        done, first = first, int(np.searchsorted(s, j, side="right"))
+        if R is not out:
+            out[done:first] = R[done:first]
+        _jet_mul(R[first:], R[first:], out=spare[first:])
+        R, spare = spare, R
+    if R is not out:
+        out[first:] = R[first:]
+    return out
 
 
 # z rows per _generator_powers call; bounds the Pade temporaries (see

@@ -6,20 +6,22 @@ were made exact.  certify_array is certify with rate_block's array
 expression evaluated for every trial alpha, the objective that the
 float-arithmetic one in the package replaced.  step_matrix_reference is
 an extended-precision exponential of the dense augmented generator, the
-reference for the structured step-matrix kernel.  build_transforms and
-entropy_dense are the dense M x M transforms and the quadratic form the
-closed-form twisted entropy replaced.  inequality_matrix and
-verify_dense are the dense M x M check of the certified inequality that
-the 5 x 5 corner decomposition in verify_grid replaced;
-build_reduced_block, the minors and the spectrum of P_k are the paper's
-closed forms they are checked against.  evolve_reference integrates the
-mode equations with classical RK4, an independent cross-check of the
-exact exponential steps, and hermite_functions and synthesize evaluate
-an expansion in the velocity basis.  gronwall_cascade is the scalar
-derivative cascade, with its exact sum next to the relaxed bound, that
-taylor_derivative_envelope evaluates over whole time grids.  Tests
-compare the package against them; nothing in the package imports this
-module.
+reference for the structured step-matrix kernel, and
+pade_sums_three_products the evaluation of the Pade sums with three jet
+products per step size that the shared powers G^2..G^12 replaced.
+build_transforms and entropy_dense are the dense M x M transforms and
+the quadratic form the closed-form twisted entropy replaced.
+inequality_matrix and verify_dense are the dense M x M check of the
+certified inequality that the 5 x 5 corner decomposition in verify_grid
+replaced; build_reduced_block, the minors and the spectrum of P_k are
+the paper's closed forms they are checked against.  evolve_reference
+integrates the mode equations with classical RK4, an independent
+cross-check of the exact exponential steps, and hermite_functions and
+synthesize evaluate an expansion in the velocity basis.
+gronwall_cascade is the scalar derivative cascade, with its exact sum
+next to the relaxed bound, that taylor_derivative_envelope evaluates
+over whole time grids.  Tests compare the package against them; nothing
+in the package imports this module.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from hypobgk.errors import CertificateError, DomainError, NumericError, UsageErr
 from hypobgk.lyapunov import (ALPHA_CAP, TWIST_GAIN, Certificate, _check_alpha,
                               _twist, alpha_limit, alpha_max, rate_block)
 from hypobgk.models import sigma_eval
-from hypobgk.propagation import augmented_generator
+from hypobgk.propagation import _PADE13, _jet_mul, augmented_generator
 from hypobgk.spectral import (MIN_HERMITE, assemble_generator, build_operators,
                               hermite_polynomials)
 
@@ -241,6 +243,32 @@ def step_matrix_reference(k: int, l: float, dt: float, sigma_derivs,
         raise AssertionError("the rotated generator is not real")
     R = expm_longdouble(-np.longdouble(dt) * real_frame.real.astype(np.longdouble))
     return R.astype(float) * phase
+
+
+def pade_sums_three_products(G: np.ndarray, c: np.ndarray):
+    """U and V of the [13/13] Pade approximant at A = c G, Higham's way.
+
+    G is a batch of jets (B, N+1, M, M) and c one scalar per jet.  With
+    the powers A^2, A^4 and A^6 (three jet products),
+
+        U = A [A^6 (b13 A^6 + b11 A^4 + b9 A^2) + b7 A^6 + b5 A^4 + b3 A^2 + b1 I]
+        V = A^6 (b12 A^6 + b10 A^4 + b8 A^2) + b6 A^6 + b4 A^4 + b2 A^2 + b0 I
+
+    take three more: the two A^6 products and the one by A (Higham, SIAM
+    J. Matrix Anal. Appl. 26(4), 2005).
+    """
+    b = _PADE13
+    A = c[:, None, None, None] * G
+    A2 = _jet_mul(A, A)
+    A4 = _jet_mul(A2, A2)
+    A6 = _jet_mul(A4, A2)
+    eye = np.zeros_like(G)
+    eye[:, 0] = np.eye(G.shape[-1])
+    U = _jet_mul(A, _jet_mul(A6, b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (_jet_mul(A6, b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    return U, V
 
 
 def build_transform(k: int, alpha: float, M: int) -> np.ndarray:

@@ -480,6 +480,33 @@ def test_taylor_hypothesis_rejected_before_propagation(tmp_path, capsys,
     assert not list(out.glob("t_z*.csv"))
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_level0_commands_step_level0_only(tmp_path, monkeypatch, command):
+    # simulate and sweep check level 0 only, so an N = 2 config steps one
+    # level; its level-0 entropies match those of the full stacked system
+    levels = []
+    propagate = cli.propagate
+
+    def spy(data, sigma_rows, *args, **kwargs):
+        levels.append((data.shape[2], {len(row) for row in sigma_rows}))
+        return propagate(data, sigma_rows, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "propagate", spy)
+    path = write_config(tmp_path, domain={"N": 2}, z_grid={"num": 4},
+                        time_grid={"start": 0.0, "stop": 8.0, "num": 9})
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    n_points = 2 if command == "sweep" else 1
+    assert levels == [(1, {1})] * n_points
+    cfg = load_config(path)
+    cert = cli._certify_config(cfg)
+    E, _ = cli._base_run(cfg, cert, cfg.model, cfg.lattice)
+    data, rows, E0 = cli._initial_stacks(cfg, cert, cfg.model, cfg.lattice)
+    full = cli._entropies(cfg, cert, cfg.lattice, data, rows)
+    assert full.shape[0] == 3 and E.shape == full[:1].shape
+    assert np.max(np.abs(E[0] - full[0])) <= 1e-13 * E0[0]
+
+
 @pytest.mark.parametrize("command", ["simulate", "derivatives", "sweep"])
 def test_grid_starting_after_zero_keeps_envelope_at_t0(tmp_path, command):
     # the envelope starts from the initial stack at t = 0, so a grid that

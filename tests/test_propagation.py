@@ -1,6 +1,7 @@
 """Exact exponential propagation against structure and a reference integrator."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,7 +29,8 @@ from hypobgk import (
     trig_model,
 )
 from hypobgk import propagation
-from oracles import build_transform, evolve_reference, step_matrix_reference
+from oracles import (build_transform, evolve_reference, pade_sums_three_products,
+                     step_matrix_reference)
 
 LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
 
@@ -412,3 +414,55 @@ def test_runs_mixing_step_sizes_against_extended_precision(variant, M, N, pool,
             for k in range(lattice.K + 1):
                 ref = step_matrix_reference(k, lattice.l, dt, row, M)
                 assert _rel_err(dense[i * 3 + k], ref) < 1e-13, (dt, i, k)
+
+
+@pytest.mark.parametrize("M", [5, 20, 60])
+@pytest.mark.parametrize("N", range(4))
+def test_pade_sums_match_the_three_product_evaluation(N, M):
+    # U and V from the shared powers G^2..G^12 against Higham's evaluation
+    # with three jet products, at step sizes that give the largest jet the
+    # scaling powers 0..9; the other jets get smaller ones
+    lattice = ModeLattice(K=16, L=2 * math.pi, M=M)
+    model = MODELS["trig"]
+    rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in (-0.7, 0.4)]
+    build = propagation._StepJets((0, 1, 8, 16), lattice.l, rows,
+                                  build_operators(M))
+    _, norms, e, G, P = propagation._generator_powers(
+        build.stream, build.rows, build.relax)
+    for target in range(10):
+        dt = 0.75 * propagation._THETA13 * 2.0 ** target / norms[-1]
+        s = np.maximum(np.frexp(dt * norms / propagation._THETA13)[1], 0)
+        assert s[-1] == target
+        c = np.ldexp(-dt, e - s)
+        UV = propagation._pade_sums(P, c)
+        U_ref, V_ref = pade_sums_three_products(G, c)
+        for got, ref in ((propagation._jet_mul(G, UV[:, 0]), U_ref),
+                         (UV[:, 1], V_ref)):
+            err = propagation._jet_norm1(got - ref) / propagation._jet_norm1(ref)
+            assert err.max() <= 1e-14, (target, err.max())
+
+
+def test_derivatives_large_shape_peak_memory():
+    # the 15-step K = 16, M = 60, N = 2 run holds at most 10.8 arrays of
+    # one set of step jets above its inputs at any time: G and its six
+    # powers, the Pade sums, U, and one level of a product or the inverse
+    lattice = ModeLattice(K=16, L=2 * math.pi, M=60)
+    times = [0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0) / 14)
+                     for i in range(15)]
+    data, rows = _stacks(affine_model(1.0, 0.2), lattice, [0.3], 2)
+    ops = build_operators(lattice.M)
+    jet_bytes = (lattice.K + 1) * 3 * lattice.M ** 2 * 8
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in propagation.propagate(data, rows, lattice.l, ops,
+                                       np.diff(times, prepend=0.0)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 10.8 * jet_bytes, peak / jet_bytes
