@@ -18,9 +18,17 @@ c = alpha (1, sqrt 2, sqrt 3).  So each mode costs O(M):
 
     x* P_k x = |x|^2 + (2/k) sum_{j<3} c_j Im(conj(x_j) x_{j+1}).
 
-entropy_series evaluates this on whole arrays of stack data, such as
-the (Z, K+1, N+1, M) data of a batch of z at one time, which is how the
-command line consumes the propagation core sample by sample.
+entropy_series evaluates this in the real frame of the propagation
+core.  Write x_m = i^m y_m and y = a + i b.  Then |x_m|^2 = |y_m|^2 and
+conj(x_j) x_{j+1} = i conj(y_j) y_{j+1}, so
+
+    Im(conj(x_j) x_{j+1}) = a_j a_{j+1} + b_j b_{j+1}:
+
+the form is real on the (re, im) pairs of y, and no complex array is
+needed.  The command line hands entropy_series the real-frame samples of
+the core, shape (Z, K+1, N+1, M, 2) for a batch of z at one time, and
+complex stack data, such as the initial stack, are rotated into that
+frame once, which is exact.
 
 For the z-derivative levels the one-way coupling adds source terms, and
 the square-root entropies e_n = sqrt(E_n) satisfy a Gronwall chain.
@@ -34,7 +42,8 @@ Two certified envelope families result:
   * Taylor-bounded sigma (|sigma^(n)/n!| < C): with chat = ctilde * C,
         e_n(t) <= exp(-rate t) H^n
                   + n! (1+H)^(n+1) min(exp(-rate t) (1 + chat t)^n,
-                                       exp((chat - rate) t) 2^(n-1)).
+                                       exp((chat - rate) t) 2^(n-1)),
+    evaluated in log space, so it stays finite at any horizon.
 
 ctilde = sqrt((1 + alpha T)/(1 - alpha T)) with T = sqrt(3 + sqrt(6))
 bounds the relaxation projection in the twisted metric; it comes with
@@ -70,15 +79,24 @@ def _alpha_of(cert_or_alpha) -> float:
     return float(cert_or_alpha)
 
 
-def _twisted(coeffs: np.ndarray, alpha: float) -> np.ndarray:
-    """Entropy of coefficient arrays coeffs[..., k, m], k = 0..K, in closed form."""
+# i^-m for m mod 4: x_m = i^m y_m turns stack data x into the real frame y
+_I_INVERSE = np.array([1, -1j, -1, 1j])
+# c / alpha = (1, sqrt 2, sqrt 3), each twice: once for a, once for b
+_TWIST = np.repeat([1.0, math.sqrt(2.0), math.sqrt(3.0)], 2)
+
+
+def _twisted(pairs: np.ndarray, alpha: float) -> np.ndarray:
+    """Entropy of real-frame data in closed form.
+
+    pairs[..., k, :] holds a_0, b_0, a_1, b_1, ... of mode k = 0..K, where
+    y_m = a_m + i b_m.
+    """
     _check_alpha(alpha)
-    sq = coeffs.real ** 2 + coeffs.imag ** 2
-    norms = sq.sum(axis=-1)                                   # (..., K+1)
-    cross = (coeffs[..., 1:, :3].conj() * coeffs[..., 1:, 1:4]).imag
-    c = alpha * np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)])
-    k = np.arange(1, coeffs.shape[-2])
-    modes = norms[..., 1:] + (2.0 / k) * (cross @ c)
+    norms = np.einsum("...i,...i->...", pairs, pairs)          # (..., K+1)
+    # sum_{j<3} c_j (a_j a_{j+1} + b_j b_{j+1})
+    cross = (pairs[..., 1:, :6] * pairs[..., 1:, 2:8]) @ (alpha * _TWIST)
+    k = np.arange(1, pairs.shape[-2])
+    modes = norms[..., 1:] + (2.0 / k) * cross
     return norms[..., 0] + 2.0 * modes.sum(axis=-1)
 
 
@@ -86,11 +104,20 @@ def entropy_series(data: np.ndarray, level: int, cert_or_alpha) -> np.ndarray:
     """Entropies of one level of stack data data[..., k, n, m].
 
     For example the (Z, K+1, N+1, M) data of a batch of z at one time;
-    the result has the shape of the leading axes.  Roundoff can leave a
+    the result has the shape of the leading axes.  Real data with a last
+    axis of 2, data[..., k, n, m, :], are the real-frame (re, im) pairs of
+    the propagation core and are read as they are; complex stack data are
+    rotated into that frame first, which is exact.  Roundoff can leave a
     tiny negative value, which is clamped to 0.
     """
-    X = data[..., level, :]
-    return np.maximum(_twisted(X, _alpha_of(cert_or_alpha)), 0.0)
+    data = np.asarray(data)
+    if data.dtype == float and data.shape[-1] == 2:
+        Y = data[..., level, :, :]
+        pairs = Y.reshape(Y.shape[:-2] + (-1,))
+    else:
+        X = data[..., level, :] * _I_INVERSE[np.arange(data.shape[-1]) % 4]
+        pairs = X.view(float)
+    return np.maximum(_twisted(pairs, _alpha_of(cert_or_alpha)), 0.0)
 
 
 def entropy_envelope(initial_entropy: float, rate: float, times) -> np.ndarray:
@@ -147,24 +174,38 @@ def taylor_derivative_envelope(level: int, times, rate: float, chat: float,
         exp(-rate t) H^n + n! (1+H)^(n+1) min(exp(-rate t) (1 + chat t)^n,
                                               exp((chat - rate) t) 2^(n-1))
 
-    computed as exp(-rate t) n! times the relaxed bound of the cascade
+    that is exp(-rate t) n! times the relaxed bound of the cascade
     g_n' <= chat * sum_{i<n} g_i, g_n(0) <= H^n/n!; valid when
     E_n(0) <= H^(2n) for all n <= level.  Level 0 reduces to exp(-rate t).
-    Where one branch of the min overflows, the min is the other branch;
-    where both do, the envelope is inf, or nan once exp(-rate t)
-    underflows, which check_envelope reports as a numeric failure.
+    It is evaluated in log space, as
+
+        exp(-rate t + logaddexp(n log H, log n! + (n+1) log(1+H)
+                     + min(n log(1 + chat t), chat t + (n-1) log 2)))
+
+    with one exponential at the end, so neither branch of the min
+    overflows and at long horizons the envelope underflows to 0 where the
+    product form would give inf * 0.
     """
     if level < 0 or H < 0.0 or chat < 0.0:
         raise UsageError("need level >= 0, H >= 0 and chat >= 0")
     t = np.asarray(times, dtype=float)
     n = level
-    relaxed = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if n > 0:
-            relaxed = H**n / math.factorial(n) + (1.0 + H) ** (n + 1) \
-                * np.minimum((1.0 + chat * t) ** n,
-                             np.exp(chat * t) * 2.0 ** (n - 1))
-        return np.exp(-rate * t) * math.factorial(n) * relaxed
+    log_env = -rate * t
+    if n > 0:
+        with np.errstate(over="ignore"):
+            ct = chat * t
+        big = np.isinf(ct)
+        log1p_ct = np.log1p(np.where(big, 0.0, ct))
+        if np.any(big):     # log(1 + chat t) = log chat + log t there
+            log1p_ct = np.where(big, math.log(chat)
+                                + np.log(np.where(big, t, 1.0)), log1p_ct)
+        branch = np.minimum(n * log1p_ct, ct + (n - 1) * math.log(2.0))
+        head = n * math.log(H) if H > 0.0 else -math.inf
+        log_env = log_env + np.logaddexp(
+            head, math.log(math.factorial(n)) + (n + 1) * math.log1p(H)
+            + branch)
+    with np.errstate(over="ignore"):
+        return np.exp(log_env)
 
 
 def check_envelope(observed, envelope, level: int = 0) -> np.ndarray:

@@ -33,7 +33,9 @@ key it does not hold, or one of another form of its section (c1 under a
 trig sigma, start next to times), is invalid input like any other.
 
 simulate, derivatives and each sweep point run all z samples through
-the propagation core at once and keep only the entropy of each sample.
+the propagation core at once and keep only the entropy of each sample,
+evaluated on the core's real-frame data.  A sweep formats the z,t,level
+fields of its rows once and shares them between its points.
 Each CSV line is one %-template of %.17g fields applied to one (z, t)
 cell of those arrays, with \r\n line endings and run_id quoted once by
 the csv module's rules: the same bytes as format(x, ".17g") per value
@@ -85,7 +87,7 @@ from .models import (
     sigma_eval,
     taylor_bound,
 )
-from .propagation import propagate
+from .propagation import _real_steps
 from .spectral import ModeLattice, build_operators
 
 __all__ = ["RunConfig", "load_config", "dump_config", "main",
@@ -151,11 +153,25 @@ class RunConfig:
 class _Forms:
     """Object table of a section with several forms: the selector's value
     names the form, the first by default; without a selector a later form
-    is picked when the section holds one of its keys."""
+    is picked when the section holds one of its keys.
+
+    tables[name] is the object table of a form, its common keys first,
+    and known[name] its keys in message order, the selector first."""
 
     selector: str | None
     common: dict
     forms: dict
+    tables: dict = dataclasses.field(init=False, repr=False, compare=False)
+    known: dict = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tables = {name: {**self.common, **form}
+                  for name, form in self.forms.items()}
+        lead = [self.selector] if self.selector else []
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "known", {
+            name: dict.fromkeys([*lead, *table])
+            for name, table in tables.items()})
 
 
 # The config keys, read by load_config and dump_config.  An object table
@@ -250,6 +266,7 @@ def _read(table, spec, where: str, problems: list[str]) -> dict | None:
         problems.append(f"{where} must be an object, got {reprlib.repr(spec)}")
         return None
     out: dict = {}
+    known = table
     if isinstance(table, _Forms):
         names = list(table.forms)
         if table.selector is None:
@@ -263,8 +280,7 @@ def _read(table, spec, where: str, problems: list[str]) -> dict | None:
                                 f"{reprlib.repr(name)}; expected one of "
                                 f"{', '.join(names)}")
                 return None
-        table = {**table.common, **table.forms[name]}
-    known = [*out, *table]
+        known, table = table.known[name], table.tables[name]
     problems.extend(f"{at}unknown key {key!r}; expected one of "
                     f"{', '.join(known)}" for key in spec if key not in known)
     for key, entry in table.items():
@@ -630,13 +646,13 @@ def _entropies(cfg: RunConfig, cert: Certificate, lattice: ModeLattice,
     """Twisted entropies E[n, z, j] of every level and z at cfg.times[j].
 
     All z samples go through the propagation core at once, and only the
-    entropies of each sample are kept.
+    entropies of each sample are kept, read from its real-frame data.
     """
     n_lvl = data.shape[2]
     E = np.empty((n_lvl, len(data), len(cfg.times)))
-    samples = propagate(data, sigma_rows, lattice.l,
-                        build_operators(lattice.M),
-                        np.diff(cfg.times, prepend=0.0))
+    samples = _real_steps(data, sigma_rows, lattice.l,
+                          build_operators(lattice.M),
+                          np.diff(cfg.times, prepend=0.0))
     for j, sample in enumerate(samples):
         for n in range(n_lvl):
             E[n, :, j] = entropy_series(sample, n, cert)
@@ -664,19 +680,28 @@ def _base_run(cfg: RunConfig, cert: Certificate,
     return E, entropy_envelope(E0[0], cert.decay_rate, cfg.times)[None]
 
 
-def _result_lines(run_id: str, keys, times: list[str], observed, envelope,
-                  ratio, tol: float):
-    """Yield the CSV lines of an (R, T) block of checked series.
-
-    Row r of observed and ratio is the series of keys[r] = (z, level) at
-    the times, which come formatted; the envelope is formatted in its own
-    shape, once per value, and broadcast to the block's shape.  run_id
-    comes as a template field (_template_field).
-    """
+def _lead(keys, times: list[str]) -> list[str]:
+    """The z,t,level fields of each row of an (R, T) block, in row order:
+    keys[r] = (z, level) at each of the formatted times."""
     lead = []
     for z, level in keys:
         z = _FLOAT % z
         lead += [f"{z},{t},{level}" for t in times]
+    return lead
+
+
+def _result_lines(run_id: str, keys, times: list[str], observed, envelope,
+                  ratio, tol: float, lead: list[str] | None = None):
+    """Yield the CSV lines of an (R, T) block of checked series.
+
+    Row r of observed and ratio is the series of keys[r] = (z, level) at
+    the times, which come formatted; lead, when given, holds their
+    _lead(keys, times) fields.  The envelope is formatted in its own
+    shape, once per value, and broadcast to the block's shape.  run_id
+    comes as a template field (_template_field).
+    """
+    if lead is None:
+        lead = _lead(keys, times)
     env = np.array([_FLOAT % e for e in envelope.ravel().tolist()],
                    dtype=object).reshape(envelope.shape)
     yield from _lines(f"{run_id},%s,{_FLOAT},%s,{_FLOAT},%s\r\n", lead,
@@ -797,6 +822,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     times = [_FLOAT % t for t in cfg.times]
     run_id = _template_field(cfg.run_id)
     keys = [(z, 0) for z in cfg.z_points]
+    # every point writes the same z,t,level fields
+    lead = _lead(keys, times)
     # summary rows of a point in increasing z
     order = sorted(range(len(keys)), key=lambda i: cfg.z_points[i])
     summary = []
@@ -810,7 +837,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             _write_csv(cfg.out_dir / f"sweep_L{i:03d}_s{j:03d}.csv",
                        RESULT_HEADER,
                        _result_lines(run_id, keys, times, E[0], env,
-                                     ratio[0], cfg.envelope_tol),
+                                     ratio[0], cfg.envelope_tol, lead),
                        seed=cfg.seed_used)
             rows = _summary_rows(Lv, s0, cfg.z_points, cert, [ratio],
                                  cfg.envelope_tol)

@@ -30,15 +30,33 @@ identities reduce the work:
   (N+1)(N+2)/2 products of M x M blocks instead of one dense
   ((N+1) M)^3 product.
 
-The step matrices come from the scaling-and-squaring method with the
-[13/13] Pade approximant (Higham, SIAM J. Matrix Anal. Appl. 26(4),
-2005), run on jets, in real arithmetic, in stacked numpy calls.  Each jet
-gets its own scaling power s from the exact 1-norm of the dense matrix
-it stands for: one s shared by the batch would over-scale the low modes
-and lose accuracy in the extra squarings.  scipy.linalg.expm is not used
-on the real-frame matrix because its real-dtype Pade evaluation is about
-14 times less accurate than its complex one on these matrices, an error
-the squarings then amplify.
+The step matrices come from the scaling-and-squaring method, run on
+jets, in real arithmetic, in stacked numpy calls.  Each jet gets its own
+scaling power s from the exact 1-norm of the dense matrix it stands for:
+one s shared by the batch would over-scale the low modes and lose
+accuracy in the extra squarings.  The approximant depends on the number
+of levels:
+
+- Single-level jets (N = 0, the runs of simulate and sweep) take the
+  degree-25 Taylor polynomial, accurate to double-precision backward
+  error up to the 1-norm theta_25 = 2.43 (Al-Mohy & Higham, SIAM J. Sci.
+  Comput. 33(2), 2011, Table 3.1).  It needs three products of M x M
+  blocks and no solve: the LAPACK overhead of a solve on such small
+  matrices costs more than the products.
+- Multi-level jets take the [13/13] Pade approximant (Higham, SIAM J.
+  Matrix Anal. Appl. 26(4), 2005), with theta_13 = 5.37.  A jet product
+  costs (N+1)(N+2)/2 block products, so there the two products the
+  Taylor polynomial adds cost more than the Pade solve, which inverts
+  the level-0 block once.
+
+scipy.linalg.expm is not used on the real-frame matrix because its
+real-dtype Pade evaluation is about 14 times less accurate than its
+complex one on these matrices, an error the squarings then amplify.
+
+Mode k = 0 does not stream: its real-frame generator is sigma RELAX, and
+RELAX is diagonal with entries r_m in {0, 1}.  Its jets are therefore the
+z-derivatives of exp(-dt sigma(z) r_m), in closed form for every N
+(_mode0_diagonals), and mode 0 never enters the Taylor or Pade batch.
 
 The generator does not depend on the step size, so its powers are built
 once per run and shared by every step size of the run:
@@ -47,27 +65,30 @@ once per run and shared by every step size of the run:
   a 1-norm in [1/2, 1), sorts the jets by their 1-norm and forms the six
   even powers G^2, G^4, ..., G^12 (six jet products, paid once per z
   slice).  At a step size dt the scaled argument is A = c G with one
-  scalar c = -dt 2^(e-s) per jet, so A^k = c^k G^k: _pade_sums forms U / G
-  and V as one stacked coefficient sum over the six powers, and the one
-  jet product left per step size is U = G (U / G).  Every run, of one
-  step size or many, builds its jets this way, so the bits of a jet do
-  not depend on the other step sizes of its run.  The sort makes s
+  scalar c = -dt 2^(e-s) per jet, so A^k = c^k G^k, and every sum over
+  the powers is a stacked coefficient product (_power_sums).  The Pade
+  path forms U / G and V that way, and the one jet product left per
+  step size is U = G (U / G).  The Taylor path writes
+  T_25(A) = E1 + G O1 + G^12 (E2 + G O2), with E1, O1, E2 and O2 sums
+  over the six powers, and takes three products.  Every run, of one step
+  size or many, builds its jets this way, so the bits of a jet do not
+  depend on the other step sizes of its run.  The sort makes s
   nondecreasing for every dt, so each squaring acts on a suffix of the
-  batch; the squarings alternate between the result and the spent V - U
-  buffer.
+  batch; the squarings alternate between the result and a spent buffer.
 - Memory rule.  A run keeps G and its six powers of a z slice only while
   another step size still has to be built: a run of one step size keeps
   none, and a run of many drops them at its last new step size.  Within
-  a build, U / G and V share one buffer: the solve's products go into
+  a build the Pade sums share one buffer: the solve's products go into
   the spent V, the squarings into the spent V - U, and the buffer is
-  freed when _expm_powers returns.  A 15-step run at K = 16, M = 60,
-  N = 2 peaks at 10.74 arrays the size of one slice's jets: G and its
-  six powers, that buffer, U and one level-sized temporary.
-- One factorization.  The solve (V - U) R = V + U in the jet algebra
-  inverts the level-0 block once; every level of the forward recursion
-  then multiplies by that inverse: one LAPACK call instead of N+1.  With
-  a single level (N = 0) the one call is an LU solve, which keeps the
-  digits of strongly decayed entropies closer to exact.
+  freed when _expm_powers returns.  The Taylor sums fit in three arrays
+  the size of the batch, one of them the result.  A 15-step run at
+  K = 16, M = 60, N = 2 peaks at 10.12 arrays the size of one slice's
+  jets: G and its six powers, the Pade buffer, U and one level-sized
+  temporary, for the 16 modes k >= 1.
+- One factorization.  The Pade solve (V - U) R = V + U in the jet
+  algebra inverts the level-0 block once; every level of the forward
+  recursion then multiplies by that inverse: one LAPACK call instead of
+  N+1.
 
 Everything steps through one z-batched core, propagate.  It takes the
 stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
@@ -83,10 +104,12 @@ after each step:
 - The data stay in the real frame.  They are rotated once by
   D^-1 = diag(i^-m) and viewed as (re, im) column pairs, so a step is the
   Leibniz product y_d = sum_i binom(d, i) R_i x_{d-i} of the step jet
-  with the data jet, on real M x 2 blocks.  Each yielded sample is
-  rotated back by D; multiplying by powers of i is exact.
+  with the data jet, on real M x 2 blocks.  _real_steps yields these
+  real-frame samples, which the command line reads as they are (the
+  entropy has a closed form in that frame); propagate rotates each one
+  back by D, and multiplying by powers of i is exact.
 - The powers and the jets of one step size are built in slices of
-  _BUILD_SLICE z rows (_StepJets), because the Pade temporaries grow
+  _BUILD_SLICE z rows (_StepJets), because the build temporaries grow
   with the batch: at K = 4, M = 20 a sweep peaked about 0.3 MiB higher
   per z row of a slice, and the build time did not change measurably.
   Every jet gets its own scaling power and its own place in the sort,
@@ -165,13 +188,9 @@ def _jet_solve(P: np.ndarray, Q: np.ndarray, work: np.ndarray) -> np.ndarray:
 
     One inverse of the level-0 block serves every level of the forward
     recursion R_d = P_0^-1 (Q_d - sum_{i=1..d} binom(d, i) P_i R_{d-i}).
-    A single level takes one LU solve instead: the same one LAPACK call,
-    and backward stable, which multiplying by an inverse is not.  work is
-    a spare buffer the shape of one level, for the recursion's products.
+    work is a spare buffer the shape of one level, for the recursion's
+    products.
     """
-    if Q.shape[1] == 1:
-        Q[:, 0] = np.linalg.solve(P[:, 0], Q[:, 0])
-        return Q
     inv0 = np.linalg.inv(P[:, 0])
     for d in range(Q.shape[1]):
         rhs = Q[:, d]
@@ -206,6 +225,15 @@ _THETA13 = 5.371920351148152
 # powers: row 0 sums U / G (odd k: U = A (...) puts a factor c in front),
 # row 1 sums V.
 _PADE_SUMS = np.array([[3, 5, 7, 9, 11, 13], [2, 4, 6, 8, 10, 12]])
+# Coefficients 1/k! of the degree-25 Taylor polynomial, and the 1-norm
+# theta_25 up to which it meets double-precision backward error (Al-Mohy &
+# Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1, u = 2^-53).
+_TAYLOR25 = np.array([1.0 / math.factorial(k) for k in range(26)])
+_THETA25 = 2.43
+# Exponents k of the Taylor terms c^k / k! G^(2j+2) over the shared powers,
+# for T_25(c G) = E1 + G O1 + G^12 (E2 + G O2): rows E1, O1, E2, O2.  E1
+# and O1 also hold the terms 1 and c G, which need no power.
+_TAYLOR_SUMS = np.arange(2, 14, 2) + np.array([[0], [1], [12], [13]])
 
 
 def _generator_powers(stream: np.ndarray, rows: np.ndarray, relax: np.ndarray):
@@ -245,6 +273,22 @@ def _generator_powers(stream: np.ndarray, rows: np.ndarray, relax: np.ndarray):
     return order, norms, e, G, P
 
 
+def _power_sums(P: np.ndarray, coef: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Sums sum_j coef[:, r, j] G^(2j+2) over the shared powers, stacked.
+
+    P holds the powers G^2..G^12 of _generator_powers and coef one row of
+    six coefficients per sum and jet, shape (B, R, 6).  Returns the sums,
+    shape (B, R, N+1, M, M), as one stacked matrix product, into out when
+    it is given (contiguous).
+    """
+    B, _, n, M, _ = P.shape
+    if out is None:
+        out = np.empty((B, coef.shape[1], n, M, M))
+    np.matmul(coef, P.reshape(B, 6, -1), out=out.reshape(B, coef.shape[1], -1))
+    return out
+
+
 def _pade_sums(P: np.ndarray, c: np.ndarray) -> np.ndarray:
     """U / G and V of the [13/13] Pade approximant at A = c G, stacked.
 
@@ -253,42 +297,74 @@ def _pade_sums(P: np.ndarray, c: np.ndarray) -> np.ndarray:
     UV[:, 0] = sum_{k odd} b_k c^k G^(k-1) and UV[:, 1] =
     sum_{k even} b_k c^k G^k, both as one stacked matrix product.
     """
-    B, _, n, M, _ = P.shape
-    coef = _PADE13[_PADE_SUMS] * c[:, None, None] ** _PADE_SUMS
-    UV = np.matmul(coef, P.reshape(B, 6, -1)).reshape(B, 2, n, M, M)
+    M = P.shape[-1]
+    UV = _power_sums(P, _PADE13[_PADE_SUMS] * c[:, None, None] ** _PADE_SUMS)
     diag = np.arange(M)
     UV[:, 0, 0, diag, diag] += _PADE13[1] * c[:, None]
     UV[:, 1, 0, diag, diag] += _PADE13[0]
     return UV
 
 
+def _pade(G: np.ndarray, P: np.ndarray, c: np.ndarray):
+    """r(A) = (V - U)^-1 (V + U) at A = c G, and a spare buffer its shape.
+
+    U = G (U / G) is the one jet product before the solve.
+    """
+    UV = _pade_sums(P, c)
+    U = _jet_mul(G, UV[:, 0])
+    V = UV[:, 1]
+    np.subtract(V, U, out=UV[:, 0])     # V - U, into the spent buffer
+    U += V                              # V + U; V is spent
+    return _jet_solve(UV[:, 0], U, UV[:, 1, 0]), UV[:, 0]
+
+
+def _taylor(G: np.ndarray, P: np.ndarray, c: np.ndarray):
+    """T_25(A) at A = c G for single-level jets, and a spare buffer its shape.
+
+    T_25 = E1 + G O1 + G^12 (E2 + G O2), the four sums from the shared
+    powers (_power_sums): three products of M x M blocks and no solve.
+    The temporaries fit in three arrays the size of the batch.
+    """
+    M = P.shape[-1]
+    coef = _TAYLOR25[_TAYLOR_SUMS] * c[:, None, None] ** _TAYLOR_SUMS
+    diag = np.arange(M)
+    S = _power_sums(P, coef[:, 2:])             # E2, O2
+    X = np.matmul(G, S[:, 1])                   # G O2
+    X += S[:, 0]
+    np.matmul(P[:, 5], X, out=S[:, 0])          # G^12 (E2 + G O2)
+    _power_sums(P, coef[:, 1:2], out=X[:, None])
+    X[:, 0, diag, diag] += c[:, None]           # O1
+    np.matmul(G, X, out=S[:, 1])                # G O1
+    S[:, 1] += S[:, 0]
+    _power_sums(P, coef[:, :1], out=X[:, None])
+    X[:, 0, diag, diag] += 1.0                  # E1
+    X += S[:, 1]
+    return X, S[:, 0]
+
+
 def _expm_powers(powers, dt: float) -> np.ndarray:
     """exp(-dt G) of every jet of a slice, in the slice's sorted order.
 
-    The [13/13] Pade approximant r(A) = (V - U)^-1 (V + U) at
-    A = -dt G / 2^s, with a scaling power s per jet, then s squarings.
-    A = c Gs with c = -dt 2^(e-s) and Gs the scaled jet, so the Pade sums
-    come from the shared powers of Gs (_pade_sums), and U = Gs (U / Gs) is
-    the one jet product of the step size before the solve.
+    The degree-25 Taylor polynomial (single-level jets) or the [13/13]
+    Pade approximant (more levels) at A = -dt G / 2^s, with a scaling
+    power s per jet, then s squarings.  A = c Gs with c = -dt 2^(e-s) and
+    Gs the scaled jet, so the sums of either come from the shared powers
+    of Gs.
     """
     _, norms, e, G, P = powers
     scaled = dt * norms
     if not np.all(np.isfinite(scaled)):
         raise NumericError("step generator has non-finite entries")
-    # dt norm / theta_13 = f 2**s with f < 1, so dt norm / 2**s < theta_13;
-    # the norms are sorted, so s is too
-    _, s = np.frexp(scaled / _THETA13)
+    single = G.shape[1] == 1
+    # dt norm / theta = f 2**s with f < 1, so dt norm / 2**s < theta; the
+    # norms are sorted, so s is too
+    _, s = np.frexp(scaled / (_THETA25 if single else _THETA13))
     s = np.maximum(s, 0)
-    UV = _pade_sums(P, np.ldexp(-dt, e - s))
-    U = _jet_mul(G, UV[:, 0])
-    V = UV[:, 1]
-    np.subtract(V, U, out=UV[:, 0])     # V - U, into the spent buffer
-    U += V                              # V + U; V is spent
-    out = _jet_solve(UV[:, 0], U, UV[:, 1, 0])
+    out, spare = (_taylor if single else _pade)(G, P, np.ldexp(-dt, e - s))
     # the jets with s > j form a suffix of the batch; square it from R into
-    # the spent V - U buffer and swap, and move the jets whose last squaring
-    # is done back into out
-    R, spare = out, UV[:, 0]
+    # the spare buffer and swap, and move the jets whose last squaring is
+    # done back into out
+    R = out
     first = 0
     for j in range(int(s[-1])):
         done, first = first, int(np.searchsorted(s, j, side="right"))
@@ -301,8 +377,27 @@ def _expm_powers(powers, dt: float) -> np.ndarray:
     return out
 
 
-# z rows per _generator_powers call; bounds the Pade temporaries (see
-# module doc)
+def _mode0_diagonals(rows: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
+    """Diagonals of the jets of exp(-dt G_0) at every z, shape (Z, N+1, M).
+
+    Mode 0 does not stream: its real-frame generator is sigma RELAX, and
+    RELAX is diagonal with entries r_m in {0, 1}.  So the jets are the
+    z-derivatives of f = exp(g), g = -dt sigma(z) r_m, and f' = g' f gives
+    f_0 = exp(-dt sigma r_m) and
+    f_d = -dt r_m sum_{i=1..d} binom(d-1, i-1) sigma^(i) f_{d-i}.
+    """
+    f = np.empty(rows.shape + r.shape)
+    f[:, 0] = np.exp(np.multiply.outer(rows[:, 0], r) * -dt)
+    for d in range(1, rows.shape[1]):
+        acc = rows[:, 1, None] * f[:, d - 1]
+        for i in range(2, d + 1):
+            acc += math.comb(d - 1, i - 1) * rows[:, i, None] * f[:, d - i]
+        f[:, d] = -dt * r * acc
+    return f
+
+
+# z rows per _generator_powers call; bounds the Taylor and Pade temporaries
+# (see module doc)
 _BUILD_SLICE = 2
 
 _I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
@@ -312,15 +407,20 @@ class _StepJets:
     """Builds the real-frame jets of exp(-dt G_k) of one run at any dt.
 
     sigma_rows[z] holds sigma^(0)..sigma^(N) at one z; a build at dt has
-    shape (Z, len(ks), N+1, M, M).  builds is the number of step sizes
-    the run will build: the powers of each z slice are kept only while a
-    later build will use them, so a run of one step size keeps none.
+    shape (Z, len(ks), N+1, M, M).  Mode 0 comes in closed form
+    (_mode0_diagonals), every other mode from the powers of its
+    generator.  builds is the number of step sizes the run will build:
+    the powers of each z slice are kept only while a later build will use
+    them, so a run of one step size keeps none.
     """
 
     def __init__(self, ks, l: float, sigma_rows, ops: OperatorSet,
                  builds: int = 1):
+        ks = np.asarray(ks, dtype=float)
         twist = np.tril(ops.stream) - np.triu(ops.stream)   # D^-1 (i STREAM) D
-        self.stream = np.asarray(ks, dtype=float)[:, None, None] * l * twist
+        self.zero = np.flatnonzero(ks == 0.0)
+        self.modes = np.flatnonzero(ks != 0.0)
+        self.stream = ks[self.modes, None, None] * l * twist
         self.rows = np.asarray(sigma_rows, dtype=float)
         self.relax = ops.relax
         self.builds = builds
@@ -328,10 +428,12 @@ class _StepJets:
 
     def __call__(self, dt: float) -> np.ndarray:
         Z, n = self.rows.shape
-        K1, M = len(self.stream), len(self.relax)
+        Kp, M = len(self.modes), len(self.relax)
+        K1 = Kp + len(self.zero)
         self.builds -= 1
         out = None
-        for z0 in range(0, Z, _BUILD_SLICE):
+        # a lattice of mode 0 alone has no batch to build
+        for z0 in range(0, Z if Kp else 0, _BUILD_SLICE):
             powers = self.powers.pop(z0, None)
             if powers is None:
                 powers = _generator_powers(
@@ -341,8 +443,17 @@ class _StepJets:
             R = _expm_powers(powers, dt)
             if out is None:     # after the first slice's temporaries are gone
                 out = np.empty((Z, K1, n, M, M))
-                flat = out.reshape(Z * K1, n, M, M)
-            flat[z0 * K1:z0 * K1 + len(R)][powers[0]] = R
+            order = powers[0]
+            out[z0 + order // Kp, self.modes[order % Kp]] = R
+        if out is None:
+            out = np.empty((Z, K1, n, M, M))
+        if len(self.zero):
+            f = _mode0_diagonals(self.rows, np.diag(self.relax), dt)
+            diag = np.arange(M)
+            for k in self.zero:
+                jet = out[:, k]
+                jet[...] = 0.0
+                jet[..., diag, diag] = f
         if not np.all(np.isfinite(out)):
             raise NumericError(
                 f"matrix exponential produced non-finite entries at dt={dt}")
@@ -374,15 +485,14 @@ def _dense_steps(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
-               dts, jets: dict | None = None):
-    """Yield the stack data of a batch of z after each step of size dts[j].
+def _real_steps(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
+                dts, jets: dict | None = None):
+    """Yield the real-frame data D^-1 x of a batch of z after each step.
 
-    data[z, k, n, m] has shape (Z, K+1, N+1, M) and sigma_rows[z] holds
-    sigma^(0)..sigma^(N) at that z.  jets caches the step jets per dt;
-    pass a dict to keep them across calls.  Without one, the jets of a
-    step size are dropped after its last step in dts.  Each yielded array
-    is new.
+    The arguments are those of propagate.  Each sample has shape
+    (Z, K+1, N+1, M, 2): the (re, im) column pairs of D^-1 x, where
+    D = diag(i^m).  A zero step yields the previous sample again; the
+    samples must not be written to.
     """
     dts = list(dts)
     last = None
@@ -392,9 +502,9 @@ def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
     Z, K1, n, M = data.shape
     build = _StepJets(range(K1), l, sigma_rows, ops,
                       len({dt for dt in dts if dt != 0.0 and dt not in jets}))
-    rotate = _I_POWERS[np.arange(M) % 4]
     # D^-1 x as (re, im) column pairs: blocks of shape (M, 2)
-    W = (data * rotate.conj()).view(float).reshape(Z, K1, n, M, 2)
+    W = (data * _I_POWERS[np.arange(M) % 4].conj()).view(float) \
+        .reshape(Z, K1, n, M, 2)
     for j, dt in enumerate(dts):
         if dt < 0.0 or not math.isfinite(dt):
             raise UsageError(f"step size must be finite and >= 0, got dt={dt}")
@@ -402,6 +512,22 @@ def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
             W = _jet_mul(_cached_jets(jets, dt, build), W)
             if last is not None and last[dt] == j:
                 del jets[dt]
+        yield W
+
+
+def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
+              dts, jets: dict | None = None):
+    """Yield the stack data of a batch of z after each step of size dts[j].
+
+    data[z, k, n, m] has shape (Z, K+1, N+1, M) and sigma_rows[z] holds
+    sigma^(0)..sigma^(N) at that z.  jets caches the step jets per dt;
+    pass a dict to keep them across calls.  Without one, the jets of a
+    step size are dropped after its last step in dts.  Each yielded array
+    is new: the real-frame sample of _real_steps rotated back by D.
+    """
+    Z, K1, n, M = data.shape
+    rotate = _I_POWERS[np.arange(M) % 4]
+    for W in _real_steps(data, sigma_rows, l, ops, dts, jets):
         yield W.reshape(Z, K1, n, 2 * M).view(complex) * rotate
 
 

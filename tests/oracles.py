@@ -10,7 +10,9 @@ reference for the structured step-matrix kernel, and
 pade_sums_three_products the evaluation of the Pade sums with three jet
 products per step size that the shared powers G^2..G^12 replaced.
 build_transforms and entropy_dense are the dense M x M transforms and
-the quadratic form the closed-form twisted entropy replaced.
+the quadratic form the closed-form twisted entropy replaced, and
+entropy_complex_frame the closed form on complex data that the
+real-frame evaluation replaced.
 inequality_matrix and verify_dense are the dense M x M check of the
 certified inequality that the 5 x 5 corner decomposition in verify_grid
 replaced; build_reduced_block, the minors and the spectrum of P_k are
@@ -302,6 +304,23 @@ def entropy_dense(coeffs: np.ndarray, alpha: float) -> np.ndarray:
         vals = vals + 2.0 * np.einsum(
             "tm,mn,tn->t", X[:, k].conj(), P[k], X[:, k]).real
     return vals
+
+
+def entropy_complex_frame(coeffs: np.ndarray, alpha: float) -> np.ndarray:
+    """Twisted entropy of coeffs[..., k, m] by the closed form on complex data,
+
+        |x|^2 + (2/k) sum_{j<3} c_j Im(conj(x_j) x_{j+1}),  c = alpha (1, sqrt 2, sqrt 3),
+
+    summed over the modes with weight 2 for k >= 1.
+    """
+    _check_alpha(alpha)
+    X = np.asarray(coeffs)
+    norms = (X.real ** 2 + X.imag ** 2).sum(axis=-1)
+    cross = (X[..., 1:, :3].conj() * X[..., 1:, 1:4]).imag
+    c = alpha * np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)])
+    k = np.arange(1, X.shape[-2])
+    modes = norms[..., 1:] + (2.0 / k) * (cross @ c)
+    return norms[..., 0] + 2.0 * modes.sum(axis=-1)
 
 
 def transform_eigenvalues(k: int, alpha: float, M: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Entropy functional, Gronwall envelopes and envelope ratios."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -27,7 +28,8 @@ from hypobgk import (
     sigma_eval,
     taylor_derivative_envelope,
 )
-from oracles import build_transforms, entropy_dense, gronwall_cascade
+from oracles import (build_transforms, entropy_complex_frame, entropy_dense,
+                     gronwall_cascade)
 
 LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
 
@@ -168,7 +170,8 @@ def test_taylor_envelope_is_scaled_cascade():
         env = taylor_derivative_envelope(n, times, rate, chat, H)
         expect = [math.exp(-rate * t) * math.factorial(n)
                   * gronwall_cascade(n, float(t), chat, H)[1] for t in times]
-        assert_allclose(env, expect, rtol=1e-15, atol=0)
+        # the log-space evaluation rounds its exponent
+        assert_allclose(env, expect, rtol=1e-13, atol=0)
     assert_allclose(taylor_derivative_envelope(0, times, rate, chat, H),
                     np.exp(-rate * times), rtol=1e-14)
 
@@ -197,18 +200,36 @@ def test_cascade_where_a_branch_overflows():
 
 def test_taylor_envelope_against_the_cascade_where_a_branch_overflows():
     # beyond chat t = 709.78 the exponential branch overflows and the
-    # polynomial one is the min; at 1e200 both overflow, and the envelope
-    # is inf * exp(-rate t) = nan, as in the scalar reference
+    # polynomial one is the min; at 1e200 both overflow, so the scalar
+    # reference is inf * exp(-rate t) = nan, and the log-space envelope 0;
+    # at 1.7e308 chat t itself overflows
     rate, chat, H = 0.4, 1.5, 0.3
-    times = [0.0, 1.0, 473.0, 600.0, 5000.0, 1e5, 1e200]
+    times = [0.0, 1.0, 473.0, 600.0, 5000.0, 1e5, 1e200, 1.7e308]
     for n in (1, 2, 4):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             env = taylor_derivative_envelope(n, times, rate, chat, H)
         expect = [math.exp(-rate * t) * math.factorial(n)
                   * gronwall_cascade(n, t, chat, H)[1] for t in times]
-        assert_allclose(env, expect, rtol=1e-15, atol=0)
-    assert math.isnan(env[-1]) and math.isnan(expect[-1])
+        assert_allclose(env[:-2], expect[:-2], rtol=1e-13, atol=0)
+        assert env[-2:].tolist() == [0.0, 0.0]
+    assert math.isnan(expect[-2]) and math.isnan(expect[-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 10), t=st.floats(0.0, 1e4), rate=st.floats(1e-3, 2.0),
+       chat=st.floats(0.0, 10.0), H=st.floats(0.0, 10.0))
+def test_taylor_envelope_matches_the_product_form(n, t, rate, chat, H):
+    # wherever the product exp(-rate t) n! relaxed is a normal float with a
+    # normal first factor, the log-space envelope agrees with it
+    decay = math.exp(-rate * t)
+    expect = decay * math.factorial(n) * gronwall_cascade(n, t, chat, H)[1]
+    assume(decay >= sys.float_info.min
+           and sys.float_info.min <= expect < math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = taylor_derivative_envelope(n, [t], rate, chat, H)[0]
+    assert env == pytest.approx(expect, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("observed, envelope", [
@@ -308,3 +329,25 @@ def test_closed_form_entropy_matches_dense_forms(K, M, T, alpha, seed, scale):
     assert_allclose(entropy_series(stacks, 0, alpha), dense, rtol=1e-13, atol=0)
     for s, d in zip(stacks, dense):
         assert entropy_series(s, 0, alpha) == pytest.approx(d, rel=1e-13, abs=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(0, 6), M=st.integers(5, 60), N=st.integers(0, 2),
+       alpha=st.floats(0.0, 0.3), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e100]))
+def test_real_frame_entropy_matches_the_complex_frame(K, M, N, alpha, seed,
+                                                     scale):
+    # with x_m = i^m y_m, |x|^2 = |y|^2 and Im(conj x_j x_{j+1}) =
+    # a_j a_{j+1} + b_j b_{j+1} for y = a + i b: the entropy of the
+    # real-frame pairs of D^-1 x is the complex-frame entropy of x
+    rng = np.random.default_rng(seed)
+    X = scale * (rng.standard_normal((3, K + 1, N + 1, M))
+                 + 1j * rng.standard_normal((3, K + 1, N + 1, M)))
+    Y = X * np.array([1, -1j, -1, 1j])[np.arange(M) % 4]     # D^-1 x, exact
+    pairs = np.stack((Y.real, Y.imag), axis=-1)
+    for n in range(N + 1):
+        expect = entropy_complex_frame(X[:, :, n], alpha)
+        assert_allclose(entropy_series(pairs, n, alpha), expect,
+                        rtol=1e-15, atol=0)
+        assert_allclose(entropy_series(X, n, alpha), expect,
+                        rtol=1e-15, atol=0)

@@ -467,7 +467,7 @@ def test_taylor_hypothesis_rejected_before_propagation(tmp_path, capsys,
     def never(*args, **kwargs):
         raise AssertionError("propagated before the E_0(0) check")
 
-    monkeypatch.setattr(cli, "propagate", never)
+    monkeypatch.setattr(cli, "_real_steps", never)
     path = write_config(tmp_path, sigma={
         "variant": "polynomial", "coeffs": [2.0, -0.4, 0.3],
         "z_domain": [-1.0, 1.0]},
@@ -485,13 +485,13 @@ def test_level0_commands_step_level0_only(tmp_path, monkeypatch, command):
     # simulate and sweep check level 0 only, so an N = 2 config steps one
     # level; its level-0 entropies match those of the full stacked system
     levels = []
-    propagate = cli.propagate
+    real_steps = cli._real_steps
 
     def spy(data, sigma_rows, *args, **kwargs):
         levels.append((data.shape[2], {len(row) for row in sigma_rows}))
-        return propagate(data, sigma_rows, *args, **kwargs)
+        return real_steps(data, sigma_rows, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "propagate", spy)
+    monkeypatch.setattr(cli, "_real_steps", spy)
     path = write_config(tmp_path, domain={"N": 2}, z_grid={"num": 4},
                         time_grid={"start": 0.0, "stop": 8.0, "num": 9})
     assert main([command, "--config", str(path),
@@ -557,10 +557,10 @@ def test_taylor_envelope_at_long_horizons(tmp_path, capsys):
     assert all(row.endswith(",pass") for row in rows)
 
 
-def test_envelope_nan_beyond_the_float_range_is_a_numeric_failure(tmp_path):
+def test_taylor_envelope_beyond_the_float_range_underflows_to_zero(tmp_path):
     # at t = 1e160 both branches of the Taylor min overflow and
-    # exp(-rate t) underflows: the level-2 envelope is nan, which has no
-    # verdict, and nothing else is printed
+    # exp(-rate t) underflows; in log space the level-2 envelope is 0, a
+    # verdict, and no warning is raised
     doc = json.loads(json.dumps(BASE))
     doc.update(domain={"K": 2, "M": 8, "N": 2},
                sigma={"variant": "trig", "sigma0": 1.0, "eps": 0.2,
@@ -568,9 +568,15 @@ def test_envelope_nan_beyond_the_float_range_is_a_numeric_failure(tmp_path):
                time_grid={"times": [0.0, 1e3, 1e160]},
                initial_data={"type": "random", "seed": 3, "scale": 0.01})
     code, err = run_command(doc, tmp_path, "derivatives")
-    assert code == 3
-    assert err.startswith("numeric failure: level 2: ")
-    assert err.count("\n") == 1
+    assert (code, err) == (0, "")
+    with open(tmp_path / "out" / "t_z000.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh
+                                   if not line.startswith("#")))
+    assert len(rows) == 9
+    envelope = {(row["t"], row["level"]): float(row["envelope"]) for row in rows}
+    assert all(math.isfinite(v) for v in envelope.values())
+    assert [envelope["1e+160", n] for n in "012"] == [0.0] * 3
+    assert all(envelope["1000", n] > 0.0 for n in "012")
 
 
 def test_tiny_period_exits_invalid(tmp_path, capsys):

@@ -466,3 +466,95 @@ def test_derivatives_large_shape_peak_memory():
         if started:
             tracemalloc.stop()
     assert peak <= 10.8 * jet_bytes, peak / jet_bytes
+
+
+@pytest.mark.parametrize("M", [5, 20, 60])
+def test_taylor_jets_against_extended_precision(M):
+    # single-level jets come from the degree-25 Taylor polynomial; at step
+    # sizes that give the largest jet the scaling powers 0..9, every jet
+    # of modes 0, 1, 8 and 16 at two z matches the oracle
+    lattice = ModeLattice(K=16, L=2 * math.pi, M=M)
+    model = MODELS["trig"]
+    ks = (0, 1, 8, 16)
+    rows = [[sigma_eval(model, z, 0)] for z in (-0.7, 0.4)]
+    build = propagation._StepJets(ks, lattice.l, rows, build_operators(M))
+    norms = propagation._generator_powers(build.stream, build.rows,
+                                          build.relax)[1]
+    for target in range(10):
+        dt = 0.75 * propagation._THETA25 * 2.0 ** target / norms[-1]
+        s = np.maximum(np.frexp(dt * norms / propagation._THETA25)[1], 0)
+        assert s[-1] == target
+        dense = propagation._dense_steps(build(dt).reshape(-1, 1, M, M))
+        for i, row in enumerate(rows):
+            for j, k in enumerate(ks):
+                ref = step_matrix_reference(k, lattice.l, dt, row, M)
+                err = _rel_err(dense[i * len(ks) + j], ref)
+                assert err < 1e-13, (target, k, err)
+
+
+@pytest.mark.parametrize("N", range(4))
+def test_mode0_closed_form_against_extended_precision(N):
+    # mode 0 never enters the Pade or Taylor batch: its jets are the
+    # z-derivatives of exp(-dt sigma(z) r_m)
+    M = 8
+    model = MODELS["polynomial"]
+    rows = [[sigma_eval(model, z, n) for n in range(N + 1)]
+            for z in (-0.9, 0.2, 0.7)]
+    build = propagation._StepJets([0], 1.0, rows, build_operators(M))
+    assert build.stream.shape[0] == 0
+    for dt in STEP_SIZES + (50.0,):
+        dense = propagation._dense_steps(build(dt)[:, 0])
+        for i, row in enumerate(rows):
+            ref = step_matrix_reference(0, 1.0, dt, row, M)
+            assert _rel_err(dense[i], ref) < 1e-13, (dt, i)
+
+
+def test_single_level_steps_need_no_solve(monkeypatch):
+    # single-level jets take no LAPACK solve or inverse; the patch does
+    # reach the multi-level Pade path
+    def never(*args, **kwargs):
+        raise AssertionError("a single-level step called LAPACK")
+
+    monkeypatch.setattr(np.linalg, "solve", never)
+    monkeypatch.setattr(np.linalg, "inv", never)
+    ops = build_operators(LAT.M)
+    data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), 0)
+    assert len(list(propagation.propagate(data, rows, LAT.l, ops,
+                                          [0.0, 0.1, 0.3, 0.1]))) == 4
+    data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), 1)
+    with pytest.raises(AssertionError, match="LAPACK"):
+        list(propagation.propagate(data, rows, LAT.l, ops, [0.1]))
+
+
+def _peak_bytes(lattice, zs, dts):
+    """tracemalloc peak of a single-level run of propagate above its inputs."""
+    data, rows = _stacks(affine_model(1.0, 0.2), lattice, zs, 0)
+    ops = build_operators(lattice.M)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in propagation.propagate(data, rows, lattice.l, ops, dts):
+            pass
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("K, M, Z, dts, limit", [
+    # a sweep point: 30 z, 80 steps of 0.25
+    (4, 20, 30, [0.0] + [0.25] * 80, 1_018_364),
+    # the 15 log-spaced steps of a derivatives run at K = 16, M = 60
+    (16, 60, 4, np.diff([0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0)
+                                          / 14) for i in range(15)],
+                        prepend=0.0), 21_193_888),
+], ids=["sweep", "derivatives_large"])
+def test_single_level_peak_memory(K, M, Z, dts, limit):
+    # limit is the peak of the [13/13] Pade build with an LU solve that
+    # the Taylor jets replaced, measured with the same run (numpy 2.4)
+    lattice = ModeLattice(K=K, L=2 * math.pi, M=M)
+    peak = _peak_bytes(lattice, list(np.linspace(-1.0, 1.0, Z)), dts)
+    assert peak <= limit, peak
