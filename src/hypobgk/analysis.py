@@ -25,10 +25,10 @@ conj(x_j) x_{j+1} = i conj(y_j) y_{j+1}, so
     Im(conj(x_j) x_{j+1}) = a_j a_{j+1} + b_j b_{j+1}:
 
 the form is real on the (re, im) pairs of y, and no complex array is
-needed.  The command line hands entropy_series the real-frame samples of
-the core, shape (Z, K+1, N+1, M, 2) for a batch of z at one time, and
-complex stack data, such as the initial stack, are rotated into that
-frame once, which is exact.
+needed.  entropy_series reads the samples of propagate as they are,
+shape (Z, K+1, N+1, M, 2) for a batch of z at one time, and rotates
+complex stack data, such as the initial stack, into that frame once,
+which is exact.
 
 For the z-derivative levels the one-way coupling adds source terms, and
 the square-root entropies e_n = sqrt(E_n) satisfy a Gronwall chain.
@@ -61,7 +61,7 @@ import math
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .lyapunov import Certificate, _check_alpha
+from .lyapunov import _check_alpha
 
 __all__ = [
     "entropy_series",
@@ -71,12 +71,6 @@ __all__ = [
     "taylor_derivative_envelope",
     "check_envelope",
 ]
-
-
-def _alpha_of(cert_or_alpha) -> float:
-    if isinstance(cert_or_alpha, Certificate):
-        return cert_or_alpha.alpha
-    return float(cert_or_alpha)
 
 
 # i^-m for m mod 4: x_m = i^m y_m turns stack data x into the real frame y
@@ -100,15 +94,16 @@ def _twisted(pairs: np.ndarray, alpha: float) -> np.ndarray:
     return norms[..., 0] + 2.0 * modes.sum(axis=-1)
 
 
-def entropy_series(data: np.ndarray, level: int, cert_or_alpha) -> np.ndarray:
+def entropy_series(data: np.ndarray, level: int, alpha: float) -> np.ndarray:
     """Entropies of one level of stack data data[..., k, n, m].
 
     For example the (Z, K+1, N+1, M) data of a batch of z at one time;
     the result has the shape of the leading axes.  Real data with a last
-    axis of 2, data[..., k, n, m, :], are the real-frame (re, im) pairs of
-    the propagation core and are read as they are; complex stack data are
-    rotated into that frame first, which is exact.  Roundoff can leave a
-    tiny negative value, which is clamped to 0.
+    axis of 2, data[..., k, n, m, :], are the real-frame (re, im) pairs
+    that propagate yields and are read as they are; complex stack data are
+    rotated into that frame first, which is exact.  alpha is the twist of
+    the certificate.  Roundoff can leave a tiny negative value, which is
+    clamped to 0.
     """
     data = np.asarray(data)
     if data.dtype == float and data.shape[-1] == 2:
@@ -117,7 +112,7 @@ def entropy_series(data: np.ndarray, level: int, cert_or_alpha) -> np.ndarray:
     else:
         X = data[..., level, :] * _I_INVERSE[np.arange(data.shape[-1]) % 4]
         pairs = X.view(float)
-    return np.maximum(_twisted(pairs, _alpha_of(cert_or_alpha)), 0.0)
+    return np.maximum(_twisted(pairs, alpha), 0.0)
 
 
 def entropy_envelope(initial_entropy: float, rate: float, times) -> np.ndarray:

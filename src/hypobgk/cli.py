@@ -87,7 +87,7 @@ from .models import (
     sigma_eval,
     taylor_bound,
 )
-from .propagation import _real_steps
+from .propagation import propagate
 from .spectral import ModeLattice, build_operators
 
 __all__ = ["RunConfig", "load_config", "dump_config", "main",
@@ -317,10 +317,6 @@ def load_config(path: str | Path, out_override: str | None = None,
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    if "sigma_grid_resolution" in raw:
-        del raw["sigma_grid_resolution"]
-        print("warning: sigma_grid_resolution is ignored; the certificate "
-              "minimizes over sigma in closed form", file=sys.stderr)
 
     problems: list[str] = []
     fail = problems.append
@@ -418,8 +414,6 @@ def load_config(path: str | Path, out_override: str | None = None,
             spec["seed"] = seed_override
         seed_used = spec.get("seed")
         try:
-            if seed_used is not None and seed_used < 0:
-                raise ConfigError(f"seed must be >= 0, got {seed_used}")
             initial = InitialDataSpec(kind=kind, **spec)
         except HypoBGKError as exc:
             fail(f"initial_data: {exc}")
@@ -596,8 +590,7 @@ def cmd_verify(cfg: RunConfig, inflate_mu: float = 1.0) -> int:
     else:
         sigmas = np.linspace(cert.sigma_min, cert.sigma_max,
                              cfg.verify_sigma_points)
-    mins, norms = verify_grid(cert, ks, sigmas, cfg.lattice.M,
-                              return_norms=True)
+    mins, norms = verify_grid(cert, ks, sigmas, cfg.lattice.M)
     thresholds = -cfg.eig_tol_factor * norms
     ok = mins >= thresholds
     # each sigma is formatted once, not once per k
@@ -633,7 +626,7 @@ def _initial_stacks(cfg: RunConfig, cert: Certificate,
     sigma_rows = [[sigma_eval(model, z, n) for n in range(cfg.levels + 1)]
                   for z in cfg.z_points]
     with np.errstate(over="ignore", invalid="ignore"):
-        E0 = np.array([entropy_series(stack, n, cert)
+        E0 = np.array([entropy_series(stack, n, cert.alpha)
                        for n in range(cfg.levels + 1)])
     if not np.all(np.isfinite(E0)):
         raise DataError("the entropy of the initial data is not finite; "
@@ -650,12 +643,12 @@ def _entropies(cfg: RunConfig, cert: Certificate, lattice: ModeLattice,
     """
     n_lvl = data.shape[2]
     E = np.empty((n_lvl, len(data), len(cfg.times)))
-    samples = _real_steps(data, sigma_rows, lattice.l,
-                          build_operators(lattice.M),
-                          np.diff(cfg.times, prepend=0.0))
+    samples = propagate(data, sigma_rows, lattice.l,
+                        build_operators(lattice.M),
+                        np.diff(cfg.times, prepend=0.0))
     for j, sample in enumerate(samples):
         for n in range(n_lvl):
-            E[n, :, j] = entropy_series(sample, n, cert)
+            E[n, :, j] = entropy_series(sample, n, cert.alpha)
     return E
 
 

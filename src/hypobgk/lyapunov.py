@@ -451,9 +451,8 @@ def _inequality_pieces(l: float, alpha: float, mu: float,
     return A0, -2.0 * mu * T, 2.0 * R, R @ T + T @ R
 
 
-def verify_grid(cert: Certificate, k_values, sigma_values, M: int,
-                return_norms: bool = False):
-    """Minimum inequality eigenvalues on a (k, sigma) grid, shape (len(k), len(sigma)).
+def verify_grid(cert: Certificate, k_values, sigma_values, M: int):
+    """Minimum inequality eigenvalues and norms on a (k, sigma) grid.
 
     S_k(sigma) = A_k + sigma B_k is affine in u = 1/k: A_k = A0 + u A1 and
     B_k = B0 + u B1, with four pieces that do not depend on k (see
@@ -465,12 +464,14 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int,
     module docstring).  Both are checked on the four pieces, comparing
     with exact zeros, and a NumericError is raised if either fails.  Exact
     zeros stay exact under u * 0 and x + 0, so the checks cover A_k and
-    B_k for every k, k = 0 excluded (DomainError); a negative k is the
-    mode -|k|, u = -1/|k|.  The spectrum of S_k(sigma) is then the
-    spectrum of its real symmetric corner, found by one batched 5 x 5
-    eigensolve over the whole grid, together with its diagonal entries
-    beyond the corner, which are 2 sigma - 2 mu.  With return_norms=True
-    also returns the per-point max-norm of S_k(sigma), the larger of the
+    B_k for every integer k, k = 0 excluded (DomainError); a negative k is
+    the mode -|k|, u = -1/|k|, and a k that is not an integer is a
+    UsageError.  The spectrum of S_k(sigma) is then the spectrum of its
+    real symmetric corner, found by one batched 5 x 5 eigensolve over the
+    whole grid, together with its diagonal entries beyond the corner,
+    which are 2 sigma - 2 mu.  Returns (mins, norms),
+    both of shape (len(k), len(sigma)): the minimum eigenvalue and the
+    max-norm of S_k(sigma) at each point, the norm the larger of the
     corner's and the tail's, which is the natural scale for an eigenvalue
     tolerance.
 
@@ -479,12 +480,15 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int,
     2 sigma - 2 mu itself.  The tail is still included, so the result is
     the spectrum of the matrix as assembled, whatever alpha and mu hold.
     """
-    k_values = [int(k) for k in k_values]
+    ks = np.asarray(k_values, dtype=float)
+    bad = ks[~(np.isfinite(ks) & (ks == np.round(ks)))]
+    if len(bad):
+        raise UsageError(f"mode numbers k must be integers, got k={bad[0]}")
     sigmas = np.asarray(sigma_values, dtype=float)
     if np.any(sigmas <= 0.0):
         raise UsageError("collision frequencies must be positive")
     ops = build_operators(M)
-    if 0 in k_values:
+    if np.any(ks == 0.0):
         raise DomainError("the certified inequality concerns modes k != 0 only")
     c, tail = _CORNER, np.arange(_CORNER, M)
     outside = np.ones((M, M), dtype=bool)
@@ -506,7 +510,7 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int,
     # rows: A0, A1, B0, B1; then A_k, B_k for every k
     corners = np.array([mat.real[:c, :c] for mat in pieces])
     diags = np.array([mat.real[tail, tail] for mat in pieces])
-    u = 1.0 / np.array(k_values, dtype=float)
+    u = 1.0 / ks
     A, B = corners[0::2, None] + u[:, None, None] * corners[1::2, None]
     a, b = diags[0::2, None] + u[:, None] * diags[1::2, None]
     corner = A[:, None] + sigmas[:, None, None] * B[:, None]
@@ -515,6 +519,4 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int,
                       diag.min(axis=-1, initial=np.inf))
     norms = np.maximum(np.abs(corner).max(axis=(-2, -1)),
                        np.abs(diag).max(axis=-1, initial=0.0))
-    if return_norms:
-        return mins, norms
-    return mins
+    return mins, norms

@@ -284,6 +284,8 @@ class InitialDataSpec:
             raise UsageError("separable initial data needs velocity_poly")
         if self.kind == "random" and self.fill not in ("all", "level0"):
             raise UsageError(f"unknown random fill mode {self.fill!r}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         for name, values in (("scale", [self.scale]),
                              ("velocity_poly", self.velocity_poly),
                              ("entries", [x[-1] for x in self.entries]),

@@ -92,8 +92,8 @@ once per run and shared by every step size of the run:
 
 Everything steps through one z-batched core, propagate.  It takes the
 stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
-derivative rows of those z, shape (Z, N+1), and yields the stack data
-after each step:
+derivative rows of those z, shape (Z, N+1), and yields the real-frame
+data after each step:
 
 - The step matrices stay jets.  For each distinct step size the core
   builds the real-frame jets of exp(-dt G_k) for every (z, k) pair at
@@ -104,9 +104,9 @@ after each step:
 - The data stay in the real frame.  They are rotated once by
   D^-1 = diag(i^-m) and viewed as (re, im) column pairs, so a step is the
   Leibniz product y_d = sum_i binom(d, i) R_i x_{d-i} of the step jet
-  with the data jet, on real M x 2 blocks.  _real_steps yields these
-  real-frame samples, which the command line reads as they are (the
-  entropy has a closed form in that frame); propagate rotates each one
+  with the data jet, on real M x 2 blocks.  propagate yields these
+  real-frame samples, and the entropy reads them as they are (it has a
+  closed form in that frame).  Only ExactPropagator rotates its sample
   back by D, and multiplying by powers of i is exact.
 - The powers and the jets of one step size are built in slices of
   _BUILD_SLICE z rows (_StepJets), because the build temporaries grow
@@ -485,14 +485,17 @@ def _dense_steps(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_steps(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
-                dts, jets: dict | None = None):
-    """Yield the real-frame data D^-1 x of a batch of z after each step.
+def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
+              dts, jets: dict | None = None):
+    """Yield the real-frame data of a batch of z after each step dts[j].
 
-    The arguments are those of propagate.  Each sample has shape
+    data[z, k, n, m] has shape (Z, K+1, N+1, M) and sigma_rows[z] holds
+    sigma^(0)..sigma^(N) at that z.  Each sample has shape
     (Z, K+1, N+1, M, 2): the (re, im) column pairs of D^-1 x, where
     D = diag(i^m).  A zero step yields the previous sample again; the
-    samples must not be written to.
+    samples must not be written to.  jets caches the step jets per dt;
+    pass a dict to keep them across calls.  Without one, the jets of a
+    step size are dropped after its last step in dts.
     """
     dts = list(dts)
     last = None
@@ -515,20 +518,9 @@ def _real_steps(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
         yield W
 
 
-def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
-              dts, jets: dict | None = None):
-    """Yield the stack data of a batch of z after each step of size dts[j].
-
-    data[z, k, n, m] has shape (Z, K+1, N+1, M) and sigma_rows[z] holds
-    sigma^(0)..sigma^(N) at that z.  jets caches the step jets per dt;
-    pass a dict to keep them across calls.  Without one, the jets of a
-    step size are dropped after its last step in dts.  Each yielded array
-    is new: the real-frame sample of _real_steps rotated back by D.
-    """
-    Z, K1, n, M = data.shape
-    rotate = _I_POWERS[np.arange(M) % 4]
-    for W in _real_steps(data, sigma_rows, l, ops, dts, jets):
-        yield W.reshape(Z, K1, n, 2 * M).view(complex) * rotate
+def _complex_frame(W: np.ndarray) -> np.ndarray:
+    """Stack data x = D y of real-frame pairs W[..., m, :] of y, exactly."""
+    return W.view(complex)[..., 0] * _I_POWERS[np.arange(W.shape[-2]) % 4]
 
 
 class ExactPropagator:
@@ -563,9 +555,9 @@ class ExactPropagator:
     def evolve(self, state: StateStack, dt: float) -> StateStack:
         """Advance a stack by dt >= 0 with one exact step per mode."""
         self._check(state)
-        data = next(propagate(state.data[None], [self.sigma_derivs],
-                              self.lattice.l, self.ops, [dt], self._jets))[0]
-        return replace(state, t=state.t + dt, data=data)
+        W = next(propagate(state.data[None], [self.sigma_derivs],
+                           self.lattice.l, self.ops, [dt], self._jets))[0]
+        return replace(state, t=state.t + dt, data=_complex_frame(W))
 
     def _check(self, state: StateStack) -> None:
         if state.lattice != self.lattice:

@@ -66,12 +66,6 @@ class StateStack:
         """Highest stored z-derivative order N."""
         return self.data.shape[1] - 1
 
-    def level(self, n: int) -> np.ndarray:
-        """Coefficients of derivative order n, shape (K+1, M)."""
-        if not 0 <= n <= self.levels:
-            raise UsageError(f"level {n} not stored (stack has N={self.levels})")
-        return self.data[:, n, :]
-
 
 def random_stack(lattice: ModeLattice, levels: int, rng: np.random.Generator,
                  scale: float = 1.0, fill: str = "all") -> np.ndarray:

@@ -28,6 +28,7 @@ from hypobgk import (
     sigma_eval,
     taylor_derivative_envelope,
 )
+from hypobgk.propagation import _complex_frame
 from oracles import (build_transforms, entropy_complex_frame, entropy_dense,
                      gronwall_cascade)
 
@@ -42,7 +43,7 @@ def _state(seed=4, levels=0, z=0.0, scale=1.0):
 def _trajectory(state, times, model):
     """Stack data of state at each of times, shape (T, K+1, N+1, M)."""
     rows = [[sigma_eval(model, state.z, n) for n in range(state.levels + 1)]]
-    return np.stack([sample[0] for sample in propagate(
+    return np.stack([_complex_frame(sample[0]) for sample in propagate(
         state.data[None], rows, state.lattice.l,
         build_operators(state.lattice.M), np.diff(times, prepend=state.t))])
 
@@ -306,7 +307,7 @@ def test_affine_level_recursion_differential():
     delta = 1e-4
     for t in (0.1, 1.0, 4.0):
         snaps = _trajectory(state, [t - delta, t, t + delta], model)
-        g = np.stack([np.sqrt(entropy_series(snaps, n, cert))
+        g = np.stack([np.sqrt(entropy_series(snaps, n, cert.alpha))
                       for n in range(3)])
         scale = g[:, 1].max()
         for n in (1, 2):

@@ -185,12 +185,33 @@ def test_run_id_cannot_leave_output_dir(tmp_path, capsys, run_id):
     assert not (tmp_path / "o").exists()
 
 
-def test_sigma_grid_resolution_is_ignored_with_warning(tmp_path, capsys):
+def test_sigma_grid_resolution_is_an_unknown_key(tmp_path, capsys):
     path = write_config(tmp_path, sigma_grid_resolution=500)
-    cfg = load_config(path)
-    assert capsys.readouterr().err.count("warning: sigma_grid_resolution") == 1
-    assert cfg == load_config(write_config(tmp_path, "plain.json"))
-    assert "sigma_grid_resolution" not in dump_config(cfg)
+    assert main(["certify", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert "unknown key 'sigma_grid_resolution'" in err
+    assert "warning" not in err
+
+
+def test_negative_seed_in_config_exits_invalid(tmp_path, capsys):
+    path = write_config(tmp_path, initial_data={"type": "random", "seed": -1})
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert "initial_data: seed must be >= 0, got -1" in err
+
+
+def test_negative_seed_flag_exits_invalid(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path)),
+                 "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert "seed must be >= 0, got -1" in err
+    assert not out.exists()
 
 
 def test_verify_single_row(tmp_path, capsys):
@@ -226,7 +247,7 @@ def test_verify_csv_rows_and_strong_inflation(tmp_path, capsys):
                    alpha_strategy=cfg.alpha_strategy)
     cert = dataclasses.replace(cert, mu=cert.mu * 50)
     sigmas = np.linspace(cert.sigma_min, cert.sigma_max, 5)
-    mins, norms = verify_grid(cert, range(1, 5), sigmas, 9, return_norms=True)
+    mins, norms = verify_grid(cert, range(1, 5), sigmas, 9)
     lines = ["k,sigma,min_eigenvalue,threshold,verdict"]
     for i in range(4):
         for j, s in enumerate(sigmas):
@@ -347,7 +368,7 @@ def test_initial_entropy_is_one_value_per_level(tmp_path):
     assert data.shape == (5, cfg.lattice.K + 1, 3, cfg.lattice.M)
     assert len(sigma_rows) == 5
     for n in range(3):
-        assert entropy_series(data, n, cert).tolist() == [E0[n]] * 5
+        assert entropy_series(data, n, cert.alpha).tolist() == [E0[n]] * 5
 
 
 @pytest.mark.parametrize("scale, uniform", [(0.05, True), (5.0, False)])
@@ -467,7 +488,7 @@ def test_taylor_hypothesis_rejected_before_propagation(tmp_path, capsys,
     def never(*args, **kwargs):
         raise AssertionError("propagated before the E_0(0) check")
 
-    monkeypatch.setattr(cli, "_real_steps", never)
+    monkeypatch.setattr(cli, "propagate", never)
     path = write_config(tmp_path, sigma={
         "variant": "polynomial", "coeffs": [2.0, -0.4, 0.3],
         "z_domain": [-1.0, 1.0]},
@@ -485,13 +506,13 @@ def test_level0_commands_step_level0_only(tmp_path, monkeypatch, command):
     # simulate and sweep check level 0 only, so an N = 2 config steps one
     # level; its level-0 entropies match those of the full stacked system
     levels = []
-    real_steps = cli._real_steps
+    propagate = cli.propagate
 
     def spy(data, sigma_rows, *args, **kwargs):
         levels.append((data.shape[2], {len(row) for row in sigma_rows}))
-        return real_steps(data, sigma_rows, *args, **kwargs)
+        return propagate(data, sigma_rows, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_real_steps", spy)
+    monkeypatch.setattr(cli, "propagate", spy)
     path = write_config(tmp_path, domain={"N": 2}, z_grid={"num": 4},
                         time_grid={"start": 0.0, "stop": 8.0, "num": 9})
     assert main([command, "--config", str(path),
@@ -947,11 +968,15 @@ def test_form_and_item_problems_exit_invalid(tmp_path, section, spec, message):
     assert message in err
 
 
-def test_readme_config_reference_quotes_the_table_keys():
+def test_readme_config_reference_quotes_the_table_keys(tmp_path):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = text[text.index("### Config reference"):]
     block = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
     assert set(re.findall(r'"(\w+)"\s*:', block)) == set(KIND)
+    # without its // comments the block is a config the reader accepts
+    path = tmp_path / "readme.json"
+    path.write_text(re.sub(r"//.*", "", block))
+    assert load_config(path).run_id == "demo"
 
 
 @settings(max_examples=150, deadline=None)

