@@ -410,8 +410,12 @@ def load_config(path: str | Path, out_override: str | None = None,
             if isinstance(value, (list, tuple)):
                 spec[key] = tuple(_item(x) if isinstance(x, dict) else x
                                   for x in value)
-        if kind == "random" and seed_override is not None:
-            spec["seed"] = seed_override
+        if seed_override is not None:
+            if kind == "random":
+                spec["seed"] = seed_override
+            else:
+                fail(f"initial_data: --seed applies only to random initial "
+                     f"data, got type {kind!r}")
         seed_used = spec.get("seed")
         try:
             initial = InitialDataSpec(kind=kind, **spec)

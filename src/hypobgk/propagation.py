@@ -25,8 +25,7 @@ identities reduce the work:
 - Jets.  Block (n, n-i) of G~_k is binom(n, i) A_i with A_0 = C~_k and
   A_i = sigma^(i) RELAX.  Matrices of this form, "jets" (A_0..A_N), are
   closed under products, which follow the Leibniz rule
-  (XY)_d = sum_i binom(d, i) X_i Y_{d-i}, and under solves, which need
-  the level-0 block and a forward recursion.  A product costs
+  (XY)_d = sum_i binom(d, i) X_i Y_{d-i}.  A product costs
   (N+1)(N+2)/2 products of M x M blocks instead of one dense
   ((N+1) M)^3 product.
 
@@ -34,20 +33,11 @@ The step matrices come from the scaling-and-squaring method, run on
 jets, in real arithmetic, in stacked numpy calls.  Each jet gets its own
 scaling power s from the exact 1-norm of the dense matrix it stands for:
 one s shared by the batch would over-scale the low modes and lose
-accuracy in the extra squarings.  The approximant depends on the number
-of levels:
-
-- Single-level jets (N = 0, the runs of simulate and sweep) take the
-  degree-25 Taylor polynomial, accurate to double-precision backward
-  error up to the 1-norm theta_25 = 2.43 (Al-Mohy & Higham, SIAM J. Sci.
-  Comput. 33(2), 2011, Table 3.1).  It needs three products of M x M
-  blocks and no solve: the LAPACK overhead of a solve on such small
-  matrices costs more than the products.
-- Multi-level jets take the [13/13] Pade approximant (Higham, SIAM J.
-  Matrix Anal. Appl. 26(4), 2005), with theta_13 = 5.37.  A jet product
-  costs (N+1)(N+2)/2 block products, so there the two products the
-  Taylor polynomial adds cost more than the Pade solve, which inverts
-  the level-0 block once.
+accuracy in the extra squarings.  The approximant is the degree-25
+Taylor polynomial for every number of levels, accurate to
+double-precision backward error up to the 1-norm theta_25 = 2.43
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1).  It
+takes jet products only, so stepping makes no LAPACK call.
 
 scipy.linalg.expm is not used on the real-frame matrix because its
 real-dtype Pade evaluation is about 14 times less accurate than its
@@ -56,7 +46,7 @@ complex one on these matrices, an error the squarings then amplify.
 Mode k = 0 does not stream: its real-frame generator is sigma RELAX, and
 RELAX is diagonal with entries r_m in {0, 1}.  Its jets are therefore the
 z-derivatives of exp(-dt sigma(z) r_m), in closed form for every N
-(_mode0_diagonals), and mode 0 never enters the Taylor or Pade batch.
+(_mode0_diagonals), and mode 0 never enters the Taylor batch.
 
 The generator does not depend on the step size, so its powers are built
 once per run and shared by every step size of the run:
@@ -66,29 +56,23 @@ once per run and shared by every step size of the run:
   even powers G^2, G^4, ..., G^12 (six jet products, paid once per z
   slice).  At a step size dt the scaled argument is A = c G with one
   scalar c = -dt 2^(e-s) per jet, so A^k = c^k G^k, and every sum over
-  the powers is a stacked coefficient product (_power_sums).  The Pade
-  path forms U / G and V that way, and the one jet product left per
-  step size is U = G (U / G).  The Taylor path writes
-  T_25(A) = E1 + G O1 + G^12 (E2 + G O2), with E1, O1, E2 and O2 sums
-  over the six powers, and takes three products.  Every run, of one step
-  size or many, builds its jets this way, so the bits of a jet do not
-  depend on the other step sizes of its run.  The sort makes s
-  nondecreasing for every dt, so each squaring acts on a suffix of the
-  batch; the squarings alternate between the result and a spent buffer.
+  the powers is a stacked coefficient product (_power_sums).  The
+  Taylor polynomial is written T_25(A) = E1 + G O1 + G^12 (E2 + G O2),
+  with E1, O1, E2 and O2 sums over the six powers, and takes three jet
+  products per step size.  Every run, of one step size or many, builds
+  its jets this way, so the bits of a jet do not depend on the other
+  step sizes of its run.  The sort makes s nondecreasing for every dt,
+  so each squaring acts on a suffix of the batch; the squarings
+  alternate between the result and a spent buffer.
 - Memory rule.  A run keeps G and its six powers of a z slice only while
   another step size still has to be built: a run of one step size keeps
   none, and a run of many drops them at its last new step size.  Within
-  a build the Pade sums share one buffer: the solve's products go into
-  the spent V, the squarings into the spent V - U, and the buffer is
-  freed when _expm_powers returns.  The Taylor sums fit in three arrays
-  the size of the batch, one of them the result.  A 15-step run at
-  K = 16, M = 60, N = 2 peaks at 10.12 arrays the size of one slice's
-  jets: G and its six powers, the Pade buffer, U and one level-sized
-  temporary, for the 16 modes k >= 1.
-- One factorization.  The Pade solve (V - U) R = V + U in the jet
-  algebra inverts the level-0 block once; every level of the forward
-  recursion then multiplies by that inverse: one LAPACK call instead of
-  N+1.
+  a build the Taylor sums fit in three arrays the size of the batch: the
+  result, and a pair whose first half is the squarings' spare buffer and
+  which is freed when _expm_powers returns.  A 15-step run at K = 16,
+  M = 60, N = 2 peaks at 10.08 arrays the size of one slice's jets: G
+  and its six powers, the three Taylor arrays and one level-sized
+  temporary of a product, for the 16 modes k >= 1.
 
 Everything steps through one z-batched core, propagate.  It takes the
 stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
@@ -183,25 +167,6 @@ def _jet_mul(X: np.ndarray, Y: np.ndarray,
     return out
 
 
-def _jet_solve(P: np.ndarray, Q: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """R with P R = Q in the jet algebra, in place: Q becomes R.
-
-    One inverse of the level-0 block serves every level of the forward
-    recursion R_d = P_0^-1 (Q_d - sum_{i=1..d} binom(d, i) P_i R_{d-i}).
-    work is a spare buffer the shape of one level, for the recursion's
-    products.
-    """
-    inv0 = np.linalg.inv(P[:, 0])
-    for d in range(Q.shape[1]):
-        rhs = Q[:, d]
-        for i in range(1, d + 1):
-            term = np.matmul(P[:, i], Q[:, d - i], out=work)
-            term *= math.comb(d, i)
-            rhs -= term
-        Q[:, d] = np.matmul(inv0, rhs, out=work)
-    return Q
-
-
 def _jet_norm1(A: np.ndarray) -> np.ndarray:
     """1-norm of the dense block matrix each jet of the batch stands for.
 
@@ -213,18 +178,6 @@ def _jet_norm1(A: np.ndarray) -> np.ndarray:
                    .max(axis=-1) for m in range(n)], axis=0)
 
 
-# Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the
-# 1-norm theta_13 up to which it meets double-precision backward error
-# (Higham 2005, Table 2.3).
-_PADE13 = np.array([64764752532480000.0, 32382376266240000.0,
-                    7771770303897600.0, 1187353796428800.0, 129060195264000.0,
-                    10559470521600.0, 670442572800.0, 33522128640.0,
-                    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0])
-_THETA13 = 5.371920351148152
-# Exponents k of the Pade terms b_k c^k G^(2j+2), j = 0..5, over the shared
-# powers: row 0 sums U / G (odd k: U = A (...) puts a factor c in front),
-# row 1 sums V.
-_PADE_SUMS = np.array([[3, 5, 7, 9, 11, 13], [2, 4, 6, 8, 10, 12]])
 # Coefficients 1/k! of the degree-25 Taylor polynomial, and the 1-norm
 # theta_25 up to which it meets double-precision backward error (Al-Mohy &
 # Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1, u = 2^-53).
@@ -289,52 +242,24 @@ def _power_sums(P: np.ndarray, coef: np.ndarray,
     return out
 
 
-def _pade_sums(P: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """U / G and V of the [13/13] Pade approximant at A = c G, stacked.
-
-    P holds the shared powers G^2..G^12 of _generator_powers and c one
-    scalar per jet.  Returns UV of shape (B, 2, N+1, M, M):
-    UV[:, 0] = sum_{k odd} b_k c^k G^(k-1) and UV[:, 1] =
-    sum_{k even} b_k c^k G^k, both as one stacked matrix product.
-    """
-    M = P.shape[-1]
-    UV = _power_sums(P, _PADE13[_PADE_SUMS] * c[:, None, None] ** _PADE_SUMS)
-    diag = np.arange(M)
-    UV[:, 0, 0, diag, diag] += _PADE13[1] * c[:, None]
-    UV[:, 1, 0, diag, diag] += _PADE13[0]
-    return UV
-
-
-def _pade(G: np.ndarray, P: np.ndarray, c: np.ndarray):
-    """r(A) = (V - U)^-1 (V + U) at A = c G, and a spare buffer its shape.
-
-    U = G (U / G) is the one jet product before the solve.
-    """
-    UV = _pade_sums(P, c)
-    U = _jet_mul(G, UV[:, 0])
-    V = UV[:, 1]
-    np.subtract(V, U, out=UV[:, 0])     # V - U, into the spent buffer
-    U += V                              # V + U; V is spent
-    return _jet_solve(UV[:, 0], U, UV[:, 1, 0]), UV[:, 0]
-
-
 def _taylor(G: np.ndarray, P: np.ndarray, c: np.ndarray):
-    """T_25(A) at A = c G for single-level jets, and a spare buffer its shape.
+    """T_25(A) at A = c G, and a spare buffer its shape.
 
     T_25 = E1 + G O1 + G^12 (E2 + G O2), the four sums from the shared
-    powers (_power_sums): three products of M x M blocks and no solve.
-    The temporaries fit in three arrays the size of the batch.
+    powers (_power_sums): three jet products and no solve.  The
+    temporaries fit in three arrays the size of the batch and one level
+    of a product.
     """
     M = P.shape[-1]
     coef = _TAYLOR25[_TAYLOR_SUMS] * c[:, None, None] ** _TAYLOR_SUMS
     diag = np.arange(M)
     S = _power_sums(P, coef[:, 2:])             # E2, O2
-    X = np.matmul(G, S[:, 1])                   # G O2
+    X = _jet_mul(G, S[:, 1])                    # G O2
     X += S[:, 0]
-    np.matmul(P[:, 5], X, out=S[:, 0])          # G^12 (E2 + G O2)
+    _jet_mul(P[:, 5], X, out=S[:, 0])           # G^12 (E2 + G O2)
     _power_sums(P, coef[:, 1:2], out=X[:, None])
     X[:, 0, diag, diag] += c[:, None]           # O1
-    np.matmul(G, X, out=S[:, 1])                # G O1
+    _jet_mul(G, X, out=S[:, 1])                 # G O1
     S[:, 1] += S[:, 0]
     _power_sums(P, coef[:, :1], out=X[:, None])
     X[:, 0, diag, diag] += 1.0                  # E1
@@ -345,22 +270,19 @@ def _taylor(G: np.ndarray, P: np.ndarray, c: np.ndarray):
 def _expm_powers(powers, dt: float) -> np.ndarray:
     """exp(-dt G) of every jet of a slice, in the slice's sorted order.
 
-    The degree-25 Taylor polynomial (single-level jets) or the [13/13]
-    Pade approximant (more levels) at A = -dt G / 2^s, with a scaling
+    The degree-25 Taylor polynomial at A = -dt G / 2^s, with a scaling
     power s per jet, then s squarings.  A = c Gs with c = -dt 2^(e-s) and
-    Gs the scaled jet, so the sums of either come from the shared powers
-    of Gs.
+    Gs the scaled jet, so its sums come from the shared powers of Gs.
     """
     _, norms, e, G, P = powers
     scaled = dt * norms
     if not np.all(np.isfinite(scaled)):
         raise NumericError("step generator has non-finite entries")
-    single = G.shape[1] == 1
     # dt norm / theta = f 2**s with f < 1, so dt norm / 2**s < theta; the
     # norms are sorted, so s is too
-    _, s = np.frexp(scaled / (_THETA25 if single else _THETA13))
+    _, s = np.frexp(scaled / _THETA25)
     s = np.maximum(s, 0)
-    out, spare = (_taylor if single else _pade)(G, P, np.ldexp(-dt, e - s))
+    out, spare = _taylor(G, P, np.ldexp(-dt, e - s))
     # the jets with s > j form a suffix of the batch; square it from R into
     # the spare buffer and swap, and move the jets whose last squaring is
     # done back into out
@@ -396,8 +318,8 @@ def _mode0_diagonals(rows: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
     return f
 
 
-# z rows per _generator_powers call; bounds the Taylor and Pade temporaries
-# (see module doc)
+# z rows per _generator_powers call; bounds the shared powers and the Taylor
+# temporaries (see module doc)
 _BUILD_SLICE = 2
 
 _I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4

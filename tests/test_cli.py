@@ -294,6 +294,20 @@ def test_seed_comment_only_for_random_data(tmp_path):
     assert not first.startswith("# seed=")
 
 
+def test_seed_flag_on_non_random_data_exits_invalid(tmp_path, capsys):
+    path = write_config(tmp_path, initial_data={
+        "type": "coefficients",
+        "entries": [{"level": 0, "k": 1, "m": 3, "re": 0.5}]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out),
+                 "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert ("initial_data: --seed applies only to random initial data, "
+            "got type 'coefficients'") in err
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"

@@ -58,3 +58,20 @@ def test_cli_imports_no_private_names():
                and (node.level or (node.module or "").startswith("hypobgk"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_package_imports_no_scipy():
+    # pyproject lists numpy as the only runtime dependency; scipy is for
+    # tests only
+    found = []
+    for path in sorted((ROOT / "src" / "hypobgk").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []

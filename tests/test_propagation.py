@@ -30,8 +30,7 @@ from hypobgk import (
 )
 from hypobgk import propagation
 from hypobgk.propagation import _complex_frame
-from oracles import (build_transform, evolve_reference, pade_sums_three_products,
-                     step_matrix_reference)
+from oracles import build_transform, evolve_reference, step_matrix_reference
 
 LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
 
@@ -417,36 +416,10 @@ def test_runs_mixing_step_sizes_against_extended_precision(variant, M, N, pool,
                 assert _rel_err(dense[i * 3 + k], ref) < 1e-13, (dt, i, k)
 
 
-@pytest.mark.parametrize("M", [5, 20, 60])
-@pytest.mark.parametrize("N", range(4))
-def test_pade_sums_match_the_three_product_evaluation(N, M):
-    # U and V from the shared powers G^2..G^12 against Higham's evaluation
-    # with three jet products, at step sizes that give the largest jet the
-    # scaling powers 0..9; the other jets get smaller ones
-    lattice = ModeLattice(K=16, L=2 * math.pi, M=M)
-    model = MODELS["trig"]
-    rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in (-0.7, 0.4)]
-    build = propagation._StepJets((0, 1, 8, 16), lattice.l, rows,
-                                  build_operators(M))
-    _, norms, e, G, P = propagation._generator_powers(
-        build.stream, build.rows, build.relax)
-    for target in range(10):
-        dt = 0.75 * propagation._THETA13 * 2.0 ** target / norms[-1]
-        s = np.maximum(np.frexp(dt * norms / propagation._THETA13)[1], 0)
-        assert s[-1] == target
-        c = np.ldexp(-dt, e - s)
-        UV = propagation._pade_sums(P, c)
-        U_ref, V_ref = pade_sums_three_products(G, c)
-        for got, ref in ((propagation._jet_mul(G, UV[:, 0]), U_ref),
-                         (UV[:, 1], V_ref)):
-            err = propagation._jet_norm1(got - ref) / propagation._jet_norm1(ref)
-            assert err.max() <= 1e-14, (target, err.max())
-
-
 def test_derivatives_large_shape_peak_memory():
     # the 15-step K = 16, M = 60, N = 2 run holds at most 10.8 arrays of
     # one set of step jets above its inputs at any time: G and its six
-    # powers, the Pade sums, U, and one level of a product or the inverse
+    # powers, the two Taylor sums, the result, and one level of a product
     lattice = ModeLattice(K=16, L=2 * math.pi, M=60)
     times = [0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0) / 14)
                      for i in range(15)]
@@ -470,14 +443,17 @@ def test_derivatives_large_shape_peak_memory():
 
 
 @pytest.mark.parametrize("M", [5, 20, 60])
-def test_taylor_jets_against_extended_precision(M):
-    # single-level jets come from the degree-25 Taylor polynomial; at step
-    # sizes that give the largest jet the scaling powers 0..9, every jet
-    # of modes 0, 1, 8 and 16 at two z matches the oracle
+@pytest.mark.parametrize("N", range(3))
+def test_taylor_jets_against_extended_precision(N, M):
+    # the degree-25 Taylor polynomial builds the jets of every level count;
+    # at step sizes that give the largest jet the scaling powers 0..9,
+    # every jet of modes 0, 1, 8 and 16 at two z matches the oracle
+    if N > 0 and M == 60:
+        pytest.skip("a 180 x 180 long-double oracle costs about 0.4 s")
     lattice = ModeLattice(K=16, L=2 * math.pi, M=M)
     model = MODELS["trig"]
     ks = (0, 1, 8, 16)
-    rows = [[sigma_eval(model, z, 0)] for z in (-0.7, 0.4)]
+    rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in (-0.7, 0.4)]
     build = propagation._StepJets(ks, lattice.l, rows, build_operators(M))
     norms = propagation._generator_powers(build.stream, build.rows,
                                           build.relax)[1]
@@ -485,7 +461,7 @@ def test_taylor_jets_against_extended_precision(M):
         dt = 0.75 * propagation._THETA25 * 2.0 ** target / norms[-1]
         s = np.maximum(np.frexp(dt * norms / propagation._THETA25)[1], 0)
         assert s[-1] == target
-        dense = propagation._dense_steps(build(dt).reshape(-1, 1, M, M))
+        dense = propagation._dense_steps(build(dt).reshape(-1, N + 1, M, M))
         for i, row in enumerate(rows):
             for j, k in enumerate(ks):
                 ref = step_matrix_reference(k, lattice.l, dt, row, M)
@@ -495,8 +471,8 @@ def test_taylor_jets_against_extended_precision(M):
 
 @pytest.mark.parametrize("N", range(4))
 def test_mode0_closed_form_against_extended_precision(N):
-    # mode 0 never enters the Pade or Taylor batch: its jets are the
-    # z-derivatives of exp(-dt sigma(z) r_m)
+    # mode 0 never enters the Taylor batch: its jets are the z-derivatives
+    # of exp(-dt sigma(z) r_m)
     M = 8
     model = MODELS["polynomial"]
     rows = [[sigma_eval(model, z, n) for n in range(N + 1)]
@@ -510,21 +486,19 @@ def test_mode0_closed_form_against_extended_precision(N):
             assert _rel_err(dense[i], ref) < 1e-13, (dt, i)
 
 
-def test_single_level_steps_need_no_solve(monkeypatch):
-    # single-level jets take no LAPACK solve or inverse; the patch does
-    # reach the multi-level Pade path
+def test_no_step_calls_lapack(monkeypatch):
+    # every level count steps by Taylor jets: products only, no LAPACK
+    # solve or inverse
     def never(*args, **kwargs):
-        raise AssertionError("a single-level step called LAPACK")
+        raise AssertionError("a step called LAPACK")
 
     monkeypatch.setattr(np.linalg, "solve", never)
     monkeypatch.setattr(np.linalg, "inv", never)
     ops = build_operators(LAT.M)
-    data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), 0)
-    assert len(list(propagation.propagate(data, rows, LAT.l, ops,
-                                          [0.0, 0.1, 0.3, 0.1]))) == 4
-    data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), 1)
-    with pytest.raises(AssertionError, match="LAPACK"):
-        list(propagation.propagate(data, rows, LAT.l, ops, [0.1]))
+    for N in (0, 1):
+        data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), N)
+        assert len(list(propagation.propagate(data, rows, LAT.l, ops,
+                                              [0.0, 0.1, 0.3, 0.1]))) == 4
 
 
 def _peak_bytes(lattice, zs, dts):
@@ -554,8 +528,8 @@ def _peak_bytes(lattice, zs, dts):
                         prepend=0.0), 21_193_888),
 ], ids=["sweep", "derivatives_large"])
 def test_single_level_peak_memory(K, M, Z, dts, limit):
-    # limit is the peak of the [13/13] Pade build with an LU solve that
-    # the Taylor jets replaced, measured with the same run (numpy 2.4)
+    # limit is the peak of this run under the earlier [13/13] Pade build
+    # with an LU solve (numpy 2.4); the Taylor build must stay below it
     lattice = ModeLattice(K=K, L=2 * math.pi, M=M)
     peak = _peak_bytes(lattice, list(np.linspace(-1.0, 1.0, Z)), dts)
     assert peak <= limit, peak
