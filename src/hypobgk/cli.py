@@ -444,9 +444,12 @@ def load_config(path: str | Path, out_override: str | None = None,
     for key, values in sweep.items():
         if values == []:
             fail(f"sweep.{key} must be a nonempty list of numbers, got []")
-    # pre-validate every sweep combination so failures surface before any run
+    # pre-validate every sweep combination so failures surface before any run;
+    # the model's own sigma0 (the default) was validated with the model
     if model is not None and sweep:
         for s0 in sweep["sigma0_values"]:
+            if s0 == model.params[0]:
+                continue
             try:
                 _with_offset(model, s0)
             except HypoBGKError as exc:
@@ -618,14 +621,19 @@ def cmd_verify(cfg: RunConfig, inflate_mu: float = 1.0) -> int:
     return EXIT_OK
 
 
+def _projected(cfg: RunConfig) -> np.ndarray:
+    """The initial data projected to one stack (K+1, N+1, M).  It depends
+    on K, M and N only, so every period L of a sweep shares it."""
+    return project_initial(cfg.initial, cfg.lattice, levels=cfg.levels).data
+
+
 def _initial_stacks(cfg: RunConfig, cert: Certificate,
-                    model: CollisionFrequencyModel, lattice: ModeLattice):
+                    model: CollisionFrequencyModel, stack: np.ndarray):
     """Initial stack data (Z, K+1, N+1, M), sigma_rows[z] = sigma^(0..N)
     at z, and E0[n], the entropy of level n at t = 0.  The initial data do
-    not depend on z: every z reads one projected stack, so E0 holds for
-    every z.  A non-finite E0 raises DataError: no envelope could be
-    checked against it."""
-    stack = project_initial(cfg.initial, lattice, levels=cfg.levels).data
+    not depend on z: every z reads the one projected stack (_projected),
+    so E0 holds for every z.  A non-finite E0 raises DataError: no
+    envelope could be checked against it."""
     data = np.broadcast_to(stack, (len(cfg.z_points),) + stack.shape)
     sigma_rows = [[sigma_eval(model, z, n) for n in range(cfg.levels + 1)]
                   for z in cfg.z_points]
@@ -664,14 +672,15 @@ def _ratios(observed: np.ndarray, envelopes: np.ndarray) -> np.ndarray:
 
 
 def _base_run(cfg: RunConfig, cert: Certificate,
-              model: CollisionFrequencyModel, lattice: ModeLattice):
+              model: CollisionFrequencyModel, lattice: ModeLattice,
+              stack: np.ndarray):
     """Level-0 entropies E[0, z, j] and their envelope env[0, j].
 
     Level 0 of the stacked system does not see the higher levels, so only
     level 0 is stepped.  The envelope exp(-2 rate t) E(0) starts from the
     initial stack at t = 0, whatever time the grid starts at.
     """
-    data, sigma_rows, E0 = _initial_stacks(cfg, cert, model, lattice)
+    data, sigma_rows, E0 = _initial_stacks(cfg, cert, model, stack)
     E = _entropies(cfg, cert, lattice, data[:, :, :1],
                    [row[:1] for row in sigma_rows])
     return E, entropy_envelope(E0[0], cert.decay_rate, cfg.times)[None]
@@ -761,7 +770,7 @@ def _write_z_run(cfg: RunConfig, cert: Certificate, observed: np.ndarray,
 def cmd_simulate(cfg: RunConfig) -> int:
     """Exact trajectories with the base decay envelope, one CSV per z."""
     cert = _certify_config(cfg)
-    E, env = _base_run(cfg, cert, cfg.model, cfg.lattice)
+    E, env = _base_run(cfg, cert, cfg.model, cfg.lattice, _projected(cfg))
     n = len(cfg.z_points)
     return _write_z_run(
         cfg, cert, E, {"": env},
@@ -784,7 +793,8 @@ def cmd_derivatives(cfg: RunConfig) -> int:
             "derivatives needs N >= 1 stored derivative levels; "
             "set domain.N in the config")
     cert = _certify_config(cfg)
-    data, sigma_rows, E0 = _initial_stacks(cfg, cert, cfg.model, cfg.lattice)
+    data, sigma_rows, E0 = _initial_stacks(cfg, cert, cfg.model,
+                                           _projected(cfg))
     sqrt0 = np.sqrt(E0)
     e0_ok = sqrt0[0] <= 1.0 + 1e-9
     H = max((float(s) ** (1.0 / n) for n, s in enumerate(sqrt0)
@@ -824,12 +834,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # summary rows of a point in increasing z
     order = sorted(range(len(keys)), key=lambda i: cfg.z_points[i])
     summary = []
+    stack = _projected(cfg)
     for i, Lv in enumerate(cfg.sweep_L_values):
         for j, s0 in enumerate(cfg.sweep_sigma0_values):
             model = _with_offset(cfg.model, s0)
             lattice = ModeLattice(K=cfg.lattice.K, L=Lv, M=cfg.lattice.M)
             cert = _certify_config(cfg, L=Lv, model=model)
-            E, env = _base_run(cfg, cert, model, lattice)
+            E, env = _base_run(cfg, cert, model, lattice, stack)
             ratio = _ratios(E, env)
             _write_csv(cfg.out_dir / f"sweep_L{i:03d}_s{j:03d}.csv",
                        RESULT_HEADER,

@@ -48,31 +48,48 @@ RELAX is diagonal with entries r_m in {0, 1}.  Its jets are therefore the
 z-derivatives of exp(-dt sigma(z) r_m), in closed form for every N
 (_mode0_diagonals), and mode 0 never enters the Taylor batch.
 
-The generator does not depend on the step size, so its powers are built
-once per run and shared by every step size of the run:
+The generator does not depend on the step size, so _StepJets splits the
+build of one run by how often each piece changes:
 
-- Shared powers.  _generator_powers scales each jet G by 2^-e, exact, to
-  a 1-norm in [1/2, 1), sorts the jets by their 1-norm and forms the six
-  even powers G^2, G^4, ..., G^12 (six jet products, paid once per z
-  slice).  At a step size dt the scaled argument is A = c G with one
-  scalar c = -dt 2^(e-s) per jet, so A^k = c^k G^k, and every sum over
-  the powers is a stacked coefficient product (_power_sums).  The
-  Taylor polynomial is written T_25(A) = E1 + G O1 + G^12 (E2 + G O2),
-  with E1, O1, E2 and O2 sums over the six powers, and takes three jet
-  products per step size.  Every run, of one step size or many, builds
-  its jets this way, so the bits of a jet do not depend on the other
-  step sizes of its run.  The sort makes s nondecreasing for every dt,
-  so each squaring acts on a suffix of the batch; the squarings
-  alternate between the result and a spent buffer.
-- Memory rule.  A run keeps G and its six powers of a z slice only while
-  another step size still has to be built: a run of one step size keeps
-  none, and a run of many drops them at its last new step size.  Within
-  a build the Taylor sums fit in three arrays the size of the batch: the
-  result, and a pair whose first half is the squarings' spare buffer and
-  which is freed when _expm_powers returns.  A 15-step run at K = 16,
-  M = 60, N = 2 peaks at 10.08 arrays the size of one slice's jets: G
-  and its six powers, the three Taylor arrays and one level-sized
-  temporary of a product, for the 16 modes k >= 1.
+- Once per run.  _band_norms sums every (z, k) jet's 1-norm from the
+  generator's bands: the real-frame stream's two off-diagonals, the
+  sigma derivatives and diag(RELAX).  It checks once, against exact
+  zeros, that the twist is tridiagonal with a zero diagonal and RELAX
+  diagonal, and sums each column in the order of a dense column sum, so
+  every norm equals the 1-norm of the assembled jet bit for bit.  All
+  jets of the run are sorted by their norms once, with e the exponent
+  that scales each jet by 2^-e, exact, to a 1-norm in [1/2, 1).
+- Once per step size.  The scaling powers s, the scalars
+  c = -dt 2^(e-s) and the Taylor coefficients c^k / k! of every jet.
+- Per chunk.  The sorted jets are cut into chunks of _BUILD_SLICE z
+  rows' worth (_BUILD_SLICE times the modes k != 0).  _generator_powers
+  assembles and scales a chunk's jets G and forms the six even powers
+  G^2, G^4, ..., G^12 (six jet products).  At a step size the scaled
+  argument is A = c G, so A^k = c^k G^k, and every sum over the powers
+  is a stacked coefficient product (_power_sums).  The Taylor polynomial
+  is written T_25(A) = E1 + G O1 + G^12 (E2 + G O2), with E1, O1, E2 and
+  O2 sums over the six powers, and takes three jet products per step
+  size (_taylor).  The sort makes s nondecreasing along each chunk, so
+  each squaring acts on a suffix of it; the squarings alternate between
+  the result and a spent buffer.
+
+Every run, of one step size or many, builds its jets this way.  Every
+jet keeps its own e, its own s and its own place in the sort, and the
+products act on each jet of a chunk alone, so the bits of a jet depend
+neither on the other step sizes of its run nor on the chunk it falls in.
+
+Memory rule.  A run keeps G and its six powers of a chunk only while
+another step size still has to be built: a run of one step size keeps
+none, and a run of many drops them at its last new step size.  Within a
+build the Taylor sums fit in three arrays the size of the chunk: the
+result, and a pair whose first half is the squarings' spare buffer and
+which is freed when _expm_powers returns.  A 15-step run at K = 16,
+M = 60, N = 2 (one chunk) peaks at 10.10 arrays the size of its jets: G
+and its six powers, the three Taylor arrays and one level-sized temporary
+of a product, for the 16 modes k >= 1.  The chunks bound the build
+temporaries, which grow with the chunk: at K = 4, M = 20 a sweep peaked
+about 0.3 MiB higher per z row of a chunk, while a chunk of the whole
+30-row batch built only about a quarter faster.
 
 Everything steps through one z-batched core, propagate.  It takes the
 stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
@@ -92,12 +109,9 @@ data after each step:
   real-frame samples, and the entropy reads them as they are (it has a
   closed form in that frame).  Only ExactPropagator rotates its sample
   back by D, and multiplying by powers of i is exact.
-- The powers and the jets of one step size are built in slices of
-  _BUILD_SLICE z rows (_StepJets), because the build temporaries grow
-  with the batch: at K = 4, M = 20 a sweep peaked about 0.3 MiB higher
-  per z row of a slice, and the build time did not change measurably.
-  Every jet gets its own scaling power and its own place in the sort,
-  so the slice size changes no bit of the result.
+- The powers and the jets of one step size are built chunk by chunk
+  (_StepJets, above), and each chunk's jets are scattered to their
+  (z, k) places.
 
 ExactPropagator steps one StateStack at one z through the same core and
 caches the jets per dt across its calls.  step_matrix expands the cached
@@ -107,6 +121,7 @@ inspection and tests; no stepping path uses dense step matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -167,17 +182,6 @@ def _jet_mul(X: np.ndarray, Y: np.ndarray,
     return out
 
 
-def _jet_norm1(A: np.ndarray) -> np.ndarray:
-    """1-norm of the dense block matrix each jet of the batch stands for.
-
-    Block column m holds the blocks binom(m+i, i) A_i, i = 0..N-m.
-    """
-    n = A.shape[1]
-    col = np.abs(A).sum(axis=2)
-    return np.max([sum(math.comb(m + i, i) * col[:, i] for i in range(n - m))
-                   .max(axis=-1) for m in range(n)], axis=0)
-
-
 # Coefficients 1/k! of the degree-25 Taylor polynomial, and the 1-norm
 # theta_25 up to which it meets double-precision backward error (Al-Mohy &
 # Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1, u = 2^-53).
@@ -189,33 +193,66 @@ _THETA25 = 2.43
 _TAYLOR_SUMS = np.arange(2, 14, 2) + np.array([[0], [1], [12], [13]])
 
 
-def _generator_powers(stream: np.ndarray, rows: np.ndarray, relax: np.ndarray):
-    """Real-frame generator jets of one z slice and their even powers.
+def _band_norms(kl: np.ndarray, twist: np.ndarray, rows: np.ndarray,
+                relax: np.ndarray):
+    """Sorted 1-norms of the real-frame jets of every (z, k) pair.
 
-    stream[k] is the streaming block of mode k in the real frame and
-    rows[z] holds sigma^(0)..sigma^(N) at one z of the slice.
-
-    Each jet G is scaled by 2^-e, exact, to a 1-norm in [1/2, 1), so no
-    power can overflow; jets come sorted by their 1-norm.  Returns
-    (order, norms, e, G, P): order[j] is the (z, k) row of jet j, norms
-    and e the sorted 1-norms and exponents of the unscaled jets, and
-    P[:, 0..5] the powers G^2, G^4, ..., G^12.
+    The jet of mode k at z has level 0 kl[k] twist + sigma^(0)(z) relax
+    and levels i >= 1 sigma^(i)(z) relax.  twist must be tridiagonal with
+    a zero diagonal and relax diagonal, both to the last bit; otherwise
+    NumericError.  Block column m of the dense matrix holds the blocks
+    binom(m+i, i) A_i, i = 0..N-m, so its column sums come from the bands
+    alone.  Each column of level 0 is summed in row order, as a dense
+    column sum is (the zeros it skips add nothing), and the levels in the
+    dense order, so every norm equals the 1-norm of the assembled jet bit
+    for bit.  Returns (order, norms): order[j] = z len(kl) + k is the row
+    of the j-th smallest norm.
     """
-    n, M = rows.shape[1], len(relax)
-    part = rows[:, :, None, None, None]
-    A = np.empty((len(rows), len(stream), n, M, M))
-    A[:, :, 0] = stream + part[:, 0] * relax
-    for i in range(1, n):
-        A[:, :, i] = part[:, i] * relax
-    A = A.reshape(-1, n, M, M)
-    norms = _jet_norm1(A)
+    r = np.diag(relax)
+    upper, lower = np.diag(twist, 1), np.diag(twist, -1)
+    if not (np.array_equal(twist, np.diag(upper, 1) + np.diag(lower, -1))
+            and np.array_equal(relax, np.diag(r))):
+        raise NumericError(
+            "real-frame generator is not tridiagonal plus diagonal")
+    (Z, n), M = rows.shape, len(r)
+    col = np.empty((Z, len(kl), n, M))
+    diag = np.abs(np.multiply.outer(rows, r))   # |sigma^(i)(z) r_j|
+    col[:] = diag[:, None]
+    above = np.zeros((len(kl), M))              # |entry (j-1, j)|
+    above[:, 1:] = np.abs(kl[:, None] * upper)
+    below = np.zeros((len(kl), M))              # |entry (j+1, j)|
+    below[:, :-1] = np.abs(kl[:, None] * lower)
+    col[:, :, 0] = above + diag[:, None, 0] + below
+    col = col.reshape(-1, n, M)
+    norms = np.max([sum(math.comb(m + i, i) * col[:, i] for i in range(n - m))
+                    .max(axis=-1) for m in range(n)], axis=0)
     if not np.all(np.isfinite(norms)):
         raise NumericError("step generator has non-finite entries")
     order = np.argsort(norms, kind="stable")
-    norms = norms[order]
-    _, e = np.frexp(norms)
-    G = A[order]
-    del A
+    return order, norms[order]
+
+
+def _generator_powers(stream: np.ndarray, rows: np.ndarray, relax: np.ndarray,
+                      order: np.ndarray, norms: np.ndarray, e: np.ndarray):
+    """Real-frame generator jets of one chunk of a run and their even powers.
+
+    stream[k] is the streaming block of the k-th moving mode in the real
+    frame and rows[z] holds sigma^(0)..sigma^(N) at z.  The chunk is a
+    stretch of the run's jets in sorted order: order[j] = z len(stream) + k
+    is the (z, k) row of its jet j, and norms[j] = 2^e[j] f with f in
+    [1/2, 1) that jet's 1-norm.
+
+    Each jet G is scaled by 2^-e, exact, to a 1-norm in [1/2, 1), so no
+    power can overflow.  Returns (order, norms, e, G, P), with P[:, 0..5]
+    the powers G^2, G^4, ..., G^12.
+    """
+    n, M = rows.shape[1], len(relax)
+    z, k = np.divmod(order, len(stream))
+    part = rows[z, :, None, None]
+    G = np.empty((len(order), n, M, M))
+    np.add(stream[k], part[:, 0] * relax, out=G[:, 0])
+    for i in range(1, n):
+        np.multiply(part[:, i], relax, out=G[:, i])
     G *= np.ldexp(1.0, -e)[:, None, None, None]
     P = np.empty((len(G), 6) + G.shape[1:])
     _jet_mul(G, G, out=P[:, 0])                 # G^2
@@ -242,47 +279,42 @@ def _power_sums(P: np.ndarray, coef: np.ndarray,
     return out
 
 
-def _taylor(G: np.ndarray, P: np.ndarray, c: np.ndarray):
+def _taylor(G: np.ndarray, P: np.ndarray, c: np.ndarray, coef: np.ndarray):
     """T_25(A) at A = c G, and a spare buffer its shape.
 
     T_25 = E1 + G O1 + G^12 (E2 + G O2), the four sums from the shared
-    powers (_power_sums): three jet products and no solve.  The
+    powers (_power_sums) with the coefficients coef[:, r] = c^k / k! at
+    the exponents _TAYLOR_SUMS[r]: three jet products and no solve.  The
     temporaries fit in three arrays the size of the batch and one level
     of a product.
     """
-    M = P.shape[-1]
-    coef = _TAYLOR25[_TAYLOR_SUMS] * c[:, None, None] ** _TAYLOR_SUMS
-    diag = np.arange(M)
     S = _power_sums(P, coef[:, 2:])             # E2, O2
     X = _jet_mul(G, S[:, 1])                    # G O2
     X += S[:, 0]
     _jet_mul(P[:, 5], X, out=S[:, 0])           # G^12 (E2 + G O2)
+    M = P.shape[-1]
+    diag = X.reshape(len(X), -1)[:, :M * M:M + 1]   # level 0's, a view
     _power_sums(P, coef[:, 1:2], out=X[:, None])
-    X[:, 0, diag, diag] += c[:, None]           # O1
+    diag += c[:, None]                          # O1
     _jet_mul(G, X, out=S[:, 1])                 # G O1
     S[:, 1] += S[:, 0]
     _power_sums(P, coef[:, :1], out=X[:, None])
-    X[:, 0, diag, diag] += 1.0                  # E1
+    diag += 1.0                                 # E1
     X += S[:, 1]
     return X, S[:, 0]
 
 
-def _expm_powers(powers, dt: float) -> np.ndarray:
-    """exp(-dt G) of every jet of a slice, in the slice's sorted order.
+def _expm_powers(G: np.ndarray, P: np.ndarray, c: np.ndarray,
+                 coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """exp(-dt G) of every jet of a chunk, in the chunk's sorted order.
 
     The degree-25 Taylor polynomial at A = -dt G / 2^s, with a scaling
     power s per jet, then s squarings.  A = c Gs with c = -dt 2^(e-s) and
-    Gs the scaled jet, so its sums come from the shared powers of Gs.
+    Gs the scaled jet, so its sums come from the shared powers P of Gs;
+    coef holds the Taylor coefficients of c (_taylor).  s is
+    nondecreasing.
     """
-    _, norms, e, G, P = powers
-    scaled = dt * norms
-    if not np.all(np.isfinite(scaled)):
-        raise NumericError("step generator has non-finite entries")
-    # dt norm / theta = f 2**s with f < 1, so dt norm / 2**s < theta; the
-    # norms are sorted, so s is too
-    _, s = np.frexp(scaled / _THETA25)
-    s = np.maximum(s, 0)
-    out, spare = _taylor(G, P, np.ldexp(-dt, e - s))
+    out, spare = _taylor(G, P, c, coef)
     # the jets with s > j form a suffix of the batch; square it from R into
     # the spare buffer and swap, and move the jets whose last squaring is
     # done back into out
@@ -318,8 +350,8 @@ def _mode0_diagonals(rows: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
     return f
 
 
-# z rows per _generator_powers call; bounds the shared powers and the Taylor
-# temporaries (see module doc)
+# z rows' worth of jets per _generator_powers call; bounds the shared powers
+# and the Taylor temporaries (see module doc)
 _BUILD_SLICE = 2
 
 _I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
@@ -331,42 +363,68 @@ class _StepJets:
     sigma_rows[z] holds sigma^(0)..sigma^(N) at one z; a build at dt has
     shape (Z, len(ks), N+1, M, M).  Mode 0 comes in closed form
     (_mode0_diagonals), every other mode from the powers of its
-    generator.  builds is the number of step sizes the run will build:
-    the powers of each z slice are kept only while a later build will use
-    them, so a run of one step size keeps none.
+    generator.  The 1-norms and their sort are computed once per run, the
+    scaling powers and Taylor coefficients once per build, and the powers
+    and products once per chunk of the sorted jets.  builds is the number
+    of step sizes the run will build: the powers of each chunk are kept
+    only while a later build will use them, so a run of one step size
+    keeps none.
     """
 
     def __init__(self, ks, l: float, sigma_rows, ops: OperatorSet,
                  builds: int = 1):
         ks = np.asarray(ks, dtype=float)
-        twist = np.tril(ops.stream) - np.triu(ops.stream)   # D^-1 (i STREAM) D
+        # D^-1 (i STREAM) D
+        self.twist = np.tril(ops.stream) - np.triu(ops.stream)
         self.zero = np.flatnonzero(ks == 0.0)
         self.modes = np.flatnonzero(ks != 0.0)
-        self.stream = ks[self.modes, None, None] * l * twist
+        self.kl = ks[self.modes] * l
+        self.stream = self.kl[:, None, None] * self.twist
         self.rows = np.asarray(sigma_rows, dtype=float)
         self.relax = ops.relax
+        self.chunk = _BUILD_SLICE * max(len(self.modes), 1)   # jets, >= 1
         self.builds = builds
         self.powers: dict[int, tuple] = {}
+
+    @functools.cached_property
+    def sorted_norms(self):
+        """(order, norms, e): the run's jets sorted by their 1-norms
+        (_band_norms), and the exponents e with norms = 2^e f, f in
+        [1/2, 1).  Computed at the first build and kept for the run."""
+        order, norms = _band_norms(self.kl, self.twist, self.rows, self.relax)
+        return order, norms, np.frexp(norms)[1]
 
     def __call__(self, dt: float) -> np.ndarray:
         Z, n = self.rows.shape
         Kp, M = len(self.modes), len(self.relax)
         K1 = Kp + len(self.zero)
         self.builds -= 1
+        ranks, norms, e = self.sorted_norms
+        scaled = dt * norms
+        if not np.all(np.isfinite(scaled)):
+            raise NumericError("step generator has non-finite entries")
+        # dt norm / theta = f 2**s with f < 1, so dt norm / 2**s < theta; the
+        # norms are sorted, so s is too
+        _, s = np.frexp(scaled / _THETA25)
+        s = np.maximum(s, 0)
+        c = np.ldexp(-dt, e - s)
+        coef = _TAYLOR25[_TAYLOR_SUMS] * c[:, None, None] ** _TAYLOR_SUMS
         out = None
         # a lattice of mode 0 alone has no batch to build
-        for z0 in range(0, Z if Kp else 0, _BUILD_SLICE):
-            powers = self.powers.pop(z0, None)
+        for j0 in range(0, len(ranks), self.chunk):
+            part = slice(j0, j0 + self.chunk)
+            powers = self.powers.pop(j0, None)
             if powers is None:
                 powers = _generator_powers(
-                    self.stream, self.rows[z0:z0 + _BUILD_SLICE], self.relax)
+                    self.stream, self.rows, self.relax, ranks[part],
+                    norms[part], e[part])
             if self.builds > 0:
-                self.powers[z0] = powers
-            R = _expm_powers(powers, dt)
-            if out is None:     # after the first slice's temporaries are gone
+                self.powers[j0] = powers
+            R = _expm_powers(*powers[3:], c[part], coef[part], s[part])
+            if out is None:     # after the first chunk's temporaries are gone
                 out = np.empty((Z, K1, n, M, M))
-            order = powers[0]
-            out[z0 + order // Kp, self.modes[order % Kp]] = R
+            z, k = np.divmod(powers[0], Kp)
+            out[z, self.modes[k]] = R
         if out is None:
             out = np.empty((Z, K1, n, M, M))
         if len(self.zero):

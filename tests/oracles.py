@@ -6,7 +6,9 @@ were made exact.  certify_array is certify with rate_block's array
 expression evaluated for every trial alpha, the objective that the
 float-arithmetic one in the package replaced.  step_matrix_reference is
 an extended-precision exponential of the dense augmented generator, the
-reference for the structured step-matrix kernel.
+reference for the structured step-matrix kernel; real_frame_jets are
+the jets of its rotated generator, and _jet_norm1 their dense 1-norms,
+which the band sums of the step-jet build replaced.
 build_transforms and entropy_dense are the dense M x M transforms and
 the quadratic form the closed-form twisted entropy replaced, and
 entropy_complex_frame the closed form on complex data that the
@@ -227,6 +229,40 @@ def expm_longdouble(A: np.ndarray) -> np.ndarray:
     return E
 
 
+def _real_frame(k: int, l: float, sigma_derivs, M: int):
+    """D^-1 G_k D of the dense augmented generator, with D = diag(i**m)
+    over the Hermite index m, and the phases i^(p-q) that rotate back.
+
+    The rotation multiplies entries by powers of i, which is exact, and
+    the result is real.
+    """
+    G = augmented_generator(k, l, sigma_derivs, build_operators(M))
+    m = np.arange(G.shape[0]) % M
+    phase = np.array([1, 1j, -1, -1j])[np.subtract.outer(m, m) % 4]
+    real_frame = G * phase.conj()
+    if np.any(real_frame.imag != 0.0):
+        raise AssertionError("the rotated generator is not real")
+    return real_frame.real, phase
+
+
+def real_frame_jets(k: int, l: float, sigma_derivs, M: int) -> np.ndarray:
+    """Jet (A_0..A_N) of the real-frame generator D^-1 G_k D, shape
+    (N+1, M, M): its block (n, 0) is binom(n, n) A_n = A_n."""
+    real_frame, _ = _real_frame(k, l, sigma_derivs, M)
+    return real_frame[:, :M].reshape(-1, M, M)
+
+
+def _jet_norm1(A: np.ndarray) -> np.ndarray:
+    """1-norm of the dense block matrix each jet of the batch stands for.
+
+    Block column m holds the blocks binom(m+i, i) A_i, i = 0..N-m.
+    """
+    n = A.shape[1]
+    col = np.abs(A).sum(axis=2)
+    return np.max([sum(math.comb(m + i, i) * col[:, i] for i in range(n - m))
+                   .max(axis=-1) for m in range(n)], axis=0)
+
+
 def step_matrix_reference(k: int, l: float, dt: float, sigma_derivs,
                           M: int) -> np.ndarray:
     """exp(-dt G_k) of the dense augmented generator, in extended precision.
@@ -235,13 +271,8 @@ def step_matrix_reference(k: int, l: float, dt: float, sigma_derivs,
     exp(-dt G_k) = D exp(-dt D^-1 G_k D) D^-1.  The real exponential is
     expm_longdouble; the rotations multiply entries by powers of i.
     """
-    G = augmented_generator(k, l, sigma_derivs, build_operators(M))
-    m = np.arange(G.shape[0]) % M
-    phase = np.array([1, 1j, -1, -1j])[np.subtract.outer(m, m) % 4]
-    real_frame = G * phase.conj()
-    if np.any(real_frame.imag != 0.0):
-        raise AssertionError("the rotated generator is not real")
-    R = expm_longdouble(-np.longdouble(dt) * real_frame.real.astype(np.longdouble))
+    real_frame, phase = _real_frame(k, l, sigma_derivs, M)
+    R = expm_longdouble(-np.longdouble(dt) * real_frame.astype(np.longdouble))
     return R.astype(float) * phase
 
 

@@ -356,6 +356,65 @@ def test_sweep_thread_count_does_not_change_output(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_load_config_builds_the_model_once(tmp_path, capsys, monkeypatch):
+    # the default sweep sigma0 is the model's own, validated with the model;
+    # other sweep values are still validated before any run
+    built = []
+    model_type = cli.CollisionFrequencyModel
+
+    def spy(*args):
+        built.append(args)
+        return model_type(*args)
+
+    monkeypatch.setattr(cli, "CollisionFrequencyModel", spy)
+    doc = json.loads(json.dumps(BASE))
+    del doc["sweep"]
+    path = tmp_path / "nosweep.json"
+    path.write_text(json.dumps(doc))
+    for _ in range(2):
+        load_config(path)
+    assert len(built) == 2
+    bad = write_config(tmp_path, sweep={"sigma0_values": [1.0, -5.0]})
+    assert main(["sweep", "--config", str(bad),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "sigma0=-5.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_projects_the_initial_data_once(tmp_path, monkeypatch):
+    # the initial stack depends on K, M and N only: one projection serves
+    # every (L, sigma0) point, and each point's rows are those of a
+    # simulate run at that point, which projects on its own lattice
+    calls = []
+    project = cli.project_initial
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].L)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "project_initial", spy)
+    Ls, s0s = [math.pi, 2 * math.pi], [1.0, 1.5]
+    path = write_config(tmp_path, z_grid={"num": 3},
+                        sweep={"L_values": Ls, "sigma0_values": s0s})
+    assert main(["sweep", "--config", str(path),
+                 "--out", str(tmp_path / "swp")]) == 0
+    assert len(calls) == 1
+    swept = (tmp_path / "swp" / "summary.csv").read_text().splitlines()
+    rows = []
+    for L in Ls:
+        for s0 in s0s:
+            sim = write_config(
+                tmp_path, "sim.json", z_grid={"num": 3},
+                domain={"L": L},
+                sigma={**BASE["sigma"], "sigma0": s0})
+            out = tmp_path / f"sim_{L}_{s0}"
+            assert main(["simulate", "--config", str(sim),
+                         "--out", str(out)]) == 0
+            rows += (out / "summary.csv").read_text().splitlines()[2:]
+    assert calls[1:] == [L for L in Ls for _ in s0s]
+    assert swept[2:] == rows
+
+
 def test_derivatives_writes_all_levels(tmp_path):
     path = write_config(tmp_path, domain={"N": 2},
                         initial_data={"type": "random", "seed": 3,
@@ -377,7 +436,7 @@ def test_initial_entropy_is_one_value_per_level(tmp_path):
     cert = certify(cfg.lattice.L, cfg.model.sigma_min, cfg.model.sigma_max,
                    alpha_strategy=cfg.alpha_strategy)
     data, sigma_rows, E0 = cli._initial_stacks(cfg, cert, cfg.model,
-                                               cfg.lattice)
+                                               cli._projected(cfg))
     assert E0.shape == (3,)
     assert data.shape == (5, cfg.lattice.K + 1, 3, cfg.lattice.M)
     assert len(sigma_rows) == 5
@@ -535,8 +594,9 @@ def test_level0_commands_step_level0_only(tmp_path, monkeypatch, command):
     assert levels == [(1, {1})] * n_points
     cfg = load_config(path)
     cert = cli._certify_config(cfg)
-    E, _ = cli._base_run(cfg, cert, cfg.model, cfg.lattice)
-    data, rows, E0 = cli._initial_stacks(cfg, cert, cfg.model, cfg.lattice)
+    stack = cli._projected(cfg)
+    E, _ = cli._base_run(cfg, cert, cfg.model, cfg.lattice, stack)
+    data, rows, E0 = cli._initial_stacks(cfg, cert, cfg.model, stack)
     full = cli._entropies(cfg, cert, cfg.lattice, data, rows)
     assert full.shape[0] == 3 and E.shape == full[:1].shape
     assert np.max(np.abs(E[0] - full[0])) <= 1e-13 * E0[0]

@@ -26,7 +26,12 @@ from hypobgk import (
     taylor_bound,
     trig_model,
 )
+from hypobgk import models
 from oracles import poly_extremes_search
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
 
 
 def test_affine_eval_and_bounds():
@@ -244,3 +249,38 @@ def test_polynomial_range_contains_searched_range(tail, z_lo, width):
     reach = lip * width / 20_000 / 2
     assert m.sigma_min >= grid.min() - reach - slack
     assert m.sigma_max <= grid.max() + reach + slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=8),
+       x=st.floats(allow_nan=False))
+@example(coeffs=[-0.0], x=1.0)
+@example(coeffs=[1e308, 1e308], x=10.0)
+def test_scalar_horner_matches_numpy_polyval_bitwise(coeffs, x):
+    with np.errstate(all="ignore"):
+        ref = np.polynomial.polynomial.polyval(x, np.array(coeffs))
+    got = models._polyval(x, coeffs)
+    assert type(got) is float
+    assert _bits(got) == _bits(ref) or (math.isnan(got) and math.isnan(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tail=st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=6),
+       z_lo=st.floats(-2.0, 2.0), width=st.floats(0.0, 3.0))
+@example(tail=[1.0, 1.0, 5.4930206238644256e-18], z_lo=-1.0, width=1.0)
+def test_polynomial_bounds_unchanged_by_the_scalar_horner(tail, z_lo, width):
+    # the bounds and every sigma derivative are those numpy's polyval gives
+    coeffs = [1.0 + sum(abs(a) * 5.0 ** (j + 1) for j, a in enumerate(tail))]
+    coeffs += tail
+    domain = (z_lo, z_lo + width)
+    fast = polynomial_model(coeffs, domain)
+    zs = np.linspace(*domain, 5).tolist()
+    derivs = [sigma_eval(fast, z, n) for z in zs for n in range(len(coeffs))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_polyval", lambda x, c:
+                   np.polynomial.polynomial.polyval(x, np.asarray(c, float)))
+        slow = polynomial_model(coeffs, domain)
+        assert [sigma_eval(slow, z, n) for z in zs
+                for n in range(len(coeffs))] == derivs
+    assert _bits(fast.sigma_min) == _bits(slow.sigma_min)
+    assert _bits(fast.sigma_max) == _bits(slow.sigma_max)

@@ -30,7 +30,8 @@ from hypobgk import (
 )
 from hypobgk import propagation
 from hypobgk.propagation import _complex_frame
-from oracles import build_transform, evolve_reference, step_matrix_reference
+from oracles import (_jet_norm1, build_transform, evolve_reference,
+                     real_frame_jets, step_matrix_reference)
 
 LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
 
@@ -262,8 +263,8 @@ def test_opposite_modes_give_conjugate_step_matrices(k, dt, z, N, variant):
 
 @pytest.mark.parametrize("N", [0, 2])
 def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
-    # build slices of 1 and 4 z rows must give the same bits, and so must
-    # every z stepped alone through ExactPropagator
+    # build chunks of 1 and 4 z rows' worth must give the same bits, and so
+    # must every z stepped alone through ExactPropagator
     model = MODELS["trig"]
     zs = np.linspace(-0.9, 0.8, 7)
     times = [0.0, 0.3, 0.6, 1.7, 1.7, 5.0]
@@ -325,7 +326,7 @@ def _stacks(model, lattice, zs, N, seed=2):
 
 
 def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
-    # a run builds the powers of each z slice once, keeps them only while
+    # a run builds the powers of each chunk once, keeps them only while
     # a later step size still needs a build, and a run of one step size
     # keeps none after its step
     built = []
@@ -347,7 +348,7 @@ def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
     dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
     seen = [(len(built), held()) for _ in
             propagation.propagate(data, rows, LAT.l, ops, dts)]
-    # two slices of G and its powers, alive until the build of 0.3
+    # two chunks of G and its powers, alive until the build of 0.3
     assert seen == [(2, 4)] * 4 + [(2, 0)] * 3
     built.clear()
     seen = [(len(built), held()) for _ in
@@ -360,6 +361,58 @@ def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
     seen = [(len(built), held()) for _ in
             propagation.propagate(data, rows, LAT.l, ops, [0.1, 0.4], jets)]
     assert seen == [(2, 0), (4, 0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.sampled_from([5, 20]), M=st.sampled_from([5, 20]),
+       N=st.integers(0, 3), variant=st.sampled_from(sorted(MODELS)),
+       zs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+       l=st.floats(0.1, 10.0), signed=st.booleans())
+def test_band_norms_equal_the_dense_jet_norms(K, M, N, variant, zs, l, signed):
+    # the 1-norms summed from the generator's bands are, bit for bit, the
+    # 1-norms of the assembled real-frame jets, and come sorted
+    ks = range(-K if signed else 0, K + 1)
+    model = MODELS[variant]
+    rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in zs]
+    build = propagation._StepJets(ks, l, rows, build_operators(M))
+    order, norms, e = build.sorted_norms
+    jets = np.array([[real_frame_jets(k, l, row, M) for k in ks if k]
+                     for row in rows]).reshape(-1, N + 1, M, M)
+    assert _jet_norm1(jets)[order].tobytes() == norms.tobytes()
+    assert np.all(np.diff(norms) >= 0.0)
+    assert np.array_equal(np.ldexp(np.frexp(norms)[0], e), norms)
+
+
+def test_norms_and_sort_once_per_run(monkeypatch):
+    # the norms and their sort are per-run work: one call per run, whatever
+    # the chunk width and the step sizes, and none for a run that builds
+    # nothing; each build cuts the sorted jets into chunks of _BUILD_SLICE
+    # z rows' worth
+    calls = {"norms": 0, "sorts": 0, "chunks": 0}
+    band_norms, argsort = propagation._band_norms, np.argsort
+    generator_powers = propagation._generator_powers
+
+    def count(name, f):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(propagation, "_band_norms", count("norms", band_norms))
+    monkeypatch.setattr(np, "argsort", count("sorts", argsort))
+    monkeypatch.setattr(propagation, "_generator_powers",
+                        count("chunks", generator_powers))
+    data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5, 0.9, -0.2), 1)
+    ops = build_operators(LAT.M)
+    for width, chunks in ((1, 5), (2, 3), (4, 2), (8, 1)):
+        monkeypatch.setattr(propagation, "_BUILD_SLICE", width)
+        for dts, builds in (([0.1], 1), ([0.1, 0.2, 0.1, 0.0, 0.3], 3),
+                            ([0.0, 0.0], 0)):
+            calls.update(norms=0, sorts=0, chunks=0)
+            list(propagation.propagate(data, rows, LAT.l, ops, dts))
+            ran = min(builds, 1)
+            assert calls == {"norms": ran, "sorts": ran,
+                             "chunks": chunks * ran}, (width, dts)
 
 
 def test_derivatives_large_shape_against_extended_precision():
@@ -398,7 +451,7 @@ def test_derivatives_large_shape_against_extended_precision():
 def test_runs_mixing_step_sizes_against_extended_precision(variant, M, N, pool,
                                                            picks, z):
     # repeated, distinct and zero steps in one run over three z rows (two
-    # build slices): every step matrix of every (z, k) against the oracle
+    # build chunks): every step matrix of every (z, k) against the oracle
     lattice = ModeLattice(K=2, L=1.0, M=M)
     model = MODELS[variant]
     dts = [(pool + [0.0])[i % (len(pool) + 1)] for i in picks]
@@ -455,8 +508,7 @@ def test_taylor_jets_against_extended_precision(N, M):
     ks = (0, 1, 8, 16)
     rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in (-0.7, 0.4)]
     build = propagation._StepJets(ks, lattice.l, rows, build_operators(M))
-    norms = propagation._generator_powers(build.stream, build.rows,
-                                          build.relax)[1]
+    norms = build.sorted_norms[1]
     for target in range(10):
         dt = 0.75 * propagation._THETA25 * 2.0 ** target / norms[-1]
         s = np.maximum(np.frexp(dt * norms / propagation._THETA25)[1], 0)
