@@ -186,8 +186,13 @@ def alpha_limit(l, sigma):
         raise CertificateError(
             f"wavenumber spacing l={l} is too large to certify; "
             f"the period L is too small") from None
-    big = np.sqrt(64.0 * l4 + 16.0 * l**2 * sigma**2 + sigma**4)
-    small = np.sqrt(16.0 * l**2 * sigma**2 + sigma**4)
+    with np.errstate(over="ignore"):
+        big = np.sqrt(64.0 * l4 + 16.0 * l**2 * sigma**2 + sigma**4)
+        small = np.sqrt(16.0 * l**2 * sigma**2 + sigma**4)
+    if not np.all(np.isfinite(big)):    # sigma**4 overflows above about 1.2e77
+        raise CertificateError(
+            f"collision frequency sigma={float(sigma.max())} is too large to "
+            f"certify at l={l}")
     out = 8.0 * l * sigma / (3.0 * (big + small))
     return float(out) if out.ndim == 0 else out
 

@@ -73,8 +73,8 @@ build of one run by how often each piece changes:
   each squaring acts on a suffix of it; the squarings alternate between
   the result and a spent buffer.
 
-Every run, of one step size or many, builds its jets this way.  Every
-jet keeps its own e, its own s and its own place in the sort, and the
+Every step size a run builds jets for is built this way.  Every jet
+keeps its own e, its own s and its own place in the sort, and the
 products act on each jet of a chunk alone, so the bits of a jet depend
 neither on the other step sizes of its run nor on the chunk it falls in.
 
@@ -112,6 +112,70 @@ data after each step:
 - The powers and the jets of one step size are built chunk by chunk
   (_StepJets, above), and each chunk's jets are scattered to their
   (z, k) places.
+
+The ladder.  A run that brings no cache uses each jet set once for a
+step size it takes once (a log-spaced time grid takes every step size
+once), so building the set is the whole cost of such a step.  For these
+step sizes propagate may instead apply the exponential to the data
+(_Ladder), after Al-Mohy & Higham (2011), with one ladder of squarings
+per run in place of per-step-size squarings:
+
+- The base step.  Each (z, k != 0) jet, of 1-norm 2^e f with f in
+  [1/2, 1), gets h = 2^(1-e), so h ||G|| = 2 f lies in [1, 2), inside
+  theta_25.  L_0 = exp(-h G) is the _expm_powers build at s = 0 and
+  c = -2 for every jet (_StepJets.base), and the rungs
+  L_i = exp(-2^i h G) = L_(i-1)^2 are squared once per run.
+- A step.  dt = q h + r exactly, since h is a power of two: r is
+  fmod(dt, h) and q = (dt - r) / h, an integer in floats (it can exceed
+  2^63).  exp(-dt G) = exp(-r G) prod_{bits i of q} L_i, all functions of
+  G, so the step applies the rungs of q's set bits to the data, then the
+  degree-25 Taylor action of exp(-r G), with ||r G|| < 2.  That action
+  (_Ladder._remainder) reads only G's bands, scaled by 2^-e like the
+  jets: kl twist's two off-diagonals on every level, and the level mix
+  binom(d, i) sigma^(i)(z) times diag(RELAX).  Mode 0 keeps its closed
+  form.
+- Depth.  q < dt / h, so a jet needs frexp(dt)[1] + e - 1 rungs for the
+  largest dt (at least rung 0).  Depth grows with e, so it is
+  nondecreasing along the sort, and rung i is held only for the suffix
+  of the jets with more than i rungs, as the squarings of a build act on
+  a suffix.
+- Selection count (_ladder).  The ladder is taken only when, for the
+  same once-used steps, it does less work than the jets path, counted
+  before any product from the norms, the step sizes and the shape.  A
+  jet product is b = (N+1)(N+2)/2 block products.  With s the scaling
+  powers of the step sizes and J the jets k != 0, the jets path does b
+  (6 + sum_dt (3 + s)) block products per jet: the six powers, then per
+  step size the three Taylor products and s squarings.  The ladder does
+  b (9 + depth - 1) per jet, the six powers, three Taylor products and
+  the squarings of its rungs, and per step 25 generator actions plus one
+  rung action for each bit that any jet of the rung's suffix has set.
+  Both counts are in multiply-adds, a block product M^3, and also carry
+  the fixed costs that matter on small shapes, measured with one BLAS
+  thread: a fixed cost per block of a stacked product (_ITEM) and per
+  stacked call (_CALL), the Taylor sums, scatter and checks of each build
+  (_BUILD), each block applied to data (_APPLY), and per Taylor term of
+  the action, a fixed cost (_TERM) and one per jet, level and m (_ACT).
+  The fixed costs are paid once per run and per step rather than per
+  jet, so the count prefers the ladder for many z and large M, and the
+  jets path for one z at small M.  A run with one once-used step size
+  never gains, because its depth is about s: it takes the jets path
+  without a count.  When the run also builds jets (a repeated step
+  size), the six powers are shared and left out of both counts.
+- Memory rule.  The rungs are built at the first ladder step and freed
+  after the last one.  The build of rung 0 drops G's powers, unless a
+  jets build at a repeated step size still needs them, before the
+  squarings start.  A run whose rungs, with the G and six powers that a
+  run with repeated step sizes holds, would exceed _RUNG_SETS = 10 sets
+  of step jets (Z (K+1) jets each; the jets path peaks at about 10.1)
+  takes the jets path.  So do long horizons and steps like
+  times [0, 1e300], where q has about a thousand bits; depth is read from
+  the exponent of dt, so no q is formed before the rule passes.
+- Determinism.  The rungs, the rung actions and the Taylor action treat
+  each jet alone, so on the ladder a z-batched run equals per-z runs bit
+  for bit, as on the jets path.  The path is chosen per run, so a run's
+  bits can change with its batch when the choice does.  Repeated step
+  sizes, runs given a cache (ExactPropagator) and one-step runs keep the
+  jets path bit for bit.
 
 ExactPropagator steps one StateStack at one z through the same core and
 caches the jets per dt across its calls.  step_matrix expands the cached
@@ -187,6 +251,7 @@ def _jet_mul(X: np.ndarray, Y: np.ndarray,
 # Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1, u = 2^-53).
 _TAYLOR25 = np.array([1.0 / math.factorial(k) for k in range(26)])
 _THETA25 = 2.43
+_TAYLOR_DEGREE = len(_TAYLOR25) - 1
 # Exponents k of the Taylor terms c^k / k! G^(2j+2) over the shared powers,
 # for T_25(c G) = E1 + G O1 + G^12 (E2 + G O2): rows E1, O1, E2, O2.  E1
 # and O1 also hold the terms 1 and c G, which need no power.
@@ -356,6 +421,18 @@ _BUILD_SLICE = 2
 
 _I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
 
+# rungs a run may hold, in sets of step jets (Z (K+1) jets); the jets path
+# peaks at about 10.1 of them
+_RUNG_SETS = 10
+# fixed and elementwise costs of the selection count, in multiply-adds (one
+# M x M block product costs M^3); measured with one BLAS thread
+_ITEM = 5000        # one block of a stacked product
+_CALL = 120000      # one stacked call over a block or an elementwise pass
+_BUILD = 700        # per entry of a jet: Taylor sums, scatter and checks
+_APPLY = 11         # per entry of a block applied to data
+_ACT = 380          # per jet, level and m of a generator action
+_TERM = 340000      # one remainder term, with its share of the step
+
 
 class _StepJets:
     """Builds the real-frame jets of exp(-dt G_k) of one run at any dt.
@@ -394,11 +471,32 @@ class _StepJets:
         order, norms = _band_norms(self.kl, self.twist, self.rows, self.relax)
         return order, norms, np.frexp(norms)[1]
 
+    def _chunk_powers(self, j0: int):
+        """_generator_powers of the chunk of sorted jets at j0, kept only
+        while a later build will use them."""
+        powers = self.powers.pop(j0, None)
+        if powers is None:
+            ranks, norms, e = self.sorted_norms
+            part = slice(j0, j0 + self.chunk)
+            powers = _generator_powers(self.stream, self.rows, self.relax,
+                                       ranks[part], norms[part], e[part])
+        if self.builds > 0:
+            self.powers[j0] = powers
+        return powers
+
+    def _chunks(self, c: np.ndarray, coef: np.ndarray, s: np.ndarray):
+        """One build: yield (part, R) for each chunk of the sorted jets, R
+        the _expm_powers of the chunk's slice part of c, coef and s."""
+        self.builds -= 1
+        for j0 in range(0, len(c), self.chunk):
+            part = slice(j0, j0 + self.chunk)
+            yield part, _expm_powers(*self._chunk_powers(j0)[3:], c[part],
+                                     coef[part], s[part])
+
     def __call__(self, dt: float) -> np.ndarray:
         Z, n = self.rows.shape
         Kp, M = len(self.modes), len(self.relax)
         K1 = Kp + len(self.zero)
-        self.builds -= 1
         ranks, norms, e = self.sorted_norms
         scaled = dt * norms
         if not np.all(np.isfinite(scaled)):
@@ -411,29 +509,221 @@ class _StepJets:
         coef = _TAYLOR25[_TAYLOR_SUMS] * c[:, None, None] ** _TAYLOR_SUMS
         out = None
         # a lattice of mode 0 alone has no batch to build
-        for j0 in range(0, len(ranks), self.chunk):
-            part = slice(j0, j0 + self.chunk)
-            powers = self.powers.pop(j0, None)
-            if powers is None:
-                powers = _generator_powers(
-                    self.stream, self.rows, self.relax, ranks[part],
-                    norms[part], e[part])
-            if self.builds > 0:
-                self.powers[j0] = powers
-            R = _expm_powers(*powers[3:], c[part], coef[part], s[part])
+        for part, R in self._chunks(c, coef, s):
             if out is None:     # after the first chunk's temporaries are gone
                 out = np.empty((Z, K1, n, M, M))
-            z, k = np.divmod(powers[0], Kp)
+            z, k = np.divmod(ranks[part], Kp)
             out[z, self.modes[k]] = R
         if out is None:
             out = np.empty((Z, K1, n, M, M))
-        if len(self.zero):
-            f = _mode0_diagonals(self.rows, np.diag(self.relax), dt)
-            diag = np.arange(M)
-            for k in self.zero:
-                jet = out[:, k]
-                jet[...] = 0.0
-                jet[..., diag, diag] = f
+        for k in self.zero:
+            self.mode0(dt, out[:, k])
+        if not np.all(np.isfinite(out)):
+            raise NumericError(
+                f"matrix exponential produced non-finite entries at dt={dt}")
+        return out
+
+    def mode0(self, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+        """The jets of exp(-dt G_0) at every z, shape (Z, N+1, M, M), dense
+        with the closed-form diagonals of _mode0_diagonals; into out when
+        it is given."""
+        M = len(self.relax)
+        if out is None:
+            out = np.empty(self.rows.shape + (M, M))
+        out[...] = 0.0
+        diag = np.arange(M)
+        out[..., diag, diag] = _mode0_diagonals(self.rows, np.diag(self.relax),
+                                                dt)
+        return out
+
+    def base(self) -> np.ndarray:
+        """exp(-h G) of every sorted jet at its base step h = 2^(1-e).
+
+        h norm = 2 f lies in [1, 2), inside theta_25, so s = 0 and
+        c = -h 2^e = -2 for every jet: the build of _expm_powers at a step
+        size of its own per jet, with no squaring.
+        """
+        J = len(self.sorted_norms[0])
+        coef = _TAYLOR25[_TAYLOR_SUMS] * (-2.0) ** _TAYLOR_SUMS
+        out = None
+        for part, R in self._chunks(np.full(J, -2.0),
+                                    np.broadcast_to(coef, (J,) + coef.shape),
+                                    np.zeros(J, dtype=int)):
+            if out is None:
+                out = np.empty((J,) + R.shape[1:])
+            out[part] = R
+        return out
+
+
+def _depths(e: np.ndarray, once) -> np.ndarray:
+    """Rungs of every sorted jet for the once-used step sizes once.
+
+    dt / h with h = 2^(1-e) has floor(log2 dt) + e - 1 as the exponent of
+    its leading bit, so q = floor(dt / h) has frexp(dt)[1] + e - 1 bits,
+    and no q is formed.  Every jet keeps rung 0, which builds the others.
+    """
+    return np.maximum(np.frexp(max(once))[1] + e - 1, 1)
+
+
+def _split(dt, e: np.ndarray):
+    """(q, r) with dt = q h + r exactly for the base steps h = 2^(1-e):
+    r = fmod(dt, h), and q, an integer in floats, since h is a power of
+    two."""
+    h = np.ldexp(1.0, 1 - e)
+    r = np.fmod(dt, h)
+    return (dt - r) / h, r
+
+
+def _bits(q: np.ndarray, i: int) -> np.ndarray:
+    """Bit i of the integers q, held in floats."""
+    return np.fmod(np.floor(np.ldexp(q, -i)), 2.0) == 1.0
+
+
+def _suffixes(depth: np.ndarray) -> np.ndarray:
+    """The first jet of each rung i: the jets with more than i rungs."""
+    return np.searchsorted(depth, np.arange(depth[-1]), side="right")
+
+
+def _ladder(build: _StepJets, once, shared: bool):
+    """A _Ladder for the once-used step sizes of a run, or None.
+
+    The ladder is taken only when its rungs fit and the selection count
+    (module docstring) finds less work than the jets path for the same
+    steps.  shared says that the run builds jets at other step sizes as
+    well: their G and six powers are then held and paid either way.
+    """
+    if len(once) < 2 or not len(build.modes):
+        return None
+    Z, n = build.rows.shape
+    M = len(build.relax)
+    _, norms, e = build.sorted_norms
+    T, J = len(once), len(e)
+    depth = _depths(e, once)
+    held = 7 * J if shared else 0
+    K1 = len(build.modes) + len(build.zero)
+    if depth.sum() + held > _RUNG_SETS * Z * K1:
+        return None
+    dts = np.array(once)[:, None]
+    s = np.maximum(np.frexp(dts * norms / _THETA25)[1], 0)
+    q = _split(dts, e)[0]
+    rung_steps = rung_jets = 0      # rungs applied, and the jets they act on
+    for i, first in enumerate(_suffixes(depth)):
+        used = np.count_nonzero(_bits(q[:, first:], i).any(axis=1))
+        rung_steps += used
+        rung_jets += used * (J - first)
+    lasts = np.minimum(np.arange(build.chunk, J + build.chunk, build.chunk),
+                       J) - 1                  # the last jet of each chunk
+    powers = 0 if shared else 6
+    b = n * (n + 1) // 2
+    block, stacked = M**3 + _ITEM, 2 * b * _CALL
+    jets = (b * block * (powers * J + (3 + s).sum())
+            + stacked * (len(lasts) * powers + (3 + s[:, lasts]).sum() + T)
+            + T * J * (n * M * M * _BUILD + 2 * b * M * M * _APPLY))
+    ladder = (b * block * ((powers + 3) * J + (depth - 1).sum())
+              + stacked * (len(lasts) * (powers + 3) + depth[-1] - 1
+                           + rung_steps)
+              + J * n * M * M * _BUILD + 2 * b * M * M * _APPLY * rung_jets
+              + T * _TAYLOR_DEGREE * (_TERM + _ACT * J * n * M))
+    if not ladder < jets:
+        return None
+    return _Ladder(build, once)
+
+
+class _Ladder:
+    """exp(-dt G) of the once-used step sizes of a run, applied to the data.
+
+    Each sorted jet has a base step h = 2^(1-e) and rungs
+    L_i = exp(-2^i h G), L_0 from _StepJets.base and L_i = L_(i-1)^2.  A
+    step dt = q h + r applies the rungs of q's set bits, then the Taylor
+    action of exp(-r G) read from the bands of G (_remainder).  The rungs
+    are built at the first step and dropped after the last; rung i is
+    held only for the suffix of the sorted jets with more than i rungs.
+    """
+
+    def __init__(self, build: _StepJets, once):
+        self.build = build
+        self.steps = len(once)
+        ranks, _, e = build.sorted_norms
+        self.depth = _depths(e, once)
+        z, k = np.divmod(ranks, len(build.modes))
+        self.places = z, build.modes[k]
+        self.rungs = None
+        # the bands of the scaled jets Gs = 2^-e G, in the layout of the data
+        # (J, N+1, M, 2), as _generator_powers assembles them: level 0 is
+        # kl twist + sigma^(0) relax and level i sigma^(i) relax
+        n, M = build.rows.shape[1], len(build.relax)
+        scale = np.ldexp(1.0, -e)
+        kl = (build.kl[k] * scale)[:, None]
+        bands = (kl[:, :, None] * np.diag(build.twist, -1),
+                 kl[:, :, None] * np.diag(build.twist, 1))
+        self.below = np.zeros((len(e), n, M, 2))    # entry (m, m-1) of row m
+        self.below[:, :, 1:] = bands[0][..., None]
+        self.above = np.zeros((len(e), n, M, 2))    # entry (m, m+1) of row m
+        self.above[:, :, :-1] = bands[1][..., None]
+        self.relax = np.repeat(np.diag(build.relax), 2)
+        a = build.rows[z] * scale[:, None]          # sigma^(i) 2^-e
+        self.mix = np.zeros((len(e), n, n))         # levels mix as Leibniz
+        for d in range(n):
+            for i in range(d + 1):
+                self.mix[:, d, d - i] = math.comb(d, i) * a[:, i]
+
+    def _climb(self):
+        """[(L_i, first jet of L_i)]: rung 0 for every jet, then the
+        squarings of each suffix."""
+        firsts = _suffixes(self.depth)
+        rungs = [self.build.base()]
+        for i in range(1, len(firsts)):
+            R = rungs[-1][firsts[i] - firsts[i - 1]:]
+            rungs.append(_jet_mul(R, R))
+        return list(zip(rungs, firsts))
+
+    def _remainder(self, X: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """exp(c Gs) X, in place, by the degree-25 Taylor series.
+
+        c Gs has a 1-norm below 2.  Each term is the previous one times
+        c Gs / k, a generator action read from the bands: the level mix
+        times relax, then the two off-diagonals of the twist on every level.
+        The off-diagonals act on the flat data shifted by one m (two
+        floats); their zero entries at m = 0 and m = M-1 keep the shifts
+        inside each level.
+        """
+        J, n, M, _ = X.shape
+        mix = self.mix * c[:, None, None]
+        below = (self.below * c[:, None, None, None]).reshape(-1)[2:]
+        above = (self.above * c[:, None, None, None]).reshape(-1)[:-2]
+        tmp = np.empty(len(below))
+        v, y = X.reshape(J, n, 2 * M).copy(), np.empty((J, n, 2 * M))
+        vf, yf, Xf = v.reshape(-1), y.reshape(-1), X.reshape(-1)
+        for k in range(1, _TAYLOR_DEGREE + 1):
+            np.matmul(mix, v, out=y)
+            y *= self.relax
+            np.multiply(below, vf[:-2], out=tmp)
+            yf[2:] += tmp
+            np.multiply(above, vf[2:], out=tmp)
+            yf[:-2] += tmp
+            yf *= 1.0 / k
+            Xf += yf
+            v, y, vf, yf = y, v, yf, vf
+        return X
+
+    def __call__(self, W: np.ndarray, dt: float) -> np.ndarray:
+        if self.rungs is None:
+            self.rungs = self._climb()
+        e = self.build.sorted_norms[2]
+        q, r = _split(dt, e)
+        X = W[self.places]
+        for i, (R, first) in enumerate(self.rungs):
+            bit = _bits(q[first:], i)
+            if bit.any():
+                np.copyto(X[first:], _jet_mul(R, X[first:]),
+                          where=bit[:, None, None, None])
+        out = np.empty_like(W)
+        out[self.places] = self._remainder(X, np.ldexp(-r, e))
+        for k in self.build.zero:
+            out[:, k] = _jet_mul(self.build.mode0(dt), W[:, k])
+        self.steps -= 1
+        if not self.steps:
+            self.rungs = None
         if not np.all(np.isfinite(out)):
             raise NumericError(
                 f"matrix exponential produced non-finite entries at dt={dt}")
@@ -475,23 +765,37 @@ def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
     D = diag(i^m).  A zero step yields the previous sample again; the
     samples must not be written to.  jets caches the step jets per dt;
     pass a dict to keep them across calls.  Without one, the jets of a
-    step size are dropped after its last step in dts.
+    step size are dropped after its last step in dts, and the step sizes
+    used once may go through the ladder instead (module docstring).
+    Every step size is checked before the first sample.
     """
     dts = list(dts)
-    last = None
+    for dt in dts:
+        if not (dt >= 0.0 and math.isfinite(dt)):
+            raise UsageError(f"step size must be finite and >= 0, got dt={dt}")
+    last = ladder = None
+    Z, K1, n, M = data.shape
     if jets is None:
         jets = {}
         last = {dt: j for j, dt in enumerate(dts)}
-    Z, K1, n, M = data.shape
+        uses = {}
+        for dt in dts:
+            if dt != 0.0:
+                uses[dt] = uses.get(dt, 0) + 1
+        once = [dt for dt, count in uses.items() if count == 1]
     build = _StepJets(range(K1), l, sigma_rows, ops,
                       len({dt for dt in dts if dt != 0.0 and dt not in jets}))
+    if last is not None:
+        ladder = _ladder(build, once, len(once) < len(uses))
+        if ladder is not None:      # one build of rung 0 for all of them
+            build.builds += 1 - len(once)
     # D^-1 x as (re, im) column pairs: blocks of shape (M, 2)
     W = (data * _I_POWERS[np.arange(M) % 4].conj()).view(float) \
         .reshape(Z, K1, n, M, 2)
     for j, dt in enumerate(dts):
-        if dt < 0.0 or not math.isfinite(dt):
-            raise UsageError(f"step size must be finite and >= 0, got dt={dt}")
-        if dt != 0.0:
+        if ladder is not None and uses.get(dt) == 1:
+            W = ladder(W, dt)
+        elif dt != 0.0:
             W = _jet_mul(_cached_jets(jets, dt, build), W)
             if last is not None and last[dt] == j:
                 del jets[dt]

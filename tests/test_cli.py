@@ -195,6 +195,26 @@ def test_sigma_grid_resolution_is_an_unknown_key(tmp_path, capsys):
     assert "warning" not in err
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("certify", {"sigma": {"sigma0": 1e78}}),
+    ("sweep", {"sweep": {"L_values": [math.pi], "sigma0_values": [1e300]}}),
+])
+def test_sigma_too_large_to_certify_exits_invalid(tmp_path, capsys, command,
+                                                  overrides):
+    # sigma**4 overflows above about 1.2e77: one error line naming sigma,
+    # no numpy warning and no wrong cause
+    path = write_config(tmp_path, **overrides)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "sigma=1e+" in err
+    assert "too large to certify" in err
+
+
 def test_negative_seed_in_config_exits_invalid(tmp_path, capsys):
     path = write_config(tmp_path, initial_data={"type": "random", "seed": -1})
     assert main(["simulate", "--config", str(path),

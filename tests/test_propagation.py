@@ -1,7 +1,9 @@
 """Exact exponential propagation against structure and a reference integrator."""
 
+import functools
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -261,13 +263,24 @@ def test_opposite_modes_give_conjugate_step_matrices(k, dt, z, N, variant):
     assert np.max(np.abs(minus - plus.conj())) <= 1e-15 * np.max(np.abs(plus))
 
 
+def _take(path):
+    """A stand-in for propagation._ladder that forces a path: the ladder for
+    every uncached run with a once-used step size, or never."""
+    if path == "jets":
+        return lambda build, once, shared: None
+    return lambda build, once, shared: \
+        propagation._Ladder(build, once) if once else None
+
+
 @pytest.mark.parametrize("N", [0, 2])
 def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
-    # build chunks of 1 and 4 z rows' worth must give the same bits, and so
-    # must every z stepped alone through ExactPropagator
+    # on either path, build chunks of 1 and 4 z rows' worth give the same
+    # bits, and so does every z stepped alone by an uncached run;
+    # ExactPropagator caches its jets: it gives the bits of the jets path
+    # and agrees with the ladder to rounding
     model = MODELS["trig"]
     zs = np.linspace(-0.9, 0.8, 7)
-    times = [0.0, 0.3, 0.6, 1.7, 1.7, 5.0]
+    times = [0.0, 0.3, 0.6, 1.7, 1.7, 5.0]      # 1.1 and 3.3 are used once
     rng = np.random.default_rng(5)
     stacks = [project_initial(InitialDataSpec(kind="random", seed=int(s)),
                               LAT, levels=N, z=float(z))
@@ -275,25 +288,38 @@ def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
     data = np.stack([s.data for s in stacks])
     rows = [[sigma_eval(model, float(z), n) for n in range(N + 1)] for z in zs]
     dts = np.diff(times, prepend=0.0)
-    runs = []
-    for width in (1, 4):
-        monkeypatch.setattr(propagation, "_BUILD_SLICE", width)
-        runs.append(list(propagation.propagate(
-            data, rows, LAT.l, build_operators(LAT.M), dts)))
-    for a, b in zip(*runs):
-        assert np.array_equal(a, b)
-    for i, (z, state) in enumerate(zip(zs, stacks)):
-        prop = ExactPropagator(LAT, model, float(z), N)
-        snap = state
-        for j, dt in enumerate(dts):
-            snap = prop.evolve(snap, dt)
-            assert np.array_equal(snap.data, _complex_frame(runs[0][j][i]))
-            # the real-frame step agrees with the dense complex step matrices
-            if j:
-                prev = _complex_frame(runs[0][j - 1][i])
-                dense = np.stack([prop.step_matrix(k, dt) @ prev[k].reshape(-1)
-                                  for k in range(LAT.K + 1)])
-                assert _rel_err(snap.data.reshape(dense.shape), dense) < 1e-13
+    ops = build_operators(LAT.M)
+    for path in ("jets", "ladder"):
+        monkeypatch.setattr(propagation, "_ladder", _take(path))
+        runs = []
+        for width in (1, 4):
+            monkeypatch.setattr(propagation, "_BUILD_SLICE", width)
+            runs.append(list(propagation.propagate(data, rows, LAT.l, ops,
+                                                   dts)))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+        for i in range(len(zs)):
+            alone = propagation.propagate(data[i:i + 1], rows[i:i + 1], LAT.l,
+                                          ops, dts)
+            for a, b in zip(alone, runs[0]):
+                assert np.array_equal(a[0], b[i])
+        for i, (z, state) in enumerate(zip(zs, stacks)):
+            prop = ExactPropagator(LAT, model, float(z), N)
+            snap = state
+            for j, dt in enumerate(dts):
+                snap = prop.evolve(snap, dt)
+                sample = _complex_frame(runs[0][j][i])
+                if path == "jets":
+                    assert np.array_equal(snap.data, sample)
+                assert _rel_err(snap.data, sample) < 1e-13
+                # the real-frame step agrees with the dense complex step
+                # matrices
+                if j:
+                    prev = _complex_frame(runs[0][j - 1][i])
+                    dense = np.stack([prop.step_matrix(k, dt)
+                                      @ prev[k].reshape(-1)
+                                      for k in range(LAT.K + 1)])
+                    assert _rel_err(sample.reshape(dense.shape), dense) < 1e-13
 
 
 @settings(max_examples=30, deadline=None)
@@ -415,17 +441,27 @@ def test_norms_and_sort_once_per_run(monkeypatch):
                              "chunks": chunks * ran}, (width, dts)
 
 
+# the shape of a derivatives_large run: K = 16, M = 60, N = 2, one z and 15
+# log-spaced times, so every step has a new step size
+LARGE = ModeLattice(K=16, L=2 * math.pi, M=60)
+LARGE_MODEL = affine_model(1.0, 0.2)
+LARGE_DTS = np.diff([0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0) / 14)
+                             for i in range(15)], prepend=0.0)
+
+
+@functools.lru_cache(maxsize=32)
+def _large_reference(k, dt, z=0.3):
+    """The oracle step matrix of mode k at the derivatives_large shape."""
+    row = [sigma_eval(LARGE_MODEL, z, n) for n in range(3)]
+    return step_matrix_reference(k, LARGE.l, dt, row, LARGE.M)
+
+
 def test_derivatives_large_shape_against_extended_precision():
-    # K = 16, M = 60, N = 2 and the 15 log-spaced steps of a derivatives
-    # run, in one run: every step size is checked against the oracle at
-    # one mode (the modes cycle through 0..16), and every step matrix
-    # equals, bit for bit, a build of its step size alone
-    lattice = ModeLattice(K=16, L=2 * math.pi, M=60)
-    model = affine_model(1.0, 0.2)
-    times = [0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0) / 14)
-                     for i in range(15)]
-    dts = np.diff(times, prepend=0.0)
-    z = 0.3
+    # the 15 step sizes of a derivatives run, in one cached run: every
+    # step size is checked against the oracle at one mode (the modes cycle
+    # through 0..16), and every step matrix equals, bit for bit, a build of
+    # its step size alone
+    lattice, model, dts, z = LARGE, LARGE_MODEL, LARGE_DTS, 0.3
     data, rows = _stacks(model, lattice, [z], 2)
     jets = {}
     list(propagation.propagate(data, rows, lattice.l,
@@ -436,9 +472,55 @@ def test_derivatives_large_shape_against_extended_precision():
         alone.step_matrix(0, dt)
         assert np.array_equal(alone._jets[dt], jets[dt])
         k = 7 * j % 17
-        ref = step_matrix_reference(k, lattice.l, dt, rows[0], lattice.M)
         dense = propagation._dense_steps(jets[dt][0, k:k + 1])[0]
-        assert _rel_err(dense, ref) < 1e-13, (dt, k)
+        assert _rel_err(dense, _large_reference(k, dt)) < 1e-13, (dt, k)
+
+
+def test_ladder_steps_against_extended_precision(monkeypatch):
+    # without a cache the derivatives_large run steps its 15 once-used step
+    # sizes through the ladder; each step of one mode (cycling through
+    # 0..16, as above) is the oracle's step matrix applied to the sample
+    # before it
+    ladders = []
+    ladder = propagation._Ladder
+
+    def spy(*args):
+        ladders.append(ladder(*args))
+        return ladders[-1]
+
+    monkeypatch.setattr(propagation, "_Ladder", spy)
+    data, rows = _stacks(LARGE_MODEL, LARGE, [0.3], 2)
+    samples = [_complex_frame(W[0]) for W in propagation.propagate(
+        data, rows, LARGE.l, build_operators(LARGE.M), LARGE_DTS)]
+    # one ladder, its rungs dropped after the last step
+    assert len(ladders) == 1 and ladders[0].rungs is None
+    for j, dt in enumerate(LARGE_DTS[1:]):
+        k = 7 * j % 17
+        want = _large_reference(k, dt) @ samples[j][k].reshape(-1)
+        assert _rel_err(samples[j + 1][k].reshape(-1), want) < 1e-13, (dt, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(sorted(MODELS)), K=st.integers(1, 2),
+       M=st.sampled_from([5, 20]), N=st.integers(0, 3),
+       pool=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=4,
+                     unique=True),
+       picks=st.lists(st.integers(0, 4), min_size=2, max_size=8),
+       zs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+def test_ladder_agrees_with_the_jets_path(variant, K, M, N, pool, picks, zs):
+    # once-used, repeated and zero steps: the ladder's samples agree with
+    # those of a cached run, which steps every size by jets, to 1e-13 of
+    # each sample's largest entry
+    lattice = ModeLattice(K=K, L=2 * math.pi, M=M)
+    dts = [(pool + [0.0])[i % (len(pool) + 1)] for i in picks]
+    data, rows = _stacks(MODELS[variant], lattice, zs, N)
+    ops = build_operators(M)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "_ladder", _take("ladder"))
+        ladder = list(propagation.propagate(data, rows, lattice.l, ops, dts))
+    jets = propagation.propagate(data, rows, lattice.l, ops, dts, {})
+    for a, b in zip(ladder, jets, strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 @settings(max_examples=20, deadline=None)
@@ -539,23 +621,91 @@ def test_mode0_closed_form_against_extended_precision(N):
 
 
 def test_no_step_calls_lapack(monkeypatch):
-    # every level count steps by Taylor jets: products only, no LAPACK
-    # solve or inverse
+    # every level count steps by Taylor jets or the ladder: products only,
+    # no LAPACK solve or inverse
     def never(*args, **kwargs):
         raise AssertionError("a step called LAPACK")
 
     monkeypatch.setattr(np.linalg, "solve", never)
     monkeypatch.setattr(np.linalg, "inv", never)
     ops = build_operators(LAT.M)
-    for N in (0, 1):
-        data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), N)
-        assert len(list(propagation.propagate(data, rows, LAT.l, ops,
-                                              [0.0, 0.1, 0.3, 0.1]))) == 4
+    for path in ("jets", "ladder"):
+        monkeypatch.setattr(propagation, "_ladder", _take(path))
+        for N in (0, 1):
+            data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), N)
+            assert len(list(propagation.propagate(
+                data, rows, LAT.l, ops, [0.0, 0.1, 0.3, 0.1, 2.5]))) == 5
 
 
-def _peak_bytes(lattice, zs, dts):
-    """tracemalloc peak of a single-level run of propagate above its inputs."""
-    data, rows = _stacks(affine_model(1.0, 0.2), lattice, zs, 0)
+def test_step_sizes_checked_before_the_first_sample():
+    data, rows = _stacks(MODELS["affine"], LAT, (0.2,), 1)
+    ops = build_operators(LAT.M)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(UsageError, match="step size"):
+            next(propagation.propagate(data, rows, LAT.l, ops, [0.1, bad]))
+
+
+def test_ladder_selection():
+    # the derivatives_large run takes the ladder; one z at small M, a single
+    # once-used step size and rungs beyond ten sets of jets take the jets
+    # path
+    def choice(lattice, zs, N, once, shared=False):
+        data, rows = _stacks(LARGE_MODEL, lattice, zs, N)
+        build = propagation._StepJets(range(lattice.K + 1), lattice.l, rows,
+                                      build_operators(lattice.M))
+        return propagation._ladder(build, once, shared)
+
+    once = list(LARGE_DTS[1:])
+    ladder = choice(LARGE, [0.3], 2, once)
+    assert isinstance(ladder, propagation._Ladder)
+    # rung i is held for a suffix of the jets: those with more than i rungs
+    assert np.all(np.diff(ladder.depth) >= 0) and ladder.depth.sum() <= 170
+    assert [len(R) for R, _ in ladder._climb()] == [
+        np.count_nonzero(ladder.depth > i) for i in range(ladder.depth[-1])]
+    small = ModeLattice(K=2, L=2 * math.pi, M=8)
+    assert choice(small, [-0.5, 0.0, 0.5], 1, once) is None
+    assert choice(LARGE, [0.3], 2, once[-1:]) is None
+    # a thousand-bit q is never formed: the depth comes from dt's exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert choice(LARGE, [0.3], 0, [1e300, 1e299]) is None
+    # G and its six powers held for repeated step sizes leave no room
+    assert choice(LARGE, [0.3], 2, once, shared=True) is None
+
+
+def test_ladder_base_is_the_jets_build_at_the_base_step():
+    # rung 0 of a jet is, bit for bit, the jets path's build at the jet's
+    # own base step h = 2^(1-e), which has s = 0 and c = -2
+    rows = [[sigma_eval(MODELS["trig"], 0.4, n) for n in range(3)]]
+    ops = build_operators(20)
+    for k in (1, 5, 16):
+        build = propagation._StepJets([k], 1.0, rows, ops)
+        e = build.sorted_norms[2]
+        base = build.base()
+        assert np.array_equal(base, build(float(np.ldexp(1.0, 1 - e[0])))[0])
+
+
+@pytest.mark.parametrize("N, times", [
+    (2, [0.0] + list(np.logspace(-2.0, 4.0, 15))),
+    (0, [0.0, 1e300]),
+], ids=["long_horizon", "1e300"])
+def test_long_horizons_take_the_jets_path(N, times):
+    # rungs for a horizon of 1e4 would not fit, and t = 1e300 is one step
+    # size: both runs take the jets path, finish (a non-finite step would
+    # raise) and hold at most 10.8 arrays of one set of step jets
+    data, rows = _stacks(LARGE_MODEL, LARGE, [0.3], N)
+    dts = np.diff(times, prepend=0.0)
+    build = propagation._StepJets(range(LARGE.K + 1), LARGE.l, rows,
+                                  build_operators(LARGE.M))
+    assert propagation._ladder(build, [dt for dt in dts if dt], False) is None
+    jet_bytes = (LARGE.K + 1) * (N + 1) * LARGE.M ** 2 * 8
+    peak = _peak_bytes(LARGE, [0.3], dts, N)
+    assert peak <= 10.8 * jet_bytes, peak / jet_bytes
+
+
+def _peak_bytes(lattice, zs, dts, N=0):
+    """tracemalloc peak of a run of propagate above its inputs."""
+    data, rows = _stacks(affine_model(1.0, 0.2), lattice, zs, N)
     ops = build_operators(lattice.M)
     started = not tracemalloc.is_tracing()
     if started:
