@@ -115,10 +115,10 @@ data after each step:
 
 The ladder.  A run that brings no cache uses each jet set once for a
 step size it takes once (a log-spaced time grid takes every step size
-once), so building the set is the whole cost of such a step.  For these
-step sizes propagate may instead apply the exponential to the data
-(_Ladder), after Al-Mohy & Higham (2011), with one ladder of squarings
-per run in place of per-step-size squarings:
+once), so building the set is the whole cost of such a step.  A run
+whose step sizes are all used once may instead apply the exponential to
+the data (_Ladder), after Al-Mohy & Higham (2011), with one ladder of
+squarings per run in place of per-step-size squarings:
 
 - The base step.  Each (z, k != 0) jet, of 1-norm 2^e f with f in
   [1/2, 1), gets h = 2^(1-e), so h ||G|| = 2 f lies in [1, 2), inside
@@ -139,43 +139,35 @@ per run in place of per-step-size squarings:
   nondecreasing along the sort, and rung i is held only for the suffix
   of the jets with more than i rungs, as the squarings of a build act on
   a suffix.
-- Selection count (_ladder).  The ladder is taken only when, for the
-  same once-used steps, it does less work than the jets path, counted
-  before any product from the norms, the step sizes and the shape.  A
-  jet product is b = (N+1)(N+2)/2 block products.  With s the scaling
-  powers of the step sizes and J the jets k != 0, the jets path does b
-  (6 + sum_dt (3 + s)) block products per jet: the six powers, then per
-  step size the three Taylor products and s squarings.  The ladder does
-  b (9 + depth - 1) per jet, the six powers, three Taylor products and
-  the squarings of its rungs, and per step 25 generator actions plus one
-  rung action for each bit that any jet of the rung's suffix has set.
-  Both counts are in multiply-adds, a block product M^3, and also carry
-  the fixed costs that matter on small shapes, measured with one BLAS
-  thread: a fixed cost per block of a stacked product (_ITEM) and per
-  stacked call (_CALL), the Taylor sums, scatter and checks of each build
-  (_BUILD), each block applied to data (_APPLY), and per Taylor term of
-  the action, a fixed cost (_TERM) and one per jet, level and m (_ACT).
-  The fixed costs are paid once per run and per step rather than per
-  jet, so the count prefers the ladder for many z and large M, and the
-  jets path for one z at small M.  A run with one once-used step size
-  never gains, because its depth is about s: it takes the jets path
-  without a count.  When the run also builds jets (a repeated step
-  size), the six powers are shared and left out of both counts.
-- Memory rule.  The rungs are built at the first ladder step and freed
-  after the last one.  The build of rung 0 drops G's powers, unless a
-  jets build at a repeated step size still needs them, before the
-  squarings start.  A run whose rungs, with the G and six powers that a
-  run with repeated step sizes holds, would exceed _RUNG_SETS = 10 sets
+- Selection (_ladder).  The ladder is taken only by a run with no cache
+  whose nonzero step sizes are all distinct, at least two of them, and
+  whose jet product is large: one product over the run's J = Z K jets
+  k != 0 costs J (N+1)(N+2)/2 M^3 multiply-adds, and the ladder needs at
+  least _LADDER_PRODUCT = 2^20.  Such a run steps only by the ladder, so
+  it builds no step jets and holds no G or powers beside the rungs.  The
+  ladder saves the squarings of every build but one, and pays about 25
+  generator actions per step, a few milliseconds per 15 steps at any
+  shape.  With one BLAS thread it was faster on every measured 15-step
+  run at or above the bound, and slower on some below it, such as one z
+  at M <= 20; below the bound a run keeps the jets path even where the
+  ladder would be faster (many z at M = 8).  A run with one step size
+  never gains, because its depth is about the s of its jets build.  A
+  run with a repeated step size keeps the jets path bit for bit; so do
+  most range grids whose spacing is not dyadic: their step sizes split
+  into a few last-bit variants, and some of them repeat.
+- Memory rule.  The rungs are built at the first step and freed after
+  the last one; the build of rung 0 drops G's powers before the
+  squarings start.  A run whose rungs would exceed _RUNG_SETS = 10 sets
   of step jets (Z (K+1) jets each; the jets path peaks at about 10.1)
   takes the jets path.  So do long horizons and steps like
   times [0, 1e300], where q has about a thousand bits; depth is read from
   the exponent of dt, so no q is formed before the rule passes.
 - Determinism.  The rungs, the rung actions and the Taylor action treat
   each jet alone, so on the ladder a z-batched run equals per-z runs bit
-  for bit, as on the jets path.  The path is chosen per run, so a run's
-  bits can change with its batch when the choice does.  Repeated step
-  sizes, runs given a cache (ExactPropagator) and one-step runs keep the
-  jets path bit for bit.
+  for bit, as on the jets path.  The path is chosen per run, and the jet
+  product grows with Z, so a z's bits can change with its batch when the
+  choice does.  Runs with a repeated step size, runs given a cache
+  (ExactPropagator) and one-step runs keep the jets path bit for bit.
 
 ExactPropagator steps one StateStack at one z through the same core and
 caches the jets per dt across its calls.  step_matrix expands the cached
@@ -424,14 +416,9 @@ _I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
 # rungs a run may hold, in sets of step jets (Z (K+1) jets); the jets path
 # peaks at about 10.1 of them
 _RUNG_SETS = 10
-# fixed and elementwise costs of the selection count, in multiply-adds (one
-# M x M block product costs M^3); measured with one BLAS thread
-_ITEM = 5000        # one block of a stacked product
-_CALL = 120000      # one stacked call over a block or an elementwise pass
-_BUILD = 700        # per entry of a jet: Taylor sums, scatter and checks
-_APPLY = 11         # per entry of a block applied to data
-_ACT = 380          # per jet, level and m of a generator action
-_TERM = 340000      # one remainder term, with its share of the step
+# the smallest jet product of a run, in multiply-adds, that takes the
+# ladder (module docstring)
+_LADDER_PRODUCT = 2**20
 
 
 class _StepJets:
@@ -584,47 +571,16 @@ def _suffixes(depth: np.ndarray) -> np.ndarray:
     return np.searchsorted(depth, np.arange(depth[-1]), side="right")
 
 
-def _ladder(build: _StepJets, once, shared: bool):
-    """A _Ladder for the once-used step sizes of a run, or None.
-
-    The ladder is taken only when its rungs fit and the selection count
-    (module docstring) finds less work than the jets path for the same
-    steps.  shared says that the run builds jets at other step sizes as
-    well: their G and six powers are then held and paid either way.
+def _ladder(build: _StepJets, once):
+    """A _Ladder for a run whose nonzero step sizes once are all used
+    once, or None: the selection and memory rule of the module docstring.
     """
-    if len(once) < 2 or not len(build.modes):
-        return None
     Z, n = build.rows.shape
-    M = len(build.relax)
-    _, norms, e = build.sorted_norms
-    T, J = len(once), len(e)
-    depth = _depths(e, once)
-    held = 7 * J if shared else 0
-    K1 = len(build.modes) + len(build.zero)
-    if depth.sum() + held > _RUNG_SETS * Z * K1:
+    J, M = Z * len(build.modes), len(build.relax)
+    if len(once) < 2 or J * n * (n + 1) // 2 * M**3 < _LADDER_PRODUCT:
         return None
-    dts = np.array(once)[:, None]
-    s = np.maximum(np.frexp(dts * norms / _THETA25)[1], 0)
-    q = _split(dts, e)[0]
-    rung_steps = rung_jets = 0      # rungs applied, and the jets they act on
-    for i, first in enumerate(_suffixes(depth)):
-        used = np.count_nonzero(_bits(q[:, first:], i).any(axis=1))
-        rung_steps += used
-        rung_jets += used * (J - first)
-    lasts = np.minimum(np.arange(build.chunk, J + build.chunk, build.chunk),
-                       J) - 1                  # the last jet of each chunk
-    powers = 0 if shared else 6
-    b = n * (n + 1) // 2
-    block, stacked = M**3 + _ITEM, 2 * b * _CALL
-    jets = (b * block * (powers * J + (3 + s).sum())
-            + stacked * (len(lasts) * powers + (3 + s[:, lasts]).sum() + T)
-            + T * J * (n * M * M * _BUILD + 2 * b * M * M * _APPLY))
-    ladder = (b * block * ((powers + 3) * J + (depth - 1).sum())
-              + stacked * (len(lasts) * (powers + 3) + depth[-1] - 1
-                           + rung_steps)
-              + J * n * M * M * _BUILD + 2 * b * M * M * _APPLY * rung_jets
-              + T * _TAYLOR_DEGREE * (_TERM + _ACT * J * n * M))
-    if not ladder < jets:
+    depth = _depths(build.sorted_norms[2], once)
+    if depth.sum() > _RUNG_SETS * Z * (len(build.modes) + len(build.zero)):
         return None
     return _Ladder(build, once)
 
@@ -765,8 +721,9 @@ def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
     D = diag(i^m).  A zero step yields the previous sample again; the
     samples must not be written to.  jets caches the step jets per dt;
     pass a dict to keep them across calls.  Without one, the jets of a
-    step size are dropped after its last step in dts, and the step sizes
-    used once may go through the ladder instead (module docstring).
+    step size are dropped after its last step in dts, and a run whose
+    step sizes are all used once may step through the ladder instead
+    (module docstring).
     Every step size is checked before the first sample.
     """
     dts = list(dts)
@@ -778,24 +735,21 @@ def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
     if jets is None:
         jets = {}
         last = {dt: j for j, dt in enumerate(dts)}
-        uses = {}
-        for dt in dts:
-            if dt != 0.0:
-                uses[dt] = uses.get(dt, 0) + 1
-        once = [dt for dt, count in uses.items() if count == 1]
-    build = _StepJets(range(K1), l, sigma_rows, ops,
-                      len({dt for dt in dts if dt != 0.0 and dt not in jets}))
-    if last is not None:
-        ladder = _ladder(build, once, len(once) < len(uses))
-        if ladder is not None:      # one build of rung 0 for all of them
-            build.builds += 1 - len(once)
+    sizes = {dt for dt in dts if dt != 0.0 and dt not in jets}
+    build = _StepJets(range(K1), l, sigma_rows, ops, len(sizes))
+    if last is not None and len(sizes) == len(dts) - dts.count(0.0):
+        ladder = _ladder(build, sizes)
+        if ladder is not None:      # rung 0 is the run's one build
+            build.builds = 1
     # D^-1 x as (re, im) column pairs: blocks of shape (M, 2)
     W = (data * _I_POWERS[np.arange(M) % 4].conj()).view(float) \
         .reshape(Z, K1, n, M, 2)
     for j, dt in enumerate(dts):
-        if ladder is not None and uses.get(dt) == 1:
+        if dt == 0.0:
+            pass
+        elif ladder is not None:
             W = ladder(W, dt)
-        elif dt != 0.0:
+        else:
             W = _jet_mul(_cached_jets(jets, dt, build), W)
             if last is not None and last[dt] == j:
                 del jets[dt]

@@ -265,11 +265,11 @@ def test_opposite_modes_give_conjugate_step_matrices(k, dt, z, N, variant):
 
 def _take(path):
     """A stand-in for propagation._ladder that forces a path: the ladder for
-    every uncached run with a once-used step size, or never."""
+    every uncached run whose nonzero step sizes are all used once (and
+    there is one), or never."""
     if path == "jets":
-        return lambda build, once, shared: None
-    return lambda build, once, shared: \
-        propagation._Ladder(build, once) if once else None
+        return lambda build, once: None
+    return lambda build, once: propagation._Ladder(build, once) if once else None
 
 
 @pytest.mark.parametrize("N", [0, 2])
@@ -277,19 +277,20 @@ def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
     # on either path, build chunks of 1 and 4 z rows' worth give the same
     # bits, and so does every z stepped alone by an uncached run;
     # ExactPropagator caches its jets: it gives the bits of the jets path
-    # and agrees with the ladder to rounding
+    # and agrees with the ladder to rounding.  The jets path's run repeats
+    # the step size 0.3; the ladder's run uses each step size once
     model = MODELS["trig"]
     zs = np.linspace(-0.9, 0.8, 7)
-    times = [0.0, 0.3, 0.6, 1.7, 1.7, 5.0]      # 1.1 and 3.3 are used once
     rng = np.random.default_rng(5)
     stacks = [project_initial(InitialDataSpec(kind="random", seed=int(s)),
                               LAT, levels=N, z=float(z))
               for s, z in zip(rng.integers(0, 1000, len(zs)), zs)]
     data = np.stack([s.data for s in stacks])
     rows = [[sigma_eval(model, float(z), n) for n in range(N + 1)] for z in zs]
-    dts = np.diff(times, prepend=0.0)
     ops = build_operators(LAT.M)
-    for path in ("jets", "ladder"):
+    for path, times in (("jets", [0.0, 0.3, 0.6, 1.7, 1.7, 5.0]),
+                        ("ladder", [0.0, 0.3, 0.7, 1.7, 1.7, 5.0])):
+        dts = np.diff(times, prepend=0.0)
         monkeypatch.setattr(propagation, "_ladder", _take(path))
         runs = []
         for width in (1, 4):
@@ -503,16 +504,23 @@ def test_ladder_steps_against_extended_precision(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(variant=st.sampled_from(sorted(MODELS)), K=st.integers(1, 2),
        M=st.sampled_from([5, 20]), N=st.integers(0, 3),
-       pool=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=4,
+       pool=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=5,
                      unique=True),
-       picks=st.lists(st.integers(0, 4), min_size=2, max_size=8),
+       zeros=st.lists(st.integers(0, 5), max_size=3),
+       repeat=st.none() | st.integers(0, 4),
        zs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
-def test_ladder_agrees_with_the_jets_path(variant, K, M, N, pool, picks, zs):
-    # once-used, repeated and zero steps: the ladder's samples agree with
+def test_ladder_agrees_with_the_jets_path(variant, K, M, N, pool, zeros,
+                                          repeat, zs):
+    # once-used and zero steps take the ladder, whose samples agree with
     # those of a cached run, which steps every size by jets, to 1e-13 of
-    # each sample's largest entry
+    # each sample's largest entry; a repeated step size keeps the whole
+    # run on the jets path, bit for bit
     lattice = ModeLattice(K=K, L=2 * math.pi, M=M)
-    dts = [(pool + [0.0])[i % (len(pool) + 1)] for i in picks]
+    dts = list(pool)
+    if repeat is not None:
+        dts.append(pool[repeat % len(pool)])
+    for i in zeros:
+        dts.insert(i % (len(dts) + 1), 0.0)
     data, rows = _stacks(MODELS[variant], lattice, zs, N)
     ops = build_operators(M)
     with pytest.MonkeyPatch.context() as mp:
@@ -520,7 +528,10 @@ def test_ladder_agrees_with_the_jets_path(variant, K, M, N, pool, picks, zs):
         ladder = list(propagation.propagate(data, rows, lattice.l, ops, dts))
     jets = propagation.propagate(data, rows, lattice.l, ops, dts, {})
     for a, b in zip(ladder, jets, strict=True):
-        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+        if repeat is None:
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+        else:
+            assert np.array_equal(a, b)
 
 
 @settings(max_examples=20, deadline=None)
@@ -634,7 +645,7 @@ def test_no_step_calls_lapack(monkeypatch):
         for N in (0, 1):
             data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), N)
             assert len(list(propagation.propagate(
-                data, rows, LAT.l, ops, [0.0, 0.1, 0.3, 0.1, 2.5]))) == 5
+                data, rows, LAT.l, ops, [0.0, 0.1, 0.3, 0.0, 2.5]))) == 5
 
 
 def test_step_sizes_checked_before_the_first_sample():
@@ -646,14 +657,14 @@ def test_step_sizes_checked_before_the_first_sample():
 
 
 def test_ladder_selection():
-    # the derivatives_large run takes the ladder; one z at small M, a single
-    # once-used step size and rungs beyond ten sets of jets take the jets
-    # path
-    def choice(lattice, zs, N, once, shared=False):
+    # the derivatives_large run takes the ladder; a jet product below 2^20
+    # multiply-adds, a single once-used step size and rungs beyond ten sets
+    # of jets take the jets path
+    def choice(lattice, zs, N, once):
         data, rows = _stacks(LARGE_MODEL, lattice, zs, N)
         build = propagation._StepJets(range(lattice.K + 1), lattice.l, rows,
                                       build_operators(lattice.M))
-        return propagation._ladder(build, once, shared)
+        return propagation._ladder(build, once)
 
     once = list(LARGE_DTS[1:])
     ladder = choice(LARGE, [0.3], 2, once)
@@ -662,15 +673,17 @@ def test_ladder_selection():
     assert np.all(np.diff(ladder.depth) >= 0) and ladder.depth.sum() <= 170
     assert [len(R) for R, _ in ladder._climb()] == [
         np.count_nonzero(ladder.depth > i) for i in range(ladder.depth[-1])]
+    # one product over the jets k != 0: Z K (N+1)(N+2)/2 M^3 multiply-adds
     small = ModeLattice(K=2, L=2 * math.pi, M=8)
     assert choice(small, [-0.5, 0.0, 0.5], 1, once) is None
+    one = ModeLattice(K=1, L=2 * math.pi, M=60)
+    assert choice(one, [0.3, 0.6], 0, once) is None            # 432000
+    assert isinstance(choice(one, [0.3], 2, once), propagation._Ladder)
     assert choice(LARGE, [0.3], 2, once[-1:]) is None
     # a thousand-bit q is never formed: the depth comes from dt's exponent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert choice(LARGE, [0.3], 0, [1e300, 1e299]) is None
-    # G and its six powers held for repeated step sizes leave no room
-    assert choice(LARGE, [0.3], 2, once, shared=True) is None
 
 
 def test_ladder_base_is_the_jets_build_at_the_base_step():
@@ -697,9 +710,27 @@ def test_long_horizons_take_the_jets_path(N, times):
     dts = np.diff(times, prepend=0.0)
     build = propagation._StepJets(range(LARGE.K + 1), LARGE.l, rows,
                                   build_operators(LARGE.M))
-    assert propagation._ladder(build, [dt for dt in dts if dt], False) is None
+    assert propagation._ladder(build, [dt for dt in dts if dt]) is None
     jet_bytes = (LARGE.K + 1) * (N + 1) * LARGE.M ** 2 * 8
     peak = _peak_bytes(LARGE, [0.3], dts, N)
+    assert peak <= 10.8 * jet_bytes, peak / jet_bytes
+
+
+@pytest.mark.parametrize("zs, dts", [
+    ([-0.5, 0.3, 0.9], np.diff(np.linspace(0.0, 1.0, 11))),
+    ([0.3], np.append(LARGE_DTS, LARGE_DTS[-1])),
+], ids=["range_grid", "one_repeat"])
+def test_repeated_step_sizes_take_the_jets_path(zs, dts, monkeypatch):
+    # the step sizes of a range grid whose spacing is not dyadic split into
+    # last-bit variants, some used once and some repeated.  A run with any
+    # repeated step size steps every size by jets, and holds at most 10.8
+    # arrays of one set of step jets
+    def never(*args):
+        raise AssertionError("a run with a repeated step size took the ladder")
+
+    monkeypatch.setattr(propagation, "_Ladder", never)
+    jet_bytes = len(zs) * (LARGE.K + 1) * 3 * LARGE.M ** 2 * 8
+    peak = _peak_bytes(LARGE, zs, dts, 2)
     assert peak <= 10.8 * jet_bytes, peak / jet_bytes
 
 
