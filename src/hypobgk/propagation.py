@@ -572,9 +572,9 @@ def _suffixes(depth: np.ndarray) -> np.ndarray:
 
 
 def _ladder(build: _StepJets, once):
-    """A _Ladder for a run whose nonzero step sizes once are all used
-    once, or None: the selection and memory rule of the module docstring.
-    """
+    """A _Ladder for the step sizes once of a run that uses each of its
+    nonzero step sizes once, or None: the selection and memory rule of
+    the module docstring."""
     Z, n = build.rows.shape
     J, M = Z * len(build.modes), len(build.relax)
     if len(once) < 2 or J * n * (n + 1) // 2 * M**3 < _LADDER_PRODUCT:
