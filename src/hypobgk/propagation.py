@@ -98,10 +98,9 @@ data after each step:
 
 - The step matrices stay jets.  For each distinct step size the core
   builds the real-frame jets of exp(-dt G_k) for every (z, k) pair at
-  once and caches them per dt, shape (Z, K+1, N+1, M, M): (N+1) M^2
-  reals per pair instead of ((N+1) M)^2 complex entries.  A run that
-  brings no cache of its own drops the jets of a step size after the
-  last step of that size, so a grid of distinct steps holds one set.
+  once, shape (Z, K+1, N+1, M, M): (N+1) M^2 reals per pair instead of
+  ((N+1) M)^2 complex entries.  It drops the jets of a step size after
+  the last step of that size, so a grid of distinct steps holds one set.
 - The data stay in the real frame.  They are rotated once by
   D^-1 = diag(i^-m) and viewed as (re, im) column pairs, so a step is the
   Leibniz product y_d = sum_i binom(d, i) R_i x_{d-i} of the step jet
@@ -113,12 +112,12 @@ data after each step:
   (_StepJets, above), and each chunk's jets are scattered to their
   (z, k) places.
 
-The ladder.  A run that brings no cache uses each jet set once for a
-step size it takes once (a log-spaced time grid takes every step size
-once), so building the set is the whole cost of such a step.  A run
-whose step sizes are all used once may instead apply the exponential to
-the data (_Ladder), after Al-Mohy & Higham (2011), with one ladder of
-squarings per run in place of per-step-size squarings:
+The ladder.  A run uses each jet set once for a step size it takes once
+(a log-spaced time grid takes every step size once), so building the
+set is the whole cost of such a step.  A run whose step sizes are all
+used once may instead apply the exponential to the data (_Ladder),
+after Al-Mohy & Higham (2011), with one ladder of squarings per run in
+place of per-step-size squarings:
 
 - The base step.  Each (z, k != 0) jet, of 1-norm 2^e f with f in
   [1/2, 1), gets h = 2^(1-e), so h ||G|| = 2 f lies in [1, 2), inside
@@ -139,40 +138,40 @@ squarings per run in place of per-step-size squarings:
   nondecreasing along the sort, and rung i is held only for the suffix
   of the jets with more than i rungs, as the squarings of a build act on
   a suffix.
-- Selection (_ladder).  The ladder is taken only by a run with no cache
-  whose nonzero step sizes are all distinct, at least two of them, and
-  whose jet product is large: one product over the run's J = Z K jets
-  k != 0 costs J (N+1)(N+2)/2 M^3 multiply-adds, and the ladder needs at
-  least _LADDER_PRODUCT = 2^20.  Such a run steps only by the ladder, so
-  it builds no step jets and holds no G or powers beside the rungs.  The
-  ladder saves the squarings of every build but one, and pays about 25
-  generator actions per step, a few milliseconds per 15 steps at any
-  shape.  With one BLAS thread it was faster on every measured 15-step
-  run at or above the bound, and slower on some below it, such as one z
-  at M <= 20; below the bound a run keeps the jets path even where the
-  ladder would be faster (many z at M = 8).  A run with one step size
-  never gains, because its depth is about the s of its jets build.  A
-  run with a repeated step size keeps the jets path bit for bit; so do
-  most range grids whose spacing is not dyadic: their step sizes split
-  into a few last-bit variants, and some of them repeat.
+- Selection (_ladder).  The ladder is taken by every run whose nonzero
+  step sizes are all distinct, at least two of them, with a moving mode
+  (K >= 1), when the memory rule below passes.  Such a run steps only by
+  the ladder, so it builds no step jets and holds no G or powers beside
+  the rungs.  The ladder saves the squarings of every build but one, and
+  pays about 25 generator actions per step.  With one BLAS thread and 15
+  log-spaced steps it was faster with many z (30 z at K = 4, M = 8,
+  N = 0: 23 ms by jets, 14 ms by the ladder) and up to about 4 ms slower
+  with one z and M <= 20 (K = 16, M = 20, N = 0: 6.2 ms, 10.0 ms).  A
+  run with one step size never gains, because its depth is about the s
+  of its jets build.  A run with a repeated step size
+  keeps the jets path bit for bit; so do most range grids whose spacing
+  is not dyadic: their step sizes split into a few last-bit variants,
+  and some of them repeat.
 - Memory rule.  The rungs are built at the first step and freed after
   the last one; the build of rung 0 drops G's powers before the
-  squarings start.  A run whose rungs would exceed _RUNG_SETS = 10 sets
-  of step jets (Z (K+1) jets each; the jets path peaks at about 10.1)
-  takes the jets path.  So do long horizons and steps like
-  times [0, 1e300], where q has about a thousand bits; depth is read from
-  the exponent of dt, so no q is formed before the rule passes.
+  squarings start.  A run in which some z would hold more rungs than
+  _RUNG_SETS = 10 sets of its step jets (K+1 jets each; the jets path
+  peaks at about 10.1) takes the jets path.  So do long horizons and
+  steps like times [0, 1e300], where q has about a thousand bits; depth
+  is read from the exponent of dt, so no q is formed before the rule
+  passes.
 - Determinism.  The rungs, the rung actions and the Taylor action treat
   each jet alone, so on the ladder a z-batched run equals per-z runs bit
-  for bit, as on the jets path.  The path is chosen per run, and the jet
-  product grows with Z, so a z's bits can change with its batch when the
-  choice does.  Runs with a repeated step size, runs given a cache
-  (ExactPropagator) and one-step runs keep the jets path bit for bit.
+  for bit, as on the jets path.  The path is chosen from the step sizes
+  and each z's own rungs, not from the number of z, so a z's bits do not
+  depend on its batch, unless another z of the batch fails the memory
+  rule.  One-step runs keep the jets path.
 
-ExactPropagator steps one StateStack at one z through the same core and
-caches the jets per dt across its calls.  step_matrix expands the cached
-jets of one mode into the dense complex matrix exp(-dt G_k), for
-inspection and tests; no stepping path uses dense step matrices.
+ExactPropagator steps one StateStack at one z through the same core, one
+step per call, so on the jets path.  step_matrix builds the jets of the
+one mode asked and expands them into the dense complex matrix
+exp(-dt G_k), for inspection and tests; no stepping path uses dense step
+matrices.
 """
 
 from __future__ import annotations
@@ -248,6 +247,9 @@ _TAYLOR_DEGREE = len(_TAYLOR25) - 1
 # for T_25(c G) = E1 + G O1 + G^12 (E2 + G O2): rows E1, O1, E2, O2.  E1
 # and O1 also hold the terms 1 and c G, which need no power.
 _TAYLOR_SUMS = np.arange(2, 14, 2) + np.array([[0], [1], [12], [13]])
+# squarings between the checks of _expm_powers for an exactly zero suffix;
+# scaling powers below it never pay for a check
+_ZERO_CHECK = 64
 
 
 def _band_norms(kl: np.ndarray, twist: np.ndarray, rows: np.ndarray,
@@ -369,7 +371,10 @@ def _expm_powers(G: np.ndarray, P: np.ndarray, c: np.ndarray,
     power s per jet, then s squarings.  A = c Gs with c = -dt 2^(e-s) and
     Gs the scaled jet, so its sums come from the shared powers P of Gs;
     coef holds the Taylor coefficients of c (_taylor).  s is
-    nondecreasing.
+    nondecreasing.  A suffix still squaring is checked every
+    _ZERO_CHECK squarings: once it is exactly zero, so is every later
+    square, so the squarings stop (t = 1e300 asks for about a thousand)
+    and the suffix is written as +0.0, the bits they would give.
     """
     out, spare = _taylor(G, P, c, coef)
     # the jets with s > j form a suffix of the batch; square it from R into
@@ -381,6 +386,9 @@ def _expm_powers(G: np.ndarray, P: np.ndarray, c: np.ndarray,
         done, first = first, int(np.searchsorted(s, j, side="right"))
         if R is not out:
             out[done:first] = R[done:first]
+        if j and not j % _ZERO_CHECK and not R[first:].any():
+            out[first:] = 0.0
+            return out
         _jet_mul(R[first:], R[first:], out=spare[first:])
         R, spare = spare, R
     if R is not out:
@@ -413,12 +421,9 @@ _BUILD_SLICE = 2
 
 _I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
 
-# rungs a run may hold, in sets of step jets (Z (K+1) jets); the jets path
+# rungs each z may hold, in sets of its step jets (K+1 jets); the jets path
 # peaks at about 10.1 of them
 _RUNG_SETS = 10
-# the smallest jet product of a run, in multiply-adds, that takes the
-# ladder (module docstring)
-_LADDER_PRODUCT = 2**20
 
 
 class _StepJets:
@@ -575,12 +580,12 @@ def _ladder(build: _StepJets, once):
     """A _Ladder for the step sizes once of a run that uses each of its
     nonzero step sizes once, or None: the selection and memory rule of
     the module docstring."""
-    Z, n = build.rows.shape
-    J, M = Z * len(build.modes), len(build.relax)
-    if len(once) < 2 or J * n * (n + 1) // 2 * M**3 < _LADDER_PRODUCT:
+    Kp = len(build.modes)
+    if len(once) < 2 or not Kp:
         return None
-    depth = _depths(build.sorted_norms[2], once)
-    if depth.sum() > _RUNG_SETS * Z * (len(build.modes) + len(build.zero)):
+    ranks, _, e = build.sorted_norms
+    rungs = np.bincount(ranks // Kp, _depths(e, once))     # per z
+    if rungs.max() > _RUNG_SETS * (Kp + len(build.zero)):
         return None
     return _Ladder(build, once)
 
@@ -686,14 +691,6 @@ class _Ladder:
         return out
 
 
-def _cached_jets(jets: dict, dt: float, build: _StepJets) -> np.ndarray:
-    """Step jets at dt, from the cache or built into it."""
-    R = jets.get(dt)
-    if R is None:
-        R = jets[dt] = build(dt)
-    return R
-
-
 def _dense_steps(R: np.ndarray) -> np.ndarray:
     """Complex step matrices exp(-dt G_k) from real-frame jets (B, N+1, M, M).
 
@@ -711,47 +708,46 @@ def _dense_steps(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet,
-              dts, jets: dict | None = None):
+def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet, dts):
     """Yield the real-frame data of a batch of z after each step dts[j].
 
     data[z, k, n, m] has shape (Z, K+1, N+1, M) and sigma_rows[z] holds
     sigma^(0)..sigma^(N) at that z.  Each sample has shape
     (Z, K+1, N+1, M, 2): the (re, im) column pairs of D^-1 x, where
     D = diag(i^m).  A zero step yields the previous sample again; the
-    samples must not be written to.  jets caches the step jets per dt;
-    pass a dict to keep them across calls.  Without one, the jets of a
-    step size are dropped after its last step in dts, and a run whose
-    step sizes are all used once may step through the ladder instead
-    (module docstring).
-    Every step size is checked before the first sample.
+    samples must not be written to.  The jets of a step size are built at
+    its first step and dropped after its last, and a run whose nonzero
+    step sizes are all distinct may step through the ladder instead
+    (module docstring).  Every step size is checked before the first
+    sample.
     """
     dts = list(dts)
     for dt in dts:
         if not (dt >= 0.0 and math.isfinite(dt)):
             raise UsageError(f"step size must be finite and >= 0, got dt={dt}")
-    last = ladder = None
     Z, K1, n, M = data.shape
-    if jets is None:
-        jets = {}
-        last = {dt: j for j, dt in enumerate(dts)}
-    sizes = {dt for dt in dts if dt != 0.0 and dt not in jets}
+    last = {dt: j for j, dt in enumerate(dts)}
+    sizes = set(last) - {0.0}
     build = _StepJets(range(K1), l, sigma_rows, ops, len(sizes))
-    if last is not None and len(sizes) == len(dts) - dts.count(0.0):
+    ladder = None
+    if len(sizes) == len(dts) - dts.count(0.0):
         ladder = _ladder(build, sizes)
         if ladder is not None:      # rung 0 is the run's one build
             build.builds = 1
     # D^-1 x as (re, im) column pairs: blocks of shape (M, 2)
     W = (data * _I_POWERS[np.arange(M) % 4].conj()).view(float) \
         .reshape(Z, K1, n, M, 2)
+    jets = {}
     for j, dt in enumerate(dts):
         if dt == 0.0:
             pass
         elif ladder is not None:
             W = ladder(W, dt)
         else:
-            W = _jet_mul(_cached_jets(jets, dt, build), W)
-            if last is not None and last[dt] == j:
+            if dt not in jets:
+                jets[dt] = build(dt)
+            W = _jet_mul(jets[dt], W)
+            if last[dt] == j:
                 del jets[dt]
         yield W
 
@@ -764,9 +760,8 @@ def _complex_frame(W: np.ndarray) -> np.ndarray:
 class ExactPropagator:
     """Matrix-exponential stepper for all modes at one (model, z, N).
 
-    A batch-of-one front end to propagate: step jets are cached per dt,
-    so repeated steps of one size and several stacks sharing the same
-    configuration pay for each exponential once.
+    A batch-of-one front end to propagate: evolve is a one-step run, and
+    step_matrix expands the jets of one mode into a dense matrix.
     """
 
     def __init__(self, lattice: ModeLattice, model: CollisionFrequencyModel,
@@ -778,23 +773,17 @@ class ExactPropagator:
         self.z = z
         self.sigma_derivs = [sigma_eval(model, z, i) for i in range(levels + 1)]
         self.ops = build_operators(lattice.M)
-        self._jets: dict[float, np.ndarray] = {}
 
     def step_matrix(self, k: int, dt: float) -> np.ndarray:
-        """exp(-dt G_k), expanded from the cached jets of modes 0..K at dt."""
-        K, l = self.lattice.K, self.lattice.l
-        if 0 <= k <= K:
-            build = _StepJets(range(K + 1), l, [self.sigma_derivs], self.ops)
-            R = _cached_jets(self._jets, dt, build)
-            return _dense_steps(R[0, k:k + 1])[0]
-        build = _StepJets([k], l, [self.sigma_derivs], self.ops)
+        """exp(-dt G_k), expanded from the jets of mode k at dt."""
+        build = _StepJets([k], self.lattice.l, [self.sigma_derivs], self.ops)
         return _dense_steps(build(dt)[0])[0]
 
     def evolve(self, state: StateStack, dt: float) -> StateStack:
         """Advance a stack by dt >= 0 with one exact step per mode."""
         self._check(state)
         W = next(propagate(state.data[None], [self.sigma_derivs],
-                           self.lattice.l, self.ops, [dt], self._jets))[0]
+                           self.lattice.l, self.ops, [dt]))[0]
         return replace(state, t=state.t + dt, data=_complex_frame(W))
 
     def _check(self, state: StateStack) -> None:

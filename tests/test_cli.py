@@ -295,6 +295,16 @@ def test_simulate_degenerate_run(tmp_path):
     assert fields[4] == fields[5]  # envelope equals entropy at t = 0
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_mode0_lattice_with_distinct_step_sizes(tmp_path, command):
+    # a lattice of mode 0 alone has no moving mode to build a ladder for,
+    # whatever its step sizes
+    path = write_config(tmp_path, domain={"K": 0},
+                        time_grid={"times": [1.0, 3.0]})
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     path = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

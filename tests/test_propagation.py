@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -120,14 +120,9 @@ def test_k0_components_decay_at_sigma():
     assert np.all(np.abs(out.data[0, 0, :3]) == 0.0)
 
 
-def test_propagator_cache_and_checks():
+def test_propagator_checks():
     model = constant_model(1.5)
     prop = ExactPropagator(LAT, model, 0.0, 0)
-    m1 = prop.step_matrix(1, 0.25)
-    jets = prop._jets[0.25]
-    # a second lookup expands the cached jets again, it builds nothing
-    assert np.array_equal(prop.step_matrix(1, 0.25), m1)
-    assert prop._jets == {0.25: jets} and prop._jets[0.25] is jets
     state = _random_state(z=0.0)
     other_z = _random_state(z=0.3)
     with pytest.raises(UsageError):
@@ -204,31 +199,17 @@ def test_step_matrix_against_dense_expm(variant, M, N):
             assert _rel_err(prop.step_matrix(k, dt), dense) < 2e-13, (dt, k)
 
 
-def test_step_matrix_builds_every_mode_of_a_step_size():
-    prop = ExactPropagator(LAT, MODELS["trig"], 0.1, 2)
-    prop.step_matrix(2, 0.5)
-    assert list(prop._jets) == [0.5]
-    jets = prop._jets[0.5]
-    assert jets.shape == (1, LAT.K + 1, 3, LAT.M, LAT.M)
-    for k in range(LAT.K + 1):
-        prop.step_matrix(k, 0.5)
-    assert prop._jets[0.5] is jets
-    # a mode outside 0..K is built on its own and not cached
-    prop.step_matrix(-2, 0.5)
-    assert list(prop._jets) == [0.5] and prop._jets[0.5] is jets
-
-
 def test_core_drops_step_jets_after_their_last_use(monkeypatch):
-    # without a cache of its own a run keeps the jets of a step size only
-    # until its last step; a cache passed in keeps every step size
-    seen = []
-    cached_jets = propagation._cached_jets
+    # a run keeps the jets of a step size only until its last step
+    held = []
+    build = propagation._StepJets.__call__
 
-    def spy(jets, dt, *args):
-        seen.append((jets, dt))
-        return cached_jets(jets, dt, *args)
+    def spy(self, dt):
+        R = build(self, dt)
+        held.append(weakref.ref(R))
+        return R
 
-    monkeypatch.setattr(propagation, "_cached_jets", spy)
+    monkeypatch.setattr(propagation._StepJets, "__call__", spy)
     model = MODELS["affine"]
     zs = (-0.5, 0.5)
     data = np.stack([project_initial(InitialDataSpec(kind="random", seed=2),
@@ -236,17 +217,9 @@ def test_core_drops_step_jets_after_their_last_use(monkeypatch):
     rows = [[sigma_eval(model, z, n) for n in range(2)] for z in zs]
     ops = build_operators(LAT.M)
     dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
-    held = []
-    own = []
-    for sample in propagation.propagate(data, rows, LAT.l, ops, dts):
-        own.append(sample)
-        held.append(sorted(seen[-1][0]))
-    assert held == [[0.1], [0.1, 0.2], [0.2], [0.2], [0.2, 0.3], [0.3], []]
-    jets = {}
-    kept = list(propagation.propagate(data, rows, LAT.l, ops, dts, jets))
-    assert sorted(jets) == [0.1, 0.2, 0.3]
-    for a, b in zip(own, kept):
-        assert np.array_equal(a, b)
+    alive = [[dt for dt, ref in zip((0.1, 0.2, 0.3), held) if ref() is not None]
+             for _ in propagation.propagate(data, rows, LAT.l, ops, dts)]
+    assert alive == [[0.1], [0.1, 0.2], [0.2], [0.2], [0.2, 0.3], [0.3], []]
 
 
 @settings(max_examples=30, deadline=None)
@@ -265,8 +238,8 @@ def test_opposite_modes_give_conjugate_step_matrices(k, dt, z, N, variant):
 
 def _take(path):
     """A stand-in for propagation._ladder that forces a path: the ladder for
-    every uncached run whose nonzero step sizes are all used once (and
-    there is one), or never."""
+    every run whose nonzero step sizes are all used once (and there is
+    one), or never."""
     if path == "jets":
         return lambda build, once: None
     return lambda build, once: propagation._Ladder(build, once) if once else None
@@ -275,10 +248,10 @@ def _take(path):
 @pytest.mark.parametrize("N", [0, 2])
 def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
     # on either path, build chunks of 1 and 4 z rows' worth give the same
-    # bits, and so does every z stepped alone by an uncached run;
-    # ExactPropagator caches its jets: it gives the bits of the jets path
-    # and agrees with the ladder to rounding.  The jets path's run repeats
-    # the step size 0.3; the ladder's run uses each step size once
+    # bits, and so does every z stepped alone; ExactPropagator steps once
+    # per call: it gives the bits of the jets path and agrees with the
+    # ladder to rounding.  The jets path's run repeats the step size 0.3;
+    # the ladder's run uses each step size once
     model = MODELS["trig"]
     zs = np.linspace(-0.9, 0.8, 7)
     rng = np.random.default_rng(5)
@@ -381,13 +354,6 @@ def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
     seen = [(len(built), held()) for _ in
             propagation.propagate(data, rows, LAT.l, ops, [0.25, 0.0, 0.25])]
     assert seen == [(2, 0)] * 3
-    # step sizes already in a cache passed in are not built again
-    built.clear()
-    jets = {}
-    list(propagation.propagate(data, rows, LAT.l, ops, [0.1], jets))
-    seen = [(len(built), held()) for _ in
-            propagation.propagate(data, rows, LAT.l, ops, [0.1, 0.4], jets)]
-    assert seen == [(2, 0), (4, 0)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -458,30 +424,31 @@ def _large_reference(k, dt, z=0.3):
 
 
 def test_derivatives_large_shape_against_extended_precision():
-    # the 15 step sizes of a derivatives run, in one cached run: every
-    # step size is checked against the oracle at one mode (the modes cycle
-    # through 0..16), and every step matrix equals, bit for bit, a build of
-    # its step size alone
-    lattice, model, dts, z = LARGE, LARGE_MODEL, LARGE_DTS, 0.3
-    data, rows = _stacks(model, lattice, [z], 2)
-    jets = {}
-    list(propagation.propagate(data, rows, lattice.l,
-                                build_operators(lattice.M), dts, jets))
-    assert sorted(jets) == sorted(dts[1:])
-    for j, dt in enumerate(dts[1:]):
-        alone = ExactPropagator(lattice, model, z, 2)
-        alone.step_matrix(0, dt)
-        assert np.array_equal(alone._jets[dt], jets[dt])
+    # the step jets of the 15 step sizes of a derivatives run, built in
+    # turn from one set of shared powers: every step size is checked
+    # against the oracle at one mode (the modes cycle through 0..16), and
+    # every step matrix equals, bit for bit, a build of its step size alone
+    lattice, dts = LARGE, LARGE_DTS[1:]
+    rows = [[sigma_eval(LARGE_MODEL, 0.3, n) for n in range(3)]]
+    ops = build_operators(lattice.M)
+
+    def step_jets(builds=1):
+        return propagation._StepJets(range(lattice.K + 1), lattice.l, rows,
+                                     ops, builds)
+
+    build = step_jets(len(dts))
+    for j, dt in enumerate(dts):
+        R = build(dt)
+        assert np.array_equal(step_jets()(dt), R)
         k = 7 * j % 17
-        dense = propagation._dense_steps(jets[dt][0, k:k + 1])[0]
+        dense = propagation._dense_steps(R[0, k:k + 1])[0]
         assert _rel_err(dense, _large_reference(k, dt)) < 1e-13, (dt, k)
 
 
 def test_ladder_steps_against_extended_precision(monkeypatch):
-    # without a cache the derivatives_large run steps its 15 once-used step
-    # sizes through the ladder; each step of one mode (cycling through
-    # 0..16, as above) is the oracle's step matrix applied to the sample
-    # before it
+    # the derivatives_large run steps its 15 once-used step sizes through
+    # the ladder; each step of one mode (cycling through 0..16, as above)
+    # is the oracle's step matrix applied to the sample before it
     ladders = []
     ladder = propagation._Ladder
 
@@ -509,12 +476,17 @@ def test_ladder_steps_against_extended_precision(monkeypatch):
        zeros=st.lists(st.integers(0, 5), max_size=3),
        repeat=st.none() | st.integers(0, 4),
        zs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+# the two paths differ by 1.05e-13 of the sample here, and each step of
+# either is within 4e-14 of the oracle
+@example(variant="affine", K=1, M=20, N=0, pool=[1.0, 7.5, 13.25, 18.75],
+         zeros=[], repeat=None, zs=[0.875])
 def test_ladder_agrees_with_the_jets_path(variant, K, M, N, pool, zeros,
                                           repeat, zs):
-    # once-used and zero steps take the ladder, whose samples agree with
-    # those of a cached run, which steps every size by jets, to 1e-13 of
-    # each sample's largest entry; a repeated step size keeps the whole
-    # run on the jets path, bit for bit
+    # each path, forced, steps once-used and zero steps: each step of one
+    # mode (cycling through 0..K) at every z is the oracle's step matrix
+    # applied to the sample before it, to 1e-13, and a zero step repeats
+    # the sample; a repeated step size keeps even the forced ladder's run
+    # on the jets path, bit for bit
     lattice = ModeLattice(K=K, L=2 * math.pi, M=M)
     dts = list(pool)
     if repeat is not None:
@@ -523,15 +495,29 @@ def test_ladder_agrees_with_the_jets_path(variant, K, M, N, pool, zeros,
         dts.insert(i % (len(dts) + 1), 0.0)
     data, rows = _stacks(MODELS[variant], lattice, zs, N)
     ops = build_operators(M)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagation, "_ladder", _take("ladder"))
-        ladder = list(propagation.propagate(data, rows, lattice.l, ops, dts))
-    jets = propagation.propagate(data, rows, lattice.l, ops, dts, {})
-    for a, b in zip(ladder, jets, strict=True):
-        if repeat is None:
-            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
-        else:
+    runs = {}
+    for path in ("jets", "ladder"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagation, "_ladder", _take(path))
+            runs[path] = [_complex_frame(W) for W in propagation.propagate(
+                data, rows, lattice.l, ops, dts)]
+    if repeat is not None:
+        for a, b in zip(runs["jets"], runs["ladder"], strict=True):
             assert np.array_equal(a, b)
+    refs = [[step_matrix_reference(j % (K + 1), lattice.l, dt, row, M)
+             for row in rows] for j, dt in enumerate(dts) if dt]
+    for path, samples in runs.items():
+        steps = iter(refs)
+        for j, (dt, prev, sample) in enumerate(zip(
+                dts, [data] + samples[:-1], samples, strict=True)):
+            if dt == 0.0:
+                assert np.array_equal(sample, prev), path
+                continue
+            k = j % (K + 1)
+            for i, ref in enumerate(next(steps)):
+                err = _rel_err(sample[i, k].reshape(-1),
+                               ref @ prev[i, k].reshape(-1))
+                assert err < 1e-13, (path, dt, i, k, err)
 
 
 @settings(max_examples=20, deadline=None)
@@ -543,18 +529,18 @@ def test_ladder_agrees_with_the_jets_path(variant, K, M, N, pool, zeros,
        z=st.floats(-1.0, 1.0))
 def test_runs_mixing_step_sizes_against_extended_precision(variant, M, N, pool,
                                                            picks, z):
-    # repeated, distinct and zero steps in one run over three z rows (two
-    # build chunks): every step matrix of every (z, k) against the oracle
+    # the step sizes of a run of repeated, distinct and zero steps, built
+    # in turn from one set of shared powers over three z rows (two build
+    # chunks): every step matrix of every (z, k) against the oracle
     lattice = ModeLattice(K=2, L=1.0, M=M)
     model = MODELS[variant]
-    dts = [(pool + [0.0])[i % (len(pool) + 1)] for i in picks]
+    sizes = {(pool + [0.0])[i % (len(pool) + 1)] for i in picks} - {0.0}
     zs = (z, -0.5 * z, 0.9)
-    data, rows = _stacks(model, lattice, zs, N)
-    jets = {}
-    list(propagation.propagate(data, rows, lattice.l, build_operators(M),
-                                dts, jets))
-    assert sorted(jets) == sorted(set(dts) - {0.0})
-    for dt, R in jets.items():
+    rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in zs]
+    build = propagation._StepJets(range(lattice.K + 1), lattice.l, rows,
+                                  build_operators(M), len(sizes))
+    for dt in sizes:
+        R = build(dt)
         dense = propagation._dense_steps(R.reshape(-1, N + 1, M, M))
         for i, row in enumerate(rows):
             for k in range(lattice.K + 1):
@@ -657,33 +643,60 @@ def test_step_sizes_checked_before_the_first_sample():
 
 
 def test_ladder_selection():
-    # the derivatives_large run takes the ladder; a jet product below 2^20
-    # multiply-adds, a single once-used step size and rungs beyond ten sets
-    # of jets take the jets path
-    def choice(lattice, zs, N, once):
-        data, rows = _stacks(LARGE_MODEL, lattice, zs, N)
+    # the path reads the step sizes alone: any run of two or more once-used
+    # step sizes with a moving mode takes the ladder, whatever its shape and
+    # number of z.  A single once-used step size, a lattice of mode 0 alone
+    # and a z whose rungs exceed ten sets of its step jets take the jets path
+    def choice(lattice, rows, once):
         build = propagation._StepJets(range(lattice.K + 1), lattice.l, rows,
                                       build_operators(lattice.M))
         return propagation._ladder(build, once)
 
+    def at(zs, N):
+        return [[sigma_eval(LARGE_MODEL, z, n) for n in range(N + 1)]
+                for z in zs]
+
     once = list(LARGE_DTS[1:])
-    ladder = choice(LARGE, [0.3], 2, once)
+    ladder = choice(LARGE, at([0.3], 2), once)
     assert isinstance(ladder, propagation._Ladder)
     # rung i is held for a suffix of the jets: those with more than i rungs
     assert np.all(np.diff(ladder.depth) >= 0) and ladder.depth.sum() <= 170
     assert [len(R) for R, _ in ladder._climb()] == [
         np.count_nonzero(ladder.depth > i) for i in range(ladder.depth[-1])]
-    # one product over the jets k != 0: Z K (N+1)(N+2)/2 M^3 multiply-adds
     small = ModeLattice(K=2, L=2 * math.pi, M=8)
-    assert choice(small, [-0.5, 0.0, 0.5], 1, once) is None
     one = ModeLattice(K=1, L=2 * math.pi, M=60)
-    assert choice(one, [0.3, 0.6], 0, once) is None            # 432000
-    assert isinstance(choice(one, [0.3], 2, once), propagation._Ladder)
-    assert choice(LARGE, [0.3], 2, once[-1:]) is None
+    for lattice, rows in ((small, at([-0.5, 0.0, 0.5], 1)),
+                          (small, at([0.3], 0)), (one, at([0.3, 0.6], 0))):
+        assert isinstance(choice(lattice, rows, once), propagation._Ladder)
+    assert choice(LARGE, at([0.3], 2), once[-1:]) is None
+    assert choice(ModeLattice(K=0, L=2 * math.pi, M=8), at([0.3], 0),
+                  once) is None
     # a thousand-bit q is never formed: the depth comes from dt's exponent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert choice(LARGE, [0.3], 0, [1e300, 1e299]) is None
+        assert choice(LARGE, at([0.3], 0), [1e300, 1e299]) is None
+    # the rungs are counted per z: at K = 1, sigma = 1 needs 12 rungs and
+    # sigma = 1e4 needs 23, against 20 per z, so the second z takes the
+    # jets path alone and with the first, as a total of 35 of 40 would not
+    tiny = ModeLattice(K=1, L=2 * math.pi, M=5)
+    assert isinstance(choice(tiny, [[1.0]], [600.0, 1000.0]),
+                      propagation._Ladder)
+    assert choice(tiny, [[1e4]], [600.0, 1000.0]) is None
+    assert choice(tiny, [[1.0], [1e4]], [600.0, 1000.0]) is None
+
+
+def test_a_z_alone_and_in_a_batch_give_the_same_bits():
+    # the path does not read the number of z: each z of a 40-z run on the
+    # derivatives log grid equals, bit for bit, the same z stepped alone
+    lattice = ModeLattice(K=4, L=2 * math.pi, M=20)
+    data, rows = _stacks(LARGE_MODEL, lattice, np.linspace(-1.0, 1.0, 40), 0)
+    ops = build_operators(lattice.M)
+    batch = list(propagation.propagate(data, rows, lattice.l, ops, LARGE_DTS))
+    for i in range(len(data)):
+        alone = propagation.propagate(data[i:i + 1], rows[i:i + 1], lattice.l,
+                                      ops, LARGE_DTS)
+        for a, b in zip(alone, batch, strict=True):
+            assert np.array_equal(a[0], b[i]), i
 
 
 def test_ladder_base_is_the_jets_build_at_the_base_step():
@@ -714,6 +727,46 @@ def test_long_horizons_take_the_jets_path(N, times):
     jet_bytes = (LARGE.K + 1) * (N + 1) * LARGE.M ** 2 * 8
     peak = _peak_bytes(LARGE, [0.3], dts, N)
     assert peak <= 10.8 * jet_bytes, peak / jet_bytes
+
+
+def test_many_z_on_the_ladder_peak_memory(monkeypatch):
+    # 30 z at K = 4, M = 8 on the derivatives log grid take the ladder and
+    # hold at most 10.8 arrays of one set of step jets
+    ladders = []
+    ladder = propagation._Ladder
+
+    def spy(*args):
+        ladders.append(ladder(*args))
+        return ladders[-1]
+
+    monkeypatch.setattr(propagation, "_Ladder", spy)
+    lattice, zs = ModeLattice(K=4, L=2 * math.pi, M=8), np.linspace(-1, 1, 30)
+    peak = _peak_bytes(lattice, list(zs), LARGE_DTS)
+    assert len(ladders) == 1
+    jet_bytes = len(zs) * (lattice.K + 1) * lattice.M ** 2 * 8
+    assert peak <= 10.8 * jet_bytes, peak / jet_bytes
+
+
+@pytest.mark.parametrize("N", [0, 2])
+def test_squarings_stop_once_the_rest_is_zero(N, monkeypatch):
+    # at dt = 1e300 the jets k != 0 ask for about a thousand squarings, and
+    # are exactly zero long before: the build (one chunk) stops at the
+    # first check, after _ZERO_CHECK squarings, and writes +0.0
+    calls = [0]
+    jet_mul = propagation._jet_mul
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return jet_mul(*args, **kwargs)
+
+    monkeypatch.setattr(propagation, "_jet_mul", spy)
+    rows = [[sigma_eval(LARGE_MODEL, 0.3, n) for n in range(N + 1)]]
+    build = propagation._StepJets(range(LARGE.K + 1), LARGE.l, rows,
+                                  build_operators(LARGE.M))
+    R = build(1e300)
+    # six even powers and three Taylor products before the squarings
+    assert calls[0] == 6 + 3 + propagation._ZERO_CHECK
+    assert not R[:, 1:].any() and not np.signbit(R[:, 1:]).any()
 
 
 @pytest.mark.parametrize("zs, dts", [
