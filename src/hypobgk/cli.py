@@ -74,7 +74,6 @@ from .errors import (
     DataError,
     DomainError,
     HypoBGKError,
-    InvalidModelError,
     NotCertifiableError,
     NumericError,
     UsageError,
@@ -907,8 +906,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, UsageError, DomainError, InvalidModelError,
-            NotCertifiableError, CertificateError, DataError) as exc:
+    except HypoBGKError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:

@@ -59,37 +59,44 @@ build of one run by how often each piece changes:
   every norm equals the 1-norm of the assembled jet bit for bit.  All
   jets of the run are sorted by their norms once, with e the exponent
   that scales each jet by 2^-e, exact, to a 1-norm in [1/2, 1).
-- Once per step size.  The scaling powers s, the scalars
-  c = -dt 2^(e-s) and the Taylor coefficients c^k / k! of every jet.
+- Once per build.  A build (_StepJets._sorted) takes a step h per jet,
+  one step size or the ladder's base steps (below): the scaling powers
+  s, the scalars c = -h 2^(e-s) and the Taylor coefficients c^k / k!.
+  Where h times a norm 2^e f overflows, h < 2^a bounds it by 2^(a+e),
+  and s = a + e.
 - Per chunk.  The sorted jets are cut into chunks of _BUILD_SLICE z
   rows' worth (_BUILD_SLICE times the modes k != 0).  _generator_powers
   assembles and scales a chunk's jets G and forms the six even powers
-  G^2, G^4, ..., G^12 (six jet products).  At a step size the scaled
+  G^2, G^4, ..., G^12 (six jet products).  At a step the scaled
   argument is A = c G, so A^k = c^k G^k, and every sum over the powers
   is a stacked coefficient product (_power_sums).  The Taylor polynomial
   is written T_25(A) = E1 + G O1 + G^12 (E2 + G O2), with E1, O1, E2 and
-  O2 sums over the six powers, and takes three jet products per step
-  size (_taylor).  The sort makes s nondecreasing along each chunk, so
-  each squaring acts on a suffix of it; the squarings alternate between
-  the result and a spent buffer.
+  O2 sums over the six powers, and takes three jet products per build
+  (_taylor).  The sort makes s nondecreasing along each chunk, so each
+  squaring acts on a suffix of it; the squarings alternate between the
+  result and a spent buffer.
 
-Every step size a run builds jets for is built this way.  Every jet
-keeps its own e, its own s and its own place in the sort, and the
-products act on each jet of a chunk alone, so the bits of a jet depend
-neither on the other step sizes of its run nor on the chunk it falls in.
+Every jet keeps its own e, its own s and its own place in the sort, and
+the products act on each jet of a chunk alone, so the bits of a jet
+depend neither on the other step sizes of its run nor on the chunk it
+falls in.
 
-Memory rule.  A run keeps G and its six powers of a chunk only while
-another step size still has to be built: a run of one step size keeps
-none, and a run of many drops them at its last new step size.  Within a
-build the Taylor sums fit in three arrays the size of the chunk: the
-result, and a pair whose first half is the squarings' spare buffer and
-which is freed when _expm_powers returns.  A 15-step run at K = 16,
-M = 60, N = 2 (one chunk) peaks at 10.10 arrays the size of its jets: G
-and its six powers, the three Taylor arrays and one level-sized temporary
-of a product, for the 16 modes k >= 1.  The chunks bound the build
-temporaries, which grow with the chunk: at K = 4, M = 20 a sweep peaked
-about 0.3 MiB higher per z row of a chunk, while a chunk of the whole
-30-row batch built only about a quarter faster.
+Memory rule.  A build with keep holds each chunk's G and six powers for
+the next build, and propagate passes keep to every build but its last
+new step size's: a run of one step size, or a ladder run (one build,
+rung 0), holds none after its build.  Within a build the Taylor sums fit
+in three arrays the size of the chunk: the result, and a pair whose
+first half is the squarings' spare buffer and which is freed when
+_expm_powers returns.  A 15-step run at K = 16, M = 60, N = 2 (one
+chunk) on the jets path peaks at 10.28 arrays the size of its jets: G
+and its six powers, the three Taylor arrays and one level-sized
+temporary of a product, for the 16 modes k >= 1.  A run also holds a
+step size's jets from its first step to its last, so repeating one after
+other step sizes holds it through their builds: the same run with its
+sixth step size repeated at the end peaks at 11.10 arrays.  The chunks
+bound the build temporaries, which grow with the chunk: at K = 4, M = 20
+a sweep peaked about 0.3 MiB higher per z row of a chunk, while a chunk
+of the whole 30-row batch built only about a quarter faster.
 
 Everything steps through one z-batched core, propagate.  It takes the
 stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
@@ -121,9 +128,10 @@ place of per-step-size squarings:
 
 - The base step.  Each (z, k != 0) jet, of 1-norm 2^e f with f in
   [1/2, 1), gets h = 2^(1-e), so h ||G|| = 2 f lies in [1, 2), inside
-  theta_25.  L_0 = exp(-h G) is the _expm_powers build at s = 0 and
-  c = -2 for every jet (_StepJets.base), and the rungs
-  L_i = exp(-2^i h G) = L_(i-1)^2 are squared once per run.
+  theta_25.  L_0 = exp(-h G) is one build at the step h of each jet
+  (_StepJets.base), where s = 0 and c = -2 exactly for every jet, so it
+  takes no squaring.  The rungs L_i = exp(-2^i h G) = L_(i-1)^2 are
+  squared once per run.
 - A step.  dt = q h + r exactly, since h is a power of two: r is
   fmod(dt, h) and q = (dt - r) / h, an integer in floats (it can exceed
   2^63).  exp(-dt G) = exp(-r G) prod_{bits i of q} L_i, all functions of
@@ -156,7 +164,7 @@ place of per-step-size squarings:
   the last one; the build of rung 0 drops G's powers before the
   squarings start.  A run in which some z would hold more rungs than
   _RUNG_SETS = 10 sets of its step jets (K+1 jets each; the jets path
-  peaks at about 10.1) takes the jets path.  So do long horizons and
+  peaks at about 10.3) takes the jets path.  So do long horizons and
   steps like times [0, 1e300], where q has about a thousand bits; depth
   is read from the exponent of dt, so no q is formed before the rule
   passes.
@@ -292,18 +300,18 @@ def _band_norms(kl: np.ndarray, twist: np.ndarray, rows: np.ndarray,
 
 
 def _generator_powers(stream: np.ndarray, rows: np.ndarray, relax: np.ndarray,
-                      order: np.ndarray, norms: np.ndarray, e: np.ndarray):
+                      order: np.ndarray, e: np.ndarray):
     """Real-frame generator jets of one chunk of a run and their even powers.
 
     stream[k] is the streaming block of the k-th moving mode in the real
     frame and rows[z] holds sigma^(0)..sigma^(N) at z.  The chunk is a
     stretch of the run's jets in sorted order: order[j] = z len(stream) + k
-    is the (z, k) row of its jet j, and norms[j] = 2^e[j] f with f in
-    [1/2, 1) that jet's 1-norm.
+    is the (z, k) row of its jet j, whose 1-norm is 2^e[j] f with f in
+    [1/2, 1).
 
     Each jet G is scaled by 2^-e, exact, to a 1-norm in [1/2, 1), so no
-    power can overflow.  Returns (order, norms, e, G, P), with P[:, 0..5]
-    the powers G^2, G^4, ..., G^12.
+    power can overflow.  Returns (G, P), with P[:, 0..5] the powers G^2,
+    G^4, ..., G^12.
     """
     n, M = rows.shape[1], len(relax)
     z, k = np.divmod(order, len(stream))
@@ -319,7 +327,7 @@ def _generator_powers(stream: np.ndarray, rows: np.ndarray, relax: np.ndarray,
     _jet_mul(P[:, 1], P[:, 0], out=P[:, 2])     # G^6
     for i in range(3):                          # G^8, G^10, G^12
         _jet_mul(P[:, 2], P[:, i], out=P[:, 3 + i])
-    return order, norms, e, G, P
+    return G, P
 
 
 def _power_sums(P: np.ndarray, coef: np.ndarray,
@@ -406,7 +414,8 @@ def _mode0_diagonals(rows: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
     f_d = -dt r_m sum_{i=1..d} binom(d-1, i-1) sigma^(i) f_{d-i}.
     """
     f = np.empty(rows.shape + r.shape)
-    f[:, 0] = np.exp(np.multiply.outer(rows[:, 0], r) * -dt)
+    with np.errstate(over="ignore"):    # exp(-inf) = 0 is the true decay
+        f[:, 0] = np.exp(np.multiply.outer(rows[:, 0], r) * -dt)
     for d in range(1, rows.shape[1]):
         acc = rows[:, 1, None] * f[:, d - 1]
         for i in range(2, d + 1):
@@ -422,7 +431,7 @@ _BUILD_SLICE = 2
 _I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
 
 # rungs each z may hold, in sets of its step jets (K+1 jets); the jets path
-# peaks at about 10.1 of them
+# peaks at about 10.3 of them
 _RUNG_SETS = 10
 
 
@@ -432,16 +441,16 @@ class _StepJets:
     sigma_rows[z] holds sigma^(0)..sigma^(N) at one z; a build at dt has
     shape (Z, len(ks), N+1, M, M).  Mode 0 comes in closed form
     (_mode0_diagonals), every other mode from the powers of its
-    generator.  The 1-norms and their sort are computed once per run, the
-    scaling powers and Taylor coefficients once per build, and the powers
-    and products once per chunk of the sorted jets.  builds is the number
-    of step sizes the run will build: the powers of each chunk are kept
-    only while a later build will use them, so a run of one step size
-    keeps none.
+    generator.  The 1-norms and their sort are computed once per run.
+    Every build, at one step size (__call__) or at each jet's base step
+    (base), is one pass of _sorted: the scaling powers and Taylor
+    coefficients once, the powers and products once per chunk of the
+    sorted jets.  A build with keep holds each chunk's G and powers for
+    the next build, which takes them; a build without keep drops them as
+    it goes, so the run holds none after it.
     """
 
-    def __init__(self, ks, l: float, sigma_rows, ops: OperatorSet,
-                 builds: int = 1):
+    def __init__(self, ks, l: float, sigma_rows, ops: OperatorSet):
         ks = np.asarray(ks, dtype=float)
         # D^-1 (i STREAM) D
         self.twist = np.tril(ops.stream) - np.triu(ops.stream)
@@ -452,8 +461,7 @@ class _StepJets:
         self.rows = np.asarray(sigma_rows, dtype=float)
         self.relax = ops.relax
         self.chunk = _BUILD_SLICE * max(len(self.modes), 1)   # jets, >= 1
-        self.builds = builds
-        self.powers: dict[int, tuple] = {}
+        self.powers: dict[int, tuple] = {}      # (G, P) of the chunk at j0
 
     @functools.cached_property
     def sorted_norms(self):
@@ -463,45 +471,44 @@ class _StepJets:
         order, norms = _band_norms(self.kl, self.twist, self.rows, self.relax)
         return order, norms, np.frexp(norms)[1]
 
-    def _chunk_powers(self, j0: int):
-        """_generator_powers of the chunk of sorted jets at j0, kept only
-        while a later build will use them."""
-        powers = self.powers.pop(j0, None)
-        if powers is None:
-            ranks, norms, e = self.sorted_norms
+    def _sorted(self, h, keep: bool):
+        """One build of exp(-h G) for the sorted jets, h one step size or
+        one step per sorted jet: yield (part, R) for each chunk, R the jets
+        of the slice part of the sort.  Each chunk's G and powers are
+        kept for the next build when keep, else dropped before the yield."""
+        ranks, norms, e = self.sorted_norms
+        if not np.all(np.isfinite(h)):
+            raise NumericError(f"step size is not finite: {h}")
+        with np.errstate(over="ignore"):
+            scaled = h * norms
+        # h norm / theta = f 2**s with f < 1, so h norm / 2**s < theta; the
+        # norms are sorted, so s is too.  Where h norm overflows, h < 2**a
+        # and norm < 2**e give the bound s = a + e, still nondecreasing
+        s = np.where(np.isfinite(scaled),
+                     np.maximum(np.frexp(scaled / _THETA25)[1], 0),
+                     np.frexp(h)[1] + e)
+        c = np.ldexp(-h, e - s)
+        coef = _TAYLOR25[_TAYLOR_SUMS] * c[:, None, None] ** _TAYLOR_SUMS
+        for j0 in range(0, len(ranks), self.chunk):
             part = slice(j0, j0 + self.chunk)
-            powers = _generator_powers(self.stream, self.rows, self.relax,
-                                       ranks[part], norms[part], e[part])
-        if self.builds > 0:
-            self.powers[j0] = powers
-        return powers
+            powers = self.powers.pop(j0, None)
+            if powers is None:
+                powers = _generator_powers(self.stream, self.rows, self.relax,
+                                           ranks[part], e[part])
+            if keep:
+                self.powers[j0] = powers
+            R = _expm_powers(*powers, c[part], coef[part], s[part])
+            del powers
+            yield part, R
 
-    def _chunks(self, c: np.ndarray, coef: np.ndarray, s: np.ndarray):
-        """One build: yield (part, R) for each chunk of the sorted jets, R
-        the _expm_powers of the chunk's slice part of c, coef and s."""
-        self.builds -= 1
-        for j0 in range(0, len(c), self.chunk):
-            part = slice(j0, j0 + self.chunk)
-            yield part, _expm_powers(*self._chunk_powers(j0)[3:], c[part],
-                                     coef[part], s[part])
-
-    def __call__(self, dt: float) -> np.ndarray:
+    def __call__(self, dt: float, keep: bool = False) -> np.ndarray:
         Z, n = self.rows.shape
         Kp, M = len(self.modes), len(self.relax)
         K1 = Kp + len(self.zero)
-        ranks, norms, e = self.sorted_norms
-        scaled = dt * norms
-        if not np.all(np.isfinite(scaled)):
-            raise NumericError("step generator has non-finite entries")
-        # dt norm / theta = f 2**s with f < 1, so dt norm / 2**s < theta; the
-        # norms are sorted, so s is too
-        _, s = np.frexp(scaled / _THETA25)
-        s = np.maximum(s, 0)
-        c = np.ldexp(-dt, e - s)
-        coef = _TAYLOR25[_TAYLOR_SUMS] * c[:, None, None] ** _TAYLOR_SUMS
+        ranks = self.sorted_norms[0]
         out = None
         # a lattice of mode 0 alone has no batch to build
-        for part, R in self._chunks(c, coef, s):
+        for part, R in self._sorted(dt, keep):
             if out is None:     # after the first chunk's temporaries are gone
                 out = np.empty((Z, K1, n, M, M))
             z, k = np.divmod(ranks[part], Kp)
@@ -531,18 +538,14 @@ class _StepJets:
     def base(self) -> np.ndarray:
         """exp(-h G) of every sorted jet at its base step h = 2^(1-e).
 
-        h norm = 2 f lies in [1, 2), inside theta_25, so s = 0 and
-        c = -h 2^e = -2 for every jet: the build of _expm_powers at a step
-        size of its own per jet, with no squaring.
+        h norm = 2 f lies in [1, 2), inside theta_25, so the build has
+        s = 0 and c = -h 2^e = -2 for every jet, exactly, and no squaring.
         """
-        J = len(self.sorted_norms[0])
-        coef = _TAYLOR25[_TAYLOR_SUMS] * (-2.0) ** _TAYLOR_SUMS
+        e = self.sorted_norms[2]
         out = None
-        for part, R in self._chunks(np.full(J, -2.0),
-                                    np.broadcast_to(coef, (J,) + coef.shape),
-                                    np.zeros(J, dtype=int)):
+        for part, R in self._sorted(np.ldexp(1.0, 1 - e), keep=False):
             if out is None:
-                out = np.empty((J,) + R.shape[1:])
+                out = np.empty((len(e),) + R.shape[1:])
             out[part] = R
         return out
 
@@ -727,13 +730,11 @@ def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet, dts):
             raise UsageError(f"step size must be finite and >= 0, got dt={dt}")
     Z, K1, n, M = data.shape
     last = {dt: j for j, dt in enumerate(dts)}
-    sizes = set(last) - {0.0}
-    build = _StepJets(range(K1), l, sigma_rows, ops, len(sizes))
+    sizes = [dt for dt in last if dt]       # in the order of their first use
+    build = _StepJets(range(K1), l, sigma_rows, ops)
     ladder = None
     if len(sizes) == len(dts) - dts.count(0.0):
         ladder = _ladder(build, sizes)
-        if ladder is not None:      # rung 0 is the run's one build
-            build.builds = 1
     # D^-1 x as (re, im) column pairs: blocks of shape (M, 2)
     W = (data * _I_POWERS[np.arange(M) % 4].conj()).view(float) \
         .reshape(Z, K1, n, M, 2)
@@ -744,8 +745,8 @@ def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet, dts):
         elif ladder is not None:
             W = ladder(W, dt)
         else:
-            if dt not in jets:
-                jets[dt] = build(dt)
+            if dt not in jets:      # the last new step size drops the powers
+                jets[dt] = build(dt, keep=dt != sizes[-1])
             W = _jet_mul(jets[dt], W)
             if last[dt] == j:
                 del jets[dt]

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypobgk import NumericError, certify, cli, entropy_series, verify_grid
+from hypobgk import (NumericError, certify, cli, entropy_series, errors,
+                     verify_grid)
 from hypobgk.cli import RESULT_HEADER, dump_config, load_config, main
 
 BASE = {
@@ -575,6 +576,28 @@ def test_exit_code_internal_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: RuntimeError: synthetic\n"
 
 
+@pytest.mark.parametrize("name", errors.__all__)
+def test_every_package_error_maps_to_its_exit_code(tmp_path, capsys,
+                                                   monkeypatch, name):
+    # a NumericError is a numeric failure and every other error of the
+    # package, the base class too, is invalid input: one line, no traceback
+    error = getattr(errors, name)
+
+    def boom(cfg):
+        raise error("synthetic")
+
+    monkeypatch.setattr(cli, "cmd_certify", boom)
+    path = write_config(tmp_path)
+    code = cli.main(["certify", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if error is NumericError:
+        assert (code, err) == (cli.EXIT_NUMERIC,
+                               "numeric failure: synthetic\n")
+    else:
+        assert (code, err) == (cli.EXIT_INVALID, "error: synthetic\n")
+
+
 def test_trig_high_frequency_rejected_for_derivatives(tmp_path, capsys):
     path = write_config(tmp_path, sigma={
         "variant": "trig", "sigma0": 2.0, "eps": 0.5, "omega": 2.0,
@@ -702,6 +725,25 @@ def test_taylor_envelope_beyond_the_float_range_underflows_to_zero(tmp_path):
     assert all(math.isfinite(v) for v in envelope.values())
     assert [envelope["1e+160", n] for n in "012"] == [0.0] * 3
     assert all(envelope["1000", n] > 0.0 for n in "012")
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("simulate", {"domain": {"K": 2, "M": 6}}),
+    ("derivatives", {"domain": {"K": 2, "M": 6, "N": 1}}),
+    ("simulate", {"domain": {"K": 0, "M": 6}, "sigma": {"sigma0": 3.0}}),
+], ids=["simulate", "derivatives", "mode0"])
+def test_a_step_of_1e308_decays_to_zero(tmp_path, command, doc):
+    # dt times the generator's 1-norm overflows although the generator is
+    # finite, and so does mode 0's exponent at sigma = 3: the run finishes
+    # with no warning, and the entropy at t = 1e308 is 0
+    doc = dict(doc, time_grid={"times": [0.0, 1e308]})
+    code, err = run_command(doc, tmp_path, command)
+    assert (code, err) == (0, "")
+    with open(tmp_path / "out" / "run_z000.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh
+                                   if not line.startswith("#")))
+    at_end = [float(row["entropy"]) for row in rows if row["t"] == "1e+308"]
+    assert at_end and at_end == [0.0] * len(at_end)
 
 
 def test_tiny_period_exits_invalid(tmp_path, capsys):

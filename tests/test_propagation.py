@@ -17,6 +17,7 @@ from hypobgk import (
     ExactPropagator,
     InitialDataSpec,
     ModeLattice,
+    NumericError,
     UsageError,
     affine_model,
     assemble_generator,
@@ -199,13 +200,21 @@ def test_step_matrix_against_dense_expm(variant, M, N):
             assert _rel_err(prop.step_matrix(k, dt), dense) < 2e-13, (dt, k)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_step_matrix_rejects_a_non_finite_step(dt):
+    prop = ExactPropagator(LAT, MODELS["affine"], 0.2, 1)
+    for k in (0, 1):
+        with pytest.raises(NumericError):
+            prop.step_matrix(k, dt)
+
+
 def test_core_drops_step_jets_after_their_last_use(monkeypatch):
     # a run keeps the jets of a step size only until its last step
     held = []
     build = propagation._StepJets.__call__
 
-    def spy(self, dt):
-        R = build(self, dt)
+    def spy(self, dt, keep=False):
+        R = build(self, dt, keep)
         held.append(weakref.ref(R))
         return R
 
@@ -328,16 +337,22 @@ def _stacks(model, lattice, zs, N, seed=2):
 def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
     # a run builds the powers of each chunk once, keeps them only while
     # a later step size still needs a build, and a run of one step size
-    # keeps none after its step
-    built = []
+    # keeps none after its step, nor does a ladder run after rung 0
+    built, ladders = [], []
     generator_powers = propagation._generator_powers
+    ladder = propagation._Ladder
 
     def spy(*args):
         powers = generator_powers(*args)
-        built.append([weakref.ref(a) for a in powers[3:]])
+        built.append([weakref.ref(a) for a in powers])
         return powers
 
+    def ladder_spy(*args):
+        ladders.append(args)
+        return ladder(*args)
+
     monkeypatch.setattr(propagation, "_generator_powers", spy)
+    monkeypatch.setattr(propagation, "_Ladder", ladder_spy)
     monkeypatch.setattr(propagation, "_BUILD_SLICE", 2)
 
     def held():
@@ -354,6 +369,11 @@ def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
     seen = [(len(built), held()) for _ in
             propagation.propagate(data, rows, LAT.l, ops, [0.25, 0.0, 0.25])]
     assert seen == [(2, 0)] * 3
+    built.clear()
+    seen = [(len(built), held()) for _ in propagation.propagate(
+        data, rows, LAT.l, ops, [0.1, 0.2, 0.0, 0.3, 0.7])]
+    assert len(ladders) == 1
+    assert seen == [(2, 0)] * 5
 
 
 @settings(max_examples=40, deadline=None)
@@ -432,13 +452,13 @@ def test_derivatives_large_shape_against_extended_precision():
     rows = [[sigma_eval(LARGE_MODEL, 0.3, n) for n in range(3)]]
     ops = build_operators(lattice.M)
 
-    def step_jets(builds=1):
+    def step_jets():
         return propagation._StepJets(range(lattice.K + 1), lattice.l, rows,
-                                     ops, builds)
+                                     ops)
 
-    build = step_jets(len(dts))
+    build = step_jets()
     for j, dt in enumerate(dts):
-        R = build(dt)
+        R = build(dt, keep=True)
         assert np.array_equal(step_jets()(dt), R)
         k = 7 * j % 17
         dense = propagation._dense_steps(R[0, k:k + 1])[0]
@@ -538,9 +558,9 @@ def test_runs_mixing_step_sizes_against_extended_precision(variant, M, N, pool,
     zs = (z, -0.5 * z, 0.9)
     rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in zs]
     build = propagation._StepJets(range(lattice.K + 1), lattice.l, rows,
-                                  build_operators(M), len(sizes))
+                                  build_operators(M))
     for dt in sizes:
-        R = build(dt)
+        R = build(dt, keep=True)
         dense = propagation._dense_steps(R.reshape(-1, N + 1, M, M))
         for i, row in enumerate(rows):
             for k in range(lattice.K + 1):
@@ -747,11 +767,15 @@ def test_many_z_on_the_ladder_peak_memory(monkeypatch):
     assert peak <= 10.8 * jet_bytes, peak / jet_bytes
 
 
-@pytest.mark.parametrize("N", [0, 2])
-def test_squarings_stop_once_the_rest_is_zero(N, monkeypatch):
+@pytest.mark.parametrize("N, dt", [(0, 1e300), (2, 1e300), (0, 1e308),
+                                   (2, 1e308)],
+                         ids=["0", "2", "0-1e308", "2-1e308"])
+def test_squarings_stop_once_the_rest_is_zero(N, dt, monkeypatch):
     # at dt = 1e300 the jets k != 0 ask for about a thousand squarings, and
     # are exactly zero long before: the build (one chunk) stops at the
-    # first check, after _ZERO_CHECK squarings, and writes +0.0
+    # first check, after _ZERO_CHECK squarings, and writes +0.0.  At
+    # dt = 1e308, dt times the 1-norm overflows; the scaling power comes
+    # from the exponents of dt and the norm, and the build stops alike
     calls = [0]
     jet_mul = propagation._jet_mul
 
@@ -763,28 +787,30 @@ def test_squarings_stop_once_the_rest_is_zero(N, monkeypatch):
     rows = [[sigma_eval(LARGE_MODEL, 0.3, n) for n in range(N + 1)]]
     build = propagation._StepJets(range(LARGE.K + 1), LARGE.l, rows,
                                   build_operators(LARGE.M))
-    R = build(1e300)
+    R = build(dt)
     # six even powers and three Taylor products before the squarings
     assert calls[0] == 6 + 3 + propagation._ZERO_CHECK
     assert not R[:, 1:].any() and not np.signbit(R[:, 1:]).any()
 
 
-@pytest.mark.parametrize("zs, dts", [
-    ([-0.5, 0.3, 0.9], np.diff(np.linspace(0.0, 1.0, 11))),
-    ([0.3], np.append(LARGE_DTS, LARGE_DTS[-1])),
-], ids=["range_grid", "one_repeat"])
-def test_repeated_step_sizes_take_the_jets_path(zs, dts, monkeypatch):
+@pytest.mark.parametrize("zs, dts, limit", [
+    ([-0.5, 0.3, 0.9], np.diff(np.linspace(0.0, 1.0, 11)), 10.8),
+    ([0.3], np.append(LARGE_DTS, LARGE_DTS[-1]), 10.8),
+    ([0.3], np.append(LARGE_DTS, LARGE_DTS[6]), 11.2),
+], ids=["range_grid", "one_repeat", "held_through_builds"])
+def test_repeated_step_sizes_take_the_jets_path(zs, dts, limit, monkeypatch):
     # the step sizes of a range grid whose spacing is not dyadic split into
     # last-bit variants, some used once and some repeated.  A run with any
     # repeated step size steps every size by jets, and holds at most 10.8
-    # arrays of one set of step jets
+    # arrays of one set of step jets; a set repeated after other step sizes
+    # is held through their builds, about one set more
     def never(*args):
         raise AssertionError("a run with a repeated step size took the ladder")
 
     monkeypatch.setattr(propagation, "_Ladder", never)
     jet_bytes = len(zs) * (LARGE.K + 1) * 3 * LARGE.M ** 2 * 8
     peak = _peak_bytes(LARGE, zs, dts, 2)
-    assert peak <= 10.8 * jet_bytes, peak / jet_bytes
+    assert peak <= limit * jet_bytes, peak / jet_bytes
 
 
 def _peak_bytes(lattice, zs, dts, N=0):
