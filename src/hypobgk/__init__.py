@@ -24,7 +24,6 @@ from .errors import (
 from .spectral import (
     ModeLattice,
     OperatorSet,
-    assemble_generator,
     build_operators,
     gauss_hermite_halfweight,
     hermite_polynomials,
@@ -40,7 +39,7 @@ from .lyapunov import (
     rate_block,
     verify_grid,
 )
-from .state import CONSERVED_TOL, StateStack, random_stack
+from .state import CONSERVED_TOL, StateStack
 from .models import (
     CollisionFrequencyModel,
     InitialDataSpec,
@@ -48,6 +47,7 @@ from .models import (
     constant_model,
     polynomial_model,
     project_initial,
+    random_stack,
     sigma_eval,
     taylor_bound,
     trig_model,

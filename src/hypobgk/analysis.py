@@ -131,7 +131,8 @@ def affine_derivative_envelope(level: int, times, rate: float,
         f_n(t) <= exp(-rate t) sum_{i=0..n} binom(n, i) (coupling t)^i f_{n-i}(0)
 
     sqrt_init lists the initial values by level, f_0(0) .. f_n(0); the
-    bound is exact when the chain holds with equality.
+    bound is exact when the chain holds with equality.  Where the product
+    is inf or nan, the sum is taken in log space instead.
     """
     if level < 0:
         raise UsageError(f"need level >= 0, got {level}")
@@ -145,9 +146,15 @@ def affine_derivative_envelope(level: int, times, rate: float,
         raise UsageError("initial chain values must be >= 0")
     t = np.asarray(times, dtype=float)
     acc = np.zeros_like(t)
-    for i in range(level + 1):
-        acc += math.comb(level, i) * (coupling * t) ** i * f0[level - i]
-    return np.exp(-rate * t) * acc
+    with np.errstate(all="ignore"):
+        for i in range(level + 1):
+            acc += math.comb(level, i) * (coupling * t) ** i * f0[level - i]
+        log_ct = np.log(coupling) + np.log(t)
+        log_acc = np.logaddexp.reduce([
+            np.log(math.comb(level, i) * f0[level - i]) + i * log_ct
+            for i in range(level + 1)])
+        env = np.exp(-rate * t) * acc
+        return np.where(np.isfinite(env), env, np.exp(-rate * t + log_acc))[()]
 
 
 def affine_uniform_envelope(level: int, times, rate: float, coupling: float,
@@ -155,11 +162,15 @@ def affine_uniform_envelope(level: int, times, rate: float, coupling: float,
     """Uniform-seed form exp(-rate t) (H + coupling t)^level.
 
     Valid when the initial square-root entropies satisfy e_n(0) <= H^n
-    for every n <= level (and e_0(0) <= 1)."""
+    for every n <= level (and e_0(0) <= 1).  Where the product is inf or
+    nan, the power is taken as n logaddexp(log H, log coupling + log t)."""
     if level < 0 or H < 0.0 or coupling < 0.0:
         raise UsageError("need level >= 0, H >= 0 and coupling >= 0")
     t = np.asarray(times, dtype=float)
-    return np.exp(-rate * t) * (H + coupling * t) ** level
+    with np.errstate(all="ignore"):
+        log_power = level * np.logaddexp(np.log(H), np.log(coupling) + np.log(t))
+        env = np.exp(-rate * t) * (H + coupling * t) ** level
+        return np.where(np.isfinite(env), env, np.exp(-rate * t + log_power))[()]
 
 
 def taylor_derivative_envelope(level: int, times, rate: float, chat: float,

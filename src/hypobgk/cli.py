@@ -561,6 +561,10 @@ def _certify_config(cfg: RunConfig, L: float | None = None,
 def cmd_certify(cfg: RunConfig) -> int:
     """Print the certificate table and write certificate.csv."""
     cert = _certify_config(cfg)
+    try:
+        chat = [("chat", cert.ctilde * taylor_bound(cfg.model))]
+    except NotCertifiableError:
+        chat = []
     lines = [
         ("alpha_max", cert.alpha_max),
         ("alpha", cert.alpha),
@@ -568,18 +572,11 @@ def cmd_certify(cfg: RunConfig) -> int:
         ("mu", cert.mu),
         ("lambda", cert.decay_rate),
         ("ctilde", cert.ctilde),
-    ]
-    try:
-        chat = cert.ctilde * taylor_bound(cfg.model)
-        lines.append(("chat", chat))
-    except NotCertifiableError:
-        chat = None
+    ] + chat
     width = max(len(name) for name, _ in lines)
     for name, value in lines:
         print(f"{name:<{width}} = {value:.12g}")
-    rows = _certificate_values(cert)
-    if chat is not None:
-        rows.append(("chat", chat))
+    rows = _certificate_values(cert) + chat
     _write_csv(cfg.out_dir / "certificate.csv", ("name", "value"),
                map(f"%s,{_FLOAT}\r\n".__mod__, rows))
     return EXIT_OK
@@ -587,15 +584,15 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig, inflate_mu: float = 1.0) -> int:
     """Re-check the certified matrix inequality on a (k, sigma) grid."""
+    if not (inflate_mu > 0.0 and math.isfinite(inflate_mu)):
+        raise UsageError(
+            f"--inflate-mu must be positive and finite, got {inflate_mu}")
     cert = _certify_config(cfg)
     if inflate_mu != 1.0:
         cert = dataclasses.replace(cert, mu=cert.mu * inflate_mu)
     ks = list(range(1, cfg.verify_k_max + 1))
-    if cfg.verify_sigma_points == 1:
-        sigmas = np.array([cert.sigma_min])
-    else:
-        sigmas = np.linspace(cert.sigma_min, cert.sigma_max,
-                             cfg.verify_sigma_points)
+    sigmas = np.linspace(cert.sigma_min, cert.sigma_max,
+                         cfg.verify_sigma_points)
     mins, norms = verify_grid(cert, ks, sigmas, cfg.lattice.M)
     thresholds = -cfg.eig_tol_factor * norms
     ok = mins >= thresholds
@@ -620,19 +617,13 @@ def cmd_verify(cfg: RunConfig, inflate_mu: float = 1.0) -> int:
     return EXIT_OK
 
 
-def _projected(cfg: RunConfig) -> np.ndarray:
-    """The initial data projected to one stack (K+1, N+1, M).  It depends
-    on K, M and N only, so every period L of a sweep shares it."""
-    return project_initial(cfg.initial, cfg.lattice, levels=cfg.levels).data
-
-
 def _initial_stacks(cfg: RunConfig, cert: Certificate,
                     model: CollisionFrequencyModel, stack: np.ndarray):
     """Initial stack data (Z, K+1, N+1, M), sigma_rows[z] = sigma^(0..N)
     at z, and E0[n], the entropy of level n at t = 0.  The initial data do
-    not depend on z: every z reads the one projected stack (_projected),
-    so E0 holds for every z.  A non-finite E0 raises DataError: no
-    envelope could be checked against it."""
+    not depend on z: every z reads the one projected stack, so E0 holds
+    for every z.  A non-finite E0 raises DataError: no envelope could be
+    checked against it."""
     data = np.broadcast_to(stack, (len(cfg.z_points),) + stack.shape)
     sigma_rows = [[sigma_eval(model, z, n) for n in range(cfg.levels + 1)]
                   for z in cfg.z_points]
@@ -769,7 +760,8 @@ def _write_z_run(cfg: RunConfig, cert: Certificate, observed: np.ndarray,
 def cmd_simulate(cfg: RunConfig) -> int:
     """Exact trajectories with the base decay envelope, one CSV per z."""
     cert = _certify_config(cfg)
-    E, env = _base_run(cfg, cert, cfg.model, cfg.lattice, _projected(cfg))
+    stack = project_initial(cfg.initial, cfg.lattice, levels=cfg.levels)
+    E, env = _base_run(cfg, cert, cfg.model, cfg.lattice, stack)
     n = len(cfg.z_points)
     return _write_z_run(
         cfg, cert, E, {"": env},
@@ -792,8 +784,8 @@ def cmd_derivatives(cfg: RunConfig) -> int:
             "derivatives needs N >= 1 stored derivative levels; "
             "set domain.N in the config")
     cert = _certify_config(cfg)
-    data, sigma_rows, E0 = _initial_stacks(cfg, cert, cfg.model,
-                                           _projected(cfg))
+    stack = project_initial(cfg.initial, cfg.lattice, levels=cfg.levels)
+    data, sigma_rows, E0 = _initial_stacks(cfg, cert, cfg.model, stack)
     sqrt0 = np.sqrt(E0)
     e0_ok = sqrt0[0] <= 1.0 + 1e-9
     H = max((float(s) ** (1.0 / n) for n, s in enumerate(sqrt0)
@@ -833,7 +825,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # summary rows of a point in increasing z
     order = sorted(range(len(keys)), key=lambda i: cfg.z_points[i])
     summary = []
-    stack = _projected(cfg)
+    # the stack depends on K, M and N only: every period L shares it
+    stack = project_initial(cfg.initial, cfg.lattice, levels=cfg.levels)
     for i, Lv in enumerate(cfg.sweep_L_values):
         for j, s0 in enumerate(cfg.sweep_sigma0_values):
             model = _with_offset(cfg.model, s0)

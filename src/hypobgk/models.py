@@ -16,9 +16,9 @@ For the trig family such a bound exists only when omega <= 1; larger
 frequencies make the derivative magnitudes eps*omega^n/n! unbounded in
 n, and requesting the bound raises NotCertifiableError.
 
-The module also turns initial-data descriptions into StateStack objects:
-explicit coefficient lists, separable profiles (finite Fourier sum in x
-times a polynomial-times-Gaussian velocity shape, projected by
+The module also turns initial-data descriptions into (K+1, N+1, M) stack
+arrays: explicit coefficient lists, separable profiles (finite Fourier
+sum in x times a polynomial-times-Gaussian velocity shape, projected by
 Gauss-Hermite quadrature that is exact for such data), or seeded random
 stacks for property sweeps.  Projection enforces the k = 0
 normalization: depending on the chosen mode, offending conserved
@@ -41,7 +41,6 @@ from .errors import (
     UsageError,
 )
 from .spectral import ModeLattice, gauss_hermite_halfweight, hermite_polynomials
-from .state import StateStack, random_stack
 
 __all__ = [
     "CollisionFrequencyModel",
@@ -52,6 +51,7 @@ __all__ = [
     "sigma_eval",
     "taylor_bound",
     "InitialDataSpec",
+    "random_stack",
     "project_initial",
 ]
 
@@ -319,19 +319,40 @@ def _apply_normalization(data: np.ndarray, mode: str) -> None:
     data[0, :, :3] = 0.0
 
 
+def random_stack(lattice: ModeLattice, levels: int, rng: np.random.Generator,
+                 scale: float = 1.0, fill: str = "all") -> np.ndarray:
+    """Seeded complex Gaussian stack data with the k = 0 constraint applied.
+
+    fill="all" randomizes every derivative level, fill="level0" only the
+    underived field (higher levels start at zero, matching z-independent
+    initial data).
+    """
+    if levels < 0:
+        raise UsageError(f"need levels >= 0, got {levels}")
+    if fill not in ("all", "level0"):
+        raise UsageError(f"unknown fill mode {fill!r}")
+    shape = (lattice.K + 1, levels + 1, lattice.M)
+    data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if fill == "level0":
+        data[:, 1:, :] = 0.0
+    data[0, :, :3] = 0.0
+    return data
+
+
 def project_initial(spec: InitialDataSpec, lattice: ModeLattice,
-                    levels: int = 0, z: float = 0.0) -> StateStack:
-    """Build the t = 0 StateStack described by an InitialDataSpec.
+                    levels: int = 0) -> np.ndarray:
+    """The t = 0 stack data (K+1, levels+1, M) described by an InitialDataSpec.
 
     levels sets the number of stored derivative orders; data the spec
-    does not determine starts at zero.
+    does not determine starts at zero.  Non-finite data raise DataError.
     """
     if levels < 0:
         raise UsageError(f"need levels >= 0, got {levels}")
     K, M = lattice.K, lattice.M
     if spec.kind == "random":
         rng = np.random.default_rng(spec.seed)
-        data = random_stack(lattice, levels, rng, spec.scale, spec.fill)
+        with np.errstate(over="ignore"):    # inf is reported below
+            data = random_stack(lattice, levels, rng, spec.scale, spec.fill)
     else:
         data = np.zeros((K + 1, levels + 1, M), dtype=complex)
         if spec.kind == "coefficients":
@@ -357,4 +378,6 @@ def project_initial(spec: InitialDataSpec, lattice: ModeLattice,
                         f"Fourier index k={k} outside the stored range 0..{K}")
                 data[k, 0, :] += complex(value) * vel_coeffs
     _apply_normalization(data, spec.normalization)
-    return StateStack(lattice=lattice, z=z, t=0.0, data=data)
+    if not np.all(np.isfinite(data)):
+        raise DataError("stack contains non-finite coefficients")
+    return data

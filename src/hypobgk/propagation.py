@@ -192,7 +192,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .models import CollisionFrequencyModel, sigma_eval
-from .spectral import ModeLattice, OperatorSet, assemble_generator, build_operators
+from .spectral import ModeLattice, OperatorSet, build_operators
 from .state import StateStack
 
 __all__ = [
@@ -206,14 +206,19 @@ def augmented_generator(k: int, l: float, sigma_derivs, ops: OperatorSet) -> np.
     """Stacked generator G_k for derivative levels 0..N of one mode.
 
     sigma_derivs holds the derivatives sigma^(0)(z)..sigma^(N)(z); the
-    result has shape ((N+1) M, (N+1) M).
+    result has shape ((N+1) M, (N+1) M), with C_k on the block diagonal.
     """
     sigma_derivs = [float(s) for s in sigma_derivs]
     if len(sigma_derivs) < 1:
         raise UsageError("need at least sigma itself in sigma_derivs")
+    sigma = sigma_derivs[0]
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise UsageError(f"collision frequency must be positive, got sigma={sigma}")
+    if not (l > 0.0 and math.isfinite(l)):
+        raise UsageError(f"wavenumber spacing must be positive, got l={l}")
     M = ops.M
     N = len(sigma_derivs) - 1
-    C = assemble_generator(k, l, sigma_derivs[0], ops)
+    C = 1j * (k * l) * ops.stream + sigma * ops.relax
     G = np.zeros(((N + 1) * M, (N + 1) * M), dtype=complex)
     for n in range(N + 1):
         G[n * M:(n + 1) * M, n * M:(n + 1) * M] = C

@@ -22,7 +22,7 @@ where STREAM is the symmetric tridiagonal matrix of multiplication by v
 that vanishes on the first three coefficients (mass, momentum, energy
 directions, which the collision operator leaves untouched) and is the
 identity beyond them.  The evolution of the coefficient vector of mode k
-is d/dt hhat_k = -C_k hhat_k.
+is d/dt hhat_k = -C_k hhat_k; build_operators returns STREAM and RELAX.
 
 Only modes k >= 0 are ever stored: the physical field is real, so the
 coefficients of mode -k are the complex conjugates of those of mode +k.
@@ -41,7 +41,6 @@ __all__ = [
     "ModeLattice",
     "OperatorSet",
     "build_operators",
-    "assemble_generator",
     "hermite_polynomials",
     "gauss_hermite_halfweight",
 ]
@@ -96,19 +95,6 @@ def build_operators(M: int) -> OperatorSet:
     d = np.ones(M)
     d[:3] = 0.0
     return OperatorSet(M=M, stream=stream, relax=np.diag(d))
-
-
-def assemble_generator(k: int, l: float, sigma: float, ops: OperatorSet) -> np.ndarray:
-    """Return C_k = i*k*l*stream + sigma*relax for one spatial mode.
-
-    sigma is the collision frequency at the evaluation point; it must be
-    strictly positive.
-    """
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise UsageError(f"collision frequency must be positive, got sigma={sigma}")
-    if not (l > 0.0 and math.isfinite(l)):
-        raise UsageError(f"wavenumber spacing must be positive, got l={l}")
-    return 1j * (k * l) * ops.stream + sigma * ops.relax
 
 
 def hermite_polynomials(M: int, v: np.ndarray) -> np.ndarray:

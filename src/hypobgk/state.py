@@ -1,4 +1,4 @@
-"""State containers for mode-coefficient stacks and their z-derivatives.
+"""The one-z stack container of ExactPropagator; commands use arrays.
 
 A StateStack holds, for one uncertainty point z and one time t, the
 Hermite coefficients of every stored Fourier mode k = 0..K together with
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DataError, UsageError
 from .spectral import ModeLattice
 
-__all__ = ["StateStack", "random_stack", "CONSERVED_TOL"]
+__all__ = ["StateStack", "CONSERVED_TOL"]
 
 # Absolute bound on the conserved k = 0 components; exact zeros expected.
 CONSERVED_TOL = 1e-14
@@ -66,22 +66,3 @@ class StateStack:
         """Highest stored z-derivative order N."""
         return self.data.shape[1] - 1
 
-
-def random_stack(lattice: ModeLattice, levels: int, rng: np.random.Generator,
-                 scale: float = 1.0, fill: str = "all") -> np.ndarray:
-    """Seeded complex Gaussian stack data with the k = 0 constraint applied.
-
-    fill="all" randomizes every derivative level, fill="level0" only the
-    underived field (higher levels start at zero, matching z-independent
-    initial data).
-    """
-    if levels < 0:
-        raise UsageError(f"need levels >= 0, got {levels}")
-    if fill not in ("all", "level0"):
-        raise UsageError(f"unknown fill mode {fill!r}")
-    shape = (lattice.K + 1, levels + 1, lattice.M)
-    data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    if fill == "level0":
-        data[:, 1:, :] = 0.0
-    data[0, :, :3] = 0.0
-    return data

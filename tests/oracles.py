@@ -13,6 +13,8 @@ build_transforms and entropy_dense are the dense M x M transforms and
 the quadratic form the closed-form twisted entropy replaced, and
 entropy_complex_frame the closed form on complex data that the
 real-frame evaluation replaced.
+assemble_generator is one mode's generator C_k on its own, the
+diagonal block of augmented_generator.
 inequality_matrix and verify_dense are the dense M x M check of the
 certified inequality that the 5 x 5 corner decomposition in verify_grid
 replaced; build_reduced_block, the minors and the spectrum of P_k are
@@ -39,7 +41,7 @@ from hypobgk.lyapunov import (ALPHA_CAP, TWIST_GAIN, Certificate, _check_alpha,
                               _twist, alpha_limit, alpha_max, rate_block)
 from hypobgk.models import sigma_eval
 from hypobgk.propagation import augmented_generator
-from hypobgk.spectral import (MIN_HERMITE, assemble_generator, build_operators,
+from hypobgk.spectral import (MIN_HERMITE, OperatorSet, build_operators,
                               hermite_polynomials)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -394,6 +396,20 @@ def build_reduced_block(k, alpha: float, sigma: float, l: float) -> np.ndarray:
     D[3, 2] = 1j * s3 * alpha * sigma / k
     D[2, 4] = D[4, 2] = 2.0 * s3 * l * alpha
     return D
+
+
+def assemble_generator(k: int, l: float, sigma: float,
+                       ops: OperatorSet) -> np.ndarray:
+    """Return C_k = i*k*l*stream + sigma*relax for one spatial mode.
+
+    sigma is the collision frequency at the evaluation point; it must be
+    strictly positive.
+    """
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise UsageError(f"collision frequency must be positive, got sigma={sigma}")
+    if not (l > 0.0 and math.isfinite(l)):
+        raise UsageError(f"wavenumber spacing must be positive, got l={l}")
+    return 1j * (k * l) * ops.stream + sigma * ops.relax
 
 
 def inequality_matrix(k: int, l: float, sigma: float, cert, M: int) -> np.ndarray:

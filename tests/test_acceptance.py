@@ -57,6 +57,12 @@ def _trajectory(state, model):
         build_operators(state.lattice.M), DTS)])
 
 
+def _state(spec, lattice, levels, z):
+    """The projected initial data as a t = 0 StateStack at z."""
+    return StateStack(lattice=lattice, z=z, t=0.0,
+                      data=project_initial(spec, lattice, levels=levels))
+
+
 def _evolve(state, dt, model):
     prop = ExactPropagator(state.lattice, model, state.z, state.levels)
     return prop.evolve(state, dt)
@@ -188,7 +194,7 @@ def test_criterion_05_affine_derivative_envelopes():
         for z in (-1.0, -0.25, 0.6):
             for seed in (1, 2, 3):
                 spec = InitialDataSpec(kind="random", seed=seed, scale=0.8)
-                state = project_initial(spec, lat, levels=4, z=z)
+                state = _state(spec, lat, 4, z)
                 snaps = _trajectory(state, model)
                 sq = _sqrt_entropy_series(snaps, 4, cert)
                 for n in range(5):
@@ -218,7 +224,7 @@ def test_criterion_06_taylor_derivative_envelopes():
         for z in (-2.0, 0.3, 1.4):
             for seed in (4, 5, 6):
                 spec = InitialDataSpec(kind="random", seed=seed, scale=1.0)
-                state = project_initial(spec, lat, levels=4, z=z)
+                state = _state(spec, lat, 4, z)
                 probe = entropy_series(state.data, 0, cert.alpha)
                 scale = max(math.sqrt(float(probe)), 1.0)
                 state = StateStack(lattice=lat, z=z, t=0.0,
@@ -239,12 +245,12 @@ def test_criterion_07_sensitivity_finite_differences():
         lat = ModeLattice(K=3, L=2 * math.pi, M=10)
         z, T = 0.2, 1.5
         spec = InitialDataSpec(kind="random", seed=9, fill="level0")
-        center = project_initial(spec, lat, levels=1, z=z)
+        center = _state(spec, lat, 1, z)
         exact = _evolve(center, T, model).data[:, 1]
         errors = []
         for eps in (1e-3, 5e-4, 2.5e-4):
-            up = project_initial(spec, lat, levels=1, z=z + eps)
-            down = project_initial(spec, lat, levels=1, z=z - eps)
+            up = _state(spec, lat, 1, z + eps)
+            down = _state(spec, lat, 1, z - eps)
             fd = (_evolve(up, T, model).data[:, 0]
                   - _evolve(down, T, model).data[:, 0]) / (2.0 * eps)
             errors.append(float(np.max(np.abs(fd - exact))))
@@ -309,7 +315,7 @@ def test_criterion_09_conserved_components_stay_zero():
         residue = 0.0
         for model, z, levels in runs:
             spec = InitialDataSpec(kind="random", seed=31)
-            state = project_initial(spec, lat, levels=levels, z=z)
+            state = _state(spec, lat, levels, z)
             for snap in _trajectory(state, model):
                 residue = max(residue,
                               float(np.max(np.abs(snap[0, :, :3]))))
@@ -327,7 +333,7 @@ def test_criterion_10_propagator_exactness():
         for K, M, dt, levels, model in cases:
             lat = ModeLattice(K=K, L=2 * math.pi, M=M)
             spec = InitialDataSpec(kind="random", seed=K * 10 + M)
-            state = project_initial(spec, lat, levels=levels, z=0.1)
+            state = _state(spec, lat, levels, 0.1)
             a = _evolve(state, dt, model)
             b = evolve_reference(state, dt, model, substeps=1000)
             scale = float(np.max(np.abs(a.data)))

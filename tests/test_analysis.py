@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypobgk import (
     UsageError,
     affine_model,
     NumericError,
+    StateStack,
     affine_derivative_envelope,
     affine_uniform_envelope,
     build_operators,
@@ -37,7 +39,8 @@ LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
 
 def _state(seed=4, levels=0, z=0.0, scale=1.0):
     spec = InitialDataSpec(kind="random", seed=seed, scale=scale)
-    return project_initial(spec, LAT, levels=levels, z=z)
+    return StateStack(lattice=LAT, z=z, t=0.0,
+                      data=project_initial(spec, LAT, levels=levels))
 
 
 def _trajectory(state, times, model):
@@ -155,6 +158,35 @@ def test_affine_envelopes_keep_fixed_values(level):
     uniform = affine_uniform_envelope(level, FIXED_TIMES, 0.61, 0.23, 0.8)
     assert chain.tolist() == FIXED_CHAIN[level]
     assert uniform.tolist() == FIXED_UNIFORM[level]
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_affine_envelopes_stay_finite_beyond_the_float_range(level):
+    # the product forms overflow to inf or 0 * inf there
+    times = [1e154, 1e200, 1e308]
+    chain = affine_derivative_envelope(level, times, 0.61, 0.23,
+                                       [0.9, 0.4, 0.25, 0.7])
+    uniform = affine_uniform_envelope(level, times, 0.61, 0.23, 0.8)
+    for env in (chain, uniform):
+        assert np.all(np.isfinite(env)) and np.all(env >= 0.0)
+
+
+def test_affine_envelopes_in_log_space_match_exact_arithmetic():
+    # rate t = 400 and coupling t = 1e154: the level-3 products are
+    # e^-400 * inf, the envelopes themselves about 1e288
+    rate, coupling, t, f0, H = 4e-152, 1.0, 1e154, [0.9, 0.4, 0.25, 0.7], 0.8
+    with localcontext() as ctx:
+        ctx.prec = 40
+        decay = (-Decimal(rate) * Decimal(t)).exp()
+        ct = Decimal(coupling) * Decimal(t)
+        chain = decay * sum(math.comb(3, i) * ct ** i * Decimal(f0[3 - i])
+                            for i in range(4))
+        uniform = decay * (Decimal(H) + ct) ** 3
+    got = affine_derivative_envelope(3, [0.0, t], rate, coupling, f0)
+    assert got[0] == f0[3]
+    assert got[1] == pytest.approx(float(chain), rel=1e-12)
+    assert affine_uniform_envelope(3, [t], rate, coupling, H)[0] == \
+        pytest.approx(float(uniform), rel=1e-12)
 
 
 def test_cascade_worked_values():

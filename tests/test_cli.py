@@ -176,6 +176,48 @@ def test_commands_do_not_import_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a derivatives run of 180 x 180 generators on 15 log-spaced times and
+    # a 2 x 2 sweep over 30 z, each in a fresh process at 1 and at 2 BLAS
+    # threads: every output file and stdout agree byte for byte
+    log_times = [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0) / 14)
+                 for i in range(15)]
+    docs = {
+        "derivatives": dict(
+            BASE, domain={"L": 2 * math.pi, "K": 16, "M": 60, "N": 2},
+            sigma={**BASE["sigma"], "c1": 0.2},
+            time_grid={"times": [0.0] + log_times},
+            alpha_strategy="optimize",
+            initial_data={"type": "random", "seed": 11, "scale": 0.01}),
+        "sweep": dict(
+            BASE, domain={"L": 2.0, "K": 4, "M": 20, "N": 0},
+            sigma={**BASE["sigma"], "c1": 0.2},
+            time_grid={"start": 0.0, "stop": 20.0, "num": 81},
+            z_grid={"num": 30}, alpha_strategy="fraction:0.5",
+            initial_data={"type": "random", "seed": 12, "scale": 0.5},
+            sweep={"L_values": [2.0, 8.0], "sigma0_values": [0.8, 2.5]}),
+    }
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for command, doc in docs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}_{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run(
+                [sys.executable, "-m", "hypobgk.cli", command,
+                 "--config", str(path), "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stdout, {p.name: p.read_bytes()
+                                       for p in out.iterdir()}))
+        assert len(runs[0][1]) == (3 if command == "derivatives" else 5)
+        assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("run_id", ["../x", "a/b", "a\\b", "a\0b", ".", ".."])
 def test_run_id_cannot_leave_output_dir(tmp_path, capsys, run_id):
     path = write_config(tmp_path, run_id=run_id)
@@ -243,6 +285,24 @@ def test_verify_single_row(tmp_path, capsys):
     assert rows[0] == "k,sigma,min_eigenvalue,threshold,verdict"
     assert len(rows) == 2
     assert rows[1].startswith("1,") and rows[1].endswith(",pass")
+    assert rows[1].split(",")[1] == format(load_config(path).model.sigma_min,
+                                           ".17g")
+
+
+@pytest.mark.parametrize("inflate", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_an_inflation_that_is_not_positive(tmp_path, capsys,
+                                                          inflate):
+    # a scale that is not a positive number is invalid input, not a
+    # violated bound nor a numeric failure
+    path = write_config(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--config", str(path),
+                     "--out", str(tmp_path / "out"), "--inflate-mu", inflate])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --inflate-mu must be positive")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_verify_inflated_mu_fails(tmp_path, capsys):
@@ -466,8 +526,8 @@ def test_initial_entropy_is_one_value_per_level(tmp_path):
                                    z_grid={"num": 5}))
     cert = certify(cfg.lattice.L, cfg.model.sigma_min, cfg.model.sigma_max,
                    alpha_strategy=cfg.alpha_strategy)
-    data, sigma_rows, E0 = cli._initial_stacks(cfg, cert, cfg.model,
-                                               cli._projected(cfg))
+    stack = cli.project_initial(cfg.initial, cfg.lattice, levels=cfg.levels)
+    data, sigma_rows, E0 = cli._initial_stacks(cfg, cert, cfg.model, stack)
     assert E0.shape == (3,)
     assert data.shape == (5, cfg.lattice.K + 1, 3, cfg.lattice.M)
     assert len(sigma_rows) == 5
@@ -647,7 +707,7 @@ def test_level0_commands_step_level0_only(tmp_path, monkeypatch, command):
     assert levels == [(1, {1})] * n_points
     cfg = load_config(path)
     cert = cli._certify_config(cfg)
-    stack = cli._projected(cfg)
+    stack = cli.project_initial(cfg.initial, cfg.lattice, levels=cfg.levels)
     E, _ = cli._base_run(cfg, cert, cfg.model, cfg.lattice, stack)
     data, rows, E0 = cli._initial_stacks(cfg, cert, cfg.model, stack)
     full = cli._entropies(cfg, cert, cfg.lattice, data, rows)
@@ -725,6 +785,25 @@ def test_taylor_envelope_beyond_the_float_range_underflows_to_zero(tmp_path):
     assert all(math.isfinite(v) for v in envelope.values())
     assert [envelope["1e+160", n] for n in "012"] == [0.0] * 3
     assert all(envelope["1000", n] > 0.0 for n in "012")
+
+
+@pytest.mark.parametrize("stop", [1e200, 1e308])
+def test_affine_derivative_envelopes_beyond_the_float_range(tmp_path, stop):
+    # (coupling t)^n overflows and exp(-rate t) underflows: in log space
+    # both families are 0 there, a verdict, and no warning is raised
+    doc = json.loads(json.dumps(BASE))
+    doc.update(domain={"K": 2, "M": 6, "N": 2},
+               time_grid={"times": [0.0, stop]},
+               initial_data={"type": "random", "seed": 3, "scale": 0.01})
+    code, err = run_command(doc, tmp_path, "derivatives")
+    assert (code, err) == (0, "")
+    for name in ("t_z000.csv", "t_z000_uniform.csv"):
+        with open(tmp_path / "out" / name, newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh
+                                       if not line.startswith("#")))
+        assert len(rows) == 6
+        assert all(float(row["envelope"]) == 0.0 for row in rows
+                   if row["t"] != "0")
 
 
 @pytest.mark.parametrize("command, doc", [

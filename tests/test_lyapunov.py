@@ -16,7 +16,6 @@ from hypobgk import (
     UsageError,
     alpha_limit,
     alpha_max,
-    assemble_generator,
     build_operators,
     certify,
     parse_alpha_strategy,
@@ -27,6 +26,7 @@ from hypobgk import lyapunov
 from hypobgk.lyapunov import ALPHA_CAP, TWIST_GAIN
 from oracles import (
     alpha_max_search,
+    assemble_generator,
     build_reduced_block,
     build_transform,
     certify_array,

@@ -151,9 +151,9 @@ def test_project_coefficients_places_entries():
     spec = InitialDataSpec(kind="coefficients",
                            entries=((0, 1, 2, 1 + 2j), (1, 0, 4, 3.0)))
     stack = project_initial(spec, lat, levels=1)
-    assert stack.data[1, 0, 2] == 1 + 2j
-    assert stack.data[0, 1, 4] == 3.0
-    assert np.count_nonzero(stack.data) == 2
+    assert stack[1, 0, 2] == 1 + 2j
+    assert stack[0, 1, 4] == 3.0
+    assert np.count_nonzero(stack) == 2
 
 
 def test_project_coefficients_range_checks():
@@ -177,8 +177,8 @@ def test_normalization_enforce_clears_conserved():
     spec = InitialDataSpec(kind="coefficients", entries=((0, 0, 2, 0.5),
                                                          (0, 0, 3, 0.25)))
     stack = project_initial(spec, lat)
-    assert stack.data[0, 0, 2] == 0.0
-    assert stack.data[0, 0, 3] == 0.25
+    assert stack[0, 0, 2] == 0.0
+    assert stack[0, 0, 3] == 0.25
 
 
 def test_project_separable_matches_quadrature():
@@ -191,9 +191,9 @@ def test_project_separable_matches_quadrature():
     v, w = gauss_hermite_halfweight(60)
     p = hermite_polynomials(8, v)
     proj = (p * w) @ v**3
-    assert_allclose(stack.data[1, 0], (0.5 + 0.2j) * proj, atol=1e-12)
+    assert_allclose(stack[1, 0], (0.5 + 0.2j) * proj, atol=1e-12)
     # k=0 stays empty: nothing was requested there
-    assert_allclose(stack.data[0, 0], 0.0, atol=0)
+    assert_allclose(stack[0, 0], 0.0, atol=0)
 
 
 def test_project_random_seed_reproducible():
@@ -201,10 +201,10 @@ def test_project_random_seed_reproducible():
     spec = InitialDataSpec(kind="random", seed=42, scale=0.5)
     a = project_initial(spec, lat, levels=2)
     b = project_initial(spec, lat, levels=2)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
     c = project_initial(InitialDataSpec(kind="random", seed=43, scale=0.5),
                         lat, levels=2)
-    assert not np.array_equal(a.data, c.data)
+    assert not np.array_equal(a, c)
 
 
 def test_negative_seed_is_a_usage_error():
@@ -218,8 +218,8 @@ def test_project_random_level0_fill():
     lat = ModeLattice(K=2, L=1.0, M=6)
     spec = InitialDataSpec(kind="random", seed=1, fill="level0")
     stack = project_initial(spec, lat, levels=3)
-    assert np.count_nonzero(stack.data[:, 1:, :]) == 0
-    assert np.count_nonzero(stack.data[:, 0, :]) > 0
+    assert np.count_nonzero(stack[:, 1:, :]) == 0
+    assert np.count_nonzero(stack[:, 0, :]) > 0
 
 
 @settings(max_examples=60, deadline=None)

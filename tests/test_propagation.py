@@ -18,9 +18,9 @@ from hypobgk import (
     InitialDataSpec,
     ModeLattice,
     NumericError,
+    StateStack,
     UsageError,
     affine_model,
-    assemble_generator,
     augmented_generator,
     build_operators,
     constant_model,
@@ -33,8 +33,8 @@ from hypobgk import (
 )
 from hypobgk import propagation
 from hypobgk.propagation import _complex_frame
-from oracles import (_jet_norm1, build_transform, evolve_reference,
-                     real_frame_jets, step_matrix_reference)
+from oracles import (_jet_norm1, assemble_generator, build_transform,
+                     evolve_reference, real_frame_jets, step_matrix_reference)
 
 LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
 
@@ -49,7 +49,8 @@ STEP_SIZES = (1e-3, 0.1, 1.0, 10.0)
 
 def _random_state(levels=0, seed=2, lattice=LAT, z=0.2):
     spec = InitialDataSpec(kind="random", seed=seed)
-    return project_initial(spec, lattice, levels=levels, z=z)
+    return StateStack(lattice=lattice, z=z, t=0.0,
+                      data=project_initial(spec, lattice, levels=levels))
 
 
 def _propagator(state, model):
@@ -159,9 +160,10 @@ def test_sensitivity_level_against_finite_differences():
     model = trig_model(2.0, 0.5, 1.0)
     z, eps, T = 0.2, 1e-5, 1.5
     spec = InitialDataSpec(kind="random", seed=9, fill="level0")
-    center = project_initial(spec, LAT, levels=1, z=z)
-    up = project_initial(spec, LAT, levels=1, z=z + eps)
-    down = project_initial(spec, LAT, levels=1, z=z - eps)
+    data = project_initial(spec, LAT, levels=1)
+    center = StateStack(lattice=LAT, z=z, t=0.0, data=data)
+    up = StateStack(lattice=LAT, z=z + eps, t=0.0, data=data)
+    down = StateStack(lattice=LAT, z=z - eps, t=0.0, data=data)
     lvl1 = _propagator(center, model).evolve(center, T).data[:, 1]
     fd = (_propagator(up, model).evolve(up, T).data[:, 0]
           - _propagator(down, model).evolve(down, T).data[:, 0]) / (2 * eps)
@@ -222,7 +224,7 @@ def test_core_drops_step_jets_after_their_last_use(monkeypatch):
     model = MODELS["affine"]
     zs = (-0.5, 0.5)
     data = np.stack([project_initial(InitialDataSpec(kind="random", seed=2),
-                                     LAT, levels=1, z=z).data for z in zs])
+                                     LAT, levels=1) for _ in zs])
     rows = [[sigma_eval(model, z, n) for n in range(2)] for z in zs]
     ops = build_operators(LAT.M)
     dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
@@ -264,8 +266,8 @@ def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
     model = MODELS["trig"]
     zs = np.linspace(-0.9, 0.8, 7)
     rng = np.random.default_rng(5)
-    stacks = [project_initial(InitialDataSpec(kind="random", seed=int(s)),
-                              LAT, levels=N, z=float(z))
+    stacks = [StateStack(lattice=LAT, z=float(z), t=0.0, data=project_initial(
+                  InitialDataSpec(kind="random", seed=int(s)), LAT, levels=N))
               for s, z in zip(rng.integers(0, 1000, len(zs)), zs)]
     data = np.stack([s.data for s in stacks])
     rows = [[sigma_eval(model, float(z), n) for n in range(N + 1)] for z in zs]
@@ -329,7 +331,7 @@ def test_opposite_modes_have_equal_entropy(k, dt, z, alpha, seed):
 
 def _stacks(model, lattice, zs, N, seed=2):
     data = np.stack([project_initial(InitialDataSpec(kind="random", seed=seed),
-                                     lattice, levels=N, z=z).data for z in zs])
+                                     lattice, levels=N) for _ in zs])
     rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in zs]
     return data, rows
 

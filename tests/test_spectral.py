@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from hypobgk import (
     ModeLattice,
     UsageError,
-    assemble_generator,
+    augmented_generator,
     build_operators,
     gauss_hermite_halfweight,
     hermite_polynomials,
@@ -57,7 +57,7 @@ def test_relax_projects_off_conserved():
 
 def test_generator_split():
     ops = build_operators(8)
-    C = assemble_generator(2, 0.5, 1.3, ops)
+    C = augmented_generator(2, 0.5, [1.3], ops)
     assert_allclose((C + C.conj().T) / 2.0, 1.3 * ops.relax, atol=1e-15)
     assert_allclose((C - C.conj().T) / 2.0, 1j * ops.stream, atol=1e-15)
 
@@ -65,9 +65,9 @@ def test_generator_split():
 def test_generator_rejects_bad_sigma():
     ops = build_operators(5)
     with pytest.raises(UsageError):
-        assemble_generator(1, 1.0, 0.0, ops)
+        augmented_generator(1, 1.0, [0.0], ops)
     with pytest.raises(UsageError):
-        assemble_generator(1, -1.0, 1.0, ops)
+        augmented_generator(1, -1.0, [1.0], ops)
 
 
 def test_quadrature_degree_exactness():
