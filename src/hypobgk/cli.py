@@ -39,10 +39,12 @@ fields of its rows once and shares them between its points.
 Each CSV line is one %-template of %.17g fields applied to one (z, t)
 cell of those arrays, with \r\n line endings and run_id quoted once by
 the csv module's rules: the same bytes as format(x, ".17g") per value
-through csv.writer, at a fraction of the cost.  Values that many rows
-share (times, verify's sigma grid, envelopes) are formatted once and
-enter the template as strings.  _write_csv consumes the
-lines lazily, so formatting happens while the file is written.
+through csv.writer, at a fraction of the cost.  The times are formatted
+once per run.  In the columns whose values repeat across rows (verify's
+sigma, min_eigenvalue and threshold, and the envelopes) each distinct
+value is formatted once (_formatted) and enters the template as a
+string.  _write_csv consumes the lines lazily, so formatting happens
+while the file is written.
 """
 
 from __future__ import annotations
@@ -108,6 +110,19 @@ EXIT_INTERNAL = 4
 
 
 _FLOAT = "%.17g"     # 17 significant digits round-trip any double exactly
+
+
+def _formatted(values) -> np.ndarray:
+    """%.17g of each entry of values, as an object array of their shape.
+
+    Each distinct value is formatted once.  Values are told apart by their
+    bit patterns, not by float equality: -0.0 and 0.0 print differently.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([_FLOAT % x for x in bits.view(float).tolist()],
+                    dtype=object)
+    return text[where].reshape(values.shape)
 
 
 def _template_field(text: str) -> str:
@@ -596,12 +611,11 @@ def cmd_verify(cfg: RunConfig, inflate_mu: float = 1.0) -> int:
     mins, norms = verify_grid(cert, ks, sigmas, cfg.lattice.M)
     thresholds = -cfg.eig_tol_factor * norms
     ok = mins >= thresholds
-    # each sigma is formatted once, not once per k
-    sigma_text = [_FLOAT % s for s in sigmas.tolist()]
+    sigma_text = _formatted(sigmas).tolist()
     _write_csv(cfg.out_dir / "verify.csv", VERIFY_HEADER,
-               _lines(f"%s,{_FLOAT},{_FLOAT},%s\r\n",
+               _lines("%s,%s,%s,%s\r\n",
                       [f"{k},{s}" for k in ks for s in sigma_text],
-                      mins.ravel(), thresholds.ravel(),
+                      _formatted(mins).ravel(), _formatted(thresholds).ravel(),
                       np.where(ok, "pass", "fail").ravel()))
     n_fail = int(np.size(ok) - np.count_nonzero(ok))
     if n_fail:
@@ -693,17 +707,14 @@ def _result_lines(run_id: str, keys, times: list[str], observed, envelope,
     Row r of observed and ratio is the series of keys[r] = (z, level) at
     the times, which come formatted; lead, when given, holds their
     _lead(keys, times) fields.  The envelope is formatted in its own
-    shape, once per value, and broadcast to the block's shape.  run_id
-    comes as a template field (_template_field).
+    shape, once per distinct value, and broadcast to the block's shape.
+    run_id comes as a template field (_template_field).
     """
     if lead is None:
         lead = _lead(keys, times)
-    env = np.array([_FLOAT % e for e in envelope.ravel().tolist()],
-                   dtype=object).reshape(envelope.shape)
+    env = np.broadcast_to(_formatted(envelope), ratio.shape)
     yield from _lines(f"{run_id},%s,{_FLOAT},%s,{_FLOAT},%s\r\n", lead,
-                      observed.ravel(),
-                      np.broadcast_to(env, ratio.shape).ravel(),
-                      ratio.ravel(),
+                      observed.ravel(), env.ravel(), ratio.ravel(),
                       np.where(ratio <= 1.0 + tol, "pass", "fail").ravel())
 
 

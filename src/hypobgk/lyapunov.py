@@ -471,10 +471,12 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int):
     zeros stay exact under u * 0 and x + 0, so the checks cover A_k and
     B_k for every integer k, k = 0 excluded (DomainError); a negative k is
     the mode -|k|, u = -1/|k|, and a k that is not an integer is a
-    UsageError.  The spectrum of S_k(sigma) is then the spectrum of its
-    real symmetric corner, found by one batched 5 x 5 eigensolve over the
-    whole grid, together with its diagonal entries beyond the corner,
-    which are 2 sigma - 2 mu.  Returns (mins, norms),
+    UsageError, as is a sigma that is not finite and positive.  The
+    spectrum of S_k(sigma) is then the spectrum of its real symmetric
+    corner, found by one batched eigensolve with one 5 x 5 corner per k
+    and distinct sigma (each corner is solved on its own, so repeated
+    sigmas change no bit), together with its diagonal entries beyond the
+    corner, which are 2 sigma - 2 mu.  Returns (mins, norms),
     both of shape (len(k), len(sigma)): the minimum eigenvalue and the
     max-norm of S_k(sigma) at each point, the norm the larger of the
     corner's and the tail's, which is the natural scale for an eigenvalue
@@ -490,8 +492,8 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int):
     if len(bad):
         raise UsageError(f"mode numbers k must be integers, got k={bad[0]}")
     sigmas = np.asarray(sigma_values, dtype=float)
-    if np.any(sigmas <= 0.0):
-        raise UsageError("collision frequencies must be positive")
+    if not np.all((sigmas > 0.0) & (sigmas < np.inf)):
+        raise UsageError("collision frequencies must be positive and finite")
     ops = build_operators(M)
     if np.any(ks == 0.0):
         raise DomainError("the certified inequality concerns modes k != 0 only")
@@ -518,10 +520,13 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int):
     u = 1.0 / ks
     A, B = corners[0::2, None] + u[:, None, None] * corners[1::2, None]
     a, b = diags[0::2, None] + u[:, None] * diags[1::2, None]
-    corner = A[:, None] + sigmas[:, None, None] * B[:, None]
-    diag = a[:, None] + sigmas[:, None] * b[:, None]
+    # each distinct sigma is solved once and scattered back to every point
+    # holding it
+    distinct, where = np.unique(sigmas, return_inverse=True)
+    corner = A[:, None] + distinct[:, None, None] * B[:, None]
+    diag = a[:, None] + distinct[:, None] * b[:, None]
     mins = np.minimum(np.linalg.eigvalsh(corner)[..., 0],
                       diag.min(axis=-1, initial=np.inf))
     norms = np.maximum(np.abs(corner).max(axis=(-2, -1)),
                        np.abs(diag).max(axis=-1, initial=0.0))
-    return mins, norms
+    return mins[:, where], norms[:, where]

@@ -92,29 +92,38 @@ def _compute_bounds(variant: str, params: tuple[float, ...],
         vals = [s0 + eps * math.sin(omega * zc) for zc in candidates]
         return min(vals), max(vals)
     # endpoints plus the critical points inside the domain
-    coeffs = np.asarray(params, dtype=float)
-    candidates = [z_lo, z_hi]
-    candidates += _sign_changes(np.polynomial.polynomial.polyder(coeffs),
-                                z_lo, z_hi)
+    candidates = [z_lo, z_hi, *_sign_changes(_polyder(params), z_lo, z_hi)]
     vals = np.array([_polyval(z, params) for z in candidates])
     return float(vals.min()), float(vals.max())
 
 
 def _polyval(x: float, coeffs) -> float:
-    """coeffs[0] + coeffs[1] x + ... by Horner's rule on Python floats.
-
-    The operations and their order are those of
-    np.polynomial.polynomial.polyval, so the bits are too, at a fraction
-    of the cost of its array machinery on one point.
-    """
+    """coeffs[0] + coeffs[1] x + ... by Horner's rule on Python floats:
+    acc = c + acc x from the leading coefficient down, starting from
+    coeffs[-1] + 0 x."""
     acc = coeffs[-1] + x * 0.0
     for c in coeffs[-2::-1]:
         acc = c + acc * x
     return acc
 
 
-def _sign_changes(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
-    """Points of (lo, hi) where a polynomial changes sign, to the last bit.
+def _polyder(coeffs, n: int = 1) -> list[float]:
+    """Coefficients of the n-th derivative of coeffs[0] + coeffs[1] x + ...
+
+    Each derivative maps c to [j c[j] for j = 1..len(c)-1], in Python
+    floats; n at least the length leaves [coeffs[0] * 0.0].
+    """
+    c = list(coeffs)
+    if n >= len(c):
+        return [c[0] * 0.0]
+    for _ in range(n):
+        c = [j * c[j] for j in range(1, len(c))]
+    return c
+
+
+def _sign_changes(c: list[float], lo: float, hi: float) -> list[float]:
+    """Points of (lo, hi) where the polynomial c[0] + c[1] x + ... changes
+    sign, to the last bit.
 
     Between consecutive sign changes of its derivative (found the same
     way) the polynomial is monotone, so each such piece holds at most one
@@ -122,11 +131,9 @@ def _sign_changes(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
     both are returned.  Unlike companion-matrix roots this cannot lose a
     root to a tiny leading coefficient.
     """
-    if coeffs.shape[0] < 2:
+    if len(c) < 2:
         return []
-    breaks = [lo, *_sign_changes(np.polynomial.polynomial.polyder(coeffs),
-                                 lo, hi), hi]
-    c = coeffs.tolist()
+    breaks = [lo, *_sign_changes(_polyder(c), lo, hi), hi]
     out = []
     for a, b in zip(breaks, breaks[1:]):
         fa, fb = _polyval(a, c), _polyval(b, c)
@@ -228,9 +235,7 @@ def sigma_eval(model: CollisionFrequencyModel, z: float, n: int = 0) -> float:
         return s0 + val if n == 0 else val
     if n > len(model.params) - 1:
         return 0.0
-    deriv = np.polynomial.polynomial.polyder(np.asarray(model.params), n) \
-        if n > 0 else np.asarray(model.params)
-    return float(_polyval(z, deriv.tolist()))
+    return float(_polyval(z, _polyder(model.params, n) if n else model.params))
 
 
 def taylor_bound(model: CollisionFrequencyModel) -> float:

@@ -314,9 +314,14 @@ def test_verify_inflated_mu_fails(tmp_path, capsys):
     assert "k=" in text and "sigma=" in text
 
 
-def test_verify_csv_rows_and_strong_inflation(tmp_path, capsys):
+@pytest.mark.parametrize("sigma", [
+    BASE["sigma"],
+    # the deterministic model: every grid sigma is the same value
+    {"variant": "constant", "sigma0": 1.0, "z_domain": [-1, 1]},
+])
+def test_verify_csv_rows_and_strong_inflation(tmp_path, capsys, sigma):
     # --inflate-mu 50 still exits 1; every row is the grid value at .17g
-    path = write_config(tmp_path, domain={"M": 9},
+    path = write_config(tmp_path, domain={"M": 9}, sigma=sigma,
                         verify={"k_max": 4, "sigma_points": 5})
     out = tmp_path / "out"
     code = main(["verify", "--config", str(path), "--out", str(out),
@@ -951,6 +956,17 @@ def test_csv_lines_match_the_csv_module(run_id, zs, series, level, data):
             [text] + [format(x, ".17g") for x in row * 2] + ["pass"]
             for row in rows)
         assert summary == buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_CSV_FLOATS, max_size=12), data=st.data())
+def test_formatted_matches_per_value_formatting(values, data):
+    # drawn again from the list itself, so values repeat
+    values += data.draw(st.lists(st.sampled_from(values), max_size=12)
+                        if values else st.just([]))
+    got = cli._formatted(np.array(values).reshape(-1, 1))
+    assert got.shape == (len(values), 1)
+    assert got.ravel().tolist() == ["%.17g" % x for x in values]
 
 
 # --- the config key table -------------------------------------------------

@@ -298,16 +298,24 @@ def test_verify_inequality_rejects_k0():
         verify_dense(0, cert.l, 1.0, cert, 8)
 
 
-def test_verify_grid_matches_pointwise():
+@pytest.mark.parametrize("sigmas", [
+    np.linspace(0.5, 1.5, 5),
+    # unsorted, with repeats: each distinct sigma is solved once
+    np.array([1.25, 0.5, 1.25, 1.5, 0.5, 0.75, 1.25]),
+])
+def test_verify_grid_matches_pointwise(sigmas):
     cert = certify(4.0, 0.5, 1.5)
     ks = [1, 3, 7]
-    sigmas = np.linspace(0.5, 1.5, 5)
-    grid, _ = verify_grid(cert, ks, sigmas, 10)
+    grid = verify_grid(cert, ks, sigmas, 10)
     for i, k in enumerate(ks):
         for j, s in enumerate(sigmas):
-            assert grid[i, j] == pytest.approx(
+            assert grid[0][i, j] == pytest.approx(
                 verify_dense(k, cert.l, float(s), cert, 10), rel=1e-10,
                 abs=1e-12)
+    # and bit for bit the grids of each point alone
+    points = np.array([[np.ravel(verify_grid(cert, [k], [s], 10))
+                        for s in sigmas] for k in ks])
+    assert np.stack(grid, axis=-1).tobytes() == points.tobytes()
 
 
 def test_verify_grid_detects_inflated_rate():
@@ -400,6 +408,13 @@ def test_verify_grid_rejects_non_integer_k(k):
     # an integral float is the mode itself
     assert np.array_equal(verify_grid(cert, [2.0], np.array([1.0]), 8),
                           verify_grid(cert, [2], np.array([1.0]), 8))
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_verify_grid_rejects_sigma_not_positive_and_finite(sigma):
+    cert = certify(2.0 * math.pi, 1.0, 1.0)
+    with pytest.raises(UsageError, match="positive and finite"):
+        verify_grid(cert, [1], np.array([1.0, sigma]), 8)
 
 
 def test_verify_grid_checks_block_structure_exactly(monkeypatch):

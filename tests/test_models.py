@@ -1,6 +1,10 @@
 """Collision-frequency models, bounds, Taylor majorants, initial data."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,38 @@ def test_scalar_horner_matches_numpy_polyval_bitwise(coeffs, x):
     got = models._polyval(x, coeffs)
     assert type(got) is float
     assert _bits(got) == _bits(ref) or (math.isnan(got) and math.isnan(ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=8))
+@example(coeffs=[-2.0])
+@example(coeffs=[1.0, 1e308, 1e308])
+def test_polyder_matches_numpy_polyder_bitwise(coeffs):
+    # every order from 1 to one past the degree, where numpy leaves c[0] * 0
+    for n in range(1, len(coeffs) + 1):
+        with np.errstate(over="ignore"):
+            ref = np.polynomial.polynomial.polyder(np.array(coeffs), n)
+        got = models._polyder(coeffs, n)
+        assert all(type(c) is float for c in got)
+        assert np.array(got).tobytes() == ref.tobytes()
+
+
+def test_polynomial_models_do_not_import_numpy_polynomial():
+    script = "\n".join([
+        "import sys",
+        "from hypobgk import polynomial_model, sigma_eval, taylor_bound",
+        "m = polynomial_model([2.0, -0.4, 0.3, 0.05])",
+        "sigma_eval(m, 0.5, n=2), taylor_bound(m)",
+        "print('numpy.polynomial' in sys.modules)",
+    ])
+    src = str(Path(models.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @settings(max_examples=60, deadline=None)
