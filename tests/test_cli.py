@@ -314,12 +314,7 @@ def test_verify_inflated_mu_fails(tmp_path, capsys):
     assert "k=" in text and "sigma=" in text
 
 
-@pytest.mark.parametrize("sigma", [
-    BASE["sigma"],
-    # the deterministic model: every grid sigma is the same value
-    {"variant": "constant", "sigma0": 1.0, "z_domain": [-1, 1]},
-])
-def test_verify_csv_rows_and_strong_inflation(tmp_path, capsys, sigma):
+def _check_verify_csv_rows_and_strong_inflation(tmp_path, capsys, sigma):
     # --inflate-mu 50 still exits 1; every row is the grid value at .17g
     path = write_config(tmp_path, domain={"M": 9}, sigma=sigma,
                         verify={"k_max": 4, "sigma_points": 5})
@@ -344,6 +339,18 @@ def test_verify_csv_rows_and_strong_inflation(tmp_path, capsys, sigma):
                          f"{format(float(thr), '.17g')},{verdict}")
     expected = "\r\n".join(lines) + "\r\n"
     assert (out / "verify.csv").read_bytes() == expected.encode()
+
+
+def test_verify_csv_rows_and_strong_inflation(tmp_path, capsys):
+    _check_verify_csv_rows_and_strong_inflation(tmp_path, capsys,
+                                                BASE["sigma"])
+
+
+def test_verify_csv_rows_of_a_constant_model(tmp_path, capsys):
+    # the deterministic model: every grid sigma is the same value
+    _check_verify_csv_rows_and_strong_inflation(
+        tmp_path, capsys,
+        {"variant": "constant", "sigma0": 1.0, "z_domain": [-1, 1]})
 
 
 def test_simulate_degenerate_run(tmp_path):

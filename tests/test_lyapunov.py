@@ -298,12 +298,7 @@ def test_verify_inequality_rejects_k0():
         verify_dense(0, cert.l, 1.0, cert, 8)
 
 
-@pytest.mark.parametrize("sigmas", [
-    np.linspace(0.5, 1.5, 5),
-    # unsorted, with repeats: each distinct sigma is solved once
-    np.array([1.25, 0.5, 1.25, 1.5, 0.5, 0.75, 1.25]),
-])
-def test_verify_grid_matches_pointwise(sigmas):
+def _check_verify_grid_matches_pointwise(sigmas):
     cert = certify(4.0, 0.5, 1.5)
     ks = [1, 3, 7]
     grid = verify_grid(cert, ks, sigmas, 10)
@@ -316,6 +311,16 @@ def test_verify_grid_matches_pointwise(sigmas):
     points = np.array([[np.ravel(verify_grid(cert, [k], [s], 10))
                         for s in sigmas] for k in ks])
     assert np.stack(grid, axis=-1).tobytes() == points.tobytes()
+
+
+def test_verify_grid_matches_pointwise():
+    _check_verify_grid_matches_pointwise(np.linspace(0.5, 1.5, 5))
+
+
+def test_verify_grid_matches_pointwise_unsorted_with_repeats():
+    # each distinct sigma is solved once
+    _check_verify_grid_matches_pointwise(
+        np.array([1.25, 0.5, 1.25, 1.5, 0.5, 0.75, 1.25]))
 
 
 def test_verify_grid_detects_inflated_rate():
