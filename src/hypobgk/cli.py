@@ -89,7 +89,7 @@ from .models import (
     taylor_bound,
 )
 from .propagation import propagate
-from .spectral import ModeLattice, build_operators
+from .spectral import ModeLattice
 
 __all__ = ["RunConfig", "load_config", "dump_config", "main",
            "cmd_certify", "cmd_verify", "cmd_simulate", "cmd_derivatives",
@@ -160,7 +160,12 @@ class RunConfig:
     verify_sigma_points: int
     sweep_L_values: tuple[float, ...]
     sweep_sigma0_values: tuple[float, ...]
-    seed_used: int | None
+
+    @property
+    def seed_used(self) -> int | None:
+        """The seed of random initial data, --seed applied; else None."""
+        init = self.initial
+        return init.seed if init and init.kind == "random" else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -417,7 +422,7 @@ def load_config(path: str | Path, out_override: str | None = None,
     except CertificateError as exc:
         fail(f"alpha_strategy: {exc}")
 
-    spec, initial, seed_used = doc["initial_data"], None, None
+    spec, initial = doc["initial_data"], None
     if spec is not None:
         kind = spec.pop("type")
         for key, value in spec.items():
@@ -430,7 +435,6 @@ def load_config(path: str | Path, out_override: str | None = None,
             else:
                 fail(f"initial_data: --seed applies only to random initial "
                      f"data, got type {kind!r}")
-        seed_used = spec.get("seed")
         try:
             initial = InitialDataSpec(kind=kind, **spec)
         except HypoBGKError as exc:
@@ -492,7 +496,6 @@ def load_config(path: str | Path, out_override: str | None = None,
         verify_sigma_points=ver["sigma_points"],
         sweep_L_values=tuple(sweep["L_values"]),
         sweep_sigma0_values=tuple(sweep["sigma0_values"]),
-        seed_used=seed_used,
     )
 
 
@@ -660,7 +663,6 @@ def _entropies(cfg: RunConfig, cert: Certificate, lattice: ModeLattice,
     n_lvl = data.shape[2]
     E = np.empty((n_lvl, len(data), len(cfg.times)))
     samples = propagate(data, sigma_rows, lattice.l,
-                        build_operators(lattice.M),
                         np.diff(cfg.times, prepend=0.0))
     for j, sample in enumerate(samples):
         for n in range(n_lvl):

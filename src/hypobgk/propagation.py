@@ -51,14 +51,14 @@ z-derivatives of exp(-dt sigma(z) r_m), in closed form for every N
 The generator does not depend on the step size, so _StepJets splits the
 build of one run by how often each piece changes:
 
-- Once per run.  _band_norms sums every (z, k) jet's 1-norm from the
-  generator's bands: the real-frame stream's two off-diagonals, the
-  sigma derivatives and diag(RELAX).  It checks once, against exact
-  zeros, that the twist is tridiagonal with a zero diagonal and RELAX
-  diagonal, and sums each column in the order of a dense column sum, so
-  every norm equals the 1-norm of the assembled jet bit for bit.  All
-  jets of the run are sorted by their norms once, with e the exponent
-  that scales each jet by 2^-e, exact, to a 1-norm in [1/2, 1).
+- Once per run.  The core builds STREAM and RELAX at the data's M and
+  keeps their bands: STREAM's off-diagonal off, which the real-frame
+  twist holds below its diagonal and negated above it, and RELAX's
+  diagonal r.  _band_norms sums every (z, k) jet's 1-norm from the bands
+  and the sigma derivatives, each column in the order of a dense column
+  sum, so every norm equals the 1-norm of the assembled jet bit for bit.
+  All jets of the run are sorted by their norms once, with e the
+  exponent that scales each jet by 2^-e, exact, to a 1-norm in [1/2, 1).
 - Once per build.  A build (_StepJets._sorted) takes a step h per jet,
   one step size or the ladder's base steps (below): the scaling powers
   s, the scalars c = -h 2^(e-s) and the Taylor coefficients c^k / k!.
@@ -66,15 +66,15 @@ build of one run by how often each piece changes:
   and s = a + e.
 - Per chunk.  The sorted jets are cut into chunks of _BUILD_SLICE z
   rows' worth (_BUILD_SLICE times the modes k != 0).  _generator_powers
-  assembles and scales a chunk's jets G and forms the six even powers
-  G^2, G^4, ..., G^12 (six jet products).  At a step the scaled
-  argument is A = c G, so A^k = c^k G^k, and every sum over the powers
-  is a stacked coefficient product (_power_sums).  The Taylor polynomial
-  is written T_25(A) = E1 + G O1 + G^12 (E2 + G O2), with E1, O1, E2 and
-  O2 sums over the six powers, and takes three jet products per build
-  (_taylor).  The sort makes s nondecreasing along each chunk, so each
-  squaring acts on a suffix of it; the squarings alternate between the
-  result and a spent buffer.
+  writes a chunk's jets G from the bands, scales them and forms the six
+  even powers G^2, G^4, ..., G^12 (six jet products).  At a step the
+  scaled argument is A = c G, so A^k = c^k G^k, and every sum over the
+  powers is a stacked coefficient product (_power_sums).  The Taylor
+  polynomial is written T_25(A) = E1 + G O1 + G^12 (E2 + G O2), with E1,
+  O1, E2 and O2 sums over the six powers, and takes three jet products
+  per build (_taylor).  The sort makes s nondecreasing along each chunk,
+  so each squaring acts on a suffix of it; the squarings alternate
+  between the result and a spent buffer.
 
 Every jet keeps its own e, its own s and its own place in the sort, and
 the products act on each jet of a chunk alone, so the bits of a jet
@@ -88,15 +88,16 @@ rung 0), holds none after its build.  Within a build the Taylor sums fit
 in three arrays the size of the chunk: the result, and a pair whose
 first half is the squarings' spare buffer and which is freed when
 _expm_powers returns.  A 15-step run at K = 16, M = 60, N = 2 (one
-chunk) on the jets path peaks at 10.28 arrays the size of its jets: G
+chunk) on the jets path peaks at 9.77 arrays the size of its jets: G
 and its six powers, the three Taylor arrays and one level-sized
-temporary of a product, for the 16 modes k >= 1.  A run also holds a
-step size's jets from its first step to its last, so repeating one after
-other step sizes holds it through their builds: the same run with its
-sixth step size repeated at the end peaks at 11.10 arrays.  The chunks
-bound the build temporaries, which grow with the chunk: at K = 4, M = 20
-a sweep peaked about 0.3 MiB higher per z row of a chunk, while a chunk
-of the whole 30-row batch built only about a quarter faster.
+temporary of a product, for the 16 modes k >= 1 (on the ladder, which
+such a run takes, at 9.95).  A run also holds a step size's jets from
+its first step to its last, so repeating one after other step sizes
+holds it through their builds: the same run with its sixth step size
+repeated at the end peaks at 10.77 arrays.  The chunks bound the build
+temporaries, which grow with the chunk: at K = 4, M = 20 a sweep peaked
+about 0.3 MiB higher per z row of a chunk, while a chunk of the whole
+30-row batch built only about a quarter faster.
 
 Everything steps through one z-batched core, propagate.  It takes the
 stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
@@ -138,9 +139,9 @@ place of per-step-size squarings:
   G, so the step applies the rungs of q's set bits to the data, then the
   degree-25 Taylor action of exp(-r G), with ||r G|| < 2.  That action
   (_Ladder._remainder) reads only G's bands, scaled by 2^-e like the
-  jets: kl twist's two off-diagonals on every level, and the level mix
-  binom(d, i) sigma^(i)(z) times diag(RELAX).  Mode 0 keeps its closed
-  form.
+  jets: kl off below the diagonal and -(kl off) above it on every
+  level, and the level mix binom(d, i) sigma^(i)(z) times diag(r).
+  Mode 0 keeps its closed form.
 - Depth.  q < dt / h, so a jet needs frexp(dt)[1] + e - 1 rungs for the
   largest dt (at least rung 0).  Depth grows with e, so it is
   nondecreasing along the sort, and rung i is held only for the suffix
@@ -164,7 +165,7 @@ place of per-step-size squarings:
   the last one; the build of rung 0 drops G's powers before the
   squarings start.  A run in which some z would hold more rungs than
   _RUNG_SETS = 10 sets of its step jets (K+1 jets each; the jets path
-  peaks at about 10.3) takes the jets path.  So do long horizons and
+  peaks at about 9.8) takes the jets path.  So do long horizons and
   steps like times [0, 1e300], where q has about a thousand bits; depth
   is read from the exponent of dt, so no q is formed before the rule
   passes.
@@ -265,35 +266,27 @@ _TAYLOR_SUMS = np.arange(2, 14, 2) + np.array([[0], [1], [12], [13]])
 _ZERO_CHECK = 64
 
 
-def _band_norms(kl: np.ndarray, twist: np.ndarray, rows: np.ndarray,
-                relax: np.ndarray):
+def _band_norms(kl: np.ndarray, off: np.ndarray, rows: np.ndarray,
+                r: np.ndarray):
     """Sorted 1-norms of the real-frame jets of every (z, k) pair.
 
-    The jet of mode k at z has level 0 kl[k] twist + sigma^(0)(z) relax
-    and levels i >= 1 sigma^(i)(z) relax.  twist must be tridiagonal with
-    a zero diagonal and relax diagonal, both to the last bit; otherwise
-    NumericError.  Block column m of the dense matrix holds the blocks
-    binom(m+i, i) A_i, i = 0..N-m, so its column sums come from the bands
-    alone.  Each column of level 0 is summed in row order, as a dense
-    column sum is (the zeros it skips add nothing), and the levels in the
-    dense order, so every norm equals the 1-norm of the assembled jet bit
-    for bit.  Returns (order, norms): order[j] = z len(kl) + k is the row
-    of the j-th smallest norm.
+    The jet of mode k at z has level 0 kl[k] twist + sigma^(0)(z) diag(r),
+    where twist holds off below its diagonal and -off above it, and levels
+    i >= 1 sigma^(i)(z) diag(r).  Block column m of the dense matrix holds
+    the blocks binom(m+i, i) A_i, i = 0..N-m, so its column sums come from
+    the bands alone.  Each column of level 0 is summed in row order, as a
+    dense column sum is (the zeros it skips add nothing), and the levels
+    in the dense order, so every norm equals the 1-norm of the assembled
+    jet bit for bit.  Returns (order, norms): order[j] = z len(kl) + k is
+    the row of the j-th smallest norm.
     """
-    r = np.diag(relax)
-    upper, lower = np.diag(twist, 1), np.diag(twist, -1)
-    if not (np.array_equal(twist, np.diag(upper, 1) + np.diag(lower, -1))
-            and np.array_equal(relax, np.diag(r))):
-        raise NumericError(
-            "real-frame generator is not tridiagonal plus diagonal")
     (Z, n), M = rows.shape, len(r)
     col = np.empty((Z, len(kl), n, M))
     diag = np.abs(np.multiply.outer(rows, r))   # |sigma^(i)(z) r_j|
     col[:] = diag[:, None]
-    above = np.zeros((len(kl), M))              # |entry (j-1, j)|
-    above[:, 1:] = np.abs(kl[:, None] * upper)
-    below = np.zeros((len(kl), M))              # |entry (j+1, j)|
-    below[:, :-1] = np.abs(kl[:, None] * lower)
+    band = np.abs(np.multiply.outer(kl, off))   # |kl off_j|
+    above = np.pad(band, ((0, 0), (1, 0)))      # |entry (j-1, j)|
+    below = np.pad(band, ((0, 0), (0, 1)))      # |entry (j+1, j)|
     col[:, :, 0] = above + diag[:, None, 0] + below
     col = col.reshape(-1, n, M)
     norms = np.max([sum(math.comb(m + i, i) * col[:, i] for i in range(n - m))
@@ -304,27 +297,27 @@ def _band_norms(kl: np.ndarray, twist: np.ndarray, rows: np.ndarray,
     return order, norms[order]
 
 
-def _generator_powers(stream: np.ndarray, rows: np.ndarray, relax: np.ndarray,
-                      order: np.ndarray, e: np.ndarray):
+def _generator_powers(kl: np.ndarray, off: np.ndarray, rows: np.ndarray,
+                      r: np.ndarray, order: np.ndarray, e: np.ndarray):
     """Real-frame generator jets of one chunk of a run and their even powers.
 
-    stream[k] is the streaming block of the k-th moving mode in the real
-    frame and rows[z] holds sigma^(0)..sigma^(N) at z.  The chunk is a
-    stretch of the run's jets in sorted order: order[j] = z len(stream) + k
-    is the (z, k) row of its jet j, whose 1-norm is 2^e[j] f with f in
-    [1/2, 1).
-
-    Each jet G is scaled by 2^-e, exact, to a 1-norm in [1/2, 1), so no
+    The chunk is a stretch of the run's jets in sorted order:
+    order[j] = z len(kl) + k is the (z, k) row of its jet j, whose 1-norm
+    is 2^e[j] f with f in [1/2, 1).  The bands are written into zeroed
+    jets: kl[k] off below the diagonal of level 0, -(kl[k] off) above it,
+    and rows[z, i] r, sigma^(i)(z) r, on the diagonal of level i.  Each
+    jet G is then scaled by 2^-e, exact, to a 1-norm in [1/2, 1), so no
     power can overflow.  Returns (G, P), with P[:, 0..5] the powers G^2,
     G^4, ..., G^12.
     """
-    n, M = rows.shape[1], len(relax)
-    z, k = np.divmod(order, len(stream))
-    part = rows[z, :, None, None]
-    G = np.empty((len(order), n, M, M))
-    np.add(stream[k], part[:, 0] * relax, out=G[:, 0])
-    for i in range(1, n):
-        np.multiply(part[:, i], relax, out=G[:, i])
+    n, M = rows.shape[1], len(r)
+    z, k = np.divmod(order, len(kl))
+    G = np.zeros((len(order), n, M, M))
+    flat = G.reshape(len(G), n, M * M)
+    band = np.multiply.outer(kl[k], off)
+    flat[:, 0, M::M + 1] = band                 # entries (m+1, m)
+    flat[:, 0, 1::M + 1] = -band                # entries (m, m+1)
+    flat[:, :, ::M + 1] = np.multiply.outer(rows[z], r)
     G *= np.ldexp(1.0, -e)[:, None, None, None]
     P = np.empty((len(G), 6) + G.shape[1:])
     _jet_mul(G, G, out=P[:, 0])                 # G^2
@@ -436,7 +429,7 @@ _BUILD_SLICE = 2
 _I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
 
 # rungs each z may hold, in sets of its step jets (K+1 jets); the jets path
-# peaks at about 10.3 of them
+# peaks at about 9.8 of them
 _RUNG_SETS = 10
 
 
@@ -444,9 +437,10 @@ class _StepJets:
     """Builds the real-frame jets of exp(-dt G_k) of one run at any dt.
 
     sigma_rows[z] holds sigma^(0)..sigma^(N) at one z; a build at dt has
-    shape (Z, len(ks), N+1, M, M).  Mode 0 comes in closed form
-    (_mode0_diagonals), every other mode from the powers of its
-    generator.  The 1-norms and their sort are computed once per run.
+    shape (Z, len(ks), N+1, M, M).  The generator is held as its bands
+    off and r, read from the operators at size M.  Mode 0 comes in
+    closed form (_mode0_diagonals), every other mode from the powers of
+    its generator.  The 1-norms and their sort are computed once per run.
     Every build, at one step size (__call__) or at each jet's base step
     (base), is one pass of _sorted: the scaling powers and Taylor
     coefficients once, the powers and products once per chunk of the
@@ -455,16 +449,16 @@ class _StepJets:
     it goes, so the run holds none after it.
     """
 
-    def __init__(self, ks, l: float, sigma_rows, ops: OperatorSet):
+    def __init__(self, ks, l: float, sigma_rows, M: int):
+        ops = build_operators(M)
+        # copies, so that no M x M matrix is held for the run
+        self.off = ops.stream.diagonal(1).copy()
+        self.r = ops.relax.diagonal().copy()
         ks = np.asarray(ks, dtype=float)
-        # D^-1 (i STREAM) D
-        self.twist = np.tril(ops.stream) - np.triu(ops.stream)
         self.zero = np.flatnonzero(ks == 0.0)
         self.modes = np.flatnonzero(ks != 0.0)
         self.kl = ks[self.modes] * l
-        self.stream = self.kl[:, None, None] * self.twist
         self.rows = np.asarray(sigma_rows, dtype=float)
-        self.relax = ops.relax
         self.chunk = _BUILD_SLICE * max(len(self.modes), 1)   # jets, >= 1
         self.powers: dict[int, tuple] = {}      # (G, P) of the chunk at j0
 
@@ -473,7 +467,7 @@ class _StepJets:
         """(order, norms, e): the run's jets sorted by their 1-norms
         (_band_norms), and the exponents e with norms = 2^e f, f in
         [1/2, 1).  Computed at the first build and kept for the run."""
-        order, norms = _band_norms(self.kl, self.twist, self.rows, self.relax)
+        order, norms = _band_norms(self.kl, self.off, self.rows, self.r)
         return order, norms, np.frexp(norms)[1]
 
     def _sorted(self, h, keep: bool):
@@ -498,8 +492,8 @@ class _StepJets:
             part = slice(j0, j0 + self.chunk)
             powers = self.powers.pop(j0, None)
             if powers is None:
-                powers = _generator_powers(self.stream, self.rows, self.relax,
-                                           ranks[part], e[part])
+                powers = _generator_powers(self.kl, self.off, self.rows,
+                                           self.r, ranks[part], e[part])
             if keep:
                 self.powers[j0] = powers
             R = _expm_powers(*powers, c[part], coef[part], s[part])
@@ -508,7 +502,7 @@ class _StepJets:
 
     def __call__(self, dt: float, keep: bool = False) -> np.ndarray:
         Z, n = self.rows.shape
-        Kp, M = len(self.modes), len(self.relax)
+        Kp, M = len(self.modes), len(self.r)
         K1 = Kp + len(self.zero)
         ranks = self.sorted_norms[0]
         out = None
@@ -531,13 +525,12 @@ class _StepJets:
         """The jets of exp(-dt G_0) at every z, shape (Z, N+1, M, M), dense
         with the closed-form diagonals of _mode0_diagonals; into out when
         it is given."""
-        M = len(self.relax)
+        M = len(self.r)
         if out is None:
             out = np.empty(self.rows.shape + (M, M))
         out[...] = 0.0
         diag = np.arange(M)
-        out[..., diag, diag] = _mode0_diagonals(self.rows, np.diag(self.relax),
-                                                dt)
+        out[..., diag, diag] = _mode0_diagonals(self.rows, self.r, dt)
         return out
 
     def base(self) -> np.ndarray:
@@ -618,18 +611,16 @@ class _Ladder:
         self.places = z, build.modes[k]
         self.rungs = None
         # the bands of the scaled jets Gs = 2^-e G, in the layout of the data
-        # (J, N+1, M, 2), as _generator_powers assembles them: level 0 is
-        # kl twist + sigma^(0) relax and level i sigma^(i) relax
-        n, M = build.rows.shape[1], len(build.relax)
+        # (J, N+1, M, 2), as _generator_powers writes them: kl off below the
+        # diagonal, -(kl off) above it, and sigma^(i) r on level i's diagonal
+        n, M = build.rows.shape[1], len(build.r)
         scale = np.ldexp(1.0, -e)
-        kl = (build.kl[k] * scale)[:, None]
-        bands = (kl[:, :, None] * np.diag(build.twist, -1),
-                 kl[:, :, None] * np.diag(build.twist, 1))
+        band = (build.kl[k] * scale)[:, None, None, None] * build.off[:, None]
         self.below = np.zeros((len(e), n, M, 2))    # entry (m, m-1) of row m
-        self.below[:, :, 1:] = bands[0][..., None]
+        self.below[:, :, 1:] = band
         self.above = np.zeros((len(e), n, M, 2))    # entry (m, m+1) of row m
-        self.above[:, :, :-1] = bands[1][..., None]
-        self.relax = np.repeat(np.diag(build.relax), 2)
+        self.above[:, :, :-1] = -band
+        self.relax = np.repeat(build.r, 2)
         a = build.rows[z] * scale[:, None]          # sigma^(i) 2^-e
         self.mix = np.zeros((len(e), n, n))         # levels mix as Leibniz
         for d in range(n):
@@ -716,27 +707,32 @@ def _dense_steps(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagate(data: np.ndarray, sigma_rows, l: float, ops: OperatorSet, dts):
+def propagate(data: np.ndarray, sigma_rows, l: float, dts):
     """Yield the real-frame data of a batch of z after each step dts[j].
 
     data[z, k, n, m] has shape (Z, K+1, N+1, M) and sigma_rows[z] holds
-    sigma^(0)..sigma^(N) at that z.  Each sample has shape
+    sigma^(0)..sigma^(N) at that z, shape (Z, N+1).  Each sample has shape
     (Z, K+1, N+1, M, 2): the (re, im) column pairs of D^-1 x, where
     D = diag(i^m).  A zero step yields the previous sample again; the
     samples must not be written to.  The jets of a step size are built at
     its first step and dropped after its last, and a run whose nonzero
     step sizes are all distinct may step through the ladder instead
-    (module docstring).  Every step size is checked before the first
-    sample.
+    (module docstring).  Every step size and the shapes of data and
+    sigma_rows are checked before the first sample.
     """
     dts = list(dts)
     for dt in dts:
         if not (dt >= 0.0 and math.isfinite(dt)):
             raise UsageError(f"step size must be finite and >= 0, got dt={dt}")
+    rows = np.array(sigma_rows, dtype=object)   # ragged rows: shape (Z,)
+    if np.ndim(data) != 4 or rows.shape != np.shape(data)[:3:2]:
+        raise UsageError(
+            f"need stack data of shape (Z, K+1, N+1, M) and sigma_rows of "
+            f"shape (Z, N+1), got {np.shape(data)} and {rows.shape}")
     Z, K1, n, M = data.shape
     last = {dt: j for j, dt in enumerate(dts)}
     sizes = [dt for dt in last if dt]       # in the order of their first use
-    build = _StepJets(range(K1), l, sigma_rows, ops)
+    build = _StepJets(range(K1), l, sigma_rows, M)
     ladder = None
     if len(sizes) == len(dts) - dts.count(0.0):
         ladder = _ladder(build, sizes)
@@ -782,14 +778,15 @@ class ExactPropagator:
 
     def step_matrix(self, k: int, dt: float) -> np.ndarray:
         """exp(-dt G_k), expanded from the jets of mode k at dt."""
-        build = _StepJets([k], self.lattice.l, [self.sigma_derivs], self.ops)
+        build = _StepJets([k], self.lattice.l, [self.sigma_derivs],
+                          self.lattice.M)
         return _dense_steps(build(dt)[0])[0]
 
     def evolve(self, state: StateStack, dt: float) -> StateStack:
         """Advance a stack by dt >= 0 with one exact step per mode."""
         self._check(state)
         W = next(propagate(state.data[None], [self.sigma_derivs],
-                           self.lattice.l, self.ops, [dt]))[0]
+                           self.lattice.l, [dt]))[0]
         return replace(state, t=state.t + dt, data=_complex_frame(W))
 
     def _check(self, state: StateStack) -> None:

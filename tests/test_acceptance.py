@@ -24,7 +24,6 @@ from hypobgk import (
     affine_derivative_envelope,
     affine_model,
     affine_uniform_envelope,
-    build_operators,
     certify,
     constant_model,
     entropy_envelope,
@@ -53,8 +52,7 @@ def _trajectory(state, model):
     """Stack data of state at each of TIMES, shape (T, K+1, N+1, M)."""
     rows = [[sigma_eval(model, state.z, n) for n in range(state.levels + 1)]]
     return np.stack([_complex_frame(sample[0]) for sample in propagate(
-        state.data[None], rows, state.lattice.l,
-        build_operators(state.lattice.M), DTS)])
+        state.data[None], rows, state.lattice.l, DTS)])
 
 
 def _state(spec, lattice, levels, z):
@@ -137,8 +135,7 @@ def test_criterion_03_decay_envelope_sweep():
                 batch = np.repeat(np.stack(stacks), len(zs), axis=0)
                 E = np.stack([entropy_series(sample, 0, cert.alpha)
                               for sample in propagate(
-                                  batch, rows * len(stacks), lat.l,
-                                  build_operators(M), DTS)])
+                                  batch, rows * len(stacks), lat.l, DTS)])
                 for i in range(len(batch)):
                     env = entropy_envelope(float(E[0, i]), cert.decay_rate,
                                            TIMES)

@@ -20,7 +20,6 @@ from hypobgk import (
     StateStack,
     affine_derivative_envelope,
     affine_uniform_envelope,
-    build_operators,
     certify,
     check_envelope,
     entropy_envelope,
@@ -48,7 +47,7 @@ def _trajectory(state, times, model):
     rows = [[sigma_eval(model, state.z, n) for n in range(state.levels + 1)]]
     return np.stack([_complex_frame(sample[0]) for sample in propagate(
         state.data[None], rows, state.lattice.l,
-        build_operators(state.lattice.M), np.diff(times, prepend=state.t))])
+        np.diff(times, prepend=state.t))])
 
 
 def test_entropy_hand_value():

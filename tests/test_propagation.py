@@ -144,7 +144,7 @@ def test_trajectory_matches_single_steps():
     times = [0.0, 0.5, 1.25, 3.0]
     rows = [[sigma_eval(model, state.z, n) for n in range(2)]]
     snaps = list(propagate(state.data[None], rows, LAT.l,
-                           build_operators(LAT.M), np.diff(times, prepend=0.0)))
+                           np.diff(times, prepend=0.0)))
     prop = _propagator(state, model)
     direct = state
     last = 0.0
@@ -226,10 +226,9 @@ def test_core_drops_step_jets_after_their_last_use(monkeypatch):
     data = np.stack([project_initial(InitialDataSpec(kind="random", seed=2),
                                      LAT, levels=1) for _ in zs])
     rows = [[sigma_eval(model, z, n) for n in range(2)] for z in zs]
-    ops = build_operators(LAT.M)
     dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
     alive = [[dt for dt, ref in zip((0.1, 0.2, 0.3), held) if ref() is not None]
-             for _ in propagation.propagate(data, rows, LAT.l, ops, dts)]
+             for _ in propagation.propagate(data, rows, LAT.l, dts)]
     assert alive == [[0.1], [0.1, 0.2], [0.2], [0.2], [0.2, 0.3], [0.3], []]
 
 
@@ -271,7 +270,6 @@ def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
               for s, z in zip(rng.integers(0, 1000, len(zs)), zs)]
     data = np.stack([s.data for s in stacks])
     rows = [[sigma_eval(model, float(z), n) for n in range(N + 1)] for z in zs]
-    ops = build_operators(LAT.M)
     for path, times in (("jets", [0.0, 0.3, 0.6, 1.7, 1.7, 5.0]),
                         ("ladder", [0.0, 0.3, 0.7, 1.7, 1.7, 5.0])):
         dts = np.diff(times, prepend=0.0)
@@ -279,13 +277,12 @@ def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
         runs = []
         for width in (1, 4):
             monkeypatch.setattr(propagation, "_BUILD_SLICE", width)
-            runs.append(list(propagation.propagate(data, rows, LAT.l, ops,
-                                                   dts)))
+            runs.append(list(propagation.propagate(data, rows, LAT.l, dts)))
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
         for i in range(len(zs)):
             alone = propagation.propagate(data[i:i + 1], rows[i:i + 1], LAT.l,
-                                          ops, dts)
+                                          dts)
             for a, b in zip(alone, runs[0]):
                 assert np.array_equal(a[0], b[i])
         for i, (z, state) in enumerate(zip(zs, stacks)):
@@ -361,19 +358,18 @@ def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
         return sum(ref() is not None for refs in built for ref in refs)
 
     data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), 1)
-    ops = build_operators(LAT.M)
     dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
     seen = [(len(built), held()) for _ in
-            propagation.propagate(data, rows, LAT.l, ops, dts)]
+            propagation.propagate(data, rows, LAT.l, dts)]
     # two chunks of G and its powers, alive until the build of 0.3
     assert seen == [(2, 4)] * 4 + [(2, 0)] * 3
     built.clear()
     seen = [(len(built), held()) for _ in
-            propagation.propagate(data, rows, LAT.l, ops, [0.25, 0.0, 0.25])]
+            propagation.propagate(data, rows, LAT.l, [0.25, 0.0, 0.25])]
     assert seen == [(2, 0)] * 3
     built.clear()
     seen = [(len(built), held()) for _ in propagation.propagate(
-        data, rows, LAT.l, ops, [0.1, 0.2, 0.0, 0.3, 0.7])]
+        data, rows, LAT.l, [0.1, 0.2, 0.0, 0.3, 0.7])]
     assert len(ladders) == 1
     assert seen == [(2, 0)] * 5
 
@@ -389,13 +385,35 @@ def test_band_norms_equal_the_dense_jet_norms(K, M, N, variant, zs, l, signed):
     ks = range(-K if signed else 0, K + 1)
     model = MODELS[variant]
     rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in zs]
-    build = propagation._StepJets(ks, l, rows, build_operators(M))
+    build = propagation._StepJets(ks, l, rows, M)
     order, norms, e = build.sorted_norms
     jets = np.array([[real_frame_jets(k, l, row, M) for k in ks if k]
                      for row in rows]).reshape(-1, N + 1, M, M)
     assert _jet_norm1(jets)[order].tobytes() == norms.tobytes()
     assert np.all(np.diff(norms) >= 0.0)
     assert np.array_equal(np.ldexp(np.frexp(norms)[0], e), norms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.sampled_from([5, 20]), M=st.sampled_from([5, 20]),
+       N=st.integers(0, 3), variant=st.sampled_from(sorted(MODELS)),
+       zs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+       l=st.floats(0.1, 10.0), signed=st.booleans())
+def test_generator_powers_write_the_assembled_jets(K, M, N, variant, zs, l,
+                                                   signed):
+    # the chunk jets that _generator_powers writes from the bands are the
+    # assembled real-frame jets, in sorted order, scaled by 2^-e
+    ks = range(-K if signed else 0, K + 1)
+    model = MODELS[variant]
+    rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in zs]
+    build = propagation._StepJets(ks, l, rows, M)
+    order, _, e = build.sorted_norms
+    jets = np.array([[real_frame_jets(k, l, row, M) for k in ks if k]
+                     for row in rows]).reshape(-1, N + 1, M, M)
+    G, _ = propagation._generator_powers(build.kl, build.off, build.rows,
+                                         build.r, order, e)
+    scale = np.ldexp(1.0, -e)[:, None, None, None]
+    assert np.array_equal(G, jets[order] * scale)
 
 
 def test_norms_and_sort_once_per_run(monkeypatch):
@@ -418,13 +436,12 @@ def test_norms_and_sort_once_per_run(monkeypatch):
     monkeypatch.setattr(propagation, "_generator_powers",
                         count("chunks", generator_powers))
     data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5, 0.9, -0.2), 1)
-    ops = build_operators(LAT.M)
     for width, chunks in ((1, 5), (2, 3), (4, 2), (8, 1)):
         monkeypatch.setattr(propagation, "_BUILD_SLICE", width)
         for dts, builds in (([0.1], 1), ([0.1, 0.2, 0.1, 0.0, 0.3], 3),
                             ([0.0, 0.0], 0)):
             calls.update(norms=0, sorts=0, chunks=0)
-            list(propagation.propagate(data, rows, LAT.l, ops, dts))
+            list(propagation.propagate(data, rows, LAT.l, dts))
             ran = min(builds, 1)
             assert calls == {"norms": ran, "sorts": ran,
                              "chunks": chunks * ran}, (width, dts)
@@ -452,11 +469,10 @@ def test_derivatives_large_shape_against_extended_precision():
     # every step matrix equals, bit for bit, a build of its step size alone
     lattice, dts = LARGE, LARGE_DTS[1:]
     rows = [[sigma_eval(LARGE_MODEL, 0.3, n) for n in range(3)]]
-    ops = build_operators(lattice.M)
 
     def step_jets():
         return propagation._StepJets(range(lattice.K + 1), lattice.l, rows,
-                                     ops)
+                                     lattice.M)
 
     build = step_jets()
     for j, dt in enumerate(dts):
@@ -481,7 +497,7 @@ def test_ladder_steps_against_extended_precision(monkeypatch):
     monkeypatch.setattr(propagation, "_Ladder", spy)
     data, rows = _stacks(LARGE_MODEL, LARGE, [0.3], 2)
     samples = [_complex_frame(W[0]) for W in propagation.propagate(
-        data, rows, LARGE.l, build_operators(LARGE.M), LARGE_DTS)]
+        data, rows, LARGE.l, LARGE_DTS)]
     # one ladder, its rungs dropped after the last step
     assert len(ladders) == 1 and ladders[0].rungs is None
     for j, dt in enumerate(LARGE_DTS[1:]):
@@ -516,13 +532,12 @@ def test_ladder_agrees_with_the_jets_path(variant, K, M, N, pool, zeros,
     for i in zeros:
         dts.insert(i % (len(dts) + 1), 0.0)
     data, rows = _stacks(MODELS[variant], lattice, zs, N)
-    ops = build_operators(M)
     runs = {}
     for path in ("jets", "ladder"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagation, "_ladder", _take(path))
             runs[path] = [_complex_frame(W) for W in propagation.propagate(
-                data, rows, lattice.l, ops, dts)]
+                data, rows, lattice.l, dts)]
     if repeat is not None:
         for a, b in zip(runs["jets"], runs["ladder"], strict=True):
             assert np.array_equal(a, b)
@@ -559,8 +574,7 @@ def test_runs_mixing_step_sizes_against_extended_precision(variant, M, N, pool,
     sizes = {(pool + [0.0])[i % (len(pool) + 1)] for i in picks} - {0.0}
     zs = (z, -0.5 * z, 0.9)
     rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in zs]
-    build = propagation._StepJets(range(lattice.K + 1), lattice.l, rows,
-                                  build_operators(M))
+    build = propagation._StepJets(range(lattice.K + 1), lattice.l, rows, M)
     for dt in sizes:
         R = build(dt, keep=True)
         dense = propagation._dense_steps(R.reshape(-1, N + 1, M, M))
@@ -578,7 +592,6 @@ def test_derivatives_large_shape_peak_memory():
     times = [0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0) / 14)
                      for i in range(15)]
     data, rows = _stacks(affine_model(1.0, 0.2), lattice, [0.3], 2)
-    ops = build_operators(lattice.M)
     jet_bytes = (lattice.K + 1) * 3 * lattice.M ** 2 * 8
     started = not tracemalloc.is_tracing()
     if started:
@@ -586,7 +599,7 @@ def test_derivatives_large_shape_peak_memory():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        for _ in propagation.propagate(data, rows, lattice.l, ops,
+        for _ in propagation.propagate(data, rows, lattice.l,
                                        np.diff(times, prepend=0.0)):
             pass
         peak = tracemalloc.get_traced_memory()[1] - base
@@ -608,7 +621,7 @@ def test_taylor_jets_against_extended_precision(N, M):
     model = MODELS["trig"]
     ks = (0, 1, 8, 16)
     rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in (-0.7, 0.4)]
-    build = propagation._StepJets(ks, lattice.l, rows, build_operators(M))
+    build = propagation._StepJets(ks, lattice.l, rows, M)
     norms = build.sorted_norms[1]
     for target in range(10):
         dt = 0.75 * propagation._THETA25 * 2.0 ** target / norms[-1]
@@ -630,8 +643,8 @@ def test_mode0_closed_form_against_extended_precision(N):
     model = MODELS["polynomial"]
     rows = [[sigma_eval(model, z, n) for n in range(N + 1)]
             for z in (-0.9, 0.2, 0.7)]
-    build = propagation._StepJets([0], 1.0, rows, build_operators(M))
-    assert build.stream.shape[0] == 0
+    build = propagation._StepJets([0], 1.0, rows, M)
+    assert build.kl.shape[0] == 0
     for dt in STEP_SIZES + (50.0,):
         dense = propagation._dense_steps(build(dt)[:, 0])
         for i, row in enumerate(rows):
@@ -647,21 +660,35 @@ def test_no_step_calls_lapack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", never)
     monkeypatch.setattr(np.linalg, "inv", never)
-    ops = build_operators(LAT.M)
     for path in ("jets", "ladder"):
         monkeypatch.setattr(propagation, "_ladder", _take(path))
         for N in (0, 1):
             data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), N)
             assert len(list(propagation.propagate(
-                data, rows, LAT.l, ops, [0.0, 0.1, 0.3, 0.0, 2.5]))) == 5
+                data, rows, LAT.l, [0.0, 0.1, 0.3, 0.0, 2.5]))) == 5
 
 
 def test_step_sizes_checked_before_the_first_sample():
     data, rows = _stacks(MODELS["affine"], LAT, (0.2,), 1)
-    ops = build_operators(LAT.M)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(UsageError, match="step size"):
-            next(propagation.propagate(data, rows, LAT.l, ops, [0.1, bad]))
+            next(propagation.propagate(data, rows, LAT.l, [0.1, bad]))
+
+
+@pytest.mark.parametrize("case", ["few_columns", "many_columns",
+                                  "row_count", "ragged_rows", "3d_data"])
+def test_shapes_checked_before_the_first_sample(case):
+    # data at Z = 2, N = 2 need sigma rows of shape (2, 3): a row too short
+    # would leave levels 1..2 of every sample unwritten
+    data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.5), 2)
+    rows = np.array(rows)
+    bad = {"few_columns": (data, rows[:, :1]),
+           "many_columns": (data, np.hstack([rows, rows[:, :1]])),
+           "row_count": (data, rows[:1]),
+           "ragged_rows": (data, [list(rows[0]), list(rows[1, :2])]),
+           "3d_data": (data[0], rows[:1])}[case]
+    with pytest.raises(UsageError, match="shape"):
+        next(propagation.propagate(*bad, LAT.l, [0.1]))
 
 
 def test_ladder_selection():
@@ -671,7 +698,7 @@ def test_ladder_selection():
     # and a z whose rungs exceed ten sets of its step jets take the jets path
     def choice(lattice, rows, once):
         build = propagation._StepJets(range(lattice.K + 1), lattice.l, rows,
-                                      build_operators(lattice.M))
+                                      lattice.M)
         return propagation._ladder(build, once)
 
     def at(zs, N):
@@ -712,11 +739,10 @@ def test_a_z_alone_and_in_a_batch_give_the_same_bits():
     # derivatives log grid equals, bit for bit, the same z stepped alone
     lattice = ModeLattice(K=4, L=2 * math.pi, M=20)
     data, rows = _stacks(LARGE_MODEL, lattice, np.linspace(-1.0, 1.0, 40), 0)
-    ops = build_operators(lattice.M)
-    batch = list(propagation.propagate(data, rows, lattice.l, ops, LARGE_DTS))
+    batch = list(propagation.propagate(data, rows, lattice.l, LARGE_DTS))
     for i in range(len(data)):
         alone = propagation.propagate(data[i:i + 1], rows[i:i + 1], lattice.l,
-                                      ops, LARGE_DTS)
+                                      LARGE_DTS)
         for a, b in zip(alone, batch, strict=True):
             assert np.array_equal(a[0], b[i]), i
 
@@ -725,9 +751,8 @@ def test_ladder_base_is_the_jets_build_at_the_base_step():
     # rung 0 of a jet is, bit for bit, the jets path's build at the jet's
     # own base step h = 2^(1-e), which has s = 0 and c = -2
     rows = [[sigma_eval(MODELS["trig"], 0.4, n) for n in range(3)]]
-    ops = build_operators(20)
     for k in (1, 5, 16):
-        build = propagation._StepJets([k], 1.0, rows, ops)
+        build = propagation._StepJets([k], 1.0, rows, 20)
         e = build.sorted_norms[2]
         base = build.base()
         assert np.array_equal(base, build(float(np.ldexp(1.0, 1 - e[0])))[0])
@@ -743,8 +768,7 @@ def test_long_horizons_take_the_jets_path(N, times):
     # raise) and hold at most 10.8 arrays of one set of step jets
     data, rows = _stacks(LARGE_MODEL, LARGE, [0.3], N)
     dts = np.diff(times, prepend=0.0)
-    build = propagation._StepJets(range(LARGE.K + 1), LARGE.l, rows,
-                                  build_operators(LARGE.M))
+    build = propagation._StepJets(range(LARGE.K + 1), LARGE.l, rows, LARGE.M)
     assert propagation._ladder(build, [dt for dt in dts if dt]) is None
     jet_bytes = (LARGE.K + 1) * (N + 1) * LARGE.M ** 2 * 8
     peak = _peak_bytes(LARGE, [0.3], dts, N)
@@ -787,8 +811,7 @@ def test_squarings_stop_once_the_rest_is_zero(N, dt, monkeypatch):
 
     monkeypatch.setattr(propagation, "_jet_mul", spy)
     rows = [[sigma_eval(LARGE_MODEL, 0.3, n) for n in range(N + 1)]]
-    build = propagation._StepJets(range(LARGE.K + 1), LARGE.l, rows,
-                                  build_operators(LARGE.M))
+    build = propagation._StepJets(range(LARGE.K + 1), LARGE.l, rows, LARGE.M)
     R = build(dt)
     # six even powers and three Taylor products before the squarings
     assert calls[0] == 6 + 3 + propagation._ZERO_CHECK
@@ -818,14 +841,13 @@ def test_repeated_step_sizes_take_the_jets_path(zs, dts, limit, monkeypatch):
 def _peak_bytes(lattice, zs, dts, N=0):
     """tracemalloc peak of a run of propagate above its inputs."""
     data, rows = _stacks(affine_model(1.0, 0.2), lattice, zs, N)
-    ops = build_operators(lattice.M)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        for _ in propagation.propagate(data, rows, lattice.l, ops, dts):
+        for _ in propagation.propagate(data, rows, lattice.l, dts):
             pass
         return tracemalloc.get_traced_memory()[1] - base
     finally:
