@@ -69,7 +69,8 @@ eigenvalue 2 sigma - 2 mu of multiplicity M - 5.  A0 and B0 are real and
 sit on even offsets from the diagonal, A1 and B1 are purely imaginary and
 sit on odd ones, so with D = diag(i^m) the matrix D^-1 S_k(sigma) D is
 real symmetric (entry (p, q) times i^(q-p), exact), and u -> -u, the mode
--k, gives the complex conjugate of S_k(sigma).
+-k, gives the complex conjugate of S_k(sigma).  verify_grid builds the
+corner only and takes the tail in closed form, at a cost free of M.
 """
 
 from __future__ import annotations
@@ -461,31 +462,30 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int):
 
     S_k(sigma) = A_k + sigma B_k is affine in u = 1/k: A_k = A0 + u A1 and
     B_k = B0 + u B1, with four pieces that do not depend on k (see
-    _inequality_pieces).  They are assembled densely at size M, once per
-    call, and turned to the real frame D = diag(i^m): entry (p, q) times
-    i^(q-p), which is exact and keeps the spectrum and every entry's
-    modulus.  Outside the leading 5 x 5 corner each piece must be exactly
-    diagonal, and in the real frame it must be exactly real (see the
-    module docstring).  Both are checked on the four pieces, comparing
-    with exact zeros, and a NumericError is raised if either fails.  Exact
-    zeros stay exact under u * 0 and x + 0, so the checks cover A_k and
-    B_k for every integer k, k = 0 excluded (DomainError); a negative k is
-    the mode -|k|, u = -1/|k|, and a k that is not an integer is a
-    UsageError, as is a sigma that is not finite and positive.  The
-    spectrum of S_k(sigma) is then the spectrum of its real symmetric
-    corner, found by one batched eigensolve with one 5 x 5 corner per k
-    and distinct sigma (each corner is solved on its own, so repeated
-    sigmas change no bit), together with its diagonal entries beyond the
-    corner, which are 2 sigma - 2 mu.  Returns (mins, norms),
-    both of shape (len(k), len(sigma)): the minimum eigenvalue and the
-    max-norm of S_k(sigma) at each point, the norm the larger of the
-    corner's and the tail's, which is the natural scale for an eigenvalue
-    tolerance.
+    _inequality_pieces).  Beyond its leading 5 x 5 corner S_k(sigma) is
+    (2 sigma - 2 mu) I (module docstring), so the pieces are assembled at
+    the corner size only, once per call, and turned to the real frame
+    D = diag(i^m): entry (p, q) times i^(q-p), which is exact and keeps
+    the spectrum and every entry's modulus.  There each piece must be
+    exactly real, else a NumericError is raised; exact zeros stay exact
+    under u * 0 and x + 0, so this covers A_k and B_k for every integer k.
+    k = 0 is a DomainError, and a negative k is the mode -|k|.  A k or M
+    that is not an integer (an integral float is one), an M below
+    MIN_HERMITE and a sigma that is not finite and positive are
+    UsageErrors.  The spectrum of S_k(sigma) is that of its real symmetric
+    corner, from one batched eigensolve with one corner per k and
+    distinct sigma (each solved on its own, so repeated sigmas change no
+    bit), plus the tail eigenvalue 2 sigma - 2 mu in closed form when
+    M > 5.  Nothing of size M is built, so the cost does not depend on M.
+    Returns (mins, norms), both of shape (len(k), len(sigma)): the minimum
+    eigenvalue and the max-norm of S_k(sigma) at each point, the norm the
+    larger of the corner's and the tail's, which is the natural scale for
+    an eigenvalue tolerance.
 
     For alpha > 0 the tail never binds: the corner's entry (3, 3) is
     2 sigma - 6 l alpha - 2 mu, below the tail, and its entry (4, 4) is
     2 sigma - 2 mu itself.  The tail is still included, so the result is
-    the spectrum of the matrix as assembled, whatever alpha and mu hold.
+    the spectrum of the whole matrix, whatever alpha and mu hold.
     """
     ks = np.asarray(k_values, dtype=float)
     bad = ks[~(np.isfinite(ks) & (ks == np.round(ks)))]
@@ -494,39 +494,34 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int):
     sigmas = np.asarray(sigma_values, dtype=float)
     if not np.all((sigmas > 0.0) & (sigmas < np.inf)):
         raise UsageError("collision frequencies must be positive and finite")
-    ops = build_operators(M)
+    try:
+        whole = M == math.floor(M)
+    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
+        whole = False
+    if not whole:
+        raise UsageError(f"the number of Hermite terms must be an integer, got M={M}")
+    if M < MIN_HERMITE:
+        raise UsageError(f"need at least {MIN_HERMITE} Hermite terms, got M={M}")
     if np.any(ks == 0.0):
         raise DomainError("the certified inequality concerns modes k != 0 only")
-    c, tail = _CORNER, np.arange(_CORNER, M)
-    outside = np.ones((M, M), dtype=bool)
-    outside[:c, :c] = False
-    outside[tail, tail] = False
-    idx = np.arange(M)
+    idx = np.arange(_CORNER)
     frame = _I_POWERS[np.subtract.outer(idx, idx) % 4].conj()   # i^(q-p)
-    pieces = [mat * frame for mat in
-              _inequality_pieces(cert.l, cert.alpha, cert.mu, ops)]
-    for mat in pieces:
-        if np.any(mat[outside]):
-            raise NumericError(
-                f"the inequality matrix is not a {c} x {c} corner plus "
-                f"a diagonal at M={M}")
-        if np.any(mat.imag):
-            raise NumericError(
-                f"the inequality matrix is not real in the frame diag(i^m) "
-                f"at M={M}")
+    pieces = [mat * frame for mat in _inequality_pieces(
+        cert.l, cert.alpha, cert.mu, build_operators(_CORNER))]
+    if any(np.any(mat.imag) for mat in pieces):
+        raise NumericError(
+            f"the inequality matrix is not real in the frame diag(i^m) at M={M}")
     # rows: A0, A1, B0, B1; then A_k, B_k for every k
-    corners = np.array([mat.real[:c, :c] for mat in pieces])
-    diags = np.array([mat.real[tail, tail] for mat in pieces])
+    corners = np.array([mat.real for mat in pieces])
     u = 1.0 / ks
     A, B = corners[0::2, None] + u[:, None, None] * corners[1::2, None]
-    a, b = diags[0::2, None] + u[:, None] * diags[1::2, None]
     # each distinct sigma is solved once and scattered back to every point
     # holding it
     distinct, where = np.unique(sigmas, return_inverse=True)
     corner = A[:, None] + distinct[:, None, None] * B[:, None]
-    diag = a[:, None] + distinct[:, None] * b[:, None]
-    mins = np.minimum(np.linalg.eigvalsh(corner)[..., 0],
-                      diag.min(axis=-1, initial=np.inf))
-    norms = np.maximum(np.abs(corner).max(axis=(-2, -1)),
-                       np.abs(diag).max(axis=-1, initial=0.0))
+    mins = np.linalg.eigvalsh(corner)[..., 0]
+    norms = np.abs(corner).max(axis=(-2, -1))
+    if M > _CORNER:
+        tail = -2.0 * cert.mu + distinct * 2.0
+        mins, norms = np.minimum(mins, tail), np.maximum(norms, np.abs(tail))
     return mins[:, where], norms[:, where]

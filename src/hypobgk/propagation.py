@@ -774,7 +774,6 @@ class ExactPropagator:
         self.levels = levels
         self.z = z
         self.sigma_derivs = [sigma_eval(model, z, i) for i in range(levels + 1)]
-        self.ops = build_operators(lattice.M)
 
     def step_matrix(self, k: int, dt: float) -> np.ndarray:
         """exp(-dt G_k), expanded from the jets of mode k at dt."""

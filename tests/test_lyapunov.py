@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,23 +424,49 @@ def test_verify_grid_rejects_sigma_not_positive_and_finite(sigma):
 
 
 def test_verify_grid_checks_block_structure_exactly(monkeypatch):
-    # one tiny entry outside the corner and off the diagonal (at an even
-    # offset, so it stays real in the frame diag(i^m)), or one that is not
-    # real in that frame, in any one of the four k-independent pieces must
-    # raise
+    # one tiny entry that is not real in the frame diag(i^m), in any one of
+    # the four k-independent corner pieces, must raise
     pieces = lyapunov._inequality_pieces
     cert = certify(2.0 * math.pi, 1.0, 1.0)
     for which in range(4):
-        for entries, value in ((((5, 7), (7, 5)), 1e-300), (((0, 0),), 1e-300j)):
-            def perturbed(*args, which=which, entries=entries, value=value):
-                out = [mat.astype(complex) for mat in pieces(*args)]
-                for entry in entries:
-                    out[which][entry] += value
-                return tuple(out)
+        def perturbed(*args, which=which):
+            out = [mat.astype(complex) for mat in pieces(*args)]
+            out[which][0, 0] += 1e-300j
+            return tuple(out)
 
-            monkeypatch.setattr(lyapunov, "_inequality_pieces", perturbed)
-            with pytest.raises(NumericError):
-                verify_grid(cert, [1], np.array([1.0]), 8)
+        monkeypatch.setattr(lyapunov, "_inequality_pieces", perturbed)
+        with pytest.raises(NumericError, match="not real"):
+            verify_grid(cert, [1], np.array([1.0]), 8)
+
+
+@pytest.mark.parametrize("M", [0, 4, 5.5])
+def test_verify_grid_rejects_bad_hermite_count(M):
+    cert = certify(2.0 * math.pi, 1.0, 1.0)
+    message = "integer" if M == 5.5 else "at least 5 Hermite terms"
+    with pytest.raises(UsageError, match=message):
+        verify_grid(cert, [1], np.array([1.0]), M)
+    # an integral float is the count itself
+    assert np.array_equal(verify_grid(cert, [2], np.array([1.0]), 8.0),
+                          verify_grid(cert, [2], np.array([1.0]), 8))
+
+
+def test_verify_grid_is_the_same_for_every_m_beyond_the_corner():
+    # the tail (2 sigma - 2 mu) I is taken in closed form, so nothing of
+    # size M is built and every M >= 6 gives the same bits
+    cert = certify(3.0, 0.6, 2.4)
+    ks, sigmas = [1, 2, 7, -3, 50], np.linspace(0.6, 2.4, 5)
+    results = {}
+    # at the second mu the tail 2 sigma - 2 mu is negative
+    for mu in (cert.mu, 5.0 * cert.sigma_max):
+        bad = dataclasses.replace(cert, mu=mu)
+        for M in (6, 7, 40, 10**6):
+            tracemalloc.start()
+            results[M] = np.stack(verify_grid(bad, ks, sigmas, M)).tobytes()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # the peak of the M = 10**6 call; one dense M x M piece is 16 TB
+        assert peak < 4 * 2**20
+        assert len(set(results.values())) == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -195,9 +195,10 @@ def test_step_matrix_against_dense_expm(variant, M, N):
     K, z = 16, -0.6
     lattice = ModeLattice(K=K, L=2 * math.pi, M=M)
     prop = ExactPropagator(lattice, MODELS[variant], z, N)
+    ops = build_operators(lattice.M)
     for dt in STEP_SIZES:
         for k in (0, 1, K):
-            G = augmented_generator(k, lattice.l, prop.sigma_derivs, prop.ops)
+            G = augmented_generator(k, lattice.l, prop.sigma_derivs, ops)
             dense = scipy.linalg.expm(-dt * G)
             assert _rel_err(prop.step_matrix(k, dt), dense) < 2e-13, (dt, k)
 
@@ -238,9 +239,10 @@ def test_core_drops_step_jets_after_their_last_use(monkeypatch):
 def test_opposite_modes_give_conjugate_step_matrices(k, dt, z, N, variant):
     lattice = ModeLattice(K=6, L=2 * math.pi, M=8)
     prop = ExactPropagator(lattice, MODELS[variant], z, N)
-    G = augmented_generator(k, lattice.l, prop.sigma_derivs, prop.ops)
+    ops = build_operators(lattice.M)
+    G = augmented_generator(k, lattice.l, prop.sigma_derivs, ops)
     assert np.array_equal(
-        augmented_generator(-k, lattice.l, prop.sigma_derivs, prop.ops),
+        augmented_generator(-k, lattice.l, prop.sigma_derivs, ops),
         G.conj())
     plus, minus = prop.step_matrix(k, dt), prop.step_matrix(-k, dt)
     assert np.max(np.abs(minus - plus.conj())) <= 1e-15 * np.max(np.abs(plus))
