@@ -3,9 +3,10 @@
 All commands read a single JSON configuration file and write CSV files
 into an output directory.  Exit codes: 0 on success, 1 when a certified
 envelope or inequality check fails (a proven bound was violated, so
-this is a correctness alarm), 2 for invalid input of any kind, 3 for
-numerical failure, 4 for an internal error (an unexpected exception,
-reported on one line without a traceback).
+this is a correctness alarm), 2 for invalid input of any kind or an
+output file that cannot be written, 3 for numerical failure, 4 for an
+internal error (an unexpected exception, reported on one line without a
+traceback).
 
 Result rows share one fixed schema
 
@@ -34,17 +35,20 @@ trig sigma, start next to times), is invalid input like any other.
 
 simulate, derivatives and each sweep point run all z samples through
 the propagation core at once and keep only the entropy of each sample,
-evaluated on the core's real-frame data.  A sweep formats the z,t,level
-fields of its rows once and shares them between its points.
-Each CSV line is one %-template of %.17g fields applied to one (z, t)
-cell of those arrays, with \r\n line endings and run_id quoted once by
-the csv module's rules: the same bytes as format(x, ".17g") per value
-through csv.writer, at a fraction of the cost.  The times are formatted
-once per run.  In the columns whose values repeat across rows (verify's
-sigma, min_eigenvalue and threshold, and the envelopes) each distinct
-value is formatted once (_formatted) and enters the template as a
-string.  _write_csv consumes the lines lazily, so formatting happens
-while the file is written.
+evaluated on the core's real-frame data.  The samples are copied into a
+block of up to _STEPS time steps, and each level's entropies are read
+over a whole block in one entropy_series call.  A sweep formats the
+z,t,level fields of its rows once and shares them between its points.
+Every CSV is written as blocks of up to _BLOCK rows (_lines): the
+columns are interleaved into one flat list and one %-template of the
+block's rows, %.17g for floats, formats them at once, with \r\n line
+endings and run_id quoted once by the csv module's rules.  These are the
+same bytes as format(x, ".17g") per value through csv.writer, at a
+fraction of the cost.  The times are formatted once per run.  In the
+columns whose values repeat across rows (verify's sigma and threshold,
+and the envelopes) each distinct value is formatted once (_formatted)
+and enters the template as a string.  _write_csv consumes the blocks
+lazily, so formatting happens while the file is written.
 """
 
 from __future__ import annotations
@@ -110,13 +114,18 @@ EXIT_INTERNAL = 4
 
 
 _FLOAT = "%.17g"     # 17 significant digits round-trip any double exactly
+_BLOCK = 4096        # CSV rows formatted by one %-template (_lines)
+_STEPS = 27          # time steps whose entropies one entropy_series call reads
 
 
 def _formatted(values) -> np.ndarray:
     """%.17g of each entry of values, as an object array of their shape.
 
-    Each distinct value is formatted once.  Values are told apart by their
-    bit patterns, not by float equality: -0.0 and 0.0 print differently.
+    For columns whose values repeat: each distinct value is formatted
+    once, and the text enters a _lines template as a string.  Values are
+    told apart by their bit patterns, not by float equality: -0.0 and 0.0
+    print differently.  A column of distinct values is cheaper passed to
+    _lines as floats.
     """
     values = np.ascontiguousarray(values, dtype=float)
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
@@ -133,12 +142,26 @@ def _template_field(text: str) -> str:
 
 
 def _lines(template: str, *columns):
-    """Yield the CSV line template % row for each row of the columns.
+    """Yield the CSV text of the rows of the columns, one string per block
+    of up to _BLOCK rows.
 
-    Arrays are converted to lists first, so %.17g formats Python floats.
+    template is the line of one row; row r fills it with column[r] of each
+    column, in order, and all columns have the same length.  A block's
+    columns are interleaved into one flat list by slice assignment, and
+    the template repeated once per row formats them in one % operation.
+    Array slices are converted to lists first, so %.17g formats Python
+    floats.
     """
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    yield from map(template.__mod__, zip(*columns))
+    width = len(columns)
+    rows = len(columns[0]) if columns else 0
+    for start in range(0, rows, _BLOCK):
+        stop = min(start + _BLOCK, rows)
+        flat = [None] * ((stop - start) * width)
+        for i, column in enumerate(columns):
+            part = column[start:stop]
+            flat[i::width] = part.tolist() if isinstance(part, np.ndarray) \
+                else part
+        yield (template * (stop - start)) % tuple(flat)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -539,18 +562,24 @@ def _with_offset(model: CollisionFrequencyModel,
     return CollisionFrequencyModel(model.variant, params, model.z_lo, model.z_hi)
 
 
-def _write_csv(path: Path, header, lines, seed: int | None = None) -> None:
-    """Write the header and the lines, formatted lazily by _lines.
+def _write_csv(path: Path, header, blocks, seed: int | None = None) -> None:
+    """Write the header and the blocks of rows that _lines yields, each
+    formatted only when it is written.
 
     Lines end in \r\n, as the csv module ends its rows; the header names
-    need no quoting.
+    need no quoting.  A directory or file that cannot be made or written
+    is a ConfigError naming the file.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        if seed is not None:
-            fh.write(f"# seed={seed}\n")
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(lines)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="") as fh:
+            if seed is not None:
+                fh.write(f"# seed={seed}\n")
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(blocks)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _certificate_values(cert: Certificate) -> list[tuple[str, float]]:
@@ -594,9 +623,9 @@ def cmd_certify(cfg: RunConfig) -> int:
     width = max(len(name) for name, _ in lines)
     for name, value in lines:
         print(f"{name:<{width}} = {value:.12g}")
-    rows = _certificate_values(cert) + chat
+    names, values = zip(*_certificate_values(cert), *chat)
     _write_csv(cfg.out_dir / "certificate.csv", ("name", "value"),
-               map(f"%s,{_FLOAT}\r\n".__mod__, rows))
+               _lines(f"%s,{_FLOAT}\r\n", names, values))
     return EXIT_OK
 
 
@@ -615,10 +644,12 @@ def cmd_verify(cfg: RunConfig, inflate_mu: float = 1.0) -> int:
     thresholds = -cfg.eig_tol_factor * norms
     ok = mins >= thresholds
     sigma_text = _formatted(sigmas).tolist()
+    # every minimum of a model that is not constant is distinct, so they
+    # enter the template as floats
     _write_csv(cfg.out_dir / "verify.csv", VERIFY_HEADER,
-               _lines("%s,%s,%s,%s\r\n",
+               _lines(f"%s,{_FLOAT},%s,%s\r\n",
                       [f"{k},{s}" for k in ks for s in sigma_text],
-                      _formatted(mins).ravel(), _formatted(thresholds).ravel(),
+                      mins.ravel(), _formatted(thresholds).ravel(),
                       np.where(ok, "pass", "fail").ravel()))
     n_fail = int(np.size(ok) - np.count_nonzero(ok))
     if n_fail:
@@ -659,14 +690,23 @@ def _entropies(cfg: RunConfig, cert: Certificate, lattice: ModeLattice,
 
     All z samples go through the propagation core at once, and only the
     entropies of each sample are kept, read from its real-frame data.
+    The samples are copied into a block of up to _STEPS steps, and each
+    full block, and the last one, is read in one entropy_series call per
+    level.
     """
-    n_lvl = data.shape[2]
-    E = np.empty((n_lvl, len(data), len(cfg.times)))
+    n_lvl, n_t = data.shape[2], len(cfg.times)
+    E = np.empty((n_lvl, len(data), n_t))
     samples = propagate(data, sigma_rows, lattice.l,
                         np.diff(cfg.times, prepend=0.0))
+    block = np.empty((min(_STEPS, n_t),) + data.shape + (2,))
     for j, sample in enumerate(samples):
-        for n in range(n_lvl):
-            E[n, :, j] = entropy_series(sample, n, cert.alpha)
+        b = j % len(block)
+        block[b] = sample
+        if b + 1 == len(block) or j + 1 == n_t:
+            j0 = j - b
+            for n in range(n_lvl):
+                E[n, :, j0:j + 1] = entropy_series(block[:b + 1], n,
+                                                   cert.alpha).T
     return E
 
 
@@ -704,7 +744,7 @@ def _lead(keys, times: list[str]) -> list[str]:
 
 def _result_lines(run_id: str, keys, times: list[str], observed, envelope,
                   ratio, tol: float, lead: list[str] | None = None):
-    """Yield the CSV lines of an (R, T) block of checked series.
+    """Yield the CSV text of an (R, T) block of checked series (_lines).
 
     Row r of observed and ratio is the series of keys[r] = (z, level) at
     the times, which come formatted; lead, when given, holds their
@@ -732,9 +772,9 @@ def _summary_rows(L: float, sigma0: float, zs, cert: Certificate,
 
 
 def _summary_lines(run_id: str, rows: list[tuple]):
-    """CSV lines of _summary_rows rows; run_id as in _result_lines."""
+    """CSV text of _summary_rows rows; run_id as in _result_lines."""
     template = f"{run_id}{f',{_FLOAT}' * 10},%s\r\n"
-    return map(template.__mod__, rows)
+    return _lines(template, *zip(*rows))
 
 
 def _write_summary(cfg: RunConfig, run_id: str, rows: list[tuple],

@@ -648,6 +648,26 @@ def test_exit_code_internal_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: RuntimeError: synthetic\n"
 
 
+@pytest.mark.parametrize("command, name", [("certify", "certificate.csv"),
+                                           ("sweep", "sweep_L000_s000.csv")])
+@pytest.mark.parametrize("sub, reason", [("", "File exists"),
+                                         ("sub", "Not a directory")],
+                         ids=["file", "under-a-file"])
+def test_unwritable_output_exits_invalid(tmp_path, capsys, command, name, sub,
+                                         reason):
+    # an output directory that is a file, or lies under one, is bad input
+    # of one line, not a defect of the program
+    path = write_config(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / sub if sub else afile
+    assert main([command, "--config", str(path), "--out", str(out)]) \
+        == cli.EXIT_INVALID
+    assert capsys.readouterr().err \
+        == f"error: cannot write {out / name}: {reason}\n"
+    assert afile.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("name", errors.__all__)
 def test_every_package_error_maps_to_its_exit_code(tmp_path, capsys,
                                                    monkeypatch, name):
@@ -725,6 +745,40 @@ def test_level0_commands_step_level0_only(tmp_path, monkeypatch, command):
     full = cli._entropies(cfg, cert, cfg.lattice, data, rows)
     assert full.shape[0] == 3 and E.shape == full[:1].shape
     assert np.max(np.abs(E[0] - full[0])) <= 1e-13 * E0[0]
+
+
+_B = cli._STEPS
+
+
+@pytest.mark.parametrize("levels", [0, 2])
+@pytest.mark.parametrize("steps, times", [
+    *((_B, [4.0 * j / max(n - 1, 1) for j in range(n)])
+      for n in (1, _B - 1, _B, _B + 1, 2 * _B + 1)),
+    *((steps, [0.0, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0, 2.0, 3.0])
+      for steps in (3, _B)),
+    *((steps, [1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0]) for steps in (3, _B)),
+], ids=["T1", "TB-1", "TB", "TB+1", "T2B+1", "repeated3", "repeatedB",
+        "late3", "lateB"])
+def test_blocked_entropies_match_per_sample_entropies(tmp_path, monkeypatch,
+                                                      levels, steps, times):
+    # entropies read over blocks of steps equal those read sample by sample,
+    # bit for bit: on T = 1, B - 1, B, B + 1 and 2B + 1 times, with zero
+    # steps inside and across blocks, and on a grid that starts after t = 0
+    monkeypatch.setattr(cli, "_STEPS", steps)
+    cfg = load_config(write_config(tmp_path, domain={"N": levels},
+                                   z_grid={"num": 3},
+                                   time_grid={"times": times}))
+    cert = cli._certify_config(cfg)
+    stack = cli.project_initial(cfg.initial, cfg.lattice, levels=levels)
+    data, rows, _ = cli._initial_stacks(cfg, cert, cfg.model, stack)
+    E = cli._entropies(cfg, cert, cfg.lattice, data, rows)
+    samples = cli.propagate(data, rows, cfg.lattice.l,
+                            np.diff(times, prepend=0.0))
+    expected = np.array([[entropy_series(sample, n, cert.alpha)
+                          for n in range(levels + 1)] for sample in samples])
+    assert E.shape == (levels + 1, 3, len(times))
+    assert E.tobytes() == expected.transpose(1, 2, 0).tobytes()
+    assert np.all(E > 0.0)
 
 
 @pytest.mark.parametrize("command", ["simulate", "derivatives", "sweep"])
@@ -930,9 +984,9 @@ _CSV_FLOATS = st.one_of(
        series=st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS), max_size=8),
        level=st.integers(0, 5), data=st.data())
 def test_csv_lines_match_the_csv_module(run_id, zs, series, level, data):
-    # the %-template lines of a (Z, T) block, one envelope over the times,
-    # equal per-value format(x, ".17g") through csv.writer, byte for byte,
-    # one line per z and time
+    # the %-template text of a (Z, T) block, one envelope over the times,
+    # equals per-value format(x, ".17g") through csv.writer, byte for byte,
+    # one row per z and time
     shape = (len(zs), len(series))
     cells = data.draw(st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS),
                                min_size=shape[0] * shape[1],
@@ -946,7 +1000,8 @@ def test_csv_lines_match_the_csv_module(run_id, zs, series, level, data):
         lines = list(cli._result_lines(
             cli._template_field(text), [(z, level) for z in zs], times,
             observed, np.array([env for _, env in series]), ratio, 1e-8))
-        assert len(lines) == shape[0] * shape[1]
+        text_rows = csv.reader(io.StringIO("".join(lines), newline=""))
+        assert len(list(text_rows)) == shape[0] * shape[1]
         buf = io.StringIO()
         writer = csv.writer(buf)
         for z, t, env, obs, r in rows:
@@ -963,6 +1018,61 @@ def test_csv_lines_match_the_csv_module(run_id, zs, series, level, data):
             [text] + [format(x, ".17g") for x in row * 2] + ["pass"]
             for row in rows)
         assert summary == buf.getvalue()
+
+
+def _csv_text(rows) -> str:
+    """rows through csv.writer, floats as format(x, ".17g")."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(
+        [format(x, ".17g") if isinstance(x, float) else x for x in row]
+        for row in rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_csv_writers_across_block_boundaries(tmp_path, monkeypatch, block):
+    # with blocks of 1, 2 and 3 rows, 10 or 11 rows end on a full block or
+    # in the middle of one; every writer's text equals the csv module's
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    path = write_config(tmp_path, verify={"k_max": 2, "sigma_points": 5})
+    cfg = load_config(path)
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    cert = cli._certify_config(cfg)
+    chat = cert.ctilde * cli.taylor_bound(cfg.model)
+    assert (out / "certificate.csv").read_bytes().decode() == _csv_text(
+        [("name", "value"), *cli._certificate_values(cert), ("chat", chat)])
+
+    sigmas = np.linspace(cert.sigma_min, cert.sigma_max, 5)
+    mins, norms = verify_grid(cert, [1, 2], sigmas, cfg.lattice.M)
+    thresholds = -cfg.eig_tol_factor * norms
+    assert (out / "verify.csv").read_bytes().decode() == _csv_text(
+        [cli.VERIFY_HEADER] + [
+            (str(k), float(s), float(mins[i, j]), float(thresholds[i, j]),
+             "pass" if mins[i, j] >= thresholds[i, j] else "fail")
+            for i, k in enumerate([1, 2]) for j, s in enumerate(sigmas)])
+
+    zs, times = [0.25, -0.0], [0.0, 0.5, 1.0, 2.0, 1e300]
+    rng = np.random.default_rng(7)
+    observed = rng.random((2, 5))
+    observed[1, 2] = 5e-324
+    envelope = np.array([1.0, 0.5, 0.5, 0.25, 0.0])
+    ratio = observed / np.maximum(envelope, 1.0)
+    ratio[0, 3] = 2.0
+    for run_id in ("r", 'a,b "c"', "50%"):
+        text = "".join(cli._result_lines(
+            cli._template_field(run_id), [(z, 1) for z in zs],
+            [cli._FLOAT % t for t in times], observed, envelope, ratio, 1e-8))
+        assert text == _csv_text(
+            (run_id, z, t, "1", observed[i, j].item(), envelope[j].item(),
+             ratio[i, j].item(), "pass" if ratio[i, j] <= 1 + 1e-8 else "fail")
+            for i, z in enumerate(zs) for j, t in enumerate(times))
+        rows = [(float(i), 0.5, z, 0.1, 0.2, 0.3, 0.4, 0.5, 1.5, w, v)
+                for i in range(5) for z, w, v in ((0.25, 0.5, "pass"),
+                                                  (-0.0, 2.0, "fail"))]
+        text = "".join(cli._summary_lines(cli._template_field(run_id), rows))
+        assert text == _csv_text((run_id, *row) for row in rows)
 
 
 @settings(max_examples=200, deadline=None)
