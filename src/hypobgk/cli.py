@@ -26,8 +26,12 @@ initial stacks break E_0(0) <= 1, are rejected before any propagation.
 Runs are deterministic: the same configuration produces byte-identical
 CSV files, and random initial data comes from a seeded generator whose
 seed is recorded in a header comment of each CSV it influenced.
---threads is accepted for compatibility; it must be >= 1 and selects
-nothing: sweep points run one after another.
+--threads N (N >= 1, default 1) is the number of processes a sweep may
+use: its grid points are cut in grid order into min(N, P) contiguous
+slices, and on Linux each slice after the first runs in a forked worker
+process (_in_processes).  This process writes every file, in grid
+order, so stdout, stderr, the exit code and the files written are those
+of a serial run.  Other commands run in one process whatever N is.
 
 One table, _SCHEMA, holds every config key with its kind and default.  A
 key it does not hold, or one of another form of its section (c1 under a
@@ -38,7 +42,9 @@ the propagation core at once and keep only the entropy of each sample,
 evaluated on the core's real-frame data.  The samples are copied into a
 block of up to _STEPS time steps, and each level's entropies are read
 over a whole block in one entropy_series call.  A sweep formats the
-z,t,level fields of its rows once and shares them between its points.
+z,t,level fields of its rows once and shares them between its points,
+and each point's CSV text is formatted whole by the process that ran
+the point.
 Every CSV is written as blocks of up to _BLOCK rows (_lines): the
 columns are interleaved into one flat list and one %-template of the
 block's rows, %.17g for floats, formats them at once, with \r\n line
@@ -48,20 +54,25 @@ fraction of the cost.  The times are formatted once per run.  In the
 columns whose values repeat across rows (verify's sigma and threshold,
 and the envelopes) each distinct value is formatted once (_formatted)
 and enters the template as a string.  _write_csv consumes the blocks
-lazily, so formatting happens while the file is written.
+lazily, so outside a sweep formatting happens while the file is
+written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import io
 import json
 import math
+import os
+import pickle
 import reprlib
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -868,8 +879,98 @@ def cmd_derivatives(cfg: RunConfig) -> int:
         f"pass: {len(cfg.z_points)} z-samples, levels 0..{cfg.levels}")
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    """Level-0 envelope runs over the (L, sigma0) grid, one file per point."""
+def _worker(fn, items, fd: int):
+    """Body of a worker process of _in_processes; it never returns.
+
+    Runs the items up to the first error, then sends, pickled through the
+    pipe fd, the list of (warnings, result) of each item run, the error
+    as the last result.  The results are sent at the end, so the worker
+    does not wait on a full pipe while the reader is busy.  The warnings
+    are those the filters let through, recorded instead of shown: a
+    worker writes nothing to stdout or stderr.
+    """
+    status = 1
+    try:
+        outcomes, shown = [], []
+        warnings.showwarning = lambda *message: shown.append(message[:4])
+        for item in items:
+            try:
+                result = fn(item)
+            except Exception as exc:
+                result = exc
+            outcomes.append((shown[:], result))
+            shown.clear()
+            if isinstance(result, Exception):
+                break
+        with open(fd, "wb") as pipe:
+            pickle.dump(outcomes, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _in_processes(fn, items: list, processes: int):
+    """Yield fn(item) for each item, in order, using up to processes
+    processes.
+
+    The items are cut into min(processes, len(items)) contiguous slices.
+    On Linux one worker process per slice after the first is forked (see
+    _worker), and then this process runs the first slice itself;
+    elsewhere every slice runs here.  The workers are read and reaped in
+    order.  Their results come pickled, so every float keeps its bits,
+    each with the warnings shown while it was made.  Those are shown here
+    and a worker's error is raised here, at the item it belongs to, so
+    the caller sees what one process running the items in order would
+    show.  A worker that ends without its results raises RuntimeError.
+    When the generator raises or is closed, the workers not yet reaped
+    are killed and reaped: close it with contextlib.closing.
+    """
+    n = max(min(processes, len(items)), 1) if sys.platform == "linux" else 1
+    cuts = [len(items) * s // n for s in range(n + 1)]
+    workers = []        # (pid, read end of its pipe) of each unreaped worker
+    try:
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _worker(fn, items[start:stop], write)
+            os.close(write)
+            workers.append((pid, open(read, "rb")))
+        for item in items[:cuts[1]]:
+            yield fn(item)
+        while workers:
+            pid, pipe = workers[0]
+            try:
+                with pipe:
+                    outcomes = pickle.load(pipe)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"worker process {pid} ended without its results") from exc
+            workers.pop(0)
+            os.waitpid(pid, 0)
+            for shown, result in outcomes:
+                for message in shown:
+                    warnings.showwarning(*message)
+                if isinstance(result, Exception):
+                    raise result
+                yield result
+    finally:
+        if workers:
+            from signal import SIGKILL      # on this path only
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def cmd_sweep(cfg: RunConfig, threads: int = 1) -> int:
+    """Level-0 envelope runs over the (L, sigma0) grid, one file per point.
+
+    Each point is certified, run, checked and formatted by one function,
+    in up to threads processes (_in_processes); this process writes the
+    points' files and the summary in grid order.
+    """
     times = [_FLOAT % t for t in cfg.times]
     run_id = _template_field(cfg.run_id)
     keys = [(z, 0) for z in cfg.z_points]
@@ -877,29 +978,36 @@ def cmd_sweep(cfg: RunConfig) -> int:
     lead = _lead(keys, times)
     # summary rows of a point in increasing z
     order = sorted(range(len(keys)), key=lambda i: cfg.z_points[i])
-    summary = []
     # the stack depends on K, M and N only: every period L shares it
     stack = project_initial(cfg.initial, cfg.lattice, levels=cfg.levels)
-    for i, Lv in enumerate(cfg.sweep_L_values):
-        for j, s0 in enumerate(cfg.sweep_sigma0_values):
-            model = _with_offset(cfg.model, s0)
-            lattice = ModeLattice(K=cfg.lattice.K, L=Lv, M=cfg.lattice.M)
-            cert = _certify_config(cfg, L=Lv, model=model)
-            E, env = _base_run(cfg, cert, model, lattice, stack)
-            ratio = _ratios(E, env)
-            _write_csv(cfg.out_dir / f"sweep_L{i:03d}_s{j:03d}.csv",
-                       RESULT_HEADER,
-                       _result_lines(run_id, keys, times, E[0], env,
-                                     ratio[0], cfg.envelope_tol, lead),
+
+    def run(point):
+        """File name, CSV text and summary rows of grid point (i, j)."""
+        i, j = point
+        Lv, s0 = cfg.sweep_L_values[i], cfg.sweep_sigma0_values[j]
+        model = _with_offset(cfg.model, s0)
+        lattice = ModeLattice(K=cfg.lattice.K, L=Lv, M=cfg.lattice.M)
+        cert = _certify_config(cfg, L=Lv, model=model)
+        E, env = _base_run(cfg, cert, model, lattice, stack)
+        ratio = _ratios(E, env)
+        text = "".join(_result_lines(run_id, keys, times, E[0], env, ratio[0],
+                                     cfg.envelope_tol, lead))
+        rows = _summary_rows(Lv, s0, cfg.z_points, cert, [ratio],
+                             cfg.envelope_tol)
+        return f"sweep_L{i:03d}_s{j:03d}.csv", text, [rows[k] for k in order]
+
+    points = [(i, j) for i in range(len(cfg.sweep_L_values))
+              for j in range(len(cfg.sweep_sigma0_values))]
+    summary = []
+    with contextlib.closing(_in_processes(run, points, threads)) as results:
+        for name, text, rows in results:
+            _write_csv(cfg.out_dir / name, RESULT_HEADER, [text],
                        seed=cfg.seed_used)
-            rows = _summary_rows(Lv, s0, cfg.z_points, cert, [ratio],
-                                 cfg.envelope_tol)
-            summary += [rows[k] for k in order]
-    n_points = len(cfg.sweep_L_values) * len(cfg.sweep_sigma0_values)
+            summary += rows
     return _write_summary(
         cfg, run_id, summary,
         "FAIL: envelope violated inside the sweep; see summary.csv",
-        f"pass: {n_points} sweep points x {len(cfg.z_points)} z-samples")
+        f"pass: {len(points)} sweep points x {len(cfg.z_points)} z-samples")
 
 
 @functools.cache
@@ -922,7 +1030,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
+                       help="processes a sweep may use (default 1); "
+                            "other commands use one")
         p.add_argument("--seed", type=int, default=None,
                        help="override the random initial-data seed")
         if name == "verify":
@@ -948,7 +1057,7 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg)
         if args.command == "derivatives":
             return cmd_derivatives(cfg)
-        return cmd_sweep(cfg)
+        return cmd_sweep(cfg, threads=args.threads)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

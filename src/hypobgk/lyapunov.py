@@ -70,7 +70,8 @@ sit on even offsets from the diagonal, A1 and B1 are purely imaginary and
 sit on odd ones, so with D = diag(i^m) the matrix D^-1 S_k(sigma) D is
 real symmetric (entry (p, q) times i^(q-p), exact), and u -> -u, the mode
 -k, gives the complex conjugate of S_k(sigma).  verify_grid builds the
-corner only and takes the tail in closed form, at a cost free of M.
+corner only, at a cost free of M: the tail eigenvalue is the corner's
+entry (4, 4), so it changes neither the minimum nor the max-norm.
 """
 
 from __future__ import annotations
@@ -475,17 +476,17 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int):
     UsageErrors.  The spectrum of S_k(sigma) is that of its real symmetric
     corner, from one batched eigensolve with one corner per k and
     distinct sigma (each solved on its own, so repeated sigmas change no
-    bit), plus the tail eigenvalue 2 sigma - 2 mu in closed form when
-    M > 5.  Nothing of size M is built, so the cost does not depend on M.
-    Returns (mins, norms), both of shape (len(k), len(sigma)): the minimum
-    eigenvalue and the max-norm of S_k(sigma) at each point, the norm the
-    larger of the corner's and the tail's, which is the natural scale for
+    bit), plus the tail eigenvalue 2 sigma - 2 mu when M > 5.  Nothing of
+    size M is built, so the cost does not depend on M.  Returns (mins,
+    norms), both of shape (len(k), len(sigma)): the minimum eigenvalue
+    and the max-norm of S_k(sigma) at each point, the natural scale for
     an eigenvalue tolerance.
 
-    For alpha > 0 the tail never binds: the corner's entry (3, 3) is
-    2 sigma - 6 l alpha - 2 mu, below the tail, and its entry (4, 4) is
-    2 sigma - 2 mu itself.  The tail is still included, so the result is
-    the spectrum of the whole matrix, whatever alpha and mu hold.
+    The tail needs no term of its own: the corner's entry (4, 4) is
+    2 sigma - 2 mu, with the tail's bits, so the corner's max-norm covers
+    the tail, and its smallest eigenvalue lies at or below that entry
+    (the Rayleigh quotient of e_4; tests pin it under LAPACK's rounding,
+    over certificates whose mu is inflated up to 1e30 times).
     """
     ks = np.asarray(k_values, dtype=float)
     bad = ks[~(np.isfinite(ks) & (ks == np.round(ks)))]
@@ -521,7 +522,4 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int):
     corner = A[:, None] + distinct[:, None, None] * B[:, None]
     mins = np.linalg.eigvalsh(corner)[..., 0]
     norms = np.abs(corner).max(axis=(-2, -1))
-    if M > _CORNER:
-        tail = -2.0 * cert.mu + distinct * 2.0
-        mins, norms = np.minimum(mins, tail), np.maximum(norms, np.abs(tail))
     return mins[:, where], norms[:, where]

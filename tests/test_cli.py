@@ -176,6 +176,16 @@ def test_commands_do_not_import_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+# a 2 x 2 sweep over 30 z of the sweep_ensemble benchmark's shape
+SWEEP_DOC = dict(
+    BASE, domain={"L": 2.0, "K": 4, "M": 20, "N": 0},
+    sigma={**BASE["sigma"], "c1": 0.2},
+    time_grid={"start": 0.0, "stop": 20.0, "num": 81},
+    z_grid={"num": 30}, alpha_strategy="fraction:0.5",
+    initial_data={"type": "random", "seed": 12, "scale": 0.5},
+    sweep={"L_values": [2.0, 8.0], "sigma0_values": [0.8, 2.5]})
+
+
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a derivatives run of 180 x 180 generators on 15 log-spaced times and
     # a 2 x 2 sweep over 30 z, each in a fresh process at 1 and at 2 BLAS
@@ -189,13 +199,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             time_grid={"times": [0.0] + log_times},
             alpha_strategy="optimize",
             initial_data={"type": "random", "seed": 11, "scale": 0.01}),
-        "sweep": dict(
-            BASE, domain={"L": 2.0, "K": 4, "M": 20, "N": 0},
-            sigma={**BASE["sigma"], "c1": 0.2},
-            time_grid={"start": 0.0, "stop": 20.0, "num": 81},
-            z_grid={"num": 30}, alpha_strategy="fraction:0.5",
-            initial_data={"type": "random", "seed": 12, "scale": 0.5},
-            sweep={"L_values": [2.0, 8.0], "sigma0_values": [0.8, 2.5]}),
+        "sweep": SWEEP_DOC,
     }
     src = str(Path(cli.__file__).resolve().parents[1])
     for command, doc in docs.items():
@@ -216,6 +220,30 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                                        for p in out.iterdir()}))
         assert len(runs[0][1]) == (3 if command == "derivatives" else 5)
         assert runs[0] == runs[1]
+
+
+def test_sweep_processes_do_not_change_outputs_under_blas_threads(tmp_path):
+    # workers forked from a process that holds a BLAS thread pool: a sweep
+    # at 2 BLAS threads writes the same bytes and stdout at 1 and at 2
+    # processes
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(SWEEP_DOC))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "hypobgk.cli", "sweep", "--config",
+             str(path), "--out", str(out), "--threads", threads],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        runs.append((done.stdout, {p.name: p.read_bytes()
+                                   for p in out.iterdir()}))
+    assert len(runs[0][1]) == 5
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("run_id", ["../x", "a/b", "a\\b", "a\0b", ".", ".."])
@@ -457,6 +485,132 @@ def test_sweep_thread_count_does_not_change_output(tmp_path):
         outs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert len(outs[0]) == 5
     assert outs[0] == outs[1] == outs[2]
+    assert_no_children()
+
+
+def assert_no_children():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the four points of a 2 x 2 sweep, in grid order
+SWEEP_POINTS = [(L, s0) for L in (math.pi, 2 * math.pi) for s0 in (1.0, 1.5)]
+
+
+def patch_points(monkeypatch, at_point):
+    """Make each point of a 2 x 2 sweep (SWEEP_POINTS) go through
+    at_point(index, E, env), which returns its (E, env)."""
+    base_run = cli._base_run
+
+    def patched(cfg, cert, model, lattice, stack):
+        index = SWEEP_POINTS.index((lattice.L, model.params[0]))
+        return at_point(index, *base_run(cfg, cert, model, lattice, stack))
+
+    monkeypatch.setattr(cli, "_base_run", patched)
+
+
+def run_sweep(tmp_path, capsys, name, threads):
+    """Exit code, stdout, stderr, (category, text, file, line) of each
+    warning and the output files of the 2 x 2 sweep into tmp_path/name."""
+    path = write_config(tmp_path, z_grid={"num": 3},
+                        sweep={"L_values": [math.pi, 2 * math.pi],
+                               "sigma0_values": [1.0, 1.5]})
+    out = tmp_path / name
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sweep", "--config", str(path), "--out", str(out),
+                     "--threads", str(threads)])
+    assert_no_children()
+    files = {p.name: p.read_bytes() for p in out.iterdir()} \
+        if out.exists() else {}
+    return (code, *capsys.readouterr(),
+            [(w.category, str(w.message), w.filename, w.lineno)
+             for w in caught], files)
+
+
+def _raise_at(point, error):
+    def at_point(index, E, env):
+        if index == point:
+            raise error("synthetic")
+        return E, env
+    return at_point
+
+
+def _halve_envelope_at(point):
+    def at_point(index, E, env):
+        return E, env * (0.5 if index == point else 1.0)
+    return at_point
+
+
+def _warn_at_each(index, E, env):
+    warnings.warn(f"point {index}", UserWarning)
+    return E, env
+
+
+@pytest.mark.parametrize("at_point, code", [
+    (_raise_at(2, NumericError), cli.EXIT_NUMERIC),
+    (_raise_at(2, errors.DataError), cli.EXIT_INVALID),
+    (_raise_at(0, NumericError), cli.EXIT_NUMERIC),
+    (_raise_at(3, RuntimeError), cli.EXIT_INTERNAL),
+    (_halve_envelope_at(2), cli.EXIT_ALARM),
+    (_warn_at_each, cli.EXIT_OK),
+], ids=["numeric-third", "data-third", "numeric-first", "internal-last",
+        "envelope-third", "warnings"])
+def test_sweep_paths_do_not_depend_on_the_process_count(
+        tmp_path, capsys, monkeypatch, at_point, code):
+    # an error, a violated envelope or a warning at one point of four: the
+    # exit code, stdout, stderr, the warnings and the files written are
+    # those of the serial run at 2 and 4 processes, and no process is left
+    patch_points(monkeypatch, at_point)
+    runs = [run_sweep(tmp_path, capsys, f"out{n}", n) for n in (1, 2, 4)]
+    assert runs[0][0] == code
+    assert runs[0] == runs[1] == runs[2]
+    code, out, err, shown, files = runs[0]
+    if at_point is _warn_at_each:
+        assert [text for _, text, _, _ in shown] == \
+            [f"point {i}" for i in range(4)]
+        assert len(files) == 5
+    elif code == cli.EXIT_ALARM:
+        assert "FAIL" in out and len(files) == 5
+    else:
+        # the files of the points before the failing one, no summary
+        assert out == "" and "synthetic" in err
+        assert "summary.csv" not in files
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_a_dying_sweep_worker_is_an_internal_error(tmp_path, capsys,
+                                                   monkeypatch, threads):
+    # a worker that ends without its results is a defect of the program
+    # (exit 4), never a violated bound, and leaves no process behind
+    parent = os.getpid()
+
+    def at_point(index, E, env):
+        if os.getpid() != parent and index == 3:
+            os._exit(1)
+        return E, env
+
+    patch_points(monkeypatch, at_point)
+    code, out, err, _, files = run_sweep(tmp_path, capsys, "out", threads)
+    assert code == cli.EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error: RuntimeError: worker process ")
+    assert "summary.csv" not in files
+
+
+def test_an_interrupted_sweep_leaves_no_process(tmp_path, monkeypatch):
+    # an exception that is no error of the program, raised while this
+    # process writes its first file, still kills and reaps every worker
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_write_csv", interrupt)
+    path = write_config(tmp_path, sweep={"L_values": [math.pi, 2 * math.pi],
+                                         "sigma0_values": [1.0, 1.5]})
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+              "--threads", "4"])
+    assert_no_children()
 
 
 def test_load_config_builds_the_model_once(tmp_path, capsys, monkeypatch):

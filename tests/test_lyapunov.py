@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -359,6 +359,34 @@ def test_verify_grid_matches_dense_oracle(L, lo, width, strategy, mu_scale, M,
     dense_mins, dense_norms = _dense_grid(cert, ks, sigmas, M)
     assert np.all(np.abs(mins - dense_mins) <= 1e-14 * dense_norms)
     assert np.all(np.abs(norms - dense_norms) <= 2 * np.spacing(dense_norms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(L=st.floats(0.05, 200.0), lo=st.floats(1e-3, 1e3),
+       ratio=st.floats(1.0, 10.0),
+       strategy=st.sampled_from(["optimize", "fraction:1e-300",
+                                 "fraction:1e-12", "fraction:0.5",
+                                 "fraction:0.999999"]),
+       mu_scale=st.one_of(st.just(0.0), st.floats(1e-3, 1e30)),
+       ks=st.lists(st.integers(-10**6, 10**6).filter(bool), min_size=1,
+                   max_size=4),
+       where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_verify_grid_corner_covers_the_tail(L, lo, ratio, strategy, mu_scale,
+                                            ks, where):
+    # beyond its 5 x 5 corner S_k(sigma) is (2 sigma - 2 mu) I, and that
+    # tail is the corner's entry (4, 4): the corner's computed smallest
+    # eigenvalue lies at or below it and its max-norm covers it, so the
+    # tail adds nothing at any M, also when mu dwarfs sigma
+    try:
+        cert = certify(L, lo, lo * ratio, alpha_strategy=strategy)
+    except CertificateError:
+        assume(False)
+    cert = dataclasses.replace(cert, mu=cert.mu * mu_scale)
+    sigmas = cert.sigma_min + (cert.sigma_max - cert.sigma_min) * np.array(where)
+    mins, norms = verify_grid(cert, ks, sigmas, 5)
+    tail = 2.0 * sigmas - 2.0 * cert.mu
+    assert np.all(mins <= tail)
+    assert np.all(norms >= np.abs(tail))
 
 
 def test_verify_grid_with_mu_beyond_sigma():
