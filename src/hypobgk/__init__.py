@@ -23,7 +23,6 @@ from .errors import (
 )
 from .spectral import (
     ModeLattice,
-    OperatorSet,
     build_operators,
     gauss_hermite_halfweight,
     hermite_polynomials,

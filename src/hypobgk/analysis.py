@@ -62,6 +62,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .lyapunov import _check_alpha
+from .spectral import I_POWERS
 
 __all__ = [
     "entropy_series",
@@ -73,8 +74,6 @@ __all__ = [
 ]
 
 
-# i^-m for m mod 4: x_m = i^m y_m turns stack data x into the real frame y
-_I_INVERSE = np.array([1, -1j, -1, 1j])
 # c / alpha = (1, sqrt 2, sqrt 3), each twice: once for a, once for b
 _TWIST = np.repeat([1.0, math.sqrt(2.0), math.sqrt(3.0)], 2)
 
@@ -110,7 +109,8 @@ def entropy_series(data: np.ndarray, level: int, alpha: float) -> np.ndarray:
         Y = data[..., level, :, :]
         pairs = Y.reshape(Y.shape[:-2] + (-1,))
     else:
-        X = data[..., level, :] * _I_INVERSE[np.arange(data.shape[-1]) % 4]
+        # x_m = i^m y_m: stack data x times i^-m is the real frame y
+        X = data[..., level, :] * I_POWERS[np.arange(data.shape[-1]) % 4].conj()
         pairs = X.view(float)
     return np.maximum(_twisted(pairs, alpha), 0.0)
 

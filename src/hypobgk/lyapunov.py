@@ -70,8 +70,9 @@ sit on even offsets from the diagonal, A1 and B1 are purely imaginary and
 sit on odd ones, so with D = diag(i^m) the matrix D^-1 S_k(sigma) D is
 real symmetric (entry (p, q) times i^(q-p), exact), and u -> -u, the mode
 -k, gives the complex conjugate of S_k(sigma).  verify_grid builds the
-corner only, at a cost free of M: the tail eigenvalue is the corner's
-entry (4, 4), so it changes neither the minimum nor the max-norm.
+corner only, from the bands of STREAM and RELAX, at a cost free of M: the
+tail eigenvalue is the corner's entry (4, 4), so it changes neither the
+minimum nor the max-norm.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, DomainError, NumericError, UsageError
-from .spectral import MIN_HERMITE, OperatorSet, build_operators
+from .spectral import I_POWERS, MIN_HERMITE, build_operators
 
 __all__ = [
     "TWIST_GAIN",
@@ -109,8 +110,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # is diagonal.  The certified estimates close on the first MIN_HERMITE
 # Hermite coefficients.
 _CORNER = MIN_HERMITE
-
-_I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
 
 
 @dataclass(frozen=True)
@@ -443,8 +442,8 @@ def certify(L: float, sigma_min: float, sigma_max: float,
 
 
 def _inequality_pieces(l: float, alpha: float, mu: float,
-                       ops: OperatorSet) -> tuple[np.ndarray, ...]:
-    """(A0, A1, B0, B1) at size ops.M, the same for every k.
+                       M: int) -> tuple[np.ndarray, ...]:
+    """(A0, A1, B0, B1) at size M, the same for every k.
 
     With u = 1/k and P_k = I + u T (T the twist),
 
@@ -452,9 +451,10 @@ def _inequality_pieces(l: float, alpha: float, mu: float,
         A0 = i l [T, STREAM] - 2 mu I,   A1 = -2 mu T,
         B0 = 2 RELAX,                    B1 = RELAX T + T RELAX.
     """
-    T = _twist(alpha, ops.M)
-    S, R = ops.stream, ops.relax
-    A0 = 1j * l * (T @ S - S @ T) - 2.0 * mu * np.eye(ops.M)
+    T = _twist(alpha, M)
+    off, r = build_operators(M)
+    S, R = np.diag(off, 1) + np.diag(off, -1), np.diag(r)
+    A0 = 1j * l * (T @ S - S @ T) - 2.0 * mu * np.eye(M)
     return A0, -2.0 * mu * T, 2.0 * R, R @ T + T @ R
 
 
@@ -506,9 +506,9 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int):
     if np.any(ks == 0.0):
         raise DomainError("the certified inequality concerns modes k != 0 only")
     idx = np.arange(_CORNER)
-    frame = _I_POWERS[np.subtract.outer(idx, idx) % 4].conj()   # i^(q-p)
+    frame = I_POWERS[np.subtract.outer(idx, idx) % 4].conj()    # i^(q-p)
     pieces = [mat * frame for mat in _inequality_pieces(
-        cert.l, cert.alpha, cert.mu, build_operators(_CORNER))]
+        cert.l, cert.alpha, cert.mu, _CORNER)]
     if any(np.any(mat.imag) for mat in pieces):
         raise NumericError(
             f"the inequality matrix is not real in the frame diag(i^m) at M={M}")

@@ -125,30 +125,33 @@ def _sign_changes(c: list[float], lo: float, hi: float) -> list[float]:
     """Points of (lo, hi) where the polynomial c[0] + c[1] x + ... changes
     sign, to the last bit.
 
-    Between consecutive sign changes of its derivative (found the same
-    way) the polynomial is monotone, so each such piece holds at most one
-    sign change, which bisection brackets between two adjacent floats;
-    both are returned.  Unlike companion-matrix roots this cannot lose a
-    root to a tiny leading coefficient.
+    Between consecutive sign changes of its derivative the polynomial is
+    monotone, so each such piece holds at most one sign change, which
+    bisection brackets between two adjacent floats; both are returned.
+    Derivatives are walked in a loop, highest first.  Unlike companion-matrix
+    roots this cannot lose a root to a tiny leading coefficient.
     """
-    if len(c) < 2:
-        return []
-    breaks = [lo, *_sign_changes(_polyder(c), lo, hi), hi]
-    out = []
-    for a, b in zip(breaks, breaks[1:]):
-        fa, fb = _polyval(a, c), _polyval(b, c)
-        if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):
-            continue
-        while a < 0.5 * (a + b) < b:
-            mid = 0.5 * (a + b)
-            fm = _polyval(mid, c)
-            if fm == 0.0:
-                a = b = mid
-            elif (fm < 0.0) == (fa < 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        out += [a, b]
+    chain = [c]
+    while len(chain[-1]) >= 2:
+        chain.append(_polyder(chain[-1]))
+    out: list[float] = []
+    for p in reversed(chain[:-1]):
+        breaks = [lo, *out, hi]
+        out = []
+        for a, b in zip(breaks, breaks[1:]):
+            fa, fb = _polyval(a, p), _polyval(b, p)
+            if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):
+                continue
+            while a < 0.5 * (a + b) < b:
+                mid = 0.5 * (a + b)
+                fm = _polyval(mid, p)
+                if fm == 0.0:
+                    a = b = mid
+                elif (fm < 0.0) == (fa < 0.0):
+                    a, fa = mid, fm
+                else:
+                    b = mid
+            out += [a, b]
     return out
 
 
@@ -245,7 +248,8 @@ def taylor_bound(model: CollisionFrequencyModel) -> float:
     nonzero ones.  trig with omega <= 1: coefficient magnitudes
     |eps| omega^n / n! peak at n <= 1.  polynomial: bound each scaled
     derivative by its absolute-coefficient sum at the domain radius.
-    A 1e-9 relative margin keeps the inequality strict.
+    A 1e-9 relative margin keeps the inequality strict.  A bound that is
+    not a finite float raises NotCertifiableError.
     """
     if model.variant == "constant":
         return model.params[0] * (1.0 + _MARGIN)
@@ -259,14 +263,21 @@ def taylor_bound(model: CollisionFrequencyModel) -> float:
                 f"omega <= 1 only, got omega={omega}; rescale z or lower omega")
         return max(model.sigma_max, abs(eps) * omega) * (1.0 + _MARGIN)
     radius = max(abs(model.z_lo), abs(model.z_hi))
-    coeffs = np.asarray(model.params, dtype=float)
-    deg = coeffs.shape[0] - 1
+    coeffs = [abs(c) for c in model.params]
+    deg = len(coeffs) - 1
     best = 0.0
-    for n in range(deg + 1):
-        total = sum(abs(coeffs[j]) * math.comb(j, n) * radius ** (j - n)
-                    for j in range(n, deg + 1))
-        best = max(best, total)
-    return best * (1.0 + _MARGIN)
+    try:
+        for n in range(deg + 1):
+            total = sum(coeffs[j] * math.comb(j, n) * radius ** (j - n)
+                        for j in range(n, deg + 1))
+            best = max(best, total)
+    except OverflowError:       # math.comb(j, n) beyond the float range
+        best = math.inf
+    best *= 1.0 + _MARGIN
+    if not math.isfinite(best):
+        raise NotCertifiableError(
+            f"the Taylor bound of this degree-{deg} polynomial is not finite")
+    return best
 
 
 @dataclass(frozen=True)

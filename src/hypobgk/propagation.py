@@ -51,8 +51,8 @@ z-derivatives of exp(-dt sigma(z) r_m), in closed form for every N
 The generator does not depend on the step size, so _StepJets splits the
 build of one run by how often each piece changes:
 
-- Once per run.  The core builds STREAM and RELAX at the data's M and
-  keeps their bands: STREAM's off-diagonal off, which the real-frame
+- Once per run.  The core takes STREAM and RELAX at the data's M as
+  their bands: STREAM's off-diagonal off, which the real-frame
   twist holds below its diagonal and negated above it, and RELAX's
   diagonal r.  _band_norms sums every (z, k) jet's 1-norm from the bands
   and the sigma derivatives, each column in the order of a dense column
@@ -193,7 +193,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .models import CollisionFrequencyModel, sigma_eval
-from .spectral import ModeLattice, OperatorSet, build_operators
+from .spectral import I_POWERS, ModeLattice, build_operators
 from .state import StateStack
 
 __all__ = [
@@ -203,11 +203,12 @@ __all__ = [
 ]
 
 
-def augmented_generator(k: int, l: float, sigma_derivs, ops: OperatorSet) -> np.ndarray:
+def augmented_generator(k: int, l: float, sigma_derivs, M: int) -> np.ndarray:
     """Stacked generator G_k for derivative levels 0..N of one mode.
 
     sigma_derivs holds the derivatives sigma^(0)(z)..sigma^(N)(z); the
-    result has shape ((N+1) M, (N+1) M), with C_k on the block diagonal.
+    result has shape ((N+1) M, (N+1) M), with C_k on the block diagonal,
+    assembled from the bands of STREAM and RELAX at size M.
     """
     sigma_derivs = [float(s) for s in sigma_derivs]
     if len(sigma_derivs) < 1:
@@ -217,16 +218,16 @@ def augmented_generator(k: int, l: float, sigma_derivs, ops: OperatorSet) -> np.
         raise UsageError(f"collision frequency must be positive, got sigma={sigma}")
     if not (l > 0.0 and math.isfinite(l)):
         raise UsageError(f"wavenumber spacing must be positive, got l={l}")
-    M = ops.M
+    off, r = build_operators(M)
     N = len(sigma_derivs) - 1
-    C = 1j * (k * l) * ops.stream + sigma * ops.relax
+    C = 1j * (k * l) * (np.diag(off, 1) + np.diag(off, -1)) + sigma * np.diag(r)
     G = np.zeros(((N + 1) * M, (N + 1) * M), dtype=complex)
     for n in range(N + 1):
         G[n * M:(n + 1) * M, n * M:(n + 1) * M] = C
         for i in range(1, n + 1):
             if sigma_derivs[i] != 0.0:
                 G[n * M:(n + 1) * M, (n - i) * M:(n - i + 1) * M] = (
-                    math.comb(n, i) * sigma_derivs[i] * ops.relax
+                    math.comb(n, i) * sigma_derivs[i] * np.diag(r)
                 )
     return G
 
@@ -426,8 +427,6 @@ def _mode0_diagonals(rows: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
 # and the Taylor temporaries (see module doc)
 _BUILD_SLICE = 2
 
-_I_POWERS = np.array([1, 1j, -1, -1j])     # i^m for m mod 4
-
 # rungs each z may hold, in sets of its step jets (K+1 jets); the jets path
 # peaks at about 9.8 of them
 _RUNG_SETS = 10
@@ -438,9 +437,9 @@ class _StepJets:
 
     sigma_rows[z] holds sigma^(0)..sigma^(N) at one z; a build at dt has
     shape (Z, len(ks), N+1, M, M).  The generator is held as its bands
-    off and r, read from the operators at size M.  Mode 0 comes in
-    closed form (_mode0_diagonals), every other mode from the powers of
-    its generator.  The 1-norms and their sort are computed once per run.
+    off and r, as build_operators returns them at size M.  Mode 0 comes
+    in closed form (_mode0_diagonals), every other mode from the powers
+    of its generator.  The 1-norms and their sort are computed once per run.
     Every build, at one step size (__call__) or at each jet's base step
     (base), is one pass of _sorted: the scaling powers and Taylor
     coefficients once, the powers and products once per chunk of the
@@ -450,10 +449,7 @@ class _StepJets:
     """
 
     def __init__(self, ks, l: float, sigma_rows, M: int):
-        ops = build_operators(M)
-        # copies, so that no M x M matrix is held for the run
-        self.off = ops.stream.diagonal(1).copy()
-        self.r = ops.relax.diagonal().copy()
+        self.off, self.r = build_operators(M)
         ks = np.asarray(ks, dtype=float)
         self.zero = np.flatnonzero(ks == 0.0)
         self.modes = np.flatnonzero(ks != 0.0)
@@ -698,7 +694,7 @@ def _dense_steps(R: np.ndarray) -> np.ndarray:
     """
     B, n, M, _ = R.shape
     idx = np.arange(M)
-    phase = _I_POWERS[np.subtract.outer(idx, idx) % 4]
+    phase = I_POWERS[np.subtract.outer(idx, idx) % 4]
     out = np.zeros((B, n * M, n * M), dtype=complex)
     for p in range(n):
         for q in range(p + 1):
@@ -737,7 +733,7 @@ def propagate(data: np.ndarray, sigma_rows, l: float, dts):
     if len(sizes) == len(dts) - dts.count(0.0):
         ladder = _ladder(build, sizes)
     # D^-1 x as (re, im) column pairs: blocks of shape (M, 2)
-    W = (data * _I_POWERS[np.arange(M) % 4].conj()).view(float) \
+    W = (data * I_POWERS[np.arange(M) % 4].conj()).view(float) \
         .reshape(Z, K1, n, M, 2)
     jets = {}
     for j, dt in enumerate(dts):
@@ -756,7 +752,7 @@ def propagate(data: np.ndarray, sigma_rows, l: float, dts):
 
 def _complex_frame(W: np.ndarray) -> np.ndarray:
     """Stack data x = D y of real-frame pairs W[..., m, :] of y, exactly."""
-    return W.view(complex)[..., 0] * _I_POWERS[np.arange(W.shape[-2]) % 4]
+    return W.view(complex)[..., 0] * I_POWERS[np.arange(W.shape[-2]) % 4]
 
 
 class ExactPropagator:

@@ -22,7 +22,8 @@ where STREAM is the symmetric tridiagonal matrix of multiplication by v
 that vanishes on the first three coefficients (mass, momentum, energy
 directions, which the collision operator leaves untouched) and is the
 identity beyond them.  The evolution of the coefficient vector of mode k
-is d/dt hhat_k = -C_k hhat_k; build_operators returns STREAM and RELAX.
+is d/dt hhat_k = -C_k hhat_k; build_operators returns STREAM and RELAX
+as their two bands, and I_POWERS holds i^m for the real frame diag(i^m).
 
 Only modes k >= 0 are ever stored: the physical field is real, so the
 coefficients of mode -k are the complex conjugates of those of mode +k.
@@ -39,7 +40,6 @@ from .errors import UsageError
 
 __all__ = [
     "ModeLattice",
-    "OperatorSet",
     "build_operators",
     "hermite_polynomials",
     "gauss_hermite_halfweight",
@@ -49,6 +49,8 @@ __all__ = [
 # estimates close on the first five coefficients, so shorter expansions
 # are rejected everywhere.
 MIN_HERMITE = 5
+
+I_POWERS = np.array([1, 1j, -1, -1j])      # i^m for m mod 4
 
 
 @dataclass(frozen=True)
@@ -73,28 +75,19 @@ class ModeLattice:
         return 2.0 * math.pi / self.L
 
 
-@dataclass(frozen=True)
-class OperatorSet:
-    """Velocity-space operator matrices at truncation size M."""
+def build_operators(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The streaming and relaxation matrices at size M, as their bands.
 
-    M: int
-    stream: np.ndarray  # multiplication by v, symmetric tridiagonal
-    relax: np.ndarray   # projection away from the conserved directions
-
-
-def build_operators(M: int) -> OperatorSet:
-    """Assemble the streaming and relaxation matrices at size M.
-
-    stream[m, m+1] = stream[m+1, m] = sqrt(m+1); relax is diagonal with
-    zeros on the first three entries and ones after.
+    Returns (off, r): STREAM[m, m+1] = STREAM[m+1, m] = off[m] = sqrt(m+1),
+    zero elsewhere, and RELAX = diag(r), with zeros on the first three
+    entries of r and ones after.
     """
     if M < MIN_HERMITE:
         raise UsageError(f"need at least {MIN_HERMITE} Hermite terms, got M={M}")
     off = np.sqrt(np.arange(1.0, M))
-    stream = np.diag(off, 1) + np.diag(off, -1)
-    d = np.ones(M)
-    d[:3] = 0.0
-    return OperatorSet(M=M, stream=stream, relax=np.diag(d))
+    r = np.ones(M)
+    r[:3] = 0.0
+    return off, r
 
 
 def hermite_polynomials(M: int, v: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ build_transforms and entropy_dense are the dense M x M transforms and
 the quadratic form the closed-form twisted entropy replaced, and
 entropy_complex_frame the closed form on complex data that the
 real-frame evaluation replaced.
-assemble_generator is one mode's generator C_k on its own, the
-diagonal block of augmented_generator.
+dense_operators are STREAM and RELAX as dense M x M matrices, assembled
+from the bands the package keeps, and assemble_generator is one mode's
+generator C_k on its own, the diagonal block of augmented_generator.
 inequality_matrix and verify_dense are the dense M x M check of the
 certified inequality that the 5 x 5 corner decomposition in verify_grid
 replaced; build_reduced_block, the minors and the spectrum of P_k are
@@ -41,8 +42,7 @@ from hypobgk.lyapunov import (ALPHA_CAP, TWIST_GAIN, Certificate, _check_alpha,
                               _twist, alpha_limit, alpha_max, rate_block)
 from hypobgk.models import sigma_eval
 from hypobgk.propagation import augmented_generator
-from hypobgk.spectral import (MIN_HERMITE, OperatorSet, build_operators,
-                              hermite_polynomials)
+from hypobgk.spectral import MIN_HERMITE, build_operators, hermite_polynomials
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -238,7 +238,7 @@ def _real_frame(k: int, l: float, sigma_derivs, M: int):
     The rotation multiplies entries by powers of i, which is exact, and
     the result is real.
     """
-    G = augmented_generator(k, l, sigma_derivs, build_operators(M))
+    G = augmented_generator(k, l, sigma_derivs, M)
     m = np.arange(G.shape[0]) % M
     phase = np.array([1, 1j, -1, -1j])[np.subtract.outer(m, m) % 4]
     real_frame = G * phase.conj()
@@ -398,9 +398,14 @@ def build_reduced_block(k, alpha: float, sigma: float, l: float) -> np.ndarray:
     return D
 
 
-def assemble_generator(k: int, l: float, sigma: float,
-                       ops: OperatorSet) -> np.ndarray:
-    """Return C_k = i*k*l*stream + sigma*relax for one spatial mode.
+def dense_operators(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """(STREAM, RELAX) at size M as dense matrices, from their bands."""
+    off, r = build_operators(M)
+    return np.diag(off, 1) + np.diag(off, -1), np.diag(r)
+
+
+def assemble_generator(k: int, l: float, sigma: float, M: int) -> np.ndarray:
+    """Return C_k = i*k*l*stream + sigma*relax for one spatial mode at size M.
 
     sigma is the collision frequency at the evaluation point; it must be
     strictly positive.
@@ -409,7 +414,8 @@ def assemble_generator(k: int, l: float, sigma: float,
         raise UsageError(f"collision frequency must be positive, got sigma={sigma}")
     if not (l > 0.0 and math.isfinite(l)):
         raise UsageError(f"wavenumber spacing must be positive, got l={l}")
-    return 1j * (k * l) * ops.stream + sigma * ops.relax
+    stream, relax = dense_operators(M)
+    return 1j * (k * l) * stream + sigma * relax
 
 
 def inequality_matrix(k: int, l: float, sigma: float, cert, M: int) -> np.ndarray:
@@ -418,7 +424,7 @@ def inequality_matrix(k: int, l: float, sigma: float, cert, M: int) -> np.ndarra
         raise DomainError("the certified inequality concerns modes k != 0 only")
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise UsageError(f"collision frequency must be positive, got {sigma}")
-    C = assemble_generator(k, l, sigma, build_operators(M))
+    C = assemble_generator(k, l, sigma, M)
     P = build_transform(k, cert.alpha, M)
     return C.conj().T @ P + P @ C - 2.0 * cert.mu * P
 
@@ -442,13 +448,12 @@ def evolve_reference(state, dt: float, model, substeps: int = 1000):
     if dt == 0.0:
         return replace(state, data=state.data.copy())
     lattice = state.lattice
-    ops = build_operators(lattice.M)
     sigma_derivs = [sigma_eval(model, state.z, i) for i in range(state.levels + 1)]
     h = dt / substeps
     out = np.empty_like(state.data)
     n_lvl = state.levels + 1
     for k in range(lattice.K + 1):
-        A = -augmented_generator(k, lattice.l, sigma_derivs, ops)
+        A = -augmented_generator(k, lattice.l, sigma_derivs, lattice.M)
         y = state.data[k].reshape(-1).copy()
         for _ in range(substeps):
             k1 = A @ y

@@ -286,6 +286,51 @@ def test_sigma_too_large_to_certify_exits_invalid(tmp_path, capsys, command,
     assert "too large to certify" in err
 
 
+def test_polynomial_of_degree_1100_loads(tmp_path, capsys):
+    # the range search walks 1100 derivatives in a loop, not by recursion,
+    # and the Taylor bound, far beyond the float range, is not certifiable:
+    # certify writes no chat row and derivatives exits 2.  No sweep section,
+    # whose sigma0 values would each search a range again
+    cfg = {key: value for key, value in BASE.items() if key != "sweep"}
+    cfg["sigma"] = {"variant": "polynomial", "z_domain": [-1, 1],
+                    "coeffs": [5.0] + [0.0] * 1099 + [1e-9]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "certificate.csv", newline="") as fh:
+        rows = dict(csv.reader(fh))
+    assert (float(rows["sigma_min"]), float(rows["sigma_max"])) == \
+        (5.0, 5.000000001)
+    assert "chat" not in rows
+    capsys.readouterr()
+    assert main(["derivatives", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the Taylor bound of this degree-1100 polynomial is not finite\n")
+
+
+@pytest.mark.parametrize("command, calls", [
+    ("certify", 0), ("verify", 1), ("simulate", 1), ("derivatives", 1),
+    ("sweep", 4)])
+def test_operator_builds_per_command(tmp_path, monkeypatch, command, calls):
+    # the benchmark's spectral.build_operators.calls wraps these two names:
+    # one call per propagate run (a 2 x 2 sweep at one process makes four)
+    # and one per verify_grid
+    from hypobgk import lyapunov, propagation
+    seen = []
+    for module in (lyapunov, propagation):
+        def counted(M, build=module.build_operators, name=module.__name__):
+            seen.append(name)
+            return build(M)
+        monkeypatch.setattr(module, "build_operators", counted)
+    path = write_config(tmp_path, sweep={"L_values": [math.pi, 2 * math.pi],
+                                         "sigma0_values": [1.0, 1.5]})
+    assert main([command, "--threads", "1", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    owner = "hypobgk.lyapunov" if command == "verify" else "hypobgk.propagation"
+    assert seen == [owner] * calls
+
+
 def test_negative_seed_in_config_exits_invalid(tmp_path, capsys):
     path = write_config(tmp_path, initial_data={"type": "random", "seed": -1})
     assert main(["simulate", "--config", str(path),

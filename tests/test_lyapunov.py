@@ -17,7 +17,6 @@ from hypobgk import (
     UsageError,
     alpha_limit,
     alpha_max,
-    build_operators,
     certify,
     parse_alpha_strategy,
     rate_block,
@@ -89,8 +88,7 @@ def test_dissipation_matrix_is_block_plus_relaxation():
     # C_k^* P + P C_k equals the 5x5 corner block padded by 2 sigma I;
     # the closed-form corner must match the dense product exactly.
     k, alpha, sigma, l, M = 2, 0.18, 1.7, 0.9, 12
-    ops = build_operators(M)
-    C = assemble_generator(k, l, sigma, ops)
+    C = assemble_generator(k, l, sigma, M)
     P = build_transform(k, alpha, M)
     S = C.conj().T @ P + P @ C
     corner = build_reduced_block(k, alpha, sigma, l)
@@ -413,8 +411,7 @@ def test_verify_grid_with_mu_beyond_sigma():
 def test_assembled_corner_is_the_paper_block(k):
     cert = certify(5.0, 0.7, 1.9)
     M, sigma = 9, 1.3
-    A0, A1, B0, B1 = lyapunov._inequality_pieces(cert.l, cert.alpha, cert.mu,
-                                                 build_operators(M))
+    A0, A1, B0, B1 = lyapunov._inequality_pieces(cert.l, cert.alpha, cert.mu, M)
     u = 1.0 / k
     A, B = A0 + u * A1, B0 + u * B1
     S = A + sigma * B

@@ -22,7 +22,6 @@ from hypobgk import (
     UsageError,
     affine_model,
     augmented_generator,
-    build_operators,
     constant_model,
     entropy_series,
     polynomial_model,
@@ -34,7 +33,8 @@ from hypobgk import (
 from hypobgk import propagation
 from hypobgk.propagation import _complex_frame
 from oracles import (_jet_norm1, assemble_generator, build_transform,
-                     evolve_reference, real_frame_jets, step_matrix_reference)
+                     dense_operators, evolve_reference, real_frame_jets,
+                     step_matrix_reference)
 
 LAT = ModeLattice(K=3, L=2 * math.pi, M=8)
 
@@ -60,17 +60,17 @@ def _propagator(state, model):
 def test_augmented_generator_blocks():
     model = trig_model(2.0, 0.5, 1.0)
     z = 0.3
-    ops = build_operators(LAT.M)
     derivs = [sigma_eval(model, z, n=i) for i in range(3)]
-    G = augmented_generator(2, LAT.l, derivs, ops)
+    G = augmented_generator(2, LAT.l, derivs, LAT.M)
     M = LAT.M
-    base = assemble_generator(2, LAT.l, derivs[0], ops)
+    base = assemble_generator(2, LAT.l, derivs[0], M)
+    _, relax = dense_operators(M)
     for n in range(3):
         block = G[n * M:(n + 1) * M, n * M:(n + 1) * M]
         assert_allclose(block, base, rtol=0)
         for i in range(1, n + 1):
             sub = G[n * M:(n + 1) * M, (n - i) * M:(n - i + 1) * M]
-            assert_allclose(sub, math.comb(n, i) * derivs[i] * ops.relax,
+            assert_allclose(sub, math.comb(n, i) * derivs[i] * relax,
                             rtol=0, atol=0)
         # nothing above the diagonal: lower levels never see higher ones
         assert np.count_nonzero(G[n * M:(n + 1) * M, (n + 1) * M:]) == 0
@@ -195,10 +195,9 @@ def test_step_matrix_against_dense_expm(variant, M, N):
     K, z = 16, -0.6
     lattice = ModeLattice(K=K, L=2 * math.pi, M=M)
     prop = ExactPropagator(lattice, MODELS[variant], z, N)
-    ops = build_operators(lattice.M)
     for dt in STEP_SIZES:
         for k in (0, 1, K):
-            G = augmented_generator(k, lattice.l, prop.sigma_derivs, ops)
+            G = augmented_generator(k, lattice.l, prop.sigma_derivs, M)
             dense = scipy.linalg.expm(-dt * G)
             assert _rel_err(prop.step_matrix(k, dt), dense) < 2e-13, (dt, k)
 
@@ -239,10 +238,9 @@ def test_core_drops_step_jets_after_their_last_use(monkeypatch):
 def test_opposite_modes_give_conjugate_step_matrices(k, dt, z, N, variant):
     lattice = ModeLattice(K=6, L=2 * math.pi, M=8)
     prop = ExactPropagator(lattice, MODELS[variant], z, N)
-    ops = build_operators(lattice.M)
-    G = augmented_generator(k, lattice.l, prop.sigma_derivs, ops)
+    G = augmented_generator(k, lattice.l, prop.sigma_derivs, lattice.M)
     assert np.array_equal(
-        augmented_generator(-k, lattice.l, prop.sigma_derivs, ops),
+        augmented_generator(-k, lattice.l, prop.sigma_derivs, lattice.M),
         G.conj())
     plus, minus = prop.step_matrix(k, dt), prop.step_matrix(-k, dt)
     assert np.max(np.abs(minus - plus.conj())) <= 1e-15 * np.max(np.abs(plus))

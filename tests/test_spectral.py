@@ -14,7 +14,7 @@ from hypobgk import (
     gauss_hermite_halfweight,
     hermite_polynomials,
 )
-from oracles import hermite_functions, synthesize
+from oracles import dense_operators, hermite_functions, synthesize
 
 
 def test_lattice_spacing():
@@ -32,42 +32,44 @@ def test_lattice_rejects(K, L, M):
 def test_stream_matrix_is_multiplication_by_v():
     # quadrature oracle: stream[a, b] = <v p_b, p_a> under the half weight
     M = 7
-    ops = build_operators(M)
+    stream, _ = dense_operators(M)
     v, w = gauss_hermite_halfweight(40)
     p = hermite_polynomials(M, v)
     gram = (p * w) @ p.T / math.sqrt(2.0 * math.pi)
     assert_allclose(gram, np.eye(M), atol=1e-12)
     vmat = (p * w * v) @ p.T / math.sqrt(2.0 * math.pi)
-    assert_allclose(vmat, ops.stream, atol=1e-12)
+    assert_allclose(vmat, stream, atol=1e-12)
 
 
 def test_stream_entries():
-    ops = build_operators(6)
+    off, _ = build_operators(6)
+    stream, _ = dense_operators(6)
     expected = np.sqrt(np.arange(1.0, 6.0))
-    assert_allclose(np.diag(ops.stream, 1), expected, rtol=1e-15)
-    assert_allclose(ops.stream, ops.stream.T, rtol=0)
-    assert np.all(np.diag(ops.stream) == 0.0)
+    assert_allclose(off, expected, rtol=1e-15)
+    assert_allclose(np.diag(stream, 1), expected, rtol=1e-15)
+    assert_allclose(stream, stream.T, rtol=0)
+    assert np.all(np.diag(stream) == 0.0)
 
 
 def test_relax_projects_off_conserved():
-    ops = build_operators(9)
-    assert_allclose(np.diag(ops.relax), [0, 0, 0, 1, 1, 1, 1, 1, 1], rtol=0)
-    assert np.count_nonzero(ops.relax - np.diag(np.diag(ops.relax))) == 0
+    _, r = build_operators(9)
+    assert_allclose(r, [0, 0, 0, 1, 1, 1, 1, 1, 1], rtol=0)
+    _, relax = dense_operators(9)
+    assert np.count_nonzero(relax - np.diag(r)) == 0
 
 
 def test_generator_split():
-    ops = build_operators(8)
-    C = augmented_generator(2, 0.5, [1.3], ops)
-    assert_allclose((C + C.conj().T) / 2.0, 1.3 * ops.relax, atol=1e-15)
-    assert_allclose((C - C.conj().T) / 2.0, 1j * ops.stream, atol=1e-15)
+    stream, relax = dense_operators(8)
+    C = augmented_generator(2, 0.5, [1.3], 8)
+    assert_allclose((C + C.conj().T) / 2.0, 1.3 * relax, atol=1e-15)
+    assert_allclose((C - C.conj().T) / 2.0, 1j * stream, atol=1e-15)
 
 
 def test_generator_rejects_bad_sigma():
-    ops = build_operators(5)
     with pytest.raises(UsageError):
-        augmented_generator(1, 1.0, [0.0], ops)
+        augmented_generator(1, 1.0, [0.0], 5)
     with pytest.raises(UsageError):
-        augmented_generator(1, -1.0, [1.0], ops)
+        augmented_generator(1, -1.0, [1.0], 5)
 
 
 def test_quadrature_degree_exactness():
