@@ -24,8 +24,10 @@ from .errors import (
 from .spectral import (
     ModeLattice,
     build_operators,
+    complex_frame,
     gauss_hermite_halfweight,
     hermite_polynomials,
+    real_frame,
 )
 from .lyapunov import (
     ALPHA_CAP,

@@ -25,10 +25,8 @@ conj(x_j) x_{j+1} = i conj(y_j) y_{j+1}, so
     Im(conj(x_j) x_{j+1}) = a_j a_{j+1} + b_j b_{j+1}:
 
 the form is real on the (re, im) pairs of y, and no complex array is
-needed.  entropy_series reads the samples of propagate as they are,
-shape (Z, K+1, N+1, M, 2) for a batch of z at one time, and rotates
-complex stack data, such as the initial stack, into that frame once,
-which is exact.
+needed.  entropy_series reads such pairs only, as propagate yields them
+or as spectral.real_frame makes them from stack data.
 
 For the z-derivative levels the one-way coupling adds source terms, and
 the square-root entropies e_n = sqrt(E_n) satisfy a Gronwall chain.
@@ -62,7 +60,6 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .lyapunov import _check_alpha
-from .spectral import I_POWERS
 
 __all__ = [
     "entropy_series",
@@ -94,24 +91,21 @@ def _twisted(pairs: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def entropy_series(data: np.ndarray, level: int, alpha: float) -> np.ndarray:
-    """Entropies of one level of stack data data[..., k, n, m].
+    """Entropies of one level of real-frame data data[..., k, n, m, :].
 
-    For example the (Z, K+1, N+1, M) data of a batch of z at one time;
-    the result has the shape of the leading axes.  Real data with a last
-    axis of 2, data[..., k, n, m, :], are the real-frame (re, im) pairs
-    that propagate yields and are read as they are; complex stack data are
-    rotated into that frame first, which is exact.  alpha is the twist of
-    the certificate.  Roundoff can leave a tiny negative value, which is
-    clamped to 0.
+    For example the (Z, K+1, N+1, M, 2) samples of a batch of z that
+    propagate yields; the result has the shape of the leading axes.  Data
+    that are not floats, or have fewer than four axes or a last axis other
+    than 2, raise UsageError.  alpha is the twist of the certificate.
+    Roundoff can leave a tiny negative value, which is clamped to 0.
     """
     data = np.asarray(data)
-    if data.dtype == float and data.shape[-1] == 2:
-        Y = data[..., level, :, :]
-        pairs = Y.reshape(Y.shape[:-2] + (-1,))
-    else:
-        # x_m = i^m y_m: stack data x times i^-m is the real frame y
-        X = data[..., level, :] * I_POWERS[np.arange(data.shape[-1]) % 4].conj()
-        pairs = X.view(float)
+    if data.dtype.kind != "f" or data.ndim < 4 or data.shape[-1] != 2:
+        raise UsageError(
+            f"need real-frame pairs data[..., k, n, m, 2] of floats, got "
+            f"{data.dtype} data of shape {data.shape}")
+    Y = data[..., level, :, :]
+    pairs = Y.reshape(Y.shape[:-2] + (-1,))
     return np.maximum(_twisted(pairs, alpha), 0.0)
 
 

@@ -104,7 +104,7 @@ from .models import (
     taylor_bound,
 )
 from .propagation import propagate
-from .spectral import ModeLattice
+from .spectral import ModeLattice, real_frame
 
 __all__ = ["RunConfig", "load_config", "dump_config", "main",
            "cmd_certify", "cmd_verify", "cmd_simulate", "cmd_derivatives",
@@ -687,7 +687,7 @@ def _initial_stacks(cfg: RunConfig, cert: Certificate,
     sigma_rows = [[sigma_eval(model, z, n) for n in range(cfg.levels + 1)]
                   for z in cfg.z_points]
     with np.errstate(over="ignore", invalid="ignore"):
-        E0 = np.array([entropy_series(stack, n, cert.alpha)
+        E0 = np.array([entropy_series(real_frame(stack), n, cert.alpha)
                        for n in range(cfg.levels + 1)])
     if not np.all(np.isfinite(E0)):
         raise DataError("the entropy of the initial data is not finite; "

@@ -53,26 +53,27 @@ The certified matrix inequality
     S_k(sigma) = C_k^* P_k + P_k C_k - 2 mu P_k  >=  0   for every k != 0, M >= 5
 
 is re-checked numerically by verify_grid, exactly and for any M, through
-the same block structure.  P_k = I + u T with u = 1/k and the twist T
-supported on the leading 4 x 4 block, so S_k(sigma) is affine in u:
+the same block structure, in the real frame D = diag(i^m) of
+spectral.real_frame.  P_k = I + u T with u = 1/k and the twist T
+supported on the leading 4 x 4 block.  The frame turns T into
+T' = D^-1 T D, real symmetric with a, b, c on both first off-diagonals,
+and i STREAM into the real antisymmetric J = D^-1 (i STREAM) D, so
+D^-1 S_k(sigma) D is real symmetric, with the spectrum of S_k(sigma),
+and affine in u:
 
-    S_k(sigma) = A0 + u A1 + sigma (B0 + u B1),
-    A0 = i l [T, STREAM] - 2 mu I,   A1 = -2 mu T,
-    B0 = 2 RELAX,                    B1 = RELAX T + T RELAX,
+    D^-1 S_k(sigma) D = A0 + u A1 + sigma (B0 + u B1),
+    A0 = l [T', J] - 2 mu I,   A1 = -2 mu T',
+    B0 = 2 RELAX,              B1 = RELAX T' + T' RELAX,
 
-four pieces that do not depend on k.  STREAM is tridiagonal and RELAX is
-the identity beyond its third entry.  So the commutator [T, STREAM]
-lives in the leading 5 x 5 block, RELAX T + T RELAX and T vanish beyond
-it, and outside the 5 x 5 corner S_k(sigma) is the diagonal matrix
-(2 sigma - 2 mu) I.  Its spectrum is the spectrum of the corner plus the
-eigenvalue 2 sigma - 2 mu of multiplicity M - 5.  A0 and B0 are real and
-sit on even offsets from the diagonal, A1 and B1 are purely imaginary and
-sit on odd ones, so with D = diag(i^m) the matrix D^-1 S_k(sigma) D is
-real symmetric (entry (p, q) times i^(q-p), exact), and u -> -u, the mode
--k, gives the complex conjugate of S_k(sigma).  verify_grid builds the
-corner only, from the bands of STREAM and RELAX, at a cost free of M: the
-tail eigenvalue is the corner's entry (4, 4), so it changes neither the
-minimum nor the max-norm.
+four pieces that do not depend on k.  J is tridiagonal and RELAX is the
+identity beyond its third entry, so [T', J] lives in the leading 5 x 5
+block, RELAX T' + T' RELAX and T' vanish beyond it, and outside that
+corner S_k(sigma) is (2 sigma - 2 mu) I: the spectrum is the corner's
+plus 2 sigma - 2 mu, M - 5 times.  u -> -u, the mode -k, gives the
+complex conjugate of S_k(sigma).  verify_grid builds the corner pieces
+only (_corner_pieces), at a cost free of M: the tail eigenvalue is the
+corner's entry (4, 4), so it changes neither the minimum nor the
+max-norm.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateError, DomainError, NumericError, UsageError
-from .spectral import I_POWERS, MIN_HERMITE, build_operators
+from .errors import CertificateError, DomainError, UsageError
+from .spectral import MIN_HERMITE, build_operators
 
 __all__ = [
     "TWIST_GAIN",
@@ -141,19 +142,6 @@ def _check_alpha(alpha: float) -> None:
             f"twist parameter must satisfy 0 <= alpha < {1.0 / TWIST_GAIN:.6g}, "
             f"got alpha={alpha}"
         )
-
-
-def _twist(alpha: float, M: int) -> np.ndarray:
-    """The twist T = k (P_k - I) at size M, the same for every k.
-
-    T is Hermitian and purely imaginary, with -i a, -i b, -i c on its
-    first superdiagonal in the leading 4 x 4 block and zeros elsewhere.
-    """
-    T = np.zeros((M, M), dtype=complex)
-    for row, c in enumerate((alpha, math.sqrt(2.0) * alpha, math.sqrt(3.0) * alpha)):
-        T[row, row + 1] = -1j * c
-        T[row + 1, row] = 1j * c
-    return T
 
 
 def alpha_limit(l, sigma):
@@ -441,35 +429,27 @@ def certify(L: float, sigma_min: float, sigma_max: float,
     )
 
 
-def _inequality_pieces(l: float, alpha: float, mu: float,
-                       M: int) -> tuple[np.ndarray, ...]:
-    """(A0, A1, B0, B1) at size M, the same for every k.
+def _corner_pieces(l: float, alpha: float, mu: float):
+    """The real pieces (A0, A1, B0, B1) of the module docstring, 5 x 5.
 
-    With u = 1/k and P_k = I + u T (T the twist),
-
-        C_k^* P_k + P_k C_k - 2 mu P_k = A0 + u A1 + sigma (B0 + u B1),
-        A0 = i l [T, STREAM] - 2 mu I,   A1 = -2 mu T,
-        B0 = 2 RELAX,                    B1 = RELAX T + T RELAX.
+    J carries STREAM's band below its diagonal and minus it above.
     """
-    T = _twist(alpha, M)
-    off, r = build_operators(M)
-    S, R = np.diag(off, 1) + np.diag(off, -1), np.diag(r)
-    A0 = 1j * l * (T @ S - S @ T) - 2.0 * mu * np.eye(M)
+    off, r = build_operators(_CORNER)
+    c = alpha * np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), 0.0])
+    T = np.diag(c, 1) + np.diag(c, -1)
+    J = np.diag(off, -1) - np.diag(off, 1)
+    R = np.diag(r)
+    A0 = l * (T @ J - J @ T) - 2.0 * mu * np.eye(_CORNER)
     return A0, -2.0 * mu * T, 2.0 * R, R @ T + T @ R
 
 
 def verify_grid(cert: Certificate, k_values, sigma_values, M: int):
     """Minimum inequality eigenvalues and norms on a (k, sigma) grid.
 
-    S_k(sigma) = A_k + sigma B_k is affine in u = 1/k: A_k = A0 + u A1 and
-    B_k = B0 + u B1, with four pieces that do not depend on k (see
-    _inequality_pieces).  Beyond its leading 5 x 5 corner S_k(sigma) is
-    (2 sigma - 2 mu) I (module docstring), so the pieces are assembled at
-    the corner size only, once per call, and turned to the real frame
-    D = diag(i^m): entry (p, q) times i^(q-p), which is exact and keeps
-    the spectrum and every entry's modulus.  There each piece must be
-    exactly real, else a NumericError is raised; exact zeros stay exact
-    under u * 0 and x + 0, so this covers A_k and B_k for every integer k.
+    In the real frame, S_k(sigma) = A_k + sigma B_k with A_k = A0 + u A1,
+    B_k = B0 + u B1 and u = 1/k, from the four 5 x 5 pieces of
+    _corner_pieces, built once per call (module docstring); the frame
+    keeps the spectrum and every entry's modulus.
     k = 0 is a DomainError, and a negative k is the mode -|k|.  A k or M
     that is not an integer (an integral float is one), an M below
     MIN_HERMITE and a sigma that is not finite and positive are
@@ -505,15 +485,8 @@ def verify_grid(cert: Certificate, k_values, sigma_values, M: int):
         raise UsageError(f"need at least {MIN_HERMITE} Hermite terms, got M={M}")
     if np.any(ks == 0.0):
         raise DomainError("the certified inequality concerns modes k != 0 only")
-    idx = np.arange(_CORNER)
-    frame = I_POWERS[np.subtract.outer(idx, idx) % 4].conj()    # i^(q-p)
-    pieces = [mat * frame for mat in _inequality_pieces(
-        cert.l, cert.alpha, cert.mu, _CORNER)]
-    if any(np.any(mat.imag) for mat in pieces):
-        raise NumericError(
-            f"the inequality matrix is not real in the frame diag(i^m) at M={M}")
     # rows: A0, A1, B0, B1; then A_k, B_k for every k
-    corners = np.array([mat.real for mat in pieces])
+    corners = np.array(_corner_pieces(cert.l, cert.alpha, cert.mu))
     u = 1.0 / ks
     A, B = corners[0::2, None] + u[:, None, None] * corners[1::2, None]
     # each distinct sigma is solved once and scattered back to every point

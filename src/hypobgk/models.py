@@ -129,11 +129,18 @@ def _sign_changes(c: list[float], lo: float, hi: float) -> list[float]:
     monotone, so each such piece holds at most one sign change, which
     bisection brackets between two adjacent floats; both are returned.
     Derivatives are walked in a loop, highest first.  Unlike companion-matrix
-    roots this cannot lose a root to a tiny leading coefficient.
+    roots this cannot lose a root to a tiny leading coefficient.  Before a
+    derivative would overflow, its parent is scaled by a power of two,
+    which keeps the sign changes and every bit of a finite chain.
     """
     chain = [c]
     while len(chain[-1]) >= 2:
-        chain.append(_polyder(chain[-1]))
+        d = _polyder(chain[-1])
+        if not all(map(math.isfinite, d)):
+            e = math.frexp(max(map(abs, chain[-1])))[1]
+            chain[-1] = [math.ldexp(v, -e) for v in chain[-1]]
+            d = _polyder(chain[-1])
+        chain.append(d)
     out: list[float] = []
     for p in reversed(chain[:-1]):
         breaks = [lo, *out, hi]

@@ -17,9 +17,7 @@ matrices are tested against.
 The step matrices are not computed from that dense matrix.  Two exact
 identities reduce the work:
 
-- Real frame.  With D = diag(i^m) over the Hermite index m,
-  D^-1 (i k l STREAM) D = k l (lower - upper), the real antisymmetric
-  tridiagonal part of STREAM, and RELAX is unchanged.  Every block of
+- Real frame (spectral).  With D = diag(i^m), every block of
   G~_k = D^-1 G_k D is real, and exp(-dt G_k) = D exp(-dt G~_k) D^-1:
   rotating back multiplies entry (p, q) by i^(p-q), which is exact.
 - Jets.  Block (n, n-i) of G~_k is binom(n, i) A_i with A_0 = C~_k and
@@ -109,13 +107,13 @@ data after each step:
   once, shape (Z, K+1, N+1, M, M): (N+1) M^2 reals per pair instead of
   ((N+1) M)^2 complex entries.  It drops the jets of a step size after
   the last step of that size, so a grid of distinct steps holds one set.
-- The data stay in the real frame.  They are rotated once by
-  D^-1 = diag(i^-m) and viewed as (re, im) column pairs, so a step is the
+- The data stay in the real frame.  real_frame rotates them once by
+  D^-1 = diag(i^-m) into (re, im) column pairs, so a step is the
   Leibniz product y_d = sum_i binom(d, i) R_i x_{d-i} of the step jet
   with the data jet, on real M x 2 blocks.  propagate yields these
   real-frame samples, and the entropy reads them as they are (it has a
   closed form in that frame).  Only ExactPropagator rotates its sample
-  back by D, and multiplying by powers of i is exact.
+  back, by complex_frame; both rotations are exact.
 - The powers and the jets of one step size are built chunk by chunk
   (_StepJets, above), and each chunk's jets are scattered to their
   (z, k) places.
@@ -193,7 +191,8 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .models import CollisionFrequencyModel, sigma_eval
-from .spectral import I_POWERS, ModeLattice, build_operators
+from .spectral import (I_POWERS, ModeLattice, build_operators, complex_frame,
+                       real_frame)
 from .state import StateStack
 
 __all__ = [
@@ -709,8 +708,8 @@ def propagate(data: np.ndarray, sigma_rows, l: float, dts):
     data[z, k, n, m] has shape (Z, K+1, N+1, M) and sigma_rows[z] holds
     sigma^(0)..sigma^(N) at that z, shape (Z, N+1).  Each sample has shape
     (Z, K+1, N+1, M, 2): the (re, im) column pairs of D^-1 x, where
-    D = diag(i^m).  A zero step yields the previous sample again; the
-    samples must not be written to.  The jets of a step size are built at
+    D = diag(i^m), starting from real_frame(data).  A zero step yields
+    the previous sample again; the samples must not be written to.  The jets of a step size are built at
     its first step and dropped after its last, and a run whose nonzero
     step sizes are all distinct may step through the ladder instead
     (module docstring).  Every step size and the shapes of data and
@@ -725,16 +724,14 @@ def propagate(data: np.ndarray, sigma_rows, l: float, dts):
         raise UsageError(
             f"need stack data of shape (Z, K+1, N+1, M) and sigma_rows of "
             f"shape (Z, N+1), got {np.shape(data)} and {rows.shape}")
-    Z, K1, n, M = data.shape
+    _, K1, _, M = data.shape
     last = {dt: j for j, dt in enumerate(dts)}
     sizes = [dt for dt in last if dt]       # in the order of their first use
     build = _StepJets(range(K1), l, sigma_rows, M)
     ladder = None
     if len(sizes) == len(dts) - dts.count(0.0):
         ladder = _ladder(build, sizes)
-    # D^-1 x as (re, im) column pairs: blocks of shape (M, 2)
-    W = (data * I_POWERS[np.arange(M) % 4].conj()).view(float) \
-        .reshape(Z, K1, n, M, 2)
+    W = real_frame(data)        # D^-1 x as (re, im) column pairs
     jets = {}
     for j, dt in enumerate(dts):
         if dt == 0.0:
@@ -748,11 +745,6 @@ def propagate(data: np.ndarray, sigma_rows, l: float, dts):
             if last[dt] == j:
                 del jets[dt]
         yield W
-
-
-def _complex_frame(W: np.ndarray) -> np.ndarray:
-    """Stack data x = D y of real-frame pairs W[..., m, :] of y, exactly."""
-    return W.view(complex)[..., 0] * I_POWERS[np.arange(W.shape[-2]) % 4]
 
 
 class ExactPropagator:
@@ -782,7 +774,7 @@ class ExactPropagator:
         self._check(state)
         W = next(propagate(state.data[None], [self.sigma_derivs],
                            self.lattice.l, [dt]))[0]
-        return replace(state, t=state.t + dt, data=_complex_frame(W))
+        return replace(state, t=state.t + dt, data=complex_frame(W))
 
     def _check(self, state: StateStack) -> None:
         if state.lattice != self.lattice:

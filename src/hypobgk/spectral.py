@@ -23,7 +23,13 @@ that vanishes on the first three coefficients (mass, momentum, energy
 directions, which the collision operator leaves untouched) and is the
 identity beyond them.  The evolution of the coefficient vector of mode k
 is d/dt hhat_k = -C_k hhat_k; build_operators returns STREAM and RELAX
-as their two bands, and I_POWERS holds i^m for the real frame diag(i^m).
+as their two bands.
+
+Real frame.  With D = diag(i^m) over the Hermite index, D^-1 C_k D =
+k l J + sigma RELAX is real, J having STREAM's band below its diagonal
+and minus it above.  The package computes on the (re, im) pairs of
+y = D^-1 x; real_frame and complex_frame turn stack data x into them and
+back exactly, since a power of i only swaps a pair and flips signs.
 
 Only modes k >= 0 are ever stored: the physical field is real, so the
 coefficients of mode -k are the complex conjugates of those of mode +k.
@@ -41,6 +47,8 @@ from .errors import UsageError
 __all__ = [
     "ModeLattice",
     "build_operators",
+    "complex_frame",
+    "real_frame",
     "hermite_polynomials",
     "gauss_hermite_halfweight",
 ]
@@ -51,6 +59,10 @@ __all__ = [
 MIN_HERMITE = 5
 
 I_POWERS = np.array([1, 1j, -1, -1j])      # i^m for m mod 4
+
+# i^-r (a + i b) for r = 0..3 is (a, b), (b, -a), (-a, -b), (-b, a): the
+# pair swapped for odd r, times these signs
+_TURN_SIGN = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,26 @@ def build_operators(M: int) -> tuple[np.ndarray, np.ndarray]:
     r = np.ones(M)
     r[:3] = 0.0
     return off, r
+
+
+def _turn(pairs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """pairs[..., m, :] times i^-r[m], as a new array of (re, im) pairs."""
+    r = r % 4
+    swapped = np.where((r % 2 == 1)[:, None], pairs[..., ::-1], pairs)
+    return swapped * _TURN_SIGN[r]
+
+
+def real_frame(x) -> np.ndarray:
+    """The (re, im) pairs of D^-1 x, shape x.shape + (2,), where
+    D = diag(i^m) over the last axis of x, the Hermite index."""
+    x = np.asarray(x)
+    return _turn(np.stack((x.real, x.imag), axis=-1), np.arange(x.shape[-1]))
+
+
+def complex_frame(W) -> np.ndarray:
+    """Stack data x = D y from the (re, im) pairs W[..., m, :] of y."""
+    W = np.asarray(W, dtype=float)
+    return _turn(W, -np.arange(W.shape[-2])).view(complex)[..., 0]
 
 
 def hermite_polynomials(M: int, v: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ from the bands the package keeps, and assemble_generator is one mode's
 generator C_k on its own, the diagonal block of augmented_generator.
 inequality_matrix and verify_dense are the dense M x M check of the
 certified inequality that the 5 x 5 corner decomposition in verify_grid
-replaced; build_reduced_block, the minors and the spectrum of P_k are
+replaced, and twist and inequality_pieces the complex pieces of that
+decomposition at any M, which verify_grid builds real and at the corner
+only; build_reduced_block, the minors and the spectrum of P_k are
 the paper's closed forms they are checked against.  evolve_reference
 integrates the mode equations with classical RK4, an independent
 cross-check of the exact exponential steps, and hermite_functions and
@@ -39,7 +41,7 @@ import numpy as np
 
 from hypobgk.errors import CertificateError, DomainError, NumericError, UsageError
 from hypobgk.lyapunov import (ALPHA_CAP, TWIST_GAIN, Certificate, _check_alpha,
-                              _twist, alpha_limit, alpha_max, rate_block)
+                              alpha_limit, alpha_max, rate_block)
 from hypobgk.models import sigma_eval
 from hypobgk.propagation import augmented_generator
 from hypobgk.spectral import MIN_HERMITE, build_operators, hermite_polynomials
@@ -278,6 +280,19 @@ def step_matrix_reference(k: int, l: float, dt: float, sigma_derivs,
     return R.astype(float) * phase
 
 
+def twist(alpha: float, M: int) -> np.ndarray:
+    """The twist T = k (P_k - I) at size M, the same for every k.
+
+    T is Hermitian and purely imaginary, with -i a, -i b, -i c on its
+    first superdiagonal in the leading 4 x 4 block and zeros elsewhere.
+    """
+    T = np.zeros((M, M), dtype=complex)
+    for row, c in enumerate((alpha, math.sqrt(2.0) * alpha, math.sqrt(3.0) * alpha)):
+        T[row, row + 1] = -1j * c
+        T[row + 1, row] = 1j * c
+    return T
+
+
 def build_transform(k: int, alpha: float, M: int) -> np.ndarray:
     """Dense twisted-metric matrix P_k at size M.  k must be a nonzero integer."""
     if k == 0:
@@ -285,7 +300,7 @@ def build_transform(k: int, alpha: float, M: int) -> np.ndarray:
     if M < MIN_HERMITE:
         raise UsageError(f"need at least {MIN_HERMITE} Hermite terms, got M={M}")
     _check_alpha(alpha)
-    return np.eye(M, dtype=complex) + (1.0 / k) * _twist(alpha, M)
+    return np.eye(M, dtype=complex) + (1.0 / k) * twist(alpha, M)
 
 
 @functools.lru_cache(maxsize=64)
@@ -427,6 +442,22 @@ def inequality_matrix(k: int, l: float, sigma: float, cert, M: int) -> np.ndarra
     C = assemble_generator(k, l, sigma, M)
     P = build_transform(k, cert.alpha, M)
     return C.conj().T @ P + P @ C - 2.0 * cert.mu * P
+
+
+def inequality_pieces(l: float, alpha: float, mu: float,
+                      M: int) -> tuple[np.ndarray, ...]:
+    """(A0, A1, B0, B1) at size M in the complex frame, the same for every k.
+
+    With u = 1/k and P_k = I + u T (T the twist),
+
+        C_k^* P_k + P_k C_k - 2 mu P_k = A0 + u A1 + sigma (B0 + u B1),
+        A0 = i l [T, STREAM] - 2 mu I,   A1 = -2 mu T,
+        B0 = 2 RELAX,                    B1 = RELAX T + T RELAX.
+    """
+    T = twist(alpha, M)
+    S, R = dense_operators(M)
+    A0 = 1j * l * (T @ S - S @ T) - 2.0 * mu * np.eye(M)
+    return A0, -2.0 * mu * T, 2.0 * R, R @ T + T @ R
 
 
 def verify_dense(k: int, l: float, sigma: float, cert, M: int) -> float:

@@ -41,7 +41,7 @@ from hypobgk import (
 )
 from hypobgk.cli import main
 from hypobgk.lyapunov import TWIST_GAIN
-from hypobgk.propagation import _complex_frame
+from hypobgk.spectral import complex_frame, real_frame
 from oracles import evolve_reference, gronwall_cascade, minor_det3
 
 TIMES = np.arange(0.0, 20.0001, 0.5)
@@ -51,7 +51,7 @@ DTS = np.diff(TIMES, prepend=0.0)
 def _trajectory(state, model):
     """Stack data of state at each of TIMES, shape (T, K+1, N+1, M)."""
     rows = [[sigma_eval(model, state.z, n) for n in range(state.levels + 1)]]
-    return np.stack([_complex_frame(sample[0]) for sample in propagate(
+    return np.stack([complex_frame(sample[0]) for sample in propagate(
         state.data[None], rows, state.lattice.l, DTS)])
 
 
@@ -170,7 +170,7 @@ def test_criterion_04_k0_rate_fit(tmp_path):
 
 
 def _sqrt_entropy_series(snaps, levels, cert):
-    return np.stack([np.sqrt(entropy_series(snaps, n, cert.alpha))
+    return np.stack([np.sqrt(entropy_series(real_frame(snaps), n, cert.alpha))
                      for n in range(levels + 1)])
 
 
@@ -222,7 +222,7 @@ def test_criterion_06_taylor_derivative_envelopes():
             for seed in (4, 5, 6):
                 spec = InitialDataSpec(kind="random", seed=seed, scale=1.0)
                 state = _state(spec, lat, 4, z)
-                probe = entropy_series(state.data, 0, cert.alpha)
+                probe = entropy_series(real_frame(state.data), 0, cert.alpha)
                 scale = max(math.sqrt(float(probe)), 1.0)
                 state = StateStack(lattice=lat, z=z, t=0.0,
                                    data=state.data / scale)

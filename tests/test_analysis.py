@@ -29,7 +29,7 @@ from hypobgk import (
     sigma_eval,
     taylor_derivative_envelope,
 )
-from hypobgk.propagation import _complex_frame
+from hypobgk.spectral import complex_frame, real_frame
 from oracles import (build_transforms, entropy_complex_frame, entropy_dense,
                      gronwall_cascade)
 
@@ -45,7 +45,7 @@ def _state(seed=4, levels=0, z=0.0, scale=1.0):
 def _trajectory(state, times, model):
     """Stack data of state at each of times, shape (T, K+1, N+1, M)."""
     rows = [[sigma_eval(model, state.z, n) for n in range(state.levels + 1)]]
-    return np.stack([_complex_frame(sample[0]) for sample in propagate(
+    return np.stack([complex_frame(sample[0]) for sample in propagate(
         state.data[None], rows, state.lattice.l,
         np.diff(times, prepend=state.t))])
 
@@ -54,8 +54,18 @@ def test_entropy_hand_value():
     data = np.zeros((LAT.K + 1, 1, LAT.M), dtype=complex)
     data[0, 0, 5] = 2.0          # k = 0 contributes plainly
     data[1, 0, 6] = 1.0 + 1.0j   # far coefficient: P acts as identity there
-    val = entropy_series(data, 0, 0.1)
+    val = entropy_series(real_frame(data), 0, 0.1)
     assert val == pytest.approx(4.0 + 2.0 * 2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((LAT.K + 1, 1, LAT.M, 2), complex),       # complex, not float
+    ((LAT.K + 1, 1, LAT.M, 3), float),         # a last axis other than 2
+    ((LAT.K + 1, LAT.M, 2), float),            # fewer than four axes
+])
+def test_entropy_rejects_data_that_are_not_real_frame_pairs(shape, dtype):
+    with pytest.raises(UsageError, match="real-frame pairs"):
+        entropy_series(np.ones(shape, dtype=dtype), 0, 0.1)
 
 
 def test_entropy_twist_engages_leading_coefficients():
@@ -65,7 +75,8 @@ def test_entropy_twist_engages_leading_coefficients():
     alpha = 0.2
     P = build_transforms(LAT.K, alpha, LAT.M)
     expect = 2.0 * np.vdot(data[1, 0], P[1] @ data[1, 0]).real
-    assert entropy_series(data, 0, alpha) == pytest.approx(expect, rel=1e-14)
+    assert entropy_series(real_frame(data), 0, alpha) == pytest.approx(expect,
+                                                                   rel=1e-14)
     # the off-diagonal twist makes this differ from the flat norm
     assert abs(expect - 4.0) > 1e-3
 
@@ -76,7 +87,7 @@ def test_entropy_bounded_by_norm_sandwich():
     state = _state(seed=8)
     flat = float(np.sum(np.abs(state.data[0, 0]) ** 2))
     flat += 2.0 * float(np.sum(np.abs(state.data[1:, 0]) ** 2))
-    val = entropy_series(state.data, 0, alpha)
+    val = entropy_series(real_frame(state.data), 0, alpha)
     assert (1 - alpha * TWIST_GAIN) * flat - 1e-12 <= val
     assert val <= (1 + alpha * TWIST_GAIN) * flat + 1e-12
 
@@ -85,9 +96,10 @@ def test_entropy_series_matches_pointwise():
     # a series of snapshots in one call, against one call per snapshot
     model = affine_model(1.0, 0.1)
     snaps = _trajectory(_state(z=0.5), [0.0, 0.4, 1.1], model)
-    series = entropy_series(snaps, 0, 0.1)
+    series = entropy_series(real_frame(snaps), 0, 0.1)
     for i, s in enumerate(snaps):
-        assert series[i] == pytest.approx(entropy_series(s, 0, 0.1), rel=1e-13)
+        assert series[i] == pytest.approx(entropy_series(real_frame(s), 0, 0.1),
+                                          rel=1e-13)
 
 
 def test_transform_stack_is_cached_and_frozen():
@@ -338,7 +350,7 @@ def test_affine_level_recursion_differential():
     delta = 1e-4
     for t in (0.1, 1.0, 4.0):
         snaps = _trajectory(state, [t - delta, t, t + delta], model)
-        g = np.stack([np.sqrt(entropy_series(snaps, n, cert.alpha))
+        g = np.stack([np.sqrt(entropy_series(real_frame(snaps), n, cert.alpha))
                       for n in range(3)])
         scale = g[:, 1].max()
         for n in (1, 2):
@@ -358,9 +370,11 @@ def test_closed_form_entropy_matches_dense_forms(K, M, T, alpha, seed, scale):
     X[:, 0, :3] = 0.0
     dense = entropy_dense(X, alpha)
     stacks = X[:, :, None, :]                 # T stacks of one level
-    assert_allclose(entropy_series(stacks, 0, alpha), dense, rtol=1e-13, atol=0)
+    assert_allclose(entropy_series(real_frame(stacks), 0, alpha), dense,
+                    rtol=1e-13, atol=0)
     for s, d in zip(stacks, dense):
-        assert entropy_series(s, 0, alpha) == pytest.approx(d, rel=1e-13, abs=0)
+        assert entropy_series(real_frame(s), 0, alpha) == pytest.approx(
+            d, rel=1e-13, abs=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -381,5 +395,5 @@ def test_real_frame_entropy_matches_the_complex_frame(K, M, N, alpha, seed,
         expect = entropy_complex_frame(X[:, :, n], alpha)
         assert_allclose(entropy_series(pairs, n, alpha), expect,
                         rtol=1e-15, atol=0)
-        assert_allclose(entropy_series(X, n, alpha), expect,
+        assert_allclose(entropy_series(real_frame(X), n, alpha), expect,
                         rtol=1e-15, atol=0)

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypobgk import (NumericError, certify, cli, entropy_series, errors,
-                     verify_grid)
+                     real_frame, verify_grid)
 from hypobgk.cli import RESULT_HEADER, dump_config, load_config, main
 
 BASE = {
@@ -743,7 +743,8 @@ def test_initial_entropy_is_one_value_per_level(tmp_path):
     assert data.shape == (5, cfg.lattice.K + 1, 3, cfg.lattice.M)
     assert len(sigma_rows) == 5
     for n in range(3):
-        assert entropy_series(data, n, cert.alpha).tolist() == [E0[n]] * 5
+        assert entropy_series(real_frame(data), n,
+                              cert.alpha).tolist() == [E0[n]] * 5
 
 
 @pytest.mark.parametrize("scale, uniform", [(0.05, True), (5.0, False)])

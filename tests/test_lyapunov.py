@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 from hypobgk import (
     CertificateError,
     DomainError,
-    NumericError,
     UsageError,
     alpha_limit,
     alpha_max,
@@ -24,6 +23,7 @@ from hypobgk import (
 )
 from hypobgk import lyapunov
 from hypobgk.lyapunov import ALPHA_CAP, TWIST_GAIN
+from hypobgk.spectral import I_POWERS
 from oracles import (
     alpha_max_search,
     assemble_generator,
@@ -31,6 +31,7 @@ from oracles import (
     build_transform,
     certify_array,
     inequality_matrix,
+    inequality_pieces,
     lambda_min_search,
     minor_det3,
     minor_det4,
@@ -411,7 +412,7 @@ def test_verify_grid_with_mu_beyond_sigma():
 def test_assembled_corner_is_the_paper_block(k):
     cert = certify(5.0, 0.7, 1.9)
     M, sigma = 9, 1.3
-    A0, A1, B0, B1 = lyapunov._inequality_pieces(cert.l, cert.alpha, cert.mu, M)
+    A0, A1, B0, B1 = inequality_pieces(cert.l, cert.alpha, cert.mu, M)
     u = 1.0 / k
     A, B = A0 + u * A1, B0 + u * B1
     S = A + sigma * B
@@ -423,6 +424,68 @@ def test_assembled_corner_is_the_paper_block(k):
     tail = np.diag(np.full(M - 5, 2.0 * sigma - 2.0 * cert.mu))
     assert np.array_equal(S[5:, 5:], tail)
     assert not np.any(S[:5, 5:]) and not np.any(S[5:, :5])
+
+
+# entry (p, q) times i^(p-q): D X D^-1 for D = diag(i^m) on the corner
+_CORNER_PHASE = I_POWERS[np.subtract.outer(np.arange(5), np.arange(5)) % 4]
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, -3])
+def test_corner_pieces_are_the_paper_block_in_the_real_frame(k):
+    cert = certify(5.0, 0.7, 1.9)
+    sigma = 1.3
+    pieces = lyapunov._corner_pieces(cert.l, cert.alpha, cert.mu)
+    for mat in pieces:
+        assert mat.dtype == float and np.array_equal(mat, mat.T)
+    A0, A1, B0, B1 = pieces
+    u = 1.0 / k
+    S = (A0 + u * A1) + sigma * (B0 + u * B1)
+    P = build_transform(k, cert.alpha, 5)
+    corner = build_reduced_block(k, cert.alpha, sigma, cert.l) - 2.0 * cert.mu * P
+    assert_allclose(S * _CORNER_PHASE, corner, rtol=0, atol=1e-14)
+
+
+def _rotated_dense_grid(cert, ks, sigmas, M):
+    """verify_grid from the complex pieces at size M: cut to the 5 x 5
+    corner, turned real by entry (p, q) times i^(q-p), one eigensolve per
+    k, and the tail eigenvalue 2 sigma - 2 mu taken in when M > 5."""
+    pieces = [mat[:5, :5] * _CORNER_PHASE.conj()
+              for mat in inequality_pieces(cert.l, cert.alpha, cert.mu, M)]
+    assert not any(np.any(mat.imag) for mat in pieces)
+    A0, A1, B0, B1 = (mat.real for mat in pieces)
+    tail = 2.0 * sigmas - 2.0 * cert.mu
+    mins, norms = [], []
+    for k in ks:
+        u = 1.0 / k
+        S = (A0 + u * A1) + sigmas[:, None, None] * (B0 + u * B1)
+        low, top = np.linalg.eigvalsh(S)[:, 0], np.abs(S).max(axis=(1, 2))
+        if M > 5:
+            low, top = np.minimum(low, tail), np.maximum(top, np.abs(tail))
+        mins.append(low)
+        norms.append(top)
+    return np.array(mins), np.array(norms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=st.floats(0.3, 60.0), lo=st.floats(0.05, 40.0),
+       ratio=st.floats(1.0, 5.0),
+       strategy=st.sampled_from(["optimize", "fraction:0.05", "fraction:0.5",
+                                 "fraction:0.95"]),
+       mu_scale=st.floats(1.0, 1e6), M=st.sampled_from([5, 6, 40]))
+def test_verify_grid_is_the_rotated_dense_pieces_bitwise(L, lo, ratio,
+                                                         strategy, mu_scale,
+                                                         M):
+    try:
+        cert = certify(L, lo, lo * ratio, alpha_strategy=strategy)
+    except CertificateError:
+        assume(False)
+    cert = dataclasses.replace(cert, mu=cert.mu * mu_scale)
+    ks = list(range(1, 51)) + [-3]
+    sigmas = np.linspace(cert.sigma_min, cert.sigma_max, 7)
+    mins, norms = verify_grid(cert, ks, sigmas, M)
+    dense_mins, dense_norms = _rotated_dense_grid(cert, ks, sigmas, M)
+    assert np.array_equal(mins, dense_mins)
+    assert np.array_equal(norms, dense_norms)
 
 
 def test_verify_grid_rejects_k0():
@@ -446,22 +509,6 @@ def test_verify_grid_rejects_sigma_not_positive_and_finite(sigma):
     cert = certify(2.0 * math.pi, 1.0, 1.0)
     with pytest.raises(UsageError, match="positive and finite"):
         verify_grid(cert, [1], np.array([1.0, sigma]), 8)
-
-
-def test_verify_grid_checks_block_structure_exactly(monkeypatch):
-    # one tiny entry that is not real in the frame diag(i^m), in any one of
-    # the four k-independent corner pieces, must raise
-    pieces = lyapunov._inequality_pieces
-    cert = certify(2.0 * math.pi, 1.0, 1.0)
-    for which in range(4):
-        def perturbed(*args, which=which):
-            out = [mat.astype(complex) for mat in pieces(*args)]
-            out[which][0, 0] += 1e-300j
-            return tuple(out)
-
-        monkeypatch.setattr(lyapunov, "_inequality_pieces", perturbed)
-        with pytest.raises(NumericError, match="not real"):
-            verify_grid(cert, [1], np.array([1.0]), 8)
 
 
 @pytest.mark.parametrize("M", [0, 4, 5.5])

@@ -320,3 +320,37 @@ def test_polynomial_bounds_unchanged_by_the_scalar_horner(tail, z_lo, width):
                 for n in range(len(coeffs))] == derivs
     assert _bits(fast.sigma_min) == _bits(slow.sigma_min)
     assert _bits(fast.sigma_max) == _bits(slow.sigma_max)
+
+
+def test_degree_1100_range_search_stays_finite(monkeypatch):
+    # from the 106th on, the derivatives of 1e-9 z^1100 overflow unless
+    # scaled; unscaled, every higher level of the chain bisects towards
+    # nan values, half a million Horner evaluations in all
+    calls = []
+    polyval = models._polyval
+
+    def counted(x, coeffs):
+        calls.append(x)
+        return polyval(x, coeffs)
+
+    monkeypatch.setattr(models, "_polyval", counted)
+    model = polynomial_model([5.0] + [0.0] * 1099 + [1e-9])
+    assert (model.sigma_min, model.sigma_max) == (5.0, 5.000000001)
+    assert len(calls) < 10_000
+
+
+def test_range_of_a_polynomial_whose_derivatives_overflow():
+    # 200! is far beyond the float range, so the derivative chain of this
+    # sigma is scaled on its way down; the range must still be the one a
+    # dense search finds
+    rng = np.random.default_rng(12)
+    coeffs = [60.0] + rng.uniform(-1.0, 1.0, 200).tolist()
+    m = polynomial_model(coeffs, (-1.0, 1.0))
+    grid = np.polynomial.polynomial.polyval(np.linspace(-1.0, 1.0, 20_001),
+                                            coeffs)
+    searched = poly_extremes_search(coeffs, -1.0, 1.0)
+    slack = 8 * np.finfo(float).eps * sum(map(abs, coeffs))
+    assert m.sigma_min <= min(grid.min(), searched[0]) + slack
+    assert m.sigma_max >= max(grid.max(), searched[1]) - slack
+    assert m.sigma_min == pytest.approx(searched[0], rel=1e-9, abs=0)
+    assert m.sigma_max == pytest.approx(searched[1], rel=1e-9, abs=0)

@@ -31,7 +31,7 @@ from hypobgk import (
     trig_model,
 )
 from hypobgk import propagation
-from hypobgk.propagation import _complex_frame
+from hypobgk.spectral import complex_frame, real_frame
 from oracles import (_jet_norm1, assemble_generator, build_transform,
                      dense_operators, evolve_reference, real_frame_jets,
                      step_matrix_reference)
@@ -152,7 +152,7 @@ def test_trajectory_matches_single_steps():
         direct = prop.evolve(direct, t - last)
         last = t
         assert direct.t == t
-        assert np.max(np.abs(direct.data - _complex_frame(expect[0]))) < 1e-12
+        assert np.max(np.abs(direct.data - complex_frame(expect[0]))) < 1e-12
 
 
 def test_sensitivity_level_against_finite_differences():
@@ -290,14 +290,14 @@ def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
             snap = state
             for j, dt in enumerate(dts):
                 snap = prop.evolve(snap, dt)
-                sample = _complex_frame(runs[0][j][i])
+                sample = complex_frame(runs[0][j][i])
                 if path == "jets":
                     assert np.array_equal(snap.data, sample)
                 assert _rel_err(snap.data, sample) < 1e-13
                 # the real-frame step agrees with the dense complex step
                 # matrices
                 if j:
-                    prev = _complex_frame(runs[0][j - 1][i])
+                    prev = complex_frame(runs[0][j - 1][i])
                     dense = np.stack([prop.step_matrix(k, dt)
                                       @ prev[k].reshape(-1)
                                       for k in range(LAT.K + 1)])
@@ -322,7 +322,7 @@ def test_opposite_modes_have_equal_entropy(k, dt, z, alpha, seed):
     assert abs(e_plus - e_minus) <= 1e-14 * abs(e_plus)
     data = np.zeros((lattice.K + 1, 1, 8), dtype=complex)
     data[k, 0] = plus
-    pair = entropy_series(data[None], 0, alpha)[0]
+    pair = entropy_series(real_frame(data[None]), 0, alpha)[0]
     assert abs(pair - (e_plus + e_minus)) <= 1e-14 * pair
 
 
@@ -331,6 +331,17 @@ def _stacks(model, lattice, zs, N, seed=2):
                                      lattice, levels=N) for _ in zs])
     rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in zs]
     return data, rows
+
+
+def test_a_first_zero_step_yields_the_real_frame_of_the_data():
+    # propagate rotates its input by real_frame and nothing else, before
+    # the jets path and before the ladder alike
+    data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1), 2)
+    data[0, 1, 0, 4] = complex(-0.0, 0.0)
+    expect = real_frame(data).view(np.uint64)
+    for dts in ([0.0, 0.5, 0.5], [0.0, 0.5, 0.7]):
+        W = next(propagation.propagate(data, rows, LAT.l, dts))
+        assert np.array_equal(W.view(np.uint64), expect)
 
 
 def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
@@ -496,7 +507,7 @@ def test_ladder_steps_against_extended_precision(monkeypatch):
 
     monkeypatch.setattr(propagation, "_Ladder", spy)
     data, rows = _stacks(LARGE_MODEL, LARGE, [0.3], 2)
-    samples = [_complex_frame(W[0]) for W in propagation.propagate(
+    samples = [complex_frame(W[0]) for W in propagation.propagate(
         data, rows, LARGE.l, LARGE_DTS)]
     # one ladder, its rungs dropped after the last step
     assert len(ladders) == 1 and ladders[0].rungs is None
@@ -536,7 +547,7 @@ def test_ladder_agrees_with_the_jets_path(variant, K, M, N, pool, zeros,
     for path in ("jets", "ladder"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagation, "_ladder", _take(path))
-            runs[path] = [_complex_frame(W) for W in propagation.propagate(
+            runs[path] = [complex_frame(W) for W in propagation.propagate(
                 data, rows, lattice.l, dts)]
     if repeat is not None:
         for a, b in zip(runs["jets"], runs["ladder"], strict=True):

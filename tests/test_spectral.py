@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from hypobgk import (
@@ -11,8 +14,10 @@ from hypobgk import (
     UsageError,
     augmented_generator,
     build_operators,
+    complex_frame,
     gauss_hermite_halfweight,
     hermite_polynomials,
+    real_frame,
 )
 from oracles import dense_operators, hermite_functions, synthesize
 
@@ -119,3 +124,25 @@ def test_moments_against_quadrature():
     assert momentum == pytest.approx(coeffs[1], rel=1e-10)
     assert energy == pytest.approx(coeffs[0] + math.sqrt(2.0) * coeffs[2],
                                    rel=1e-10)
+
+
+@given(x=hnp.arrays(complex, hnp.array_shapes(min_dims=1, max_dims=4,
+                                               max_side=6),
+                    elements=st.complex_numbers(allow_nan=False)))
+def test_complex_frame_undoes_real_frame_bitwise(x):
+    # a power of i swaps a pair and flips signs: nothing is rounded, and
+    # signed zeros and infinities come back as they were
+    W = real_frame(x)
+    assert W.shape == x.shape + (2,) and W.dtype == float
+    assert np.array_equal(complex_frame(W).view(np.uint64), x.view(np.uint64))
+
+
+def test_real_frame_is_the_rotation_by_powers_of_i():
+    # the (re, im) pairs of x_m i^-m, and complex_frame multiplies by i^m
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((3, 2, 9)) + 1j * rng.standard_normal((3, 2, 9))
+    y = x * (1j ** -np.arange(9)).round()
+    W = real_frame(x)
+    assert np.array_equal(W[..., 0], y.real)
+    assert np.array_equal(W[..., 1], y.imag)
+    assert np.array_equal(complex_frame(np.stack((y.real, y.imag), -1)), x)
