@@ -270,13 +270,15 @@ def taylor_bound(model: CollisionFrequencyModel) -> float:
                 f"omega <= 1 only, got omega={omega}; rescale z or lower omega")
         return max(model.sigma_max, abs(eps) * omega) * (1.0 + _MARGIN)
     radius = max(abs(model.z_lo), abs(model.z_hi))
-    coeffs = [abs(c) for c in model.params]
-    deg = len(coeffs) - 1
+    deg = len(model.params) - 1
+    # a zero coefficient adds only +0.0 to a sum, so it is skipped before
+    # its binomial is formed (far beyond the float range at high degree)
+    terms = [(j, abs(c)) for j, c in enumerate(model.params) if c]
     best = 0.0
     try:
         for n in range(deg + 1):
-            total = sum(coeffs[j] * math.comb(j, n) * radius ** (j - n)
-                        for j in range(n, deg + 1))
+            total = sum(c * math.comb(j, n) * radius ** (j - n)
+                        for j, c in terms if j >= n)
             best = max(best, total)
     except OverflowError:       # math.comb(j, n) beyond the float range
         best = math.inf

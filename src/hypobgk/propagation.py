@@ -82,20 +82,21 @@ falls in.
 Memory rule.  A build with keep holds each chunk's G and six powers for
 the next build, and propagate passes keep to every build but its last
 new step size's: a run of one step size, or a ladder run (one build,
-rung 0), holds none after its build.  Within a build the Taylor sums fit
-in three arrays the size of the chunk: the result, and a pair whose
-first half is the squarings' spare buffer and which is freed when
-_expm_powers returns.  A 15-step run at K = 16, M = 60, N = 2 (one
-chunk) on the jets path peaks at 9.77 arrays the size of its jets: G
-and its six powers, the three Taylor arrays and one level-sized
-temporary of a product, for the 16 modes k >= 1 (on the ladder, which
-such a run takes, at 9.95).  A run also holds a step size's jets from
-its first step to its last, so repeating one after other step sizes
-holds it through their builds: the same run with its sixth step size
-repeated at the end peaks at 10.77 arrays.  The chunks bound the build
-temporaries, which grow with the chunk: at K = 4, M = 20 a sweep peaked
-about 0.3 MiB higher per z row of a chunk, while a chunk of the whole
-30-row batch built only about a quarter faster.
+rung 0, in chunks of its own), holds none after its build.  Within a
+build the Taylor sums fit in three arrays the size of the chunk: the
+result, and a pair whose first half is the squarings' spare buffer and
+which is freed when _expm_powers returns.  A 15-step run at K = 16,
+M = 60, N = 2 (one chunk) on the jets path peaks at 9.77 arrays the
+size of its jets: G and its six powers, the three Taylor arrays and one
+level-sized temporary of a product, for the 16 modes k >= 1 (the
+ladder, which such a run takes, peaks at 3.75; below).  A run also
+holds a step size's jets from its first step to its last, so repeating
+one after other step sizes holds it through their builds: the same run
+with its sixth step size repeated at the end peaks at 10.77 arrays.
+The chunks bound the build temporaries, which grow with the chunk: at
+K = 4, M = 20 a sweep peaked about 0.3 MiB higher per z row of a chunk,
+while a chunk of the whole 30-row batch built only about a quarter
+faster.
 
 Everything steps through one z-batched core, propagate.  It takes the
 stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
@@ -120,59 +121,83 @@ data after each step:
 
 The ladder.  A run uses each jet set once for a step size it takes once
 (a log-spaced time grid takes every step size once), so building the
-set is the whole cost of such a step.  A run whose step sizes are all
-used once may instead apply the exponential to the data (_Ladder),
-after Al-Mohy & Higham (2011), with one ladder of squarings per run in
-place of per-step-size squarings:
+set is the whole cost of such a step.  A run whose nonzero step sizes
+are all used once may instead apply the exponential to its initial data
+(_Ladder), after Al-Mohy & Higham (2011), with one ladder of squarings
+per block of samples in place of per-step-size squarings:
 
+- Absolute times.  The sample after step j is exp(-T_j G) W_0, with W_0
+  = real_frame(data) and T_j the running sum (np.cumsum) of the nonzero
+  steps.  It is formed from W_0, not from the sample before it, so it
+  agrees with stepping sample to sample to rounding, not bit for bit.
 - The base step.  Each (z, k != 0) jet, of 1-norm 2^e f with f in
   [1/2, 1), gets h = 2^(1-e), so h ||G|| = 2 f lies in [1, 2), inside
   theta_25.  L_0 = exp(-h G) is one build at the step h of each jet
-  (_StepJets.base), where s = 0 and c = -2 exactly for every jet, so it
-  takes no squaring.  The rungs L_i = exp(-2^i h G) = L_(i-1)^2 are
-  squared once per run.
-- A step.  dt = q h + r exactly, since h is a power of two: r is
-  fmod(dt, h) and q = (dt - r) / h, an integer in floats (it can exceed
-  2^63).  exp(-dt G) = exp(-r G) prod_{bits i of q} L_i, all functions of
-  G, so the step applies the rungs of q's set bits to the data, then the
+  (_StepJets.base), in chunks of _BASE_SLICE jets, where s = 0 and
+  c = -2 exactly for every jet, so it takes no squaring.  The rungs are
+  L_i = exp(-2^i h G) = L_(i-1)^2.
+- A sample.  T = q h + r exactly, since h is a power of two: r is
+  fmod(T, h) and q = (T - r) / h, an integer in floats.
+  exp(-T G) = exp(-r G) prod_{bits i of q} L_i, all functions of G, so
+  the sample applies the rungs of q's set bits to W_0, then the
   degree-25 Taylor action of exp(-r G), with ||r G|| < 2.  That action
   (_Ladder._remainder) reads only G's bands, scaled by 2^-e like the
   jets: kl off below the diagonal and -(kl off) above it on every
   level, and the level mix binom(d, i) sigma^(i)(z) times diag(r).
-  Mode 0 keeps its closed form.
-- Depth.  q < dt / h, so a jet needs frexp(dt)[1] + e - 1 rungs for the
-  largest dt (at least rung 0).  Depth grows with e, so it is
-  nondecreasing along the sort, and rung i is held only for the suffix
-  of the jets with more than i rungs, as the squarings of a build act on
-  a suffix.
+  Jets of equal e share h, and so q and r; the sort makes each such
+  group one stretch of the jets, and a rung acts on a group's samples
+  whose bit is set.  Mode 0 keeps its closed form at T.
+- Blocks and the climb.  The samples advance in blocks of
+  _block_size(M) = max(M // 2, 1) times: a sample holds 2 M reals per
+  jet against M^2 for a step jet, so a block is about one set of step
+  jets, whatever the number of z.  A block climbs the rungs once for
+  all its samples (_climb): rung i acts on the samples whose q has bit
+  i set, is squared into rung i+1, and is dropped.  q < T / h, so a jet
+  needs frexp(T)[1] + e - 1 rungs (at least rung 0) for the block's
+  last time T.  Depth grows with e, so it is nondecreasing along the
+  sort, and rung i+1 is squared only for the suffix of the jets with
+  more than i+1 rungs.  The Taylor action then finishes the block, in
+  turns of _ACTION_REALS reals per array, which stay in a core's cache.
+  Rung 0 is built at the first sample and kept for the next block,
+  which climbs the other rungs again; the last block drops it too.
+- Memory rule.  At most two rungs are alive at once, beside rung 0
+  while another block is to come, and the block of samples.  The
+  derivatives_large run (K = 16, M = 60, N = 2, one z, 15 log-spaced
+  times: one block) peaks at 3.75 arrays of one set of its step jets,
+  while it builds rung 0 (one chunk's G, powers and Taylor sums beside
+  the rung) and again while it climbs (two rungs beside the samples);
+  on the jets path it peaks at 9.77.  30 z at K = 4, M = 8 (four
+  blocks of four samples) peak at 8.7, in the Taylor action of a block.
 - Selection (_ladder).  The ladder is taken by every run whose nonzero
   step sizes are all distinct, at least two of them, with a moving mode
-  (K >= 1), when the memory rule below passes.  Such a run steps only by
-  the ladder, so it builds no step jets and holds no G or powers beside
-  the rungs.  The ladder saves the squarings of every build but one, and
-  pays about 25 generator actions per step.  With one BLAS thread and 15
-  log-spaced steps it was faster with many z (30 z at K = 4, M = 8,
-  N = 0: 23 ms by jets, 14 ms by the ladder) and up to about 4 ms slower
-  with one z and M <= 20 (K = 16, M = 20, N = 0: 6.2 ms, 10.0 ms).  A
-  run with one step size never gains, because its depth is about the s
-  of its jets build.  A run with a repeated step size
-  keeps the jets path bit for bit; so do most range grids whose spacing
-  is not dyadic: their step sizes split into a few last-bit variants,
-  and some of them repeat.
-- Memory rule.  The rungs are built at the first step and freed after
-  the last one; the build of rung 0 drops G's powers before the
-  squarings start.  A run in which some z would hold more rungs than
-  _RUNG_SETS = 10 sets of its step jets (K+1 jets each; the jets path
-  peaks at about 9.8) takes the jets path.  So do long horizons and
+  (K >= 1), when the rule below passes.  Such a run steps only by the
+  ladder, so it builds no step jets.  The ladder saves the squarings of
+  every build but one per block, and pays about 25 generator actions
+  per sample.  With one BLAS thread and 15 log-spaced steps (best of 7),
+  ladder against jets: 3.4 against 2.8 ms with one z at K = 16, M = 8,
+  N = 0; 4.4 against 4.3 ms at K = 16, M = 20; 9.4 against 19 ms with
+  30 z at K = 4, M = 8; and 38-41 against 159-166 ms on the
+  derivatives_large shape.  A run with one step size never gains,
+  because its depth is about the s of its jets build.  A run with a
+  repeated step size keeps the jets path bit for bit; so do most range
+  grids whose spacing is not dyadic: their step sizes split into a few
+  last-bit variants, and some of them repeat.
+- The rule bounds the cost of the climb, not its memory.  A run in
+  which some z would need more than _RUNG_SETS = 10 sets of its step
+  jets (K+1 jets each) in rungs for its largest step size takes the
+  jets path; the climb to the last time needs at most about log2 of
+  the number of steps more rungs per jet.  So do long horizons and
   steps like times [0, 1e300], where q has about a thousand bits; depth
-  is read from the exponent of dt, so no q is formed before the rule
-  passes.
-- Determinism.  The rungs, the rung actions and the Taylor action treat
-  each jet alone, so on the ladder a z-batched run equals per-z runs bit
-  for bit, as on the jets path.  The path is chosen from the step sizes
-  and each z's own rungs, not from the number of z, so a z's bits do not
-  depend on its batch, unless another z of the batch fails the memory
-  rule.  One-step runs keep the jets path.
+  is read from the exponent of the step, so no q is formed before the
+  rule passes.
+- Determinism.  The rungs, the rung actions and the Taylor action
+  treat each (sample, jet) pair alone, so on the ladder a z-batched run
+  equals per-z runs bit for bit, as on the jets path, and neither the
+  blocks nor the turns of the Taylor action move a bit.  The path is
+  chosen from the step sizes and each z's own rungs, and the block size
+  from M, not from the number of z, so a z's bits do not depend on its
+  batch, unless another z of the batch fails the rule.  One-step runs
+  keep the jets path.
 
 ExactPropagator steps one StateStack at one z through the same core, one
 step per call, so on the jets path.  step_matrix builds the jets of the
@@ -426,8 +451,17 @@ def _mode0_diagonals(rows: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
 # and the Taylor temporaries (see module doc)
 _BUILD_SLICE = 2
 
-# rungs each z may hold, in sets of its step jets (K+1 jets); the jets path
-# peaks at about 9.8 of them
+# jets per _generator_powers call of the ladder's rung 0, which holds its
+# whole result beside the chunk's powers
+_BASE_SLICE = 4
+
+# reals per array of the ladder's Taylor action (_Ladder._remainder), which
+# sweeps eight such arrays per term: samples beyond it are taken in turns,
+# so the arrays stay in a core's cache
+_ACTION_REALS = 2 ** 15
+
+# rungs each z may need for its largest step size, in sets of its step jets
+# (K+1 jets); bounds the squarings of a climb (see module doc)
 _RUNG_SETS = 10
 
 
@@ -465,11 +499,12 @@ class _StepJets:
         order, norms = _band_norms(self.kl, self.off, self.rows, self.r)
         return order, norms, np.frexp(norms)[1]
 
-    def _sorted(self, h, keep: bool):
+    def _sorted(self, h, chunk: int, keep: bool = False):
         """One build of exp(-h G) for the sorted jets, h one step size or
-        one step per sorted jet: yield (part, R) for each chunk, R the jets
-        of the slice part of the sort.  Each chunk's G and powers are
-        kept for the next build when keep, else dropped before the yield."""
+        one step per sorted jet: yield (part, R) for each chunk of chunk
+        jets, R the jets of the slice part of the sort.  Each chunk's G and
+        powers are kept for the next build when keep, else dropped before
+        the yield."""
         ranks, norms, e = self.sorted_norms
         if not np.all(np.isfinite(h)):
             raise NumericError(f"step size is not finite: {h}")
@@ -483,8 +518,8 @@ class _StepJets:
                      np.frexp(h)[1] + e)
         c = np.ldexp(-h, e - s)
         coef = _TAYLOR25[_TAYLOR_SUMS] * c[:, None, None] ** _TAYLOR_SUMS
-        for j0 in range(0, len(ranks), self.chunk):
-            part = slice(j0, j0 + self.chunk)
+        for j0 in range(0, len(ranks), chunk):
+            part = slice(j0, j0 + chunk)
             powers = self.powers.pop(j0, None)
             if powers is None:
                 powers = _generator_powers(self.kl, self.off, self.rows,
@@ -502,7 +537,7 @@ class _StepJets:
         ranks = self.sorted_norms[0]
         out = None
         # a lattice of mode 0 alone has no batch to build
-        for part, R in self._sorted(dt, keep):
+        for part, R in self._sorted(dt, self.chunk, keep):
             if out is None:     # after the first chunk's temporaries are gone
                 out = np.empty((Z, K1, n, M, M))
             z, k = np.divmod(ranks[part], Kp)
@@ -529,37 +564,38 @@ class _StepJets:
         return out
 
     def base(self) -> np.ndarray:
-        """exp(-h G) of every sorted jet at its base step h = 2^(1-e).
+        """exp(-h G) of every sorted jet at its base step h = 2^(1-e), in
+        chunks of _BASE_SLICE jets.
 
         h norm = 2 f lies in [1, 2), inside theta_25, so the build has
         s = 0 and c = -h 2^e = -2 for every jet, exactly, and no squaring.
         """
         e = self.sorted_norms[2]
         out = None
-        for part, R in self._sorted(np.ldexp(1.0, 1 - e), keep=False):
+        for part, R in self._sorted(np.ldexp(1.0, 1 - e), _BASE_SLICE):
             if out is None:
                 out = np.empty((len(e),) + R.shape[1:])
             out[part] = R
         return out
 
 
-def _depths(e: np.ndarray, once) -> np.ndarray:
-    """Rungs of every sorted jet for the once-used step sizes once.
+def _depths(e: np.ndarray, longest: float) -> np.ndarray:
+    """Rungs of every sorted jet for times up to longest.
 
-    dt / h with h = 2^(1-e) has floor(log2 dt) + e - 1 as the exponent of
-    its leading bit, so q = floor(dt / h) has frexp(dt)[1] + e - 1 bits,
+    t / h with h = 2^(1-e) has floor(log2 t) + e - 1 as the exponent of
+    its leading bit, so q = floor(t / h) has frexp(t)[1] + e - 1 bits,
     and no q is formed.  Every jet keeps rung 0, which builds the others.
     """
-    return np.maximum(np.frexp(max(once))[1] + e - 1, 1)
+    return np.maximum(np.frexp(longest)[1] + e - 1, 1)
 
 
-def _split(dt, e: np.ndarray):
-    """(q, r) with dt = q h + r exactly for the base steps h = 2^(1-e):
-    r = fmod(dt, h), and q, an integer in floats, since h is a power of
+def _split(t, e: np.ndarray):
+    """(q, r) with t = q h + r exactly for the base steps h = 2^(1-e):
+    r = fmod(t, h), and q, an integer in floats, since h is a power of
     two."""
     h = np.ldexp(1.0, 1 - e)
-    r = np.fmod(dt, h)
-    return (dt - r) / h, r
+    r = np.fmod(t, h)
+    return (t - r) / h, r
 
 
 def _bits(q: np.ndarray, i: int) -> np.ndarray:
@@ -572,39 +608,62 @@ def _suffixes(depth: np.ndarray) -> np.ndarray:
     return np.searchsorted(depth, np.arange(depth[-1]), side="right")
 
 
+def _climb(R: np.ndarray, firsts: np.ndarray):
+    """Yield (first, L_i) for each rung i: L_0 = R, the rung of every
+    sorted jet, and L_(i+1) = L_i^2 for the jets from firsts[i+1] on.  Each
+    rung is squared once its (first, L_i) has been taken, and the
+    generator then holds the next rung only."""
+    for i, first in enumerate(firsts):
+        yield first, R
+        if i + 1 < len(firsts):
+            R = R[firsts[i + 1] - first:]
+            R = _jet_mul(R, R)
+
+
+def _block_size(M: int) -> int:
+    """Samples a ladder block advances together: a sample holds 2 M reals
+    per jet row against M^2 for a step jet, so M // 2 samples take about
+    one set of step jets."""
+    return max(M // 2, 1)
+
+
 def _ladder(build: _StepJets, once):
     """A _Ladder for the step sizes once of a run that uses each of its
-    nonzero step sizes once, or None: the selection and memory rule of
-    the module docstring."""
+    nonzero step sizes once, or None: the selection rule of the module
+    docstring."""
     Kp = len(build.modes)
     if len(once) < 2 or not Kp:
         return None
     ranks, _, e = build.sorted_norms
-    rungs = np.bincount(ranks // Kp, _depths(e, once))     # per z
+    rungs = np.bincount(ranks // Kp, _depths(e, max(once)))     # per z
     if rungs.max() > _RUNG_SETS * (Kp + len(build.zero)):
         return None
     return _Ladder(build, once)
 
 
 class _Ladder:
-    """exp(-dt G) of the once-used step sizes of a run, applied to the data.
+    """exp(-T G) applied to the initial data at the absolute times T of a
+    run that uses each of its nonzero step sizes once.
 
-    Each sorted jet has a base step h = 2^(1-e) and rungs
-    L_i = exp(-2^i h G), L_0 from _StepJets.base and L_i = L_(i-1)^2.  A
-    step dt = q h + r applies the rungs of q's set bits, then the Taylor
-    action of exp(-r G) read from the bands of G (_remainder).  The rungs
-    are built at the first step and dropped after the last; rung i is
-    held only for the suffix of the sorted jets with more than i rungs.
+    T_j is the running sum of the steps once.  Each sorted jet has a base
+    step h = 2^(1-e) and rungs L_i = exp(-2^i h G), L_0 from
+    _StepJets.base and L_(i+1) = L_i^2 (_climb).  T = q h + r applies the
+    rungs of q's set bits, then the Taylor action of exp(-r G) read from
+    the bands of G (_remainder).  The samples of a block of _block_size
+    times climb the rungs together, and each rung is dropped once it is
+    climbed; rung 0 is built at the first sample and held until the last
+    block has climbed it.  Jets of equal e share h, so they share q and
+    r: the sort makes each such group one stretch of the jets.
     """
 
     def __init__(self, build: _StepJets, once):
         self.build = build
-        self.steps = len(once)
+        self.times = np.cumsum(once)
         ranks, _, e = build.sorted_norms
-        self.depth = _depths(e, once)
         z, k = np.divmod(ranks, len(build.modes))
         self.places = z, build.modes[k]
-        self.rungs = None
+        starts = np.flatnonzero(np.diff(e, prepend=e[0] - 1))
+        self.groups = list(zip(starts, np.append(starts[1:], len(e))))
         # the bands of the scaled jets Gs = 2^-e G, in the layout of the data
         # (J, N+1, M, 2), as _generator_powers writes them: kl off below the
         # diagonal, -(kl off) above it, and sigma^(i) r on level i's diagonal
@@ -622,32 +681,80 @@ class _Ladder:
             for i in range(d + 1):
                 self.mix[:, d, d - i] = math.comb(d, i) * a[:, i]
 
-    def _climb(self):
-        """[(L_i, first jet of L_i)]: rung 0 for every jet, then the
-        squarings of each suffix."""
-        firsts = _suffixes(self.depth)
-        rungs = [self.build.base()]
-        for i in range(1, len(firsts)):
-            R = rungs[-1][firsts[i] - firsts[i - 1]:]
-            rungs.append(_jet_mul(R, R))
-        return list(zip(rungs, firsts))
+    def samples(self, W0: np.ndarray):
+        """Yield exp(-T_j G) W0 at each time T_j, shape W0.shape.
+
+        W0 holds the real-frame data.  The times advance in blocks of
+        _block_size; all samples of a block are formed before the first
+        of them is yielded, and each is released once yielded.  Mode 0
+        keeps its closed form at T_j.
+        """
+        e = self.build.sorted_norms[2]
+        X0 = W0[self.places]
+        base = self.build.base()
+        size = _block_size(W0.shape[-2])
+        for b0 in range(0, len(self.times), size):
+            T = self.times[b0:b0 + size]
+            rungs = _climb(base, _suffixes(_depths(e, T[-1])))
+            if b0 + size >= len(self.times):
+                base = None     # the last block drops rung 0 once climbed
+            X = self._advance(rungs, X0, T)
+            out = [np.empty_like(W0) for _ in T]
+            for W, x, t in zip(out, X, T):
+                W[self.places] = x
+                for k in self.build.zero:
+                    W[:, k] = _jet_mul(self.build.mode0(t), W0[:, k])
+                if not np.all(np.isfinite(W)):
+                    raise NumericError(
+                        f"matrix exponential produced non-finite entries "
+                        f"at t={t}")
+            del X
+            while out:
+                yield out.pop(0)
+
+    def _advance(self, rungs, X0: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """exp(-T_b G) X0 at the times T of a block, shape (B,) + X0.shape.
+
+        T_b = q h + r: each rung (first, L_i) of the climb acts on the
+        samples whose q has bit i set, one group of equal e at a time, and
+        is dropped once the next one is squared from it; then the Taylor
+        action of exp(-r G) finishes the samples, in turns of
+        _ACTION_REALS reals per array.
+        """
+        e = self.build.sorted_norms[2]
+        q, r = _split(T[:, None], e)
+        X = np.repeat(X0[None], len(T), axis=0)
+        for i, (first, R) in enumerate(rungs):
+            bits = _bits(q, i)
+            for a, b in self.groups:
+                bit = bits[:, a]
+                if a >= first and bit.any():
+                    X[bit, a:b] = _jet_mul(R[a - first:b - first], X[bit, a:b])
+            del R
+        c = np.ldexp(-r, e)
+        width = max(_ACTION_REALS // X0.size, 1)
+        for s0 in range(0, len(T), width):
+            self._remainder(X[s0:s0 + width], c[s0:s0 + width])
+        return X
 
     def _remainder(self, X: np.ndarray, c: np.ndarray) -> np.ndarray:
         """exp(c Gs) X, in place, by the degree-25 Taylor series.
 
-        c Gs has a 1-norm below 2.  Each term is the previous one times
-        c Gs / k, a generator action read from the bands: the level mix
-        times relax, then the two off-diagonals of the twist on every level.
-        The off-diagonals act on the flat data shifted by one m (two
-        floats); their zero entries at m = 0 and m = M-1 keep the shifts
-        inside each level.
+        X has shape (S, J, N+1, M, 2) and c (S, J): S samples of every
+        sorted jet, and each c Gs has a 1-norm below 2.  Each term is the
+        previous one times c Gs / k, a generator action read from the
+        bands: the level mix times relax, then the two off-diagonals of the
+        twist on every level.  The off-diagonals act on the flat data
+        shifted by one m (two floats); their zero entries at m = 0 and
+        m = M-1 keep the shifts inside each level.
         """
-        J, n, M, _ = X.shape
-        mix = self.mix * c[:, None, None]
-        below = (self.below * c[:, None, None, None]).reshape(-1)[2:]
-        above = (self.above * c[:, None, None, None]).reshape(-1)[:-2]
+        S, J, n, M, _ = X.shape
+        cs = c[:, :, None, None, None]
+        mix = self.mix * cs[..., 0]
+        below = (self.below * cs).reshape(-1)[2:]
+        above = (self.above * cs).reshape(-1)[:-2]
         tmp = np.empty(len(below))
-        v, y = X.reshape(J, n, 2 * M).copy(), np.empty((J, n, 2 * M))
+        v, y = X.reshape(S, J, n, 2 * M).copy(), np.empty((S, J, n, 2 * M))
         vf, yf, Xf = v.reshape(-1), y.reshape(-1), X.reshape(-1)
         for k in range(1, _TAYLOR_DEGREE + 1):
             np.matmul(mix, v, out=y)
@@ -660,29 +767,6 @@ class _Ladder:
             Xf += yf
             v, y, vf, yf = y, v, yf, vf
         return X
-
-    def __call__(self, W: np.ndarray, dt: float) -> np.ndarray:
-        if self.rungs is None:
-            self.rungs = self._climb()
-        e = self.build.sorted_norms[2]
-        q, r = _split(dt, e)
-        X = W[self.places]
-        for i, (R, first) in enumerate(self.rungs):
-            bit = _bits(q[first:], i)
-            if bit.any():
-                np.copyto(X[first:], _jet_mul(R, X[first:]),
-                          where=bit[:, None, None, None])
-        out = np.empty_like(W)
-        out[self.places] = self._remainder(X, np.ldexp(-r, e))
-        for k in self.build.zero:
-            out[:, k] = _jet_mul(self.build.mode0(dt), W[:, k])
-        self.steps -= 1
-        if not self.steps:
-            self.rungs = None
-        if not np.all(np.isfinite(out)):
-            raise NumericError(
-                f"matrix exponential produced non-finite entries at dt={dt}")
-        return out
 
 
 def _dense_steps(R: np.ndarray) -> np.ndarray:
@@ -709,11 +793,12 @@ def propagate(data: np.ndarray, sigma_rows, l: float, dts):
     sigma^(0)..sigma^(N) at that z, shape (Z, N+1).  Each sample has shape
     (Z, K+1, N+1, M, 2): the (re, im) column pairs of D^-1 x, where
     D = diag(i^m), starting from real_frame(data).  A zero step yields
-    the previous sample again; the samples must not be written to.  The jets of a step size are built at
-    its first step and dropped after its last, and a run whose nonzero
-    step sizes are all distinct may step through the ladder instead
-    (module docstring).  Every step size and the shapes of data and
-    sigma_rows are checked before the first sample.
+    the previous sample again; the samples must not be written to.  The
+    jets of a step size are built at its first step and dropped after its
+    last, and a run whose nonzero step sizes are all distinct may instead
+    form each sample from real_frame(data) at its absolute time through
+    the ladder (module docstring).  Every step size and the shapes of
+    data and sigma_rows are checked before the first sample.
     """
     dts = list(dts)
     for dt in dts:
@@ -732,12 +817,14 @@ def propagate(data: np.ndarray, sigma_rows, l: float, dts):
     if len(sizes) == len(dts) - dts.count(0.0):
         ladder = _ladder(build, sizes)
     W = real_frame(data)        # D^-1 x as (re, im) column pairs
+    if ladder is not None:
+        samples = ladder.samples(W)
     jets = {}
     for j, dt in enumerate(dts):
         if dt == 0.0:
             pass
         elif ladder is not None:
-            W = ladder(W, dt)
+            W = next(samples)
         else:
             if dt not in jets:      # the last new step size drops the powers
                 jets[dt] = build(dt, keep=dt != sizes[-1])

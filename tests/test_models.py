@@ -150,6 +150,18 @@ def test_taylor_bound_values():
                                                                     rel=1e-8)
 
 
+@pytest.mark.parametrize("coeffs", [[2.0, 0.5], [1.5, 0.3, -0.4, 0.2],
+                                    [5.0, 0.0, -1e-3]])
+def test_taylor_bound_of_zero_padded_polynomials(coeffs):
+    # trailing zero coefficients add only +0.0 to each sum: the padded
+    # polynomial has the trimmed one's bound bit for bit, even where the
+    # binomials of the padding degrees overflow a float
+    want = taylor_bound(polynomial_model(coeffs))
+    for pad in (1, 40, 1100):
+        got = taylor_bound(polynomial_model(coeffs + [0.0] * pad))
+        assert math.copysign(1.0, got) == 1.0 and got.hex() == want.hex()
+
+
 def test_project_coefficients_places_entries():
     lat = ModeLattice(K=3, L=2 * math.pi, M=6)
     spec = InitialDataSpec(kind="coefficients",

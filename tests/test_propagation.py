@@ -347,7 +347,8 @@ def test_a_first_zero_step_yields_the_real_frame_of_the_data():
 def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
     # a run builds the powers of each chunk once, keeps them only while
     # a later step size still needs a build, and a run of one step size
-    # keeps none after its step, nor does a ladder run after rung 0
+    # keeps none after its step, nor does a ladder run after rung 0, which
+    # it builds in chunks of _BASE_SLICE jets
     built, ladders = [], []
     generator_powers = propagation._generator_powers
     ladder = propagation._Ladder
@@ -382,7 +383,9 @@ def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
     seen = [(len(built), held()) for _ in propagation.propagate(
         data, rows, LAT.l, [0.1, 0.2, 0.0, 0.3, 0.7])]
     assert len(ladders) == 1
-    assert seen == [(2, 0)] * 5
+    chunks = -(-3 * LAT.K // propagation._BASE_SLICE)  # 3 z, K moving modes
+    assert chunks == 3
+    assert seen == [(chunks, 0)] * 5
 
 
 @settings(max_examples=40, deadline=None)
@@ -494,27 +497,70 @@ def test_derivatives_large_shape_against_extended_precision():
         assert _rel_err(dense, _large_reference(k, dt)) < 1e-13, (dt, k)
 
 
+def _spy_rungs(monkeypatch):
+    """Weak references to every rung the ladder's climbs yield."""
+    rungs = []
+    climb = propagation._climb
+
+    def spy(*args):
+        for first, R in climb(*args):
+            rungs.append(weakref.ref(R))
+            yield first, R
+
+    monkeypatch.setattr(propagation, "_climb", spy)
+    return rungs
+
+
 def test_ladder_steps_against_extended_precision(monkeypatch):
     # the derivatives_large run steps its 15 once-used step sizes through
     # the ladder; each step of one mode (cycling through 0..16, as above)
     # is the oracle's step matrix applied to the sample before it
-    ladders = []
-    ladder = propagation._Ladder
-
-    def spy(*args):
-        ladders.append(ladder(*args))
-        return ladders[-1]
-
-    monkeypatch.setattr(propagation, "_Ladder", spy)
+    rungs = _spy_rungs(monkeypatch)
     data, rows = _stacks(LARGE_MODEL, LARGE, [0.3], 2)
-    samples = [complex_frame(W[0]) for W in propagation.propagate(
-        data, rows, LARGE.l, LARGE_DTS)]
-    # one ladder, its rungs dropped after the last step
-    assert len(ladders) == 1 and ladders[0].rungs is None
+    alive = []
+    samples = []
+    for W in propagation.propagate(data, rows, LARGE.l, LARGE_DTS):
+        alive.append(sum(ref() is not None for ref in rungs))
+        samples.append(complex_frame(W[0]))
+    # the 15 samples are one block, which climbs its rungs before the
+    # first of them and drops each rung once it is climbed
+    assert len(rungs) > 1 and alive == [0] * len(samples)
     for j, dt in enumerate(LARGE_DTS[1:]):
         k = 7 * j % 17
         want = _large_reference(k, dt) @ samples[j][k].reshape(-1)
         assert _rel_err(samples[j + 1][k].reshape(-1), want) < 1e-13, (dt, k)
+
+
+def test_ladder_samples_against_extended_precision():
+    # each ladder sample of the derivatives_large run is exp(-T_j G) applied
+    # to the initial data, T_j the running sum of the steps: one mode of
+    # each sample (cycling through 0..16, as above) against the oracle at T_j
+    data, rows = _stacks(LARGE_MODEL, LARGE, [0.3], 2)
+    samples = propagation.propagate(data, rows, LARGE.l, LARGE_DTS)
+    assert np.array_equal(next(samples), real_frame(data))
+    for j, (T, W) in enumerate(zip(np.cumsum(LARGE_DTS[1:]), samples,
+                                   strict=True)):
+        k = 7 * j % 17
+        want = _large_reference(k, T) @ data[0, k].reshape(-1)
+        err = _rel_err(complex_frame(W[0, k]).reshape(-1), want)
+        assert err < 1e-13, (T, k, err)
+
+
+def test_ladder_blocks_give_the_same_bits(monkeypatch):
+    # the samples of a block climb the rungs together; blocks of one
+    # sample give the same bits as the default blocks, which here split the
+    # 15 samples of 3 z into two blocks and their Taylor actions into turns
+    lattice = ModeLattice(K=4, L=2 * math.pi, M=20)
+    data, rows = _stacks(MODELS["trig"], lattice, (-0.5, 0.1, 0.5), 1)
+    assert propagation._block_size(lattice.M) == 10
+    runs = []
+    for size in (propagation._block_size, lambda M: 1):
+        monkeypatch.setattr(propagation, "_block_size", size)
+        monkeypatch.setattr(propagation, "_ACTION_REALS", 2 ** 11)
+        runs.append(list(propagation.propagate(data, rows, lattice.l,
+                                               LARGE_DTS)))
+    for a, b in zip(*runs, strict=True):
+        assert np.array_equal(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -596,9 +642,10 @@ def test_runs_mixing_step_sizes_against_extended_precision(variant, M, N, pool,
 
 
 def test_derivatives_large_shape_peak_memory():
-    # the 15-step K = 16, M = 60, N = 2 run holds at most 10.8 arrays of
-    # one set of step jets above its inputs at any time: G and its six
-    # powers, the two Taylor sums, the result, and one level of a product
+    # the 15-step K = 16, M = 60, N = 2 run takes the ladder and holds at
+    # most 5.0 arrays of one set of step jets above its inputs at any time:
+    # rung 0 beside one chunk's G, powers and Taylor sums, or two rungs
+    # beside the block of samples
     lattice = ModeLattice(K=16, L=2 * math.pi, M=60)
     times = [0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0) / 14)
                      for i in range(15)]
@@ -617,7 +664,7 @@ def test_derivatives_large_shape_peak_memory():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 10.8 * jet_bytes, peak / jet_bytes
+    assert peak <= 5.0 * jet_bytes, peak / jet_bytes
 
 
 @pytest.mark.parametrize("M", [5, 20, 60])
@@ -719,10 +766,16 @@ def test_ladder_selection():
     once = list(LARGE_DTS[1:])
     ladder = choice(LARGE, at([0.3], 2), once)
     assert isinstance(ladder, propagation._Ladder)
-    # rung i is held for a suffix of the jets: those with more than i rungs
-    assert np.all(np.diff(ladder.depth) >= 0) and ladder.depth.sum() <= 170
-    assert [len(R) for R, _ in ladder._climb()] == [
-        np.count_nonzero(ladder.depth > i) for i in range(ladder.depth[-1])]
+    # the rule counts the rungs of the largest step size; the climb goes up
+    # to the last time, and rung i is squared for a suffix of the jets:
+    # those with more than i rungs
+    e = ladder.build.sorted_norms[2]
+    assert propagation._depths(e, max(once)).sum() <= 170
+    depth = propagation._depths(e, ladder.times[-1])
+    assert np.all(np.diff(depth) >= 0)
+    assert [len(R) for _, R in propagation._climb(
+        ladder.build.base(), propagation._suffixes(depth))] == [
+        np.count_nonzero(depth > i) for i in range(depth[-1])]
     small = ModeLattice(K=2, L=2 * math.pi, M=8)
     one = ModeLattice(K=1, L=2 * math.pi, M=60)
     for lattice, rows in ((small, at([-0.5, 0.0, 0.5], 1)),
@@ -872,11 +925,13 @@ def _peak_bytes(lattice, zs, dts, N=0):
     # the 15 log-spaced steps of a derivatives run at K = 16, M = 60
     (16, 60, 4, np.diff([0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0)
                                           / 14) for i in range(15)],
-                        prepend=0.0), 21_193_888),
+                        prepend=0.0), 5_600_000),
 ], ids=["sweep", "derivatives_large"])
 def test_single_level_peak_memory(K, M, Z, dts, limit):
-    # limit is the peak of this run under the earlier [13/13] Pade build
-    # with an LU solve (numpy 2.4); the Taylor build must stay below it
+    # the sweep's limit is the peak of its run under the earlier [13/13]
+    # Pade build with an LU solve (numpy 2.4); the Taylor build must stay
+    # below it.  The derivatives run takes the ladder, whose limit is its
+    # peak with rungs dropped as they are climbed, plus a margin
     lattice = ModeLattice(K=K, L=2 * math.pi, M=M)
     peak = _peak_bytes(lattice, list(np.linspace(-1.0, 1.0, Z)), dts)
     assert peak <= limit, peak
