@@ -138,66 +138,81 @@ per block of samples in place of per-step-size squarings:
   L_i = exp(-2^i h G) = L_(i-1)^2.
 - A sample.  T = q h + r exactly, since h is a power of two: r is
   fmod(T, h) and q = (T - r) / h, an integer in floats.
-  exp(-T G) = exp(-r G) prod_{bits i of q} L_i, all functions of G, so
-  the sample applies the rungs of q's set bits to W_0, then the
-  degree-25 Taylor action of exp(-r G), with ||r G|| < 2.  That action
-  (_Ladder._remainder) reads only G's bands, scaled by 2^-e like the
-  jets: kl off below the diagonal and -(kl off) above it on every
-  level, and the level mix binom(d, i) sigma^(i)(z) times diag(r).
-  Jets of equal e share h, and so q and r; the sort makes each such
-  group one stretch of the jets, and a rung acts on a group's samples
-  whose bit is set.  Mode 0 keeps its closed form at T.
+  exp(-T G) = prod_{bits i of q} L_i exp(-r G), all functions of G, so
+  they commute, and the sample applies the remainder exp(-r G) to W_0
+  first, then the rungs of q's set bits.  Jets of equal e share h, and
+  so q and r; the sort makes each such group one stretch of the jets,
+  and a rung acts on a group's samples whose bit is set.  Mode 0 keeps
+  its closed form at T: its diagonals times W_0, level by level as the
+  Leibniz sum (_diagonal_jet_mul).
+- The remainder.  With Gs = 2^-e G, exp(-r G) = exp(c Gs) with
+  c = -r 2^e and ||c Gs|| < 2, inside theta_25, so the degree-25 Taylor
+  series gives it: the sum over k of c^k / k! Gs^k W_0.  The terms
+  Gs^k W_0 do not depend on the sample, only the scalars c^k / k! do.
+  So a block forms each term once, as Gs times the term before it
+  (_Ladder._act), and adds it to every sample of the block times that
+  sample's running power of c (_Ladder._remainders): 25 generator
+  actions per block, whatever its number of samples, and one scaled
+  sum per term over the block.  Each action reads only G's bands,
+  scaled by 2^-e like the jets: kl off below the diagonal and -(kl off)
+  above it on every level, and the level mix binom(d, i) sigma^(i)(z)
+  times diag(r).  A term is one sample's worth of data, and only the
+  term being summed and the next one are held.
 - Blocks and the climb.  The samples advance in blocks of
   _block_size(M) = max(M // 2, 1) times: a sample holds 2 M reals per
   jet against M^2 for a step jet, so a block is about one set of step
-  jets, whatever the number of z.  A block climbs the rungs once for
-  all its samples (_climb): rung i acts on the samples whose q has bit
-  i set, is squared into rung i+1, and is dropped.  q < T / h, so a jet
-  needs frexp(T)[1] + e - 1 rungs (at least rung 0) for the block's
-  last time T.  Depth grows with e, so it is nondecreasing along the
-  sort, and rung i+1 is squared only for the suffix of the jets with
-  more than i+1 rungs.  The Taylor action then finishes the block, in
-  turns of _ACTION_REALS reals per array, which stay in a core's cache.
-  Rung 0 is built at the first sample and kept for the next block,
-  which climbs the other rungs again; the last block drops it too.
+  jets, whatever the number of z.  A block forms its remainders, then
+  climbs the rungs once for all its samples (_climb): rung i acts on the
+  samples whose q has bit i set, is squared into rung i+1, and is
+  dropped.  q < T / h, so a jet needs frexp(T)[1] + e - 1 rungs (at
+  least rung 0) for the block's last time T.  Depth grows with e, so it
+  is nondecreasing along the sort, and rung i+1 is squared only for the
+  suffix of the jets with more than i+1 rungs.  Rung 0 is built at the
+  first sample and kept for the next block, which climbs the other
+  rungs again; the last block drops it too.
 - Memory rule.  At most two rungs are alive at once, beside rung 0
   while another block is to come, and the block of samples.  The
   derivatives_large run (K = 16, M = 60, N = 2, one z, 15 log-spaced
   times: one block) peaks at 3.75 arrays of one set of its step jets,
   while it builds rung 0 (one chunk's G, powers and Taylor sums beside
-  the rung) and again while it climbs (two rungs beside the samples);
-  on the jets path it peaks at 9.77.  30 z at K = 4, M = 8 (four
-  blocks of four samples) peak at 8.7, in the Taylor action of a block.
+  the rung); it climbs at 3.44 (two rungs beside the samples) and
+  forms its remainders at 2.2.  On the jets path it peaks at 9.77.
+  30 z at K = 4, M = 8 (four blocks of four samples) peak at 7.0, while
+  a later block forms its remainders: rung 0, the block's samples and
+  the scaled term beside the data.
 - Selection (_ladder).  The ladder is taken by every run whose nonzero
   step sizes are all distinct, at least two of them, with a moving mode
   (K >= 1), when the rule below passes.  Such a run steps only by the
   ladder, so it builds no step jets.  The ladder saves the squarings of
-  every build but one per block, and pays about 25 generator actions
-  per sample.  With one BLAS thread and 15 log-spaced steps (best of 7),
-  ladder against jets: 3.4 against 2.8 ms with one z at K = 16, M = 8,
-  N = 0; 4.4 against 4.3 ms at K = 16, M = 20; 9.4 against 19 ms with
-  30 z at K = 4, M = 8; and 38-41 against 159-166 ms on the
-  derivatives_large shape.  A run with one step size never gains,
-  because its depth is about the s of its jets build.  A run with a
-  repeated step size keeps the jets path bit for bit; so do most range
-  grids whose spacing is not dyadic: their step sizes split into a few
-  last-bit variants, and some of them repeat.
-- The rule bounds the cost of the climb, not its memory.  A run in
-  which some z would need more than _RUNG_SETS = 10 sets of its step
-  jets (K+1 jets each) in rungs for its largest step size takes the
-  jets path; the climb to the last time needs at most about log2 of
-  the number of steps more rungs per jet.  So do long horizons and
-  steps like times [0, 1e300], where q has about a thousand bits; depth
-  is read from the exponent of the step, so no q is formed before the
-  rule passes.
-- Determinism.  The rungs, the rung actions and the Taylor action
-  treat each (sample, jet) pair alone, so on the ladder a z-batched run
-  equals per-z runs bit for bit, as on the jets path, and neither the
-  blocks nor the turns of the Taylor action move a bit.  The path is
-  chosen from the step sizes and each z's own rungs, and the block size
-  from M, not from the number of z, so a z's bits do not depend on its
-  batch, unless another z of the batch fails the rule.  One-step runs
-  keep the jets path.
+  every build but one per block, and pays 25 generator actions per
+  block.  With one BLAS thread and 15 log-spaced steps (best of 7),
+  ladder against jets: 3.5 against 2.8 ms with one z at K = 16, M = 8,
+  N = 0 (four blocks, each climbing again); 3.7 against 4.4 ms at
+  K = 16, M = 20; 8.3 against 19 ms with 30 z at K = 4, M = 8; and
+  35-38 against 168-173 ms on the derivatives_large shape.  A run with
+  one step size never gains, because its depth is about the s of its
+  jets build.  A run with a repeated step size keeps the jets path bit
+  for bit; so do most range grids whose spacing is not dyadic: their
+  step sizes split into a few last-bit variants, and some of them
+  repeat.
+- The rule counts rungs for the largest step size, not for the climb.
+  A run in which some z would need more than _RUNG_SETS = 10 sets of
+  its step jets (K+1 jets each) in rungs for its largest step size
+  takes the jets path.  The climb goes up to the last time, which needs
+  up to about log2 of the number of steps more rungs per jet: on the
+  derivatives_large shape the rule counts 163 rungs against its bound
+  of 170, and the climb squares 179.  Long horizons and steps like
+  times [0, 1e300], where q has about a thousand bits, take the jets
+  path; depth is read from the exponent of the step, so no q is formed
+  before the rule passes.
+- Determinism.  The rungs, the rung actions, the generator actions and
+  the scaled sums treat each (sample, jet) pair alone, so on the ladder
+  a z-batched run equals per-z runs bit for bit, as on the jets path,
+  and the blocks do not move a bit.  The path is chosen from the step
+  sizes and each z's own rungs, and the block size from M, not from
+  the number of z, so a z's bits do not depend on its batch, unless
+  another z of the batch fails the rule.  One-step runs keep the jets
+  path.
 
 ExactPropagator steps one StateStack at one z through the same core, one
 step per call, so on the jets path.  step_matrix builds the jets of the
@@ -447,6 +462,22 @@ def _mode0_diagonals(rows: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
     return f
 
 
+def _diagonal_jet_mul(f: np.ndarray, Y: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """_jet_mul for jets of diagonal matrices, given by their diagonals f,
+    shape (..., N+1, M), into out: the same Leibniz sums in the same
+    order, each product a row scaling of Y (..., N+1, M, P)."""
+    for d in range(f.shape[-2]):
+        acc = np.multiply(f[..., 0, :, None], Y[..., d, :, :],
+                          out=out[..., d, :, :])
+        for i in range(1, d + 1):
+            term = f[..., i, :, None] * Y[..., d - i, :, :]
+            if i < d:                   # binom(d, d) = 1
+                term *= math.comb(d, i)
+            acc += term
+    return out
+
+
 # z rows' worth of jets per _generator_powers call; bounds the shared powers
 # and the Taylor temporaries (see module doc)
 _BUILD_SLICE = 2
@@ -455,13 +486,8 @@ _BUILD_SLICE = 2
 # whole result beside the chunk's powers
 _BASE_SLICE = 4
 
-# reals per array of the ladder's Taylor action (_Ladder._remainder), which
-# sweeps eight such arrays per term: samples beyond it are taken in turns,
-# so the arrays stay in a core's cache
-_ACTION_REALS = 2 ** 15
-
 # rungs each z may need for its largest step size, in sets of its step jets
-# (K+1 jets); bounds the squarings of a climb (see module doc)
+# (K+1 jets); the climb to the last time may square a few more (module doc)
 _RUNG_SETS = 10
 
 
@@ -630,7 +656,9 @@ def _block_size(M: int) -> int:
 def _ladder(build: _StepJets, once):
     """A _Ladder for the step sizes once of a run that uses each of its
     nonzero step sizes once, or None: the selection rule of the module
-    docstring."""
+    docstring.  The rule counts each jet's rungs for the largest step
+    size; the climb goes up to the last time, up to about log2(len(once))
+    more rungs per jet."""
     Kp = len(build.modes)
     if len(once) < 2 or not Kp:
         return None
@@ -647,13 +675,14 @@ class _Ladder:
 
     T_j is the running sum of the steps once.  Each sorted jet has a base
     step h = 2^(1-e) and rungs L_i = exp(-2^i h G), L_0 from
-    _StepJets.base and L_(i+1) = L_i^2 (_climb).  T = q h + r applies the
-    rungs of q's set bits, then the Taylor action of exp(-r G) read from
-    the bands of G (_remainder).  The samples of a block of _block_size
-    times climb the rungs together, and each rung is dropped once it is
-    climbed; rung 0 is built at the first sample and held until the last
-    block has climbed it.  Jets of equal e share h, so they share q and
-    r: the sort makes each such group one stretch of the jets.
+    _StepJets.base and L_(i+1) = L_i^2 (_climb).  T = q h + r: the
+    remainder exp(-r G) comes first, from the Taylor terms of the initial
+    data (_remainders), and the rungs of q's set bits follow.  The
+    samples of a block of _block_size times climb the rungs together, and
+    each rung is dropped once it is climbed; rung 0 is built at the first
+    sample and held until the last block has climbed it.  Jets of equal e
+    share h, so they share q and r: the sort makes each such group one
+    stretch of the jets.
     """
 
     def __init__(self, build: _StepJets, once):
@@ -670,11 +699,13 @@ class _Ladder:
         n, M = build.rows.shape[1], len(build.r)
         scale = np.ldexp(1.0, -e)
         band = (build.kl[k] * scale)[:, None, None, None] * build.off[:, None]
-        self.below = np.zeros((len(e), n, M, 2))    # entry (m, m-1) of row m
-        self.below[:, :, 1:] = band
-        self.above = np.zeros((len(e), n, M, 2))    # entry (m, m+1) of row m
-        self.above[:, :, :-1] = -band
-        self.relax = np.repeat(build.r, 2)
+        below = np.zeros((len(e), n, M, 2))     # entry (m, m-1) of row m
+        below[:, :, 1:] = band
+        above = np.zeros((len(e), n, M, 2))     # entry (m, m+1) of row m
+        above[:, :, :-1] = -band
+        # flat, to act on the flat data shifted by one m (_act)
+        self.below, self.above = below.reshape(-1)[2:], above.reshape(-1)[:-2]
+        self.relax = build.r[:, None]
         a = build.rows[z] * scale[:, None]          # sigma^(i) 2^-e
         self.mix = np.zeros((len(e), n, n))         # levels mix as Leibniz
         for d in range(n):
@@ -687,7 +718,7 @@ class _Ladder:
         W0 holds the real-frame data.  The times advance in blocks of
         _block_size; all samples of a block are formed before the first
         of them is yielded, and each is released once yielded.  Mode 0
-        keeps its closed form at T_j.
+        keeps its closed form at T_j, applied to its diagonals.
         """
         e = self.build.sorted_norms[2]
         X0 = W0[self.places]
@@ -699,31 +730,37 @@ class _Ladder:
             if b0 + size >= len(self.times):
                 base = None     # the last block drops rung 0 once climbed
             X = self._advance(rungs, X0, T)
-            out = [np.empty_like(W0) for _ in T]
-            for W, x, t in zip(out, X, T):
-                W[self.places] = x
-                for k in self.build.zero:
-                    W[:, k] = _jet_mul(self.build.mode0(t), W0[:, k])
-                if not np.all(np.isfinite(W)):
-                    raise NumericError(
-                        f"matrix exponential produced non-finite entries "
-                        f"at t={t}")
+            out = [self._sample(W0, x, t) for x, t in zip(X, T)]
             del X
             while out:
                 yield out.pop(0)
 
+    def _sample(self, W0: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+        """The sample at time t: the advanced data x of the sorted jets in
+        their (z, k) places, and mode 0 in closed form, its diagonals times
+        W0 level by level."""
+        W = np.empty_like(W0)
+        W[self.places] = x
+        for k in self.build.zero:
+            f = _mode0_diagonals(self.build.rows, self.build.r, t)
+            _diagonal_jet_mul(f, W0[:, k], out=W[:, k])
+        if not np.all(np.isfinite(W)):
+            raise NumericError(
+                f"matrix exponential produced non-finite entries at t={t}")
+        return W
+
     def _advance(self, rungs, X0: np.ndarray, T: np.ndarray) -> np.ndarray:
         """exp(-T_b G) X0 at the times T of a block, shape (B,) + X0.shape.
 
-        T_b = q h + r: each rung (first, L_i) of the climb acts on the
+        T_b = q h + r.  The remainders exp(-r G) X0 come first
+        (_remainders); then each rung (first, L_i) of the climb acts on the
         samples whose q has bit i set, one group of equal e at a time, and
-        is dropped once the next one is squared from it; then the Taylor
-        action of exp(-r G) finishes the samples, in turns of
-        _ACTION_REALS reals per array.
+        is dropped once the next one is squared from it.  The remainder and
+        the rungs are all functions of G, so they commute.
         """
         e = self.build.sorted_norms[2]
         q, r = _split(T[:, None], e)
-        X = np.repeat(X0[None], len(T), axis=0)
+        X = self._remainders(X0, np.ldexp(-r, e))
         for i, (first, R) in enumerate(rungs):
             bits = _bits(q, i)
             for a, b in self.groups:
@@ -731,42 +768,42 @@ class _Ladder:
                 if a >= first and bit.any():
                     X[bit, a:b] = _jet_mul(R[a - first:b - first], X[bit, a:b])
             del R
-        c = np.ldexp(-r, e)
-        width = max(_ACTION_REALS // X0.size, 1)
-        for s0 in range(0, len(T), width):
-            self._remainder(X[s0:s0 + width], c[s0:s0 + width])
         return X
 
-    def _remainder(self, X: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """exp(c Gs) X, in place, by the degree-25 Taylor series.
+    def _remainders(self, X0: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """exp(c Gs) X0 for each row of c, shape (S,) + X0.shape.
 
-        X has shape (S, J, N+1, M, 2) and c (S, J): S samples of every
-        sorted jet, and each c Gs has a 1-norm below 2.  Each term is the
-        previous one times c Gs / k, a generator action read from the
-        bands: the level mix times relax, then the two off-diagonals of the
-        twist on every level.  The off-diagonals act on the flat data
-        shifted by one m (two floats); their zero entries at m = 0 and
-        m = M-1 keep the shifts inside each level.
+        X0 holds the data of every sorted jet, shape (J, N+1, M, 2), and c
+        the scalars of S samples, shape (S, J), each c Gs of 1-norm below
+        2.  The degree-25 Taylor series is the sum of the terms Gs^k X0,
+        which every sample of a jet shares, times running powers c^k / k!:
+        _TAYLOR_DEGREE actions of Gs (_act) for any number of samples, and
+        one scaled sum per term over the samples.
         """
-        S, J, n, M, _ = X.shape
-        cs = c[:, :, None, None, None]
-        mix = self.mix * cs[..., 0]
-        below = (self.below * cs).reshape(-1)[2:]
-        above = (self.above * cs).reshape(-1)[:-2]
-        tmp = np.empty(len(below))
-        v, y = X.reshape(S, J, n, 2 * M).copy(), np.empty((S, J, n, 2 * M))
-        vf, yf, Xf = v.reshape(-1), y.reshape(-1), X.reshape(-1)
-        for k in range(1, _TAYLOR_DEGREE + 1):
-            np.matmul(mix, v, out=y)
-            y *= self.relax
-            np.multiply(below, vf[:-2], out=tmp)
-            yf[2:] += tmp
-            np.multiply(above, vf[2:], out=tmp)
-            yf[:-2] += tmp
-            yf *= 1.0 / k
-            Xf += yf
-            v, y, vf, yf = y, v, yf, vf
+        # powers[k-1] = c^k / k!, as running products of c / k
+        ks = np.arange(1.0, _TAYLOR_DEGREE + 1)[:, None, None]
+        powers = np.cumprod(c / ks, axis=0)[..., None, None, None]
+        X = np.repeat(X0[None], len(c), axis=0)
+        tmp = np.empty(X.shape)
+        v = X0
+        for power in powers:
+            v = self._act(v)
+            X += np.multiply(power, v, out=tmp)
         return X
+
+    def _act(self, v: np.ndarray) -> np.ndarray:
+        """Gs v for data v of every sorted jet, shape (J, N+1, M, 2), read
+        from the bands: the level mix times relax, then the two
+        off-diagonals of the twist on every level.  The off-diagonals act
+        on the flat data shifted by one m (two floats); their zero entries
+        at m = 0 and m = M-1 keep the shifts inside each level."""
+        J, n, M, _ = v.shape
+        y = np.matmul(self.mix, v.reshape(J, n, 2 * M)).reshape(v.shape)
+        y *= self.relax
+        vf, yf = v.reshape(-1), y.reshape(-1)
+        yf[2:] += self.below * vf[:-2]
+        yf[:-2] += self.above * vf[2:]
+        return y
 
 
 def _dense_steps(R: np.ndarray) -> np.ndarray:

@@ -549,18 +549,67 @@ def test_ladder_samples_against_extended_precision():
 def test_ladder_blocks_give_the_same_bits(monkeypatch):
     # the samples of a block climb the rungs together; blocks of one
     # sample give the same bits as the default blocks, which here split the
-    # 15 samples of 3 z into two blocks and their Taylor actions into turns
+    # 15 samples of 3 z into two blocks
     lattice = ModeLattice(K=4, L=2 * math.pi, M=20)
     data, rows = _stacks(MODELS["trig"], lattice, (-0.5, 0.1, 0.5), 1)
     assert propagation._block_size(lattice.M) == 10
     runs = []
     for size in (propagation._block_size, lambda M: 1):
         monkeypatch.setattr(propagation, "_block_size", size)
-        monkeypatch.setattr(propagation, "_ACTION_REALS", 2 ** 11)
         runs.append(list(propagation.propagate(data, rows, lattice.l,
                                                LARGE_DTS)))
     for a, b in zip(*runs, strict=True):
         assert np.array_equal(a, b)
+
+
+def test_ladder_samples_of_several_blocks_against_extended_precision(
+        monkeypatch):
+    # 3 z at K = 4, M = 8 on the derivatives log grid take the ladder, and
+    # the 15 samples four blocks of _block_size(8) = 4.  Every (z, k) of
+    # each sample is exp(-T_j G) applied to the initial data, against the
+    # oracle at T_j
+    ladders = []
+    ladder = propagation._Ladder
+
+    def spy(*args):
+        ladders.append(ladder(*args))
+        return ladders[-1]
+
+    monkeypatch.setattr(propagation, "_Ladder", spy)
+    lattice = ModeLattice(K=4, L=2 * math.pi, M=8)
+    data, rows = _stacks(LARGE_MODEL, lattice, (-0.7, 0.2, 0.9), 2)
+    assert propagation._block_size(lattice.M) == 4
+    samples = propagation.propagate(data, rows, lattice.l, LARGE_DTS)
+    assert np.array_equal(next(samples), real_frame(data))
+    for T, W in zip(np.cumsum(LARGE_DTS[1:]), samples, strict=True):
+        for i, row in enumerate(rows):
+            for k in range(lattice.K + 1):
+                step = step_matrix_reference(k, lattice.l, T, row, lattice.M)
+                want = step @ data[i, k].reshape(-1)
+                err = _rel_err(complex_frame(W[i, k]).reshape(-1), want)
+                assert err < 1e-13, (T, i, k, err)
+    assert len(ladders) == 1
+
+
+@pytest.mark.parametrize("M, steps, blocks", [(60, 15, 1), (60, 3, 1),
+                                              (8, 15, 4), (8, 3, 1)])
+def test_ladder_taylor_terms_once_per_block(M, steps, blocks, monkeypatch):
+    # the Taylor terms Gs^k X0 are shared by every sample of a jet: a block
+    # takes _TAYLOR_DEGREE actions of Gs, whatever its number of samples
+    actions = [0]
+    act = propagation._Ladder._act
+
+    def spy(self, v):
+        actions[0] += 1
+        return act(self, v)
+
+    monkeypatch.setattr(propagation._Ladder, "_act", spy)
+    lattice = ModeLattice(K=4, L=2 * math.pi, M=M)
+    data, rows = _stacks(LARGE_MODEL, lattice, (-0.5, 0.5), 0)
+    dts = LARGE_DTS[:steps + 1]
+    assert len(list(propagation.propagate(data, rows, lattice.l, dts))) \
+        == steps + 1
+    assert actions[0] == blocks * propagation._TAYLOR_DEGREE
 
 
 @settings(max_examples=60, deadline=None)
@@ -766,12 +815,15 @@ def test_ladder_selection():
     once = list(LARGE_DTS[1:])
     ladder = choice(LARGE, at([0.3], 2), once)
     assert isinstance(ladder, propagation._Ladder)
-    # the rule counts the rungs of the largest step size; the climb goes up
-    # to the last time, and rung i is squared for a suffix of the jets:
-    # those with more than i rungs
+    # the rule counts the rungs of the largest step size, 163 against its
+    # bound of 170; the climb goes up to the last time, 179 rungs, and
+    # rung i is squared for a suffix of the jets: those with more than i
+    # rungs
     e = ladder.build.sorted_norms[2]
-    assert propagation._depths(e, max(once)).sum() <= 170
+    assert propagation._RUNG_SETS * (LARGE.K + 1) == 170
+    assert propagation._depths(e, max(once)).sum() == 163
     depth = propagation._depths(e, ladder.times[-1])
+    assert depth.sum() == 179
     assert np.all(np.diff(depth) >= 0)
     assert [len(R) for _, R in propagation._climb(
         ladder.build.base(), propagation._suffixes(depth))] == [
