@@ -36,6 +36,12 @@ interval yields the rate constants
 packaged in a Certificate.  Both minimizations over sigma are exact
 and need no search: the paper's closed forms are single-peaked in sigma,
 so each minimum over an interval is the smaller of its endpoint values.
+certify works in Python floats and writes every power as products
+(s2 = sigma*sigma, s4 = s2*s2), the same expressions that alpha_limit
+and rate_block evaluate on arrays.  Its only operations are +, -, *, /
+and sqrt, each correctly rounded (IEEE 754), so a certificate has the
+same bits on every host; numpy's array power loops, like libm's pow and
+exp, do not have that guarantee.
 
   * alpha_limit.  Since 64 l^4 + 16 l^2 s^2 + s^4 = (s^2 + 8 l^2)^2, with
     u = sigma / l the threshold reads 8u / (3 (u^2 + 8 + u sqrt(u^2 + 16))).
@@ -107,6 +113,9 @@ ALPHA_CAP = 0.99 / TWIST_GAIN
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# alpha strategies that float() accepts but that are not numbers
+_BOOLS = (bool, np.bool_)
+
 # Side of the corner block of the inequality matrix; beyond it the matrix
 # is diagonal.  The certified estimates close on the first MIN_HERMITE
 # Hermite coefficients.
@@ -153,7 +162,12 @@ def alpha_limit(l, sigma):
         8 l sigma / (3 (sqrt(64 l^4 + 16 l^2 s^2 + s^4) + sqrt(16 l^2 s^2 + s^4)))
 
     which is free of the subtractive cancellation the naive expression
-    suffers for small l.  Accepts scalar or array sigma.
+    suffers for small l.  Accepts scalar or array l and sigma; each
+    element has the bits of _alpha_limit, the float form that certify
+    uses (see _limit_squares).  An l whose l^4 overflows (above about
+    1.2e77, a period L below about 5e-77) or a sigma whose first square
+    root overflows raises CertificateError, and so do an l and a sigma
+    so small that every square underflows to 0.
 
     The first root is sigma^2 + 8 l^2, so with u = sigma / l
 
@@ -169,30 +183,72 @@ def alpha_limit(l, sigma):
     sigma = np.asarray(sigma, dtype=float)
     if not (np.asarray(l) > 0).all() or not (sigma > 0).all():
         raise UsageError("alpha_limit needs l > 0 and sigma > 0")
-    try:
-        l4 = l**4
-    except OverflowError:       # a float l above about 1.2e77
-        raise CertificateError(
-            f"wavenumber spacing l={l} is too large to certify; "
-            f"the period L is too small") from None
-    with np.errstate(over="ignore"):
-        big = np.sqrt(64.0 * l4 + 16.0 * l**2 * sigma**2 + sigma**4)
-        small = np.sqrt(16.0 * l**2 * sigma**2 + sigma**4)
-    if not np.all(np.isfinite(big)):    # sigma**4 overflows above about 1.2e77
-        raise CertificateError(
-            f"collision frequency sigma={float(sigma.max())} is too large to "
-            f"certify at l={l}")
-    out = 8.0 * l * sigma / (3.0 * (big + small))
+    with np.errstate(over="ignore", invalid="ignore"):
+        l4, big2, small2 = _limit_squares(l, sigma)
+    if not np.all(np.isfinite(l4)):
+        raise _spacing_error(l)
+    big = np.sqrt(big2)
+    if not np.all(np.isfinite(big)):
+        raise _frequency_error(l, float(sigma.max()))
+    if not np.all(big > 0.0):
+        raise _underflow_error(l, float(sigma.min()))
+    out = 8.0 * l * sigma / (3.0 * (big + np.sqrt(small2)))
     return float(out) if out.ndim == 0 else out
 
 
-def _golden_section_min(f, a: float, b: float, xatol: float = 1e-10):
-    """Plain golden-section minimization on [a, b]; returns (x, f(x))."""
+def _limit_squares(l, sigma):
+    """(l^4, 64 l^4 + 16 l^2 s^2 + s^4, 16 l^2 s^2 + s^4) for alpha_limit.
+
+    Every power is a product (l2 = l*l, l4 = l2*l2, s4 = s2*s2), the same
+    expression on floats and arrays.  IEEE 754 rounds each product
+    correctly, so the bits do not depend on the host; numpy's array power
+    loops are not libm pow, and their last bit follows the SIMD dispatch.
+    """
+    l2 = l * l
+    s2 = sigma * sigma
+    l4 = l2 * l2
+    mixed = 16.0 * l2 * s2
+    s4 = s2 * s2
+    return l4, 64.0 * l4 + mixed + s4, mixed + s4
+
+
+def _spacing_error(l) -> CertificateError:
+    return CertificateError(
+        f"wavenumber spacing l={l} is too large to certify; "
+        f"the period L is too small")
+
+
+def _frequency_error(l, sigma: float) -> CertificateError:
+    return CertificateError(
+        f"collision frequency sigma={sigma} is too large to certify at l={l}")
+
+
+def _underflow_error(l, sigma: float) -> CertificateError:
+    return CertificateError(
+        f"alpha_limit underflows at l={l}, sigma={sigma}: every square is 0")
+
+
+def _alpha_limit(l: float, sigma: float) -> float:
+    """alpha_limit of a float l and sigma, in float arithmetic, unchecked
+    but for the overflow guards and for squares that all underflow."""
+    l4, big2, small2 = _limit_squares(l, sigma)
+    if not math.isfinite(l4):
+        raise _spacing_error(l)
+    big = math.sqrt(big2)
+    if not math.isfinite(big):
+        raise _frequency_error(l, sigma)
+    if not big > 0.0:
+        raise _underflow_error(l, sigma)
+    return 8.0 * l * sigma / (3.0 * (big + math.sqrt(small2)))
+
+
+def _golden_section_max(f, a: float, b: float, xatol: float = 1e-10):
+    """Plain golden-section maximization on [a, b]; returns (x, f(x))."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     while b - a > xatol:
-        if f1 <= f2:
+        if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
             f1 = f(x1)
@@ -243,9 +299,12 @@ def _rate_terms(l, sigma):
         rate_block = alpha (c3 alpha^2 - c1 alpha + c0) / (4 (sigma - alpha l)^2),
 
     c3 = 72 l^3, c1 = 48 l^2 sigma + 6 sigma^3 and c0 = 8 l sigma^2, the
-    coefficients of d3 at k = 1.
+    coefficients of d3 at k = 1.  Powers are products, as in
+    _limit_squares: the same bits for floats and arrays, on every host.
     """
-    return 72.0 * l**3, 48.0 * l**2 * sigma + 6.0 * sigma**3, 8.0 * l * sigma**2
+    l2 = l * l
+    s2 = sigma * sigma
+    return 72.0 * (l2 * l), 48.0 * l2 * sigma + 6.0 * (s2 * sigma), 8.0 * l * s2
 
 
 def _rate(l, alpha, sigma, c3, c1, c0):
@@ -263,18 +322,18 @@ def _lambda_min_objective(l: float, sigma_min: float, sigma_max: float):
 
     rate_block is single-peaked in sigma (see its docstring), so the
     minimum is the smaller endpoint value.  The alpha-free terms of both
-    endpoint values, and alpha_limit at both endpoints, are formed here
-    once by rate_block's own numpy expressions.  The returned function
-    then evaluates a float alpha in plain float arithmetic, with no numpy
-    call, and returns the bits rate_block's array path gives.  It keeps
-    rate_block's checks (0 < alpha < alpha_limit at both endpoints and
-    sigma > alpha l) and raises CertificateError like it; also when the
-    denominator underflows to zero, where numpy would give nan.
+    endpoint values (_rate_terms) and alpha_limit at both endpoints are
+    formed here once, in float arithmetic.  The returned function calls
+    _rate at both endpoints, so a float alpha costs two calls of a dozen
+    float operations and no numpy call, and gives the bits of
+    rate_block's array path.  It keeps rate_block's checks
+    (0 < alpha < alpha_limit at both endpoints and sigma > alpha l) and
+    raises CertificateError like it; also when a denominator underflows
+    to zero, where numpy would give nan.
     """
-    sigma = np.array([sigma_min, sigma_max])
-    limit = float(alpha_limit(l, sigma).min())
-    c3, c1, c0 = _rate_terms(l, sigma)
-    (c1_lo, c1_hi), (c0_lo, c0_hi) = c1.tolist(), c0.tolist()
+    limit = min(_alpha_limit(l, sigma_min), _alpha_limit(l, sigma_max))
+    c3, c1_lo, c0_lo = _rate_terms(l, sigma_min)
+    _, c1_hi, c0_hi = _rate_terms(l, sigma_max)
 
     def lambda_min(alpha: float) -> float:
         if not 0.0 < alpha < limit:
@@ -317,7 +376,7 @@ def parse_alpha_strategy(strategy) -> tuple[str, float]:
     else:
         kind = "fixed"
         try:
-            if isinstance(strategy, (bool, np.bool_)):
+            if isinstance(strategy, _BOOLS):
                 raise TypeError
             value = float(strategy)
         except (TypeError, ValueError, OverflowError):
@@ -339,13 +398,14 @@ def _resolve_alpha(strategy, amax: float, lambda_min) -> float:
             return 0.5 * lambda_min(a) / (1.0 + a * TWIST_GAIN)
 
         # Coarse scan (including the exact midpoint) seeds a local
-        # golden-section refinement; keep whichever is better.
+        # golden-section refinement; keep whichever is better.  The first
+        # maximum of the scan wins, as with argmax.
         grid = [amax * j / 64.0 for j in range(1, 64)]
         vals = [mu_of(a) for a in grid]
-        i = int(np.argmax(vals))
-        a_ref, neg = _golden_section_min(lambda a: -mu_of(a), grid[max(i - 1, 0)],
-                                         grid[min(i + 1, len(grid) - 1)], 1e-10)
-        return a_ref if -neg >= vals[i] else grid[i]
+        i = vals.index(max(vals))
+        a_ref, best = _golden_section_max(mu_of, grid[max(i - 1, 0)],
+                                          grid[min(i + 1, len(grid) - 1)], 1e-10)
+        return a_ref if best >= vals[i] else grid[i]
     if kind == "fraction":
         return value * amax
     if not 0.0 < value < amax:
@@ -367,8 +427,7 @@ def alpha_max(l: float, sigma_min: float, sigma_max: float) -> float:
             f"need 0 < sigma_min <= sigma_max, got [{sigma_min}, {sigma_max}]")
     if not (l > 0.0 and math.isfinite(l)):
         raise UsageError(f"wavenumber spacing must be positive, got l={l}")
-    ends = alpha_limit(l, np.array([sigma_min, sigma_max]))
-    return min(float(np.min(ends)), ALPHA_CAP)
+    return min(_alpha_limit(l, sigma_max), _alpha_limit(l, sigma_min), ALPHA_CAP)
 
 
 def certify(L: float, sigma_min: float, sigma_max: float,
@@ -382,11 +441,13 @@ def certify(L: float, sigma_min: float, sigma_max: float,
     63 alphas plus golden-section refinement; parse_alpha_strategy checks
     the form.  For each trial alpha, lambda_min is the exact minimum over
     sigma, the smaller endpoint value of rate_block (see its docstring).
-    One objective serves the scan, the refinement and the final
-    lambda_min: the alpha-free terms of both endpoint values are formed
-    once per call, and each trial alpha then costs a dozen float
-    operations and no numpy call, with the bits of rate_block's array
-    path (see _lambda_min_objective).
+    The whole call is float arithmetic and makes no numpy call: the
+    alpha-free terms of both endpoint values are formed once, and each
+    trial alpha of the scan and the refinement then costs two _rate
+    calls of a dozen float operations each, with the bits of rate_block's array path (see
+    _lambda_min_objective).  Every power is a product and the only other
+    operations are +, -, *, / and sqrt, which IEEE 754 rounds correctly,
+    so a certificate has the same bits on every host.
 
     "fraction:<f>" is not monotone in the sigma interval for f above
     about 0.7: shrinking the interval raises alpha_max, which moves

@@ -254,9 +254,10 @@ def taylor_bound(model: CollisionFrequencyModel) -> float:
     constant/affine: the zeroth and first coefficients are the only
     nonzero ones.  trig with omega <= 1: coefficient magnitudes
     |eps| omega^n / n! peak at n <= 1.  polynomial: bound each scaled
-    derivative by its absolute-coefficient sum at the domain radius.
-    A 1e-9 relative margin keeps the inequality strict.  A bound that is
-    not a finite float raises NotCertifiableError.
+    derivative by its absolute-coefficient sum at the domain radius,
+    whose powers are running products.  A 1e-9 relative margin keeps the
+    inequality strict.  A bound that is not a finite float raises
+    NotCertifiableError.
     """
     if model.variant == "constant":
         return model.params[0] * (1.0 + _MARGIN)
@@ -271,14 +272,24 @@ def taylor_bound(model: CollisionFrequencyModel) -> float:
         return max(model.sigma_max, abs(eps) * omega) * (1.0 + _MARGIN)
     radius = max(abs(model.z_lo), abs(model.z_hi))
     deg = len(model.params) - 1
+    # radius^e as a running product, not pow: a correctly rounded product
+    # has the same bits on every host, libm's pow need not; a power beyond
+    # the float range is inf, and so is the bound
+    powers = [1.0]
+    for _ in range(deg):
+        powers.append(powers[-1] * radius)
     # a zero coefficient adds only +0.0 to a sum, so it is skipped before
     # its binomial is formed (far beyond the float range at high degree)
     terms = [(j, abs(c)) for j, c in enumerate(model.params) if c]
     best = 0.0
     try:
         for n in range(deg + 1):
-            total = sum(c * math.comb(j, n) * radius ** (j - n)
-                        for j, c in terms if j >= n)
+            # added in order: from Python 3.12 on, sum() of floats is
+            # compensated and would give other bits than 3.10 and 3.11
+            total = 0.0
+            for j, c in terms:
+                if j >= n:
+                    total += c * math.comb(j, n) * powers[j - n]
             best = max(best, total)
     except OverflowError:       # math.comb(j, n) beyond the float range
         best = math.inf

@@ -127,18 +127,26 @@ def optimized_mu_search(L: float, sigma_min: float, sigma_max: float,
 
 
 def rate_block_array(l, alpha, sigma):
-    """rate_block as minor_det3(1, alpha, sigma, l) / (4 (sigma - alpha l)^2).
+    """rate_block as d3(1, alpha, sigma, l) / (4 (sigma - alpha l)^2).
 
     The array expression the package evaluated for every trial alpha
     before its objective was reduced to float arithmetic, with the same
-    admissibility checks.
+    admissibility checks.  d3 is minor_det3's expression at k = 1 with
+    its powers written as the package's products (l2 = l*l, s2 =
+    sigma*sigma) in the package's order: numpy's array powers round
+    differently from Python's pow, and from one host to another.
     """
     sigma = np.asarray(sigma, dtype=float)
     if not np.all(alpha > 0.0) or not np.all(alpha < alpha_limit(l, sigma)):
         raise CertificateError(f"twist alpha={alpha} outside (0, alpha_limit)")
     if not np.all(sigma > alpha * l):
         raise CertificateError("rate_block needs sigma > alpha * l")
-    return minor_det3(1.0, alpha, sigma, l) / (4.0 * (sigma - alpha * l) ** 2)
+    l2, s2 = l * l, sigma * sigma
+    d3 = alpha * (72.0 * (l2 * l) * (alpha * alpha)
+                  - (48.0 * l2 * sigma + 6.0 * (s2 * sigma)) * alpha
+                  + 8.0 * l * s2)
+    d = sigma - alpha * l
+    return d3 / (4.0 * (d * d))
 
 
 def lambda_min_array(l: float, alpha, sigma_min: float, sigma_max: float):

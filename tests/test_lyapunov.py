@@ -168,6 +168,19 @@ def test_tiny_period_is_not_certifiable():
         certify(1e-80, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 1e-158])
+def test_underflowing_squares_are_not_certifiable(sigma):
+    # at l = 2 pi / 1e300 every square under alpha_limit's roots is 0: a
+    # CertificateError, not a float ZeroDivisionError or a numpy nan
+    l = 2.0 * math.pi / 1e300
+    with pytest.raises(CertificateError, match="underflows"):
+        alpha_limit(l, np.array([sigma, 1.0]))
+    with pytest.raises(CertificateError, match="underflows"):
+        alpha_max(l, sigma, sigma)
+    with pytest.raises(CertificateError, match="underflows"):
+        certify(1e300, sigma, sigma)
+
+
 def test_alpha_max_degenerate_and_cap():
     assert alpha_max(1.0, 1.0, 1.0) == pytest.approx(
         (9.0 - math.sqrt(17.0)) / 24.0, abs=1e-15)
@@ -220,6 +233,43 @@ def test_optimize_does_not_call_rate_block_per_trial(monkeypatch):
     monkeypatch.setattr(lyapunov, "rate_block", spy)
     certify(2.0 * math.pi, 0.9, 1.1, alpha_strategy="optimize")
     assert len(calls) <= 2
+
+
+class _NoNumpy:
+    """Stands in for numpy: any attribute access fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"certify used numpy.{name}")
+
+
+@pytest.mark.parametrize("strategy", ["optimize", "fraction:0.5",
+                                      "fixed:0.05", 0.05])
+def test_certify_makes_no_numpy_call(monkeypatch, strategy):
+    expected = certify(6.0, 0.7, 2.3, alpha_strategy=strategy)
+    monkeypatch.setattr(lyapunov, "np", _NoNumpy())
+    assert certify(6.0, 0.7, 2.3, alpha_strategy=strategy) == expected
+    assert alpha_max(expected.l, 0.7, 2.3) == expected.alpha_max
+    with pytest.raises(CertificateError):
+        certify(6.0, 0.7, 2.3, alpha_strategy=0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=st.floats(0.5, 40.0), lo=st.floats(0.05, 20.0),
+       ratio=st.floats(1.0, 3.0), j=st.integers(-3, 3),
+       strategy=st.sampled_from(["optimize", "fraction:0.5"]))
+def test_certificate_scaling_is_exact(L, lo, ratio, j, strategy):
+    # (x, t, sigma) -> (c x, c t, sigma / c) maps BGK solutions to BGK
+    # solutions.  For c a power of two every product in certify scales
+    # exactly, so the scaled certificate has the same alpha, alpha_max
+    # and C~ bits, and exactly 1/c times each rate
+    c = 2.0 ** j
+    hi = lo * ratio
+    base = certify(L, lo, hi, alpha_strategy=strategy)
+    scaled = certify(c * L, lo / c, hi / c, alpha_strategy=strategy)
+    assert (scaled.alpha, scaled.alpha_max, scaled.ctilde) == \
+        (base.alpha, base.alpha_max, base.ctilde)
+    for name in ("l", "lambda_min", "mu", "decay_rate"):
+        assert getattr(scaled, name) * c == getattr(base, name), name
 
 
 _CERT_L = st.one_of(st.floats(0.3, 60.0), st.sampled_from([1e-310, 1e300]))
@@ -565,6 +615,21 @@ def test_verify_grid_is_symmetric_in_k(L, lo, width, strategy, mu_scale, M, ks):
 def test_rate_block_positive_under_limit(l, sigma, frac):
     alpha = frac * float(alpha_limit(l, sigma))
     assert rate_block(l, alpha, sigma) > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(l=st.floats(1e-2, 1e2), sigma=st.floats(1e-2, 1e2),
+       frac=st.floats(0.01, 0.99))
+def test_rate_block_is_minor_det3_over_its_denominator(l, sigma, frac):
+    # rate_block's products against the separately written minor_det3;
+    # the allowance scales with the sum of the magnitudes of d3's terms,
+    # which cancel towards alpha_limit
+    alpha = frac * float(alpha_limit(l, sigma))
+    denom = 4.0 * (sigma - alpha * l) ** 2
+    scale = alpha * (72.0 * l**3 * alpha**2 + (48.0 * l**2 * sigma
+                     + 6.0 * sigma**3) * alpha + 8.0 * l * sigma**2) / denom
+    expected = minor_det3(1, alpha, sigma, l) / denom
+    assert abs(rate_block(l, alpha, sigma) - expected) <= 64 * np.finfo(float).eps * scale
 
 
 @settings(max_examples=40, deadline=None)
