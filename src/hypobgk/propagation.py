@@ -79,24 +79,23 @@ the products act on each jet of a chunk alone, so the bits of a jet
 depend neither on the other step sizes of its run nor on the chunk it
 falls in.
 
-Memory rule.  A build with keep holds each chunk's G and six powers for
-the next build, and propagate passes keep to every build but its last
-new step size's: a run of one step size, or a ladder run (one build,
-rung 0, in chunks of its own), holds none after its build.  Within a
-build the Taylor sums fit in three arrays the size of the chunk: the
-result, and a pair whose first half is the squarings' spare buffer and
-which is freed when _expm_powers returns.  A 15-step run at K = 16,
-M = 60, N = 2 (one chunk) on the jets path peaks at 9.77 arrays the
-size of its jets: G and its six powers, the three Taylor arrays and one
-level-sized temporary of a product, for the 16 modes k >= 1 (the
-ladder, which such a run takes, peaks at 3.75; below).  A run also
-holds a step size's jets from its first step to its last, so repeating
-one after other step sizes holds it through their builds: the same run
-with its sixth step size repeated at the end peaks at 10.77 arrays.
-The chunks bound the build temporaries, which grow with the chunk: at
-K = 4, M = 20 a sweep peaked about 0.3 MiB higher per z row of a chunk,
-while a chunk of the whole 30-row batch built only about a quarter
-faster.
+Memory rule.  A build holds one chunk's G and six powers at a time: it
+forms them from the bands, builds the chunk's jets and drops them, so
+nothing is carried from one build to the next, and each step size forms
+the powers again.  Within a build the Taylor sums fit in three arrays
+the size of the chunk: the result, and a pair whose first half is the
+squarings' spare buffer and which is freed when _expm_powers returns.
+A 15-step run at K = 16, M = 60, N = 2 (one chunk) on the jets path
+peaks at 9.77 arrays the size of its jets: G and its six powers, the
+three Taylor arrays and one level-sized temporary of a product, for the
+16 modes k >= 1 (the ladder, which such a run takes, peaks at 3.75;
+below).  A run also holds a step size's jets from its first step to its
+last, so repeating one after other step sizes holds it through their
+builds: the same run with its sixth step size repeated at the end peaks
+at 10.77 arrays.  The chunks bound the build temporaries, which grow
+with the chunk: at K = 4, M = 20 a sweep peaked about 0.3 MiB higher
+per z row of a chunk, while a chunk of the whole 30-row batch built only
+about a quarter faster.
 
 Everything steps through one z-batched core, propagate.  It takes the
 stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
@@ -192,9 +191,8 @@ per block of samples in place of per-step-size squarings:
   35-38 against 168-173 ms on the derivatives_large shape.  A run with
   one step size never gains, because its depth is about the s of its
   jets build.  A run with a repeated step size keeps the jets path bit
-  for bit; so do most range grids whose spacing is not dyadic: their
-  step sizes split into a few last-bit variants, and some of them
-  repeat.
+  for bit; so does a range grid of three or more times, which the
+  commands step by one step size after its first time.
 - The rule counts rungs for the largest step size, not for the climb.
   A run in which some z would need more than _RUNG_SETS = 10 sets of
   its step jets (K+1 jets each) in rungs for its largest step size
@@ -502,9 +500,8 @@ class _StepJets:
     Every build, at one step size (__call__) or at each jet's base step
     (base), is one pass of _sorted: the scaling powers and Taylor
     coefficients once, the powers and products once per chunk of the
-    sorted jets.  A build with keep holds each chunk's G and powers for
-    the next build, which takes them; a build without keep drops them as
-    it goes, so the run holds none after it.
+    sorted jets.  Each chunk's G and powers are dropped once its jets are
+    built, so a build keeps nothing for the next.
     """
 
     def __init__(self, ks, l: float, sigma_rows, M: int):
@@ -515,7 +512,6 @@ class _StepJets:
         self.kl = ks[self.modes] * l
         self.rows = np.asarray(sigma_rows, dtype=float)
         self.chunk = _BUILD_SLICE * max(len(self.modes), 1)   # jets, >= 1
-        self.powers: dict[int, tuple] = {}      # (G, P) of the chunk at j0
 
     @functools.cached_property
     def sorted_norms(self):
@@ -525,12 +521,11 @@ class _StepJets:
         order, norms = _band_norms(self.kl, self.off, self.rows, self.r)
         return order, norms, np.frexp(norms)[1]
 
-    def _sorted(self, h, chunk: int, keep: bool = False):
+    def _sorted(self, h, chunk: int):
         """One build of exp(-h G) for the sorted jets, h one step size or
         one step per sorted jet: yield (part, R) for each chunk of chunk
         jets, R the jets of the slice part of the sort.  Each chunk's G and
-        powers are kept for the next build when keep, else dropped before
-        the yield."""
+        powers are formed for it and dropped before the yield."""
         ranks, norms, e = self.sorted_norms
         if not np.all(np.isfinite(h)):
             raise NumericError(f"step size is not finite: {h}")
@@ -546,47 +541,33 @@ class _StepJets:
         coef = _TAYLOR25[_TAYLOR_SUMS] * c[:, None, None] ** _TAYLOR_SUMS
         for j0 in range(0, len(ranks), chunk):
             part = slice(j0, j0 + chunk)
-            powers = self.powers.pop(j0, None)
-            if powers is None:
-                powers = _generator_powers(self.kl, self.off, self.rows,
-                                           self.r, ranks[part], e[part])
-            if keep:
-                self.powers[j0] = powers
-            R = _expm_powers(*powers, c[part], coef[part], s[part])
-            del powers
+            R = _expm_powers(*_generator_powers(self.kl, self.off, self.rows,
+                                                self.r, ranks[part], e[part]),
+                             c[part], coef[part], s[part])
             yield part, R
 
-    def __call__(self, dt: float, keep: bool = False) -> np.ndarray:
+    def __call__(self, dt: float) -> np.ndarray:
         Z, n = self.rows.shape
         Kp, M = len(self.modes), len(self.r)
         K1 = Kp + len(self.zero)
         ranks = self.sorted_norms[0]
         out = None
         # a lattice of mode 0 alone has no batch to build
-        for part, R in self._sorted(dt, self.chunk, keep):
+        for part, R in self._sorted(dt, self.chunk):
             if out is None:     # after the first chunk's temporaries are gone
                 out = np.empty((Z, K1, n, M, M))
             z, k = np.divmod(ranks[part], Kp)
             out[z, self.modes[k]] = R
         if out is None:
             out = np.empty((Z, K1, n, M, M))
-        for k in self.zero:
-            self.mode0(dt, out[:, k])
+        diag = np.arange(M)
+        for k in self.zero:     # dense, with the closed-form diagonals
+            jets = out[:, k]
+            jets[...] = 0.0
+            jets[..., diag, diag] = _mode0_diagonals(self.rows, self.r, dt)
         if not np.all(np.isfinite(out)):
             raise NumericError(
                 f"matrix exponential produced non-finite entries at dt={dt}")
-        return out
-
-    def mode0(self, dt: float, out: np.ndarray | None = None) -> np.ndarray:
-        """The jets of exp(-dt G_0) at every z, shape (Z, N+1, M, M), dense
-        with the closed-form diagonals of _mode0_diagonals; into out when
-        it is given."""
-        M = len(self.r)
-        if out is None:
-            out = np.empty(self.rows.shape + (M, M))
-        out[...] = 0.0
-        diag = np.arange(M)
-        out[..., diag, diag] = _mode0_diagonals(self.rows, self.r, dt)
         return out
 
     def base(self) -> np.ndarray:
@@ -863,8 +844,8 @@ def propagate(data: np.ndarray, sigma_rows, l: float, dts):
         elif ladder is not None:
             W = next(samples)
         else:
-            if dt not in jets:      # the last new step size drops the powers
-                jets[dt] = build(dt, keep=dt != sizes[-1])
+            if dt not in jets:
+                jets[dt] = build(dt)
             W = _jet_mul(jets[dt], W)
             if last[dt] == j:
                 del jets[dt]

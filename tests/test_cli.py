@@ -963,7 +963,9 @@ def test_blocked_entropies_match_per_sample_entropies(tmp_path, monkeypatch,
                                                       levels, steps, times):
     # entropies read over blocks of steps equal those read sample by sample,
     # bit for bit: on T = 1, B - 1, B, B + 1 and 2B + 1 times, with zero
-    # steps inside and across blocks, and on a grid that starts after t = 0
+    # steps inside and across blocks, and on a grid that starts after t = 0;
+    # the samples step by the command's rule (one step size on the grids
+    # that equal a linspace)
     monkeypatch.setattr(cli, "_STEPS", steps)
     cfg = load_config(write_config(tmp_path, domain={"N": levels},
                                    z_grid={"num": 3},
@@ -972,8 +974,7 @@ def test_blocked_entropies_match_per_sample_entropies(tmp_path, monkeypatch,
     stack = cli.project_initial(cfg.initial, cfg.lattice, levels=levels)
     data, rows, _ = cli._initial_stacks(cfg, cert, cfg.model, stack)
     E = cli._entropies(cfg, cert, cfg.lattice, data, rows)
-    samples = cli.propagate(data, rows, cfg.lattice.l,
-                            np.diff(times, prepend=0.0))
+    samples = cli.propagate(data, rows, cfg.lattice.l, cli._steps(times))
     expected = np.array([[entropy_series(sample, n, cert.alpha)
                           for n in range(levels + 1)] for sample in samples])
     assert E.shape == (levels + 1, 3, len(times))
@@ -998,6 +999,115 @@ def test_grid_starting_after_zero_keeps_envelope_at_t0(tmp_path, command):
     assert rows and all(float(r.split(",")[6]) <= 1.0 for r in rows)
     full_rows = (out_full / name).read_text().splitlines()[2:]
     assert rows == [r for r in full_rows if r.split(",")[2] != "0"]
+
+
+# a range grid whose spacing is not dyadic: its differences split into
+# last-bit variants, some of them repeated
+RANGE_GRID = {"start": 0.0, "stop": 2.0, "num": 7}
+
+
+def _run(tmp_path, name, command, **overrides):
+    """Run command on write_config(**overrides); its files by name, bytes."""
+    out = tmp_path / name
+    assert main([command, "--config",
+                 str(write_config(tmp_path, f"{name}.json", **overrides)),
+                 "--out", str(out)]) == 0
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["simulate", "derivatives"])
+def test_range_grid_builds_one_step_size(tmp_path, monkeypatch, command):
+    # a range grid steps by t0 and then by one step size, so the run builds
+    # the step jets once where its differences take four sizes
+    from hypobgk import propagation
+    times = np.linspace(RANGE_GRID["start"], RANGE_GRID["stop"],
+                        RANGE_GRID["num"])
+    assert len(set(np.diff(times)[1:])) > 1
+    calls = []
+    build = propagation._StepJets.__call__
+
+    def spy(self, dt, *args, **kwargs):
+        calls.append(dt)
+        return build(self, dt, *args, **kwargs)
+
+    monkeypatch.setattr(propagation._StepJets, "__call__", spy)
+    _run(tmp_path, "out", command, time_grid=RANGE_GRID,
+         z_grid={"num": 3})
+    assert calls == [(times[-1] - times[0]) / (len(times) - 1)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "derivatives", "sweep"])
+def test_times_list_of_a_range_grid_writes_the_same_bytes(tmp_path, command):
+    # the step rule reads the times alone: the times of a range grid, given
+    # as a list, write the range form's files byte for byte
+    times = np.linspace(RANGE_GRID["start"], RANGE_GRID["stop"],
+                        RANGE_GRID["num"]).tolist()
+    ranged = _run(tmp_path, "range", command, time_grid=RANGE_GRID,
+                  z_grid={"num": 3})
+    listed = _run(tmp_path, "list", command, time_grid={"times": times},
+                  z_grid={"num": 3})
+    assert ranged == listed
+
+
+LOG_TIMES = [0.0] + np.logspace(-2.0, 1.0, 9).tolist()
+
+
+@pytest.mark.parametrize("c", [2.0, 0.5])
+@pytest.mark.parametrize("grid", ["range", "log"])
+@pytest.mark.parametrize("command", ["simulate", "derivatives", "sweep"])
+def test_scaling_keeps_every_checked_field(tmp_path, monkeypatch, command,
+                                           grid, c):
+    # (x, t, sigma) -> (c x, c t, sigma / c) is an exact symmetry of the BGK
+    # system, and for c a power of two the code keeps it bit for bit: at
+    # (c L, sigma0 / c, c1 / c, c t) every z, level, entropy, envelope,
+    # ratio and verdict field is the same, and so are the summary's z,
+    # alpha, alpha_max, ctilde, worst ratio and verdict; t and L scale by
+    # c, and sigma0, lambda_min, mu and lambda by 1 / c, exactly.  The
+    # range grid steps by the jets path, the log grid by the ladder
+    from hypobgk import propagation
+    ladders = []
+    ladder = propagation._Ladder
+
+    def spy(*args):
+        ladders.append(args)
+        return ladder(*args)
+
+    monkeypatch.setattr(propagation, "_Ladder", spy)
+    K, L, s0, c1 = 3, BASE["domain"]["L"], 1.0, 0.1
+
+    def config(c):
+        if grid == "range":
+            time_grid = {"start": c * RANGE_GRID["start"],
+                         "stop": c * RANGE_GRID["stop"],
+                         "num": RANGE_GRID["num"]}
+        else:
+            time_grid = {"times": [c * t for t in LOG_TIMES]}
+        return dict(domain={"L": c * L, "K": K, "M": 8, "N": 2},
+                    sigma={"variant": "affine", "sigma0": s0 / c,
+                           "c1": c1 / c, "z_domain": [-1, 1]},
+                    time_grid=time_grid, z_grid={"num": 3},
+                    sweep={"L_values": [c * L, c * 2.0 * L],
+                           "sigma0_values": [s0 / c, 2.0 * s0 / c]})
+
+    base = _run(tmp_path, "base", command, **config(1.0))
+    assert bool(ladders) == (grid == "log")
+    scaled = _run(tmp_path, "scaled", command, **config(c))
+    assert base.keys() == scaled.keys()
+    for name in base:
+        a, b = (list(csv.reader(io.StringIO(files[name].decode())))
+                for files in (base, scaled))
+        header = RESULT_HEADER if name != "summary.csv" else cli.SUMMARY_HEADER
+        assert a[1] == b[1] == list(header) and len(a) == len(b) > 2
+        factors = {"t": c, "L": c, "sigma0": 1 / c, "lambda_min": 1 / c,
+                   "mu": 1 / c, "lambda": 1 / c}
+        for i, field in enumerate(header):
+            col_a = [row[i] for row in a[2:]]
+            col_b = [row[i] for row in b[2:]]
+            if field in factors:
+                assert [factors[field] * float(x) for x in col_a] == \
+                    [float(x) for x in col_b], (name, field)
+            elif field != "run_id":
+                assert col_a == col_b, (name, field)
 
 
 @pytest.mark.parametrize("command", ["simulate", "derivatives", "sweep"])

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -656,15 +656,28 @@ def _dense_min(f, lo, hi, num=200_001):
 @settings(max_examples=40, deadline=None)
 @given(L=st.floats(1.0, 20.0), lo=st.floats(0.05, 10.0),
        width=st.floats(0.0, 10.0), frac=st.floats(0.02, 0.98))
+# two floats between the ends, where rate_block rounds 24 ulps below both
+# endpoint values: its cubic cancels 39-fold
+@example(L=1.0, lo=0.467980021014726, width=2.220446049250313e-16, frac=0.75)
 def test_lambda_min_is_exact_minimum_over_sigma(L, lo, width, frac):
     hi = lo + width
     l = 2.0 * math.pi / L
     alpha = frac * alpha_max(l, lo, hi)
     lam = certify(L, lo, hi, alpha_strategy=alpha).lambda_min
-    # never above the searched or the densely sampled minimum
-    assert lam <= lambda_min_search(l, alpha, lo, hi, 500) * SAFETY * (1 + ULPS)
-    dense = _dense_min(lambda s: rate_block(l, alpha, s), lo, hi)
-    assert lam <= dense * SAFETY * (1 + ULPS)
+    # never above the searched or the densely sampled minimum.  The
+    # allowance scales with the sum of the magnitudes of rate_block's
+    # terms, which cancel: each value rounds within 13 units of roundoff of
+    # that sum, lam's endpoint value and a sample within 13 eps of it
+    # together, and the two SAFETY products add one each
+    sigmas = np.linspace(lo, hi, 200_001)
+    scale = np.max(alpha * (72.0 * l**3 * alpha**2 + (48.0 * l**2 * sigmas
+                   + 6.0 * sigmas**3) * alpha + 8.0 * l * sigmas**2)
+                   / (4.0 * (sigmas - alpha * l) ** 2))
+    allowance = 16 * np.finfo(float).eps * scale
+    searched = lambda_min_search(l, alpha, lo, hi, 500)
+    assert lam <= (searched + allowance) * SAFETY
+    dense = float(np.min(rate_block(l, alpha, sigmas)))
+    assert lam <= (dense + allowance) * SAFETY
     # and attained: the smaller endpoint value of rate_block
     ends = min(rate_block(l, alpha, lo), rate_block(l, alpha, hi)) * SAFETY
     assert lam == pytest.approx(ends, rel=ULPS, abs=0)

@@ -215,8 +215,8 @@ def test_core_drops_step_jets_after_their_last_use(monkeypatch):
     held = []
     build = propagation._StepJets.__call__
 
-    def spy(self, dt, keep=False):
-        R = build(self, dt, keep)
+    def spy(self, dt):
+        R = build(self, dt)
         held.append(weakref.ref(R))
         return R
 
@@ -345,10 +345,10 @@ def test_a_first_zero_step_yields_the_real_frame_of_the_data():
 
 
 def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
-    # a run builds the powers of each chunk once, keeps them only while
-    # a later step size still needs a build, and a run of one step size
-    # keeps none after its step, nor does a ladder run after rung 0, which
-    # it builds in chunks of _BASE_SLICE jets
+    # each build forms the powers of each of its chunks once and drops
+    # them before the next chunk: no powers are held between builds, so
+    # a run holds none after any step, nor does a ladder run after rung 0,
+    # which it builds in chunks of _BASE_SLICE jets
     built, ladders = [], []
     generator_powers = propagation._generator_powers
     ladder = propagation._Ladder
@@ -373,8 +373,8 @@ def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
     dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
     seen = [(len(built), held()) for _ in
             propagation.propagate(data, rows, LAT.l, dts)]
-    # two chunks of G and its powers, alive until the build of 0.3
-    assert seen == [(2, 4)] * 4 + [(2, 0)] * 3
+    # two chunks per build of 0.1, 0.2 and 0.3, none alive after its build
+    assert seen == [(2, 0), (4, 0), (4, 0), (4, 0), (6, 0), (6, 0), (6, 0)]
     built.clear()
     seen = [(len(built), held()) for _ in
             propagation.propagate(data, rows, LAT.l, [0.25, 0.0, 0.25])]
@@ -434,7 +434,8 @@ def test_norms_and_sort_once_per_run(monkeypatch):
     # the norms and their sort are per-run work: one call per run, whatever
     # the chunk width and the step sizes, and none for a run that builds
     # nothing; each build cuts the sorted jets into chunks of _BUILD_SLICE
-    # z rows' worth
+    # z rows' worth and forms the powers of every chunk, none held from an
+    # earlier build
     calls = {"norms": 0, "sorts": 0, "chunks": 0}
     band_norms, argsort = propagation._band_norms, np.argsort
     generator_powers = propagation._generator_powers
@@ -458,7 +459,7 @@ def test_norms_and_sort_once_per_run(monkeypatch):
             list(propagation.propagate(data, rows, LAT.l, dts))
             ran = min(builds, 1)
             assert calls == {"norms": ran, "sorts": ran,
-                             "chunks": chunks * ran}, (width, dts)
+                             "chunks": chunks * builds}, (width, dts)
 
 
 # the shape of a derivatives_large run: K = 16, M = 60, N = 2, one z and 15
@@ -478,7 +479,7 @@ def _large_reference(k, dt, z=0.3):
 
 def test_derivatives_large_shape_against_extended_precision():
     # the step jets of the 15 step sizes of a derivatives run, built in
-    # turn from one set of shared powers: every step size is checked
+    # turn by one run's builder: every step size is checked
     # against the oracle at one mode (the modes cycle through 0..16), and
     # every step matrix equals, bit for bit, a build of its step size alone
     lattice, dts = LARGE, LARGE_DTS[1:]
@@ -490,7 +491,7 @@ def test_derivatives_large_shape_against_extended_precision():
 
     build = step_jets()
     for j, dt in enumerate(dts):
-        R = build(dt, keep=True)
+        R = build(dt)
         assert np.array_equal(step_jets()(dt), R)
         k = 7 * j % 17
         dense = propagation._dense_steps(R[0, k:k + 1])[0]
@@ -673,8 +674,8 @@ def test_ladder_agrees_with_the_jets_path(variant, K, M, N, pool, zeros,
 def test_runs_mixing_step_sizes_against_extended_precision(variant, M, N, pool,
                                                            picks, z):
     # the step sizes of a run of repeated, distinct and zero steps, built
-    # in turn from one set of shared powers over three z rows (two build
-    # chunks): every step matrix of every (z, k) against the oracle
+    # in turn by one run's builder over three z rows (two build chunks):
+    # every step matrix of every (z, k) against the oracle
     lattice = ModeLattice(K=2, L=1.0, M=M)
     model = MODELS[variant]
     sizes = {(pool + [0.0])[i % (len(pool) + 1)] for i in picks} - {0.0}
@@ -682,7 +683,7 @@ def test_runs_mixing_step_sizes_against_extended_precision(variant, M, N, pool,
     rows = [[sigma_eval(model, z, n) for n in range(N + 1)] for z in zs]
     build = propagation._StepJets(range(lattice.K + 1), lattice.l, rows, M)
     for dt in sizes:
-        R = build(dt, keep=True)
+        R = build(dt)
         dense = propagation._dense_steps(R.reshape(-1, N + 1, M, M))
         for i, row in enumerate(rows):
             for k in range(lattice.K + 1):
@@ -940,9 +941,10 @@ def test_squarings_stop_once_the_rest_is_zero(N, dt, monkeypatch):
     ([0.3], np.append(LARGE_DTS, LARGE_DTS[6]), 11.2),
 ], ids=["range_grid", "one_repeat", "held_through_builds"])
 def test_repeated_step_sizes_take_the_jets_path(zs, dts, limit, monkeypatch):
-    # the step sizes of a range grid whose spacing is not dyadic split into
-    # last-bit variants, some used once and some repeated.  A run with any
-    # repeated step size steps every size by jets, and holds at most 10.8
+    # the differences of a range grid whose spacing is not dyadic split
+    # into last-bit variants, some used once and some repeated (the
+    # commands step such a grid by one size).  A run with any repeated
+    # step size steps every size by jets, and holds at most 10.8
     # arrays of one set of step jets; a set repeated after other step sizes
     # is held through their builds, about one set more
     def never(*args):
