@@ -96,14 +96,16 @@ def entropy_series(data: np.ndarray, level: int, alpha: float) -> np.ndarray:
     For example the (Z, K+1, N+1, M, 2) samples of a batch of z that
     propagate yields; the result has the shape of the leading axes.  Data
     that are not floats, or have fewer than four axes or a last axis other
-    than 2, raise UsageError.  alpha is the twist of the certificate.
-    Roundoff can leave a tiny negative value, which is clamped to 0.
+    than 2, and levels outside 0..N raise UsageError.  alpha is the twist
+    of the certificate.  Roundoff's tiny negative values are clamped to 0.
     """
     data = np.asarray(data)
     if data.dtype.kind != "f" or data.ndim < 4 or data.shape[-1] != 2:
         raise UsageError(
             f"need real-frame pairs data[..., k, n, m, 2] of floats, got "
             f"{data.dtype} data of shape {data.shape}")
+    if not 0 <= level < data.shape[-3]:
+        raise UsageError(f"level {level} is not in 0..{data.shape[-3] - 1}")
     Y = data[..., level, :, :]
     pairs = Y.reshape(Y.shape[:-2] + (-1,))
     return np.maximum(_twisted(pairs, alpha), 0.0)

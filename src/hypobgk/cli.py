@@ -39,14 +39,13 @@ trig sigma, start next to times), is invalid input like any other.
 
 simulate, derivatives and each sweep point run all z samples through
 the propagation core at once and keep only the entropy of each sample,
-evaluated on the core's real-frame data.  A time grid equal to a
-linspace steps by its first time and then one step size (_steps), any
-other grid by its differences.  The samples are copied into a
-block of up to _STEPS time steps, and each level's entropies are read
-over a whole block in one entropy_series call.  A sweep formats the
-z,t,level fields of its rows once and shares them between its points,
-and each point's CSV text is formatted whole by the process that ran
-the point.
+evaluated on the core's real-frame data.  The core steps the times
+itself, so a range grid and its times list step alike.  The samples are
+copied into a block of up to _STEPS time steps, and each level's
+entropies are read over a whole block in one entropy_series call.  A
+sweep formats the z,t,level fields of its rows once and shares them
+between its points, and each point's CSV text is formatted whole by the
+process that ran the point.
 Every CSV is written as blocks of up to _BLOCK rows (_lines): the
 columns are interleaved into one flat list and one %-template of the
 block's rows, %.17g for floats, formats them at once, with \r\n line
@@ -697,23 +696,6 @@ def _initial_stacks(cfg: RunConfig, cert: Certificate,
     return data, sigma_rows, E0
 
 
-def _steps(times) -> list[float]:
-    """The steps from t = 0 through the sample times.
-
-    A grid equal, bit for bit, to np.linspace(t0, t1, n) steps by t0 and
-    then n - 1 times by h = (t1 - t0) / (n - 1), so a range grid takes
-    one step size where its differences would split into last-bit
-    variants.  Every other grid steps by its differences.  The rule
-    reads the times alone, so a times list and the range form step
-    alike.
-    """
-    n = len(times)
-    if n > 1 and np.linspace(times[0], times[-1], n).tobytes() \
-            == np.asarray(times, dtype=float).tobytes():
-        return [times[0]] + [(times[-1] - times[0]) / (n - 1)] * (n - 1)
-    return list(np.diff(times, prepend=0.0))
-
-
 def _entropies(cfg: RunConfig, cert: Certificate, lattice: ModeLattice,
                data: np.ndarray, sigma_rows) -> np.ndarray:
     """Twisted entropies E[n, z, j] of every level and z at cfg.times[j].
@@ -726,7 +708,7 @@ def _entropies(cfg: RunConfig, cert: Certificate, lattice: ModeLattice,
     """
     n_lvl, n_t = data.shape[2], len(cfg.times)
     E = np.empty((n_lvl, len(data), n_t))
-    samples = propagate(data, sigma_rows, lattice.l, _steps(cfg.times))
+    samples = propagate(data, sigma_rows, lattice.l, cfg.times)
     block = np.empty((min(_STEPS, n_t),) + data.shape + (2,))
     for j, sample in enumerate(samples):
         b = j % len(block)

@@ -98,10 +98,14 @@ per z row of a chunk, while a chunk of the whole 30-row batch built only
 about a quarter faster.
 
 Everything steps through one z-batched core, propagate.  It takes the
-stack data of a batch of z, shape (Z, K+1, N+1, M), and the sigma
-derivative rows of those z, shape (Z, N+1), and yields the real-frame
-data after each step:
+stack data of a batch of z at t = 0, shape (Z, K+1, N+1, M), the sigma
+derivative rows of those z, shape (Z, N+1), and the sample times, and
+yields the real-frame data at each time:
 
+- The times become steps here alone (_steps).  A grid equal, bit for
+  bit, to np.linspace(t0, t1, n) steps by t0 and then by h = (t1 - t0) /
+  (n - 1), so it builds one set of jets where its differences would split
+  into last-bit variants; any other grid steps by its differences.
 - The step matrices stay jets.  For each distinct step size the core
   builds the real-frame jets of exp(-dt G_k) for every (z, k) pair at
   once, shape (Z, K+1, N+1, M, M): (N+1) M^2 reals per pair instead of
@@ -125,10 +129,10 @@ are all used once may instead apply the exponential to its initial data
 (_Ladder), after Al-Mohy & Higham (2011), with one ladder of squarings
 per block of samples in place of per-step-size squarings:
 
-- Absolute times.  The sample after step j is exp(-T_j G) W_0, with W_0
-  = real_frame(data) and T_j the running sum (np.cumsum) of the nonzero
-  steps.  It is formed from W_0, not from the sample before it, so it
-  agrees with stepping sample to sample to rounding, not bit for bit.
+- Absolute times.  The sample at time T_j is exp(-T_j G) W_0, with W_0
+  = real_frame(data).  It is formed from W_0, not from the sample before
+  it, so it agrees with stepping sample to sample to rounding, not bit
+  for bit, and runs that share a time give the same bits there.
 - The base step.  Each (z, k != 0) jet, of 1-norm 2^e f with f in
   [1/2, 1), gets h = 2^(1-e), so h ||G|| = 2 f lies in [1, 2), inside
   theta_25.  L_0 = exp(-h G) is one build at the step h of each jet
@@ -191,8 +195,8 @@ per block of samples in place of per-step-size squarings:
   35-38 against 168-173 ms on the derivatives_large shape.  A run with
   one step size never gains, because its depth is about the s of its
   jets build.  A run with a repeated step size keeps the jets path bit
-  for bit; so does a range grid of three or more times, which the
-  commands step by one step size after its first time.
+  for bit; so does a range grid of three or more times, which steps by
+  one step size after its first time.
 - The rule counts rungs for the largest step size, not for the climb.
   A run in which some z would need more than _RUNG_SETS = 10 sets of
   its step jets (K+1 jets each) in rungs for its largest step size
@@ -634,27 +638,28 @@ def _block_size(M: int) -> int:
     return max(M // 2, 1)
 
 
-def _ladder(build: _StepJets, once):
-    """A _Ladder for the step sizes once of a run that uses each of its
-    nonzero step sizes once, or None: the selection rule of the module
+def _ladder(build: _StepJets, times):
+    """A _Ladder for the times of a run that steps to each of them by a
+    step size it uses once, or None: the selection rule of the module
     docstring.  The rule counts each jet's rungs for the largest step
-    size; the climb goes up to the last time, up to about log2(len(once))
-    more rungs per jet."""
+    between the times, from t = 0; the climb goes up to the last time, up
+    to about log2(len(times)) more rungs per jet."""
     Kp = len(build.modes)
-    if len(once) < 2 or not Kp:
+    if len(times) < 2 or not Kp:
         return None
     ranks, _, e = build.sorted_norms
-    rungs = np.bincount(ranks // Kp, _depths(e, max(once)))     # per z
+    longest = np.diff(times, prepend=0.0).max()
+    rungs = np.bincount(ranks // Kp, _depths(e, longest))       # per z
     if rungs.max() > _RUNG_SETS * (Kp + len(build.zero)):
         return None
-    return _Ladder(build, once)
+    return _Ladder(build, times)
 
 
 class _Ladder:
-    """exp(-T G) applied to the initial data at the absolute times T of a
-    run that uses each of its nonzero step sizes once.
+    """exp(-T G) applied to the initial data at the times T of a run that
+    uses each of its nonzero step sizes once.
 
-    T_j is the running sum of the steps once.  Each sorted jet has a base
+    T_j is the time of the j-th nonzero step.  Each sorted jet has a base
     step h = 2^(1-e) and rungs L_i = exp(-2^i h G), L_0 from
     _StepJets.base and L_(i+1) = L_i^2 (_climb).  T = q h + r: the
     remainder exp(-r G) comes first, from the Taylor terms of the initial
@@ -666,9 +671,9 @@ class _Ladder:
     stretch of the jets.
     """
 
-    def __init__(self, build: _StepJets, once):
+    def __init__(self, build: _StepJets, times):
         self.build = build
-        self.times = np.cumsum(once)
+        self.times = times
         ranks, _, e = build.sorted_norms
         z, k = np.divmod(ranks, len(build.modes))
         self.places = z, build.modes[k]
@@ -804,46 +809,53 @@ def _dense_steps(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagate(data: np.ndarray, sigma_rows, l: float, dts):
-    """Yield the real-frame data of a batch of z after each step dts[j].
+def _steps(times: np.ndarray) -> list:
+    """The steps from t = 0 through the times, by the module doc's rule."""
+    n = len(times)
+    if n > 1 and np.linspace(times[0], times[-1], n).tobytes() \
+            == times.tobytes():
+        return [times[0]] + [(times[-1] - times[0]) / (n - 1)] * (n - 1)
+    return list(np.diff(times, prepend=0.0))
 
-    data[z, k, n, m] has shape (Z, K+1, N+1, M) and sigma_rows[z] holds
-    sigma^(0)..sigma^(N) at that z, shape (Z, N+1).  Each sample has shape
-    (Z, K+1, N+1, M, 2): the (re, im) column pairs of D^-1 x, where
-    D = diag(i^m), starting from real_frame(data).  A zero step yields
-    the previous sample again; the samples must not be written to.  The
-    jets of a step size are built at its first step and dropped after its
-    last, and a run whose nonzero step sizes are all distinct may instead
-    form each sample from real_frame(data) at its absolute time through
-    the ladder (module docstring).  Every step size and the shapes of
-    data and sigma_rows are checked before the first sample.
+
+def propagate(data: np.ndarray, sigma_rows, l: float, times):
+    """Yield the real-frame data of a batch of z at each sample time.
+
+    data[z, k, n, m], shape (Z, K+1, N+1, M), holds the data at t = 0 and
+    sigma_rows[z] sigma^(0)..sigma^(N) at that z, shape (Z, N+1).  Each
+    sample has shape (Z, K+1, N+1, M, 2): the (re, im) column pairs of
+    D^-1 x, where D = diag(i^m), starting from real_frame(data).  The
+    core steps from t = 0 through the times (_steps); a zero step yields
+    the previous sample again, and the samples must not be written to.
+    A run whose nonzero step sizes are all distinct may instead form each
+    sample from real_frame(data) at its time through the ladder (module
+    docstring).  The times, which must be finite, >= 0 and nondecreasing,
+    and the shapes of data and sigma_rows are checked before the first
+    sample.
     """
-    dts = list(dts)
-    for dt in dts:
-        if not (dt >= 0.0 and math.isfinite(dt)):
-            raise UsageError(f"step size must be finite and >= 0, got dt={dt}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)) \
+            or np.any(np.diff(times, prepend=0.0) < 0.0):
+        raise UsageError(f"need finite times >= 0, nondecreasing: {times}")
     rows = np.array(sigma_rows, dtype=object)   # ragged rows: shape (Z,)
     if np.ndim(data) != 4 or rows.shape != np.shape(data)[:3:2]:
         raise UsageError(
             f"need stack data of shape (Z, K+1, N+1, M) and sigma_rows of "
             f"shape (Z, N+1), got {np.shape(data)} and {rows.shape}")
     _, K1, _, M = data.shape
-    last = {dt: j for j, dt in enumerate(dts)}
-    sizes = [dt for dt in last if dt]       # in the order of their first use
+    steps = _steps(times)
+    last = {dt: j for j, dt in enumerate(steps)}
     build = _StepJets(range(K1), l, sigma_rows, M)
-    ladder = None
-    if len(sizes) == len(dts) - dts.count(0.0):
-        ladder = _ladder(build, sizes)
+    once = len(last) - (0.0 in last) == np.count_nonzero(steps)  # no repeat
+    ladder = _ladder(build, times[np.flatnonzero(steps)]) if once else None
     W = real_frame(data)        # D^-1 x as (re, im) column pairs
     if ladder is not None:
         samples = ladder.samples(W)
     jets = {}
-    for j, dt in enumerate(dts):
-        if dt == 0.0:
-            pass
-        elif ladder is not None:
+    for j, dt in enumerate(steps):     # a zero step yields W again
+        if dt and ladder is not None:
             W = next(samples)
-        else:
+        elif dt:
             if dt not in jets:
                 jets[dt] = build(dt)
             W = _jet_mul(jets[dt], W)

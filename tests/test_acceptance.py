@@ -45,14 +45,13 @@ from hypobgk.spectral import complex_frame, real_frame
 from oracles import evolve_reference, gronwall_cascade, minor_det3
 
 TIMES = np.arange(0.0, 20.0001, 0.5)
-DTS = np.diff(TIMES, prepend=0.0)
 
 
 def _trajectory(state, model):
     """Stack data of state at each of TIMES, shape (T, K+1, N+1, M)."""
     rows = [[sigma_eval(model, state.z, n) for n in range(state.levels + 1)]]
     return np.stack([complex_frame(sample[0]) for sample in propagate(
-        state.data[None], rows, state.lattice.l, DTS)])
+        state.data[None], rows, state.lattice.l, TIMES)])
 
 
 def _state(spec, lattice, levels, z):
@@ -135,7 +134,7 @@ def test_criterion_03_decay_envelope_sweep():
                 batch = np.repeat(np.stack(stacks), len(zs), axis=0)
                 E = np.stack([entropy_series(sample, 0, cert.alpha)
                               for sample in propagate(
-                                  batch, rows * len(stacks), lat.l, DTS)])
+                                  batch, rows * len(stacks), lat.l, TIMES)])
                 for i in range(len(batch)):
                     env = entropy_envelope(float(E[0, i]), cert.decay_rate,
                                            TIMES)

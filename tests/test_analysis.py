@@ -43,11 +43,11 @@ def _state(seed=4, levels=0, z=0.0, scale=1.0):
 
 
 def _trajectory(state, times, model):
-    """Stack data of state at each of times, shape (T, K+1, N+1, M)."""
+    """Stack data of state, at t = 0, at each of times, shape
+    (T, K+1, N+1, M)."""
     rows = [[sigma_eval(model, state.z, n) for n in range(state.levels + 1)]]
     return np.stack([complex_frame(sample[0]) for sample in propagate(
-        state.data[None], rows, state.lattice.l,
-        np.diff(times, prepend=state.t))])
+        state.data[None], rows, state.lattice.l, times)])
 
 
 def test_entropy_hand_value():
@@ -66,6 +66,16 @@ def test_entropy_hand_value():
 def test_entropy_rejects_data_that_are_not_real_frame_pairs(shape, dtype):
     with pytest.raises(UsageError, match="real-frame pairs"):
         entropy_series(np.ones(shape, dtype=dtype), 0, 0.1)
+
+
+@pytest.mark.parametrize("level", [-1, 2])
+def test_entropy_rejects_a_level_outside_the_data(level):
+    # an N = 1 stack holds levels 0 and 1: level -1 would read level 1 by
+    # Python's last-index rule, and level 2 would raise IndexError
+    data = real_frame(_state(levels=1).data)
+    with pytest.raises(UsageError, match="level"):
+        entropy_series(data, level, 0.1)
+    assert entropy_series(data, 1, 0.1) > 0.0
 
 
 def test_entropy_twist_engages_leading_coefficients():

@@ -964,8 +964,7 @@ def test_blocked_entropies_match_per_sample_entropies(tmp_path, monkeypatch,
     # entropies read over blocks of steps equal those read sample by sample,
     # bit for bit: on T = 1, B - 1, B, B + 1 and 2B + 1 times, with zero
     # steps inside and across blocks, and on a grid that starts after t = 0;
-    # the samples step by the command's rule (one step size on the grids
-    # that equal a linspace)
+    # the reference samples come from the same times
     monkeypatch.setattr(cli, "_STEPS", steps)
     cfg = load_config(write_config(tmp_path, domain={"N": levels},
                                    z_grid={"num": 3},
@@ -974,7 +973,7 @@ def test_blocked_entropies_match_per_sample_entropies(tmp_path, monkeypatch,
     stack = cli.project_initial(cfg.initial, cfg.lattice, levels=levels)
     data, rows, _ = cli._initial_stacks(cfg, cert, cfg.model, stack)
     E = cli._entropies(cfg, cert, cfg.lattice, data, rows)
-    samples = cli.propagate(data, rows, cfg.lattice.l, cli._steps(times))
+    samples = cli.propagate(data, rows, cfg.lattice.l, times)
     expected = np.array([[entropy_series(sample, n, cert.alpha)
                           for n in range(levels + 1)] for sample in samples])
     assert E.shape == (levels + 1, 3, len(times))

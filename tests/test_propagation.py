@@ -143,8 +143,7 @@ def test_trajectory_matches_single_steps():
     state = _random_state(levels=1)
     times = [0.0, 0.5, 1.25, 3.0]
     rows = [[sigma_eval(model, state.z, n) for n in range(2)]]
-    snaps = list(propagate(state.data[None], rows, LAT.l,
-                           np.diff(times, prepend=0.0)))
+    snaps = list(propagate(state.data[None], rows, LAT.l, times))
     prop = _propagator(state, model)
     direct = state
     last = 0.0
@@ -226,10 +225,13 @@ def test_core_drops_step_jets_after_their_last_use(monkeypatch):
     data = np.stack([project_initial(InitialDataSpec(kind="random", seed=2),
                                      LAT, levels=1) for _ in zs])
     rows = [[sigma_eval(model, z, n) for n in range(2)] for z in zs]
-    dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
-    alive = [[dt for dt, ref in zip((0.1, 0.2, 0.3), held) if ref() is not None]
-             for _ in propagation.propagate(data, rows, LAT.l, dts)]
-    assert alive == [[0.1], [0.1, 0.2], [0.2], [0.2], [0.2, 0.3], [0.3], []]
+    # steps 0.125, 0.25, 0.125, 0, 0.375, 0.25, 0.375
+    times = [0.125, 0.375, 0.5, 0.5, 0.875, 1.125, 1.5]
+    alive = [[dt for dt, ref in zip((0.125, 0.25, 0.375), held)
+              if ref() is not None]
+             for _ in propagation.propagate(data, rows, LAT.l, times)]
+    assert alive == [[0.125], [0.125, 0.25], [0.25], [0.25], [0.25, 0.375],
+                     [0.375], []]
 
 
 @settings(max_examples=30, deadline=None)
@@ -251,8 +253,9 @@ def _take(path):
     every run whose nonzero step sizes are all used once (and there is
     one), or never."""
     if path == "jets":
-        return lambda build, once: None
-    return lambda build, once: propagation._Ladder(build, once) if once else None
+        return lambda build, times: None
+    return lambda build, times: (propagation._Ladder(build, times)
+                                 if len(times) else None)
 
 
 @pytest.mark.parametrize("N", [0, 2])
@@ -277,12 +280,12 @@ def test_batched_core_matches_single_z_runs_bit_for_bit(N, monkeypatch):
         runs = []
         for width in (1, 4):
             monkeypatch.setattr(propagation, "_BUILD_SLICE", width)
-            runs.append(list(propagation.propagate(data, rows, LAT.l, dts)))
+            runs.append(list(propagation.propagate(data, rows, LAT.l, times)))
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
         for i in range(len(zs)):
             alone = propagation.propagate(data[i:i + 1], rows[i:i + 1], LAT.l,
-                                          dts)
+                                          times)
             for a, b in zip(alone, runs[0]):
                 assert np.array_equal(a[0], b[i])
         for i, (z, state) in enumerate(zip(zs, stacks)):
@@ -339,8 +342,8 @@ def test_a_first_zero_step_yields_the_real_frame_of_the_data():
     data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1), 2)
     data[0, 1, 0, 4] = complex(-0.0, 0.0)
     expect = real_frame(data).view(np.uint64)
-    for dts in ([0.0, 0.5, 0.5], [0.0, 0.5, 0.7]):
-        W = next(propagation.propagate(data, rows, LAT.l, dts))
+    for times in ([0.0, 0.5, 1.0], [0.0, 0.5, 1.2]):
+        W = next(propagation.propagate(data, rows, LAT.l, times))
         assert np.array_equal(W.view(np.uint64), expect)
 
 
@@ -370,18 +373,20 @@ def test_generator_powers_built_once_per_slice_and_released(monkeypatch):
         return sum(ref() is not None for refs in built for ref in refs)
 
     data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), 1)
-    dts = [0.1, 0.2, 0.1, 0.0, 0.3, 0.2, 0.3]
+    # steps 0.125, 0.25, 0.125, 0, 0.375, 0.25, 0.375
+    times = [0.125, 0.375, 0.5, 0.5, 0.875, 1.125, 1.5]
     seen = [(len(built), held()) for _ in
-            propagation.propagate(data, rows, LAT.l, dts)]
-    # two chunks per build of 0.1, 0.2 and 0.3, none alive after its build
+            propagation.propagate(data, rows, LAT.l, times)]
+    # two chunks per build of 0.125, 0.25 and 0.375, none alive after its
+    # build
     assert seen == [(2, 0), (4, 0), (4, 0), (4, 0), (6, 0), (6, 0), (6, 0)]
     built.clear()
     seen = [(len(built), held()) for _ in
-            propagation.propagate(data, rows, LAT.l, [0.25, 0.0, 0.25])]
+            propagation.propagate(data, rows, LAT.l, [0.25, 0.25, 0.5])]
     assert seen == [(2, 0)] * 3
     built.clear()
     seen = [(len(built), held()) for _ in propagation.propagate(
-        data, rows, LAT.l, [0.1, 0.2, 0.0, 0.3, 0.7])]
+        data, rows, LAT.l, [0.1, 0.3, 0.3, 0.6, 1.3])]
     assert len(ladders) == 1
     chunks = -(-3 * LAT.K // propagation._BASE_SLICE)  # 3 z, K moving modes
     assert chunks == 3
@@ -453,21 +458,29 @@ def test_norms_and_sort_once_per_run(monkeypatch):
     data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5, 0.9, -0.2), 1)
     for width, chunks in ((1, 5), (2, 3), (4, 2), (8, 1)):
         monkeypatch.setattr(propagation, "_BUILD_SLICE", width)
-        for dts, builds in (([0.1], 1), ([0.1, 0.2, 0.1, 0.0, 0.3], 3),
-                            ([0.0, 0.0], 0)):
+        for times, builds in (([0.1], 1), ([0.125, 0.375, 0.5, 0.5, 0.875], 3),
+                              ([0.0, 0.0], 0)):
             calls.update(norms=0, sorts=0, chunks=0)
-            list(propagation.propagate(data, rows, LAT.l, dts))
+            list(propagation.propagate(data, rows, LAT.l, times))
             ran = min(builds, 1)
             assert calls == {"norms": ran, "sorts": ran,
-                             "chunks": chunks * builds}, (width, dts)
+                             "chunks": chunks * builds}, (width, times)
 
 
 # the shape of a derivatives_large run: K = 16, M = 60, N = 2, one z and 15
-# log-spaced times, so every step has a new step size
+# log-spaced times after t = 0, so every step has a new step size
 LARGE = ModeLattice(K=16, L=2 * math.pi, M=60)
 LARGE_MODEL = affine_model(1.0, 0.2)
-LARGE_DTS = np.diff([0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0) / 14)
-                             for i in range(15)], prepend=0.0)
+LARGE_TIMES = np.array([0.0] + [
+    10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0) / 14) for i in range(15)])
+LARGE_DTS = np.diff(LARGE_TIMES, prepend=0.0)
+
+
+def _exact_times(steps):
+    """Sample times whose steps from t = 0 are steps rounded to multiples
+    of 2^-40.  Running sums of such steps below 2^13 are exact, so the
+    differences of the times are the rounded steps, bit for bit."""
+    return np.cumsum(np.ldexp(np.round(np.ldexp(steps, 40)), -40))
 
 
 @functools.lru_cache(maxsize=32)
@@ -512,6 +525,19 @@ def _spy_rungs(monkeypatch):
     return rungs
 
 
+def _spy_ladders(monkeypatch):
+    """The _Ladder of every run that takes the ladder."""
+    ladders = []
+    ladder = propagation._Ladder
+
+    def spy(*args):
+        ladders.append(ladder(*args))
+        return ladders[-1]
+
+    monkeypatch.setattr(propagation, "_Ladder", spy)
+    return ladders
+
+
 def test_ladder_steps_against_extended_precision(monkeypatch):
     # the derivatives_large run steps its 15 once-used step sizes through
     # the ladder; each step of one mode (cycling through 0..16, as above)
@@ -520,7 +546,7 @@ def test_ladder_steps_against_extended_precision(monkeypatch):
     data, rows = _stacks(LARGE_MODEL, LARGE, [0.3], 2)
     alive = []
     samples = []
-    for W in propagation.propagate(data, rows, LARGE.l, LARGE_DTS):
+    for W in propagation.propagate(data, rows, LARGE.l, LARGE_TIMES):
         alive.append(sum(ref() is not None for ref in rungs))
         samples.append(complex_frame(W[0]))
     # the 15 samples are one block, which climbs its rungs before the
@@ -534,13 +560,12 @@ def test_ladder_steps_against_extended_precision(monkeypatch):
 
 def test_ladder_samples_against_extended_precision():
     # each ladder sample of the derivatives_large run is exp(-T_j G) applied
-    # to the initial data, T_j the running sum of the steps: one mode of
-    # each sample (cycling through 0..16, as above) against the oracle at T_j
+    # to the initial data at its time T_j: one mode of each sample (cycling
+    # through 0..16, as above) against the oracle at T_j
     data, rows = _stacks(LARGE_MODEL, LARGE, [0.3], 2)
-    samples = propagation.propagate(data, rows, LARGE.l, LARGE_DTS)
+    samples = propagation.propagate(data, rows, LARGE.l, LARGE_TIMES)
     assert np.array_equal(next(samples), real_frame(data))
-    for j, (T, W) in enumerate(zip(np.cumsum(LARGE_DTS[1:]), samples,
-                                   strict=True)):
+    for j, (T, W) in enumerate(zip(LARGE_TIMES[1:], samples, strict=True)):
         k = 7 * j % 17
         want = _large_reference(k, T) @ data[0, k].reshape(-1)
         err = _rel_err(complex_frame(W[0, k]).reshape(-1), want)
@@ -558,7 +583,7 @@ def test_ladder_blocks_give_the_same_bits(monkeypatch):
     for size in (propagation._block_size, lambda M: 1):
         monkeypatch.setattr(propagation, "_block_size", size)
         runs.append(list(propagation.propagate(data, rows, lattice.l,
-                                               LARGE_DTS)))
+                                               LARGE_TIMES)))
     for a, b in zip(*runs, strict=True):
         assert np.array_equal(a, b)
 
@@ -569,20 +594,13 @@ def test_ladder_samples_of_several_blocks_against_extended_precision(
     # the 15 samples four blocks of _block_size(8) = 4.  Every (z, k) of
     # each sample is exp(-T_j G) applied to the initial data, against the
     # oracle at T_j
-    ladders = []
-    ladder = propagation._Ladder
-
-    def spy(*args):
-        ladders.append(ladder(*args))
-        return ladders[-1]
-
-    monkeypatch.setattr(propagation, "_Ladder", spy)
+    ladders = _spy_ladders(monkeypatch)
     lattice = ModeLattice(K=4, L=2 * math.pi, M=8)
     data, rows = _stacks(LARGE_MODEL, lattice, (-0.7, 0.2, 0.9), 2)
     assert propagation._block_size(lattice.M) == 4
-    samples = propagation.propagate(data, rows, lattice.l, LARGE_DTS)
+    samples = propagation.propagate(data, rows, lattice.l, LARGE_TIMES)
     assert np.array_equal(next(samples), real_frame(data))
-    for T, W in zip(np.cumsum(LARGE_DTS[1:]), samples, strict=True):
+    for T, W in zip(LARGE_TIMES[1:], samples, strict=True):
         for i, row in enumerate(rows):
             for k in range(lattice.K + 1):
                 step = step_matrix_reference(k, lattice.l, T, row, lattice.M)
@@ -607,8 +625,8 @@ def test_ladder_taylor_terms_once_per_block(M, steps, blocks, monkeypatch):
     monkeypatch.setattr(propagation._Ladder, "_act", spy)
     lattice = ModeLattice(K=4, L=2 * math.pi, M=M)
     data, rows = _stacks(LARGE_MODEL, lattice, (-0.5, 0.5), 0)
-    dts = LARGE_DTS[:steps + 1]
-    assert len(list(propagation.propagate(data, rows, lattice.l, dts))) \
+    times = LARGE_TIMES[:steps + 1]
+    assert len(list(propagation.propagate(data, rows, lattice.l, times))) \
         == steps + 1
     assert actions[0] == blocks * propagation._TAYLOR_DEGREE
 
@@ -638,13 +656,15 @@ def test_ladder_agrees_with_the_jets_path(variant, K, M, N, pool, zeros,
         dts.append(pool[repeat % len(pool)])
     for i in zeros:
         dts.insert(i % (len(dts) + 1), 0.0)
+    times = _exact_times(dts)
+    dts = list(np.diff(times, prepend=0.0))
     data, rows = _stacks(MODELS[variant], lattice, zs, N)
     runs = {}
     for path in ("jets", "ladder"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagation, "_ladder", _take(path))
             runs[path] = [complex_frame(W) for W in propagation.propagate(
-                data, rows, lattice.l, dts)]
+                data, rows, lattice.l, times)]
     if repeat is not None:
         for a, b in zip(runs["jets"], runs["ladder"], strict=True):
             assert np.array_equal(a, b)
@@ -697,8 +717,6 @@ def test_derivatives_large_shape_peak_memory():
     # rung 0 beside one chunk's G, powers and Taylor sums, or two rungs
     # beside the block of samples
     lattice = ModeLattice(K=16, L=2 * math.pi, M=60)
-    times = [0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0) / 14)
-                     for i in range(15)]
     data, rows = _stacks(affine_model(1.0, 0.2), lattice, [0.3], 2)
     jet_bytes = (lattice.K + 1) * 3 * lattice.M ** 2 * 8
     started = not tracemalloc.is_tracing()
@@ -707,8 +725,7 @@ def test_derivatives_large_shape_peak_memory():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        for _ in propagation.propagate(data, rows, lattice.l,
-                                       np.diff(times, prepend=0.0)):
+        for _ in propagation.propagate(data, rows, lattice.l, LARGE_TIMES):
             pass
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -773,14 +790,16 @@ def test_no_step_calls_lapack(monkeypatch):
         for N in (0, 1):
             data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.1, 0.5), N)
             assert len(list(propagation.propagate(
-                data, rows, LAT.l, [0.0, 0.1, 0.3, 0.0, 2.5]))) == 5
+                data, rows, LAT.l, [0.0, 0.1, 0.4, 0.4, 2.9]))) == 5
 
 
 def test_step_sizes_checked_before_the_first_sample():
+    # every step between the times, from t = 0, must be finite and >= 0
     data, rows = _stacks(MODELS["affine"], LAT, (0.2,), 1)
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(UsageError, match="step size"):
-            next(propagation.propagate(data, rows, LAT.l, [0.1, bad]))
+    for times in ([0.1, -1.0], [0.1, math.nan], [0.1, math.inf], [0.2, 0.1],
+                  [-0.1, 0.1], [[0.1, 0.2]]):
+        with pytest.raises(UsageError, match="finite times"):
+            next(propagation.propagate(data, rows, LAT.l, times))
 
 
 @pytest.mark.parametrize("case", ["few_columns", "many_columns",
@@ -804,17 +823,17 @@ def test_ladder_selection():
     # step sizes with a moving mode takes the ladder, whatever its shape and
     # number of z.  A single once-used step size, a lattice of mode 0 alone
     # and a z whose rungs exceed ten sets of its step jets take the jets path
-    def choice(lattice, rows, once):
+    def choice(lattice, rows, times):
         build = propagation._StepJets(range(lattice.K + 1), lattice.l, rows,
                                       lattice.M)
-        return propagation._ladder(build, once)
+        return propagation._ladder(build, times)
 
     def at(zs, N):
         return [[sigma_eval(LARGE_MODEL, z, n) for n in range(N + 1)]
                 for z in zs]
 
-    once = list(LARGE_DTS[1:])
-    ladder = choice(LARGE, at([0.3], 2), once)
+    times = list(LARGE_TIMES[1:])
+    ladder = choice(LARGE, at([0.3], 2), times)
     assert isinstance(ladder, propagation._Ladder)
     # the rule counts the rungs of the largest step size, 163 against its
     # bound of 170; the climb goes up to the last time, 179 rungs, and
@@ -822,7 +841,7 @@ def test_ladder_selection():
     # rungs
     e = ladder.build.sorted_norms[2]
     assert propagation._RUNG_SETS * (LARGE.K + 1) == 170
-    assert propagation._depths(e, max(once)).sum() == 163
+    assert propagation._depths(e, max(LARGE_DTS)).sum() == 163
     depth = propagation._depths(e, ladder.times[-1])
     assert depth.sum() == 179
     assert np.all(np.diff(depth) >= 0)
@@ -833,22 +852,22 @@ def test_ladder_selection():
     one = ModeLattice(K=1, L=2 * math.pi, M=60)
     for lattice, rows in ((small, at([-0.5, 0.0, 0.5], 1)),
                           (small, at([0.3], 0)), (one, at([0.3, 0.6], 0))):
-        assert isinstance(choice(lattice, rows, once), propagation._Ladder)
-    assert choice(LARGE, at([0.3], 2), once[-1:]) is None
+        assert isinstance(choice(lattice, rows, times), propagation._Ladder)
+    assert choice(LARGE, at([0.3], 2), times[-1:]) is None
     assert choice(ModeLattice(K=0, L=2 * math.pi, M=8), at([0.3], 0),
-                  once) is None
+                  times) is None
     # a thousand-bit q is never formed: the depth comes from dt's exponent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert choice(LARGE, at([0.3], 0), [1e300, 1e299]) is None
+        assert choice(LARGE, at([0.3], 0), [1e300, 1.1e300]) is None
     # the rungs are counted per z: at K = 1, sigma = 1 needs 12 rungs and
     # sigma = 1e4 needs 23, against 20 per z, so the second z takes the
     # jets path alone and with the first, as a total of 35 of 40 would not
     tiny = ModeLattice(K=1, L=2 * math.pi, M=5)
-    assert isinstance(choice(tiny, [[1.0]], [600.0, 1000.0]),
+    assert isinstance(choice(tiny, [[1.0]], [600.0, 1600.0]),
                       propagation._Ladder)
-    assert choice(tiny, [[1e4]], [600.0, 1000.0]) is None
-    assert choice(tiny, [[1.0], [1e4]], [600.0, 1000.0]) is None
+    assert choice(tiny, [[1e4]], [600.0, 1600.0]) is None
+    assert choice(tiny, [[1.0], [1e4]], [600.0, 1600.0]) is None
 
 
 def test_a_z_alone_and_in_a_batch_give_the_same_bits():
@@ -856,12 +875,68 @@ def test_a_z_alone_and_in_a_batch_give_the_same_bits():
     # derivatives log grid equals, bit for bit, the same z stepped alone
     lattice = ModeLattice(K=4, L=2 * math.pi, M=20)
     data, rows = _stacks(LARGE_MODEL, lattice, np.linspace(-1.0, 1.0, 40), 0)
-    batch = list(propagation.propagate(data, rows, lattice.l, LARGE_DTS))
+    batch = list(propagation.propagate(data, rows, lattice.l, LARGE_TIMES))
     for i in range(len(data)):
         alone = propagation.propagate(data[i:i + 1], rows[i:i + 1], lattice.l,
-                                      LARGE_DTS)
+                                      LARGE_TIMES)
         for a, b in zip(alone, batch, strict=True):
             assert np.array_equal(a[0], b[i]), i
+
+
+def test_ladder_samples_at_a_shared_time_agree_bit_for_bit(monkeypatch):
+    # the ladder forms each sample at its time as given: two runs of
+    # log-spaced times that share a time t give the same bits at t, also
+    # where the running sum of one run's differences misses t
+    ladders = _spy_ladders(monkeypatch)
+    times = np.logspace(-2.0, math.log10(20.0), 12)
+    few = times[::3]
+    t = times[9]
+    assert few[3] == t and np.cumsum(np.diff(few, prepend=0.0))[3] != t
+    data, rows = _stacks(MODELS["trig"], LAT, (-0.5, 0.4), 1)
+    many = list(propagation.propagate(data, rows, LAT.l, times))
+    some = list(propagation.propagate(data, rows, LAT.l, few))
+    assert len(ladders) == 2
+    assert many[9].tobytes() == some[3].tobytes()
+
+
+@pytest.mark.parametrize("path, times", [
+    ("jets", np.linspace(0.0, 2.0, 7)), ("ladder", LARGE_TIMES)])
+def test_mode_k_is_mode_1_at_k_times_l(path, times, monkeypatch):
+    # mode k at wavenumber spacing l is mode 1 at k l: a run at K = 6,
+    # l = 0.7 equals, bit for bit, runs of modes 0 and 1 at l k, for every
+    # k and every sample, on the jets path (a range grid) and on the ladder
+    # (log-spaced times)
+    ladders = _spy_ladders(monkeypatch)
+    K, l = 6, 0.7
+    lattice = ModeLattice(K=K, L=2 * math.pi / l, M=20)
+    data, rows = _stacks(MODELS["trig"], lattice, (-0.5, 0.1, 0.8), 1)
+    full = list(propagation.propagate(data, rows, l, times))
+    for k in range(1, K + 1):
+        one = propagation.propagate(data[:, [0, k]], rows, l * k, times)
+        for a, b in zip(full, one, strict=True):
+            assert a[:, [0, k]].tobytes() == b.tobytes(), k
+    assert len(ladders) == (K + 1 if path == "ladder" else 0)
+
+
+@pytest.mark.parametrize("path, times", [
+    ("jets", np.linspace(0.0, 2.0, 7)), ("ladder", LARGE_TIMES)])
+def test_reflection_negates_the_odd_levels(path, times, monkeypatch):
+    # z -> -z negates the odd sigma derivatives and the odd levels of the
+    # data; every sample's odd levels come out negated and its even levels
+    # unchanged, on the jets path and on the ladder.  Values are compared:
+    # they agree bit for bit, but an exact zero (the data's cleared k = 0
+    # moments) may come out with either sign
+    ladders = _spy_ladders(monkeypatch)
+    lattice = ModeLattice(K=4, L=2 * math.pi, M=20)
+    data, rows = _stacks(MODELS["polynomial"], lattice, (-0.5, 0.1, 0.8), 2)
+    sign = np.array([1.0, -1.0, 1.0])
+    runs = [list(propagation.propagate(data, rows, lattice.l, times)),
+            list(propagation.propagate(data * sign[:, None],
+                                       np.array(rows) * sign, lattice.l,
+                                       times))]
+    for a, b in zip(*runs, strict=True):
+        assert np.array_equal(a * sign[:, None, None], b)
+    assert len(ladders) == (2 if path == "ladder" else 0)
 
 
 def test_ladder_base_is_the_jets_build_at_the_base_step():
@@ -884,27 +959,19 @@ def test_long_horizons_take_the_jets_path(N, times):
     # size: both runs take the jets path, finish (a non-finite step would
     # raise) and hold at most 10.8 arrays of one set of step jets
     data, rows = _stacks(LARGE_MODEL, LARGE, [0.3], N)
-    dts = np.diff(times, prepend=0.0)
     build = propagation._StepJets(range(LARGE.K + 1), LARGE.l, rows, LARGE.M)
-    assert propagation._ladder(build, [dt for dt in dts if dt]) is None
+    assert propagation._ladder(build, times[1:]) is None
     jet_bytes = (LARGE.K + 1) * (N + 1) * LARGE.M ** 2 * 8
-    peak = _peak_bytes(LARGE, [0.3], dts, N)
+    peak = _peak_bytes(LARGE, [0.3], times, N)
     assert peak <= 10.8 * jet_bytes, peak / jet_bytes
 
 
 def test_many_z_on_the_ladder_peak_memory(monkeypatch):
     # 30 z at K = 4, M = 8 on the derivatives log grid take the ladder and
     # hold at most 10.8 arrays of one set of step jets
-    ladders = []
-    ladder = propagation._Ladder
-
-    def spy(*args):
-        ladders.append(ladder(*args))
-        return ladders[-1]
-
-    monkeypatch.setattr(propagation, "_Ladder", spy)
+    ladders = _spy_ladders(monkeypatch)
     lattice, zs = ModeLattice(K=4, L=2 * math.pi, M=8), np.linspace(-1, 1, 30)
-    peak = _peak_bytes(lattice, list(zs), LARGE_DTS)
+    peak = _peak_bytes(lattice, list(zs), LARGE_TIMES)
     assert len(ladders) == 1
     jet_bytes = len(zs) * (lattice.K + 1) * lattice.M ** 2 * 8
     assert peak <= 10.8 * jet_bytes, peak / jet_bytes
@@ -935,28 +1002,38 @@ def test_squarings_stop_once_the_rest_is_zero(N, dt, monkeypatch):
     assert not R[:, 1:].any() and not np.signbit(R[:, 1:]).any()
 
 
-@pytest.mark.parametrize("zs, dts, limit", [
-    ([-0.5, 0.3, 0.9], np.diff(np.linspace(0.0, 1.0, 11)), 10.8),
-    ([0.3], np.append(LARGE_DTS, LARGE_DTS[-1]), 10.8),
-    ([0.3], np.append(LARGE_DTS, LARGE_DTS[6]), 11.2),
+@pytest.mark.parametrize("zs, times, builds, limit", [
+    ([-0.5, 0.3, 0.9], np.linspace(0.0, 1.0, 11), 1, 10.8),
+    ([0.3], _exact_times(np.append(LARGE_DTS, LARGE_DTS[-1])), 15, 10.8),
+    ([0.3], _exact_times(np.append(LARGE_DTS, LARGE_DTS[6])), 15, 11.2),
 ], ids=["range_grid", "one_repeat", "held_through_builds"])
-def test_repeated_step_sizes_take_the_jets_path(zs, dts, limit, monkeypatch):
+def test_repeated_step_sizes_take_the_jets_path(zs, times, builds, limit,
+                                               monkeypatch):
     # the differences of a range grid whose spacing is not dyadic split
-    # into last-bit variants, some used once and some repeated (the
-    # commands step such a grid by one size).  A run with any repeated
-    # step size steps every size by jets, and holds at most 10.8
-    # arrays of one set of step jets; a set repeated after other step sizes
-    # is held through their builds, about one set more
+    # into last-bit variants, some used once and some repeated; propagate
+    # steps such a grid by one size, and builds its jets once.  A run
+    # with any repeated step size steps every size by jets, and holds at
+    # most 10.8 arrays of one set of step jets; a set repeated after other
+    # step sizes is held through their builds, about one set more
     def never(*args):
         raise AssertionError("a run with a repeated step size took the ladder")
 
+    calls = []
+    build = propagation._StepJets.__call__
+
+    def spy(self, dt):
+        calls.append(dt)
+        return build(self, dt)
+
     monkeypatch.setattr(propagation, "_Ladder", never)
+    monkeypatch.setattr(propagation._StepJets, "__call__", spy)
     jet_bytes = len(zs) * (LARGE.K + 1) * 3 * LARGE.M ** 2 * 8
-    peak = _peak_bytes(LARGE, zs, dts, 2)
+    peak = _peak_bytes(LARGE, zs, times, 2)
     assert peak <= limit * jet_bytes, peak / jet_bytes
+    assert len(calls) == builds
 
 
-def _peak_bytes(lattice, zs, dts, N=0):
+def _peak_bytes(lattice, zs, times, N=0):
     """tracemalloc peak of a run of propagate above its inputs."""
     data, rows = _stacks(affine_model(1.0, 0.2), lattice, zs, N)
     started = not tracemalloc.is_tracing()
@@ -965,7 +1042,7 @@ def _peak_bytes(lattice, zs, dts, N=0):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        for _ in propagation.propagate(data, rows, lattice.l, dts):
+        for _ in propagation.propagate(data, rows, lattice.l, times):
             pass
         return tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -973,19 +1050,17 @@ def _peak_bytes(lattice, zs, dts, N=0):
             tracemalloc.stop()
 
 
-@pytest.mark.parametrize("K, M, Z, dts, limit", [
+@pytest.mark.parametrize("K, M, Z, times, limit", [
     # a sweep point: 30 z, 80 steps of 0.25
-    (4, 20, 30, [0.0] + [0.25] * 80, 1_018_364),
+    (4, 20, 30, np.linspace(0.0, 20.0, 81), 1_018_364),
     # the 15 log-spaced steps of a derivatives run at K = 16, M = 60
-    (16, 60, 4, np.diff([0.0] + [10.0 ** (-2.0 + i * (math.log10(20.0) + 2.0)
-                                          / 14) for i in range(15)],
-                        prepend=0.0), 5_600_000),
+    (16, 60, 4, LARGE_TIMES, 5_600_000),
 ], ids=["sweep", "derivatives_large"])
-def test_single_level_peak_memory(K, M, Z, dts, limit):
+def test_single_level_peak_memory(K, M, Z, times, limit):
     # the sweep's limit is the peak of its run under the earlier [13/13]
     # Pade build with an LU solve (numpy 2.4); the Taylor build must stay
     # below it.  The derivatives run takes the ladder, whose limit is its
     # peak with rungs dropped as they are climbed, plus a margin
     lattice = ModeLattice(K=K, L=2 * math.pi, M=M)
-    peak = _peak_bytes(lattice, list(np.linspace(-1.0, 1.0, Z)), dts)
+    peak = _peak_bytes(lattice, list(np.linspace(-1.0, 1.0, Z)), times)
     assert peak <= limit, peak
